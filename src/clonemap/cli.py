@@ -100,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="forbid two newer groups sharing one origin")
     p_map.add_argument("--dump-topics", metavar="PATH",
                        help="also write per-group topic words to PATH")
-    p_map.add_argument("--threads", type=int, default=1)
+    p_map.add_argument("--threads", type=int, default=1,
+                       help="threads for token documents and LCS rows")
     p_map.add_argument("--out", metavar="PATH",
                        help="write the mapping JSON artifact here")
     p_map.add_argument("--format", choices=["json", "table"], default="table",

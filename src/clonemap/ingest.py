@@ -9,6 +9,7 @@ so reports can be parsed without any source tree present.
 from __future__ import annotations
 
 import json
+import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -99,11 +100,36 @@ def resolve_fragment_text(fragment: CloneFragment, source_root: Path | str) -> s
     """Read the fragment's inclusive line range from its file.
 
     Input is decoded as UTF-8 with invalid bytes replaced; CRLF is
-    normalized to LF. Raises FileNotFoundError for a missing file and
+    normalized to LF. Raises ValidationError when the fragment's path
+    leads outside ``source_root``, FileNotFoundError for a missing file and
     FragmentRangeError when the range exceeds the file length.
     """
-    path = Path(source_root) / fragment.file
-    raw = path.read_text(encoding="utf-8", errors="replace")
+    return _read_fragment(fragment, os.path.realpath(source_root), {})
+
+
+def _real_path(root: str, file: str, real_dirs: dict[str, str]) -> str:
+    """``os.path.realpath`` of ``file`` under ``root``, with the real path
+    of each directory cached in ``real_dirs`` (fragments share directories)."""
+    head, name = os.path.split(os.path.join(root, file))
+    real_dir = real_dirs.get(head)
+    if real_dir is None:
+        real_dir = real_dirs[head] = os.path.realpath(head)
+    path = os.path.join(real_dir, name)
+    if name in ("", ".", "..") or os.path.islink(path):
+        path = os.path.realpath(path)
+    return path
+
+
+def _read_fragment(fragment: CloneFragment, root: str,
+                   real_dirs: dict[str, str]) -> str:
+    """``resolve_fragment_text`` under a source root that is already a
+    real path (absolute, symlinks resolved)."""
+    path = _real_path(root, fragment.file, real_dirs)
+    if os.path.commonpath((root, path)) != root:
+        raise ValidationError(
+            f"fragment file {fragment.file!r} lies outside the source root {root!r}"
+        )
+    raw = Path(path).read_text(encoding="utf-8", errors="replace")
     lines = _normalize_newlines(raw).split("\n")
     # A trailing newline yields one empty trailing element, not a real line.
     if lines and lines[-1] == "":
@@ -120,19 +146,22 @@ def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None =
     """Return a copy of the snapshot with every fragment's text filled in.
 
     Fragments that already carry text (e.g. from a report's optional "text"
-    field) are kept as-is. ``source_root`` defaults to the snapshot's own.
+    field) are kept as-is. ``source_root`` defaults to the snapshot's own;
+    a fragment file outside it raises ValidationError.
     """
     root = Path(source_root) if source_root is not None else snapshot.source_root
+    real_root = os.path.realpath(root) if root is not None else None
+    real_dirs: dict[str, str] = {}
     groups = []
     for group in snapshot.groups:
         fragments = []
         for frag in group.fragments:
             if frag.text is None:
-                if root is None:
+                if real_root is None:
                     raise ValidationError(
                         f"group {group.index}: no source root to resolve {frag.file!r}"
                     )
-                frag = replace(frag, text=resolve_fragment_text(frag, root))
+                frag = replace(frag, text=_read_fragment(frag, real_root, real_dirs))
             fragments.append(frag)
         groups.append(CloneGroup(index=group.index, fragments=tuple(fragments)))
     return VersionSnapshot(

@@ -14,9 +14,13 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CloneMapWarning, ConfigError, ValidationError
 from .ingest import VersionSnapshot
-from .similarity import Metric, lcs_similarity, topic_similarity
+# topic_similarity is not called here but stays importable from this module,
+# where perfbench/tracer.py looks it up.
+from .similarity import Metric, lcs_similarity, score_matrix, topic_similarity  # noqa: F401
 from .topicmodel import TopicDistribution
 
 
@@ -25,17 +29,12 @@ class Strategy(enum.Enum):
     LCS_BASELINE = "lcs"
 
 
-class TieBreak(enum.Enum):
-    LOWEST_OLD_INDEX = "lowest_old_index"
-
-
 @dataclass(frozen=True)
 class MappingConfig:
     delta: float = 0.8
     metric: Metric = Metric.COSINE
     strategy: Strategy = Strategy.TOPIC
     enforce_injective: bool = False
-    tie_break: TieBreak = TieBreak.LOWEST_OLD_INDEX
 
     def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
@@ -88,23 +87,18 @@ class Genealogy:
     deaths: tuple[tuple[str, int], ...]
 
 
-def _argmax_lowest(scores) -> int:
-    best = max(scores)
-    return scores.index(best)
-
-
-def _assign(score_rows, new_refs, old_refs, delta: float,
+def _assign(scores: np.ndarray, empty_rows, new_refs, old_refs, delta: float,
             enforce_injective: bool) -> list[GroupMapping]:
-    """Thresholded argmax over score rows; None rows map to null.
+    """Thresholded argmax over the rows of an (N, M) score matrix.
 
-    ``score_rows[i]`` is the score of newer group i against every older
-    group, or None when the newer group had an empty document.
+    ``empty_rows[i]`` marks a newer group whose document came out empty; it
+    maps to null with a warning. Ties go to the lowest older index.
     """
     n_old = len(old_refs)
     mappings: dict[int, GroupMapping] = {}
     contenders = []
-    for i, row in enumerate(score_rows):
-        if row is None:
+    for i, empty in enumerate(empty_rows):
+        if empty:
             warnings.warn(
                 f"group {new_refs[i]} has an empty token document; mapped to null",
                 CloneMapWarning,
@@ -119,9 +113,11 @@ def _assign(score_rows, new_refs, old_refs, delta: float,
             contenders.append(i)
 
     if not enforce_injective:
+        # np.argmax returns the first maximum: the lowest older index.
+        best_cols = scores.argmax(axis=1) if n_old else ()
         for i in contenders:
-            row = score_rows[i]
-            k = _argmax_lowest(row)
+            row = scores[i].tolist()
+            k = int(best_cols[i])
             best = row[k]
             old = old_refs[k] if best >= delta else None
             mappings[i] = GroupMapping(new_refs[i], old, best, tuple(row))
@@ -130,6 +126,7 @@ def _assign(score_rows, new_refs, old_refs, delta: float,
     # Injective auction: contested old groups go to the highest-scoring
     # claimant (ties to the lowest new index); losers retry against the
     # still-unclaimed old groups until every contender settles.
+    score_rows = scores.tolist()
     available = set(range(n_old))
     pending = list(contenders)
     while pending:
@@ -158,43 +155,41 @@ def _assign(score_rows, new_refs, old_refs, delta: float,
     return [mappings[i] for i in range(len(new_refs))]
 
 
-def _score_rows(newer_topics, score_one, threads: int):
-    """Per-newer-group score rows, optionally fanned out over threads.
+def _score_rows(items, score_one, threads: int):
+    """Per-item score rows, optionally fanned out over threads.
 
-    Rows are independent; ordering of the result is by newer index no matter
+    Rows are independent; ordering of the result is by item index no matter
     how many workers compute them.
     """
-
-    def row_for(topic):
-        return None if topic is None else score_one(topic)
-
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(row_for, newer_topics))
-    return [row_for(t) for t in newer_topics]
+            return list(pool.map(score_one, items))
+    return [score_one(item) for item in items]
 
 
 def map_version_pair(newer: VersionTopics, older: VersionTopics,
-                     config: MappingConfig | None = None,
-                     threads: int = 1) -> list[GroupMapping]:
+                     config: MappingConfig | None = None) -> list[GroupMapping]:
     """Map every newer group to its best-matching older group or to null.
 
     Topics must come from a shared vocabulary (one corpus spanning both
-    versions). Output is ordered by newer group index and always has one
-    entry per newer group.
+    versions). All pairs are scored by one ``score_matrix`` call; a None
+    older topic scores 0.0 against everything. Output is ordered by newer
+    group index and always has one entry per newer group.
     """
     config = config or MappingConfig()
     new_refs = [(newer.version_id, i) for i in range(len(newer.topics))]
     old_refs = [(older.version_id, j) for j in range(len(older.topics))]
+    new_present = [i for i, t in enumerate(newer.topics) if t is not None]
+    old_present = [j for j, t in enumerate(older.topics) if t is not None]
 
-    def score_one(topic):
-        return [
-            0.0 if old is None else topic_similarity(topic, old, config.metric)
-            for old in older.topics
-        ]
-
-    score_rows = _score_rows(newer.topics, score_one, threads)
-    return _assign(score_rows, new_refs, old_refs, config.delta,
+    scores = np.zeros((len(new_refs), len(old_refs)))
+    scores[np.ix_(new_present, old_present)] = score_matrix(
+        [newer.topics[i] for i in new_present],
+        [older.topics[j] for j in old_present],
+        config.metric,
+    )
+    empty_rows = [t is None for t in newer.topics]
+    return _assign(scores, empty_rows, new_refs, old_refs, config.delta,
                    config.enforce_injective)
 
 
@@ -229,8 +224,9 @@ def baseline_text_map(newer: VersionSnapshot, older: VersionSnapshot,
     def score_one(text):
         return [lcs_similarity(text, old) for old in old_texts]
 
-    score_rows = _score_rows(new_texts, score_one, threads)
-    return _assign(score_rows, new_refs, old_refs, delta,
+    rows = _score_rows(new_texts, score_one, threads)
+    scores = np.array(rows, dtype=np.float64).reshape(len(new_refs), len(old_refs))
+    return _assign(scores, [False] * len(new_refs), new_refs, old_refs, delta,
                    config.enforce_injective)
 
 

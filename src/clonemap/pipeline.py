@@ -39,8 +39,8 @@ def build_documents(snapshot: VersionSnapshot, filter_config: FilterConfig,
     return [build(g) for g in snapshot.groups]
 
 
-def fit_topics(documents: list[TokenDocument], corpus,
-               threads: int = 1) -> list[TopicDistribution | None]:
+def fit_topics(documents: list[TokenDocument],
+               corpus) -> list[TopicDistribution | None]:
     """Per-group one-topic distributions over the corpus vocabulary.
 
     Groups whose documents came out empty yield None; the mapper turns
@@ -53,16 +53,13 @@ def fit_topics(documents: list[TokenDocument], corpus,
         except EmptyDocumentError:
             return None
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fit, documents))
     return [fit(doc) for doc in documents]
 
 
 def pair_topics(newer_docs: list[TokenDocument], older_docs: list[TokenDocument],
                 newer_id: str, older_id: str,
                 lda_config: LdaConfig | None = None,
-                threads: int = 1) -> tuple[VersionTopics, VersionTopics]:
+                ) -> tuple[VersionTopics, VersionTopics]:
     """Topic vectors for both versions over one shared vocabulary.
 
     The default path computes exact one-topic frequencies per group. With
@@ -78,13 +75,13 @@ def pair_topics(newer_docs: list[TokenDocument], older_docs: list[TokenDocument]
             if doc.token_count == 0:
                 vectors.append(None)
             else:
-                vectors.append(TopicDistribution(weights=result.theta[d].copy(),
+                vectors.append(TopicDistribution(weights=result.theta[d],
                                                  group_ref=doc.group_ref))
         newer_vecs = vectors[:len(newer_docs)]
         older_vecs = vectors[len(newer_docs):]
     else:
-        newer_vecs = fit_topics(newer_docs, corpus, threads)
-        older_vecs = fit_topics(older_docs, corpus, threads)
+        newer_vecs = fit_topics(newer_docs, corpus)
+        older_vecs = fit_topics(older_docs, corpus)
     return (
         VersionTopics(version_id=newer_id, topics=tuple(newer_vecs)),
         VersionTopics(version_id=older_id, topics=tuple(older_vecs)),
@@ -183,10 +180,9 @@ def run_map(newer_report: Path | str, older_report: Path | str,
         older_docs = build_documents(older_snap, filter_config, threads)
         newer_topics, older_topics = pair_topics(
             newer_docs, older_docs, newer_snap.version_id,
-            older_snap.version_id, lda_config, threads,
+            older_snap.version_id, lda_config,
         )
-        mappings = map_version_pair(newer_topics, older_topics,
-                                    mapping_config, threads=threads)
+        mappings = map_version_pair(newer_topics, older_topics, mapping_config)
 
     if dump_topics_path is not None:
         if newer_docs is None:

@@ -70,28 +70,70 @@ class LdaConfig:
         return 50.0 / self.K if self.alpha is None else self.alpha
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TopicDistribution:
-    """Probability distribution over vocabulary ids for one clone group."""
+    """Probability distribution over vocabulary ids for one clone group.
 
-    weights: np.ndarray
+    Stored sparsely: ``ids`` are the sorted word ids with nonzero weight,
+    ``values`` their weights and ``size`` the vocabulary size. Build one
+    from a dense ``weights`` vector or from ``ids``/``values``/``size``;
+    ``weights`` reads the dense vector back, built on each access.
+    """
+
+    ids: np.ndarray
+    values: np.ndarray
+    size: int
     group_ref: tuple[str, int] | None = None
 
-    def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if weights.ndim != 1:
-            raise ValidationError("topic weights must be one-dimensional")
-        if np.any(weights < 0):
+    def __init__(self, weights=None, group_ref: tuple[str, int] | None = None,
+                 *, ids=None, values=None, size: int | None = None):
+        if weights is not None:
+            if ids is not None or values is not None or size is not None:
+                raise ValidationError("pass either weights or ids/values/size")
+            dense = np.asarray(weights, dtype=np.float64)
+            if dense.ndim != 1:
+                raise ValidationError("topic weights must be one-dimensional")
+            ids = np.flatnonzero(dense)
+            values = dense[ids]
+            size = dense.size
+        else:
+            if ids is None or values is None or size is None:
+                raise ValidationError("a sparse topic needs ids, values and size")
+            ids = np.asarray(ids, dtype=np.int64)
+            values = np.asarray(values, dtype=np.float64)
+            if ids.ndim != 1 or ids.shape != values.shape:
+                raise ValidationError("topic ids and values must be matching 1-d arrays")
+            if ids.size and (ids[0] < 0 or ids[-1] >= size
+                             or np.any(ids[1:] <= ids[:-1])):
+                raise ValidationError(
+                    f"topic ids must be strictly increasing within [0, {size})"
+                )
+            nonzero = values != 0
+            ids = ids[nonzero]
+            values = values[nonzero]
+        if np.any(values < 0):
             raise ValidationError("topic weights must be non-negative")
-        if abs(float(weights.sum()) - 1.0) > 1e-9:
-            raise ValidationError(
-                f"topic weights must sum to 1, got {float(weights.sum())!r}"
-            )
-        weights.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
+        total = float(values.sum())
+        if not abs(total - 1.0) <= 1e-9:
+            raise ValidationError(f"topic weights must sum to 1, got {total!r}")
+        ids = ids.astype(np.int64, copy=False)
+        ids.setflags(write=False)
+        values.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "size", int(size))
+        object.__setattr__(self, "group_ref", group_ref)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Read-only dense vector over the whole vocabulary."""
+        dense = np.zeros(self.size, dtype=np.float64)
+        dense[self.ids] = self.values
+        dense.setflags(write=False)
+        return dense
 
     def __len__(self) -> int:
-        return len(self.weights)
+        return self.size
 
 
 @dataclass(frozen=True)
@@ -128,10 +170,10 @@ def fit_group_topic(document: TokenDocument,
                     config: LdaConfig | None = None) -> TopicDistribution:
     """One-topic distribution for a single group: exact term frequencies.
 
-    No sampling is involved; weight(w) = count(w) / token_count. When a
-    corpus is given the vector spans its vocabulary (so topics from two
-    versions share an ordering); otherwise the document's own sorted
-    vocabulary is used.
+    No sampling is involved; weight(w) = count(w) / token_count, stored
+    only for the document's own words. When a corpus is given the ids index
+    its vocabulary (so topics from two versions share an ordering);
+    otherwise the document's own sorted vocabulary is used.
     """
     if config is not None and config.K != 1:
         raise ConfigError(
@@ -141,17 +183,20 @@ def fit_group_topic(document: TokenDocument,
         raise EmptyDocumentError(document.group_ref)
     if corpus is None:
         corpus = build_corpus([document])
-    weights = np.zeros(corpus.vocabulary_size, dtype=np.float64)
-    for word, count in document.counts().items():
-        try:
-            wid = corpus.word_ids[word]
-        except KeyError:
-            raise ValidationError(
-                f"word {word!r} missing from corpus vocabulary"
-            ) from None
-        weights[wid] = count
-    weights /= document.token_count
-    return TopicDistribution(weights=weights, group_ref=document.group_ref)
+    counts = document.counts()
+    try:
+        ids = np.fromiter((corpus.word_ids[w] for w in counts), dtype=np.int64,
+                          count=len(counts))
+    except KeyError as exc:
+        raise ValidationError(
+            f"word {exc.args[0]!r} missing from corpus vocabulary"
+        ) from None
+    values = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    order = np.argsort(ids)
+    return TopicDistribution(ids=ids[order],
+                             values=values[order] / document.token_count,
+                             size=corpus.vocabulary_size,
+                             group_ref=document.group_ref)
 
 
 def _check_counts(corpus: Corpus, n_dk, n_kw, n_k, n_d, word_totals) -> None:

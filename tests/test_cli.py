@@ -97,6 +97,17 @@ class TestMapCommand:
         rc = main(["map", "--newer", str(bad), "--older", str(bad)])
         assert rc == 3
 
+    def test_fragment_outside_source_is_validation_error(self, evolution,
+                                                         capsys):
+        report_path = evolution / "newer_report.json"
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        fragment = report["groups"][0]["fragments"][0]
+        fragment["file"] = "../older_src/" + fragment["file"]
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        rc = main(run_map_cmd(evolution))
+        assert rc == 3
+        assert "outside the source root" in capsys.readouterr().err
+
     def test_rerun_reproduces_artifact_bytes(self, evolution, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"

@@ -156,6 +156,48 @@ class TestTextResolution:
         assert all(g.resolved for g in resolved.groups)
         assert resolved.groups[0].fragments[0].text == "aa\nbb"
 
+    @pytest.mark.parametrize("escape", ["../outside.c", "sub/../../outside.c",
+                                        "ABSOLUTE"])
+    def test_fragment_outside_source_root_rejected(self, tmp_path, escape):
+        root = tmp_path / "src"
+        (root / "sub").mkdir(parents=True)
+        outside = tmp_path / "outside.c"
+        outside.write_text("secret\nsecret\n", encoding="utf-8")
+        (root / "inside.c").write_text("aa\nbb\n", encoding="utf-8")
+        file = str(outside) if escape == "ABSOLUTE" else escape
+        report = {"version": "v1", "groups": [{"index": 0, "fragments": [
+            {"file": "inside.c", "start_line": 1, "end_line": 2},
+            {"file": file, "start_line": 1, "end_line": 2},
+        ]}]}
+        snap = snapshot_from_dict(report, source_root=root)
+        with pytest.raises(ValidationError, match="outside the source root"):
+            resolve_snapshot(snap)
+        with pytest.raises(ValidationError, match="outside the source root"):
+            resolve_fragment_text(snap.groups[0].fragments[1], root)
+
+    @pytest.mark.parametrize("file", ["link.c", "linkdir/outside.c",
+                                      "linkdir/../outside.c"])
+    def test_symlink_out_of_source_root_rejected(self, tmp_path, file):
+        root = tmp_path / "src"
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        root.mkdir()
+        for target in (tmp_path / "outside.c", elsewhere / "outside.c"):
+            target.write_text("secret\nsecret\n", encoding="utf-8")
+        (root / "link.c").symlink_to(tmp_path / "outside.c")
+        (root / "linkdir").symlink_to(elsewhere, target_is_directory=True)
+        frag = CloneFragment(file=file, start_line=1, end_line=2)
+        with pytest.raises(ValidationError, match="outside the source root"):
+            resolve_fragment_text(frag, root)
+
+    @pytest.mark.parametrize("file", ["sub/../a.c", "./a.c", "link.c"])
+    def test_path_within_source_root_allowed(self, tmp_path, file):
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "a.c").write_text("aa\nbb\n", encoding="utf-8")
+        (tmp_path / "link.c").symlink_to(tmp_path / "a.c")
+        frag = CloneFragment(file=file, start_line=1, end_line=2)
+        assert resolve_fragment_text(frag, tmp_path) == "aa\nbb"
+
     def test_report_carried_text_kept(self):
         snap = snapshot_from_dict(make_report(with_text=True))
         resolved = resolve_snapshot(snap)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clonemap.errors import CloneMapWarning, ConfigError
+from clonemap.evaluation import SynthConfig, generate_evolution
 from clonemap.ingest import CloneFragment, CloneGroup, VersionSnapshot
 from clonemap.mapping import (
     MappingConfig,
@@ -14,6 +15,7 @@ from clonemap.mapping import (
     map_version_pair,
     unmatched_old_groups,
 )
+from clonemap.pipeline import run_map, write_json_artifact
 from clonemap.preprocess import TokenDocument
 from clonemap.topicmodel import build_corpus, fit_group_topic
 
@@ -167,19 +169,26 @@ class TestMapVersionPair:
         with pytest.raises(ConfigError):
             MappingConfig(delta=1.5)
 
-    def test_threads_do_not_change_output(self):
-        rng = np.random.default_rng(3)
-        words = [f"w{i}" for i in range(8)]
-        def random_counts():
-            return {w: int(rng.integers(1, 5))
-                    for w in rng.choice(words, size=4, replace=False)}
-        newer, older = pair_from_counts(
-            [random_counts() for _ in range(12)],
-            [random_counts() for _ in range(9)],
-        )
-        serial = map_version_pair(newer, older)
-        threaded = map_version_pair(newer, older, threads=4)
-        assert serial == threaded
+
+class TestRunMap:
+    def test_threads_do_not_change_output(self, tmp_path):
+        """--threads fans out document building and LCS rows only."""
+        generate_evolution(SynthConfig(group_count=12, death_fraction=0.1,
+                                       birth_fraction=0.1, seed=3), tmp_path)
+        for strategy in Strategy:
+            artifacts = []
+            for threads in (1, 4):
+                payload = run_map(
+                    tmp_path / "newer_report.json", tmp_path / "older_report.json",
+                    source_newer=tmp_path / "newer_src",
+                    source_older=tmp_path / "older_src",
+                    mapping_config=MappingConfig(strategy=strategy),
+                    threads=threads,
+                )
+                out = tmp_path / f"mapping-{threads}.json"
+                write_json_artifact(out, payload)
+                artifacts.append(out.read_bytes())
+            assert artifacts[0] == artifacts[1], strategy
 
 
 class TestRenamedGroupFixture:

@@ -1,12 +1,21 @@
 """Similarity metrics against hand-evaluated formulas and random oracles."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from clonemap import similarity
 from clonemap.errors import ValidationError
-from clonemap.similarity import Metric, lcs_similarity, topic_similarity
-from clonemap.topicmodel import TopicDistribution
+from clonemap.preprocess import TokenDocument
+from clonemap.similarity import (
+    Metric,
+    lcs_similarity,
+    score_matrix,
+    topic_similarity,
+)
+from clonemap.topicmodel import TopicDistribution, build_corpus, fit_group_topic
 
 
 def random_distribution(rng, size):
@@ -80,6 +89,116 @@ class TestTopicSimilarity:
             assert topic_similarity(a, b, Metric.HELLINGER) == pytest.approx(
                 expected, abs=1e-12
             )
+
+
+def _cosine_oracle(u, v):
+    dot = sum(a * b for a, b in zip(u, v))
+    nu = math.sqrt(sum(a * a for a in u))
+    nv = math.sqrt(sum(b * b for b in v))
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    return dot / (nu * nv)
+
+
+def _hellinger_oracle(p, q):
+    distance = math.sqrt(
+        0.5 * sum((math.sqrt(a) - math.sqrt(b)) ** 2 for a, b in zip(p, q))
+    )
+    return 1.0 - distance
+
+
+ORACLES = {Metric.COSINE: _cosine_oracle, Metric.HELLINGER: _hellinger_oracle}
+
+# A small shared vocabulary, so that random groups overlap heavily.
+COUNTS = st.dictionaries(st.sampled_from("abcdef"),
+                         st.integers(min_value=1, max_value=60),
+                         min_size=1, max_size=6)
+
+
+def topics_over_one_corpus(*count_lists):
+    docs = [[TokenDocument.from_counts(c) for c in counts]
+            for counts in count_lists]
+    corpus = build_corpus([d for group in docs for d in group])
+    topics = [[fit_group_topic(d, corpus) for d in group] for group in docs]
+    return corpus, topics
+
+
+def dense(counts, vocabulary):
+    total = sum(counts.values())
+    return [counts.get(w, 0) / total for w in vocabulary]
+
+
+class TestScoreMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(COUNTS, min_size=1, max_size=6),
+           st.lists(COUNTS, min_size=1, max_size=6),
+           st.sampled_from(list(Metric)))
+    def test_every_entry_matches_dense_oracle(self, newer_counts,
+                                              older_counts, metric):
+        corpus, (newer, older) = topics_over_one_corpus(newer_counts,
+                                                        older_counts)
+        scores = score_matrix(newer, older, metric)
+        assert scores.shape == (len(newer_counts), len(older_counts))
+        for i, nc in enumerate(newer_counts):
+            for j, oc in enumerate(older_counts):
+                expected = ORACLES[metric](dense(nc, corpus.vocabulary),
+                                           dense(oc, corpus.vocabulary))
+                assert abs(scores[i, j] - expected) <= 1e-12
+                if nc == oc:
+                    assert scores[i, j] == 1.0
+
+    def test_same_support_one_count_off_hellinger(self):
+        """1 - sum(sqrt(p * q)) cancels here; the kernel must not."""
+        newer = {"a": 3, "b": 5, "c": 7, "d": 100000}
+        older = {"a": 3, "b": 5, "c": 7, "d": 100001}
+        corpus, ([t_new], [t_old]) = topics_over_one_corpus([newer], [older])
+        p = dense(newer, corpus.vocabulary)
+        q = dense(older, corpus.vocabulary)
+        expected = _hellinger_oracle(p, q)
+        naive = 1.0 - math.sqrt(1.0 - sum(math.sqrt(a * b) for a, b in zip(p, q)))
+        assert abs(naive - expected) > 1e-12
+        got = score_matrix([t_new], [t_old], Metric.HELLINGER)[0, 0]
+        assert abs(got - expected) <= 1e-12
+
+    def test_matches_topic_similarity_cell_by_cell(self):
+        rng = np.random.default_rng(23)
+        vectors = [random_distribution(rng, 9) * (rng.random(9) < 0.5)
+                   for _ in range(7)]
+        for metric in Metric:
+            scores = score_matrix(vectors[:4], vectors[3:], metric)
+            for i in range(4):
+                for j in range(4):
+                    assert scores[i, j] == topic_similarity(
+                        vectors[i], vectors[3 + j], metric)
+            assert scores[3, 0] == (1.0 if vectors[3].any() else 0.0)
+
+    def test_row_blocks_do_not_change_scores(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        vectors = [random_distribution(rng, 12) * (rng.random(12) < 0.4)
+                   for _ in range(10)]
+        vectors = [v / v.sum() for v in vectors if v.any()]
+        for metric in Metric:
+            whole = score_matrix(vectors, vectors[:4], metric)
+            monkeypatch.setattr(similarity, "_BLOCK_CELLS", 9)
+            blocked = score_matrix(vectors, vectors[:4], metric)
+            monkeypatch.undo()
+            assert np.array_equal(whole, blocked)
+
+    def test_empty_sides(self):
+        t = TopicDistribution(weights=np.array([0.5, 0.5]))
+        assert score_matrix([], [t]).shape == (0, 1)
+        assert score_matrix([t, t], []).shape == (2, 0)
+
+    def test_zero_vector_scores_zero_under_both_metrics(self):
+        z = np.zeros(3)
+        p = np.array([0.2, 0.3, 0.5])
+        for metric in Metric:
+            assert score_matrix([z, p], [p, z], metric).tolist() == [
+                [0.0, 0.0], [1.0, 0.0]]
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValidationError):
+            score_matrix([np.ones(2) / 2], [np.ones(2) / 2], "cosine")
 
 
 def brute_force_lcs(xs, ys):

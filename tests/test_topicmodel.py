@@ -1,11 +1,14 @@
 """Corpus encoding, exact one-topic frequencies, and the Gibbs sampler."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from clonemap.errors import ConfigError, EmptyDocumentError, ValidationError
 from clonemap.preprocess import TokenDocument
+from clonemap.similarity import Metric, score_matrix
 from clonemap.topicmodel import (
     Corpus,
     LdaConfig,
@@ -124,6 +127,32 @@ class TestFitGroupTopic:
             assert topic.weights[vocab.index(word)] == count / total
 
 
+    def test_large_vocabulary_stores_only_the_document_words(self):
+        """No array as long as the vocabulary is built to fit or to score."""
+        V = 10**6
+        corpus = Corpus(vocabulary=tuple(f"w{i:07d}" for i in range(V)),
+                        documents=())
+        d1 = doc(["w0000003", "w0999999", "w0000003", "w0500000"], ("v2", 0))
+        d2 = doc(["w0500000", "w0000003", "w0000007"], ("v1", 0))
+        v_bytes = V * 8
+        tracemalloc.start()
+        try:
+            t1 = fit_group_topic(d1, corpus)
+            t2 = fit_group_topic(d2, corpus)
+            for metric in Metric:
+                score_matrix([t1], [t2], metric)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < v_bytes // 10
+        assert t1.ids.size == 3 and t2.ids.size == 3
+        assert t1.ids.tolist() == [3, 500000, 999999]
+        assert len(t1) == V
+        expected = np.zeros(V)
+        expected[[3, 500000, 999999]] = [0.5, 0.25, 0.25]
+        assert np.array_equal(t1.weights, expected)
+
+
 class TestTopicDistribution:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValidationError):
@@ -137,6 +166,27 @@ class TestTopicDistribution:
         t = TopicDistribution(weights=np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             t.weights[0] = 0.9
+
+    def test_sparse_form_of_dense_weights(self):
+        t = TopicDistribution(weights=np.array([0.0, 0.25, 0.0, 0.75]))
+        assert t.ids.tolist() == [1, 3]
+        assert t.values.tolist() == [0.25, 0.75]
+        assert t.size == 4
+        with pytest.raises(ValueError):
+            t.values[0] = 0.5
+
+    def test_sparse_constructor_checks(self):
+        t = TopicDistribution(ids=[0, 2], values=[0.5, 0.5], size=3)
+        assert t.weights.tolist() == [0.5, 0.0, 0.5]
+        for ids in ([2, 0], [0, 0], [0, 3], [-1, 0]):
+            with pytest.raises(ValidationError):
+                TopicDistribution(ids=ids, values=[0.5, 0.5], size=3)
+        with pytest.raises(ValidationError):
+            TopicDistribution(ids=[0], values=[0.5, 0.5], size=3)
+        with pytest.raises(ValidationError):
+            TopicDistribution(ids=[0, 1], values=[1.5, -0.5], size=3)
+        with pytest.raises(ValidationError):
+            TopicDistribution(ids=[0, 1], values=[0.5, float("nan")], size=3)
 
 
 class TestFitLda:
