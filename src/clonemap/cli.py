@@ -26,6 +26,7 @@ from .ingest import parse_clone_report, resolve_snapshot
 from .mapping import GroupMapping, MappingConfig, Strategy
 from .preprocess import default_filter_config
 from .pipeline import (
+    artifact_header,
     build_documents,
     run_map,
     topic_dump_entries,
@@ -220,16 +221,29 @@ def cmd_map(args) -> int:
 
 
 def _mappings_from_artifact(doc: dict) -> list[GroupMapping]:
+    if not isinstance(doc, dict):
+        raise ValidationError("mapping artifact must be a JSON object")
     for key in ("newer", "older", "mappings"):
         if key not in doc:
             raise ValidationError(f"mapping artifact missing key {key!r}")
+    if not isinstance(doc["mappings"], list):
+        raise ValidationError("mapping artifact 'mappings' must be a list")
     newer = doc["newer"]
     older = doc["older"]
     out = []
     for row in doc["mappings"]:
+        new = row.get("new_group") if isinstance(row, dict) else None
+        if not isinstance(new, int) or isinstance(new, bool):
+            raise ValidationError(
+                f"mapping row needs an integer 'new_group': {row!r}"
+            )
         old = row.get("old_group")
+        if old is not None and (not isinstance(old, int) or isinstance(old, bool)):
+            raise ValidationError(
+                f"mapping row 'old_group' must be an integer or null: {row!r}"
+            )
         out.append(GroupMapping(
-            new_group=(newer, row["new_group"]),
+            new_group=(newer, new),
             old_group=None if old is None else (older, old),
             similarity=row.get("similarity", 0.0),
         ))
@@ -247,12 +261,11 @@ def cmd_eval(args) -> int:
         "newer": truth.newer_version,
         "older": truth.older_version,
         **report.to_dict(),
-        "config": {
+        **artifact_header({
             "subcommand": "eval",
             "mapping": args.mapping,
             "truth": args.truth,
-        },
-        "tool": {"name": "clonemap", "version": __version__},
+        }),
     }
     if args.out:
         write_json_artifact(args.out, payload)
@@ -293,15 +306,14 @@ def cmd_topics(args) -> int:
     documents = build_documents(snapshot, _filter_config(args), args.threads)
     entries = topic_dump_entries(snapshot.version_id, documents)
     payload = {
-        "tool": {"name": "clonemap", "version": __version__},
-        "config": {
+        "topics": entries,
+        **artifact_header({
             "subcommand": "topics",
             "report": args.report,
             "source": args.source,
             "threads": args.threads,
             "filters": _filter_run_config(args),
-        },
-        "topics": entries,
+        }),
     }
     if args.out:
         write_json_artifact(args.out, payload)

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigError, CoverageError, ValidationError
 from .mapping import GroupMapping
+from .pipeline import artifact_header, write_json_artifact
 
 VOCAB_PER_GROUP = 10
 
@@ -58,9 +59,13 @@ class GroundTruth:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GroundTruth":
+        if not isinstance(doc, dict):
+            raise ValidationError("ground truth must be a JSON object")
         for key in ("newer", "older", "pairs"):
             if key not in doc:
                 raise ValidationError(f"ground truth missing key {key!r}")
+        if not isinstance(doc["pairs"], list):
+            raise ValidationError("ground truth 'pairs' must be a list")
         pairs: dict[int, int | None] = {}
         for entry in doc["pairs"]:
             if not isinstance(entry, dict) or "new" not in entry or "old" not in entry:
@@ -306,11 +311,6 @@ def _mutate_type3(lines: list[str], rng: random.Random, cycler: _IdCycler,
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-
-
 def generate_evolution(config: SynthConfig, out_dir: Path | str) -> dict:
     """Emit an older/newer source tree pair with reports and ground truth.
 
@@ -404,15 +404,12 @@ def generate_evolution(config: SynthConfig, out_dir: Path | str) -> dict:
         ],
     }
 
-    _write_json(out / "older_report.json", older_report)
-    _write_json(out / "newer_report.json", newer_report)
-    _write_json(out / "truth.json", truth)
+    write_json_artifact(out / "older_report.json", older_report)
+    write_json_artifact(out / "newer_report.json", newer_report)
+    write_json_artifact(out / "truth.json", truth)
     written.extend(["older_report.json", "newer_report.json", "truth.json"])
 
-    from . import __version__
-
     manifest = {
-        "config": asdict(config),
         "outputs": {
             "older_report": "older_report.json",
             "newer_report": "newer_report.json",
@@ -421,7 +418,7 @@ def generate_evolution(config: SynthConfig, out_dir: Path | str) -> dict:
             "truth": "truth.json",
         },
         "files": sorted(written),
-        "tool": {"name": "clonemap", "version": __version__},
+        **artifact_header(asdict(config)),
     }
-    _write_json(out / "manifest.json", manifest)
+    write_json_artifact(out / "manifest.json", manifest)
     return manifest

@@ -260,7 +260,12 @@ def _snapshot_from_xml(text: str, version_id: str | None,
     groups = []
     for pos, class_el in enumerate(root.findall("class")):
         declared = class_el.get("id")
-        index = pos if declared is None else int(declared)
+        try:
+            index = pos if declared is None else int(declared)
+        except ValueError:
+            raise ReportParseError(
+                f"<class id={declared!r}>: id is not an integer"
+            ) from None
         sources = class_el.findall("source")
         if len(sources) < 2:
             raise ValidationError(

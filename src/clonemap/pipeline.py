@@ -10,6 +10,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+from . import __version__
 from .errors import EmptyDocumentError
 from .ingest import VersionSnapshot, parse_clone_report, resolve_snapshot
 from .mapping import (
@@ -118,13 +119,20 @@ def write_json_artifact(path: Path | str, payload: dict) -> None:
     )
 
 
+def artifact_header(config: dict | None = None) -> dict:
+    """The reproducibility header of every artifact: the tool name and
+    version, plus the resolved run configuration when one is given."""
+    header = {"tool": {"name": "clonemap", "version": __version__}}
+    if config is not None:
+        header["config"] = config
+    return header
+
+
 def mapping_result(newer_id: str, older_id: str, mappings: list[GroupMapping],
                    older_size: int, mapping_config: MappingConfig,
                    run_config: dict | None = None) -> dict:
     """The mapping artifact: verdicts plus the reproducibility header."""
-    from . import __version__
-
-    result = {
+    return {
         "newer": newer_id,
         "older": older_id,
         "strategy": mapping_config.strategy.value,
@@ -139,11 +147,8 @@ def mapping_result(newer_id: str, older_id: str, mappings: list[GroupMapping],
             for m in mappings
         ],
         "unmatched_old": unmatched_old_groups(mappings, older_size),
-        "tool": {"name": "clonemap", "version": __version__},
+        **artifact_header(run_config),
     }
-    if run_config is not None:
-        result["config"] = run_config
-    return result
 
 
 def run_map(newer_report: Path | str, older_report: Path | str,
@@ -188,17 +193,13 @@ def run_map(newer_report: Path | str, older_report: Path | str,
         if newer_docs is None:
             newer_docs = build_documents(newer_snap, filter_config, threads)
             older_docs = build_documents(older_snap, filter_config, threads)
-        from . import __version__
-
         dump = {
-            "tool": {"name": "clonemap", "version": __version__},
             "topics": (
                 topic_dump_entries(older_snap.version_id, older_docs)
                 + topic_dump_entries(newer_snap.version_id, newer_docs)
             ),
+            **artifact_header(run_config),
         }
-        if run_config is not None:
-            dump["config"] = run_config
         write_json_artifact(dump_topics_path, dump)
 
     return mapping_result(newer_snap.version_id, older_snap.version_id,

@@ -22,6 +22,15 @@ WORDLIST_DIR_ENV = "CLONEMAP_WORDLIST_DIR"
 
 _WORD_RE = re.compile(r"[A-Za-z0-9_]+")
 _CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|\d+")
+# One pass over comments and literals, leftmost match first: a line comment,
+# a block comment (``open`` captures an unterminated one), then a string or
+# character literal whose backslash escapes any next character.
+_STRIP_RE = re.compile(
+    r"//[^\n]*"
+    r"|/\*(?:[\s\S]*?\*/|(?P<open>[\s\S]*))"
+    r'|"[^"\\\n]*(?:\\[\s\S]?[^"\\\n]*)*"?'
+    r"|'[^'\\\n]*(?:\\[\s\S]?[^'\\\n]*)*'?"
+)
 
 
 @dataclass(frozen=True)
@@ -165,60 +174,30 @@ def default_filter_config(language: str = "union",
     )
 
 
+def _blank(match: re.Match) -> str:
+    if match.group("open") is not None:
+        warnings.warn(
+            "unterminated block comment; stripped to end of input",
+            CloneMapWarning,
+        )
+    return " "
+
+
 def strip_comments(text: str, comment_style: str = "c-like") -> str:
     """Remove C-style comments and string/char literal contents.
 
     ``//`` and ``/* */`` regions each become a single space. Comment markers
     inside string or character literals never start a comment; the literals
     themselves (quotes and contents) also collapse to a single space, since
-    literal prose is not code structure. An unterminated block comment is
-    stripped to end of input with a warning. Line structure outside comments
-    is preserved.
+    literal prose is not code structure. A backslash inside a literal escapes
+    the next character, a newline included; an unterminated literal stops
+    before the end of its line so the rest of the input is not swallowed.
+    An unterminated block comment is stripped to end of input with a
+    warning. Line structure outside comments is preserved.
     """
     if comment_style != "c-like":
         raise ConfigError(f"unsupported comment style {comment_style!r}")
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if c == "/" and nxt == "/":
-            out.append(" ")
-            i += 2
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c == "/" and nxt == "*":
-            out.append(" ")
-            end = text.find("*/", i + 2)
-            if end == -1:
-                warnings.warn(
-                    "unterminated block comment; stripped to end of input",
-                    CloneMapWarning,
-                )
-                i = n
-            else:
-                i = end + 2
-        elif c in ('"', "'"):
-            # Literal runs to the matching quote, honoring backslash escapes;
-            # an unterminated literal stops at end of line so the rest of the
-            # input is not swallowed.
-            out.append(" ")
-            i += 1
-            while i < n:
-                ch = text[i]
-                if ch == "\\" and i + 1 < n:
-                    i += 2
-                    continue
-                if ch == c:
-                    i += 1
-                    break
-                if ch == "\n":
-                    break
-                i += 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return _STRIP_RE.sub(_blank, text)
 
 
 def _identifier_parts(token: str) -> list[str]:
@@ -229,6 +208,25 @@ def _identifier_parts(token: str) -> list[str]:
     return parts
 
 
+def _kept_words(raw: str, config: FilterConfig) -> list[str]:
+    candidates = [raw]
+    if config.split_identifiers:
+        parts = _identifier_parts(raw)
+        if parts != [raw]:
+            candidates.extend(parts)
+    words = []
+    for cand in candidates:
+        word = cand.lower() if config.lowercase else cand
+        if len(word) < config.min_token_length:
+            continue
+        if word[0].isdigit():
+            continue
+        if config.removes(word):
+            continue
+        words.append(word)
+    return words
+
+
 def tokenize(text: str, config: FilterConfig) -> TokenDocument:
     """Split on non-identifier characters and apply the removal rules.
 
@@ -236,23 +234,15 @@ def tokenize(text: str, config: FilterConfig) -> TokenDocument:
     (numeric literals), and tokens in any removal set are dropped. With
     ``split_identifiers``, camelCase and snake_case names contribute both
     the compound and its parts. Assumes comments are already stripped.
+    Each distinct raw token is filtered once per call; repeats reuse it.
     """
+    kept: dict[str, list[str]] = {}
     tokens = []
     for raw in _WORD_RE.findall(text):
-        candidates = [raw]
-        if config.split_identifiers:
-            parts = _identifier_parts(raw)
-            if parts != [raw]:
-                candidates.extend(parts)
-        for cand in candidates:
-            word = cand.lower() if config.lowercase else cand
-            if len(word) < config.min_token_length:
-                continue
-            if word[0].isdigit():
-                continue
-            if config.removes(word):
-                continue
-            tokens.append(word)
+        words = kept.get(raw)
+        if words is None:
+            words = kept[raw] = _kept_words(raw, config)
+        tokens.extend(words)
     return TokenDocument(group_ref=None, tokens=tuple(tokens))
 
 

@@ -97,6 +97,19 @@ class TestMapCommand:
         rc = main(["map", "--newer", str(bad), "--older", str(bad)])
         assert rc == 3
 
+    def test_non_integer_xml_class_id_is_parse_error(self, tmp_path, capsys):
+        report = tmp_path / "r.xml"
+        report.write_text(
+            '<clones version="1"><class id="x">'
+            '<source file="a.c" startline="1" endline="1"/>'
+            '<source file="b.c" startline="1" endline="1"/>'
+            "</class></clones>",
+            encoding="utf-8",
+        )
+        rc = main(["map", "--newer", str(report), "--older", str(report)])
+        assert rc == 3
+        assert "not an integer" in capsys.readouterr().err
+
     def test_fragment_outside_source_is_validation_error(self, evolution,
                                                          capsys):
         report_path = evolution / "newer_report.json"
@@ -140,6 +153,47 @@ class TestEvalCommand:
         rc = main(["eval", "--mapping", str(mapping_path),
                    "--truth", str(bad)])
         assert rc == 3
+
+    @pytest.mark.parametrize("bad_row", [
+        {"old_group": 0, "similarity": 1.0},
+        {"new_group": "0", "old_group": 0, "similarity": 1.0},
+        {"new_group": True, "old_group": 0, "similarity": 1.0},
+        {"new_group": 0, "old_group": "0", "similarity": 1.0},
+        [0, 0, 1.0],
+    ])
+    def test_malformed_mapping_row_is_validation_error(self, evolution,
+                                                       tmp_path, capsys,
+                                                       bad_row):
+        mapping_path = tmp_path / "mapping.json"
+        assert main(run_map_cmd(evolution, "--out", str(mapping_path))) == 0
+        doc = json.loads(mapping_path.read_text(encoding="utf-8"))
+        doc["mappings"][0] = bad_row
+        mapping_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["eval", "--mapping", str(mapping_path),
+                   "--truth", str(evolution / "truth.json")])
+        assert rc == 3
+        assert "mapping row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which,bad_doc", [
+        ("mapping", 5),
+        ("mapping", {"newer": "v2", "older": "v1", "mappings": 5}),
+        ("truth", [1]),
+        ("truth", {"newer": "v2", "older": "v1", "pairs": 5}),
+    ])
+    def test_non_object_document_is_validation_error(self, evolution,
+                                                     tmp_path, capsys,
+                                                     which, bad_doc):
+        paths = {"mapping": tmp_path / "mapping.json",
+                 "truth": evolution / "truth.json"}
+        assert main(run_map_cmd(evolution, "--out", str(paths["mapping"]))) == 0
+        paths[which] = tmp_path / "bad.json"
+        paths[which].write_text(json.dumps(bad_doc), encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["eval", "--mapping", str(paths["mapping"]),
+                   "--truth", str(paths["truth"])])
+        assert rc == 3
+        assert "must be a" in capsys.readouterr().err
 
 
 class TestSynthCommand:

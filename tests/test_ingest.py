@@ -128,6 +128,12 @@ class TestXmlAdapter:
         with pytest.raises(ReportParseError):
             parse_clone_report(path)
 
+    def test_non_integer_class_id_is_parse_error(self, tmp_path):
+        path = tmp_path / "r.xml"
+        path.write_text(self.XML.replace('id="1"', 'id="x"'), encoding="utf-8")
+        with pytest.raises(ReportParseError, match="not an integer"):
+            parse_clone_report(path)
+
 
 class TestTextResolution:
     def test_inclusive_line_range(self, tmp_path):

@@ -3,12 +3,15 @@
 import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from clonemap.errors import CloneMapWarning
+from clonemap.errors import CloneMapWarning, ConfigError
 from clonemap.ingest import CloneFragment, CloneGroup
 from clonemap.preprocess import (
+    _WORD_RE,
     FilterConfig,
+    TokenDocument,
+    _identifier_parts,
     build_group_document,
     default_filter_config,
     strip_comments,
@@ -19,6 +22,81 @@ from clonemap.preprocess import (
 @pytest.fixture(scope="module")
 def config():
     return default_filter_config(language="c")
+
+
+def strip_comments_oracle(text: str) -> str:
+    """Reference character-loop comment and literal stripper."""
+    out = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if c == "/" and nxt == "/":
+            out.append(" ")
+            i += 2
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c == "/" and nxt == "*":
+            out.append(" ")
+            end = text.find("*/", i + 2)
+            if end == -1:
+                warnings.warn(
+                    "unterminated block comment; stripped to end of input",
+                    CloneMapWarning,
+                )
+                i = n
+            else:
+                i = end + 2
+        elif c in ('"', "'"):
+            # Literal runs to the matching quote, honoring backslash escapes;
+            # an unterminated literal stops at end of line so the rest of the
+            # input is not swallowed.
+            out.append(" ")
+            i += 1
+            while i < n:
+                ch = text[i]
+                if ch == "\\" and i + 1 < n:
+                    i += 2
+                    continue
+                if ch == c:
+                    i += 1
+                    break
+                if ch == "\n":
+                    break
+                i += 1
+        else:
+            out.append(c)
+            i += 1
+    return "".join(out)
+
+
+def tokenize_oracle(text: str, config: FilterConfig) -> TokenDocument:
+    """Reference tokenizer that filters every raw token afresh."""
+    tokens = []
+    for raw in _WORD_RE.findall(text):
+        candidates = [raw]
+        if config.split_identifiers:
+            parts = _identifier_parts(raw)
+            if parts != [raw]:
+                candidates.extend(parts)
+        for cand in candidates:
+            word = cand.lower() if config.lowercase else cand
+            if len(word) < config.min_token_length:
+                continue
+            if word[0].isdigit():
+                continue
+            if config.removes(word):
+                continue
+            tokens.append(word)
+    return TokenDocument(group_ref=None, tokens=tuple(tokens))
+
+
+def stripped_with_warnings(strip, text):
+    """``strip(text)`` and the number of CloneMapWarnings it emitted."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = strip(text)
+    return out, sum(issubclass(w.category, CloneMapWarning) for w in caught)
 
 
 class TestStripComments:
@@ -54,6 +132,33 @@ class TestStripComments:
     def test_line_structure_preserved_outside_comments(self):
         code = "a;\nb;\nc;"
         assert strip_comments(code) == code
+
+    def test_slash_star_slash_opens_an_unterminated_comment(self):
+        with pytest.warns(CloneMapWarning):
+            out = strip_comments("a /*/ b")
+        assert out == "a  "
+
+    def test_trailing_backslash_in_unterminated_literal_is_consumed(self):
+        assert strip_comments('s = "a\\') == "s =  "
+        assert strip_comments("c = 'a\\") == "c =  "
+
+    def test_backslash_newline_continues_a_literal(self):
+        text = 's = "a\\\nb"; t;\nu;'
+        assert strip_comments(text) == "s =  ; t;\nu;"
+
+    def test_quote_inside_line_comment_opens_no_literal(self):
+        assert strip_comments("a; // it's\nb; 'c';") == "a;  \nb;  ;"
+
+    def test_unsupported_style_rejected(self):
+        with pytest.raises(ConfigError):
+            strip_comments("a", comment_style="python")
+
+    @given(st.lists(st.sampled_from(
+        ["/", "*", '"', "'", "\\", "\n", "a", "//", "/*", "*/"]),
+        max_size=40).map("".join))
+    def test_matches_character_loop_oracle(self, text):
+        assert (stripped_with_warnings(strip_comments, text)
+                == stripped_with_warnings(strip_comments_oracle, text))
 
 
 class TestTokenize:
@@ -96,6 +201,30 @@ class TestTokenize:
     def test_token_count_matches_tokens(self, config):
         doc = tokenize("alpha beta alpha;", config)
         assert doc.token_count == len(doc.tokens) == 3
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("lowercase", [True, False])
+    @pytest.mark.parametrize("min_len", [0, 2, 5])
+    @settings(max_examples=30)
+    @given(data=st.data())
+    def test_memoised_filtering_matches_per_token_oracle(
+            self, config, split, lowercase, min_len, data):
+        cfg = FilterConfig.build(
+            config.language_keywords, config.programming_words,
+            config.english_stopwords, split_identifiers=split,
+            lowercase=lowercase, min_token_length=min_len,
+        )
+        raws = data.draw(st.lists(
+            st.sampled_from(["For", "for", "RETURN", "tmpDocList",
+                             "TmpDocList", "tmp_doc_list", "x27", "42", "a",
+                             "A", "bc", "HTTPServer", "the", "Widget",
+                             "widget", "_", "__init__", "camelCase9"])
+            | st.text(alphabet="azZqQ_09", min_size=1, max_size=8),
+            min_size=1, max_size=12))
+        # Every drawn raw token appears at least twice, in a drawn order.
+        order = data.draw(st.permutations(raws + raws))
+        text = data.draw(st.sampled_from([" ", ";", "(", "+"])).join(order)
+        assert tokenize(text, cfg) == tokenize_oracle(text, cfg)
 
     @given(st.text(alphabet=st.characters(codec="ascii"), max_size=200))
     def test_filtering_is_a_fixed_point(self, text):
