@@ -21,7 +21,7 @@ from .errors import (
     ReportParseError,
     ValidationError,
 )
-from .evaluation import GroundTruth, SynthConfig, generate_evolution, score
+from .evaluation import SynthConfig, generate_evolution, load_ground_truth, score
 from .ingest import parse_clone_report, resolve_snapshot
 from .mapping import GroupMapping, MappingConfig, Strategy
 from .preprocess import default_filter_config
@@ -102,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--dump-topics", metavar="PATH",
                        help="also write per-group topic words to PATH")
     p_map.add_argument("--threads", type=int, default=1,
-                       help="threads for token documents and LCS rows")
+                       help="accepted and ignored: every stage runs on one "
+                            "thread (kept in the artifact's config)")
     p_map.add_argument("--out", metavar="PATH",
                        help="write the mapping JSON artifact here")
     p_map.add_argument("--format", choices=["json", "table"], default="table",
@@ -148,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_topics.add_argument("--report", required=True, metavar="PATH")
     p_topics.add_argument("--source", metavar="DIR",
                           help="source tree the report's paths resolve against")
-    p_topics.add_argument("--threads", type=int, default=1)
+    p_topics.add_argument("--threads", type=int, default=1,
+                          help="accepted and ignored, like map's --threads")
     p_topics.add_argument("--out", metavar="PATH",
                           help="write the topic dump JSON here")
     p_topics.add_argument("--format", choices=["json", "table"],
@@ -207,7 +209,6 @@ def cmd_map(args) -> int:
         filter_config=_filter_config(args),
         mapping_config=mapping_config,
         lda_config=lda_config,
-        threads=args.threads,
         dump_topics_path=args.dump_topics,
         run_config=run_config,
     )
@@ -253,8 +254,7 @@ def _mappings_from_artifact(doc: dict) -> list[GroupMapping]:
 def cmd_eval(args) -> int:
     with open(args.mapping, encoding="utf-8") as handle:
         mapping_doc = json.load(handle)
-    with open(args.truth, encoding="utf-8") as handle:
-        truth = GroundTruth.from_dict(json.load(handle))
+    truth = load_ground_truth(args.truth)
     mappings = _mappings_from_artifact(mapping_doc)
     report = score(mappings, truth)
     payload = {
@@ -303,7 +303,7 @@ def cmd_topics(args) -> int:
     snapshot = resolve_snapshot(
         parse_clone_report(args.report, source_root=args.source)
     )
-    documents = build_documents(snapshot, _filter_config(args), args.threads)
+    documents = build_documents(snapshot, _filter_config(args))
     entries = topic_dump_entries(snapshot.version_id, documents)
     payload = {
         "topics": entries,

@@ -85,12 +85,6 @@ class VersionSnapshot:
                 f"group indices must be dense 0..{len(indices) - 1}, got {sorted(seen)}"
             )
 
-    def group(self, index: int) -> CloneGroup:
-        for g in self.groups:
-            if g.index == index:
-                return g
-        raise KeyError(index)
-
 
 def _normalize_newlines(raw: str) -> str:
     return raw.replace("\r\n", "\n").replace("\r", "\n")
@@ -169,6 +163,11 @@ def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None =
     )
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; ``true``/``false`` are bools, not line numbers or indices."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def snapshot_from_dict(doc: dict, version_id: str | None = None,
                        source_root: Path | str | None = None) -> VersionSnapshot:
     """Build a snapshot from a native-schema report object."""
@@ -186,7 +185,7 @@ def snapshot_from_dict(doc: dict, version_id: str | None = None,
         if not isinstance(entry, dict):
             raise ReportParseError(f"groups[{pos}] is not an object")
         index = entry.get("index")
-        if not isinstance(index, int):
+        if not _is_int(index):
             raise ReportParseError(f"groups[{pos}] is missing an integer 'index'")
         raw_frags = entry.get("fragments")
         if not isinstance(raw_frags, list):
@@ -207,7 +206,7 @@ def snapshot_from_dict(doc: dict, version_id: str | None = None,
                 raise ReportParseError(
                     f"groups[{pos}].fragments[{fpos}] is missing {exc}"
                 ) from None
-            if not isinstance(file, str) or not isinstance(start, int) or not isinstance(end, int):
+            if not isinstance(file, str) or not _is_int(start) or not _is_int(end):
                 raise ReportParseError(
                     f"groups[{pos}].fragments[{fpos}] has wrongly typed fields"
                 )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,15 +45,12 @@ class GroupMapping:
     """One newer group's verdict: its origin (or None) and the score.
 
     ``similarity`` is the score against the selected old group, or the best
-    score seen when the verdict is None. ``all_scores`` carries the full
-    per-old-group score row; the injective mode omits it because re-auctioned
-    assignments are no longer row maxima.
+    score seen when the verdict is None.
     """
 
     new_group: tuple[str, int]
     old_group: tuple[str, int] | None
     similarity: float
-    all_scores: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -103,12 +99,8 @@ def _assign(scores: np.ndarray, empty_rows, new_refs, old_refs, delta: float,
                 f"group {new_refs[i]} has an empty token document; mapped to null",
                 CloneMapWarning,
             )
-            zeros = tuple(0.0 for _ in range(n_old))
-            mappings[i] = GroupMapping(new_refs[i], None, 0.0,
-                                       None if enforce_injective else zeros)
-        elif n_old == 0:
-            mappings[i] = GroupMapping(new_refs[i], None, 0.0,
-                                       None if enforce_injective else ())
+        if empty or n_old == 0:
+            mappings[i] = GroupMapping(new_refs[i], None, 0.0)
         else:
             contenders.append(i)
 
@@ -116,11 +108,10 @@ def _assign(scores: np.ndarray, empty_rows, new_refs, old_refs, delta: float,
         # np.argmax returns the first maximum: the lowest older index.
         best_cols = scores.argmax(axis=1) if n_old else ()
         for i in contenders:
-            row = scores[i].tolist()
             k = int(best_cols[i])
-            best = row[k]
+            best = float(scores[i, k])
             old = old_refs[k] if best >= delta else None
-            mappings[i] = GroupMapping(new_refs[i], old, best, tuple(row))
+            mappings[i] = GroupMapping(new_refs[i], old, best)
         return [mappings[i] for i in range(len(new_refs))]
 
     # Injective auction: contested old groups go to the highest-scoring
@@ -131,7 +122,6 @@ def _assign(scores: np.ndarray, empty_rows, new_refs, old_refs, delta: float,
     pending = list(contenders)
     while pending:
         claims: dict[int, list[int]] = {}
-        settled_null = []
         for i in pending:
             row = score_rows[i]
             candidates = [(row[j], -j) for j in available]
@@ -141,30 +131,17 @@ def _assign(scores: np.ndarray, empty_rows, new_refs, old_refs, delta: float,
                     claims.setdefault(-neg_j, []).append(i)
                     continue
             best_left = max((row[j] for j in available), default=0.0)
-            mappings[i] = GroupMapping(new_refs[i], None, best_left, None)
-            settled_null.append(i)
+            mappings[i] = GroupMapping(new_refs[i], None, best_left)
         next_pending = []
         for j, claimants in claims.items():
             winner = max(claimants, key=lambda i: (score_rows[i][j], -i))
             mappings[winner] = GroupMapping(
-                new_refs[winner], old_refs[j], score_rows[winner][j], None
+                new_refs[winner], old_refs[j], score_rows[winner][j]
             )
             available.discard(j)
             next_pending.extend(i for i in claimants if i != winner)
         pending = next_pending
     return [mappings[i] for i in range(len(new_refs))]
-
-
-def _score_rows(items, score_one, threads: int):
-    """Per-item score rows, optionally fanned out over threads.
-
-    Rows are independent; ordering of the result is by item index no matter
-    how many workers compute them.
-    """
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(score_one, items))
-    return [score_one(item) for item in items]
 
 
 def map_version_pair(newer: VersionTopics, older: VersionTopics,
@@ -195,8 +172,7 @@ def map_version_pair(newer: VersionTopics, older: VersionTopics,
 
 def baseline_text_map(newer: VersionSnapshot, older: VersionSnapshot,
                       config: MappingConfig | None = None,
-                      theta: float | None = None,
-                      threads: int = 1) -> list[GroupMapping]:
+                      theta: float | None = None) -> list[GroupMapping]:
     """Same argmax-plus-threshold mapping, scored with line LCS on raw text.
 
     Operates on concatenated fragment text as written, comments included;
@@ -220,11 +196,7 @@ def baseline_text_map(newer: VersionSnapshot, older: VersionSnapshot,
     old_refs = [(older.version_id, g.index) for g in older.groups]
     old_texts = [group_text(older, g) for g in older.groups]
     new_texts = [group_text(newer, g) for g in newer.groups]
-
-    def score_one(text):
-        return [lcs_similarity(text, old) for old in old_texts]
-
-    rows = _score_rows(new_texts, score_one, threads)
+    rows = [[lcs_similarity(new, old) for old in old_texts] for new in new_texts]
     scores = np.array(rows, dtype=np.float64).reshape(len(new_refs), len(old_refs))
     return _assign(scores, [False] * len(new_refs), new_refs, old_refs, delta,
                    config.enforce_injective)

@@ -7,7 +7,6 @@ the test suite can drive the identical pipeline without a subprocess.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
@@ -26,18 +25,11 @@ from .preprocess import FilterConfig, TokenDocument, build_group_document, defau
 from .topicmodel import LdaConfig, TopicDistribution, build_corpus, fit_group_topic, fit_lda
 
 
-def build_documents(snapshot: VersionSnapshot, filter_config: FilterConfig,
-                    threads: int = 1) -> list[TokenDocument]:
+def build_documents(snapshot: VersionSnapshot,
+                    filter_config: FilterConfig) -> list[TokenDocument]:
     """One filtered token document per clone group, in index order."""
-
-    def build(group):
-        return build_group_document(group, filter_config,
-                                    version_id=snapshot.version_id)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(build, snapshot.groups))
-    return [build(g) for g in snapshot.groups]
+    return [build_group_document(g, filter_config, version_id=snapshot.version_id)
+            for g in snapshot.groups]
 
 
 def fit_topics(documents: list[TokenDocument],
@@ -157,7 +149,6 @@ def run_map(newer_report: Path | str, older_report: Path | str,
             filter_config: FilterConfig | None = None,
             mapping_config: MappingConfig | None = None,
             lda_config: LdaConfig | None = None,
-            threads: int = 1,
             dump_topics_path: Path | str | None = None,
             run_config: dict | None = None) -> dict:
     """Parse two reports, map newer groups to older ones, return the artifact.
@@ -178,11 +169,10 @@ def run_map(newer_report: Path | str, older_report: Path | str,
 
     newer_docs = older_docs = None
     if mapping_config.strategy is Strategy.LCS_BASELINE:
-        mappings = baseline_text_map(newer_snap, older_snap, mapping_config,
-                                     threads=threads)
+        mappings = baseline_text_map(newer_snap, older_snap, mapping_config)
     else:
-        newer_docs = build_documents(newer_snap, filter_config, threads)
-        older_docs = build_documents(older_snap, filter_config, threads)
+        newer_docs = build_documents(newer_snap, filter_config)
+        older_docs = build_documents(older_snap, filter_config)
         newer_topics, older_topics = pair_topics(
             newer_docs, older_docs, newer_snap.version_id,
             older_snap.version_id, lda_config,
@@ -191,8 +181,8 @@ def run_map(newer_report: Path | str, older_report: Path | str,
 
     if dump_topics_path is not None:
         if newer_docs is None:
-            newer_docs = build_documents(newer_snap, filter_config, threads)
-            older_docs = build_documents(older_snap, filter_config, threads)
+            newer_docs = build_documents(newer_snap, filter_config)
+            older_docs = build_documents(older_snap, filter_config)
         dump = {
             "topics": (
                 topic_dump_entries(older_snap.version_id, older_docs)

@@ -115,24 +115,25 @@ class TokenDocument:
         return cls(group_ref=group_ref, tokens=tuple(tokens))
 
 
-def load_word_list(path: Path | str) -> frozenset[str]:
-    """One word per line; blank lines and '#' comments are ignored."""
-    words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        entry = line.split("#", 1)[0].strip()
-        if entry:
-            words.add(entry.lower())
-    return frozenset(words)
-
-
-def _packaged_list(name: str) -> frozenset[str]:
-    text = resources.files("clonemap").joinpath("data", name).read_text(encoding="utf-8")
+def _parse_word_list(text: str) -> frozenset[str]:
+    """One word per line, lowercased; blank lines and '#' comments are ignored."""
     words = set()
     for line in text.splitlines():
         entry = line.split("#", 1)[0].strip()
         if entry:
             words.add(entry.lower())
     return frozenset(words)
+
+
+def load_word_list(path: Path | str) -> frozenset[str]:
+    """One word per line; blank lines and '#' comments are ignored."""
+    return _parse_word_list(Path(path).read_text(encoding="utf-8"))
+
+
+def _packaged_list(name: str) -> frozenset[str]:
+    return _parse_word_list(
+        resources.files("clonemap").joinpath("data", name).read_text(encoding="utf-8")
+    )
 
 
 def _resolve_list(name: str, override: Path | str | None) -> frozenset[str]:
@@ -183,7 +184,7 @@ def _blank(match: re.Match) -> str:
     return " "
 
 
-def strip_comments(text: str, comment_style: str = "c-like") -> str:
+def strip_comments(text: str) -> str:
     """Remove C-style comments and string/char literal contents.
 
     ``//`` and ``/* */`` regions each become a single space. Comment markers
@@ -195,8 +196,6 @@ def strip_comments(text: str, comment_style: str = "c-like") -> str:
     An unterminated block comment is stripped to end of input with a
     warning. Line structure outside comments is preserved.
     """
-    if comment_style != "c-like":
-        raise ConfigError(f"unsupported comment style {comment_style!r}")
     return _STRIP_RE.sub(_blank, text)
 
 

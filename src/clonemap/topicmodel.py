@@ -23,8 +23,6 @@ class Corpus:
 
     vocabulary: tuple[str, ...]
     documents: tuple[tuple[int, ...], ...]
-    doc_refs: tuple = ()
-    version_id: str | None = None
     word_ids: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -145,8 +143,7 @@ class LdaResult:
     config: LdaConfig
 
 
-def build_corpus(documents: Sequence[TokenDocument],
-                 version_id: str | None = None) -> Corpus:
+def build_corpus(documents: Sequence[TokenDocument]) -> Corpus:
     """Encode documents over the sorted union of their words.
 
     Empty documents are permitted and stay empty; order and multiplicity of
@@ -155,12 +152,9 @@ def build_corpus(documents: Sequence[TokenDocument],
     vocab = sorted({w for doc in documents for w in doc.tokens})
     word_ids = {w: i for i, w in enumerate(vocab)}
     encoded = tuple(tuple(word_ids[w] for w in doc.tokens) for doc in documents)
-    refs = tuple(doc.group_ref for doc in documents)
     return Corpus(
         vocabulary=tuple(vocab),
         documents=encoded,
-        doc_refs=refs,
-        version_id=version_id,
         word_ids=word_ids,
     )
 

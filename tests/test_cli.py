@@ -1,6 +1,10 @@
 """CLI subcommands, exit codes, and artifact reproducibility headers."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +125,15 @@ class TestMapCommand:
         assert rc == 3
         assert "outside the source root" in capsys.readouterr().err
 
+    def test_json_boolean_line_number_is_parse_error(self, evolution, capsys):
+        report_path = evolution / "newer_report.json"
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report["groups"][0]["fragments"][0]["start_line"] = True
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        rc = main(run_map_cmd(evolution))
+        assert rc == 3
+        assert "wrongly typed" in capsys.readouterr().err
+
     def test_rerun_reproduces_artifact_bytes(self, evolution, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -227,3 +240,67 @@ class TestTopicsCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "group 0 of v1" in out
+
+
+class TestThreadsFlag:
+    """``--threads`` is accepted and ignored; only the config records it."""
+
+    def test_map_output_does_not_depend_on_threads(self, evolution, capsys):
+        for strategy in ("topic", "lcs"):
+            docs = []
+            for threads in ("1", "4"):
+                assert main(run_map_cmd(evolution, "--strategy", strategy,
+                                        "--threads", threads)) == 0
+                docs.append(json.loads(capsys.readouterr().out))
+            assert docs[0]["mappings"] == docs[1]["mappings"], strategy
+            assert docs[0]["unmatched_old"] == docs[1]["unmatched_old"], strategy
+            assert [d["config"]["threads"] for d in docs] == [1, 4]
+
+    def test_topics_output_does_not_depend_on_threads(self, evolution, capsys):
+        docs = []
+        for threads in ("1", "4"):
+            assert main(["topics",
+                         "--report", str(evolution / "older_report.json"),
+                         "--source", str(evolution / "older_src"),
+                         "--threads", threads, "--format", "json"]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0]["topics"] == docs[1]["topics"]
+        assert [d["config"]["threads"] for d in docs] == [1, 4]
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+TRACED_MAP = """
+import json, sys
+import tracer
+import clonemap.cli as cli
+trace = tracer.install()
+rc = cli.main(sys.argv[1:])
+calls = {}
+for call in trace.record()["calls"]:
+    calls[call["name"]] = calls.get(call["name"], 0) + call["count"]
+print(json.dumps({"exit": rc, "calls": calls}))
+"""
+
+
+class TestBenchmarkTracer:
+    """``perfbench/tracer.py`` wraps functions by name and the benchmark
+    passes ``--threads 1``; both must keep working under a real map."""
+
+    @pytest.mark.parametrize("strategy,call", [
+        ("topic", "preprocess.strip_comments"),
+        ("lcs", "similarity.lcs_similarity"),
+    ])
+    def test_traced_map_runs(self, evolution, tmp_path, strategy, call):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO / "src"), str(REPO / "perfbench")])
+        argv = run_map_cmd(evolution, "--strategy", strategy,
+                           "--threads", "1", "--out", str(tmp_path / "m.json"))
+        proc = subprocess.run([sys.executable, "-c", TRACED_MAP, *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["exit"] == 0
+        assert result["calls"].get(call, 0) > 0

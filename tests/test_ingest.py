@@ -81,6 +81,19 @@ class TestNativeJson:
         with pytest.raises(ValidationError, match="1"):
             snapshot_from_dict(doc)
 
+    @pytest.mark.parametrize("field,value", [
+        ("index", False), ("index", True),
+        ("start_line", True), ("end_line", True),
+    ])
+    def test_json_boolean_is_not_an_integer(self, field, value):
+        doc = make_report(n_groups=1)
+        if field == "index":
+            doc["groups"][0]["index"] = value
+        else:
+            doc["groups"][0]["fragments"][0][field] = value
+        with pytest.raises(ReportParseError):
+            snapshot_from_dict(doc)
+
     def test_malformed_json_reports_position(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"version": "v1", "groups": [}', encoding="utf-8")

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from clonemap.errors import CloneMapWarning, ConfigError
-from clonemap.evaluation import SynthConfig, generate_evolution
 from clonemap.ingest import CloneFragment, CloneGroup, VersionSnapshot
 from clonemap.mapping import (
     MappingConfig,
-    Strategy,
     VersionTopics,
     baseline_text_map,
     map_lineage,
     map_version_pair,
     unmatched_old_groups,
 )
-from clonemap.pipeline import run_map, write_json_artifact
 from clonemap.preprocess import TokenDocument
+from clonemap.similarity import score_matrix
 from clonemap.topicmodel import build_corpus, fit_group_topic
 
 
@@ -71,14 +69,16 @@ class TestMapVersionPair:
         newer, older = pair_from_counts(newer_counts, older_counts)
         config = MappingConfig(delta=0.8)
         mappings = map_version_pair(newer, older, config)
+        scores = score_matrix(list(newer.topics), list(older.topics),
+                              config.metric)
         assert len(mappings) == 15
-        for m in mappings:
-            assert m.all_scores is not None
+        for m, row in zip(mappings, scores):
             if m.old_group is None:
-                assert max(m.all_scores) < config.delta
+                assert row.max() < config.delta
             else:
                 assert m.similarity >= config.delta
-                assert m.similarity == max(m.all_scores)
+                assert m.similarity == row.max()
+                assert m.old_group == ("v1", int(row.argmax()))
 
     def test_tie_breaks_to_lowest_old_index(self):
         newer, older = pair_from_counts([{"a": 2}], [{"a": 5}, {"a": 7}])
@@ -168,27 +168,6 @@ class TestMapVersionPair:
     def test_invalid_delta_rejected(self):
         with pytest.raises(ConfigError):
             MappingConfig(delta=1.5)
-
-
-class TestRunMap:
-    def test_threads_do_not_change_output(self, tmp_path):
-        """--threads fans out document building and LCS rows only."""
-        generate_evolution(SynthConfig(group_count=12, death_fraction=0.1,
-                                       birth_fraction=0.1, seed=3), tmp_path)
-        for strategy in Strategy:
-            artifacts = []
-            for threads in (1, 4):
-                payload = run_map(
-                    tmp_path / "newer_report.json", tmp_path / "older_report.json",
-                    source_newer=tmp_path / "newer_src",
-                    source_older=tmp_path / "older_src",
-                    mapping_config=MappingConfig(strategy=strategy),
-                    threads=threads,
-                )
-                out = tmp_path / f"mapping-{threads}.json"
-                write_json_artifact(out, payload)
-                artifacts.append(out.read_bytes())
-            assert artifacts[0] == artifacts[1], strategy
 
 
 class TestRenamedGroupFixture:

@@ -5,7 +5,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clonemap.errors import CloneMapWarning, ConfigError
+from clonemap.errors import CloneMapWarning
 from clonemap.ingest import CloneFragment, CloneGroup
 from clonemap.preprocess import (
     _WORD_RE,
@@ -148,10 +148,6 @@ class TestStripComments:
 
     def test_quote_inside_line_comment_opens_no_literal(self):
         assert strip_comments("a; // it's\nb; 'c';") == "a;  \nb;  ;"
-
-    def test_unsupported_style_rejected(self):
-        with pytest.raises(ConfigError):
-            strip_comments("a", comment_style="python")
 
     @given(st.lists(st.sampled_from(
         ["/", "*", '"', "'", "\\", "\n", "a", "//", "/*", "*/"]),
