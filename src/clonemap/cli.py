@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import __version__
 from .errors import (
@@ -20,6 +19,7 @@ from .errors import (
     CoverageError,
     ReportParseError,
     ValidationError,
+    is_json_int,
 )
 from .evaluation import SynthConfig, generate_evolution, load_ground_truth, score
 from .ingest import parse_clone_report, resolve_snapshot
@@ -234,12 +234,12 @@ def _mappings_from_artifact(doc: dict) -> list[GroupMapping]:
     out = []
     for row in doc["mappings"]:
         new = row.get("new_group") if isinstance(row, dict) else None
-        if not isinstance(new, int) or isinstance(new, bool):
+        if not is_json_int(new):
             raise ValidationError(
                 f"mapping row needs an integer 'new_group': {row!r}"
             )
         old = row.get("old_group")
-        if old is not None and (not isinstance(old, int) or isinstance(old, bool)):
+        if old is not None and not is_json_int(old):
             raise ValidationError(
                 f"mapping row 'old_group' must be an integer or null: {row!r}"
             )

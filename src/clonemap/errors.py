@@ -1,4 +1,10 @@
-"""Exception and warning types shared across the toolchain."""
+"""Exception and warning types shared across the toolchain, plus the JSON
+integer check every reader of outside JSON uses."""
+
+
+def is_json_int(value) -> bool:
+    """A JSON integer; ``true``/``false`` parse as bools, which are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class CloneMapError(Exception):

@@ -16,7 +16,7 @@ import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import ConfigError, CoverageError, ValidationError
+from .errors import ConfigError, CoverageError, ValidationError, is_json_int
 from .mapping import GroupMapping
 from .pipeline import artifact_header, write_json_artifact
 
@@ -74,9 +74,9 @@ class GroundTruth:
                 )
             new = entry["new"]
             old = entry["old"]
-            if not isinstance(new, int) or isinstance(new, bool):
+            if not is_json_int(new):
                 raise ValidationError(f"ground truth 'new' must be an int, got {new!r}")
-            if old is not None and (not isinstance(old, int) or isinstance(old, bool)):
+            if old is not None and not is_json_int(old):
                 raise ValidationError(
                     f"ground truth 'old' must be an int or null, got {old!r}"
                 )

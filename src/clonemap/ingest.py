@@ -14,7 +14,7 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .errors import FragmentRangeError, ReportParseError, ValidationError
+from .errors import FragmentRangeError, ReportParseError, ValidationError, is_json_int
 
 
 @dataclass(frozen=True)
@@ -163,11 +163,6 @@ def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None =
     )
 
 
-def _is_int(value) -> bool:
-    """A JSON integer; ``true``/``false`` are bools, not line numbers or indices."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def snapshot_from_dict(doc: dict, version_id: str | None = None,
                        source_root: Path | str | None = None) -> VersionSnapshot:
     """Build a snapshot from a native-schema report object."""
@@ -185,7 +180,7 @@ def snapshot_from_dict(doc: dict, version_id: str | None = None,
         if not isinstance(entry, dict):
             raise ReportParseError(f"groups[{pos}] is not an object")
         index = entry.get("index")
-        if not _is_int(index):
+        if not is_json_int(index):
             raise ReportParseError(f"groups[{pos}] is missing an integer 'index'")
         raw_frags = entry.get("fragments")
         if not isinstance(raw_frags, list):
@@ -206,7 +201,7 @@ def snapshot_from_dict(doc: dict, version_id: str | None = None,
                 raise ReportParseError(
                     f"groups[{pos}].fragments[{fpos}] is missing {exc}"
                 ) from None
-            if not isinstance(file, str) or not _is_int(start) or not _is_int(end):
+            if not isinstance(file, str) or not is_json_int(start) or not is_json_int(end):
                 raise ReportParseError(
                     f"groups[{pos}].fragments[{fpos}] has wrongly typed fields"
                 )

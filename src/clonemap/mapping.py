@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import CloneMapWarning, ConfigError, ValidationError
 from .ingest import VersionSnapshot
-# topic_similarity is not called here but stays importable from this module,
-# where perfbench/tracer.py looks it up.
-from .similarity import Metric, lcs_similarity, score_matrix, topic_similarity  # noqa: F401
+from .similarity import Metric, lcs_matrix, score_matrix
+# lcs_similarity and topic_similarity are not called here but stay importable
+# from this module, where perfbench/tracer.py looks them up.
+from .similarity import lcs_similarity, topic_similarity  # noqa: F401
 from .topicmodel import TopicDistribution
 
 
@@ -196,8 +197,7 @@ def baseline_text_map(newer: VersionSnapshot, older: VersionSnapshot,
     old_refs = [(older.version_id, g.index) for g in older.groups]
     old_texts = [group_text(older, g) for g in older.groups]
     new_texts = [group_text(newer, g) for g in newer.groups]
-    rows = [[lcs_similarity(new, old) for old in old_texts] for new in new_texts]
-    scores = np.array(rows, dtype=np.float64).reshape(len(new_refs), len(old_refs))
+    scores = lcs_matrix(new_texts, old_texts)
     return _assign(scores, [False] * len(new_refs), new_refs, old_refs, delta,
                    config.enforce_injective)
 

@@ -154,27 +154,43 @@ def _trimmed_lines(text: str) -> list[str]:
     return [line.strip() for line in text.splitlines()]
 
 
-def lcs_similarity(a: str, b: str) -> float:
-    """Normalized longest common subsequence over whitespace-trimmed lines.
+def lcs_matrix(newer_texts, older_texts) -> np.ndarray:
+    """Line-LCS score of every newer text against every older one: (N, M).
 
-    Returns 2*|LCS| / (len(a) + len(b)) with lengths in lines; two empty
-    texts score 1.0.
+    Each cell is 2*|LCS| / (len(a) + len(b)) over whitespace-trimmed lines,
+    lines matching by ``==``; two empty texts score 1.0 and a pair with one
+    empty side 0.0. The LCS length comes from the bit-parallel row
+    recurrence (Allison & Dix 1986; Hyyrö 2004): each older text's lines
+    become one bitmask per distinct line, built once, and each newer line
+    updates a Python-int row vector ``v`` in one step. The LCS length is
+    the count of zero bits left in ``v``.
     """
-    lines_a = _trimmed_lines(a)
-    lines_b = _trimmed_lines(b)
-    if not lines_a and not lines_b:
-        return 1.0
-    if not lines_a or not lines_b:
-        return 0.0
-    # One-row DP; rows iterate over lines_a, columns over lines_b.
-    prev = [0] * (len(lines_b) + 1)
-    for line_a in lines_a:
-        curr = [0] * (len(lines_b) + 1)
-        for j, line_b in enumerate(lines_b, start=1):
-            if line_a == line_b:
-                curr[j] = prev[j - 1] + 1
-            else:
-                curr[j] = max(prev[j], curr[j - 1])
-        prev = curr
-    lcs = prev[-1]
-    return 2.0 * lcs / (len(lines_a) + len(lines_b))
+    newer_lines = [_trimmed_lines(text) for text in newer_texts]
+    older_lines = [_trimmed_lines(text) for text in older_texts]
+    scores = np.zeros((len(newer_lines), len(older_lines)))
+    for j, old in enumerate(older_lines):
+        n = len(old)
+        masks: dict[str, int] = {}
+        for bit, line in enumerate(old):
+            masks[line] = masks.get(line, 0) | (1 << bit)
+        full = (1 << n) - 1
+        column = []
+        for new in newer_lines:
+            if not new or not old:
+                column.append(1.0 if not new and not old else 0.0)
+                continue
+            v = full
+            for line in new:
+                mask = masks.get(line)
+                if mask is not None:
+                    u = v & mask
+                    v = ((v + u) | (v - u)) & full
+            lcs = n - v.bit_count()
+            column.append(2.0 * lcs / (len(new) + n))
+        scores[:, j] = column
+    return scores
+
+
+def lcs_similarity(a: str, b: str) -> float:
+    """Line-LCS score of two texts: one cell of ``lcs_matrix``."""
+    return float(lcs_matrix([a], [b])[0, 0])

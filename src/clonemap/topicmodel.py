@@ -9,7 +9,7 @@ that reading against multi-topic corpora.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 

@@ -11,6 +11,7 @@ from clonemap.errors import ValidationError
 from clonemap.preprocess import TokenDocument
 from clonemap.similarity import (
     Metric,
+    lcs_matrix,
     lcs_similarity,
     score_matrix,
     topic_similarity,
@@ -269,3 +270,83 @@ class TestLcsSimilarity:
         base = lcs_similarity(a, b)
         extended = lcs_similarity(a + "\n" + tail, b + "\n" + tail)
         assert extended >= base - 1e-12
+
+
+def _oracle_trimmed_lines(text: str) -> list[str]:
+    return [line.strip() for line in text.splitlines()]
+
+
+def dp_lcs_similarity(a: str, b: str) -> float:
+    """The one-row DP that ``lcs_matrix`` replaced, kept as its oracle."""
+    lines_a = _oracle_trimmed_lines(a)
+    lines_b = _oracle_trimmed_lines(b)
+    if not lines_a and not lines_b:
+        return 1.0
+    if not lines_a or not lines_b:
+        return 0.0
+    # One-row DP; rows iterate over lines_a, columns over lines_b.
+    prev = [0] * (len(lines_b) + 1)
+    for line_a in lines_a:
+        curr = [0] * (len(lines_b) + 1)
+        for j, line_b in enumerate(lines_b, start=1):
+            if line_a == line_b:
+                curr[j] = prev[j - 1] + 1
+            else:
+                curr[j] = max(prev[j], curr[j - 1])
+        prev = curr
+    lcs = prev[-1]
+    return 2.0 * lcs / (len(lines_a) + len(lines_b))
+
+
+# Lines that differ only in whitespace or line endings, so that trimming
+# and splitting are exercised; up to 150 lines crosses 64-bit mask words.
+LINE_POOL = ["a", " a", "a\t", "b", "", "  ", "\r", "x = 1;", "}"]
+TEXTS = st.builds(
+    lambda lines, sep: sep.join(lines),
+    st.lists(st.sampled_from(LINE_POOL), max_size=150),
+    st.sampled_from(["\n", "\r\n"]),
+)
+
+
+def assert_matches_oracle(newer, older):
+    scores = lcs_matrix(newer, older)
+    assert scores.shape == (len(newer), len(older))
+    for i, a in enumerate(newer):
+        for j, b in enumerate(older):
+            assert scores[i, j] == dp_lcs_similarity(a, b)
+
+
+class TestLcsMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(TEXTS, min_size=1, max_size=3),
+           st.lists(TEXTS, min_size=1, max_size=3))
+    def test_every_cell_equals_dp_oracle(self, newer, older):
+        assert_matches_oracle(newer, older)
+
+    def test_long_random_texts_equal_dp_oracle(self):
+        rng = np.random.default_rng(31)
+        texts = ["\n".join(rng.choice(LINE_POOL, size=int(size)))
+                 for size in rng.integers(60, 200, size=6)]
+        assert_matches_oracle(texts[:3], texts[3:])
+
+    def test_empty_lists_give_empty_matrices(self):
+        assert lcs_matrix([], ["a", "b\nc"]).shape == (0, 2)
+        assert lcs_matrix(["a", "b", "c"], []).shape == (3, 0)
+        assert lcs_matrix([], []).shape == (0, 0)
+
+    def test_empty_texts(self):
+        assert lcs_matrix(["", "a"], ["", "a\nb"]).tolist() == [
+            [1.0, 0.0], [0.0, 2 / 3]]
+
+    def test_line_repeated_on_both_sides(self):
+        newer = "\n".join(["x;"] * 200)
+        older = "\n".join(["  x;"] * 130)
+        assert lcs_matrix([newer], [older])[0, 0] == 2 * 130 / 330
+        assert_matches_oracle([newer, older], [older, newer])
+
+    def test_lcs_similarity_is_one_cell(self):
+        texts = ["p\nq\nr", "q\nr\ns\nt", "", "r"]
+        scores = lcs_matrix(texts, texts)
+        for i, a in enumerate(texts):
+            for j, b in enumerate(texts):
+                assert lcs_similarity(a, b) == scores[i, j]
