@@ -161,6 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_table(text: str) -> None:
+    """Print a table. A character stdout cannot encode, such as a lone
+    surrogate from a JSON string escape, is written as a backslash escape,
+    as Python does on stderr."""
+    encoding = sys.stdout.encoding or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def _render_map_table(result: dict) -> str:
     scorer = ("lcs" if result.get("strategy") == "lcs"
               else f"metric {result['metric']}")
@@ -217,7 +225,7 @@ def cmd_map(args) -> int:
     if args.format == "json":
         print(json.dumps(result, indent=2, sort_keys=True))
     else:
-        print(_render_map_table(result))
+        _print_table(_render_map_table(result))
     return 0
 
 
@@ -327,7 +335,7 @@ def cmd_topics(args) -> int:
             for row in entry["words"]:
                 lines.append(f"  {row['word']:<28}{row['count']:>5}  "
                              f"{row['weight']:.10g}")
-        print("\n".join(lines))
+        _print_table("\n".join(lines))
     return 0
 
 

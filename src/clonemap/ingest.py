@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import FragmentRangeError, ReportParseError, ValidationError, is_json_int
@@ -86,48 +86,63 @@ class VersionSnapshot:
             )
 
 
-def _normalize_newlines(raw: str) -> str:
-    return raw.replace("\r\n", "\n").replace("\r", "\n")
-
-
 def resolve_fragment_text(fragment: CloneFragment, source_root: Path | str) -> str:
     """Read the fragment's inclusive line range from its file.
 
-    Input is decoded as UTF-8 with invalid bytes replaced; CRLF is
-    normalized to LF. Raises ValidationError when the fragment's path
-    leads outside ``source_root``, FileNotFoundError for a missing file and
-    FragmentRangeError when the range exceeds the file length.
+    Input is decoded as UTF-8 with invalid bytes replaced; CRLF and lone
+    CR are normalized to LF. Raises ValidationError when the fragment's
+    path leads outside ``source_root`` or cannot name a file at all (an
+    embedded NUL, a lone surrogate), FileNotFoundError for a missing file
+    and FragmentRangeError when the range exceeds the file length.
     """
     return _read_fragment(fragment, os.path.realpath(source_root), {})
 
 
-def _real_path(root: str, file: str, real_dirs: dict[str, str]) -> str:
-    """``os.path.realpath`` of ``file`` under ``root``, with the real path
-    of each directory cached in ``real_dirs`` (fragments share directories)."""
-    head, name = os.path.split(os.path.join(root, file))
-    real_dir = real_dirs.get(head)
-    if real_dir is None:
-        real_dir = real_dirs[head] = os.path.realpath(head)
+def _within(root: str, path: str) -> bool:
+    return os.path.commonpath((root, path)) == root
+
+
+def _contained_path(root: str, file: str,
+                    dirs: dict[str, tuple[str, bool]]) -> str:
+    """The real path of ``file`` under ``root``; ValidationError if it lies
+    outside. Fragments share directories, so ``dirs`` caches each
+    directory's real path and whether it lies inside ``root``; only a
+    name that is a symlink, ``.`` or ``..`` is resolved and checked again."""
+    head, name = os.path.split(file)
+    entry = dirs.get(head)
+    if entry is None:
+        real_dir = os.path.realpath(os.path.join(root, head))
+        entry = dirs[head] = (real_dir, _within(root, real_dir))
+    real_dir, inside = entry
     path = os.path.join(real_dir, name)
     if name in ("", ".", "..") or os.path.islink(path):
         path = os.path.realpath(path)
+        inside = _within(root, path)
+    if not inside:
+        raise ValidationError(
+            f"fragment file {file!r} lies outside the source root {root!r}"
+        )
     return path
 
 
 def _read_fragment(fragment: CloneFragment, root: str,
-                   real_dirs: dict[str, str]) -> str:
+                   dirs: dict[str, tuple[str, bool]]) -> str:
     """``resolve_fragment_text`` under a source root that is already a
     real path (absolute, symlinks resolved)."""
-    path = _real_path(root, fragment.file, real_dirs)
-    if os.path.commonpath((root, path)) != root:
+    try:
+        path = _contained_path(root, fragment.file, dirs)
+        handle = open(path, encoding="utf-8", errors="replace")
+    except ValueError as exc:
+        # An embedded NUL, or a name the file system encoding cannot encode.
         raise ValidationError(
-            f"fragment file {fragment.file!r} lies outside the source root {root!r}"
-        )
-    raw = Path(path).read_text(encoding="utf-8", errors="replace")
-    lines = _normalize_newlines(raw).split("\n")
+            f"fragment file {fragment.file!r} is not a valid path: {exc}"
+        ) from None
+    # Text mode turns CRLF and lone CR into LF.
+    with handle:
+        lines = handle.read().split("\n")
     # A trailing newline yields one empty trailing element, not a real line.
-    if lines and lines[-1] == "":
-        lines = lines[:-1]
+    if lines[-1] == "":
+        lines.pop()
     if fragment.end_line > len(lines):
         raise FragmentRangeError(
             f"{fragment.file}: lines {fragment.start_line}..{fragment.end_line} "
@@ -145,7 +160,7 @@ def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None =
     """
     root = Path(source_root) if source_root is not None else snapshot.source_root
     real_root = os.path.realpath(root) if root is not None else None
-    real_dirs: dict[str, str] = {}
+    dirs: dict[str, tuple[str, bool]] = {}
     groups = []
     for group in snapshot.groups:
         fragments = []
@@ -155,7 +170,8 @@ def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None =
                     raise ValidationError(
                         f"group {group.index}: no source root to resolve {frag.file!r}"
                     )
-                frag = replace(frag, text=_read_fragment(frag, real_root, real_dirs))
+                frag = CloneFragment(frag.file, frag.start_line, frag.end_line,
+                                     _read_fragment(frag, real_root, dirs))
             fragments.append(frag)
         groups.append(CloneGroup(index=group.index, fragments=tuple(fragments)))
     return VersionSnapshot(

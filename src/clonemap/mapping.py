@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .similarity import Metric, lcs_matrix, score_matrix
 # lcs_similarity and topic_similarity are not called here but stay importable
 # from this module, where perfbench/tracer.py looks them up.
 from .similarity import lcs_similarity, topic_similarity  # noqa: F401
-from .topicmodel import TopicDistribution
+from .topicmodel import TopicBlock, TopicDistribution
 
 
 class Strategy(enum.Enum):
@@ -54,15 +55,36 @@ class GroupMapping:
     similarity: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VersionTopics:
-    """A snapshot's per-group topic vectors, index-aligned with its groups.
+    """A snapshot's per-group topic vectors, index-aligned with its groups,
+    held as one TopicBlock.
 
-    A None entry marks a group whose token document came out empty.
+    Build it from ``block=`` or from ``topics=``, a sequence of
+    TopicDistributions in which None marks a group whose token document
+    came out empty (an empty block row). ``topics`` reads the rows back,
+    built on each access.
     """
 
     version_id: str
-    topics: tuple[TopicDistribution | None, ...]
+    block: TopicBlock
+
+    def __init__(self, version_id: str,
+                 topics: Sequence[TopicDistribution | None] | None = None,
+                 *, block: TopicBlock | None = None):
+        if (topics is None) == (block is None):
+            raise ValidationError("pass either topics or block")
+        if block is None:
+            block = TopicBlock.from_rows(
+                [None if t is None else (t.ids, t.values, t.size) for t in topics]
+            )
+        object.__setattr__(self, "version_id", version_id)
+        object.__setattr__(self, "block", block)
+
+    @property
+    def topics(self) -> tuple[TopicDistribution | None, ...]:
+        return tuple(self.block.row(i, (self.version_id, i))
+                     for i in range(len(self.block)))
 
 
 @dataclass(frozen=True)
@@ -150,23 +172,16 @@ def map_version_pair(newer: VersionTopics, older: VersionTopics,
     """Map every newer group to its best-matching older group or to null.
 
     Topics must come from a shared vocabulary (one corpus spanning both
-    versions). All pairs are scored by one ``score_matrix`` call; a None
-    older topic scores 0.0 against everything. Output is ordered by newer
-    group index and always has one entry per newer group.
+    versions). All pairs are scored by one ``score_matrix`` call on the
+    two blocks; an empty older row scores 0.0 against everything. Output
+    is ordered by newer group index and always has one entry per newer
+    group.
     """
     config = config or MappingConfig()
-    new_refs = [(newer.version_id, i) for i in range(len(newer.topics))]
-    old_refs = [(older.version_id, j) for j in range(len(older.topics))]
-    new_present = [i for i, t in enumerate(newer.topics) if t is not None]
-    old_present = [j for j, t in enumerate(older.topics) if t is not None]
-
-    scores = np.zeros((len(new_refs), len(old_refs)))
-    scores[np.ix_(new_present, old_present)] = score_matrix(
-        [newer.topics[i] for i in new_present],
-        [older.topics[j] for j in old_present],
-        config.metric,
-    )
-    empty_rows = [t is None for t in newer.topics]
+    new_refs = [(newer.version_id, i) for i in range(len(newer.block))]
+    old_refs = [(older.version_id, j) for j in range(len(older.block))]
+    scores = score_matrix(newer.block, older.block, config.metric)
+    empty_rows = (np.diff(newer.block.indptr) == 0).tolist()
     return _assign(scores, empty_rows, new_refs, old_refs, config.delta,
                    config.enforce_injective)
 
@@ -225,7 +240,7 @@ def map_lineage(versions: list[VersionTopics],
     chains: list[dict] = []
     tails: dict[tuple[str, int], int] = {}
     first = versions[0]
-    for i in range(len(first.topics)):
+    for i in range(len(first.block)):
         ref = (first.version_id, i)
         tails[ref] = len(chains)
         chains.append({"members": [ref], "sims": []})
@@ -256,7 +271,7 @@ def map_lineage(versions: list[VersionTopics],
                 if m is not winner:
                     tails[m.new_group] = len(chains)
                     chains.append({"members": [m.new_group], "sims": []})
-        for j in range(len(older.topics)):
+        for j in range(len(older.block)):
             if j not in selected:
                 deaths.append((older.version_id, j))
 

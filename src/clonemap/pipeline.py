@@ -9,8 +9,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .errors import EmptyDocumentError
 from .ingest import VersionSnapshot, parse_clone_report, resolve_snapshot
 from .mapping import (
     GroupMapping,
@@ -22,7 +23,10 @@ from .mapping import (
     unmatched_old_groups,
 )
 from .preprocess import FilterConfig, TokenDocument, build_group_document, default_filter_config
-from .topicmodel import LdaConfig, TopicDistribution, build_corpus, fit_group_topic, fit_lda
+from .topicmodel import LdaConfig, TopicBlock, build_corpus, fit_lda, frequency_blocks
+# fit_group_topic is not called here but stays importable from this module,
+# where perfbench/tracer.py looks it up.
+from .topicmodel import fit_group_topic  # noqa: F401
 
 
 def build_documents(snapshot: VersionSnapshot,
@@ -32,52 +36,32 @@ def build_documents(snapshot: VersionSnapshot,
             for g in snapshot.groups]
 
 
-def fit_topics(documents: list[TokenDocument],
-               corpus) -> list[TopicDistribution | None]:
-    """Per-group one-topic distributions over the corpus vocabulary.
-
-    Groups whose documents came out empty yield None; the mapper turns
-    those into null verdicts with a warning.
-    """
-
-    def fit(doc):
-        try:
-            return fit_group_topic(doc, corpus)
-        except EmptyDocumentError:
-            return None
-
-    return [fit(doc) for doc in documents]
-
-
 def pair_topics(newer_docs: list[TokenDocument], older_docs: list[TokenDocument],
                 newer_id: str, older_id: str,
                 lda_config: LdaConfig | None = None,
                 ) -> tuple[VersionTopics, VersionTopics]:
-    """Topic vectors for both versions over one shared vocabulary.
+    """Topic blocks for both versions over one shared vocabulary.
 
     The default path computes exact one-topic frequencies per group. With
     K > 1 a corpus-wide Gibbs model is fit instead and each group is
-    represented by its document-topic mixture; empty documents still map
-    to None.
+    represented by its document-topic mixture. Either way an empty
+    document gives an empty row.
     """
-    corpus = build_corpus(list(newer_docs) + list(older_docs))
     if lda_config is not None and lda_config.K > 1:
-        result = fit_lda(corpus, lda_config)
-        vectors: list[TopicDistribution | None] = []
-        for d, doc in enumerate(newer_docs + older_docs):
-            if doc.token_count == 0:
-                vectors.append(None)
-            else:
-                vectors.append(TopicDistribution(weights=result.theta[d],
-                                                 group_ref=doc.group_ref))
-        newer_vecs = vectors[:len(newer_docs)]
-        older_vecs = vectors[len(newer_docs):]
+        documents = list(newer_docs) + list(older_docs)
+        theta = fit_lda(build_corpus(documents), lda_config).theta
+        rows = []
+        for doc, mixture in zip(documents, theta):
+            ids = np.flatnonzero(mixture)
+            rows.append(None if doc.token_count == 0
+                        else (ids, mixture[ids], mixture.size))
+        newer_block = TopicBlock.from_rows(rows[:len(newer_docs)])
+        older_block = TopicBlock.from_rows(rows[len(newer_docs):])
     else:
-        newer_vecs = fit_topics(newer_docs, corpus)
-        older_vecs = fit_topics(older_docs, corpus)
+        newer_block, older_block = frequency_blocks([newer_docs, older_docs])
     return (
-        VersionTopics(version_id=newer_id, topics=tuple(newer_vecs)),
-        VersionTopics(version_id=older_id, topics=tuple(older_vecs)),
+        VersionTopics(newer_id, block=newer_block),
+        VersionTopics(older_id, block=older_block),
     )
 
 

@@ -1,8 +1,8 @@
 """Similarity scores between topic distributions, plus the LCS text baseline.
 
 All scores live in [0, 1]. Topic metrics compare sparse (word id, weight)
-vectors over a shared vocabulary ordering, all pairs of two lists at once;
-the text baseline compares trimmed line sequences.
+vectors over a shared vocabulary ordering, all pairs of two topic blocks
+(or lists) at once; the text baseline compares trimmed line sequences.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import enum
 import numpy as np
 
 from .errors import ValidationError
-from .topicmodel import TopicDistribution
+from .topicmodel import TopicBlock, TopicDistribution
 
 
 class Metric(enum.Enum):
@@ -24,34 +24,44 @@ class Metric(enum.Enum):
 _BLOCK_CELLS = 1 << 20
 
 
-class _Entries:
-    """The nonzero entries of a list of vectors, concatenated in list order."""
+def _as_block(vectors) -> TopicBlock:
+    """A TopicBlock as is; a list of TopicDistributions or dense vectors
+    stacked into one, in list order."""
+    if isinstance(vectors, TopicBlock):
+        return vectors
+    rows = []
+    for v in vectors:
+        if isinstance(v, TopicDistribution):
+            rows.append((v.ids, v.values, v.size))
+        else:
+            dense = np.asarray(v, dtype=np.float64)
+            if dense.ndim != 1:
+                raise ValidationError("topic vectors must be one-dimensional")
+            ids = np.flatnonzero(dense)
+            rows.append((ids, dense[ids], dense.size))
+    return TopicBlock.from_rows(rows)
 
-    def __init__(self, vectors, keys: dict):
-        parts = []
-        for v in vectors:
-            if isinstance(v, TopicDistribution):
-                parts.append((v.ids, v.values, v.size))
-            else:
-                dense = np.asarray(v, dtype=np.float64)
-                if dense.ndim != 1:
-                    raise ValidationError("topic vectors must be one-dimensional")
-                ids = np.flatnonzero(dense)
-                parts.append((ids, dense[ids], dense.size))
-        self.count = len(parts)
-        self.sizes = {size for _, _, size in parts}
-        self.nnz = np.array([ids.size for ids, _, _ in parts], dtype=np.int64)
-        self.offsets = np.concatenate(([0], np.cumsum(self.nnz)))
-        self.ids = np.concatenate([ids for ids, _, _ in parts] + [np.empty(0, np.int64)])
-        self.values = np.concatenate([vals for _, vals, _ in parts] + [np.empty(0)])
+
+class _Entries:
+    """A block's nonzero entries with their row numbers, row totals and
+    identity labels."""
+
+    def __init__(self, block: TopicBlock, keys: dict):
+        self.count = len(block)
+        self.offsets = block.indptr
+        self.nnz = np.diff(block.indptr)
+        self.ids = block.ids
+        self.values = block.values
         self.groups = np.repeat(np.arange(self.count), self.nnz)
         self.totals = np.bincount(self.groups, self.values, minlength=self.count)
         # Equal (ids, values) get equal labels across both sides of a join;
-        # an all-zero vector gets -1 and never counts as identical.
+        # an empty row gets -1 and never counts as identical.
+        ids_bytes = self.ids.tobytes()
+        values_bytes = self.values.tobytes()
         labels = []
-        for ids, vals, _ in parts:
-            key = ids.astype(np.int64, copy=False).tobytes() + vals.tobytes()
-            labels.append(keys.setdefault(key, len(keys)) if ids.size else -1)
+        for lo, hi in zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist()):
+            key = ids_bytes[8 * lo:8 * hi] + values_bytes[8 * lo:8 * hi]
+            labels.append(keys.setdefault(key, len(keys)) if hi > lo else -1)
         self.labels = np.array(labels, dtype=np.int64)
 
 
@@ -65,7 +75,8 @@ def _pair_sums(flat, weights, cells: int, m: int) -> np.ndarray:
 def score_matrix(newer, older, metric: Metric = Metric.COSINE) -> np.ndarray:
     """Score every newer vector against every older one: an (N, M) matrix.
 
-    Vectors are TopicDistributions or dense arrays over one vocabulary. The
+    Each side is a TopicBlock, or a list of TopicDistributions or dense
+    arrays that is stacked into one; both sides share one vocabulary. The
     pairs that share a word are found by one join on word ids (sort the
     older entries, ``searchsorted`` each newer entry into them) and their
     per-pair sums accumulate with ``np.bincount``, so the cost grows with
@@ -76,18 +87,20 @@ def score_matrix(newer, older, metric: Metric = Metric.COSINE) -> np.ndarray:
     shared words plus each side's unshared mass, which is exactly 0 when
     every word of that side is shared. Identical vectors score exactly
     1.0 (downstream consumers treat it as the unchanged-group signature); a
-    pair with an all-zero side scores 0.0; every score is clamped to [0, 1].
+    pair with an empty row or all-zero vector on either side scores 0.0;
+    every score is clamped to [0, 1].
     """
     if not isinstance(metric, Metric):
         raise ValidationError(f"unknown metric {metric!r}")
+    newer, older = _as_block(newer), _as_block(older)
+    if None not in (newer.size, older.size) and newer.size != older.size:
+        raise ValidationError(
+            "topic vectors over different vocabularies: sizes "
+            f"{sorted((newer.size, older.size))}"
+        )
     keys: dict = {}
     new = _Entries(newer, keys)
     old = _Entries(older, keys)
-    sizes = new.sizes | old.sizes
-    if len(sizes) > 1:
-        raise ValidationError(
-            f"topic vectors over different vocabularies: sizes {sorted(sizes)}"
-        )
     n, m = new.count, old.count
     scores = np.zeros((n, m))
     if n == 0 or m == 0:

@@ -134,6 +134,76 @@ class TopicDistribution:
         return self.size
 
 
+@dataclass(frozen=True, eq=False)
+class TopicBlock:
+    """The topic vectors of one version's groups, stacked in CSR form.
+
+    Row ``i`` holds the sorted word ids ``ids[indptr[i]:indptr[i + 1]]``
+    and their weights in ``values``, over a vocabulary of ``size`` words;
+    an empty row is a group whose document came out empty. ``size`` is
+    None only for a block built from no vectors at all.
+    """
+
+    indptr: np.ndarray
+    ids: np.ndarray
+    values: np.ndarray
+    size: int | None
+
+    def __post_init__(self):
+        indptr = np.asarray(self.indptr, dtype=np.int64)
+        ids = np.asarray(self.ids, dtype=np.int64)
+        values = np.asarray(self.values, dtype=np.float64)
+        if (indptr.ndim != 1 or ids.ndim != 1 or ids.shape != values.shape
+                or indptr.size == 0 or indptr[0] != 0 or indptr[-1] != ids.size
+                or np.any(indptr[1:] < indptr[:-1])):
+            raise ValidationError("malformed topic block: indptr must run "
+                                  "from 0 to the number of entries")
+        if ids.size:
+            # Ids restart at each row start, so no rise is needed there.
+            rising = ids[1:] > ids[:-1]
+            starts = indptr[1:-1]
+            rising[starts[(starts > 0) & (starts < ids.size)] - 1] = True
+            if (self.size is None or ids.min() < 0 or ids.max() >= self.size
+                    or not rising.all()):
+                raise ValidationError(
+                    f"topic block ids must rise within each row and lie in "
+                    f"[0, {self.size})"
+                )
+        for name, array in (("indptr", indptr), ("ids", ids), ("values", values)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
+
+    @classmethod
+    def from_rows(cls, rows) -> "TopicBlock":
+        """Stack ``(ids, values, size)`` rows, None for an empty row; every
+        row must share one vocabulary size."""
+        present = [row for row in rows if row is not None]
+        sizes = {size for _, _, size in present}
+        if len(sizes) > 1:
+            raise ValidationError(
+                f"topic vectors over different vocabularies: sizes {sorted(sizes)}"
+            )
+        nnz = [0 if row is None else len(row[0]) for row in rows]
+        return cls(
+            indptr=np.concatenate(([0], np.cumsum(nnz, dtype=np.int64))),
+            ids=np.concatenate([ids for ids, _, _ in present] + [np.empty(0, np.int64)]),
+            values=np.concatenate([v for _, v, _ in present] + [np.empty(0)]),
+            size=sizes.pop() if sizes else None,
+        )
+
+    def __len__(self) -> int:
+        return self.indptr.size - 1
+
+    def row(self, i: int, group_ref: tuple[str, int] | None = None
+            ) -> TopicDistribution | None:
+        """Row ``i`` as a TopicDistribution, None when it is empty."""
+        lo, hi = self.indptr[i], self.indptr[i + 1]
+        if lo == hi:
+            return None
+        return TopicDistribution(ids=self.ids[lo:hi], values=self.values[lo:hi],
+                                 size=self.size, group_ref=group_ref)
+
+
 @dataclass(frozen=True)
 class LdaResult:
     """Gibbs estimates: document-topic mixtures and topic-word distributions."""
@@ -191,6 +261,40 @@ def fit_group_topic(document: TokenDocument,
                              values=values[order] / document.token_count,
                              size=corpus.vocabulary_size,
                              group_ref=document.group_ref)
+
+
+def frequency_blocks(versions: Sequence[Sequence[TokenDocument]]
+                     ) -> list[TopicBlock]:
+    """One-topic term frequencies of every group, one block per version.
+
+    The ids index the sorted union of all the versions' words, so blocks
+    of different versions compare directly. Row weights are
+    count(w) / token_count in sorted-vocabulary order, exactly as
+    ``fit_group_topic`` gives them over ``build_corpus`` of the same
+    documents; an empty document gives an empty row.
+    """
+    counts = [[doc.counts() for doc in docs] for docs in versions]
+    vocabulary = sorted({w for version in counts for c in version for w in c})
+    word_ids = {w: i for i, w in enumerate(vocabulary)}
+    blocks = []
+    for docs, version in zip(versions, counts):
+        nnz = np.fromiter(map(len, version), dtype=np.int64, count=len(version))
+        total = int(nnz.sum())
+        ids = np.fromiter((word_ids[w] for c in version for w in c),
+                          dtype=np.int64, count=total)
+        tallies = np.fromiter((n for c in version for n in c.values()),
+                              dtype=np.float64, count=total)
+        rows = np.repeat(np.arange(len(version)), nnz)
+        order = np.lexsort((ids, rows))
+        token_counts = np.fromiter((doc.token_count for doc in docs),
+                                   dtype=np.float64, count=len(docs))
+        blocks.append(TopicBlock(
+            indptr=np.concatenate(([0], np.cumsum(nnz))),
+            ids=ids[order],
+            values=tallies[order] / np.repeat(token_counts, nnz),
+            size=len(vocabulary),
+        ))
+    return blocks
 
 
 def _check_counts(corpus: Corpus, n_dk, n_kw, n_k, n_d, word_totals) -> None:

@@ -1,12 +1,18 @@
 """CLI subcommands, exit codes, and artifact reproducibility headers."""
 
+import contextlib
+import copy
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.sax.saxutils import quoteattr
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from clonemap.cli import main
 
@@ -124,6 +130,30 @@ class TestMapCommand:
         rc = main(run_map_cmd(evolution))
         assert rc == 3
         assert "outside the source root" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file", ["a\u0000b.c", "a\ud800.c"])
+    def test_unencodable_fragment_file_is_validation_error(self, evolution,
+                                                           capsys, file):
+        report_path = evolution / "newer_report.json"
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report["groups"][0]["fragments"][0]["file"] = file
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        rc = main(run_map_cmd(evolution))
+        assert rc == 3
+        assert "not a valid path" in capsys.readouterr().err
+
+    def test_lone_surrogate_version_prints_escaped(self, evolution):
+        report_path = evolution / "newer_report.json"
+        report = json.loads(report_path.read_text(encoding="utf-8"))
+        report["version"] = "v\ud800"
+        report_path.write_text(json.dumps(report), encoding="utf-8")
+        rc, out = run_quietly(run_map_cmd(evolution, fmt="table"))
+        assert rc == 0
+        assert out.startswith("mapping v\\ud800 -> v1")
+        rc, out = run_quietly(["topics", "--report", str(report_path),
+                               "--source", str(evolution / "newer_src")])
+        assert rc == 0
+        assert out.startswith("group 0 of v\\ud800")
 
     def test_json_boolean_line_number_is_parse_error(self, evolution, capsys):
         report_path = evolution / "newer_report.json"
@@ -266,6 +296,152 @@ class TestThreadsFlag:
             docs.append(json.loads(capsys.readouterr().out))
         assert docs[0]["topics"] == docs[1]["topics"]
         assert [d["config"]["threads"] for d in docs] == [1, 4]
+
+
+# Values a mutation swaps in: other JSON types, path escapes, an integer
+# past 64 bits, an embedded NUL and lone surrogates. "ABSOLUTE" stands for
+# the absolute path of a real file outside the source roots.
+NASTY = st.sampled_from([
+    None, True, False, 0, -1, 1.5, 2**70, "", "x", [], {}, [0], {"a": 1},
+    "../older_src/group000_frag0.c", "../truth.json", "ABSOLUTE",
+    "a\u0000b.c", "\u0000", "a\ud800.c", "\udfff", "v\ud800",
+])
+
+
+def mutate_json(data, doc, absolute: str):
+    """Apply one to three drawn deletions or value swaps to ``doc``. Each
+    walks down from the root and stops at each level with chance 1/4, so
+    top-level keys are hit as often as fields deep inside fragments."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        path = []
+        node = doc
+        while (isinstance(node, (dict, list)) and node
+               and data.draw(st.integers(0, 3)) > 0):
+            key = data.draw(st.sampled_from(
+                list(node) if isinstance(node, dict) else range(len(node))))
+            path.append(key)
+            node = node[key]
+        value = copy.deepcopy(data.draw(NASTY))
+        value = absolute if value == "ABSOLUTE" else value
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+def report_xml(doc: dict) -> str:
+    classes = "".join(
+        f'<class id="{g["index"]}">' + "".join(
+            f"<source file={quoteattr(f['file'])} "
+            f'startline="{f["start_line"]}" endline="{f["end_line"]}"/>'
+            for f in g["fragments"]) + "</class>"
+        for g in doc["groups"])
+    return f"<clones version={quoteattr(doc['version'])}>{classes}</clones>"
+
+
+_XML_ATTR = re.compile(r'(\w+)="([^"]*)"')
+
+
+def mutate_xml(data, text: str, absolute: str) -> str:
+    """Apply one to three drawn attribute swaps or deletions, or a cut."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        matches = list(_XML_ATTR.finditer(text))
+        action = data.draw(st.sampled_from(["swap", "drop", "cut"]))
+        if action == "cut" or not matches:
+            text = text[:data.draw(st.integers(0, len(text)))]
+            continue
+        match = data.draw(st.sampled_from(matches))
+        if action == "drop":
+            text = text[:match.start()] + text[match.end():]
+            continue
+        value = data.draw(NASTY)
+        value = absolute if value == "ABSOLUTE" else str(value)
+        start, end = match.span(2)
+        text = text[:start] + quoteattr(value)[1:-1] + text[end:]
+    return text
+
+
+def run_quietly(argv) -> tuple[int, str]:
+    """``main`` with stdout going to a strict UTF-8 buffer, as on a UTF-8
+    terminal, so an unprintable result shows as an exception; returns the
+    exit code and what was printed."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8",
+                           errors="backslashreplace")
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+        out.flush()
+    return rc, out.buffer.getvalue().decode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    """A 4-group evolution plus its mapping artifact, built once."""
+    out = tmp_path_factory.mktemp("fuzz") / "evo"
+    assert run_quietly(["synth", "--out", str(out), "--groups", "4",
+                        "--deaths", "0.25", "--births", "0.25",
+                        "--seed", "3"])[0] == 0
+    assert run_quietly(run_map_cmd(out, "--out", str(out / "mapping.json")))[0] == 0
+    return out
+
+
+class TestExitCodeFuzz:
+    """Mutated reports, truth files and mapping artifacts end in exit 0,
+    2, 3 or 4, never in a traceback."""
+
+    EXITS = {0, 2, 3, 4}
+    SETTINGS = settings(max_examples=40, deadline=None, derandomize=True,
+                        suppress_health_check=[HealthCheck.too_slow])
+
+    @SETTINGS
+    @given(data=st.data(), which=st.sampled_from(["newer", "older", "topics"]),
+           fmt=st.sampled_from(["json", "table"]))
+    def test_mutated_json_report(self, fuzz_base, data, which, fmt):
+        version = "older" if which == "topics" else which
+        path = fuzz_base / f"{version}_report.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = mutate_json(data, doc, str(fuzz_base / "truth.json"))
+        bad = fuzz_base / "bad_report.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        if which == "topics":
+            argv = ["topics", "--report", str(bad),
+                    "--source", str(fuzz_base / "older_src"), "--format", fmt]
+        else:
+            argv = run_map_cmd(fuzz_base, fmt=fmt)
+            argv[argv.index(f"--{which}") + 1] = str(bad)
+        assert run_quietly(argv)[0] in self.EXITS
+
+    @SETTINGS
+    @given(data=st.data(), strategy=st.sampled_from(["topic", "lcs"]))
+    def test_mutated_xml_report(self, fuzz_base, data, strategy):
+        doc = json.loads((fuzz_base / "newer_report.json").read_text(encoding="utf-8"))
+        text = mutate_xml(data, report_xml(doc), str(fuzz_base / "truth.json"))
+        bad = fuzz_base / "bad_report.xml"
+        bad.write_text(text, encoding="utf-8", errors="surrogatepass")
+        argv = run_map_cmd(fuzz_base, "--strategy", strategy, fmt="table")
+        argv[argv.index("--newer") + 1] = str(bad)
+        assert run_quietly(argv)[0] in self.EXITS
+
+    @SETTINGS
+    @given(data=st.data(), which=st.sampled_from(["mapping", "truth"]),
+           fmt=st.sampled_from(["json", "table"]))
+    def test_mutated_eval_input(self, fuzz_base, data, which, fmt):
+        paths = {"mapping": fuzz_base / "mapping.json",
+                 "truth": fuzz_base / "truth.json"}
+        doc = json.loads(paths[which].read_text(encoding="utf-8"))
+        doc = mutate_json(data, doc, str(paths["truth"]))
+        paths[which] = fuzz_base / f"bad_{which}.json"
+        paths[which].write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["eval", "--mapping", str(paths["mapping"]),
+                "--truth", str(paths["truth"]), "--format", fmt]
+        assert run_quietly(argv)[0] in self.EXITS
 
 
 REPO = Path(__file__).resolve().parents[1]

@@ -1,8 +1,11 @@
 """Clone report parsing: native JSON, the XML adapter, and text resolution."""
 
 import json
+import os
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from clonemap.errors import (
     FragmentRangeError,
@@ -19,6 +22,49 @@ from clonemap.ingest import (
     snapshot_from_dict,
     snapshot_to_dict,
 )
+
+
+def _normalize_newlines(raw: str) -> str:
+    return raw.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_fragment_oracle(fragment, source_root):
+    """The fragment reader as it was before directories were cached: a
+    realpath and a commonpath check per fragment, pathlib's ``read_text``
+    and an explicit newline normalization."""
+    root = os.path.realpath(source_root)
+    path = os.path.realpath(os.path.join(root, fragment.file))
+    if os.path.commonpath((root, path)) != root:
+        raise ValidationError(
+            f"fragment file {fragment.file!r} lies outside the source root {root!r}"
+        )
+    raw = Path(path).read_text(encoding="utf-8", errors="replace")
+    lines = _normalize_newlines(raw).split("\n")
+    # A trailing newline yields one empty trailing element, not a real line.
+    if lines and lines[-1] == "":
+        lines = lines[:-1]
+    if fragment.end_line > len(lines):
+        raise FragmentRangeError(
+            f"{fragment.file}: lines {fragment.start_line}..{fragment.end_line} "
+            f"exceed file length {len(lines)}"
+        )
+    return "\n".join(lines[fragment.start_line - 1 : fragment.end_line])
+
+
+def assert_every_range_matches_oracle(root, content: bytes):
+    (root / "a.c").write_bytes(content)
+    n_lines = len(_normalize_newlines(
+        content.decode("utf-8", errors="replace")).split("\n"))
+    for start in range(1, n_lines + 1):
+        for end in range(start, n_lines + 1):
+            frag = CloneFragment(file="a.c", start_line=start, end_line=end)
+            try:
+                expected = read_fragment_oracle(frag, root)
+            except FragmentRangeError:
+                with pytest.raises(FragmentRangeError):
+                    resolve_fragment_text(frag, root)
+            else:
+                assert resolve_fragment_text(frag, root) == expected
 
 
 def make_report(version="v1", n_groups=2, with_text=True):
@@ -159,6 +205,25 @@ class TestTextResolution:
         frag = CloneFragment(file="a.c", start_line=1, end_line=3)
         assert resolve_fragment_text(frag, tmp_path) == "l1\nl2\nl3"
 
+    @pytest.mark.parametrize("content", [
+        b"l1\rl2\rl3",
+        b"l1\r\nl2\rl3\nl4\r\r\nl5\n\rl6",
+        b"l1\nl2\r",
+        b"l1\nl2",
+        b"l1\xff\xfe\nl2\xe2\x82\r\nl3\xc3\n",
+    ], ids=["lone-cr", "mixed", "trailing-cr", "no-final-newline",
+            "invalid-utf8"])
+    def test_newlines_match_oracle(self, tmp_path, content):
+        assert_every_range_matches_oracle(tmp_path, content)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([b"a", b"bc", b"\r", b"\n", b"\r\n",
+                                     b"\xff", b"\xe2\x82", b"\xc3\xa9"]),
+                    max_size=12))
+    def test_random_bytes_match_oracle(self, tmp_path_factory, pieces):
+        assert_every_range_matches_oracle(tmp_path_factory.mktemp("bytes"),
+                                          b"".join(pieces))
+
     def test_range_past_end_of_file(self, tmp_path):
         (tmp_path / "a.c").write_text("l1\nl2\n", encoding="utf-8")
         frag = CloneFragment(file="a.c", start_line=1, end_line=9)
@@ -216,6 +281,39 @@ class TestTextResolution:
         (tmp_path / "link.c").symlink_to(tmp_path / "a.c")
         frag = CloneFragment(file=file, start_line=1, end_line=2)
         assert resolve_fragment_text(frag, tmp_path) == "aa\nbb"
+
+    @pytest.mark.parametrize("folder", ["", "sub/"])
+    def test_symlink_beside_cached_file_rejected(self, tmp_path, folder):
+        """A symlink out of the root is caught even after its directory was
+        resolved, and found inside the root, for an earlier fragment."""
+        root = tmp_path / "src"
+        (root / "sub").mkdir(parents=True)
+        (tmp_path / "outside.c").write_text("secret\nsecret\n", encoding="utf-8")
+        (root / folder / "inside.c").write_text("aa\nbb\n", encoding="utf-8")
+        (root / folder / "link.c").symlink_to(tmp_path / "outside.c")
+        inside = {"file": folder + "inside.c", "start_line": 1, "end_line": 2}
+        link = {"file": folder + "link.c", "start_line": 1, "end_line": 2}
+        report = {"version": "v1", "groups": [
+            {"index": 0, "fragments": [inside, inside]},
+            {"index": 1, "fragments": [inside, link]},
+        ]}
+        cached = snapshot_from_dict({"version": "v1", "groups": report["groups"][:1]},
+                                    source_root=root)
+        assert resolve_snapshot(cached).groups[0].fragments[1].text == "aa\nbb"
+        with pytest.raises(ValidationError, match="outside the source root"):
+            resolve_snapshot(snapshot_from_dict(report, source_root=root))
+
+    @pytest.mark.parametrize("file", ["a\x00b.c", "a\ud800.c", "sub\x00/a.c",
+                                      "sub\ud800/a.c"])
+    def test_unencodable_file_name_is_validation_error(self, tmp_path, file):
+        (tmp_path / "a.c").write_text("aa\nbb\n", encoding="utf-8")
+        report = {"version": "v1", "groups": [{"index": 0, "fragments": [
+            {"file": "a.c", "start_line": 1, "end_line": 2},
+            {"file": file, "start_line": 1, "end_line": 2},
+        ]}]}
+        snap = snapshot_from_dict(report, source_root=tmp_path)
+        with pytest.raises(ValidationError, match="not a valid path"):
+            resolve_snapshot(snap)
 
     def test_report_carried_text_kept(self):
         snap = snapshot_from_dict(make_report(with_text=True))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from clonemap.errors import CloneMapWarning, ConfigError
+from clonemap.errors import CloneMapWarning, ConfigError, ValidationError
 from clonemap.ingest import CloneFragment, CloneGroup, VersionSnapshot
 from clonemap.mapping import (
     MappingConfig,
@@ -15,7 +15,7 @@ from clonemap.mapping import (
 )
 from clonemap.preprocess import TokenDocument
 from clonemap.similarity import score_matrix
-from clonemap.topicmodel import build_corpus, fit_group_topic
+from clonemap.topicmodel import TopicBlock, build_corpus, fit_group_topic
 
 
 def topics_from_counts(version_id, groups_counts, corpus=None):
@@ -168,6 +168,35 @@ class TestMapVersionPair:
     def test_invalid_delta_rejected(self):
         with pytest.raises(ConfigError):
             MappingConfig(delta=1.5)
+
+
+class TestVersionTopics:
+    def test_topics_round_trip_through_the_block(self):
+        topics, corpus = topics_from_counts(
+            "v1", [{"a": 3, "b": 1}, {}, {"c": 2, "a": 1}, {}])
+        back = VersionTopics("v1", topics=topics.topics).topics
+        assert len(back) == 4
+        assert back[1] is None and back[3] is None
+        for i in (0, 2):
+            assert np.array_equal(back[i].ids, topics.topics[i].ids)
+            assert np.array_equal(back[i].values, topics.topics[i].values)
+            assert back[i].size == corpus.vocabulary_size
+            assert back[i].group_ref == ("v1", i)
+        assert topics.block.indptr.tolist() == [0, 2, 2, 4, 4]
+
+    def test_block_form(self):
+        block = TopicBlock.from_rows([None, (np.array([0]), np.array([1.0]), 1)])
+        topics = VersionTopics("v1", block=block)
+        assert topics.block is block
+        assert topics.topics[0] is None
+        assert topics.topics[1].weights.tolist() == [1.0]
+
+    def test_needs_exactly_one_of_topics_and_block(self):
+        block = TopicBlock.from_rows([])
+        with pytest.raises(ValidationError):
+            VersionTopics("v1")
+        with pytest.raises(ValidationError):
+            VersionTopics("v1", topics=(), block=block)
 
 
 class TestRenamedGroupFixture:

@@ -16,7 +16,12 @@ from clonemap.similarity import (
     score_matrix,
     topic_similarity,
 )
-from clonemap.topicmodel import TopicDistribution, build_corpus, fit_group_topic
+from clonemap.topicmodel import (
+    TopicBlock,
+    TopicDistribution,
+    build_corpus,
+    fit_group_topic,
+)
 
 
 def random_distribution(rng, size):
@@ -147,6 +152,42 @@ class TestScoreMatrix:
                 assert abs(scores[i, j] - expected) <= 1e-12
                 if nc == oc:
                     assert scores[i, j] == 1.0
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.one_of(st.none(), COUNTS), max_size=6),
+           st.lists(st.one_of(st.none(), COUNTS), max_size=6),
+           st.sampled_from(list(Metric)))
+    def test_blocks_equal_lists_with_empty_rows_scattered(self, newer_counts,
+                                                         older_counts, metric):
+        """Scoring blocks that hold empty rows equals scoring the lists of
+        present topics and placing them in a zero matrix, exactly."""
+        present = [[c for c in counts if c is not None]
+                   for counts in (newer_counts, older_counts)]
+        _, (newer, older) = topics_over_one_corpus(*present)
+
+        def block(counts, topics):
+            rows = iter([(t.ids, t.values, t.size) for t in topics])
+            return TopicBlock.from_rows([None if c is None else next(rows)
+                                         for c in counts])
+
+        new_block = block(newer_counts, newer)
+        old_block = block(older_counts, older)
+        expected = np.zeros((len(newer_counts), len(older_counts)))
+        expected[np.ix_([i for i, c in enumerate(newer_counts) if c is not None],
+                        [j for j, c in enumerate(older_counts) if c is not None])
+                 ] = score_matrix(newer, older, metric)
+        assert np.array_equal(score_matrix(new_block, old_block, metric), expected)
+        if all(c is not None for c in newer_counts):
+            assert np.array_equal(score_matrix(newer, old_block, metric), expected)
+        if all(c is not None for c in older_counts):
+            assert np.array_equal(score_matrix(new_block, older, metric), expected)
+
+    def test_block_sizes_must_agree(self):
+        a = TopicBlock.from_rows([(np.array([0]), np.array([1.0]), 2)])
+        b = TopicBlock.from_rows([(np.array([0]), np.array([1.0]), 3)])
+        with pytest.raises(ValidationError, match="different vocabularies"):
+            score_matrix(a, b)
+        assert score_matrix(a, TopicBlock.from_rows([None])).tolist() == [[0.0]]
 
     def test_same_support_one_count_off_hellinger(self):
         """1 - sum(sqrt(p * q)) cancels here; the kernel must not."""

@@ -4,18 +4,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from clonemap import pipeline
 from clonemap.errors import ConfigError, EmptyDocumentError, ValidationError
 from clonemap.preprocess import TokenDocument
 from clonemap.similarity import Metric, score_matrix
 from clonemap.topicmodel import (
     Corpus,
     LdaConfig,
+    TopicBlock,
     TopicDistribution,
     build_corpus,
     fit_group_topic,
     fit_lda,
+    frequency_blocks,
 )
 
 
@@ -187,6 +190,121 @@ class TestTopicDistribution:
             TopicDistribution(ids=[0, 1], values=[1.5, -0.5], size=3)
         with pytest.raises(ValidationError):
             TopicDistribution(ids=[0, 1], values=[0.5, float("nan")], size=3)
+
+
+class TestTopicBlock:
+    def test_from_rows_keeps_order_and_empty_rows(self):
+        block = TopicBlock.from_rows([
+            None, (np.array([1, 4]), np.array([0.25, 0.75]), 5), None,
+            (np.array([0]), np.array([1.0]), 5),
+        ])
+        assert len(block) == 4
+        assert block.indptr.tolist() == [0, 0, 2, 2, 3]
+        assert block.ids.tolist() == [1, 4, 0]
+        assert block.values.tolist() == [0.25, 0.75, 1.0]
+        assert block.size == 5
+        assert block.row(0) is None
+        assert block.row(1).ids.tolist() == [1, 4]
+        assert block.row(3, ("v", 3)).group_ref == ("v", 3)
+
+    def test_no_rows_has_no_size(self):
+        assert TopicBlock.from_rows([]).size is None
+        assert TopicBlock.from_rows([None, None]).size is None
+        assert len(TopicBlock.from_rows([None, None])) == 2
+
+    def test_rows_over_different_vocabularies_rejected(self):
+        with pytest.raises(ValidationError, match="different vocabularies"):
+            TopicBlock.from_rows([(np.array([0]), np.array([1.0]), 2),
+                                  (np.array([0]), np.array([1.0]), 3)])
+
+    @pytest.mark.parametrize("indptr,ids,size", [
+        ([0, 1], [0, 1], 3),        # indptr ends short of the entries
+        ([1, 2], [0, 1], 3),        # indptr does not start at 0
+        ([0, 2, 1, 2], [0, 1], 3),  # indptr falls
+        ([], [], 3),                # no indptr at all
+        ([0, 2], [1, 1], 3),        # repeated id within a row
+        ([0, 2], [2, 1], 3),        # falling ids within a row
+        ([0, 2], [0, 3], 3),        # id past the vocabulary
+        ([0, 2], [-1, 0], 3),       # negative id
+        ([0, 1], [0], None),        # entries with no vocabulary size
+    ])
+    def test_malformed_block_rejected(self, indptr, ids, size):
+        with pytest.raises(ValidationError):
+            TopicBlock(indptr=np.array(indptr, dtype=np.int64),
+                       ids=np.array(ids, dtype=np.int64),
+                       values=np.ones(len(ids)), size=size)
+
+    def test_ids_restart_at_every_row_start(self):
+        block = TopicBlock(indptr=np.array([0, 0, 2, 2, 3, 3]),
+                           ids=np.array([1, 2, 0]), values=np.ones(3), size=3)
+        assert block.row(3).ids.tolist() == [0]
+
+    def test_arrays_are_read_only(self):
+        block = TopicBlock.from_rows([(np.array([0]), np.array([1.0]), 1)])
+        with pytest.raises(ValueError):
+            block.values[0] = 0.5
+
+
+# Word counts per group; an empty dict is a group whose document came out
+# empty.
+GROUP_COUNTS = st.one_of(
+    st.just({}),
+    st.dictionaries(st.text(alphabet="abcdefgh", min_size=1, max_size=3),
+                    st.integers(min_value=1, max_value=40), max_size=8),
+)
+
+
+class TestFrequencyBlocks:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.lists(GROUP_COUNTS, max_size=5), min_size=1, max_size=3))
+    def test_rows_equal_fit_group_topic_over_one_corpus(self, versions):
+        docs = [[TokenDocument.from_counts(c) for c in counts]
+                for counts in versions]
+        corpus = build_corpus([d for version in docs for d in version])
+        blocks = frequency_blocks(docs)
+        assert len(blocks) == len(docs)
+        for block, version in zip(blocks, docs):
+            assert len(block) == len(version)
+            assert block.size == corpus.vocabulary_size
+            for i, d in enumerate(version):
+                lo, hi = block.indptr[i], block.indptr[i + 1]
+                if d.token_count == 0:
+                    assert lo == hi
+                    continue
+                expected = fit_group_topic(d, corpus)
+                assert np.array_equal(block.ids[lo:hi], expected.ids)
+                assert np.array_equal(block.values[lo:hi], expected.values)
+
+    def test_k1_pair_topics_builds_no_corpus_and_no_distributions(
+            self, monkeypatch):
+        newer = [doc(["b", "a", "b"]), doc([]), doc(["c"])]
+        older = [doc(["a", "d"])]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("K=1 must not build this")
+
+        monkeypatch.setattr(pipeline, "build_corpus", refuse)
+        monkeypatch.setattr(TopicDistribution, "__init__", refuse)
+        new_topics, old_topics = pipeline.pair_topics(newer, older, "v2", "v1")
+        expected = frequency_blocks([newer, older])
+        for got, want in zip((new_topics.block, old_topics.block), expected):
+            assert np.array_equal(got.indptr, want.indptr)
+            assert np.array_equal(got.ids, want.ids)
+            assert np.array_equal(got.values, want.values)
+            assert got.size == want.size == 4
+
+    def test_k_above_one_rows_are_theta_rows(self):
+        newer = [doc(["a", "b", "a"]), doc([])]
+        older = [doc(["b", "c"])]
+        config = LdaConfig(K=3, iterations=20, seed=5)
+        new_topics, old_topics = pipeline.pair_topics(newer, older, "v2", "v1",
+                                                      config)
+        theta = fit_lda(build_corpus(newer + older), config).theta
+        assert new_topics.block.size == old_topics.block.size == 3
+        assert new_topics.topics[1] is None
+        for topic, row in ((new_topics.topics[0], theta[0]),
+                           (old_topics.topics[0], theta[2])):
+            assert np.array_equal(topic.weights, row)
 
 
 class TestFitLda:
