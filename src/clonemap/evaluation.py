@@ -180,8 +180,11 @@ class SynthConfig:
                 f"lines_per_fragment must be a range with low >= 1, got {lo, hi}"
             )
         probs = (self.p_unchanged, self.p_type1, self.p_type2, self.p_type3)
-        if any(p < 0 for p in probs):
-            raise ConfigError("mutation probabilities must be non-negative")
+        # Negated, so that NaN fails too; an infinity fails the sum below.
+        if not all(p >= 0 for p in probs):
+            raise ConfigError(
+                f"mutation probabilities must be non-negative numbers, got {probs}"
+            )
         if abs(sum(probs) - 1.0) > 1e-9:
             raise ConfigError(
                 f"mutation probabilities must sum to 1, got {sum(probs)!r}"

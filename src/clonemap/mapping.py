@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .similarity import Metric, lcs_matrix, score_matrix
 # lcs_similarity and topic_similarity are not called here but stay importable
 # from this module, where perfbench/tracer.py looks them up.
 from .similarity import lcs_similarity, topic_similarity  # noqa: F401
-from .topicmodel import TopicBlock, TopicDistribution
+from .topicmodel import TopicBlock
 
 
 class Strategy(enum.Enum):
@@ -55,36 +54,14 @@ class GroupMapping:
     similarity: float
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class VersionTopics:
-    """A snapshot's per-group topic vectors, index-aligned with its groups,
-    held as one TopicBlock.
-
-    Build it from ``block=`` or from ``topics=``, a sequence of
-    TopicDistributions in which None marks a group whose token document
-    came out empty (an empty block row). ``topics`` reads the rows back,
-    built on each access.
-    """
+    """A snapshot's per-group topic vectors as one TopicBlock: row ``i``
+    is group ``i``, and an empty row a group whose token document came out
+    empty."""
 
     version_id: str
     block: TopicBlock
-
-    def __init__(self, version_id: str,
-                 topics: Sequence[TopicDistribution | None] | None = None,
-                 *, block: TopicBlock | None = None):
-        if (topics is None) == (block is None):
-            raise ValidationError("pass either topics or block")
-        if block is None:
-            block = TopicBlock.from_rows(
-                [None if t is None else (t.ids, t.values, t.size) for t in topics]
-            )
-        object.__setattr__(self, "version_id", version_id)
-        object.__setattr__(self, "block", block)
-
-    @property
-    def topics(self) -> tuple[TopicDistribution | None, ...]:
-        return tuple(self.block.row(i, (self.version_id, i))
-                     for i in range(len(self.block)))
 
 
 @dataclass(frozen=True)

@@ -50,18 +50,15 @@ def pair_topics(newer_docs: list[TokenDocument], older_docs: list[TokenDocument]
     if lda_config is not None and lda_config.K > 1:
         documents = list(newer_docs) + list(older_docs)
         theta = fit_lda(build_corpus(documents), lda_config).theta
-        rows = []
-        for doc, mixture in zip(documents, theta):
-            ids = np.flatnonzero(mixture)
-            rows.append(None if doc.token_count == 0
-                        else (ids, mixture[ids], mixture.size))
-        newer_block = TopicBlock.from_rows(rows[:len(newer_docs)])
-        older_block = TopicBlock.from_rows(rows[len(newer_docs):])
+        empty = np.array([doc.token_count == 0 for doc in documents])
+        weights = np.where(empty[:, None], 0.0, theta)
+        newer_block = TopicBlock.from_dense(weights[:len(newer_docs)])
+        older_block = TopicBlock.from_dense(weights[len(newer_docs):])
     else:
         newer_block, older_block = frequency_blocks([newer_docs, older_docs])
     return (
-        VersionTopics(newer_id, block=newer_block),
-        VersionTopics(older_id, block=older_block),
+        VersionTopics(newer_id, newer_block),
+        VersionTopics(older_id, older_block),
     )
 
 

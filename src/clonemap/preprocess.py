@@ -15,13 +15,14 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .errors import CloneMapWarning, ConfigError
+from .errors import CloneMapWarning
 from .ingest import CloneGroup
 
 WORDLIST_DIR_ENV = "CLONEMAP_WORDLIST_DIR"
 
 _WORD_RE = re.compile(r"[A-Za-z0-9_]+")
-_CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|\d+")
+# Kept words are lowercased and at least this long.
+_MIN_TOKEN_LENGTH = 2
 # One pass over comments and literals, leftmost match first: a line comment,
 # a block comment (``open`` captures an unterminated one), then a string or
 # character literal whose backslash escapes any next character.
@@ -35,27 +36,19 @@ _STRIP_RE = re.compile(
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Token filtering rules: three removal word sets plus shape options.
+    """Token filtering rules: three removal word sets.
 
     The word sets are stored lowercased and mutually disjoint; removal is
-    case-insensitive regardless of the ``lowercase`` output option.
+    case-insensitive.
     """
 
     language_keywords: frozenset[str]
     programming_words: frozenset[str]
     english_stopwords: frozenset[str]
-    split_identifiers: bool = False
-    lowercase: bool = True
-    min_token_length: int = 2
-
-    def __post_init__(self):
-        if self.min_token_length < 0:
-            raise ConfigError(f"min_token_length must be >= 0, got {self.min_token_length}")
 
     @classmethod
-    def build(cls, language_keywords, programming_words, english_stopwords,
-              split_identifiers: bool = False, lowercase: bool = True,
-              min_token_length: int = 2) -> "FilterConfig":
+    def build(cls, language_keywords, programming_words,
+              english_stopwords) -> "FilterConfig":
         """Lowercase the three word sets and make them disjoint.
 
         Overlaps are kept in the earlier set (keywords win over programming
@@ -78,9 +71,6 @@ class FilterConfig:
             language_keywords=keywords,
             programming_words=frozenset(progwords),
             english_stopwords=frozenset(stopwords),
-            split_identifiers=split_identifiers,
-            lowercase=lowercase,
-            min_token_length=min_token_length,
         )
 
     def removes(self, word: str) -> bool:
@@ -151,9 +141,7 @@ def default_filter_config(language: str = "union",
                           keywords_path: Path | str | None = None,
                           progwords_path: Path | str | None = None,
                           stopwords_path: Path | str | None = None,
-                          split_identifiers: bool = False,
-                          lowercase: bool = True,
-                          min_token_length: int = 2) -> FilterConfig:
+                          ) -> FilterConfig:
     """Load the shipped word lists for ``language`` ("c", "java", or anything
     else for the union of both), honoring explicit path overrides first and
     the CLONEMAP_WORDLIST_DIR directory second."""
@@ -167,12 +155,7 @@ def default_filter_config(language: str = "union",
         keywords = _resolve_list("keywords_c.txt", None) | _resolve_list("keywords_java.txt", None)
     progwords = _resolve_list("progwords.txt", progwords_path)
     stopwords = _resolve_list("stopwords.txt", stopwords_path)
-    return FilterConfig.build(
-        keywords, progwords, stopwords,
-        split_identifiers=split_identifiers,
-        lowercase=lowercase,
-        min_token_length=min_token_length,
-    )
+    return FilterConfig.build(keywords, progwords, stopwords)
 
 
 def _blank(match: re.Match) -> str:
@@ -199,49 +182,32 @@ def strip_comments(text: str) -> str:
     return _STRIP_RE.sub(_blank, text)
 
 
-def _identifier_parts(token: str) -> list[str]:
-    parts = []
-    for piece in token.split("_"):
-        if piece:
-            parts.extend(_CAMEL_RE.findall(piece))
-    return parts
-
-
-def _kept_words(raw: str, config: FilterConfig) -> list[str]:
-    candidates = [raw]
-    if config.split_identifiers:
-        parts = _identifier_parts(raw)
-        if parts != [raw]:
-            candidates.extend(parts)
-    words = []
-    for cand in candidates:
-        word = cand.lower() if config.lowercase else cand
-        if len(word) < config.min_token_length:
-            continue
-        if word[0].isdigit():
-            continue
-        if config.removes(word):
-            continue
-        words.append(word)
-    return words
+def _kept_word(raw: str, config: FilterConfig) -> str:
+    """``raw`` lowercased, or "" when the filter drops it."""
+    word = raw.lower()
+    if (len(word) < _MIN_TOKEN_LENGTH or word[0].isdigit()
+            or config.removes(word)):
+        return ""
+    return word
 
 
 def tokenize(text: str, config: FilterConfig) -> TokenDocument:
-    """Split on non-identifier characters and apply the removal rules.
+    """Split on non-identifier characters, lowercase, and apply the
+    removal rules.
 
-    Tokens shorter than ``min_token_length``, tokens starting with a digit
-    (numeric literals), and tokens in any removal set are dropped. With
-    ``split_identifiers``, camelCase and snake_case names contribute both
-    the compound and its parts. Assumes comments are already stripped.
-    Each distinct raw token is filtered once per call; repeats reuse it.
+    Tokens shorter than two characters, tokens starting with a digit
+    (numeric literals), and tokens in any removal set are dropped.
+    Assumes comments are already stripped. Each distinct raw token is
+    filtered once per call; repeats reuse it.
     """
-    kept: dict[str, list[str]] = {}
+    kept: dict[str, str] = {}
     tokens = []
     for raw in _WORD_RE.findall(text):
-        words = kept.get(raw)
-        if words is None:
-            words = kept[raw] = _kept_words(raw, config)
-        tokens.extend(words)
+        word = kept.get(raw)
+        if word is None:
+            word = kept[raw] = _kept_word(raw, config)
+        if word:
+            tokens.append(word)
     return TokenDocument(group_ref=None, tokens=tuple(tokens))
 
 

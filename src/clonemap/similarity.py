@@ -2,7 +2,7 @@
 
 All scores live in [0, 1]. Topic metrics compare sparse (word id, weight)
 vectors over a shared vocabulary ordering, all pairs of two topic blocks
-(or lists) at once; the text baseline compares trimmed line sequences.
+at once; the text baseline compares trimmed line sequences.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import enum
 import numpy as np
 
 from .errors import ValidationError
-from .topicmodel import TopicBlock, TopicDistribution
+from .topicmodel import TopicBlock
 
 
 class Metric(enum.Enum):
@@ -22,24 +22,6 @@ class Metric(enum.Enum):
 
 # Score-matrix cells computed per pass; bounds the kernel's scratch memory.
 _BLOCK_CELLS = 1 << 20
-
-
-def _as_block(vectors) -> TopicBlock:
-    """A TopicBlock as is; a list of TopicDistributions or dense vectors
-    stacked into one, in list order."""
-    if isinstance(vectors, TopicBlock):
-        return vectors
-    rows = []
-    for v in vectors:
-        if isinstance(v, TopicDistribution):
-            rows.append((v.ids, v.values, v.size))
-        else:
-            dense = np.asarray(v, dtype=np.float64)
-            if dense.ndim != 1:
-                raise ValidationError("topic vectors must be one-dimensional")
-            ids = np.flatnonzero(dense)
-            rows.append((ids, dense[ids], dense.size))
-    return TopicBlock.from_rows(rows)
 
 
 class _Entries:
@@ -72,28 +54,29 @@ def _pair_sums(flat, weights, cells: int, m: int) -> np.ndarray:
     return sums.astype(np.float64, copy=False).reshape(-1, m)
 
 
-def score_matrix(newer, older, metric: Metric = Metric.COSINE) -> np.ndarray:
-    """Score every newer vector against every older one: an (N, M) matrix.
+def score_matrix(newer: TopicBlock, older: TopicBlock,
+                 metric: Metric = Metric.COSINE) -> np.ndarray:
+    """Score every newer row against every older one: an (N, M) matrix.
 
-    Each side is a TopicBlock, or a list of TopicDistributions or dense
-    arrays that is stacked into one; both sides share one vocabulary. The
-    pairs that share a word are found by one join on word ids (sort the
-    older entries, ``searchsorted`` each newer entry into them) and their
-    per-pair sums accumulate with ``np.bincount``, so the cost grows with
-    the number of shared-word entry pairs rather than with N * M * V.
+    Both blocks index one shared vocabulary. The pairs that share a word
+    are found by one join on word ids (sort the older entries,
+    ``searchsorted`` each newer entry into them) and their per-pair sums
+    accumulate with ``np.bincount``, so the cost grows with the number of
+    shared-word entry pairs rather than with N * M * V.
 
     Cosine: sum(a * b) / (|a| * |b|). Hellinger similarity:
     1 - sqrt(D / 2) with D = sum((sqrt(a) - sqrt(b))^2), summed over the
     shared words plus each side's unshared mass, which is exactly 0 when
     every word of that side is shared. Identical vectors score exactly
     1.0 (downstream consumers treat it as the unchanged-group signature); a
-    pair with an empty row or all-zero vector on either side scores 0.0;
+    pair with an empty row on either side scores 0.0;
     every score is clamped to [0, 1].
     """
     if not isinstance(metric, Metric):
         raise ValidationError(f"unknown metric {metric!r}")
-    newer, older = _as_block(newer), _as_block(older)
-    if None not in (newer.size, older.size) and newer.size != older.size:
+    if not (isinstance(newer, TopicBlock) and isinstance(older, TopicBlock)):
+        raise ValidationError("score_matrix compares two TopicBlocks")
+    if newer.size != older.size:
         raise ValidationError(
             "topic vectors over different vocabularies: sizes "
             f"{sorted((newer.size, older.size))}"
@@ -155,12 +138,22 @@ def score_matrix(newer, older, metric: Metric = Metric.COSINE) -> np.ndarray:
 
 
 def topic_similarity(t1, t2, metric: Metric = Metric.COSINE) -> float:
-    """Score two topic vectors: one cell of ``score_matrix``.
+    """Score two dense 1-d topic vectors: one cell of ``score_matrix``.
 
     Equal vectors score exactly 1.0, a pair with an all-zero side 0.0
     (an empty document that slipped through scores 0 rather than NaN).
     """
-    return float(score_matrix([t1], [t2], metric)[0, 0])
+    try:
+        a = np.asarray(t1, dtype=np.float64)
+        b = np.asarray(t2, dtype=np.float64)
+        if a.ndim != 1 or b.ndim != 1:
+            raise ValueError
+    except (TypeError, ValueError):
+        raise ValidationError(
+            "topic vectors must be one-dimensional arrays"
+        ) from None
+    return float(score_matrix(TopicBlock.from_dense(a[None]),
+                              TopicBlock.from_dense(b[None]), metric)[0, 0])
 
 
 def _trimmed_lines(text: str) -> list[str]:

@@ -56,82 +56,19 @@ class LdaConfig:
     def __post_init__(self):
         if self.K < 1:
             raise ConfigError(f"K must be >= 1, got {self.K}")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ConfigError(f"alpha must be > 0, got {self.alpha}")
-        if self.beta <= 0:
-            raise ConfigError(f"beta must be > 0, got {self.beta}")
+        # Negated comparisons, so that NaN fails them too.
+        if self.alpha is not None and not 0 < self.alpha < np.inf:
+            raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
+        if not 0 < self.beta < np.inf:
+            raise ConfigError(f"beta must be finite and > 0, got {self.beta}")
         if self.iterations < 0:
             raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def effective_alpha(self) -> float:
         return 50.0 / self.K if self.alpha is None else self.alpha
-
-
-@dataclass(frozen=True, init=False, eq=False)
-class TopicDistribution:
-    """Probability distribution over vocabulary ids for one clone group.
-
-    Stored sparsely: ``ids`` are the sorted word ids with nonzero weight,
-    ``values`` their weights and ``size`` the vocabulary size. Build one
-    from a dense ``weights`` vector or from ``ids``/``values``/``size``;
-    ``weights`` reads the dense vector back, built on each access.
-    """
-
-    ids: np.ndarray
-    values: np.ndarray
-    size: int
-    group_ref: tuple[str, int] | None = None
-
-    def __init__(self, weights=None, group_ref: tuple[str, int] | None = None,
-                 *, ids=None, values=None, size: int | None = None):
-        if weights is not None:
-            if ids is not None or values is not None or size is not None:
-                raise ValidationError("pass either weights or ids/values/size")
-            dense = np.asarray(weights, dtype=np.float64)
-            if dense.ndim != 1:
-                raise ValidationError("topic weights must be one-dimensional")
-            ids = np.flatnonzero(dense)
-            values = dense[ids]
-            size = dense.size
-        else:
-            if ids is None or values is None or size is None:
-                raise ValidationError("a sparse topic needs ids, values and size")
-            ids = np.asarray(ids, dtype=np.int64)
-            values = np.asarray(values, dtype=np.float64)
-            if ids.ndim != 1 or ids.shape != values.shape:
-                raise ValidationError("topic ids and values must be matching 1-d arrays")
-            if ids.size and (ids[0] < 0 or ids[-1] >= size
-                             or np.any(ids[1:] <= ids[:-1])):
-                raise ValidationError(
-                    f"topic ids must be strictly increasing within [0, {size})"
-                )
-            nonzero = values != 0
-            ids = ids[nonzero]
-            values = values[nonzero]
-        if np.any(values < 0):
-            raise ValidationError("topic weights must be non-negative")
-        total = float(values.sum())
-        if not abs(total - 1.0) <= 1e-9:
-            raise ValidationError(f"topic weights must sum to 1, got {total!r}")
-        ids = ids.astype(np.int64, copy=False)
-        ids.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "size", int(size))
-        object.__setattr__(self, "group_ref", group_ref)
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Read-only dense vector over the whole vocabulary."""
-        dense = np.zeros(self.size, dtype=np.float64)
-        dense[self.ids] = self.values
-        dense.setflags(write=False)
-        return dense
-
-    def __len__(self) -> int:
-        return self.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,19 +77,23 @@ class TopicBlock:
 
     Row ``i`` holds the sorted word ids ``ids[indptr[i]:indptr[i + 1]]``
     and their weights in ``values``, over a vocabulary of ``size`` words;
-    an empty row is a group whose document came out empty. ``size`` is
-    None only for a block built from no vectors at all.
+    an empty row is a group whose document came out empty. Weights are
+    non-negative and finite; rows need not sum to 1.
     """
 
     indptr: np.ndarray
     ids: np.ndarray
     values: np.ndarray
-    size: int | None
+    size: int
 
     def __post_init__(self):
         indptr = np.asarray(self.indptr, dtype=np.int64)
         ids = np.asarray(self.ids, dtype=np.int64)
         values = np.asarray(self.values, dtype=np.float64)
+        if not isinstance(self.size, (int, np.integer)) or self.size < 0:
+            raise ValidationError(
+                f"topic block size must be a non-negative int, got {self.size!r}"
+            )
         if (indptr.ndim != 1 or ids.ndim != 1 or ids.shape != values.shape
                 or indptr.size == 0 or indptr[0] != 0 or indptr[-1] != ids.size
                 or np.any(indptr[1:] < indptr[:-1])):
@@ -163,45 +104,35 @@ class TopicBlock:
             rising = ids[1:] > ids[:-1]
             starts = indptr[1:-1]
             rising[starts[(starts > 0) & (starts < ids.size)] - 1] = True
-            if (self.size is None or ids.min() < 0 or ids.max() >= self.size
-                    or not rising.all()):
+            if ids.min() < 0 or ids.max() >= self.size or not rising.all():
                 raise ValidationError(
                     f"topic block ids must rise within each row and lie in "
                     f"[0, {self.size})"
                 )
+        if not np.isfinite(values).all() or (values < 0).any():
+            raise ValidationError("topic weights must be non-negative and finite")
         for name, array in (("indptr", indptr), ("ids", ids), ("values", values)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
+        object.__setattr__(self, "size", int(self.size))
 
     @classmethod
-    def from_rows(cls, rows) -> "TopicBlock":
-        """Stack ``(ids, values, size)`` rows, None for an empty row; every
-        row must share one vocabulary size."""
-        present = [row for row in rows if row is not None]
-        sizes = {size for _, _, size in present}
-        if len(sizes) > 1:
+    def from_dense(cls, weights) -> "TopicBlock":
+        """The block of an (N, V) array: each row keeps its nonzero entries
+        in id order, and an all-zero row becomes an empty row."""
+        dense = np.asarray(weights, dtype=np.float64)
+        if dense.ndim != 2:
             raise ValidationError(
-                f"topic vectors over different vocabularies: sizes {sorted(sizes)}"
+                f"dense topic weights must be an (N, V) array, got shape "
+                f"{dense.shape}"
             )
-        nnz = [0 if row is None else len(row[0]) for row in rows]
-        return cls(
-            indptr=np.concatenate(([0], np.cumsum(nnz, dtype=np.int64))),
-            ids=np.concatenate([ids for ids, _, _ in present] + [np.empty(0, np.int64)]),
-            values=np.concatenate([v for _, v, _ in present] + [np.empty(0)]),
-            size=sizes.pop() if sizes else None,
-        )
+        rows, ids = np.nonzero(dense)
+        nnz = np.bincount(rows, minlength=dense.shape[0])
+        return cls(indptr=np.concatenate(([0], np.cumsum(nnz))), ids=ids,
+                   values=dense[rows, ids], size=dense.shape[1])
 
     def __len__(self) -> int:
         return self.indptr.size - 1
-
-    def row(self, i: int, group_ref: tuple[str, int] | None = None
-            ) -> TopicDistribution | None:
-        """Row ``i`` as a TopicDistribution, None when it is empty."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        if lo == hi:
-            return None
-        return TopicDistribution(ids=self.ids[lo:hi], values=self.values[lo:hi],
-                                 size=self.size, group_ref=group_ref)
 
 
 @dataclass(frozen=True)
@@ -231,8 +162,9 @@ def build_corpus(documents: Sequence[TokenDocument]) -> Corpus:
 
 def fit_group_topic(document: TokenDocument,
                     corpus: Corpus | None = None,
-                    config: LdaConfig | None = None) -> TopicDistribution:
-    """One-topic distribution for a single group: exact term frequencies.
+                    config: LdaConfig | None = None) -> TopicBlock:
+    """One-topic distribution for a single group, as a one-row TopicBlock
+    of exact term frequencies.
 
     No sampling is involved; weight(w) = count(w) / token_count, stored
     only for the document's own words. When a corpus is given the ids index
@@ -257,10 +189,9 @@ def fit_group_topic(document: TokenDocument,
         ) from None
     values = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
     order = np.argsort(ids)
-    return TopicDistribution(ids=ids[order],
-                             values=values[order] / document.token_count,
-                             size=corpus.vocabulary_size,
-                             group_ref=document.group_ref)
+    return TopicBlock(indptr=np.array([0, len(counts)]), ids=ids[order],
+                      values=values[order] / document.token_count,
+                      size=corpus.vocabulary_size)
 
 
 def frequency_blocks(versions: Sequence[Sequence[TokenDocument]]

@@ -95,6 +95,11 @@ class TestMapCommand:
         rc = main(run_map_cmd(evolution, "--delta", "1.5"))
         assert rc == 2
 
+    def test_negative_lda_seed_is_config_error(self, evolution, capsys):
+        rc = main(run_map_cmd(evolution, "--topics", "2", "--seed", "-1"))
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self, evolution, capsys):
         args = run_map_cmd(evolution)
         args[args.index("--newer") + 1] = "/does/not/exist.json"
@@ -243,6 +248,12 @@ class TestSynthCommand:
     def test_zero_groups_is_config_error(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "x"), "--groups", "0"])
         assert rc == 2
+
+    def test_nan_mix_is_config_error(self, tmp_path, capsys):
+        rc = main(["synth", "--out", str(tmp_path / "x"),
+                   "--mix", "nan", "0", "0", "1"])
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
 
     def test_manifest_printed(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "x"), "--groups", "4"])

@@ -119,6 +119,12 @@ class TestSynthConfig:
             SynthConfig(p_unchanged=0.5, p_type1=0.0, p_type2=0.0,
                         p_type3=0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+    def test_probabilities_must_be_non_negative_numbers(self, bad):
+        with pytest.raises(ConfigError):
+            SynthConfig(p_unchanged=bad, p_type1=0.0, p_type2=0.0,
+                        p_type3=1.0)
+
     def test_group_count_positive(self):
         with pytest.raises(ConfigError):
             SynthConfig(group_count=0)

@@ -1,9 +1,12 @@
-"""Every name a module of the package imports is used or marked as kept."""
+"""Every name a module of the package imports is used or marked as kept,
+and every name the package exports resolves."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import clonemap
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "clonemap"
 
@@ -55,3 +58,9 @@ def test_scan_finds_an_unused_import(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(module) == ["m.py:2: os", "m.py:5: Iterable"]
+
+
+def test_every_exported_name_resolves():
+    """A stale entry in ``__all__`` breaks ``from clonemap import *``."""
+    missing = [name for name in clonemap.__all__ if not hasattr(clonemap, name)]
+    assert missing == []

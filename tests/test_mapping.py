@@ -1,9 +1,11 @@
 """Thresholded argmax mapping, the injective mode, and lineage chaining."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from clonemap.errors import CloneMapWarning, ConfigError, ValidationError
+from clonemap.errors import CloneMapWarning, ConfigError
 from clonemap.ingest import CloneFragment, CloneGroup, VersionSnapshot
 from clonemap.mapping import (
     MappingConfig,
@@ -15,29 +17,20 @@ from clonemap.mapping import (
 )
 from clonemap.preprocess import TokenDocument
 from clonemap.similarity import score_matrix
-from clonemap.topicmodel import TopicBlock, build_corpus, fit_group_topic
+from clonemap.topicmodel import TopicBlock, frequency_blocks
 
 
-def topics_from_counts(version_id, groups_counts, corpus=None):
-    """Index-aligned topic vectors for a list of word->count dicts."""
-    docs = [
-        TokenDocument.from_counts(counts, group_ref=(version_id, i))
-        for i, counts in enumerate(groups_counts)
-    ]
-    if corpus is None:
-        corpus = build_corpus(docs)
-    fitted = tuple(
-        None if d.token_count == 0 else fit_group_topic(d, corpus)
-        for d in docs
-    )
-    return VersionTopics(version_id=version_id, topics=fitted), corpus
+def versions_from_counts(*counts_per_version):
+    """VersionTopics ``v1``, ``v2``, ... over one vocabulary, one per list
+    of word->count dicts, built by ``frequency_blocks`` as ``clonemap map``
+    builds them; an empty dict is a group whose document came out empty."""
+    blocks = frequency_blocks([[TokenDocument.from_counts(c) for c in counts]
+                               for counts in counts_per_version])
+    return [VersionTopics(f"v{v + 1}", block) for v, block in enumerate(blocks)]
 
 
 def pair_from_counts(newer_counts, older_counts):
-    all_docs = [TokenDocument.from_counts(c) for c in newer_counts + older_counts]
-    corpus = build_corpus(all_docs)
-    newer, _ = topics_from_counts("v2", newer_counts, corpus)
-    older, _ = topics_from_counts("v1", older_counts, corpus)
+    older, newer = versions_from_counts(older_counts, newer_counts)
     return newer, older
 
 
@@ -69,8 +62,7 @@ class TestMapVersionPair:
         newer, older = pair_from_counts(newer_counts, older_counts)
         config = MappingConfig(delta=0.8)
         mappings = map_version_pair(newer, older, config)
-        scores = score_matrix(list(newer.topics), list(older.topics),
-                              config.metric)
+        scores = score_matrix(newer.block, older.block, config.metric)
         assert len(mappings) == 15
         for m, row in zip(mappings, scores):
             if m.old_group is None:
@@ -87,8 +79,7 @@ class TestMapVersionPair:
         assert mappings[0].similarity == 1.0
 
     def test_empty_older_version_maps_all_null(self):
-        newer, _ = topics_from_counts("v2", [{"a": 1}, {"b": 1}])
-        older = VersionTopics(version_id="v1", topics=())
+        newer, older = pair_from_counts([{"a": 1}, {"b": 1}], [])
         mappings = map_version_pair(newer, older)
         assert all(m.old_group is None for m in mappings)
         assert len(mappings) == 2
@@ -171,32 +162,13 @@ class TestMapVersionPair:
 
 
 class TestVersionTopics:
-    def test_topics_round_trip_through_the_block(self):
-        topics, corpus = topics_from_counts(
-            "v1", [{"a": 3, "b": 1}, {}, {"c": 2, "a": 1}, {}])
-        back = VersionTopics("v1", topics=topics.topics).topics
-        assert len(back) == 4
-        assert back[1] is None and back[3] is None
-        for i in (0, 2):
-            assert np.array_equal(back[i].ids, topics.topics[i].ids)
-            assert np.array_equal(back[i].values, topics.topics[i].values)
-            assert back[i].size == corpus.vocabulary_size
-            assert back[i].group_ref == ("v1", i)
-        assert topics.block.indptr.tolist() == [0, 2, 2, 4, 4]
-
     def test_block_form(self):
-        block = TopicBlock.from_rows([None, (np.array([0]), np.array([1.0]), 1)])
-        topics = VersionTopics("v1", block=block)
+        block = TopicBlock.from_dense([[0.0], [1.0]])
+        topics = VersionTopics("v1", block)
+        assert [f.name for f in dataclasses.fields(VersionTopics)] == [
+            "version_id", "block"]
+        assert topics.version_id == "v1"
         assert topics.block is block
-        assert topics.topics[0] is None
-        assert topics.topics[1].weights.tolist() == [1.0]
-
-    def test_needs_exactly_one_of_topics_and_block(self):
-        block = TopicBlock.from_rows([])
-        with pytest.raises(ValidationError):
-            VersionTopics("v1")
-        with pytest.raises(ValidationError):
-            VersionTopics("v1", topics=(), block=block)
 
 
 class TestRenamedGroupFixture:
@@ -234,21 +206,7 @@ class TestRenamedGroupFixture:
 class TestMapLineage:
     def chain_of_identical(self, n_versions=3, n_groups=5):
         base = [{f"w{k}{j}": j + 1 for j in range(4)} for k in range(n_groups)]
-        all_docs = []
-        per_version = []
-        for v in range(n_versions):
-            docs = [TokenDocument.from_counts(c, group_ref=(f"v{v+1}", i))
-                    for i, c in enumerate(base)]
-            per_version.append(docs)
-            all_docs.extend(docs)
-        corpus = build_corpus(all_docs)
-        return [
-            VersionTopics(
-                version_id=f"v{v+1}",
-                topics=tuple(fit_group_topic(d, corpus) for d in docs),
-            )
-            for v, docs in enumerate(per_version)
-        ]
+        return versions_from_counts(*[base] * n_versions)
 
     def test_identity_chain(self):
         versions = self.chain_of_identical()
@@ -264,19 +222,8 @@ class TestMapLineage:
         """A group absent from the middle version yields two lineages."""
         a = {"aa": 3, "bb": 1}
         other = {"zz": 2}
-        v1_docs = [TokenDocument.from_counts(c, group_ref=("v1", i))
-                   for i, c in enumerate([a, other])]
-        v2_docs = [TokenDocument.from_counts(other, group_ref=("v2", 0))]
-        v3_docs = [TokenDocument.from_counts(c, group_ref=("v3", i))
-                   for i, c in enumerate([a, other])]
-        corpus = build_corpus(v1_docs + v2_docs + v3_docs)
-        def vt(vid, docs):
-            return VersionTopics(
-                version_id=vid,
-                topics=tuple(fit_group_topic(d, corpus) for d in docs),
-            )
         genealogy = map_lineage(
-            [vt("v1", v1_docs), vt("v2", v2_docs), vt("v3", v3_docs)]
+            versions_from_counts([a, other], [other], [a, other])
         )
         a_lineages = [l for l in genealogy.lineages
                       if any(ref in (("v1", 0), ("v3", 0)) for ref in l.members)]
@@ -292,18 +239,10 @@ class TestMapLineage:
 
     def test_losing_claimant_starts_new_lineage_not_birth(self):
         shared = {"xx": 4, "yy": 1}
-        v1_docs = [TokenDocument.from_counts(shared, group_ref=("v1", 0)),
-                   TokenDocument.from_counts(shared, group_ref=("v1", 1))]
         # Both v2 groups claim the same v1 ancestor at equal similarity.
-        v2_docs = [TokenDocument.from_counts(shared, group_ref=("v2", 0)),
-                   TokenDocument.from_counts(shared, group_ref=("v2", 1))]
-        corpus = build_corpus(v1_docs + v2_docs)
-        def vt(vid, docs):
-            return VersionTopics(
-                version_id=vid,
-                topics=tuple(fit_group_topic(d, corpus) for d in docs),
-            )
-        genealogy = map_lineage([vt("v1", v1_docs), vt("v2", v2_docs)])
+        genealogy = map_lineage(
+            versions_from_counts([shared, shared], [shared, shared])
+        )
         assert genealogy.births == ()
         # Winner extends v1 group 0 (lowest new index); loser stands alone.
         lengths = sorted(len(l.members) for l in genealogy.lineages)

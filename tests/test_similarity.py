@@ -16,12 +16,7 @@ from clonemap.similarity import (
     score_matrix,
     topic_similarity,
 )
-from clonemap.topicmodel import (
-    TopicBlock,
-    TopicDistribution,
-    build_corpus,
-    fit_group_topic,
-)
+from clonemap.topicmodel import TopicBlock, frequency_blocks
 
 
 def random_distribution(rng, size):
@@ -58,10 +53,14 @@ class TestTopicSimilarity:
         with pytest.raises(ValidationError):
             topic_similarity(np.ones(3) / 3, np.ones(4) / 4)
 
-    def test_accepts_topic_distribution_objects(self):
-        t1 = TopicDistribution(weights=np.array([0.5, 0.5]), group_ref=("v2", 0))
-        t2 = TopicDistribution(weights=np.array([1.0, 0.0]), group_ref=("v1", 3))
-        assert topic_similarity(t1, t2) == pytest.approx(1 / np.sqrt(2))
+    def test_rejects_input_that_is_not_one_dimensional(self):
+        p = np.array([0.5, 0.5])
+        for bad in (np.array([[0.5, 0.5]]), 0.5,
+                    TopicBlock.from_dense([[0.5, 0.5]])):
+            with pytest.raises(ValidationError, match="one-dimensional"):
+                topic_similarity(bad, p)
+            with pytest.raises(ValidationError, match="one-dimensional"):
+                topic_similarity(p, bad)
 
     def test_symmetry_and_bounds_random(self):
         rng = np.random.default_rng(7)
@@ -121,12 +120,13 @@ COUNTS = st.dictionaries(st.sampled_from("abcdef"),
                          min_size=1, max_size=6)
 
 
-def topics_over_one_corpus(*count_lists):
+def blocks_over_one_vocabulary(*count_lists):
+    """The sorted vocabulary and one frequency block per list of counts;
+    an empty dict gives an empty row."""
     docs = [[TokenDocument.from_counts(c) for c in counts]
             for counts in count_lists]
-    corpus = build_corpus([d for group in docs for d in group])
-    topics = [[fit_group_topic(d, corpus) for d in group] for group in docs]
-    return corpus, topics
+    vocabulary = sorted({w for counts in count_lists for c in counts for w in c})
+    return vocabulary, frequency_blocks(docs)
 
 
 def dense(counts, vocabulary):
@@ -141,14 +141,14 @@ class TestScoreMatrix:
            st.sampled_from(list(Metric)))
     def test_every_entry_matches_dense_oracle(self, newer_counts,
                                               older_counts, metric):
-        corpus, (newer, older) = topics_over_one_corpus(newer_counts,
-                                                        older_counts)
+        vocabulary, (newer, older) = blocks_over_one_vocabulary(newer_counts,
+                                                                older_counts)
         scores = score_matrix(newer, older, metric)
         assert scores.shape == (len(newer_counts), len(older_counts))
         for i, nc in enumerate(newer_counts):
             for j, oc in enumerate(older_counts):
-                expected = ORACLES[metric](dense(nc, corpus.vocabulary),
-                                           dense(oc, corpus.vocabulary))
+                expected = ORACLES[metric](dense(nc, vocabulary),
+                                           dense(oc, vocabulary))
                 assert abs(scores[i, j] - expected) <= 1e-12
                 if nc == oc:
                     assert scores[i, j] == 1.0
@@ -159,47 +159,39 @@ class TestScoreMatrix:
            st.sampled_from(list(Metric)))
     def test_blocks_equal_lists_with_empty_rows_scattered(self, newer_counts,
                                                          older_counts, metric):
-        """Scoring blocks that hold empty rows equals scoring the lists of
-        present topics and placing them in a zero matrix, exactly."""
+        """Scoring blocks that hold empty rows equals scoring the blocks of
+        the present rows alone and placing them in a zero matrix, exactly."""
         present = [[c for c in counts if c is not None]
                    for counts in (newer_counts, older_counts)]
-        _, (newer, older) = topics_over_one_corpus(*present)
-
-        def block(counts, topics):
-            rows = iter([(t.ids, t.values, t.size) for t in topics])
-            return TopicBlock.from_rows([None if c is None else next(rows)
-                                         for c in counts])
-
-        new_block = block(newer_counts, newer)
-        old_block = block(older_counts, older)
+        _, (newer, older) = blocks_over_one_vocabulary(*present)
+        _, (new_block, old_block) = blocks_over_one_vocabulary(
+            *[[{} if c is None else c for c in counts]
+              for counts in (newer_counts, older_counts)])
         expected = np.zeros((len(newer_counts), len(older_counts)))
         expected[np.ix_([i for i, c in enumerate(newer_counts) if c is not None],
                         [j for j, c in enumerate(older_counts) if c is not None])
                  ] = score_matrix(newer, older, metric)
         assert np.array_equal(score_matrix(new_block, old_block, metric), expected)
-        if all(c is not None for c in newer_counts):
-            assert np.array_equal(score_matrix(newer, old_block, metric), expected)
-        if all(c is not None for c in older_counts):
-            assert np.array_equal(score_matrix(new_block, older, metric), expected)
 
     def test_block_sizes_must_agree(self):
-        a = TopicBlock.from_rows([(np.array([0]), np.array([1.0]), 2)])
-        b = TopicBlock.from_rows([(np.array([0]), np.array([1.0]), 3)])
+        a = TopicBlock.from_dense([[1.0, 0.0]])
+        b = TopicBlock.from_dense([[1.0, 0.0, 0.0]])
         with pytest.raises(ValidationError, match="different vocabularies"):
             score_matrix(a, b)
-        assert score_matrix(a, TopicBlock.from_rows([None])).tolist() == [[0.0]]
+        empty = TopicBlock.from_dense([[0.0, 0.0]])
+        assert score_matrix(a, empty).tolist() == [[0.0]]
 
     def test_same_support_one_count_off_hellinger(self):
         """1 - sum(sqrt(p * q)) cancels here; the kernel must not."""
         newer = {"a": 3, "b": 5, "c": 7, "d": 100000}
         older = {"a": 3, "b": 5, "c": 7, "d": 100001}
-        corpus, ([t_new], [t_old]) = topics_over_one_corpus([newer], [older])
-        p = dense(newer, corpus.vocabulary)
-        q = dense(older, corpus.vocabulary)
+        vocabulary, (t_new, t_old) = blocks_over_one_vocabulary([newer], [older])
+        p = dense(newer, vocabulary)
+        q = dense(older, vocabulary)
         expected = _hellinger_oracle(p, q)
         naive = 1.0 - math.sqrt(1.0 - sum(math.sqrt(a * b) for a, b in zip(p, q)))
         assert abs(naive - expected) > 1e-12
-        got = score_matrix([t_new], [t_old], Metric.HELLINGER)[0, 0]
+        got = score_matrix(t_new, t_old, Metric.HELLINGER)[0, 0]
         assert abs(got - expected) <= 1e-12
 
     def test_matches_topic_similarity_cell_by_cell(self):
@@ -207,7 +199,8 @@ class TestScoreMatrix:
         vectors = [random_distribution(rng, 9) * (rng.random(9) < 0.5)
                    for _ in range(7)]
         for metric in Metric:
-            scores = score_matrix(vectors[:4], vectors[3:], metric)
+            scores = score_matrix(TopicBlock.from_dense(vectors[:4]),
+                                  TopicBlock.from_dense(vectors[3:]), metric)
             for i in range(4):
                 for j in range(4):
                     assert scores[i, j] == topic_similarity(
@@ -219,28 +212,41 @@ class TestScoreMatrix:
         vectors = [random_distribution(rng, 12) * (rng.random(12) < 0.4)
                    for _ in range(10)]
         vectors = [v / v.sum() for v in vectors if v.any()]
+        newer = TopicBlock.from_dense(vectors)
+        older = TopicBlock.from_dense(vectors[:4])
         for metric in Metric:
-            whole = score_matrix(vectors, vectors[:4], metric)
+            whole = score_matrix(newer, older, metric)
             monkeypatch.setattr(similarity, "_BLOCK_CELLS", 9)
-            blocked = score_matrix(vectors, vectors[:4], metric)
+            blocked = score_matrix(newer, older, metric)
             monkeypatch.undo()
             assert np.array_equal(whole, blocked)
 
     def test_empty_sides(self):
-        t = TopicDistribution(weights=np.array([0.5, 0.5]))
-        assert score_matrix([], [t]).shape == (0, 1)
-        assert score_matrix([t, t], []).shape == (2, 0)
+        none = TopicBlock.from_dense(np.zeros((0, 2)))
+        t = TopicBlock.from_dense([[0.5, 0.5]])
+        tt = TopicBlock.from_dense([[0.5, 0.5], [0.5, 0.5]])
+        assert score_matrix(none, t).shape == (0, 1)
+        assert score_matrix(tt, none).shape == (2, 0)
 
     def test_zero_vector_scores_zero_under_both_metrics(self):
         z = np.zeros(3)
         p = np.array([0.2, 0.3, 0.5])
         for metric in Metric:
-            assert score_matrix([z, p], [p, z], metric).tolist() == [
-                [0.0, 0.0], [1.0, 0.0]]
+            assert score_matrix(TopicBlock.from_dense([z, p]),
+                                TopicBlock.from_dense([p, z]),
+                                metric).tolist() == [[0.0, 0.0], [1.0, 0.0]]
 
     def test_unknown_metric_rejected(self):
+        half = TopicBlock.from_dense([np.ones(2) / 2])
         with pytest.raises(ValidationError):
-            score_matrix([np.ones(2) / 2], [np.ones(2) / 2], "cosine")
+            score_matrix(half, half, "cosine")
+
+    def test_sides_must_be_blocks(self):
+        half = TopicBlock.from_dense([np.ones(2) / 2])
+        for newer, older in (([np.ones(2) / 2], half),
+                             (half, [np.ones(2) / 2]), ([], [])):
+            with pytest.raises(ValidationError, match="TopicBlock"):
+                score_matrix(newer, older)
 
 
 def brute_force_lcs(xs, ys):

@@ -14,7 +14,6 @@ from clonemap.topicmodel import (
     Corpus,
     LdaConfig,
     TopicBlock,
-    TopicDistribution,
     build_corpus,
     fit_group_topic,
     fit_lda,
@@ -24,6 +23,14 @@ from clonemap.topicmodel import (
 
 def doc(tokens, ref=None):
     return TokenDocument(group_ref=ref, tokens=tuple(tokens))
+
+
+def dense_row(block, i=0):
+    """Row ``i`` of a block as a dense vector over its vocabulary."""
+    lo, hi = block.indptr[i], block.indptr[i + 1]
+    row = np.zeros(block.size)
+    row[block.ids[lo:hi]] = block.values[lo:hi]
+    return row
 
 
 class TestBuildCorpus:
@@ -68,7 +75,9 @@ class TestLdaConfig:
 
     @pytest.mark.parametrize("kwargs", [
         {"K": 0}, {"alpha": 0.0}, {"alpha": -1.0}, {"beta": 0.0},
-        {"iterations": -1},
+        {"iterations": -1}, {"seed": -1},
+        {"alpha": float("nan")}, {"alpha": float("inf")},
+        {"beta": float("nan")}, {"beta": float("inf")},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
@@ -79,12 +88,15 @@ class TestFitGroupTopic:
     def test_weights_are_exact_term_frequencies(self):
         d = TokenDocument.from_counts({"a": 1, "b": 3}, group_ref=("v", 0))
         topic = fit_group_topic(d)
-        assert topic.weights.tolist() == [0.25, 0.75]
-        assert topic.group_ref == ("v", 0)
+        assert len(topic) == 1
+        assert topic.indptr.tolist() == [0, 2]
+        assert topic.ids.tolist() == [0, 1]
+        assert topic.values.tolist() == [0.25, 0.75]
 
     def test_single_word_document(self):
         topic = fit_group_topic(doc(["x"] * 5))
-        assert topic.weights.tolist() == [1.0]
+        assert topic.size == 1
+        assert topic.values.tolist() == [1.0]
 
     def test_empty_document_error_carries_group_ref(self):
         with pytest.raises(EmptyDocumentError, match="v9"):
@@ -96,9 +108,9 @@ class TestFitGroupTopic:
         corpus = build_corpus([d1, d2])
         t1 = fit_group_topic(d1, corpus)
         t2 = fit_group_topic(d2, corpus)
-        assert len(t1) == len(t2) == 2
-        assert t1.weights.tolist() == [1.0, 0.0]
-        assert t2.weights.tolist() == [0.0, 1.0]
+        assert t1.size == t2.size == 2
+        assert dense_row(t1).tolist() == [1.0, 0.0]
+        assert dense_row(t2).tolist() == [0.0, 1.0]
 
     def test_k_above_one_rejected(self):
         with pytest.raises(ConfigError):
@@ -109,9 +121,9 @@ class TestFitGroupTopic:
         alone = fit_group_topic(d)
         corpus = build_corpus([d, doc(["a", "c"]), doc(["b"])])
         with_others = fit_group_topic(d, corpus)
-        by_word_alone = {w: alone.weights[i]
+        by_word_alone = {w: dense_row(alone)[i]
                          for i, w in enumerate(("a", "b"))}
-        by_word = {w: with_others.weights[corpus.word_ids[w]]
+        by_word = {w: dense_row(with_others)[corpus.word_ids[w]]
                    for w in ("a", "b", "c")}
         assert by_word["a"] == by_word_alone["a"]
         assert by_word["b"] == by_word_alone["b"]
@@ -126,8 +138,9 @@ class TestFitGroupTopic:
         topic = fit_group_topic(d)
         total = sum(counts.values())
         vocab = sorted(counts)
+        weights = dense_row(topic)
         for word, count in counts.items():
-            assert topic.weights[vocab.index(word)] == count / total
+            assert weights[vocab.index(word)] == count / total
 
 
     def test_large_vocabulary_stores_only_the_document_words(self):
@@ -143,79 +156,78 @@ class TestFitGroupTopic:
             t1 = fit_group_topic(d1, corpus)
             t2 = fit_group_topic(d2, corpus)
             for metric in Metric:
-                score_matrix([t1], [t2], metric)
+                score_matrix(t1, t2, metric)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < v_bytes // 10
         assert t1.ids.size == 3 and t2.ids.size == 3
         assert t1.ids.tolist() == [3, 500000, 999999]
-        assert len(t1) == V
-        expected = np.zeros(V)
-        expected[[3, 500000, 999999]] = [0.5, 0.25, 0.25]
-        assert np.array_equal(t1.weights, expected)
+        assert t1.size == V
+        assert t1.values.tolist() == [0.5, 0.25, 0.25]
 
 
-class TestTopicDistribution:
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValidationError):
-            TopicDistribution(weights=np.array([1.2, -0.2]))
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValidationError):
-            TopicDistribution(weights=np.array([0.4, 0.4]))
-
-    def test_weights_immutable(self):
-        t = TopicDistribution(weights=np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            t.weights[0] = 0.9
-
-    def test_sparse_form_of_dense_weights(self):
-        t = TopicDistribution(weights=np.array([0.0, 0.25, 0.0, 0.75]))
-        assert t.ids.tolist() == [1, 3]
-        assert t.values.tolist() == [0.25, 0.75]
-        assert t.size == 4
-        with pytest.raises(ValueError):
-            t.values[0] = 0.5
-
-    def test_sparse_constructor_checks(self):
-        t = TopicDistribution(ids=[0, 2], values=[0.5, 0.5], size=3)
-        assert t.weights.tolist() == [0.5, 0.0, 0.5]
-        for ids in ([2, 0], [0, 0], [0, 3], [-1, 0]):
-            with pytest.raises(ValidationError):
-                TopicDistribution(ids=ids, values=[0.5, 0.5], size=3)
-        with pytest.raises(ValidationError):
-            TopicDistribution(ids=[0], values=[0.5, 0.5], size=3)
-        with pytest.raises(ValidationError):
-            TopicDistribution(ids=[0, 1], values=[1.5, -0.5], size=3)
-        with pytest.raises(ValidationError):
-            TopicDistribution(ids=[0, 1], values=[0.5, float("nan")], size=3)
+# Dense (N, V) matrices whose rows are often all zero and whose entries are
+# often zero.
+DENSE = st.integers(min_value=1, max_value=6).flatmap(
+    lambda v: st.lists(
+        st.one_of(
+            st.just([0.0] * v),
+            st.lists(st.one_of(st.just(0.0),
+                               st.floats(min_value=0.0, max_value=1e6)),
+                     min_size=v, max_size=v),
+        ),
+        max_size=6,
+    ).map(lambda rows: np.array(rows, dtype=np.float64).reshape(len(rows), v))
+)
 
 
 class TestTopicBlock:
-    def test_from_rows_keeps_order_and_empty_rows(self):
-        block = TopicBlock.from_rows([
-            None, (np.array([1, 4]), np.array([0.25, 0.75]), 5), None,
-            (np.array([0]), np.array([1.0]), 5),
+    @given(DENSE)
+    def test_from_dense_equals_hand_built_csr(self, dense):
+        indptr, ids, values = [0], [], []
+        for row in dense.tolist():
+            for j, weight in enumerate(row):
+                if weight != 0.0:
+                    ids.append(j)
+                    values.append(weight)
+            indptr.append(len(ids))
+        block = TopicBlock.from_dense(dense)
+        assert len(block) == dense.shape[0]
+        assert block.size == dense.shape[1]
+        assert block.indptr.tolist() == indptr
+        assert block.ids.tolist() == ids
+        assert block.values.tolist() == values
+
+    def test_from_dense_keeps_order_and_empty_rows(self):
+        block = TopicBlock.from_dense([
+            [0, 0, 0, 0, 0], [0, 0.25, 0, 0, 0.75], [0, 0, 0, 0, 0],
+            [1.0, 0, 0, 0, 0],
         ])
         assert len(block) == 4
         assert block.indptr.tolist() == [0, 0, 2, 2, 3]
         assert block.ids.tolist() == [1, 4, 0]
         assert block.values.tolist() == [0.25, 0.75, 1.0]
         assert block.size == 5
-        assert block.row(0) is None
-        assert block.row(1).ids.tolist() == [1, 4]
-        assert block.row(3, ("v", 3)).group_ref == ("v", 3)
 
-    def test_no_rows_has_no_size(self):
-        assert TopicBlock.from_rows([]).size is None
-        assert TopicBlock.from_rows([None, None]).size is None
-        assert len(TopicBlock.from_rows([None, None])) == 2
+    def test_from_dense_of_no_rows_keeps_its_size(self):
+        block = TopicBlock.from_dense(np.zeros((0, 3)))
+        assert len(block) == 0
+        assert block.indptr.tolist() == [0]
+        assert block.size == 3
 
-    def test_rows_over_different_vocabularies_rejected(self):
-        with pytest.raises(ValidationError, match="different vocabularies"):
-            TopicBlock.from_rows([(np.array([0]), np.array([1.0]), 2),
-                                  (np.array([0]), np.array([1.0]), 3)])
+    def test_from_dense_needs_a_matrix(self):
+        for weights in ([0.5, 0.5], 1.0, np.ones((1, 2, 2))):
+            with pytest.raises(ValidationError, match=r"\(N, V\)"):
+                TopicBlock.from_dense(weights)
+
+    def test_rejects_negative_and_non_finite_values(self):
+        for bad in (-0.2, float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="non-negative and finite"):
+                TopicBlock(indptr=np.array([0, 2]), ids=np.array([0, 1]),
+                           values=np.array([1.0, bad]), size=2)
+            with pytest.raises(ValidationError, match="non-negative and finite"):
+                TopicBlock.from_dense([[1.0, bad]])
 
     @pytest.mark.parametrize("indptr,ids,size", [
         ([0, 1], [0, 1], 3),        # indptr ends short of the entries
@@ -227,6 +239,7 @@ class TestTopicBlock:
         ([0, 2], [0, 3], 3),        # id past the vocabulary
         ([0, 2], [-1, 0], 3),       # negative id
         ([0, 1], [0], None),        # entries with no vocabulary size
+        ([0], [], -1),              # negative vocabulary size
     ])
     def test_malformed_block_rejected(self, indptr, ids, size):
         with pytest.raises(ValidationError):
@@ -237,12 +250,13 @@ class TestTopicBlock:
     def test_ids_restart_at_every_row_start(self):
         block = TopicBlock(indptr=np.array([0, 0, 2, 2, 3, 3]),
                            ids=np.array([1, 2, 0]), values=np.ones(3), size=3)
-        assert block.row(3).ids.tolist() == [0]
+        assert block.ids[block.indptr[3]:block.indptr[4]].tolist() == [0]
 
     def test_arrays_are_read_only(self):
-        block = TopicBlock.from_rows([(np.array([0]), np.array([1.0]), 1)])
-        with pytest.raises(ValueError):
-            block.values[0] = 0.5
+        block = TopicBlock.from_dense([[1.0]])
+        for array in (block.indptr, block.ids, block.values):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 # Word counts per group; an empty dict is a group whose document came out
@@ -284,7 +298,6 @@ class TestFrequencyBlocks:
             raise AssertionError("K=1 must not build this")
 
         monkeypatch.setattr(pipeline, "build_corpus", refuse)
-        monkeypatch.setattr(TopicDistribution, "__init__", refuse)
         new_topics, old_topics = pipeline.pair_topics(newer, older, "v2", "v1")
         expected = frequency_blocks([newer, older])
         for got, want in zip((new_topics.block, old_topics.block), expected):
@@ -301,10 +314,12 @@ class TestFrequencyBlocks:
                                                       config)
         theta = fit_lda(build_corpus(newer + older), config).theta
         assert new_topics.block.size == old_topics.block.size == 3
-        assert new_topics.topics[1] is None
-        for topic, row in ((new_topics.topics[0], theta[0]),
-                           (old_topics.topics[0], theta[2])):
-            assert np.array_equal(topic.weights, row)
+        assert new_topics.block.indptr.tolist() == [0, 3, 3]
+        assert old_topics.block.indptr.tolist() == [0, 3]
+        for block, row in ((new_topics.block, theta[0]),
+                           (old_topics.block, theta[2])):
+            assert block.ids[:3].tolist() == [0, 1, 2]
+            assert np.array_equal(block.values[:3], row)
 
 
 class TestFitLda:
