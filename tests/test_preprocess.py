@@ -180,17 +180,34 @@ class TestTokenize:
         doc = tokenize("alpha beta alpha;", config)
         assert doc.token_count == len(doc.tokens) == 3
 
-    @settings(max_examples=300)
+    # The axes shape the input, not the filter, which is fixed: raw tokens
+    # at least ``min_len`` long (below, across or above the two-character
+    # cut), all lowercase or each also swapcased (one word under several
+    # spellings), and with or without camelCase/snake_case compounds of
+    # drawn tokens (which stay whole tokens).
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("lowercase", [True, False])
+    @pytest.mark.parametrize("min_len", [0, 2, 5])
+    @settings(max_examples=30)
     @given(data=st.data())
-    def test_memoised_filtering_matches_per_token_oracle(self, config, data):
+    def test_memoised_filtering_matches_per_token_oracle(
+            self, config, split, lowercase, min_len, data):
         raws = data.draw(st.lists(
-            st.sampled_from(["For", "for", "RETURN", "tmpDocList",
-                             "TmpDocList", "tmp_doc_list", "x27", "42", "a",
-                             "A", "bc", "HTTPServer", "the", "Widget",
-                             "widget", "_", "__init__", "camelCase9"])
-            | st.text(alphabet="azZqQ_09", min_size=1, max_size=8),
+            st.sampled_from([r for r in (
+                "For", "for", "RETURN", "tmpDocList", "TmpDocList",
+                "tmp_doc_list", "x27", "42", "a", "A", "bc", "HTTPServer",
+                "the", "Widget", "widget", "_", "__init__", "camelCase9")
+                if len(r) >= min_len])
+            | st.text(alphabet="azZqQ_09", min_size=max(1, min_len),
+                      max_size=8),
             min_size=1, max_size=12))
-        # Every drawn raw token appears at least twice, in a drawn order.
+        if split:
+            pairs = zip(raws, raws[1:] + raws[:1])
+            raws += [w for a, b in pairs
+                     for w in (a + b[:1].upper() + b[1:], a + "_" + b)]
+        raws = ([r.lower() for r in raws] if lowercase
+                else raws + [r.swapcase() for r in raws])
+        # Every raw token appears at least twice, in a drawn order.
         order = data.draw(st.permutations(raws + raws))
         text = data.draw(st.sampled_from([" ", ";", "(", "+"])).join(order)
         assert tokenize(text, config) == tokenize_oracle(text, config)
