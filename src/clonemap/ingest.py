@@ -65,8 +65,9 @@ class CloneGroup:
 class VersionSnapshot:
     """All clone groups reported for one version of the system.
 
-    Group indices are dense 0..s-1 and unique; ``groups`` preserves report
-    order, which normally coincides with index order.
+    Group indices are dense 0..s-1 and unique; ``groups`` holds them in
+    index order whatever the report's order, so a group's position is its
+    index.
     """
 
     version_id: str
@@ -84,6 +85,8 @@ class VersionSnapshot:
             raise ValidationError(
                 f"group indices must be dense 0..{len(indices) - 1}, got {sorted(seen)}"
             )
+        object.__setattr__(self, "groups",
+                           tuple(sorted(self.groups, key=lambda g: g.index)))
 
 
 def resolve_fragment_text(fragment: CloneFragment, source_root: Path | str) -> str:

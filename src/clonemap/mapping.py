@@ -83,36 +83,38 @@ class Genealogy:
     deaths: tuple[tuple[str, int], ...]
 
 
-def _assign(scores: np.ndarray, empty_rows, new_refs, old_refs, delta: float,
-            enforce_injective: bool) -> list[GroupMapping]:
+def _assign(scores: np.ndarray, empty_rows, newer_id: str, older_id: str,
+            config: MappingConfig) -> list[GroupMapping]:
     """Thresholded argmax over the rows of an (N, M) score matrix.
 
-    ``empty_rows[i]`` marks a newer group whose document came out empty; it
-    maps to null with a warning. Ties go to the lowest older index.
+    Row ``i`` is newer group ``(newer_id, i)`` and column ``j`` older group
+    ``(older_id, j)``. ``empty_rows[i]`` marks a newer group whose document
+    came out empty; it maps to null with a warning. Ties go to the lowest
+    older index.
     """
-    n_old = len(old_refs)
+    n_new, n_old = scores.shape
     mappings: dict[int, GroupMapping] = {}
     contenders = []
     for i, empty in enumerate(empty_rows):
         if empty:
             warnings.warn(
-                f"group {new_refs[i]} has an empty token document; mapped to null",
+                f"group {(newer_id, i)} has an empty token document; mapped to null",
                 CloneMapWarning,
             )
         if empty or n_old == 0:
-            mappings[i] = GroupMapping(new_refs[i], None, 0.0)
+            mappings[i] = GroupMapping((newer_id, i), None, 0.0)
         else:
             contenders.append(i)
 
-    if not enforce_injective:
+    if not config.enforce_injective:
         # np.argmax returns the first maximum: the lowest older index.
         best_cols = scores.argmax(axis=1) if n_old else ()
         for i in contenders:
             k = int(best_cols[i])
             best = float(scores[i, k])
-            old = old_refs[k] if best >= delta else None
-            mappings[i] = GroupMapping(new_refs[i], old, best)
-        return [mappings[i] for i in range(len(new_refs))]
+            old = (older_id, k) if best >= config.delta else None
+            mappings[i] = GroupMapping((newer_id, i), old, best)
+        return [mappings[i] for i in range(n_new)]
 
     # Injective auction: contested old groups go to the highest-scoring
     # claimant (ties to the lowest new index); losers retry against the
@@ -124,24 +126,22 @@ def _assign(scores: np.ndarray, empty_rows, new_refs, old_refs, delta: float,
         claims: dict[int, list[int]] = {}
         for i in pending:
             row = score_rows[i]
-            candidates = [(row[j], -j) for j in available]
-            if candidates:
-                best, neg_j = max(candidates)
-                if best >= delta:
-                    claims.setdefault(-neg_j, []).append(i)
-                    continue
-            best_left = max((row[j] for j in available), default=0.0)
-            mappings[i] = GroupMapping(new_refs[i], None, best_left)
+            best, neg_j = max(((row[j], -j) for j in available),
+                              default=(0.0, 0))
+            if available and best >= config.delta:
+                claims.setdefault(-neg_j, []).append(i)
+            else:
+                mappings[i] = GroupMapping((newer_id, i), None, best)
         next_pending = []
         for j, claimants in claims.items():
             winner = max(claimants, key=lambda i: (score_rows[i][j], -i))
             mappings[winner] = GroupMapping(
-                new_refs[winner], old_refs[j], score_rows[winner][j]
+                (newer_id, winner), (older_id, j), score_rows[winner][j]
             )
             available.discard(j)
             next_pending.extend(i for i in claimants if i != winner)
         pending = next_pending
-    return [mappings[i] for i in range(len(new_refs))]
+    return [mappings[i] for i in range(n_new)]
 
 
 def map_version_pair(newer: VersionTopics, older: VersionTopics,
@@ -155,43 +155,26 @@ def map_version_pair(newer: VersionTopics, older: VersionTopics,
     group.
     """
     config = config or MappingConfig()
-    new_refs = [(newer.version_id, i) for i in range(len(newer.block))]
-    old_refs = [(older.version_id, j) for j in range(len(older.block))]
     scores = score_matrix(newer.block, older.block, config.metric)
     empty_rows = (np.diff(newer.block.indptr) == 0).tolist()
-    return _assign(scores, empty_rows, new_refs, old_refs, config.delta,
-                   config.enforce_injective)
+    return _assign(scores, empty_rows, newer.version_id, older.version_id,
+                   config)
 
 
 def baseline_text_map(newer: VersionSnapshot, older: VersionSnapshot,
-                      config: MappingConfig | None = None,
-                      theta: float | None = None) -> list[GroupMapping]:
+                      config: MappingConfig | None = None) -> list[GroupMapping]:
     """Same argmax-plus-threshold mapping, scored with line LCS on raw text.
 
     Operates on concatenated fragment text as written, comments included;
     this is the text-based mapper the topic pipeline is compared against.
-    ``theta`` overrides the threshold, defaulting to config.delta.
+    Every group's text must be resolved.
     """
     config = config or MappingConfig(strategy=Strategy.LCS_BASELINE)
-    delta = config.delta if theta is None else theta
-    if not 0.0 <= delta <= 1.0:
-        raise ConfigError(f"theta must be in [0, 1], got {delta}")
-
-    def group_text(snapshot, group):
-        if not group.resolved:
-            raise ValidationError(
-                f"group {group.index} of {snapshot.version_id} has unresolved "
-                "fragment text; pass a source root"
-            )
-        return group.concatenated_text()
-
-    new_refs = [(newer.version_id, g.index) for g in newer.groups]
-    old_refs = [(older.version_id, g.index) for g in older.groups]
-    old_texts = [group_text(older, g) for g in older.groups]
-    new_texts = [group_text(newer, g) for g in newer.groups]
+    old_texts = [g.concatenated_text() for g in older.groups]
+    new_texts = [g.concatenated_text() for g in newer.groups]
     scores = lcs_matrix(new_texts, old_texts)
-    return _assign(scores, [False] * len(new_refs), new_refs, old_refs, delta,
-                   config.enforce_injective)
+    return _assign(scores, [False] * len(new_texts), newer.version_id,
+                   older.version_id, config)
 
 
 def unmatched_old_groups(mappings: list[GroupMapping], older_size: int) -> list[int]:
@@ -234,7 +217,6 @@ def map_lineage(versions: list[VersionTopics],
                 chains.append({"members": [m.new_group], "sims": []})
             else:
                 claims.setdefault(m.old_group[1], []).append(m)
-        selected = set()
         for old_idx, claimants in claims.items():
             winner = max(claimants,
                          key=lambda m: (m.similarity, -m.new_group[1]))
@@ -243,14 +225,12 @@ def map_lineage(versions: list[VersionTopics],
             chains[chain_idx]["members"].append(winner.new_group)
             chains[chain_idx]["sims"].append(winner.similarity)
             tails[winner.new_group] = chain_idx
-            selected.add(old_idx)
             for m in claimants:
                 if m is not winner:
                     tails[m.new_group] = len(chains)
                     chains.append({"members": [m.new_group], "sims": []})
-        for j in range(len(older.block)):
-            if j not in selected:
-                deaths.append((older.version_id, j))
+        deaths.extend((older.version_id, j)
+                      for j in unmatched_old_groups(mappings, len(older.block)))
 
     lineages = tuple(
         Lineage(members=tuple(c["members"]), link_similarities=tuple(c["sims"]))

@@ -2,7 +2,9 @@
 
 All scores live in [0, 1]. Topic metrics compare sparse (word id, weight)
 vectors over a shared vocabulary ordering, all pairs of two topic blocks
-at once; the text baseline compares trimmed line sequences.
+at once, by one join of the blocks' entries on word id; the same join
+tells which rows are identical. The text baseline compares trimmed line
+sequences.
 """
 
 from __future__ import annotations
@@ -22,29 +24,6 @@ class Metric(enum.Enum):
 
 # Score-matrix cells computed per pass; bounds the kernel's scratch memory.
 _BLOCK_CELLS = 1 << 20
-
-
-class _Entries:
-    """A block's nonzero entries with their row numbers, row totals and
-    identity labels."""
-
-    def __init__(self, block: TopicBlock, keys: dict):
-        self.count = len(block)
-        self.offsets = block.indptr
-        self.nnz = np.diff(block.indptr)
-        self.ids = block.ids
-        self.values = block.values
-        self.groups = np.repeat(np.arange(self.count), self.nnz)
-        self.totals = np.bincount(self.groups, self.values, minlength=self.count)
-        # Equal (ids, values) get equal labels across both sides of a join;
-        # an empty row gets -1 and never counts as identical.
-        ids_bytes = self.ids.tobytes()
-        values_bytes = self.values.tobytes()
-        labels = []
-        for lo, hi in zip(self.offsets[:-1].tolist(), self.offsets[1:].tolist()):
-            key = ids_bytes[8 * lo:8 * hi] + values_bytes[8 * lo:8 * hi]
-            labels.append(keys.setdefault(key, len(keys)) if hi > lo else -1)
-        self.labels = np.array(labels, dtype=np.int64)
 
 
 def _pair_sums(flat, weights, cells: int, m: int) -> np.ndarray:
@@ -68,9 +47,11 @@ def score_matrix(newer: TopicBlock, older: TopicBlock,
     1 - sqrt(D / 2) with D = sum((sqrt(a) - sqrt(b))^2), summed over the
     shared words plus each side's unshared mass, which is exactly 0 when
     every word of that side is shared. Identical vectors score exactly
-    1.0 (downstream consumers treat it as the unchanged-group signature); a
-    pair with an empty row on either side scores 0.0;
-    every score is clamped to [0, 1].
+    1.0 (downstream consumers treat it as the unchanged-group signature):
+    under cosine a cell is set to 1.0 when its count of joined entry pairs
+    with equal weights matches both rows' entry counts; under Hellinger
+    identical rows give D = 0 exactly. A pair with an empty row on either
+    side scores 0.0; every score is clamped to [0, 1].
     """
     if not isinstance(metric, Metric):
         raise ValidationError(f"unknown metric {metric!r}")
@@ -81,58 +62,64 @@ def score_matrix(newer: TopicBlock, older: TopicBlock,
             "topic vectors over different vocabularies: sizes "
             f"{sorted((newer.size, older.size))}"
         )
-    keys: dict = {}
-    new = _Entries(newer, keys)
-    old = _Entries(older, keys)
-    n, m = new.count, old.count
+    n, m = len(newer), len(older)
     scores = np.zeros((n, m))
     if n == 0 or m == 0:
         return scores
 
-    order = np.argsort(old.ids, kind="stable")
-    old_ids = old.ids[order]
-    old_groups = old.groups[order]
-    old_values = old.values[order]
+    new_nnz = np.diff(newer.indptr)
+    old_nnz = np.diff(older.indptr)
+    new_rows = np.repeat(np.arange(n), new_nnz)
+    old_rows = np.repeat(np.arange(m), old_nnz)
+    order = np.argsort(older.ids, kind="stable")
+    old_ids = older.ids[order]
+    old_rows_by_id = old_rows[order]
+    old_values = older.values[order]
     if metric is Metric.COSINE:
-        new_norms = np.sqrt(np.bincount(new.groups, new.values ** 2, minlength=n))
-        old_norms = np.sqrt(np.bincount(old.groups, old.values ** 2, minlength=m))
+        new_norms = np.sqrt(np.bincount(new_rows, newer.values ** 2, minlength=n))
+        old_norms = np.sqrt(np.bincount(old_rows, older.values ** 2, minlength=m))
     else:
-        new_roots = np.sqrt(new.values)
+        new_totals = np.bincount(new_rows, newer.values, minlength=n)
+        old_totals = np.bincount(old_rows, older.values, minlength=m)
+        new_roots = np.sqrt(newer.values)
         old_roots = np.sqrt(old_values)
 
     rows = max(1, _BLOCK_CELLS // m)
     for start in range(0, n, rows):
         stop = min(n, start + rows)
         cells = (stop - start) * m
-        begin, end = new.offsets[start], new.offsets[stop]
-        ids = new.ids[begin:end]
+        begin, end = newer.indptr[start], newer.indptr[stop]
+        ids = newer.ids[begin:end]
         lo = np.searchsorted(old_ids, ids, side="left")
         hits = np.searchsorted(old_ids, ids, side="right") - lo
         # Joined entry pairs: each newer entry against its run of equal ids.
         first = np.cumsum(hits) - hits
         new_at = np.repeat(np.arange(begin, end), hits)
         old_at = np.arange(int(hits.sum())) - np.repeat(first - lo, hits)
-        flat = (new.groups[new_at] - start) * m + old_groups[old_at]
-        a = new.values[new_at]
+        flat = (new_rows[new_at] - start) * m + old_rows_by_id[old_at]
+        a = newer.values[new_at]
         b = old_values[old_at]
+        nnz = new_nnz[start:stop, None]
         if metric is Metric.COSINE:
-            dot = _pair_sums(flat, a * b, cells, m)
             norms = np.outer(new_norms[start:stop], old_norms)
-            block = np.divide(dot, norms, out=np.zeros_like(dot), where=norms > 0)
+            block = np.divide(_pair_sums(flat, a * b, cells, m), norms,
+                              out=np.zeros_like(norms), where=norms > 0)
+            # Rows are identical when every entry of both is joined to an
+            # equal one; rounding must not keep them from exactly 1.0.
+            equal = _pair_sums(flat, a == b, cells, m)
+            block[(equal == nnz) & (equal == old_nnz) & (equal > 0)] = 1.0
         else:
             dist = _pair_sums(flat, (new_roots[new_at] - old_roots[old_at]) ** 2,
                               cells, m)
             shared = np.bincount(flat, minlength=cells).reshape(-1, m)
-            new_rest = np.where(shared == new.nnz[start:stop, None], 0.0,
-                                new.totals[start:stop, None]
+            new_rest = np.where(shared == nnz, 0.0,
+                                new_totals[start:stop, None]
                                 - _pair_sums(flat, a, cells, m))
-            old_rest = np.where(shared == old.nnz, 0.0,
-                                old.totals - _pair_sums(flat, b, cells, m))
+            old_rest = np.where(shared == old_nnz, 0.0,
+                                old_totals - _pair_sums(flat, b, cells, m))
             dist += np.maximum(new_rest, 0.0) + np.maximum(old_rest, 0.0)
             block = 1.0 - np.sqrt(0.5 * dist)
-            block[(new.nnz[start:stop, None] == 0) | (old.nnz == 0)] = 0.0
-        labels = new.labels[start:stop, None]
-        block[(labels == old.labels) & (labels >= 0)] = 1.0
+            block[(nnz == 0) | (old_nnz == 0)] = 0.0
         scores[start:stop] = np.clip(block, 0.0, 1.0)
     return scores
 

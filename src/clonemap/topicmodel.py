@@ -87,9 +87,10 @@ class TopicBlock:
     size: int
 
     def __post_init__(self):
-        indptr = np.asarray(self.indptr, dtype=np.int64)
-        ids = np.asarray(self.ids, dtype=np.int64)
-        values = np.asarray(self.values, dtype=np.float64)
+        # Copies, so that freezing them leaves the caller's arrays writable.
+        indptr = np.array(self.indptr, dtype=np.int64)
+        ids = np.array(self.ids, dtype=np.int64)
+        values = np.array(self.values, dtype=np.float64)
         if not isinstance(self.size, (int, np.integer)) or self.size < 0:
             raise ValidationError(
                 f"topic block size must be a non-negative int, got {self.size!r}"

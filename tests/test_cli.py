@@ -177,6 +177,54 @@ class TestMapCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestOutOfOrderReport:
+    """A report may list its groups in any order; every verdict and dump
+    row is keyed by the group's own index."""
+
+    TEXT_A = "widget = frobnicate(gadget);"
+    TEXT_B = "sprocket = rotate(pinion);"
+
+    @staticmethod
+    def report(version, indexed_texts):
+        return {"version": version, "groups": [
+            {"index": index, "fragments": [
+                {"file": f"g{index}{side}.c", "start_line": 1,
+                 "end_line": 1, "text": text} for side in "ab"]}
+            for index, text in indexed_texts]}
+
+    @pytest.fixture()
+    def reports(self, tmp_path):
+        paths = {}
+        for name, indexed in (
+                ("newer", [(1, self.TEXT_A), (0, self.TEXT_B)]),
+                ("older", [(0, self.TEXT_A), (1, self.TEXT_B)])):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(self.report(f"v{name}", indexed)),
+                                   encoding="utf-8")
+        return paths
+
+    @pytest.mark.parametrize("strategy", ["topic", "lcs"])
+    def test_map_keys_verdicts_by_index(self, reports, capsys, strategy):
+        rc = main(["map", "--newer", str(reports["newer"]),
+                   "--older", str(reports["older"]), "--strategy", strategy,
+                   "--format", "json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [(m["new_group"], m["old_group"]) for m in doc["mappings"]] == [
+            (0, 1), (1, 0)]
+        assert [m["similarity"] for m in doc["mappings"]] == [1.0, 1.0]
+
+    def test_topics_keys_words_by_index(self, reports, capsys):
+        rc = main(["topics", "--report", str(reports["newer"]),
+                   "--format", "json"])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        words = {e["group"]: {w["word"] for w in e["words"]}
+                 for e in doc["topics"]}
+        assert "sprocket" in words[0] and "widget" not in words[0]
+        assert "widget" in words[1] and "sprocket" not in words[1]
+
+
 class TestEvalCommand:
     def test_perfect_run_scores_one(self, evolution, tmp_path, capsys):
         mapping_path = tmp_path / "mapping.json"

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used or marked as kept,
-and every name the package exports resolves."""
+every private module-level name is used, and every name the package
+exports resolves."""
 
 import ast
 from pathlib import Path
@@ -58,6 +59,67 @@ def test_scan_finds_an_unused_import(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(module) == ["m.py:2: os", "m.py:5: Iterable"]
+
+
+def dead_private_names(paths) -> list[str]:
+    """Module-level ``_name`` definitions in ``paths`` that no code in
+    ``paths`` reads: not as a name, an attribute or an import. A name
+    counts as read when any module reads it."""
+    defined = []
+    read = set()
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined.extend((path.name, node.lineno, name) for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{file}:{line}: {name}" for file, line, name in defined
+            if name not in read]
+
+
+def test_no_dead_private_names():
+    assert dead_private_names(PACKAGE.glob("*.py")) == []
+
+
+def test_scan_finds_a_dead_private_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\n"
+        "_LIMIT = 3\n"
+        "_ORPHAN: int = 4\n"
+        "def _helper(x):\n"
+        "    return x + _LIMIT\n"
+        "def _pair_sums(flat):\n"
+        "    return np.bincount(flat)\n"
+        "class _Entries:\n"
+        "    pass\n"
+        "def public():\n"
+        "    return _helper(1)\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "from .a import _helper\n"
+        "_BLOCK = a._LIMIT\n"
+        "def f():\n"
+        "    return _BLOCK\n",
+        encoding="utf-8",
+    )
+    assert dead_private_names(tmp_path.glob("*.py")) == [
+        "a.py:3: _ORPHAN", "a.py:6: _pair_sums", "a.py:8: _Entries"]
 
 
 def test_every_exported_name_resolves():

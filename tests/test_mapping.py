@@ -281,11 +281,11 @@ class TestBaselineTextMap:
         assert mappings[0].old_group is None
         assert mappings[0].similarity == 0.0
 
-    def test_theta_overrides_delta(self):
+    def test_delta_thresholds_lcs_verdicts(self):
         newer = snapshot_with_text("v2", ["aa;\nbb;\ncc;\ndd;"])
         older = snapshot_with_text("v1", ["aa;\nbb;\nxx;\nyy;"])
-        strict = baseline_text_map(newer, older, theta=0.9)
-        loose = baseline_text_map(newer, older, theta=0.3)
+        strict = baseline_text_map(newer, older, MappingConfig(delta=0.9))
+        loose = baseline_text_map(newer, older, MappingConfig(delta=0.3))
         assert strict[0].old_group is None
         assert loose[0].old_group == ("v1", 0)
 
@@ -293,5 +293,5 @@ class TestBaselineTextMap:
         """The baseline sees raw text, so comment edits lower its score."""
         newer = snapshot_with_text("v2", ["aa; // new note\nbb;"])
         older = snapshot_with_text("v1", ["aa;\nbb;"])
-        mappings = baseline_text_map(newer, older, theta=0.1)
+        mappings = baseline_text_map(newer, older, MappingConfig(delta=0.1))
         assert mappings[0].similarity < 1.0

@@ -194,6 +194,33 @@ class TestScoreMatrix:
         got = score_matrix(t_new, t_old, Metric.HELLINGER)[0, 0]
         assert abs(got - expected) <= 1e-12
 
+    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("newer,older", [
+        ({"x": 1, "y": 2}, {"x": 2, "y": 4}),
+        # Without the identity rule, cosine gives 0.9999999999999998 here.
+        ({"x": 2, "y": 3}, {"x": 4, "y": 6}),
+    ])
+    def test_proportional_documents_score_exactly_one(self, newer, older,
+                                                      metric):
+        _, (t_new, t_old) = blocks_over_one_vocabulary([newer], [older])
+        assert score_matrix(t_new, t_old, metric)[0, 0] == 1.0
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("newer,older", [
+        (dense({"x": 2, "y": 3, "z": 5}, "xyz"),
+         dense({"x": 2, "y": 3, "z": 6}, "xyz")),
+        # Two of three weights equal, then one side's entries all equal.
+        ([0.2, 0.3, 0.5], [0.2, 0.3, 0.6]),
+        ([0.2, 0.3, 0.0], [0.2, 0.3, 0.5]),
+    ])
+    def test_near_identical_rows_are_not_forced_to_one(self, newer, older,
+                                                       metric):
+        for u, v in ((newer, older), (older, newer)):
+            got = score_matrix(TopicBlock.from_dense([u]),
+                               TopicBlock.from_dense([v]), metric)[0, 0]
+            assert got < 1.0
+            assert abs(got - ORACLES[metric](u, v)) <= 1e-12
+
     def test_matches_topic_similarity_cell_by_cell(self):
         rng = np.random.default_rng(23)
         vectors = [random_distribution(rng, 9) * (rng.random(9) < 0.5)

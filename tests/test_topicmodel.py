@@ -258,6 +258,17 @@ class TestTopicBlock:
             with pytest.raises(ValueError):
                 array[0] = 0
 
+    def test_caller_arrays_stay_writable(self):
+        indptr = np.array([0, 2], dtype=np.int64)
+        ids = np.array([0, 1], dtype=np.int64)
+        values = np.array([0.5, 0.5])
+        block = TopicBlock(indptr=indptr, ids=ids, values=values, size=2)
+        for mine, frozen in ((indptr, block.indptr), (ids, block.ids),
+                             (values, block.values)):
+            assert mine.flags.writeable
+            assert not frozen.flags.writeable
+            assert not np.shares_memory(mine, frozen)
+
 
 # Word counts per group; an empty dict is a group whose document came out
 # empty.
