@@ -134,15 +134,17 @@ def _read_fragment(fragment: CloneFragment, root: str,
     real path (absolute, symlinks resolved)."""
     try:
         path = _contained_path(root, fragment.file, dirs)
-        handle = open(path, encoding="utf-8", errors="replace")
+        handle = open(path, "rb", buffering=0)
     except ValueError as exc:
         # An embedded NUL, or a name the file system encoding cannot encode.
         raise ValidationError(
             f"fragment file {fragment.file!r} is not a valid path: {exc}"
         ) from None
-    # Text mode turns CRLF and lone CR into LF.
     with handle:
-        lines = handle.read().split("\n")
+        text = handle.readall().decode("utf-8", "replace")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
     # A trailing newline yields one empty trailing element, not a real line.
     if lines[-1] == "":
         lines.pop()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import re
+import string
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -20,7 +21,14 @@ from .ingest import CloneGroup
 
 WORDLIST_DIR_ENV = "CLONEMAP_WORDLIST_DIR"
 
-_WORD_RE = re.compile(r"[A-Za-z0-9_]+")
+# Words are runs of [A-Za-z0-9_]. This table turns every other byte into a
+# space; the UTF-8 bytes of any non-ASCII character (a lone surrogate too,
+# under "surrogatepass") are all >= 0x80, so they split words exactly as a
+# non-word ASCII character does.
+_NON_WORD_TO_SPACE = bytes(
+    b if chr(b) in string.ascii_letters + string.digits + "_" else 0x20
+    for b in range(256)
+)
 # Kept words are lowercased and at least this long.
 _MIN_TOKEN_LENGTH = 2
 # One pass over comments and literals, leftmost match first: a line comment,
@@ -179,6 +187,12 @@ def strip_comments(text: str) -> str:
     An unterminated block comment is stripped to end of input with a
     warning. Line structure outside comments is preserved.
     """
+    # A block comment runs unterminated only when no "*/" follows its
+    # opener, and then none follows the last "/*" either. Where one does,
+    # no match can warn, so none needs the callback.
+    opened = text.rfind("/*")
+    if opened < 0 or text.find("*/", opened + 2) >= 0:
+        return _STRIP_RE.sub(" ", text)
     return _STRIP_RE.sub(_blank, text)
 
 
@@ -200,15 +214,10 @@ def tokenize(text: str, config: FilterConfig) -> TokenDocument:
     Assumes comments are already stripped. Each distinct raw token is
     filtered once per call; repeats reuse it.
     """
-    kept: dict[str, str] = {}
-    tokens = []
-    for raw in _WORD_RE.findall(text):
-        word = kept.get(raw)
-        if word is None:
-            word = kept[raw] = _kept_word(raw, config)
-        if word:
-            tokens.append(word)
-    return TokenDocument(group_ref=None, tokens=tuple(tokens))
+    raws = text.encode("utf-8", "surrogatepass").translate(_NON_WORD_TO_SPACE).split()
+    kept = {raw: _kept_word(raw.decode("ascii"), config) for raw in set(raws)}
+    return TokenDocument(group_ref=None,
+                         tokens=tuple(filter(None, map(kept.__getitem__, raws))))
 
 
 def build_group_document(group: CloneGroup, config: FilterConfig,

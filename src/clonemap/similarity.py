@@ -111,16 +111,15 @@ def score_matrix(newer: TopicBlock, older: TopicBlock,
         else:
             dist = _pair_sums(flat, (new_roots[new_at] - old_roots[old_at]) ** 2,
                               cells, m)
-            shared = np.bincount(flat, minlength=cells).reshape(-1, m)
-            new_rest = np.where(shared == nnz, 0.0,
-                                new_totals[start:stop, None]
-                                - _pair_sums(flat, a, cells, m))
-            old_rest = np.where(shared == old_nnz, 0.0,
-                                old_totals - _pair_sums(flat, b, cells, m))
+            # The join adds each cell's weights in ascending word-id order,
+            # as the row totals were added, so a side whose every word is
+            # shared has exactly 0.0 left.
+            new_rest = new_totals[start:stop, None] - _pair_sums(flat, a, cells, m)
+            old_rest = old_totals - _pair_sums(flat, b, cells, m)
             dist += np.maximum(new_rest, 0.0) + np.maximum(old_rest, 0.0)
             block = 1.0 - np.sqrt(0.5 * dist)
             block[(nnz == 0) | (old_nnz == 0)] = 0.0
-        scores[start:stop] = np.clip(block, 0.0, 1.0)
+        np.clip(block, 0.0, 1.0, out=scores[start:stop])
     return scores
 
 

@@ -531,6 +531,10 @@ class TestBenchmarkTracer:
     @pytest.mark.parametrize("strategy,kind,name", [
         pytest.param("topic", "calls", "preprocess.strip_comments",
                      id="topic-preprocess.strip_comments"),
+        pytest.param("topic", "calls", "preprocess.tokenize",
+                     id="topic-preprocess.tokenize"),
+        pytest.param("topic", "spans", "ingest.resolve_snapshot",
+                     id="topic-ingest.resolve_snapshot"),
         pytest.param("lcs", "spans", "mapping.baseline_text_map",
                      id="lcs-mapping.baseline_text_map"),
     ])

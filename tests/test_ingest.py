@@ -224,6 +224,22 @@ class TestTextResolution:
         assert_every_range_matches_oracle(tmp_path_factory.mktemp("bytes"),
                                           b"".join(pieces))
 
+    def test_file_over_64_kib_matches_oracle(self, tmp_path):
+        """Bytes that a chunked reader would split: a CRLF across byte
+        8192, a 3-byte character across byte 65536; plus an invalid byte
+        and a lone CR as the very last byte."""
+        content = bytearray(b"x" * 70000)
+        content[1999::2000] = b"\n" * 35
+        content[8191:8193] = b"\r\n"
+        content[65535:65538] = "€".encode("utf-8")
+        content[30000] = 0xFF
+        content[-1:] = b"\r"
+        assert_every_range_matches_oracle(tmp_path, bytes(content))
+        whole = resolve_fragment_text(
+            CloneFragment(file="a.c", start_line=1, end_line=36), tmp_path)
+        assert len(whole.splitlines()) == 36
+        assert "€" in whole and "�" in whole and "\r" not in whole
+
     def test_range_past_end_of_file(self, tmp_path):
         (tmp_path / "a.c").write_text("l1\nl2\n", encoding="utf-8")
         frag = CloneFragment(file="a.c", start_line=1, end_line=9)

@@ -1,14 +1,15 @@
 """Comment stripping, tokenization, and the four-way word filtering."""
 
+import re
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from clonemap import preprocess
 from clonemap.errors import CloneMapWarning
 from clonemap.ingest import CloneFragment, CloneGroup
 from clonemap.preprocess import (
-    _WORD_RE,
     FilterConfig,
     TokenDocument,
     build_group_document,
@@ -69,10 +70,14 @@ def strip_comments_oracle(text: str) -> str:
     return "".join(out)
 
 
+ORACLE_WORD_RE = re.compile(r"[A-Za-z0-9_]+")
+
+
 def tokenize_oracle(text: str, config: FilterConfig) -> TokenDocument:
-    """Reference tokenizer that filters every raw token afresh."""
+    """Reference tokenizer: a regex scan for ASCII words, each filtered
+    afresh."""
     tokens = []
-    for raw in _WORD_RE.findall(text):
+    for raw in ORACLE_WORD_RE.findall(text):
         word = raw.lower()
         if len(word) < 2:
             continue
@@ -142,6 +147,32 @@ class TestStripComments:
     def test_quote_inside_line_comment_opens_no_literal(self):
         assert strip_comments("a; // it's\nb; 'c';") == "a;  \nb;  ;"
 
+    # The warning callback runs only when the last "/*" has no "*/" after
+    # it; even then, a "/*" that opens no comment gives no warning.
+    @pytest.mark.parametrize("text,warns,callback", [
+        ('a /* x */ b = "/*";', 0, True),
+        ("a /* x */ b; // /* c\nd;", 0, True),
+        ("a /* b */ c /* d", 1, True),
+        ("a /*/ b", 1, True),
+        ("a /* b */ c = '/*'; /* d */ e;", 0, False),
+        ("a = '*/'; // b\nc;", 0, False),
+    ], ids=["in-literal", "in-line-comment", "second-unterminated",
+            "slash-star-slash", "all-terminated", "no-opener"])
+    def test_callback_only_where_a_block_comment_may_not_end(
+            self, monkeypatch, text, warns, callback):
+        blanked = []
+
+        def blank(match):
+            blanked.append(match)
+            return original(match)
+
+        original = preprocess._blank
+        monkeypatch.setattr(preprocess, "_blank", blank)
+        got = stripped_with_warnings(strip_comments, text)
+        assert got == stripped_with_warnings(strip_comments_oracle, text)
+        assert got[1] == warns
+        assert bool(blanked) == callback
+
     @given(st.lists(st.sampled_from(
         ["/", "*", '"', "'", "\\", "\n", "a", "//", "/*", "*/"]),
         max_size=40).map("".join))
@@ -210,6 +241,20 @@ class TestTokenize:
         # Every raw token appears at least twice, in a drawn order.
         order = data.draw(st.permutations(raws + raws))
         text = data.draw(st.sampled_from([" ", ";", "(", "+"])).join(order)
+        assert tokenize(text, config) == tokenize_oracle(text, config)
+
+    # Non-ASCII letters (a Kelvin sign and a dotted capital I among them,
+    # which lowercase to ASCII or grow), NUL, C1 controls, astral
+    # characters and lone surrogates all split words, as in the regex.
+    @settings(max_examples=200)
+    @given(st.lists(st.sampled_from([
+        "for", "Widget", "tmpDocList", "x27", "a", "_", " ", ";", "\n",
+        "\u00e9", "\u00df", "\u212a", "\u0130", "\u01c5", "\x00", "\x80",
+        "\U0001f600", "\U00010400", "\ud800", "\udfff", "\ud83d",
+    ]) | st.text(alphabet="akZ_09 ", max_size=6), max_size=30).map("".join))
+    @example("caf\u00e9_x stra\u00dfe \u212aelvin \u0130ndex \u01c5ab "
+             "nul\x00byte c1\x80ctl \U0001f600emoji lo\ud800ne")
+    def test_non_ascii_text_matches_oracle(self, config, text):
         assert tokenize(text, config) == tokenize_oracle(text, config)
 
     @given(st.text(alphabet=st.characters(codec="ascii"), max_size=200))

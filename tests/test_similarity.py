@@ -221,6 +221,27 @@ class TestScoreMatrix:
             assert got < 1.0
             assert abs(got - ORACLES[metric](u, v)) <= 1e-12
 
+    def test_hellinger_identical_rows_inside_blocks_score_exactly_one(self):
+        """The unshared masses are row totals minus joined sums. Both add a
+        row's weights in ascending word-id order, so a fully shared side
+        leaves exactly 0.0; summed in another order, these weights leave
+        about 1e-16 and identical rows would miss 1.0."""
+        t = [0.0, 1 / 3, 0.0, 1 / 7, 0.0, 1 / 11, 0.0, 0.4]
+        assert sum(t) != sum(reversed(t))
+        # A subset of t's support with t's own weights there.
+        s = [0.0, 1 / 3, 0.0, 0.0, 0.0, 0.0, 0.0, 0.4]
+        # Other rows whose ids interleave with t's.
+        a = [0.25, 0.0, 0.25, 1 / 7, 0.5, 0.0, 0.0, 0.0]
+        b = [1 / 7, 0.0, 0.0, 0.0, 0.0, 1 / 3, 1 / 11, 0.0]
+        newer = [a, t, s, b]
+        older = [b, s, a, t]
+        scores = score_matrix(TopicBlock.from_dense(newer),
+                              TopicBlock.from_dense(older), Metric.HELLINGER)
+        assert scores[1, 3] == scores[2, 1] == scores[0, 2] == scores[3, 0] == 1.0
+        for i, u in enumerate(newer):
+            for j, v in enumerate(older):
+                assert abs(scores[i, j] - _hellinger_oracle(u, v)) <= 1e-12
+
     def test_matches_topic_similarity_cell_by_cell(self):
         rng = np.random.default_rng(23)
         vectors = [random_distribution(rng, 9) * (rng.random(9) < 0.5)
