@@ -13,14 +13,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import (
-    CloneMapError,
-    ConfigError,
-    CoverageError,
-    ReportParseError,
-    ValidationError,
-    is_json_int,
-)
+from .errors import CloneMapError, ConfigError, ValidationError, is_json_int, read_utf8
 from .evaluation import SynthConfig, generate_evolution, load_ground_truth, score
 from .ingest import parse_clone_report, resolve_snapshot
 from .mapping import GroupMapping, MappingConfig, Strategy
@@ -149,8 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_topics.add_argument("--report", required=True, metavar="PATH")
     p_topics.add_argument("--source", metavar="DIR",
                           help="source tree the report's paths resolve against")
-    p_topics.add_argument("--threads", type=int, default=1,
-                          help="accepted and ignored, like map's --threads")
     p_topics.add_argument("--out", metavar="PATH",
                           help="write the topic dump JSON here")
     p_topics.add_argument("--format", choices=["json", "table"],
@@ -260,8 +251,7 @@ def _mappings_from_artifact(doc: dict) -> list[GroupMapping]:
 
 
 def cmd_eval(args) -> int:
-    with open(args.mapping, encoding="utf-8") as handle:
-        mapping_doc = json.load(handle)
+    mapping_doc = json.loads(read_utf8(args.mapping))
     truth = load_ground_truth(args.truth)
     mappings = _mappings_from_artifact(mapping_doc)
     report = score(mappings, truth)
@@ -308,9 +298,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_topics(args) -> int:
-    snapshot = resolve_snapshot(
-        parse_clone_report(args.report, source_root=args.source)
-    )
+    snapshot = resolve_snapshot(parse_clone_report(args.report), args.source)
     documents = build_documents(snapshot, _filter_config(args))
     entries = topic_dump_entries(snapshot.version_id, documents)
     payload = {
@@ -319,7 +307,6 @@ def cmd_topics(args) -> int:
             "subcommand": "topics",
             "report": args.report,
             "source": args.source,
-            "threads": args.threads,
             "filters": _filter_run_config(args),
         }),
     }
@@ -347,9 +334,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"clonemap: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ReportParseError, ValidationError, CoverageError) as exc:
-        print(f"clonemap: {exc}", file=sys.stderr)
-        return 3
     except json.JSONDecodeError as exc:
         print(f"clonemap: malformed JSON: {exc}", file=sys.stderr)
         return 3

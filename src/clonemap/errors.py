@@ -1,10 +1,24 @@
 """Exception and warning types shared across the toolchain, plus the JSON
-integer check every reader of outside JSON uses."""
+integer check every reader of outside JSON uses and the strict UTF-8 read
+of every outside input file that must decode exactly."""
+
+from pathlib import Path
 
 
 def is_json_int(value) -> bool:
     """A JSON integer; ``true``/``false`` parse as bools, which are not."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def read_utf8(path) -> str:
+    """The text of a UTF-8 file; ValidationError if its bytes are not
+    UTF-8, so a malformed input exits like any other."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
+        ) from None
 
 
 class CloneMapError(Exception):

@@ -16,7 +16,7 @@ import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import ConfigError, CoverageError, ValidationError, is_json_int
+from .errors import ConfigError, CoverageError, ValidationError, is_json_int, read_utf8
 from .mapping import GroupMapping
 from .pipeline import artifact_header, write_json_artifact
 
@@ -97,8 +97,7 @@ class GroundTruth:
 
 
 def load_ground_truth(path: Path | str) -> GroundTruth:
-    with open(path, encoding="utf-8") as handle:
-        return GroundTruth.from_dict(json.load(handle))
+    return GroundTruth.from_dict(json.loads(read_utf8(path)))
 
 
 @dataclass(frozen=True)
@@ -118,10 +117,12 @@ def score(mappings: list[GroupMapping], truth: GroundTruth) -> EvalReport:
 
     A mapping is correct when its (new, old-or-null) pair equals the truth
     entry. Null verdicts that agree with the truth count toward neither
-    discovered nor actual. Zero denominators score 1.0.
+    discovered nor actual. Zero denominators score 1.0. A newer group may
+    have at most one verdict.
     """
     correct = 0
     discovered = 0
+    seen: set[int] = set()
     for m in mappings:
         version, new_idx = m.new_group
         if version != truth.newer_version:
@@ -133,6 +134,11 @@ def score(mappings: list[GroupMapping], truth: GroundTruth) -> EvalReport:
             raise CoverageError(
                 f"ground truth has no entry for newer group {new_idx}"
             )
+        if new_idx in seen:
+            raise ValidationError(
+                f"duplicate mapping row for newer group {new_idx}"
+            )
+        seen.add(new_idx)
         expected = truth.pairs[new_idx]
         if m.old_group is not None:
             if m.old_group[0] != truth.older_version:

@@ -47,10 +47,6 @@ class CloneGroup:
                 f"clone group {self.index} has {len(self.fragments)} fragment(s); need >= 2"
             )
 
-    @property
-    def resolved(self) -> bool:
-        return all(f.text is not None for f in self.fragments)
-
     def concatenated_text(self) -> str:
         """All fragment texts joined in fragment order (newline-separated)."""
         missing = [f.file for f in self.fragments if f.text is None]
@@ -72,7 +68,6 @@ class VersionSnapshot:
 
     version_id: str
     groups: tuple[CloneGroup, ...]
-    source_root: Path | None = None
 
     def __post_init__(self):
         indices = [g.index for g in self.groups]
@@ -160,11 +155,10 @@ def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None =
     """Return a copy of the snapshot with every fragment's text filled in.
 
     Fragments that already carry text (e.g. from a report's optional "text"
-    field) are kept as-is. ``source_root`` defaults to the snapshot's own;
-    a fragment file outside it raises ValidationError.
+    field) are kept as-is; every other fragment is read from under
+    ``source_root``, and a fragment file outside it raises ValidationError.
     """
-    root = Path(source_root) if source_root is not None else snapshot.source_root
-    real_root = os.path.realpath(root) if root is not None else None
+    real_root = os.path.realpath(source_root) if source_root is not None else None
     dirs: dict[str, tuple[str, bool]] = {}
     groups = []
     for group in snapshot.groups:
@@ -179,13 +173,10 @@ def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None =
                                      _read_fragment(frag, real_root, dirs))
             fragments.append(frag)
         groups.append(CloneGroup(index=group.index, fragments=tuple(fragments)))
-    return VersionSnapshot(
-        version_id=snapshot.version_id, groups=tuple(groups), source_root=root
-    )
+    return VersionSnapshot(version_id=snapshot.version_id, groups=tuple(groups))
 
 
-def snapshot_from_dict(doc: dict, version_id: str | None = None,
-                       source_root: Path | str | None = None) -> VersionSnapshot:
+def snapshot_from_dict(doc: dict, version_id: str | None = None) -> VersionSnapshot:
     """Build a snapshot from a native-schema report object."""
     if not isinstance(doc, dict):
         raise ReportParseError(f"report root must be an object, got {type(doc).__name__}")
@@ -234,14 +225,10 @@ def snapshot_from_dict(doc: dict, version_id: str | None = None,
             fragments.append(CloneFragment(file=file, start_line=start, end_line=end, text=text))
         groups.append(CloneGroup(index=index, fragments=tuple(fragments)))
 
-    return VersionSnapshot(
-        version_id=version,
-        groups=tuple(groups),
-        source_root=Path(source_root) if source_root is not None else None,
-    )
+    return VersionSnapshot(version_id=version, groups=tuple(groups))
 
 
-def snapshot_to_dict(snapshot: VersionSnapshot, include_text: bool = True) -> dict:
+def snapshot_to_dict(snapshot: VersionSnapshot) -> dict:
     """Serialize a snapshot back to the native JSON schema (round-trips)."""
     groups = []
     for group in snapshot.groups:
@@ -252,15 +239,14 @@ def snapshot_to_dict(snapshot: VersionSnapshot, include_text: bool = True) -> di
                 "start_line": frag.start_line,
                 "end_line": frag.end_line,
             }
-            if include_text and frag.text is not None:
+            if frag.text is not None:
                 entry["text"] = frag.text
             fragments.append(entry)
         groups.append({"index": group.index, "fragments": fragments})
     return {"version": snapshot.version_id, "groups": groups}
 
 
-def _snapshot_from_xml(text: str, version_id: str | None,
-                       source_root: Path | str | None) -> VersionSnapshot:
+def _snapshot_from_xml(text: str, version_id: str | None) -> VersionSnapshot:
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
@@ -305,15 +291,11 @@ def _snapshot_from_xml(text: str, version_id: str | None,
                 ) from None
         groups.append(CloneGroup(index=index, fragments=tuple(fragments)))
 
-    return VersionSnapshot(
-        version_id=version_id,
-        groups=tuple(groups),
-        source_root=Path(source_root) if source_root is not None else None,
-    )
+    return VersionSnapshot(version_id=version_id, groups=tuple(groups))
 
 
-def parse_clone_report(report_path: Path | str, version_id: str | None = None,
-                       source_root: Path | str | None = None) -> VersionSnapshot:
+def parse_clone_report(report_path: Path | str,
+                       version_id: str | None = None) -> VersionSnapshot:
     """Parse a clone report file (native JSON or the XML adapter).
 
     Format is chosen by suffix, falling back to content sniffing. The
@@ -325,11 +307,11 @@ def parse_clone_report(report_path: Path | str, version_id: str | None = None,
     suffix = path.suffix.lower()
     looks_xml = suffix == ".xml" or (suffix != ".json" and raw.lstrip().startswith("<"))
     if looks_xml:
-        return _snapshot_from_xml(raw, version_id, source_root)
+        return _snapshot_from_xml(raw, version_id)
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ReportParseError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    return snapshot_from_dict(doc, version_id=version_id, source_root=source_root)
+    return snapshot_from_dict(doc, version_id=version_id)

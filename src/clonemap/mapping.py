@@ -169,7 +169,7 @@ def baseline_text_map(newer: VersionSnapshot, older: VersionSnapshot,
     this is the text-based mapper the topic pipeline is compared against.
     Every group's text must be resolved.
     """
-    config = config or MappingConfig(strategy=Strategy.LCS_BASELINE)
+    config = config or MappingConfig()
     old_texts = [g.concatenated_text() for g in older.groups]
     new_texts = [g.concatenated_text() for g in newer.groups]
     scores = lcs_matrix(new_texts, old_texts)

@@ -141,12 +141,8 @@ def run_map(newer_report: Path | str, older_report: Path | str,
     filter_config = filter_config or default_filter_config()
     mapping_config = mapping_config or MappingConfig()
 
-    newer_snap = resolve_snapshot(
-        parse_clone_report(newer_report, source_root=source_newer)
-    )
-    older_snap = resolve_snapshot(
-        parse_clone_report(older_report, source_root=source_older)
-    )
+    newer_snap = resolve_snapshot(parse_clone_report(newer_report), source_newer)
+    older_snap = resolve_snapshot(parse_clone_report(older_report), source_older)
 
     newer_docs = older_docs = None
     if mapping_config.strategy is Strategy.LCS_BASELINE:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .errors import CloneMapWarning
+from .errors import CloneMapWarning, read_utf8
 from .ingest import CloneGroup
 
 WORDLIST_DIR_ENV = "CLONEMAP_WORDLIST_DIR"
@@ -125,7 +125,7 @@ def _parse_word_list(text: str) -> frozenset[str]:
 
 def load_word_list(path: Path | str) -> frozenset[str]:
     """One word per line; blank lines and '#' comments are ignored."""
-    return _parse_word_list(Path(path).read_text(encoding="utf-8"))
+    return _parse_word_list(read_utf8(path))
 
 
 def _packaged_list(name: str) -> frozenset[str]:

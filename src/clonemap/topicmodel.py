@@ -19,17 +19,18 @@ from .preprocess import TokenDocument
 
 @dataclass(frozen=True)
 class Corpus:
-    """Documents re-encoded as word-id sequences over a shared vocabulary."""
+    """Documents re-encoded as word-id sequences over a shared vocabulary.
+    ``word_ids`` maps each word to its id and is derived from the
+    vocabulary."""
 
     vocabulary: tuple[str, ...]
     documents: tuple[tuple[int, ...], ...]
-    word_ids: dict = field(default_factory=dict, repr=False, compare=False)
+    word_ids: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.word_ids:
-            object.__setattr__(
-                self, "word_ids", {w: i for i, w in enumerate(self.vocabulary)}
-            )
+        object.__setattr__(
+            self, "word_ids", {w: i for i, w in enumerate(self.vocabulary)}
+        )
         size = len(self.vocabulary)
         for doc in self.documents:
             for wid in doc:
@@ -154,16 +155,11 @@ def build_corpus(documents: Sequence[TokenDocument]) -> Corpus:
     vocab = sorted({w for doc in documents for w in doc.tokens})
     word_ids = {w: i for i, w in enumerate(vocab)}
     encoded = tuple(tuple(word_ids[w] for w in doc.tokens) for doc in documents)
-    return Corpus(
-        vocabulary=tuple(vocab),
-        documents=encoded,
-        word_ids=word_ids,
-    )
+    return Corpus(vocabulary=tuple(vocab), documents=encoded)
 
 
 def fit_group_topic(document: TokenDocument,
-                    corpus: Corpus | None = None,
-                    config: LdaConfig | None = None) -> TopicBlock:
+                    corpus: Corpus | None = None) -> TopicBlock:
     """One-topic distribution for a single group, as a one-row TopicBlock
     of exact term frequencies.
 
@@ -172,10 +168,6 @@ def fit_group_topic(document: TokenDocument,
     its vocabulary (so topics from two versions share an ordering);
     otherwise the document's own sorted vocabulary is used.
     """
-    if config is not None and config.K != 1:
-        raise ConfigError(
-            f"fit_group_topic is the K=1 degenerate path, got K={config.K}"
-        )
     if document.token_count == 0:
         raise EmptyDocumentError(document.group_ref)
     if corpus is None:
@@ -251,7 +243,8 @@ def fit_lda(corpus: Corpus, config: LdaConfig,
     P(z=k | rest) proportional to (n_dk + alpha) * (n_kw + beta) / (n_k + V*beta)
     with the token's own assignment excluded from the counts. Deterministic
     for a given seed (PCG64, one generator per run). With ``check_counts``
-    the count tables are re-validated against the corpus after every sweep.
+    the count tables are re-validated against the corpus after the initial
+    assignment and after every sweep.
     """
     K = config.K
     alpha = config.effective_alpha
@@ -273,23 +266,23 @@ def fit_lda(corpus: Corpus, config: LdaConfig,
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     total_tokens = sum(n_d)
-    if K == 1:
-        assignments = [[0] * len(doc) for doc in docs]
-    else:
-        flat = rng.integers(0, K, size=total_tokens)
-        assignments = []
-        pos = 0
-        for doc in docs:
-            assignments.append([int(k) for k in flat[pos:pos + len(doc)]])
-            pos += len(doc)
+    flat = rng.integers(0, K, size=total_tokens)
+    assignments = []
+    pos = 0
+    for doc in docs:
+        assignments.append([int(k) for k in flat[pos:pos + len(doc)]])
+        pos += len(doc)
     for d, doc in enumerate(docs):
         for j, w in enumerate(doc):
             k = assignments[d][j]
             n_dk[d][k] += 1
             n_kw[k][w] += 1
             n_k[k] += 1
+    if check_counts:
+        _check_counts(corpus, n_dk, n_kw, n_k, n_d, word_totals)
 
     vbeta = V * beta
+    # With one topic every draw would keep every token in topic 0.
     if K > 1:
         for _ in range(config.iterations):
             draws = rng.random(total_tokens)
@@ -319,8 +312,6 @@ def fit_lda(corpus: Corpus, config: LdaConfig,
                     n_k[k_new] += 1
             if check_counts:
                 _check_counts(corpus, n_dk, n_kw, n_k, n_d, word_totals)
-    elif check_counts:
-        _check_counts(corpus, n_dk, n_kw, n_k, n_d, word_totals)
 
     phi = (np.array(n_kw, dtype=np.float64) + beta)
     phi /= (np.array(n_k, dtype=np.float64) + vbeta)[:, None]

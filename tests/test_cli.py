@@ -291,6 +291,43 @@ class TestEvalCommand:
         assert rc == 3
         assert "must be a" in capsys.readouterr().err
 
+    def test_repeated_mapping_row_is_validation_error(self, evolution,
+                                                      tmp_path, capsys):
+        mapping_path = tmp_path / "mapping.json"
+        assert main(run_map_cmd(evolution, "--out", str(mapping_path))) == 0
+        doc = json.loads(mapping_path.read_text(encoding="utf-8"))
+        doc["mappings"][1] = dict(doc["mappings"][0])
+        mapping_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["eval", "--mapping", str(mapping_path),
+                   "--truth", str(evolution / "truth.json")])
+        assert rc == 3
+        assert "duplicate mapping row" in capsys.readouterr().err
+
+
+class TestInvalidUtf8:
+    """A file that must be UTF-8 but is not exits 3, not in a traceback."""
+
+    @pytest.mark.parametrize("which", ["mapping", "truth", "keywords"])
+    def test_invalid_utf8_is_validation_error(self, evolution, tmp_path,
+                                              capsys, which):
+        mapping_path = tmp_path / "mapping.json"
+        assert main(run_map_cmd(evolution, "--out", str(mapping_path))) == 0
+        bad = tmp_path / "bad"
+        bad.write_bytes(b'{"newer": "v\xff2"}\n')
+        capsys.readouterr()
+        if which == "keywords":
+            argv = ["topics", "--report", str(evolution / "older_report.json"),
+                    "--source", str(evolution / "older_src"),
+                    "--keywords", str(bad)]
+        else:
+            paths = {"mapping": mapping_path, "truth": evolution / "truth.json",
+                     which: bad}
+            argv = ["eval", "--mapping", str(paths["mapping"]),
+                    "--truth", str(paths["truth"])]
+        assert main(argv) == 3
+        assert "not valid UTF-8" in capsys.readouterr().err
+
 
 class TestSynthCommand:
     def test_zero_groups_is_config_error(self, tmp_path, capsys):
@@ -332,7 +369,8 @@ class TestTopicsCommand:
 
 
 class TestThreadsFlag:
-    """``--threads`` is accepted and ignored; only the config records it."""
+    """``map --threads`` is accepted and ignored; only the config records
+    it. ``topics`` has no such flag."""
 
     def test_map_output_does_not_depend_on_threads(self, evolution, capsys):
         for strategy in ("topic", "lcs"):
@@ -345,16 +383,13 @@ class TestThreadsFlag:
             assert docs[0]["unmatched_old"] == docs[1]["unmatched_old"], strategy
             assert [d["config"]["threads"] for d in docs] == [1, 4]
 
-    def test_topics_output_does_not_depend_on_threads(self, evolution, capsys):
-        docs = []
-        for threads in ("1", "4"):
-            assert main(["topics",
-                         "--report", str(evolution / "older_report.json"),
-                         "--source", str(evolution / "older_src"),
-                         "--threads", threads, "--format", "json"]) == 0
-            docs.append(json.loads(capsys.readouterr().out))
-        assert docs[0]["topics"] == docs[1]["topics"]
-        assert [d["config"]["threads"] for d in docs] == [1, 4]
+    def test_topics_rejects_threads(self, evolution, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["topics", "--report", str(evolution / "older_report.json"),
+                  "--source", str(evolution / "older_src"),
+                  "--threads", "1"])
+        assert exit_info.value.code == 2
+        assert "--threads" in capsys.readouterr().err
 
 
 # Values a mutation swaps in: other JSON types, path escapes, an integer

@@ -94,6 +94,12 @@ class TestScore:
         with pytest.raises(ValidationError):
             score([mk_mapping(0, 0)], truth)
 
+    def test_repeated_newer_group_rejected(self):
+        """Counting a repeated row twice would score this recall 1.0."""
+        truth = mk_truth({0: 0, 1: 1})
+        with pytest.raises(ValidationError, match="duplicate"):
+            score([mk_mapping(0, 0), mk_mapping(0, 0)], truth)
+
 
 class TestGroundTruthJson:
     def test_round_trip(self, tmp_path):
@@ -156,10 +162,10 @@ class TestGenerateEvolution:
         _, out, _ = self.run(tmp_path, group_count=6, p_unchanged=1.0,
                              p_type1=0.0, p_type2=0.0, p_type3=0.0, seed=3)
         fc = default_filter_config()
-        older = resolve_snapshot(parse_clone_report(
-            out / "older_report.json", source_root=out / "older_src"))
-        newer = resolve_snapshot(parse_clone_report(
-            out / "newer_report.json", source_root=out / "newer_src"))
+        older = resolve_snapshot(parse_clone_report(out / "older_report.json"),
+                                 out / "older_src")
+        newer = resolve_snapshot(parse_clone_report(out / "newer_report.json"),
+                                 out / "newer_src")
         truth = load_ground_truth(out / "truth.json")
         older_docs = build_documents(older, fc)
         newer_docs = build_documents(newer, fc)
@@ -170,10 +176,10 @@ class TestGenerateEvolution:
         _, out, _ = self.run(tmp_path, group_count=6, p_unchanged=0.0,
                              p_type1=1.0, p_type2=0.0, p_type3=0.0, seed=3)
         fc = default_filter_config()
-        older = resolve_snapshot(parse_clone_report(
-            out / "older_report.json", source_root=out / "older_src"))
-        newer = resolve_snapshot(parse_clone_report(
-            out / "newer_report.json", source_root=out / "newer_src"))
+        older = resolve_snapshot(parse_clone_report(out / "older_report.json"),
+                                 out / "older_src")
+        newer = resolve_snapshot(parse_clone_report(out / "newer_report.json"),
+                                 out / "newer_src")
         truth = load_ground_truth(out / "truth.json")
         older_docs = build_documents(older, fc)
         newer_docs = build_documents(newer, fc)
@@ -189,10 +195,10 @@ class TestGenerateEvolution:
         _, out, _ = self.run(tmp_path, group_count=6, p_unchanged=0.0,
                              p_type1=0.0, p_type2=1.0, p_type3=0.0, seed=3)
         fc = default_filter_config()
-        older = resolve_snapshot(parse_clone_report(
-            out / "older_report.json", source_root=out / "older_src"))
-        newer = resolve_snapshot(parse_clone_report(
-            out / "newer_report.json", source_root=out / "newer_src"))
+        older = resolve_snapshot(parse_clone_report(out / "older_report.json"),
+                                 out / "older_src")
+        newer = resolve_snapshot(parse_clone_report(out / "newer_report.json"),
+                                 out / "newer_src")
         truth = load_ground_truth(out / "truth.json")
         older_docs = build_documents(older, fc)
         newer_docs = build_documents(newer, fc)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,17 @@ class TestNativeJson:
         assert snap.version_id == "v1"
         assert len(snap.groups) == 2
 
+    def test_readme_example_parses(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```json\n(.*?)```",
+                            readme.read_text(encoding="utf-8"), re.S)
+        assert len(blocks) == 1
+        doc = json.loads(blocks[0])
+        snap = snapshot_from_dict(doc)
+        assert snapshot_to_dict(snap) == doc
+        texts = [f.text for f in snap.groups[0].fragments]
+        assert texts == [None, "x = y + 1;\nreturn x;"]
+
 
 class TestXmlAdapter:
     XML = """<clones version="1.2">
@@ -250,10 +262,10 @@ class TestTextResolution:
         for k in range(2):
             for m in range(2):
                 (tmp_path / f"g{k}_{m}.c").write_text("aa\nbb\n", encoding="utf-8")
-        snap = snapshot_from_dict(make_report(with_text=False),
-                                  source_root=tmp_path)
-        resolved = resolve_snapshot(snap)
-        assert all(g.resolved for g in resolved.groups)
+        snap = snapshot_from_dict(make_report(with_text=False))
+        resolved = resolve_snapshot(snap, tmp_path)
+        assert all(f.text is not None
+                   for g in resolved.groups for f in g.fragments)
         assert resolved.groups[0].fragments[0].text == "aa\nbb"
 
     @pytest.mark.parametrize("escape", ["../outside.c", "sub/../../outside.c",
@@ -269,9 +281,9 @@ class TestTextResolution:
             {"file": "inside.c", "start_line": 1, "end_line": 2},
             {"file": file, "start_line": 1, "end_line": 2},
         ]}]}
-        snap = snapshot_from_dict(report, source_root=root)
+        snap = snapshot_from_dict(report)
         with pytest.raises(ValidationError, match="outside the source root"):
-            resolve_snapshot(snap)
+            resolve_snapshot(snap, root)
         with pytest.raises(ValidationError, match="outside the source root"):
             resolve_fragment_text(snap.groups[0].fragments[1], root)
 
@@ -313,11 +325,10 @@ class TestTextResolution:
             {"index": 0, "fragments": [inside, inside]},
             {"index": 1, "fragments": [inside, link]},
         ]}
-        cached = snapshot_from_dict({"version": "v1", "groups": report["groups"][:1]},
-                                    source_root=root)
-        assert resolve_snapshot(cached).groups[0].fragments[1].text == "aa\nbb"
+        cached = snapshot_from_dict({"version": "v1", "groups": report["groups"][:1]})
+        assert resolve_snapshot(cached, root).groups[0].fragments[1].text == "aa\nbb"
         with pytest.raises(ValidationError, match="outside the source root"):
-            resolve_snapshot(snapshot_from_dict(report, source_root=root))
+            resolve_snapshot(snapshot_from_dict(report), root)
 
     @pytest.mark.parametrize("file", ["a\x00b.c", "a\ud800.c", "sub\x00/a.c",
                                       "sub\ud800/a.c"])
@@ -327,9 +338,9 @@ class TestTextResolution:
             {"file": "a.c", "start_line": 1, "end_line": 2},
             {"file": file, "start_line": 1, "end_line": 2},
         ]}]}
-        snap = snapshot_from_dict(report, source_root=tmp_path)
+        snap = snapshot_from_dict(report)
         with pytest.raises(ValidationError, match="not a valid path"):
-            resolve_snapshot(snap)
+            resolve_snapshot(snap, tmp_path)
 
     def test_report_carried_text_kept(self):
         snap = snapshot_from_dict(make_report(with_text=True))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clonemap import pipeline
+from clonemap import pipeline, topicmodel
 from clonemap.errors import ConfigError, EmptyDocumentError, ValidationError
 from clonemap.preprocess import TokenDocument
 from clonemap.similarity import Metric, score_matrix
@@ -111,10 +111,6 @@ class TestFitGroupTopic:
         assert t1.size == t2.size == 2
         assert dense_row(t1).tolist() == [1.0, 0.0]
         assert dense_row(t2).tolist() == [0.0, 1.0]
-
-    def test_k_above_one_rejected(self):
-        with pytest.raises(ConfigError):
-            fit_group_topic(doc(["a"]), config=LdaConfig(K=2))
 
     def test_independent_of_other_documents(self):
         d = doc(["a", "b", "b"], ref=("v", 0))
@@ -350,6 +346,23 @@ class TestFitLda:
         result = fit_lda(corpus, LdaConfig(K=1, iterations=10, seed=1))
         assert result.theta.shape == (2, 1)
         assert np.all(result.theta == 1.0)
+
+    @pytest.mark.parametrize("K,iterations,checks", [(1, 10, 1), (2, 3, 4)])
+    def test_check_counts_after_start_and_every_sweep(self, monkeypatch, K,
+                                                      iterations, checks):
+        """One check of the initial counts for every K, then one per
+        sweep; K=1 runs no sweep."""
+        calls = []
+        check = topicmodel._check_counts
+        monkeypatch.setattr(topicmodel, "_check_counts",
+                            lambda *args: calls.append(check(*args)))
+        corpus = build_corpus([doc(["a", "b", "a"]), doc(["b"]), doc([])])
+        config = LdaConfig(K=K, iterations=iterations, seed=1)
+        result = fit_lda(corpus, config, check_counts=True)
+        assert len(calls) == checks
+        unchecked = fit_lda(corpus, config)
+        assert np.array_equal(result.theta, unchecked.theta)
+        assert np.array_equal(result.phi, unchecked.phi)
 
     def test_k1_phi_is_smoothed_corpus_frequency(self):
         corpus = build_corpus([doc(["a", "a", "b"])])
