@@ -58,4 +58,4 @@ class CoverageError(CloneMapError):
 
 class CloneMapWarning(UserWarning):
     """Data-quality warning (never fatal): unterminated comments, filtered
-    groups, overlapping word lists, and similar conditions."""
+    groups, and similar conditions."""

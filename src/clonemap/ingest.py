@@ -14,7 +14,8 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import FragmentRangeError, ReportParseError, ValidationError, is_json_int
+from .errors import (FragmentRangeError, ReportParseError, ValidationError,
+                     is_json_int, read_utf8)
 
 
 @dataclass(frozen=True)
@@ -197,10 +198,6 @@ def snapshot_from_dict(doc: dict, version_id: str | None = None) -> VersionSnaps
         raw_frags = entry.get("fragments")
         if not isinstance(raw_frags, list):
             raise ReportParseError(f"groups[{pos}] is missing the 'fragments' array")
-        if len(raw_frags) < 2:
-            raise ValidationError(
-                f"clone group {index} has {len(raw_frags)} fragment(s); need >= 2"
-            )
         fragments = []
         for fpos, fentry in enumerate(raw_frags):
             if not isinstance(fentry, dict):
@@ -267,13 +264,8 @@ def _snapshot_from_xml(text: str, version_id: str | None) -> VersionSnapshot:
             raise ReportParseError(
                 f"<class id={declared!r}>: id is not an integer"
             ) from None
-        sources = class_el.findall("source")
-        if len(sources) < 2:
-            raise ValidationError(
-                f"clone group {index} has {len(sources)} fragment(s); need >= 2"
-            )
         fragments = []
-        for src in sources:
+        for src in class_el.findall("source"):
             file = src.get("file")
             start = src.get("startline")
             end = src.get("endline")
@@ -300,10 +292,11 @@ def parse_clone_report(report_path: Path | str,
 
     Format is chosen by suffix, falling back to content sniffing. The
     returned snapshot has unresolved fragment text except where the report
-    itself carried a "text" field.
+    itself carried a "text" field. A report that is not valid UTF-8 raises
+    ValidationError.
     """
     path = Path(report_path)
-    raw = path.read_text(encoding="utf-8", errors="replace")
+    raw = read_utf8(path)
     suffix = path.suffix.lower()
     looks_xml = suffix == ".xml" or (suffix != ".json" and raw.lstrip().startswith("<"))
     if looks_xml:

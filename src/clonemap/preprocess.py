@@ -2,12 +2,12 @@
 
 Filtering removes four categories of noise: comments, language keywords,
 programming boilerplate words, and English stop words. Word lists ship as
-plain-text package data and can be overridden per run.
+plain-text package data and can be overridden per run; the three lists act
+as one removal set.
 """
 
 from __future__ import annotations
 
-import os
 import re
 import string
 import warnings
@@ -18,8 +18,6 @@ from pathlib import Path
 
 from .errors import CloneMapWarning, read_utf8
 from .ingest import CloneGroup
-
-WORDLIST_DIR_ENV = "CLONEMAP_WORDLIST_DIR"
 
 # Words are runs of [A-Za-z0-9_]. This table turns every other byte into a
 # space; the UTF-8 bytes of any non-ASCII character (a lone surrogate too,
@@ -44,50 +42,16 @@ _STRIP_RE = re.compile(
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Token filtering rules: three removal word sets.
+    """Token filtering rules: one set of words to remove, stored lowercased;
+    removal is case-insensitive."""
 
-    The word sets are stored lowercased and mutually disjoint; removal is
-    case-insensitive.
-    """
+    words: frozenset[str]
 
-    language_keywords: frozenset[str]
-    programming_words: frozenset[str]
-    english_stopwords: frozenset[str]
-
-    @classmethod
-    def build(cls, language_keywords, programming_words,
-              english_stopwords) -> "FilterConfig":
-        """Lowercase the three word sets and make them disjoint.
-
-        Overlaps are kept in the earlier set (keywords win over programming
-        words, which win over stop words) and dropped from the later one,
-        with a warning naming the duplicates.
-        """
-        keywords = frozenset(w.lower() for w in language_keywords)
-        progwords = set(w.lower() for w in programming_words)
-        stopwords = set(w.lower() for w in english_stopwords)
-
-        dropped = sorted(progwords & keywords) + sorted(stopwords & (keywords | progwords))
-        if dropped:
-            warnings.warn(
-                "overlapping filter words kept in one set only: " + ", ".join(dropped),
-                CloneMapWarning,
-            )
-        progwords -= keywords
-        stopwords -= keywords | progwords
-        return cls(
-            language_keywords=keywords,
-            programming_words=frozenset(progwords),
-            english_stopwords=frozenset(stopwords),
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "words", frozenset(w.lower() for w in self.words))
 
     def removes(self, word: str) -> bool:
-        lowered = word.lower()
-        return (
-            lowered in self.language_keywords
-            or lowered in self.programming_words
-            or lowered in self.english_stopwords
-        )
+        return word.lower() in self.words
 
 
 @dataclass(frozen=True)
@@ -137,11 +101,6 @@ def _packaged_list(name: str) -> frozenset[str]:
 def _resolve_list(name: str, override: Path | str | None) -> frozenset[str]:
     if override is not None:
         return load_word_list(override)
-    env_dir = os.environ.get(WORDLIST_DIR_ENV)
-    if env_dir:
-        candidate = Path(env_dir) / name
-        if candidate.exists():
-            return load_word_list(candidate)
     return _packaged_list(name)
 
 
@@ -150,20 +109,18 @@ def default_filter_config(language: str = "union",
                           progwords_path: Path | str | None = None,
                           stopwords_path: Path | str | None = None,
                           ) -> FilterConfig:
-    """Load the shipped word lists for ``language`` ("c", "java", or anything
-    else for the union of both), honoring explicit path overrides first and
-    the CLONEMAP_WORDLIST_DIR directory second."""
+    """The union of three word lists: the keywords for ``language`` ("c",
+    "java", or anything else for both), the programming words and the
+    stop words. A path given for a list replaces the packaged one."""
     if keywords_path is not None:
         keywords = load_word_list(keywords_path)
-    elif language == "c":
-        keywords = _resolve_list("keywords_c.txt", None)
-    elif language == "java":
-        keywords = _resolve_list("keywords_java.txt", None)
+    elif language in ("c", "java"):
+        keywords = _packaged_list(f"keywords_{language}.txt")
     else:
-        keywords = _resolve_list("keywords_c.txt", None) | _resolve_list("keywords_java.txt", None)
-    progwords = _resolve_list("progwords.txt", progwords_path)
-    stopwords = _resolve_list("stopwords.txt", stopwords_path)
-    return FilterConfig.build(keywords, progwords, stopwords)
+        keywords = _packaged_list("keywords_c.txt") | _packaged_list("keywords_java.txt")
+    return FilterConfig(keywords
+                        | _resolve_list("progwords.txt", progwords_path)
+                        | _resolve_list("stopwords.txt", stopwords_path))
 
 
 def _blank(match: re.Match) -> str:
@@ -200,7 +157,7 @@ def _kept_word(raw: str, config: FilterConfig) -> str:
     """``raw`` lowercased, or "" when the filter drops it."""
     word = raw.lower()
     if (len(word) < _MIN_TOKEN_LENGTH or word[0].isdigit()
-            or config.removes(word)):
+            or word in config.words):
         return ""
     return word
 
@@ -210,7 +167,7 @@ def tokenize(text: str, config: FilterConfig) -> TokenDocument:
     removal rules.
 
     Tokens shorter than two characters, tokens starting with a digit
-    (numeric literals), and tokens in any removal set are dropped.
+    (numeric literals), and tokens in the removal set are dropped.
     Assumes comments are already stripped. Each distinct raw token is
     filtered once per call; repeats reuse it.
     """

@@ -328,6 +328,35 @@ class TestInvalidUtf8:
         assert main(argv) == 3
         assert "not valid UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["json", "xml"])
+    def test_invalid_utf8_report_is_validation_error(self, tmp_path, capsys,
+                                                     fmt):
+        """A report naming ``b\\xff.c`` is malformed input, even when a file
+        of that name exists: decoding the byte as U+FFFD would name a path
+        nobody wrote and exit with an I/O error."""
+        src = tmp_path / "src"
+        src.mkdir()
+        for name in (b"a.c", b"b\xff.c"):
+            with open(os.path.join(os.fsencode(src), name), "wb") as handle:
+                handle.write(b"int widget;\n")
+        if fmt == "json":
+            body = (b'{"version": "v1", "groups": [{"index": 0, "fragments": ['
+                    b'{"file": "a.c", "start_line": 1, "end_line": 1}, '
+                    b'{"file": "b\xff.c", "start_line": 1, "end_line": 1}]}]}')
+        else:
+            body = (b'<clones version="v1"><class id="0">'
+                    b'<source file="a.c" startline="1" endline="1"/>'
+                    b'<source file="b\xff.c" startline="1" endline="1"/>'
+                    b"</class></clones>")
+        report = tmp_path / f"report.{fmt}"
+        report.write_bytes(body)
+        offset = body.index(b"\xff")
+        rc = main(["topics", "--report", str(report), "--source", str(src)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"{report}: not valid UTF-8" in err
+        assert f"at byte {offset})" in err
+
 
 class TestSynthCommand:
     def test_zero_groups_is_config_error(self, tmp_path, capsys):

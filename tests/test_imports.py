@@ -122,6 +122,48 @@ def test_scan_finds_a_dead_private_name(tmp_path):
         "a.py:3: _ORPHAN", "a.py:6: _pair_sums", "a.py:8: _Entries"]
 
 
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(paths) -> list[str]:
+    """Places in ``paths`` that read the process environment: an attribute
+    named ``environ``/``getenv`` (``os.environ``, ``os.getenv``) or one of
+    those names imported from ``os``."""
+    found = []
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_NAMES:
+                found.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found.extend((path.name, node.lineno, alias.name)
+                             for alias in node.names
+                             if alias.name in ENVIRONMENT_NAMES)
+    return [f"{file}:{line}: {name}" for file, line, name in sorted(found)]
+
+
+def test_no_module_reads_the_environment():
+    """Every input that can move a verdict is a flag the artifact records
+    in its ``config``, so no module may read an environment variable."""
+    assert environment_reads(PACKAGE.glob("*.py")) == []
+
+
+def test_scan_finds_an_environment_read(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import os\n"
+        "import os as system\n"
+        "from os import getenv, path\n"
+        "environ = {}\n"
+        "def f(name):\n"
+        "    root = os.path.join(os.sep, name)\n"
+        "    return os.environ.get(name) or system.getenv(name) or environ\n",
+        encoding="utf-8",
+    )
+    assert environment_reads([module]) == [
+        "m.py:3: getenv", "m.py:7: environ", "m.py:7: getenv"]
+
+
 def test_every_exported_name_resolves():
     """A stale entry in ``__all__`` breaks ``from clonemap import *``."""
     missing = [name for name in clonemap.__all__ if not hasattr(clonemap, name)]

@@ -122,11 +122,20 @@ class TestNativeJson:
         with pytest.raises(ReportParseError):
             snapshot_from_dict({"groups": []})
 
-    def test_single_fragment_group_rejected_with_index(self):
-        doc = make_report()
-        doc["groups"][1]["fragments"] = doc["groups"][1]["fragments"][:1]
-        with pytest.raises(ValidationError, match="1"):
-            snapshot_from_dict(doc)
+    @pytest.mark.parametrize("fmt", ["json", "xml"])
+    def test_single_fragment_group_rejected_with_index(self, tmp_path, fmt):
+        if fmt == "json":
+            doc = make_report()
+            doc["groups"][1]["fragments"] = doc["groups"][1]["fragments"][:1]
+            text = json.dumps(doc)
+        else:
+            text = TestXmlAdapter.XML.replace(
+                '<source file="d.c" startline="2" endline="4"/>', "")
+        path = tmp_path / f"r.{fmt}"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError,
+                           match=r"clone group 1 has 1 fragment\(s\); need >= 2"):
+            parse_clone_report(path)
 
     @pytest.mark.parametrize("field,value", [
         ("index", False), ("index", True),

@@ -268,43 +268,50 @@ class TestTokenize:
 
 class TestFilterConfig:
     def test_shipped_lists_cover_the_named_words(self, config):
-        assert {"for", "return", "class"} <= config.language_keywords
-        assert {"main", "arg", "util"} <= config.programming_words
-        assert {"the", "it", "on"} <= config.english_stopwords
+        assert {"for", "return", "class"} <= config.words
+        assert {"main", "arg", "util"} <= config.words
+        assert {"the", "it", "on"} <= config.words
 
     def test_java_list_has_class(self):
         cfg = default_filter_config(language="java")
-        assert "class" in cfg.language_keywords
+        assert "class" in cfg.words
 
     def test_union_covers_both(self):
         c = default_filter_config(language="c")
         j = default_filter_config(language="java")
         u = default_filter_config(language="union")
-        assert c.language_keywords | j.language_keywords == u.language_keywords
+        assert c.words | j.words == u.words
 
-    def test_shipped_sets_are_disjoint(self, config):
-        assert not config.language_keywords & config.programming_words
-        assert not config.language_keywords & config.english_stopwords
-        assert not config.programming_words & config.english_stopwords
-
-    def test_overlaps_deduplicated_with_warning(self):
-        with pytest.warns(CloneMapWarning, match="overlap"):
-            cfg = FilterConfig.build({"for", "x"}, {"x", "y"}, {"y", "z", "for"})
-        assert cfg.language_keywords == {"for", "x"}
-        assert cfg.programming_words == {"y"}
-        assert cfg.english_stopwords == {"z"}
+    def test_mixed_case_words_removed_case_insensitively(self):
+        cfg = FilterConfig(frozenset({"Widget", "GADGET", "for"}))
+        assert cfg.words == {"widget", "gadget", "for"}
+        assert all(cfg.removes(w) for w in ("widget", "WIDGET", "Gadget", "FOR"))
+        assert not cfg.removes("gizmo")
+        doc = tokenize("WIDGET gadget For gizmo Gizmo", cfg)
+        assert doc.tokens == ("gizmo", "gizmo")
 
     def test_custom_list_files(self, tmp_path):
+        """A --keywords file replaces the keyword list only; the packaged
+        programming-word and stop-word lists still apply."""
         kw = tmp_path / "kw.txt"
-        kw.write_text("# a comment\nfoo\nbar\n", encoding="utf-8")
+        kw.write_text("# a comment\nfoo\nBar\n", encoding="utf-8")
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
         cfg = default_filter_config(keywords_path=kw)
-        assert cfg.language_keywords == {"foo", "bar"}
+        rest = default_filter_config(keywords_path=empty)
+        assert cfg.words == rest.words | {"foo", "bar"}
+        assert {"main", "the"} <= rest.words
+        assert not {"for", "return", "class"} & cfg.words
 
     def test_wordlist_dir_env(self, tmp_path, monkeypatch):
+        """CLONEMAP_WORDLIST_DIR is not read: no artifact records it, so
+        word lists come from the flags alone."""
         (tmp_path / "stopwords.txt").write_text("zzz\n", encoding="utf-8")
+        before = default_filter_config(language="c")
         monkeypatch.setenv("CLONEMAP_WORDLIST_DIR", str(tmp_path))
-        cfg = default_filter_config(language="c")
-        assert cfg.english_stopwords == {"zzz"}
+        after = default_filter_config(language="c")
+        assert after == before
+        assert "zzz" not in after.words and "the" in after.words
 
 
 class TestBuildGroupDocument:
