@@ -21,6 +21,7 @@ from .preprocess import default_filter_config
 from .pipeline import (
     artifact_header,
     build_documents,
+    canonical_json,
     run_map,
     topic_dump_entries,
     write_json_artifact,
@@ -160,6 +161,18 @@ def _print_table(text: str) -> None:
     print(text.encode(encoding, "backslashreplace").decode(encoding))
 
 
+def _emit(args, payload: dict, render_table) -> int:
+    """Write the artifact to ``--out`` when one is given, then print it:
+    as canonical JSON, or as the table ``render_table(payload)``."""
+    if args.out:
+        write_json_artifact(args.out, payload)
+    if args.format == "json":
+        sys.stdout.write(canonical_json(payload))
+    else:
+        _print_table(render_table(payload))
+    return 0
+
+
 def _render_map_table(result: dict) -> str:
     scorer = ("lcs" if result.get("strategy") == "lcs"
               else f"metric {result['metric']}")
@@ -211,13 +224,7 @@ def cmd_map(args) -> int:
         dump_topics_path=args.dump_topics,
         run_config=run_config,
     )
-    if args.out:
-        write_json_artifact(args.out, result)
-    if args.format == "json":
-        print(json.dumps(result, indent=2, sort_keys=True))
-    else:
-        _print_table(_render_map_table(result))
-    return 0
+    return _emit(args, result, _render_map_table)
 
 
 def _mappings_from_artifact(doc: dict) -> list[GroupMapping]:
@@ -250,6 +257,16 @@ def _mappings_from_artifact(doc: dict) -> list[GroupMapping]:
     return out
 
 
+def _render_eval_table(payload: dict) -> str:
+    return "\n".join([
+        f"correct    {payload['correct']}",
+        f"discovered {payload['discovered']}",
+        f"actual     {payload['actual']}",
+        f"precision  {payload['precision']:.6g}",
+        f"recall     {payload['recall']:.6g}",
+    ])
+
+
 def cmd_eval(args) -> int:
     mapping_doc = json.loads(read_utf8(args.mapping))
     truth = load_ground_truth(args.truth)
@@ -265,17 +282,7 @@ def cmd_eval(args) -> int:
             "truth": args.truth,
         }),
     }
-    if args.out:
-        write_json_artifact(args.out, payload)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"correct    {report.correct}")
-        print(f"discovered {report.discovered}")
-        print(f"actual     {report.actual}")
-        print(f"precision  {report.precision:.6g}")
-        print(f"recall     {report.recall:.6g}")
-    return 0
+    return _emit(args, payload, _render_eval_table)
 
 
 def cmd_synth(args) -> int:
@@ -292,9 +299,19 @@ def cmd_synth(args) -> int:
         birth_fraction=args.births,
         seed=args.seed,
     )
-    manifest = generate_evolution(config, args.out)
-    print(json.dumps(manifest, indent=2, sort_keys=True))
+    sys.stdout.write(canonical_json(generate_evolution(config, args.out)))
     return 0
+
+
+def _render_topics_table(payload: dict) -> str:
+    lines = []
+    for entry in payload["topics"]:
+        lines.append(f"group {entry['group']} of {entry['version']} "
+                     f"({entry['total_tokens']} tokens)")
+        for row in entry["words"]:
+            lines.append(f"  {row['word']:<28}{row['count']:>5}  "
+                         f"{row['weight']:.10g}")
+    return "\n".join(lines)
 
 
 def cmd_topics(args) -> int:
@@ -310,20 +327,7 @@ def cmd_topics(args) -> int:
             "filters": _filter_run_config(args),
         }),
     }
-    if args.out:
-        write_json_artifact(args.out, payload)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        lines = []
-        for entry in entries:
-            lines.append(f"group {entry['group']} of {entry['version']} "
-                         f"({entry['total_tokens']} tokens)")
-            for row in entry["words"]:
-                lines.append(f"  {row['word']:<28}{row['count']:>5}  "
-                             f"{row['weight']:.10g}")
-        _print_table("\n".join(lines))
-    return 0
+    return _emit(args, payload, _render_topics_table)
 
 
 def main(argv=None) -> int:

@@ -10,13 +10,16 @@ a given seed.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import re
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import ConfigError, CoverageError, ValidationError, is_json_int, read_utf8
+from .ingest import CloneFragment, CloneGroup, VersionSnapshot, snapshot_to_dict
 from .mapping import GroupMapping
 from .pipeline import artifact_header, write_json_artifact
 
@@ -173,6 +176,9 @@ class SynthConfig:
     seed: int = 42
 
     def __post_init__(self):
+        # random.Random seeds with |seed|, so -3 would repeat the fixture of 3.
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.group_count < 1:
             raise ConfigError(f"group_count must be >= 1, got {self.group_count}")
         lo, hi = self.fragments_per_group
@@ -223,63 +229,39 @@ class SynthConfig:
         return self.group_count - self.death_count
 
 
-class _IdentifierPool:
+def _identifiers(rng: random.Random) -> Iterator[str]:
     """Deterministic stream of unique snake_case identifiers.
 
-    Adjective-noun compounds first, numbered variants once those run out.
-    The words avoid the shipped filter lists, and the compounds are single
-    tokens under the default no-split tokenizer.
+    Adjective-noun compounds first, in one shuffled order, then numbered
+    variants of them in the same order. The words avoid the shipped filter
+    lists, and the compounds are single tokens under the default no-split
+    tokenizer. The shuffle runs at the first draw.
     """
-
-    def __init__(self, rng: random.Random):
-        base = [f"{a}_{n}" for a in _ADJECTIVES for n in _NOUNS]
-        rng.shuffle(base)
-        self._base = base
-        self._pos = 0
-        self._suffix = 1
-
-    def take(self, count: int) -> list[str]:
-        out = []
-        while len(out) < count:
-            if self._pos < len(self._base):
-                out.append(self._base[self._pos])
-                self._pos += 1
-            else:
-                idx = (self._pos - len(self._base)) % len(self._base)
-                out.append(f"{self._base[idx]}{self._suffix}")
-                self._pos += 1
-                if idx == len(self._base) - 1:
-                    self._suffix += 1
-        return out
+    base = [f"{a}_{n}" for a in _ADJECTIVES for n in _NOUNS]
+    rng.shuffle(base)
+    yield from base
+    for suffix in itertools.count(1):
+        yield from (f"{word}{suffix}" for word in base)
 
 
-class _IdCycler:
-    """Hand out a group's identifiers in shuffled round-robin order.
+def _cycled(ids: list[str], rng: random.Random) -> Iterator[str]:
+    """A group's identifiers in shuffled round-robin order.
 
     Keeps per-identifier usage counts within one of each other, so the
     group's topic stays roughly uniform over its vocabulary.
     """
-
-    def __init__(self, ids: list[str], rng: random.Random):
-        self._ids = list(ids)
-        self._rng = rng
-        self._pos = len(self._ids)
-
-    def take(self) -> str:
-        if self._pos >= len(self._ids):
-            self._rng.shuffle(self._ids)
-            self._pos = 0
-        word = self._ids[self._pos]
-        self._pos += 1
-        return word
+    ids = list(ids)
+    while True:
+        rng.shuffle(ids)
+        yield from ids
 
 
-def _make_line(rng: random.Random, cycler: _IdCycler) -> str:
+def _make_line(rng: random.Random, cycler: Iterator[str]) -> str:
     template = rng.choice(_TEMPLATES)
     slots = {}
     for name in ("a", "b", "c"):
         if "{" + name + "}" in template:
-            slots[name] = cycler.take()
+            slots[name] = next(cycler)
     return template.format(**slots)
 
 
@@ -295,14 +277,14 @@ def _mutate_type1(lines: list[str], rng: random.Random) -> list[str]:
 
 
 def _mutate_type2(lines: list[str], rng: random.Random, vocab: list[str],
-                  pool: _IdentifierPool) -> list[str]:
+                  identifiers: Iterator[str]) -> list[str]:
     old = rng.choice(vocab)
-    new = pool.take(1)[0]
+    new = next(identifiers)
     pattern = re.compile(rf"\b{re.escape(old)}\b")
     return [pattern.sub(new, line) for line in lines]
 
 
-def _mutate_type3(lines: list[str], rng: random.Random, cycler: _IdCycler,
+def _mutate_type3(lines: list[str], rng: random.Random, cycler: Iterator[str],
                   fraction_range: tuple[float, float]) -> list[str]:
     out = list(lines)
     fraction = rng.uniform(*fraction_range)
@@ -320,6 +302,35 @@ def _mutate_type3(lines: list[str], rng: random.Random, cycler: _IdCycler,
     return out
 
 
+def _fresh_group(config: SynthConfig, rng: random.Random,
+                 identifiers: Iterator[str],
+                 ) -> tuple[list[str], Iterator[str], list[str], int]:
+    """A new group: its vocabulary, the cycler over it, its lines and its
+    fragment count."""
+    vocab = list(itertools.islice(identifiers, VOCAB_PER_GROUP))
+    cycler = _cycled(vocab, rng)
+    lines = [_make_line(rng, cycler)
+             for _ in range(rng.randint(*config.lines_per_fragment))]
+    return vocab, cycler, lines, rng.randint(*config.fragments_per_group)
+
+
+def _write_version(root: Path, version: str,
+                   groups: list[tuple[list[str], int]]) -> VersionSnapshot:
+    """Write each group's lines to its fragment files under ``root``; the
+    snapshot that reports them."""
+    root.mkdir(parents=True, exist_ok=True)
+    snapshot_groups = []
+    for index, (lines, frag_count) in enumerate(groups):
+        text = "\n".join(lines) + "\n"
+        fragments = []
+        for m in range(frag_count):
+            name = f"group{index:03d}_frag{m}.c"
+            (root / name).write_text(text, encoding="utf-8")
+            fragments.append(CloneFragment(name, 1, len(lines)))
+        snapshot_groups.append(CloneGroup(index, tuple(fragments)))
+    return VersionSnapshot(version, tuple(snapshot_groups))
+
+
 def generate_evolution(config: SynthConfig, out_dir: Path | str) -> dict:
     """Emit an older/newer source tree pair with reports and ground truth.
 
@@ -331,92 +342,43 @@ def generate_evolution(config: SynthConfig, out_dir: Path | str) -> dict:
     """
     out = Path(out_dir)
     rng = random.Random(config.seed)
-    pool = _IdentifierPool(rng)
-
-    older_groups = []
-    for _ in range(config.group_count):
-        vocab = pool.take(VOCAB_PER_GROUP)
-        cycler = _IdCycler(vocab, rng)
-        line_count = rng.randint(*config.lines_per_fragment)
-        base = [_make_line(rng, cycler) for _ in range(line_count)]
-        frag_count = rng.randint(*config.fragments_per_group)
-        older_groups.append(
-            {"vocab": vocab, "cycler": cycler, "lines": base, "frags": frag_count}
-        )
+    identifiers = _identifiers(rng)
+    older_groups = [_fresh_group(config, rng, identifiers)
+                    for _ in range(config.group_count)]
 
     death_set = set(rng.sample(range(config.group_count), config.death_count))
     kinds = ("unchanged", "type1", "type2", "type3")
     weights = (config.p_unchanged, config.p_type1, config.p_type2,
                config.p_type3)
 
+    # (older index or None, lines, fragment count) per newer group.
     newer_entries = []
-    for k in range(config.group_count):
+    for k, (vocab, cycler, lines, frag_count) in enumerate(older_groups):
         if k in death_set:
             continue
-        group = older_groups[k]
         kind = rng.choices(kinds, weights=weights)[0]
-        if kind == "unchanged":
-            lines = list(group["lines"])
-        elif kind == "type1":
-            lines = _mutate_type1(group["lines"], rng)
+        if kind == "type1":
+            lines = _mutate_type1(lines, rng)
         elif kind == "type2":
-            lines = _mutate_type2(group["lines"], rng, group["vocab"], pool)
-        else:
-            lines = _mutate_type3(group["lines"], rng, group["cycler"],
+            lines = _mutate_type2(lines, rng, vocab, identifiers)
+        elif kind == "type3":
+            lines = _mutate_type3(lines, rng, cycler,
                                   config.type3_edit_fraction)
-        newer_entries.append(
-            {"old": k, "kind": kind, "lines": lines, "frags": group["frags"]}
-        )
+        newer_entries.append((k, lines, frag_count))
     for _ in range(config.birth_count):
-        vocab = pool.take(VOCAB_PER_GROUP)
-        cycler = _IdCycler(vocab, rng)
-        line_count = rng.randint(*config.lines_per_fragment)
-        lines = [_make_line(rng, cycler) for _ in range(line_count)]
-        frag_count = rng.randint(*config.fragments_per_group)
-        newer_entries.append(
-            {"old": None, "kind": "birth", "lines": lines, "frags": frag_count}
-        )
+        _, _, lines, frag_count = _fresh_group(config, rng, identifiers)
+        newer_entries.append((None, lines, frag_count))
     rng.shuffle(newer_entries)
 
-    written: list[str] = []
-
-    def write_tree(dirname: str, version: str, entries) -> dict:
-        root = out / dirname
-        root.mkdir(parents=True, exist_ok=True)
-        groups = []
-        for index, entry in enumerate(entries):
-            fragments = []
-            text = "\n".join(entry["lines"]) + "\n"
-            for m in range(entry["frags"]):
-                name = f"group{index:03d}_frag{m}.c"
-                (root / name).write_text(text, encoding="utf-8")
-                written.append(f"{dirname}/{name}")
-                fragments.append(
-                    {"file": name, "start_line": 1,
-                     "end_line": len(entry["lines"])}
-                )
-            groups.append({"index": index, "fragments": fragments})
-        return {"version": version, "groups": groups}
-
-    older_report = write_tree(
-        "older_src", "v1",
-        [{"lines": g["lines"], "frags": g["frags"]} for g in older_groups],
-    )
-    newer_report = write_tree("newer_src", "v2", newer_entries)
-
-    truth = {
-        "newer": "v2",
-        "older": "v1",
-        "pairs": [
-            {"new": i, "old": entry["old"]}
-            for i, entry in enumerate(newer_entries)
-        ],
-    }
-
-    write_json_artifact(out / "older_report.json", older_report)
-    write_json_artifact(out / "newer_report.json", newer_report)
-    write_json_artifact(out / "truth.json", truth)
-    written.extend(["older_report.json", "newer_report.json", "truth.json"])
+    older = _write_version(out / "older_src", "v1",
+                           [(lines, frags) for _, _, lines, frags in older_groups])
+    newer = _write_version(out / "newer_src", "v2",
+                           [(lines, frags) for _, lines, frags in newer_entries])
+    truth = GroundTruth(newer_version="v2", older_version="v1",
+                        pairs={i: old for i, (old, _, _) in enumerate(newer_entries)})
+    write_json_artifact(out / "older_report.json", snapshot_to_dict(older))
+    write_json_artifact(out / "newer_report.json", snapshot_to_dict(newer))
+    write_json_artifact(out / "truth.json", truth.to_dict())
 
     manifest = {
         "outputs": {
@@ -426,7 +388,12 @@ def generate_evolution(config: SynthConfig, out_dir: Path | str) -> dict:
             "newer_source_root": "newer_src",
             "truth": "truth.json",
         },
-        "files": sorted(written),
+        "files": sorted(
+            [f"{dirname}/{frag.file}"
+             for dirname, snapshot in (("older_src", older), ("newer_src", newer))
+             for group in snapshot.groups for frag in group.fragments]
+            + ["older_report.json", "newer_report.json", "truth.json"]
+        ),
         **artifact_header(asdict(config)),
     }
     write_json_artifact(out / "manifest.json", manifest)

@@ -177,11 +177,11 @@ def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None =
     return VersionSnapshot(version_id=snapshot.version_id, groups=tuple(groups))
 
 
-def snapshot_from_dict(doc: dict, version_id: str | None = None) -> VersionSnapshot:
+def snapshot_from_dict(doc: dict) -> VersionSnapshot:
     """Build a snapshot from a native-schema report object."""
     if not isinstance(doc, dict):
         raise ReportParseError(f"report root must be an object, got {type(doc).__name__}")
-    version = version_id if version_id is not None else doc.get("version")
+    version = doc.get("version")
     if not isinstance(version, str) or not version:
         raise ReportParseError("report is missing a non-empty 'version' string")
     raw_groups = doc.get("groups")
@@ -243,17 +243,17 @@ def snapshot_to_dict(snapshot: VersionSnapshot) -> dict:
     return {"version": snapshot.version_id, "groups": groups}
 
 
-def _snapshot_from_xml(text: str, version_id: str | None) -> VersionSnapshot:
+def _snapshot_from_xml(text: str) -> VersionSnapshot:
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:
         raise ReportParseError(f"malformed XML report: {exc}") from exc
     if root.tag != "clones":
         raise ReportParseError(f"unexpected XML root <{root.tag}>, expected <clones>")
-    if version_id is None:
-        version_id = root.get("version")
+    version_id = root.get("version")
     if not version_id:
-        raise ReportParseError("XML report carries no version; pass version_id explicitly")
+        raise ReportParseError("XML report carries no version: the <clones> "
+                               "root needs a 'version' attribute")
 
     groups = []
     for pos, class_el in enumerate(root.findall("class")):
@@ -286,8 +286,7 @@ def _snapshot_from_xml(text: str, version_id: str | None) -> VersionSnapshot:
     return VersionSnapshot(version_id=version_id, groups=tuple(groups))
 
 
-def parse_clone_report(report_path: Path | str,
-                       version_id: str | None = None) -> VersionSnapshot:
+def parse_clone_report(report_path: Path | str) -> VersionSnapshot:
     """Parse a clone report file (native JSON or the XML adapter).
 
     Format is chosen by suffix, falling back to content sniffing. The
@@ -300,11 +299,11 @@ def parse_clone_report(report_path: Path | str,
     suffix = path.suffix.lower()
     looks_xml = suffix == ".xml" or (suffix != ".json" and raw.lstrip().startswith("<"))
     if looks_xml:
-        return _snapshot_from_xml(raw, version_id)
+        return _snapshot_from_xml(raw)
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ReportParseError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    return snapshot_from_dict(doc, version_id=version_id)
+    return snapshot_from_dict(doc)

@@ -81,15 +81,18 @@ def topic_dump_entries(version_id: str,
     return entries
 
 
-def write_json_artifact(path: Path | str, payload: dict) -> None:
-    """Canonical JSON serialization: sorted keys, two-space indent.
+def canonical_json(payload: dict) -> str:
+    """Canonical JSON text: sorted keys, two-space indent, one final newline.
 
-    Identical payloads produce byte-identical files; nothing time- or
+    Identical payloads give identical text; nothing time- or
     path-dependent belongs in the payload.
     """
-    Path(path).write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_json_artifact(path: Path | str, payload: dict) -> None:
+    """Write ``canonical_json(payload)`` to ``path`` as UTF-8."""
+    Path(path).write_text(canonical_json(payload), encoding="utf-8")
 
 
 def artifact_header(config: dict | None = None) -> dict:

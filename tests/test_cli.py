@@ -375,6 +375,53 @@ class TestSynthCommand:
         manifest = json.loads(capsys.readouterr().out)
         assert len(manifest["outputs"]) == 5
 
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        """``random.Random`` seeds with |n|, so ``--seed -3`` would write
+        the fixture of ``--seed 3`` under another recorded seed."""
+        out = tmp_path / "x"
+        rc = main(["synth", "--out", str(out), "--groups", "4",
+                   "--seed", "-3"])
+        assert rc == 2
+        assert "seed must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestJsonStdoutIsTheArtifact:
+    """``--format json`` prints exactly the bytes ``--out`` writes, and
+    ``synth`` prints exactly the bytes of ``manifest.json``."""
+
+    def assert_stdout_is(self, argv, path, capsys):
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode("utf-8") == path.read_bytes()
+
+    def test_map(self, evolution, tmp_path, capsys):
+        out = tmp_path / "mapping.json"
+        self.assert_stdout_is(run_map_cmd(evolution, "--out", str(out)), out,
+                              capsys)
+
+    def test_eval(self, evolution, tmp_path, capsys):
+        mapping_path = tmp_path / "mapping.json"
+        assert main(run_map_cmd(evolution, "--out", str(mapping_path))) == 0
+        out = tmp_path / "eval.json"
+        self.assert_stdout_is(
+            ["eval", "--mapping", str(mapping_path),
+             "--truth", str(evolution / "truth.json"),
+             "--format", "json", "--out", str(out)], out, capsys)
+
+    def test_topics(self, evolution, tmp_path, capsys):
+        out = tmp_path / "topics.json"
+        self.assert_stdout_is(
+            ["topics", "--report", str(evolution / "newer_report.json"),
+             "--source", str(evolution / "newer_src"),
+             "--format", "json", "--out", str(out)], out, capsys)
+
+    def test_synth(self, tmp_path, capsys):
+        out = tmp_path / "evo"
+        self.assert_stdout_is(
+            ["synth", "--out", str(out), "--groups", "6", "--deaths", "0.2",
+             "--births", "0.2"], out / "manifest.json", capsys)
+
 
 class TestTopicsCommand:
     def test_dump_for_single_report(self, evolution, tmp_path, capsys):
@@ -395,6 +442,18 @@ class TestTopicsCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "group 0 of v1" in out
+
+    def test_versionless_xml_report_is_parse_error(self, tmp_path, capsys):
+        report = tmp_path / "r.xml"
+        report.write_text(
+            '<clones><class id="0">'
+            '<source file="a.c" startline="1" endline="1"/>'
+            '<source file="b.c" startline="1" endline="1"/>'
+            '</class></clones>', encoding="utf-8")
+        rc = main(["topics", "--report", str(report)])
+        assert rc == 3
+        assert ("XML report carries no version: the <clones> root needs a "
+                "'version' attribute" in capsys.readouterr().err)
 
 
 class TestThreadsFlag:

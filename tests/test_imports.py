@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used or marked as kept,
-every private module-level name is used, and every name the package
+every private module-level name is used, no module reads the environment
+or writes JSON text outside ``pipeline``, and every name the package
 exports resolves."""
 
 import ast
@@ -162,6 +163,50 @@ def test_scan_finds_an_environment_read(tmp_path):
     )
     assert environment_reads([module]) == [
         "m.py:3: getenv", "m.py:7: environ", "m.py:7: getenv"]
+
+
+JSON_WRITERS = {"dump", "dumps"}
+
+
+def json_writes(paths) -> list[str]:
+    """Places in ``paths`` that write JSON text: an attribute named
+    ``dump``/``dumps`` (``json.dumps``) or one of those names imported
+    from ``json``."""
+    found = []
+    for path in sorted(paths):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in JSON_WRITERS:
+                found.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                found.extend((path.name, node.lineno, alias.name)
+                             for alias in node.names
+                             if alias.name in JSON_WRITERS)
+    return [f"{file}:{line}: {name}" for file, line, name in sorted(found)]
+
+
+def test_only_pipeline_writes_json_text():
+    """Every artifact and every JSON stdout goes through
+    ``pipeline.canonical_json``, so no other module may call ``json.dumps``."""
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "pipeline.py"]
+    assert json_writes(paths) == []
+    assert json_writes([PACKAGE / "pipeline.py"]) != []
+
+
+def test_scan_finds_a_json_write(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import json\n"
+        "import json as codec\n"
+        "from json import dumps, loads\n"
+        "def f(doc, handle):\n"
+        "    text = json.loads(json.dumps(doc))\n"
+        "    codec.dump(doc, handle)\n"
+        "    return dumps(loads(text))\n",
+        encoding="utf-8",
+    )
+    assert json_writes([module]) == [
+        "m.py:3: dumps", "m.py:5: dumps", "m.py:6: dump"]
 
 
 def test_every_exported_name_resolves():

@@ -196,12 +196,6 @@ class TestXmlAdapter:
         assert snap.groups[0].fragments[1].file == "b.c"
         assert snap.groups[0].fragments[1].start_line == 10
 
-    def test_version_override(self, tmp_path):
-        path = tmp_path / "r.xml"
-        path.write_text(self.XML, encoding="utf-8")
-        snap = parse_clone_report(path, version_id="2.0")
-        assert snap.version_id == "2.0"
-
     def test_wrong_root_rejected(self, tmp_path):
         path = tmp_path / "r.xml"
         path.write_text("<stuff/>", encoding="utf-8")
