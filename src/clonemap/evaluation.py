@@ -179,6 +179,14 @@ class SynthConfig:
         # random.Random seeds with |seed|, so -3 would repeat the fixture of 3.
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        counts = {"group_count": (self.group_count,),
+                  "fragments_per_group": self.fragments_per_group,
+                  "lines_per_fragment": self.lines_per_fragment}
+        for name, values in counts.items():
+            if not all(is_json_int(v) for v in values):
+                raise ConfigError(
+                    f"{name} must be integers, got {getattr(self, name)!r}"
+                )
         if self.group_count < 1:
             raise ConfigError(f"group_count must be >= 1, got {self.group_count}")
         lo, hi = self.fragments_per_group
@@ -338,9 +346,12 @@ def generate_evolution(config: SynthConfig, out_dir: Path | str) -> dict:
     its own file. Survivor groups mutate per the configured mix; dead groups
     vanish from the newer version and births appear with fresh vocabulary.
     Returns the manifest (also written to manifest.json), with all paths
-    relative to ``out_dir``.
+    relative to ``out_dir``, which must be missing or empty.
     """
     out = Path(out_dir)
+    # Files left by an earlier run would sit beside ones the manifest lists.
+    if out.is_dir() and any(out.iterdir()):
+        raise ConfigError(f"output directory {out} is not empty")
     rng = random.Random(config.seed)
     identifiers = _identifiers(rng)
     older_groups = [_fresh_group(config, rng, identifiers)

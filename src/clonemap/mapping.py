@@ -91,6 +91,14 @@ def _assign(scores: np.ndarray, empty_rows, newer_id: str, older_id: str,
     ``(older_id, j)``. ``empty_rows[i]`` marks a newer group whose document
     came out empty; it maps to null with a warning. Ties go to the lowest
     older index.
+
+    With ``config.enforce_injective`` each older group goes to at most one
+    newer group, settled by an auction in rounds. Each pending newer group
+    claims its best unclaimed older group; each claimed older group goes to
+    its highest-scoring claimant, ties to the lowest newer index, and the
+    losers claim again in the next round. A newer group whose best
+    unclaimed score is below ``delta`` maps to null with that score, or
+    with 0.0 once every older group is taken. ``scores`` is only read.
     """
     n_new, n_old = scores.shape
     mappings: dict[int, GroupMapping] = {}
@@ -116,31 +124,37 @@ def _assign(scores: np.ndarray, empty_rows, newer_id: str, older_id: str,
             mappings[i] = GroupMapping((newer_id, i), old, best)
         return [mappings[i] for i in range(n_new)]
 
-    # Injective auction: contested old groups go to the highest-scoring
-    # claimant (ties to the lowest new index); losers retry against the
-    # still-unclaimed old groups until every contender settles.
-    score_rows = scores.tolist()
-    available = set(range(n_old))
-    pending = list(contenders)
-    while pending:
-        claims: dict[int, list[int]] = {}
-        for i in pending:
-            row = score_rows[i]
-            best, neg_j = max(((row[j], -j) for j in available),
-                              default=(0.0, 0))
-            if available and best >= config.delta:
-                claims.setdefault(-neg_j, []).append(i)
-            else:
-                mappings[i] = GroupMapping((newer_id, i), None, best)
-        next_pending = []
-        for j, claimants in claims.items():
-            winner = max(claimants, key=lambda i: (score_rows[i][j], -i))
-            mappings[winner] = GroupMapping(
-                (newer_id, winner), (older_id, j), score_rows[winner][j]
-            )
-            available.discard(j)
-            next_pending.extend(i for i in claimants if i != winner)
-        pending = next_pending
+    # One round is one argmax over the pending rows, with every taken
+    # column at -inf (-inf everywhere once all are taken, hence the 0.0
+    # null); np.argmax returns the first maximum, the lowest older index.
+    # One lexsort by (column, -score, row) puts each claimed column's
+    # winner first. A round copies only its pending rows, and round 1 with
+    # no empty row copies none, so the auction holds at most one (N, M)
+    # array beside ``scores``.
+    taken = np.zeros(n_old, dtype=bool)
+    pending = np.asarray(contenders, dtype=np.intp)
+    while pending.size:
+        if pending.size == n_new:  # round 1 with no empty row: none taken
+            block = scores
+        else:
+            block = scores[pending]
+            block[:, taken] = -np.inf
+        cols = block.argmax(axis=1)
+        best = block[np.arange(pending.size), cols]
+        claims = best >= config.delta
+        for i, s in zip(pending[~claims].tolist(), best[~claims].tolist()):
+            mappings[i] = GroupMapping((newer_id, i), None,
+                                       s if s > -np.inf else 0.0)
+        rows, cols, best = pending[claims], cols[claims], best[claims]
+        order = np.lexsort((rows, -best, cols))
+        rows, cols, best = rows[order], cols[order], best[order]
+        wins = np.ones(rows.size, dtype=bool)
+        wins[1:] = cols[1:] != cols[:-1]
+        for i, j, s in zip(rows[wins].tolist(), cols[wins].tolist(),
+                           best[wins].tolist()):
+            mappings[i] = GroupMapping((newer_id, i), (older_id, j), s)
+        taken[cols[wins]] = True
+        pending = rows[~wins]
     return [mappings[i] for i in range(n_new)]
 
 

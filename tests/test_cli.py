@@ -386,6 +386,19 @@ class TestSynthCommand:
         assert not out.exists()
 
 
+    def test_non_empty_out_is_config_error(self, tmp_path, capsys):
+        """A second run into one directory would leave the first run's
+        files beside the ones its manifest lists."""
+        out = tmp_path / "x"
+        out.mkdir()
+        assert main(["synth", "--out", str(out), "--groups", "20"]) == 0
+        before = sorted(out.rglob("*"))
+        capsys.readouterr()
+        assert main(["synth", "--out", str(out), "--groups", "4"]) == 2
+        assert "is not empty" in capsys.readouterr().err
+        assert sorted(out.rglob("*")) == before
+
+
 class TestJsonStdoutIsTheArtifact:
     """``--format json`` prints exactly the bytes ``--out`` writes, and
     ``synth`` prints exactly the bytes of ``manifest.json``."""

@@ -143,6 +143,18 @@ class TestSynthConfig:
         with pytest.raises(ConfigError):
             SynthConfig(fragments_per_group=(1, 3))
 
+    @pytest.mark.parametrize("kwargs", [
+        {"group_count": 2.0},
+        {"group_count": True},
+        {"fragments_per_group": (2.5, 3)},
+        {"fragments_per_group": (2, 3.0)},
+        {"lines_per_fragment": (True, 4)},
+        {"lines_per_fragment": (2, 4.5)},
+    ])
+    def test_counts_must_be_integers(self, kwargs):
+        with pytest.raises(ConfigError, match="must be integers"):
+            SynthConfig(**kwargs)
+
     def test_count_arithmetic(self):
         cfg = SynthConfig(group_count=50, death_fraction=0.1,
                           birth_fraction=0.1)

@@ -1,6 +1,7 @@
 """Thresholded argmax mapping, the injective mode, and lineage chaining."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ import pytest
 from clonemap.errors import CloneMapWarning, ConfigError
 from clonemap.ingest import CloneFragment, CloneGroup, VersionSnapshot
 from clonemap.mapping import (
+    GroupMapping,
     MappingConfig,
     VersionTopics,
+    _assign,
     baseline_text_map,
     map_lineage,
     map_version_pair,
@@ -159,6 +162,90 @@ class TestMapVersionPair:
     def test_invalid_delta_rejected(self):
         with pytest.raises(ConfigError):
             MappingConfig(delta=1.5)
+
+
+def oracle_injective_assign(scores, empty_rows, newer_id, older_id, delta):
+    """The per-column Python auction that ``_assign``'s injective branch
+    replaced, kept as its oracle."""
+    n_new, n_old = scores.shape
+    mappings = {}
+    contenders = []
+    for i, empty in enumerate(empty_rows):
+        if empty or n_old == 0:
+            mappings[i] = GroupMapping((newer_id, i), None, 0.0)
+        else:
+            contenders.append(i)
+    score_rows = scores.tolist()
+    available = set(range(n_old))
+    pending = list(contenders)
+    while pending:
+        claims = {}
+        for i in pending:
+            row = score_rows[i]
+            best, neg_j = max(((row[j], -j) for j in available),
+                              default=(0.0, 0))
+            if available and best >= delta:
+                claims.setdefault(-neg_j, []).append(i)
+            else:
+                mappings[i] = GroupMapping((newer_id, i), None, best)
+        next_pending = []
+        for j, claimants in claims.items():
+            winner = max(claimants, key=lambda i: (score_rows[i][j], -i))
+            mappings[winner] = GroupMapping(
+                (newer_id, winner), (older_id, j), score_rows[winner][j]
+            )
+            available.discard(j)
+            next_pending.extend(i for i in claimants if i != winner)
+        pending = next_pending
+    return [mappings[i] for i in range(n_new)]
+
+
+def injective(scores, empty_rows, delta):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CloneMapWarning)
+        return _assign(scores, empty_rows, "v2", "v1",
+                       MappingConfig(delta=delta, enforce_injective=True))
+
+
+class TestInjectiveAuctionOracle:
+    def test_matches_oracle_on_tie_heavy_matrices(self):
+        rng = np.random.default_rng(13)
+        deltas = (0.0, 0.25, 0.5, 0.75, 1.0)
+        no_column_left = 0
+        for _ in range(3000):
+            n_new, n_old = rng.integers(0, 12, size=2)
+            # Quarter steps make ties within and across rows common.
+            scores = rng.integers(0, 5, size=(n_new, n_old)) / 4.0
+            flat = rng.random(n_new) < 0.1
+            scores[flat] = rng.integers(0, 5) / 4.0
+            empty_rows = (rng.random(n_new) < 0.15).tolist()
+            scores[empty_rows] = 0.0
+            delta = (float(rng.random()) if rng.random() < 0.2
+                     else deltas[rng.integers(len(deltas))])
+            before = scores.copy()
+            got = injective(scores, empty_rows, delta)
+            assert got == oracle_injective_assign(before, empty_rows, "v2",
+                                                  "v1", delta)
+            assert np.array_equal(scores, before)
+            if delta == 0.0 and n_old > 0:
+                no_column_left += sum(m.old_group is None and not empty
+                                      for m, empty in zip(got, empty_rows))
+        assert no_column_left > 0
+
+    def test_loser_settles_in_the_third_round(self):
+        # Round 1: all four claim old 0, row 0 wins. Round 2: rows 1-3
+        # claim old 1, row 1 wins. Round 3: rows 2 and 3 claim old 2, row
+        # 2 wins. Round 4: no column is left, so row 3 maps to null at 0.0.
+        scores = np.array([[1.0, 0.5, 0.5],
+                           [0.9, 0.8, 0.1],
+                           [0.8, 0.7, 0.6],
+                           [0.7, 0.6, 0.5]])
+        got = injective(scores, [False] * 4, 0.5)
+        assert [(m.old_group, m.similarity) for m in got] == [
+            (("v1", 0), 1.0), (("v1", 1), 0.8), (("v1", 2), 0.6), (None, 0.0),
+        ]
+        assert got == oracle_injective_assign(scores, [False] * 4, "v2", "v1",
+                                              0.5)
 
 
 class TestVersionTopics:
