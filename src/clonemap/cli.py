@@ -51,13 +51,19 @@ def _filter_config(args):
     )
 
 
-def _filter_run_config(args) -> dict:
-    return {
-        "language": args.language,
-        "keywords": args.keywords,
-        "progwords": args.progwords,
-        "stopwords": args.stopwords,
-    }
+_FILTER_FLAGS = ("language", "keywords", "progwords", "stopwords")
+# Parsed values that only route output, and the handler; every other one
+# goes into ``config``.
+_OUTPUT_FLAGS = ("out", "format", "dump_topics", "func")
+
+
+def _run_config(args) -> dict:
+    """The artifact's ``config``: every parsed value of the subcommand
+    except the output routing, with the word-list flags under
+    ``filters``."""
+    values = {k: v for k, v in vars(args).items() if k not in _OUTPUT_FLAGS}
+    filters = {k: values.pop(k) for k in _FILTER_FLAGS if k in values}
+    return {**values, "filters": filters} if filters else values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,22 +204,6 @@ def cmd_map(args) -> int:
     )
     lda_config = LdaConfig(K=args.topics, iterations=args.iterations,
                            seed=args.seed)
-    run_config = {
-        "subcommand": "map",
-        "newer": args.newer,
-        "older": args.older,
-        "source_newer": args.source_newer,
-        "source_older": args.source_older,
-        "delta": args.delta,
-        "metric": args.metric,
-        "strategy": args.strategy,
-        "topics": args.topics,
-        "iterations": args.iterations,
-        "seed": args.seed,
-        "injective": args.injective,
-        "threads": args.threads,
-        "filters": _filter_run_config(args),
-    }
     result = run_map(
         args.newer, args.older,
         source_newer=args.source_newer,
@@ -222,7 +212,7 @@ def cmd_map(args) -> int:
         mapping_config=mapping_config,
         lda_config=lda_config,
         dump_topics_path=args.dump_topics,
-        run_config=run_config,
+        run_config=_run_config(args),
     )
     return _emit(args, result, _render_map_table)
 
@@ -276,11 +266,7 @@ def cmd_eval(args) -> int:
         "newer": truth.newer_version,
         "older": truth.older_version,
         **report.to_dict(),
-        **artifact_header({
-            "subcommand": "eval",
-            "mapping": args.mapping,
-            "truth": args.truth,
-        }),
+        **artifact_header(_run_config(args)),
     }
     return _emit(args, payload, _render_eval_table)
 
@@ -320,12 +306,7 @@ def cmd_topics(args) -> int:
     entries = topic_dump_entries(snapshot.version_id, documents)
     payload = {
         "topics": entries,
-        **artifact_header({
-            "subcommand": "topics",
-            "report": args.report,
-            "source": args.source,
-            "filters": _filter_run_config(args),
-        }),
+        **artifact_header(_run_config(args)),
     }
     return _emit(args, payload, _render_topics_table)
 

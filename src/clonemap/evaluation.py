@@ -176,9 +176,18 @@ class SynthConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if not is_json_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         # random.Random seeds with |seed|, so -3 would repeat the fixture of 3.
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in ("fragments_per_group", "lines_per_fragment",
+                     "type3_edit_fraction"):
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)) or len(value) != 2:
+                raise ConfigError(
+                    f"{name} must be a (low, high) pair, got {value!r}"
+                )
         counts = {"group_count": (self.group_count,),
                   "fragments_per_group": self.fragments_per_group,
                   "lines_per_fragment": self.lines_per_fragment}

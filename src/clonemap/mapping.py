@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -37,8 +38,15 @@ class MappingConfig:
     enforce_injective: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.delta <= 1.0:
-            raise ConfigError(f"delta must be in [0, 1], got {self.delta}")
+        for name, kind in (("metric", Metric), ("strategy", Strategy),
+                           ("enforce_injective", bool)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, "
+                                  f"got {getattr(self, name)!r}")
+        # A bool is a Real to numbers; NaN fails the negated range check.
+        if (isinstance(self.delta, bool) or not isinstance(self.delta, Real)
+                or not 0.0 <= self.delta <= 1.0):
+            raise ConfigError(f"delta must be in [0, 1], got {self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -88,74 +96,57 @@ def _assign(scores: np.ndarray, empty_rows, newer_id: str, older_id: str,
     """Thresholded argmax over the rows of an (N, M) score matrix.
 
     Row ``i`` is newer group ``(newer_id, i)`` and column ``j`` older group
-    ``(older_id, j)``. ``empty_rows[i]`` marks a newer group whose document
-    came out empty; it maps to null with a warning. Ties go to the lowest
-    older index.
+    ``(older_id, j)``. ``empty_rows`` is a bool mask of the newer groups
+    whose document came out empty; each maps to null at 0.0 with a
+    warning. Ties go to the lowest older index.
 
-    With ``config.enforce_injective`` each older group goes to at most one
-    newer group, settled by an auction in rounds. Each pending newer group
-    claims its best unclaimed older group; each claimed older group goes to
-    its highest-scoring claimant, ties to the lowest newer index, and the
-    losers claim again in the next round. A newer group whose best
-    unclaimed score is below ``delta`` maps to null with that score, or
-    with 0.0 once every older group is taken. ``scores`` is only read.
+    One loop settles both modes in rounds. In a round each pending newer
+    group claims its best untaken older group, and a claim below ``delta``
+    is a null verdict at that score, or at 0.0 once every older group is
+    taken. Without ``config.enforce_injective`` every claim wins, so round
+    1 settles every group. With it each older group goes to at most one
+    newer group: its highest-scoring claimant, ties to the lowest newer
+    index, and the losers claim again in the next round. ``scores`` is
+    only read.
     """
     n_new, n_old = scores.shape
-    mappings: dict[int, GroupMapping] = {}
-    contenders = []
-    for i, empty in enumerate(empty_rows):
-        if empty:
-            warnings.warn(
-                f"group {(newer_id, i)} has an empty token document; mapped to null",
-                CloneMapWarning,
-            )
-        if empty or n_old == 0:
-            mappings[i] = GroupMapping((newer_id, i), None, 0.0)
-        else:
-            contenders.append(i)
-
-    if not config.enforce_injective:
-        # np.argmax returns the first maximum: the lowest older index.
-        best_cols = scores.argmax(axis=1) if n_old else ()
-        for i in contenders:
-            k = int(best_cols[i])
-            best = float(scores[i, k])
-            old = (older_id, k) if best >= config.delta else None
-            mappings[i] = GroupMapping((newer_id, i), old, best)
-        return [mappings[i] for i in range(n_new)]
-
-    # One round is one argmax over the pending rows, with every taken
-    # column at -inf (-inf everywhere once all are taken, hence the 0.0
-    # null); np.argmax returns the first maximum, the lowest older index.
-    # One lexsort by (column, -score, row) puts each claimed column's
-    # winner first. A round copies only its pending rows, and round 1 with
-    # no empty row copies none, so the auction holds at most one (N, M)
-    # array beside ``scores``.
+    empty = np.asarray(empty_rows, dtype=bool)
+    for i in np.flatnonzero(empty).tolist():
+        warnings.warn(
+            f"group {(newer_id, i)} has an empty token document; mapped to null",
+            CloneMapWarning,
+        )
+    old = np.full(n_new, -1, dtype=np.intp)
+    sim = np.zeros(n_new)
     taken = np.zeros(n_old, dtype=bool)
-    pending = np.asarray(contenders, dtype=np.intp)
+    pending = np.flatnonzero(~empty & (n_old > 0))  # no claims without columns
+    # np.argmax returns the first maximum, the lowest older index. Round 1
+    # reads ``scores`` in place; a later round copies only its pending rows
+    # and puts every taken column at -inf (-inf everywhere once all are
+    # taken, hence the 0.0 null). One lexsort by (column, -score, row) puts
+    # each claimed column's winner first.
     while pending.size:
-        if pending.size == n_new:  # round 1 with no empty row: none taken
-            block = scores
-        else:
+        if taken.any():
             block = scores[pending]
             block[:, taken] = -np.inf
-        cols = block.argmax(axis=1)
-        best = block[np.arange(pending.size), cols]
+            cols = block.argmax(axis=1)
+            best = block[np.arange(pending.size), cols]
+        else:
+            cols = scores.argmax(axis=1)[pending]
+            best = scores[pending, cols]
+        sim[pending] = np.where(best > -np.inf, best, 0.0)
         claims = best >= config.delta
-        for i, s in zip(pending[~claims].tolist(), best[~claims].tolist()):
-            mappings[i] = GroupMapping((newer_id, i), None,
-                                       s if s > -np.inf else 0.0)
         rows, cols, best = pending[claims], cols[claims], best[claims]
-        order = np.lexsort((rows, -best, cols))
-        rows, cols, best = rows[order], cols[order], best[order]
         wins = np.ones(rows.size, dtype=bool)
-        wins[1:] = cols[1:] != cols[:-1]
-        for i, j, s in zip(rows[wins].tolist(), cols[wins].tolist(),
-                           best[wins].tolist()):
-            mappings[i] = GroupMapping((newer_id, i), (older_id, j), s)
+        if config.enforce_injective:
+            order = np.lexsort((rows, -best, cols))
+            rows, cols = rows[order], cols[order]
+            wins[1:] = cols[1:] != cols[:-1]
+        old[rows[wins]] = cols[wins]
         taken[cols[wins]] = True
         pending = rows[~wins]
-    return [mappings[i] for i in range(n_new)]
+    return [GroupMapping((newer_id, i), None if j < 0 else (older_id, j), s)
+            for i, (j, s) in enumerate(zip(old.tolist(), sim.tolist()))]
 
 
 def map_version_pair(newer: VersionTopics, older: VersionTopics,
@@ -170,7 +161,7 @@ def map_version_pair(newer: VersionTopics, older: VersionTopics,
     """
     config = config or MappingConfig()
     scores = score_matrix(newer.block, older.block, config.metric)
-    empty_rows = (np.diff(newer.block.indptr) == 0).tolist()
+    empty_rows = np.diff(newer.block.indptr) == 0
     return _assign(scores, empty_rows, newer.version_id, older.version_id,
                    config)
 
@@ -187,8 +178,8 @@ def baseline_text_map(newer: VersionSnapshot, older: VersionSnapshot,
     old_texts = [g.concatenated_text() for g in older.groups]
     new_texts = [g.concatenated_text() for g in newer.groups]
     scores = lcs_matrix(new_texts, old_texts)
-    return _assign(scores, [False] * len(new_texts), newer.version_id,
-                   older.version_id, config)
+    return _assign(scores, np.zeros(len(new_texts), dtype=bool),
+                   newer.version_id, older.version_id, config)
 
 
 def unmatched_old_groups(mappings: list[GroupMapping], older_size: int) -> list[int]:

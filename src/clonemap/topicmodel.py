@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyDocumentError, ValidationError
+from .errors import ConfigError, EmptyDocumentError, ValidationError, is_json_int
 from .preprocess import TokenDocument
 
 
@@ -55,6 +55,10 @@ class LdaConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name in ("K", "iterations", "seed"):
+            if not is_json_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, "
+                                  f"got {getattr(self, name)!r}")
         if self.K < 1:
             raise ConfigError(f"K must be >= 1, got {self.K}")
         # Negated comparisons, so that NaN fails them too.

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and artifact reproducibility headers."""
 
+import argparse
 import contextlib
 import copy
 import io
@@ -14,7 +15,7 @@ from xml.sax.saxutils import quoteattr
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from clonemap.cli import main
+from clonemap.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -492,6 +493,52 @@ class TestThreadsFlag:
         assert exit_info.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+
+
+class TestRecordedConfig:
+    """Each artifact's ``config`` records every flag of its subcommand
+    except ``--out``, ``--format`` and ``--dump-topics``, with the four
+    word-list flags under ``filters``."""
+
+    FILTERS = {"language", "keywords", "progwords", "stopwords"}
+
+    @staticmethod
+    def subparser_dests(name: str) -> set:
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return {a.dest for a in sub.choices[name]._actions} - {"help"}
+
+    def expected_keys(self, name: str) -> tuple[set, set]:
+        dests = self.subparser_dests(name) - {"out", "format", "dump_topics"}
+        top = {"subcommand"} | dests - self.FILTERS
+        filters = dests & self.FILTERS
+        return (top | {"filters"} if filters else top), filters
+
+    def check(self, name: str, artifact: Path) -> None:
+        config = json.loads(artifact.read_text(encoding="utf-8"))["config"]
+        top, filters = self.expected_keys(name)
+        assert set(config) == top
+        assert set(config.get("filters", {})) == filters
+        assert config["subcommand"] == name
+
+    def test_map_eval_and_topics(self, evolution, tmp_path, capsys):
+        mapping = tmp_path / "mapping.json"
+        assert main(run_map_cmd(evolution, "--out", str(mapping),
+                                "--dump-topics",
+                                str(tmp_path / "dump.json"))) == 0
+        self.check("map", mapping)
+        evaluation = tmp_path / "eval.json"
+        assert main(["eval", "--mapping", str(mapping),
+                     "--truth", str(evolution / "truth.json"),
+                     "--out", str(evaluation)]) == 0
+        self.check("eval", evaluation)
+        topics = tmp_path / "topics.json"
+        assert main(["topics", "--report", str(evolution / "newer_report.json"),
+                     "--source", str(evolution / "newer_src"),
+                     "--out", str(topics)]) == 0
+        self.check("topics", topics)
+        capsys.readouterr()
 
 # Values a mutation swaps in: other JSON types, path escapes, an integer
 # past 64 bits, an embedded NUL and lone surrogates. "ABSOLUTE" stands for

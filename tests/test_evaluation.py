@@ -155,6 +155,21 @@ class TestSynthConfig:
         with pytest.raises(ConfigError, match="must be integers"):
             SynthConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"type3_edit_fraction": (0.1,)},
+        {"fragments_per_group": (2,)},
+        {"lines_per_fragment": (1, 2, 3)},
+        {"lines_per_fragment": 4},
+    ])
+    def test_ranges_must_be_pairs(self, kwargs):
+        with pytest.raises(ConfigError, match="must be a .low, high. pair"):
+            SynthConfig(**kwargs)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "1"])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            SynthConfig(group_count=3, seed=seed)
+
     def test_count_arithmetic(self):
         cfg = SynthConfig(group_count=50, death_fraction=0.1,
                           birth_fraction=0.1)

@@ -163,6 +163,15 @@ class TestMapVersionPair:
         with pytest.raises(ConfigError):
             MappingConfig(delta=1.5)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"metric": "cosine"}, {"strategy": "lcs"},
+        {"enforce_injective": "no"}, {"enforce_injective": 1},
+        {"delta": "0.5"}, {"delta": True}, {"delta": None},
+    ])
+    def test_wrongly_typed_fields_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            MappingConfig(**kwargs)
+
 
 def oracle_injective_assign(scores, empty_rows, newer_id, older_id, delta):
     """The per-column Python auction that ``_assign``'s injective branch
@@ -207,21 +216,58 @@ def injective(scores, empty_rows, delta):
                        MappingConfig(delta=delta, enforce_injective=True))
 
 
+def tie_heavy_cases():
+    """3,000 seeded (scores, empty_rows, delta) cases: N and M from 0 to
+    11, quarter-step scores, flat rows, 15 % empty rows, and ``delta`` at
+    0, 1/4, 1/2, 3/4, 1 or random."""
+    rng = np.random.default_rng(13)
+    deltas = (0.0, 0.25, 0.5, 0.75, 1.0)
+    for _ in range(3000):
+        n_new, n_old = rng.integers(0, 12, size=2)
+        # Quarter steps make ties within and across rows common.
+        scores = rng.integers(0, 5, size=(n_new, n_old)) / 4.0
+        flat = rng.random(n_new) < 0.1
+        scores[flat] = rng.integers(0, 5) / 4.0
+        empty_rows = (rng.random(n_new) < 0.15).tolist()
+        scores[empty_rows] = 0.0
+        delta = (float(rng.random()) if rng.random() < 0.2
+                 else deltas[rng.integers(len(deltas))])
+        yield scores, empty_rows, delta
+
+
+def oracle_plain_assign(scores, empty_rows, newer_id, older_id, delta):
+    """Scalar thresholded argmax: each row's first maximum, the lowest
+    older index, kept when it clears ``delta``. An empty row, or any row
+    when there is no older group, maps to null at 0.0."""
+    out = []
+    for i, row in enumerate(scores.tolist()):
+        if empty_rows[i] or not row:
+            out.append(GroupMapping((newer_id, i), None, 0.0))
+            continue
+        best = max(row)
+        old = (older_id, row.index(best)) if best >= delta else None
+        out.append(GroupMapping((newer_id, i), old, best))
+    return out
+
+
+class TestPlainAssignOracle:
+    def test_matches_scalar_reference_on_tie_heavy_matrices(self):
+        for scores, empty_rows, delta in tie_heavy_cases():
+            before = scores.copy()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CloneMapWarning)
+                got = _assign(scores, empty_rows, "v2", "v1",
+                              MappingConfig(delta=delta))
+            assert got == oracle_plain_assign(before, empty_rows, "v2", "v1",
+                                              delta)
+            assert np.array_equal(scores, before)
+
+
 class TestInjectiveAuctionOracle:
     def test_matches_oracle_on_tie_heavy_matrices(self):
-        rng = np.random.default_rng(13)
-        deltas = (0.0, 0.25, 0.5, 0.75, 1.0)
         no_column_left = 0
-        for _ in range(3000):
-            n_new, n_old = rng.integers(0, 12, size=2)
-            # Quarter steps make ties within and across rows common.
-            scores = rng.integers(0, 5, size=(n_new, n_old)) / 4.0
-            flat = rng.random(n_new) < 0.1
-            scores[flat] = rng.integers(0, 5) / 4.0
-            empty_rows = (rng.random(n_new) < 0.15).tolist()
-            scores[empty_rows] = 0.0
-            delta = (float(rng.random()) if rng.random() < 0.2
-                     else deltas[rng.integers(len(deltas))])
+        for scores, empty_rows, delta in tie_heavy_cases():
+            n_old = scores.shape[1]
             before = scores.copy()
             got = injective(scores, empty_rows, delta)
             assert got == oracle_injective_assign(before, empty_rows, "v2",

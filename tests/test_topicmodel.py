@@ -84,6 +84,15 @@ class TestLdaConfig:
             LdaConfig(**kwargs)
 
 
+    @pytest.mark.parametrize("kwargs", [
+        {"K": 2.5}, {"K": True}, {"iterations": 2.5}, {"iterations": "10"},
+        {"seed": 1.5}, {"seed": False},
+    ])
+    def test_counts_and_seed_must_be_integers(self, kwargs):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            LdaConfig(**kwargs)
+
+
 class TestFitGroupTopic:
     def test_weights_are_exact_term_frequencies(self):
         d = TokenDocument.from_counts({"a": 1, "b": 3}, group_ref=("v", 0))
