@@ -1,13 +1,19 @@
-"""Exception and warning types shared across the toolchain, plus the JSON
-integer check every reader of outside JSON uses and the strict UTF-8 read
-of every outside input file that must decode exactly."""
+"""Exception and warning types shared across the toolchain, the type
+checks that config fields and readers of outside JSON use, and the strict
+UTF-8 read of every outside input file that must decode exactly."""
 
+from numbers import Real
 from pathlib import Path
 
 
 def is_json_int(value) -> bool:
     """A JSON integer; ``true``/``false`` parse as bools, which are not."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A real number, NaN and infinities included, that is not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 def read_utf8(path) -> str:

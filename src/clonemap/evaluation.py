@@ -15,10 +15,11 @@ import json
 import random
 import re
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError, CoverageError, ValidationError, is_json_int, read_utf8
+from .errors import (ConfigError, CoverageError, ValidationError, is_json_int,
+                     is_number, read_utf8)
 from .ingest import CloneFragment, CloneGroup, VersionSnapshot, snapshot_to_dict
 from .mapping import GroupMapping
 from .pipeline import artifact_header, write_json_artifact
@@ -181,52 +182,40 @@ class SynthConfig:
         # random.Random seeds with |seed|, so -3 would repeat the fixture of 3.
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("fragments_per_group", "lines_per_fragment",
-                     "type3_edit_fraction"):
+        # Every other field holds counts, which must be integers, or
+        # probabilities and fractions, which must be numbers.
+        counts = ("group_count", "fragments_per_group", "lines_per_fragment")
+        pairs = ("fragments_per_group", "lines_per_fragment", "type3_edit_fraction")
+        for name in (f.name for f in fields(self) if f.name != "seed"):
             value = getattr(self, name)
-            if not isinstance(value, (tuple, list)) or len(value) != 2:
-                raise ConfigError(
-                    f"{name} must be a (low, high) pair, got {value!r}"
-                )
-        counts = {"group_count": (self.group_count,),
-                  "fragments_per_group": self.fragments_per_group,
-                  "lines_per_fragment": self.lines_per_fragment}
-        for name, values in counts.items():
-            if not all(is_json_int(v) for v in values):
-                raise ConfigError(
-                    f"{name} must be integers, got {getattr(self, name)!r}"
-                )
+            if name in pairs and (not isinstance(value, (tuple, list))
+                                  or len(value) != 2):
+                raise ConfigError(f"{name} must be a (low, high) pair, got {value!r}")
+            check, kind = ((is_json_int, "integers") if name in counts
+                           else (is_number, "numbers"))
+            if not all(map(check, value if name in pairs else (value,))):
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")
         if self.group_count < 1:
             raise ConfigError(f"group_count must be >= 1, got {self.group_count}")
-        lo, hi = self.fragments_per_group
-        if lo < 2 or hi < lo:
-            raise ConfigError(
-                f"fragments_per_group must be a range with low >= 2, got {lo, hi}"
-            )
-        lo, hi = self.lines_per_fragment
-        if lo < 1 or hi < lo:
-            raise ConfigError(
-                f"lines_per_fragment must be a range with low >= 1, got {lo, hi}"
-            )
-        probs = (self.p_unchanged, self.p_type1, self.p_type2, self.p_type3)
-        # Negated, so that NaN fails too; an infinity fails the sum below.
-        if not all(p >= 0 for p in probs):
-            raise ConfigError(
-                f"mutation probabilities must be non-negative numbers, got {probs}"
-            )
-        if abs(sum(probs) - 1.0) > 1e-9:
-            raise ConfigError(
-                f"mutation probabilities must sum to 1, got {sum(probs)!r}"
-            )
+        for name, least in (("fragments_per_group", 2), ("lines_per_fragment", 1)):
+            lo, hi = getattr(self, name)
+            if lo < least or hi < lo:
+                raise ConfigError(f"{name} must be a range with low >= "
+                                  f"{least}, got {lo, hi}")
+        probs = ("p_unchanged", "p_type1", "p_type2", "p_type3")
+        for name in probs + ("death_fraction", "birth_fraction"):
+            value = getattr(self, name)
+            # Negated, so that NaN fails too.
+            if not 0.0 <= value <= 1.0:
+                raise ConfigError(f"{name} must be in [0, 1], got {value}")
+        total = sum(getattr(self, name) for name in probs)
+        if abs(total - 1.0) > 1e-9:
+            raise ConfigError(f"mutation probabilities must sum to 1, got {total!r}")
         lo, hi = self.type3_edit_fraction
         if not 0.0 <= lo <= hi <= 1.0:
             raise ConfigError(
                 f"type3_edit_fraction must be a range inside [0, 1], got {lo, hi}"
             )
-        for name in ("death_fraction", "birth_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
         if self.survivor_count + self.birth_count < 1:
             raise ConfigError(
                 "config kills every group and births none; newer version "

@@ -29,9 +29,12 @@ class CloneFragment:
     text: str | None = None
 
     def __post_init__(self):
-        if not (1 <= self.start_line <= self.end_line):
+        if not (isinstance(self.file, str) and is_json_int(self.start_line)
+                and is_json_int(self.end_line)
+                and 1 <= self.start_line <= self.end_line):
             raise ValidationError(
-                f"bad line range {self.start_line}..{self.end_line} in {self.file!r}"
+                f"bad fragment: file {self.file!r}, lines "
+                f"{self.start_line!r}..{self.end_line!r}"
             )
 
 
@@ -43,6 +46,8 @@ class CloneGroup:
     fragments: tuple[CloneFragment, ...]
 
     def __post_init__(self):
+        if not is_json_int(self.index):
+            raise ValidationError(f"group index must be an integer, got {self.index!r}")
         if len(self.fragments) < 2:
             raise ValidationError(
                 f"clone group {self.index} has {len(self.fragments)} fragment(s); need >= 2"
@@ -71,18 +76,23 @@ class VersionSnapshot:
     groups: tuple[CloneGroup, ...]
 
     def __post_init__(self):
-        indices = [g.index for g in self.groups]
-        seen = set()
-        for idx in indices:
-            if idx in seen:
-                raise ValidationError(f"duplicate group index {idx}")
-            seen.add(idx)
-        if seen and seen != set(range(len(indices))):
-            raise ValidationError(
-                f"group indices must be dense 0..{len(indices) - 1}, got {sorted(seen)}"
-            )
-        object.__setattr__(self, "groups",
-                           tuple(sorted(self.groups, key=lambda g: g.index)))
+        groups = tuple(sorted(self.groups, key=lambda g: g.index))
+        indices = [g.index for g in groups]
+        if indices != list(range(len(groups))):
+            raise ValidationError(f"group indices must be unique and dense "
+                                  f"0..{len(groups) - 1}, got {indices}")
+        object.__setattr__(self, "groups", groups)
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, broken at LF only (after CRLF and lone CR
+    become LF); a trailing newline ends the last line, not a new one."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def resolve_fragment_text(fragment: CloneFragment, source_root: Path | str) -> str:
@@ -137,13 +147,7 @@ def _read_fragment(fragment: CloneFragment, root: str,
             f"fragment file {fragment.file!r} is not a valid path: {exc}"
         ) from None
     with handle:
-        text = handle.readall().decode("utf-8", "replace")
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    # A trailing newline yields one empty trailing element, not a real line.
-    if lines[-1] == "":
-        lines.pop()
+        lines = split_lines(handle.readall().decode("utf-8", "replace"))
     if fragment.end_line > len(lines):
         raise FragmentRangeError(
             f"{fragment.file}: lines {fragment.start_line}..{fragment.end_line} "

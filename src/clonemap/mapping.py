@@ -12,11 +12,10 @@ from __future__ import annotations
 import enum
 import warnings
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from .errors import CloneMapWarning, ConfigError, ValidationError
+from .errors import CloneMapWarning, ConfigError, ValidationError, is_number
 from .ingest import VersionSnapshot
 from .similarity import Metric, lcs_matrix, score_matrix
 # lcs_similarity and topic_similarity are not called here but stay importable
@@ -43,9 +42,8 @@ class MappingConfig:
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name} must be a {kind.__name__}, "
                                   f"got {getattr(self, name)!r}")
-        # A bool is a Real to numbers; NaN fails the negated range check.
-        if (isinstance(self.delta, bool) or not isinstance(self.delta, Real)
-                or not 0.0 <= self.delta <= 1.0):
+        # Negated, so that NaN fails too.
+        if not (is_number(self.delta) and 0.0 <= self.delta <= 1.0):
             raise ConfigError(f"delta must be in [0, 1], got {self.delta!r}")
 
 

@@ -14,6 +14,7 @@ import enum
 import numpy as np
 
 from .errors import ValidationError
+from .ingest import split_lines
 from .topicmodel import TopicBlock
 
 
@@ -143,19 +144,19 @@ def topic_similarity(t1, t2, metric: Metric = Metric.COSINE) -> float:
 
 
 def _trimmed_lines(text: str) -> list[str]:
-    return [line.strip() for line in text.splitlines()]
+    return [line.strip() for line in split_lines(text)]
 
 
 def lcs_matrix(newer_texts, older_texts) -> np.ndarray:
     """Line-LCS score of every newer text against every older one: (N, M).
 
-    Each cell is 2*|LCS| / (len(a) + len(b)) over whitespace-trimmed lines,
-    lines matching by ``==``; two empty texts score 1.0 and a pair with one
-    empty side 0.0. The LCS length comes from the bit-parallel row
-    recurrence (Allison & Dix 1986; Hyyrö 2004): each older text's lines
-    become one bitmask per distinct line, built once, and each newer line
-    updates a Python-int row vector ``v`` in one step. The LCS length is
-    the count of zero bits left in ``v``.
+    Each cell is 2*|LCS| / (len(a) + len(b)) over the trimmed lines of
+    ``ingest.split_lines``, matching by ``==``; two empty texts score 1.0
+    and a pair with one empty side 0.0. The LCS length comes from the
+    bit-parallel row recurrence (Allison & Dix 1986; Hyyrö 2004): each
+    older text's lines become one bitmask per distinct line, built once,
+    and each newer line updates a Python-int row vector ``v`` in one step.
+    The LCS length is the count of zero bits left in ``v``.
     """
     newer_lines = [_trimmed_lines(text) for text in newer_texts]
     older_lines = [_trimmed_lines(text) for text in older_texts]

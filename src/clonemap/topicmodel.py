@@ -44,36 +44,27 @@ class Corpus:
         return len(self.vocabulary)
 
 
+# The sampler's fixed Dirichlet priors (Griffiths & Steyvers, PNAS 2004):
+# alpha = ALPHA_TOTAL / K, a prior mass of 50 per document, and beta = BETA.
+ALPHA_TOTAL = 50.0
+BETA = 0.01
+
+
 @dataclass(frozen=True)
 class LdaConfig:
-    """Topic-count and smoothing settings. alpha defaults to 50/K."""
+    """Topic count, Gibbs sweeps and sampler seed."""
 
     K: int = 1
-    alpha: float | None = None
-    beta: float = 0.01
     iterations: int = 1000
     seed: int = 42
 
     def __post_init__(self):
-        for name in ("K", "iterations", "seed"):
-            if not is_json_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, "
-                                  f"got {getattr(self, name)!r}")
-        if self.K < 1:
-            raise ConfigError(f"K must be >= 1, got {self.K}")
-        # Negated comparisons, so that NaN fails them too.
-        if self.alpha is not None and not 0 < self.alpha < np.inf:
-            raise ConfigError(f"alpha must be finite and > 0, got {self.alpha}")
-        if not 0 < self.beta < np.inf:
-            raise ConfigError(f"beta must be finite and > 0, got {self.beta}")
-        if self.iterations < 0:
-            raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-    @property
-    def effective_alpha(self) -> float:
-        return 50.0 / self.K if self.alpha is None else self.alpha
+        for name, low in (("K", 1), ("iterations", 0), ("seed", 0)):
+            value = getattr(self, name)
+            if not is_json_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ConfigError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,11 +83,18 @@ class TopicBlock:
     size: int
 
     def __post_init__(self):
+        # An empty list comes out float64, so only entries must be integers.
+        for name in ("indptr", "ids"):
+            array = np.asarray(getattr(self, name))
+            if array.size and array.dtype.kind not in "iu":
+                raise ValidationError(f"topic block {name} must hold integers, "
+                                      f"got dtype {array.dtype}")
         # Copies, so that freezing them leaves the caller's arrays writable.
         indptr = np.array(self.indptr, dtype=np.int64)
         ids = np.array(self.ids, dtype=np.int64)
         values = np.array(self.values, dtype=np.float64)
-        if not isinstance(self.size, (int, np.integer)) or self.size < 0:
+        # A bool is not an integer type to numpy.
+        if not np.issubdtype(type(self.size), np.integer) or self.size < 0:
             raise ValidationError(
                 f"topic block size must be a non-negative int, got {self.size!r}"
             )
@@ -251,8 +249,8 @@ def fit_lda(corpus: Corpus, config: LdaConfig,
     assignment and after every sweep.
     """
     K = config.K
-    alpha = config.effective_alpha
-    beta = config.beta
+    alpha = ALPHA_TOTAL / K
+    beta = BETA
     V = corpus.vocabulary_size
     docs = corpus.documents
     D = len(docs)

@@ -1,14 +1,20 @@
 """Every name a module of the package imports is used or marked as kept,
 every private module-level name is used, no module reads the environment
-or writes JSON text outside ``pipeline``, and every name the package
-exports resolves."""
+or writes JSON text outside ``pipeline``, every name the package exports
+resolves, and the count of publicly settable values is pinned."""
 
+import argparse
 import ast
+import enum
+import importlib
+import inspect
+import pkgutil
 from pathlib import Path
 
 import pytest
 
 import clonemap
+from clonemap import cli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "clonemap"
 
@@ -213,3 +219,52 @@ def test_every_exported_name_resolves():
     """A stale entry in ``__all__`` breaks ``from clonemap import *``."""
     missing = [name for name in clonemap.__all__ if not hasattr(clonemap, name)]
     assert missing == []
+
+
+def settable_values() -> list[str]:
+    """Every publicly settable value, sorted: each parameter with a default
+    of a public function, constructor or method defined in a ``clonemap``
+    module (exceptions, enums and names starting with ``_`` left out),
+    plus each option of each CLI subcommand but ``--help``."""
+    found = []
+    for info in pkgutil.iter_modules(clonemap.__path__):
+        module = importlib.import_module(f"clonemap.{info.name}")
+        for name, obj in vars(module).items():
+            if (name.startswith("_")
+                    or getattr(obj, "__module__", None) != module.__name__):
+                continue
+            if inspect.isfunction(obj):
+                callables = {name: obj}
+            elif (inspect.isclass(obj)
+                  and not issubclass(obj, (BaseException, enum.Enum))):
+                callables = {name: obj}
+                callables.update(
+                    (f"{name}.{attr}", getattr(obj, attr))
+                    for attr, member in vars(obj).items()
+                    if not attr.startswith("_") and (
+                        inspect.isfunction(member)
+                        or isinstance(member, (staticmethod, classmethod))))
+            else:
+                continue
+            found.extend(f"{module.__name__}.{label}({param.name})"
+                         for label, fn in callables.items()
+                         for param in inspect.signature(fn).parameters.values()
+                         if param.default is not inspect.Parameter.empty)
+    subcommands = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    found.extend(f"clonemap {command} {action.option_strings[-1]}"
+                 for command, parser in subcommands.choices.items()
+                 for action in parser._actions
+                 if action.option_strings
+                 and not isinstance(action, argparse._HelpAction))
+    return sorted(found)
+
+
+SETTABLE_VALUES = 84
+
+
+def test_publicly_settable_values_are_counted():
+    """Fewer settable values is progress, so a change that adds or removes
+    one must move this pin, where a reviewer sees it."""
+    values = settable_values()
+    assert len(values) == SETTABLE_VALUES, "\n".join(values)

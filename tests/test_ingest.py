@@ -107,6 +107,23 @@ class TestFragmentAndGroupInvariants:
         with pytest.raises(ValidationError):
             VersionSnapshot(version_id="v1", groups=(g, g))
 
+    @pytest.mark.parametrize("file, start, end", [
+        ("a.c", 1.5, 2), ("a.c", 1, 2.0), ("a.c", True, 2), ("a.c", "1", 2),
+        (Path("a.c"), 1, 2), (None, 1, 2),
+    ])
+    def test_fragment_fields_must_be_typed(self, file, start, end):
+        """A float line once reached resolve_snapshot and died slicing."""
+        with pytest.raises(ValidationError):
+            CloneFragment(file=file, start_line=start, end_line=end)
+
+    @pytest.mark.parametrize("index", [0.0, True, "0", None])
+    def test_group_index_must_be_an_integer(self, index):
+        """0.0 and True once passed the dense check and were written by
+        snapshot_to_dict as a report that snapshot_from_dict rejects."""
+        frag = CloneFragment(file="a.c", start_line=1, end_line=2)
+        with pytest.raises(ValidationError, match="index must be an integer"):
+            CloneGroup(index=index, fragments=(frag, frag))
+
 
 class TestNativeJson:
     def test_round_trip(self):

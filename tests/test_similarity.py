@@ -368,7 +368,12 @@ class TestLcsSimilarity:
 
 
 def _oracle_trimmed_lines(text: str) -> list[str]:
-    return [line.strip() for line in text.splitlines()]
+    """Lines as ingest counts them, trimmed: CRLF and lone CR become LF,
+    lines break at LF only, and a trailing newline ends the last line."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line.strip() for line in lines]
 
 
 def dp_lcs_similarity(a: str, b: str) -> float:
@@ -395,7 +400,11 @@ def dp_lcs_similarity(a: str, b: str) -> float:
 
 # Lines that differ only in whitespace or line endings, so that trimming
 # and splitting are exercised; up to 150 lines crosses 64-bit mask words.
-LINE_POOL = ["a", " a", "a\t", "b", "", "  ", "\r", "x = 1;", "}"]
+# The last eight are the characters other than CR and LF at which
+# str.splitlines breaks; here they are whitespace inside a line.
+LINE_POOL = ["a", " a", "a\t", "b", "", "  ", "\r", "x = 1;", "}",
+             "a\v", "\f", "b\x1c", "\x1d", "a\x1eb", "\x85", "a\u2028b",
+             "\u2029"]
 TEXTS = st.builds(
     lambda lines, sep: sep.join(lines),
     st.lists(st.sampled_from(LINE_POOL), max_size=150),
@@ -438,6 +447,12 @@ class TestLcsMatrix:
         older = "\n".join(["  x;"] * 130)
         assert lcs_matrix([newer], [older])[0, 0] == 2 * 130 / 330
         assert_matches_oracle([newer, older], [older, newer])
+
+    def test_form_feed_is_trimmed_not_a_line_break(self):
+        """GNU-style sources end a page with ^L; splitting there would add
+        an empty line that only one side has."""
+        assert lcs_similarity("a\nb\nc", "a\nb\x0c\nc") == 1.0
+        assert lcs_similarity("a\nb", "a\u2028b") == 0.0
 
     def test_lcs_similarity_is_one_cell(self):
         texts = ["p\nq\nr", "q\nr\ns\nt", "", "r"]

@@ -1,6 +1,7 @@
 """Corpus encoding, exact one-topic frequencies, and the Gibbs sampler."""
 
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -66,23 +67,34 @@ class TestBuildCorpus:
 class TestLdaConfig:
     def test_defaults(self):
         cfg = LdaConfig()
-        assert cfg.K == 1
-        assert cfg.effective_alpha == 50.0
-        assert cfg.beta == 0.01
+        assert (cfg.K, cfg.iterations, cfg.seed) == (1, 1000, 42)
+        assert (topicmodel.ALPHA_TOTAL, topicmodel.BETA) == (50.0, 0.01)
+
+    def test_only_topic_count_sweeps_and_seed_are_settable(self):
+        """The priors are module constants, not fields: no caller set
+        them, and no artifact records them."""
+        assert [f.name for f in fields(LdaConfig)] == ["K", "iterations", "seed"]
 
     def test_alpha_scales_with_k(self):
-        assert LdaConfig(K=5).effective_alpha == 10.0
+        """theta = (n_dk + 50/K) / (n_d + 50): at K=5 each row is
+        (n_dk + 10) / (n_d + 50), whatever the sampler drew."""
+        corpus = build_corpus([doc(["a", "b", "a", "c"]), doc(["b", "c"]),
+                               doc([])])
+        result = fit_lda(corpus, LdaConfig(K=5, iterations=3, seed=2))
+        n_d = np.array([[4.0], [2.0], [0.0]])
+        n_dk = np.rint(result.theta * (n_d + 50.0) - 10.0)
+        assert n_dk.sum(axis=1).tolist() == [4, 2, 0]
+        np.testing.assert_array_equal(result.theta, (n_dk + 10.0) / (n_d + 50.0))
 
     @pytest.mark.parametrize("kwargs", [
-        {"K": 0}, {"alpha": 0.0}, {"alpha": -1.0}, {"beta": 0.0},
-        {"iterations": -1}, {"seed": -1},
-        {"alpha": float("nan")}, {"alpha": float("inf")},
-        {"beta": float("nan")}, {"beta": float("inf")},
+        {"K": 0}, {"K": -1}, {"iterations": -1}, {"seed": -1},
+        {"K": float("nan")}, {"K": float("inf")},
+        {"iterations": float("nan")}, {"iterations": float("inf")},
+        {"seed": float("nan")}, {"seed": float("inf")},
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             LdaConfig(**kwargs)
-
 
     @pytest.mark.parametrize("kwargs", [
         {"K": 2.5}, {"K": True}, {"iterations": 2.5}, {"iterations": "10"},
@@ -252,6 +264,26 @@ class TestTopicBlock:
                        ids=np.array(ids, dtype=np.int64),
                        values=np.ones(len(ids)), size=size)
 
+    @pytest.mark.parametrize("indptr, ids", [
+        ([0, 1.7], [0.9]),     # once truncated to [0, 1] and [0]
+        ([0.0, 1.0], [0]),
+        ([0, 1], [0.0]),
+        ([0, 1], [True]),
+    ])
+    def test_non_integer_indptr_or_ids_rejected(self, indptr, ids):
+        with pytest.raises(ValidationError, match="must hold integers"):
+            TopicBlock(indptr=indptr, ids=ids, values=[1.0], size=2)
+
+    def test_empty_id_list_is_accepted(self):
+        """numpy makes an empty list float64; no entry is a non-integer."""
+        block = TopicBlock(indptr=[0, 0], ids=[], values=[], size=2)
+        assert block.ids.dtype == np.int64 and len(block) == 1
+
+    @pytest.mark.parametrize("size", [True, False, 2.0])
+    def test_size_must_be_an_integer(self, size):
+        with pytest.raises(ValidationError, match="size"):
+            TopicBlock(indptr=[0], ids=[], values=[], size=size)
+
     def test_ids_restart_at_every_row_start(self):
         block = TopicBlock(indptr=np.array([0, 0, 2, 2, 3, 3]),
                            ids=np.array([1, 2, 0]), values=np.ones(3), size=3)
@@ -375,8 +407,8 @@ class TestFitLda:
 
     def test_k1_phi_is_smoothed_corpus_frequency(self):
         corpus = build_corpus([doc(["a", "a", "b"])])
-        beta = 0.01
-        result = fit_lda(corpus, LdaConfig(K=1, beta=beta, iterations=5, seed=1))
+        beta = topicmodel.BETA
+        result = fit_lda(corpus, LdaConfig(K=1, iterations=5, seed=1))
         expected = np.array([(2 + beta) / (3 + 2 * beta),
                              (1 + beta) / (3 + 2 * beta)])
         np.testing.assert_allclose(result.phi[0], expected, atol=1e-15)
