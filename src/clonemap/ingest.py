@@ -4,12 +4,18 @@ Two report formats are accepted: the native JSON schema and an XML adapter
 shaped like common detector output (``<clones><class><source .../></class>``).
 Fragment text is resolved from the version's source tree in a separate step,
 so reports can be parsed without any source tree present.
+
+The parsers check only a report's shape (objects, arrays, required keys,
+XML integer literals) and raise ReportParseError when it is wrong; the
+data types own every value rule, and their ValidationError is prefixed
+with its position: ``groups[i]: ``, ``groups[i].fragments[j]: `` or ``<class id=N>: ``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,6 +42,8 @@ class CloneFragment:
                 f"bad fragment: file {self.file!r}, lines "
                 f"{self.start_line!r}..{self.end_line!r}"
             )
+        if not (self.text is None or isinstance(self.text, str)):
+            raise ValidationError(f"fragment text must be a string, got {self.text!r}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,9 @@ class VersionSnapshot:
     groups: tuple[CloneGroup, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.version_id, str) and self.version_id):
+            raise ValidationError(f"version must be a non-empty string, "
+                                  f"got {self.version_id!r}")
         groups = tuple(sorted(self.groups, key=lambda g: g.index))
         indices = [g.index for g in groups]
         if indices != list(range(len(groups))):
@@ -181,52 +192,45 @@ def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None =
     return VersionSnapshot(version_id=snapshot.version_id, groups=tuple(groups))
 
 
+def _at(where: str, make, *args):
+    """``make(*args)``; a ValidationError it raises is raised again with
+    ``where``, the value's position in the report, before its message."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
 def snapshot_from_dict(doc: dict) -> VersionSnapshot:
     """Build a snapshot from a native-schema report object."""
     if not isinstance(doc, dict):
         raise ReportParseError(f"report root must be an object, got {type(doc).__name__}")
-    version = doc.get("version")
-    if not isinstance(version, str) or not version:
-        raise ReportParseError("report is missing a non-empty 'version' string")
+    if "version" not in doc:
+        raise ReportParseError("report is missing the 'version' string")
     raw_groups = doc.get("groups")
     if not isinstance(raw_groups, list):
         raise ReportParseError("report is missing the 'groups' array")
 
     groups = []
     for pos, entry in enumerate(raw_groups):
+        where = f"groups[{pos}]"
         if not isinstance(entry, dict):
-            raise ReportParseError(f"groups[{pos}] is not an object")
-        index = entry.get("index")
-        if not is_json_int(index):
-            raise ReportParseError(f"groups[{pos}] is missing an integer 'index'")
-        raw_frags = entry.get("fragments")
-        if not isinstance(raw_frags, list):
-            raise ReportParseError(f"groups[{pos}] is missing the 'fragments' array")
+            raise ReportParseError(f"{where} is not an object")
+        if "index" not in entry or not isinstance(entry.get("fragments"), list):
+            raise ReportParseError(f"{where} needs an 'index' and a 'fragments' array")
         fragments = []
-        for fpos, fentry in enumerate(raw_frags):
+        for fpos, fentry in enumerate(entry["fragments"]):
+            fwhere = f"{where}.fragments[{fpos}]"
             if not isinstance(fentry, dict):
-                raise ReportParseError(f"groups[{pos}].fragments[{fpos}] is not an object")
+                raise ReportParseError(f"{fwhere} is not an object")
             try:
-                file = fentry["file"]
-                start = fentry["start_line"]
-                end = fentry["end_line"]
+                fields = (fentry["file"], fentry["start_line"], fentry["end_line"])
             except KeyError as exc:
-                raise ReportParseError(
-                    f"groups[{pos}].fragments[{fpos}] is missing {exc}"
-                ) from None
-            if not isinstance(file, str) or not is_json_int(start) or not is_json_int(end):
-                raise ReportParseError(
-                    f"groups[{pos}].fragments[{fpos}] has wrongly typed fields"
-                )
-            text = fentry.get("text")
-            if text is not None and not isinstance(text, str):
-                raise ReportParseError(
-                    f"groups[{pos}].fragments[{fpos}] 'text' must be a string"
-                )
-            fragments.append(CloneFragment(file=file, start_line=start, end_line=end, text=text))
-        groups.append(CloneGroup(index=index, fragments=tuple(fragments)))
+                raise ReportParseError(f"{fwhere} is missing {exc}") from None
+            fragments.append(_at(fwhere, CloneFragment, *fields, fentry.get("text")))
+        groups.append(_at(where, CloneGroup, entry["index"], tuple(fragments)))
 
-    return VersionSnapshot(version_id=version, groups=tuple(groups))
+    return VersionSnapshot(version_id=doc["version"], groups=tuple(groups))
 
 
 def snapshot_to_dict(snapshot: VersionSnapshot) -> dict:
@@ -247,6 +251,14 @@ def snapshot_to_dict(snapshot: VersionSnapshot) -> dict:
     return {"version": snapshot.version_id, "groups": groups}
 
 
+def _xml_int(value: str, where: str) -> int:
+    """A plain decimal XML attribute; ReportParseError for the other forms
+    ``int`` takes, such as ``1_0``, ``+4``, `` 3 `` or non-ASCII digits."""
+    if re.fullmatch(r"-?[0-9]+", value) is None:
+        raise ReportParseError(f"{where}: {value!r} is not an integer")
+    return int(value)
+
+
 def _snapshot_from_xml(text: str) -> VersionSnapshot:
     try:
         root = ET.fromstring(text)
@@ -255,37 +267,24 @@ def _snapshot_from_xml(text: str) -> VersionSnapshot:
     if root.tag != "clones":
         raise ReportParseError(f"unexpected XML root <{root.tag}>, expected <clones>")
     version_id = root.get("version")
-    if not version_id:
+    if version_id is None:
         raise ReportParseError("XML report carries no version: the <clones> "
                                "root needs a 'version' attribute")
 
     groups = []
     for pos, class_el in enumerate(root.findall("class")):
         declared = class_el.get("id")
-        try:
-            index = pos if declared is None else int(declared)
-        except ValueError:
-            raise ReportParseError(
-                f"<class id={declared!r}>: id is not an integer"
-            ) from None
+        index = pos if declared is None else _xml_int(declared, f"<class id={declared!r}>")
+        where = f"<class id={index}>"
         fragments = []
         for src in class_el.findall("source"):
-            file = src.get("file")
-            start = src.get("startline")
-            end = src.get("endline")
+            file, start, end = map(src.get, ("file", "startline", "endline"))
             if file is None or start is None or end is None:
                 raise ReportParseError(
-                    f"<class id={index}>: <source> needs file/startline/endline attributes"
-                )
-            try:
-                fragments.append(
-                    CloneFragment(file=file, start_line=int(start), end_line=int(end))
-                )
-            except ValueError as exc:
-                raise ReportParseError(
-                    f"<class id={index}>: non-integer line attribute ({exc})"
-                ) from None
-        groups.append(CloneGroup(index=index, fragments=tuple(fragments)))
+                    f"{where}: <source> needs file/startline/endline attributes")
+            fragments.append(_at(where, CloneFragment, file,
+                                 _xml_int(start, where), _xml_int(end, where)))
+        groups.append(_at(where, CloneGroup, index, tuple(fragments)))
 
     return VersionSnapshot(version_id=version_id, groups=tuple(groups))
 

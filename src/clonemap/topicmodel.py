@@ -34,9 +34,9 @@ class Corpus:
         size = len(self.vocabulary)
         for doc in self.documents:
             for wid in doc:
-                if not 0 <= wid < size:
+                if not (is_json_int(wid) and 0 <= wid < size):
                     raise ValidationError(
-                        f"word id {wid} outside vocabulary of size {size}"
+                        f"word id {wid!r} is not an integer in [0, {size})"
                     )
 
     @property

@@ -126,6 +126,24 @@ class TestMapCommand:
         assert rc == 3
         assert "not an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("class_id, start, end", [
+        ("1_0", "1", "1"), ("0", " 1 ", "1"), ("0", "1", "+1"),
+        ("0", "1", "\u0661")])
+    def test_non_decimal_xml_integer_exits_3(self, tmp_path, capsys,
+                                             class_id, start, end):
+        """``int`` reads each of these; the report parser must not."""
+        report = tmp_path / "r.xml"
+        report.write_text(
+            f'<clones version="1"><class id="{class_id}">'
+            f'<source file="a.c" startline="{start}" endline="{end}"/>'
+            '<source file="b.c" startline="1" endline="1"/>'
+            "</class></clones>",
+            encoding="utf-8",
+        )
+        rc = main(["map", "--newer", str(report), "--older", str(report)])
+        assert rc == 3
+        assert "is not an integer" in capsys.readouterr().err
+
     def test_fragment_outside_source_is_validation_error(self, evolution,
                                                          capsys):
         report_path = evolution / "newer_report.json"
@@ -161,14 +179,14 @@ class TestMapCommand:
         assert rc == 0
         assert out.startswith("group 0 of v\\ud800")
 
-    def test_json_boolean_line_number_is_parse_error(self, evolution, capsys):
+    def test_json_boolean_line_number_exits_3(self, evolution, capsys):
         report_path = evolution / "newer_report.json"
         report = json.loads(report_path.read_text(encoding="utf-8"))
         report["groups"][0]["fragments"][0]["start_line"] = True
         report_path.write_text(json.dumps(report), encoding="utf-8")
         rc = main(run_map_cmd(evolution))
         assert rc == 3
-        assert "wrongly typed" in capsys.readouterr().err
+        assert "groups[0].fragments[0]: bad fragment" in capsys.readouterr().err
 
     def test_rerun_reproduces_artifact_bytes(self, evolution, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used or marked as kept,
 every private module-level name is used, no module reads the environment
-or writes JSON text outside ``pipeline``, every name the package exports
-resolves, and the count of publicly settable values is pinned."""
+or writes JSON text outside ``pipeline``, the report parsers hold no value
+check, every name the package exports resolves, and the count of publicly
+settable values is pinned."""
 
 import argparse
 import ast
@@ -213,6 +214,61 @@ def test_scan_finds_a_json_write(tmp_path):
     )
     assert json_writes([module]) == [
         "m.py:3: dumps", "m.py:5: dumps", "m.py:6: dump"]
+
+
+PARSERS = {"snapshot_from_dict", "_snapshot_from_xml"}
+VALUE_CHECKS = {"is_json_int", "is_number"}
+SHAPE_TYPES = {"dict", "list"}
+
+
+def parser_value_checks(path: Path) -> list[str]:
+    """Value checks inside the report parsers of ``path``: a call to
+    ``is_json_int``/``is_number``, or an ``isinstance`` whose class
+    argument is anything but ``dict`` or ``list``."""
+    found = []
+    for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not (isinstance(function, ast.FunctionDef) and function.name in PARSERS):
+            continue
+        for node in ast.walk(function):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in VALUE_CHECKS or (
+                    name == "isinstance"
+                    and getattr(node.args[-1], "id", None) not in SHAPE_TYPES):
+                found.append((node.lineno, node.col_offset, function.name,
+                              ast.unparse(node)))
+    return [f"{name}:{line}: {call}" for line, _, name, call in sorted(found)]
+
+
+def test_report_parsers_check_only_shape():
+    """Every value rule of a report lives in the data types; the parsers
+    check objects and arrays and leave the rest to the constructors."""
+    assert parser_value_checks(PACKAGE / "ingest.py") == []
+
+
+def test_scan_finds_a_value_check_in_a_parser(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from . import errors\n"
+        "def snapshot_from_dict(doc):\n"
+        "    if not isinstance(doc, dict) or isinstance(doc['v'], list):\n"
+        "        return None\n"
+        "    if not isinstance(doc['v'], str) or errors.is_json_int(doc['i']):\n"
+        "        return None\n"
+        "    return isinstance(doc['t'], (str, type(None)))\n"
+        "def _snapshot_from_xml(text):\n"
+        "    return is_number(text)\n"
+        "def other(doc):\n"
+        "    return isinstance(doc, str) and is_json_int(doc)\n",
+        encoding="utf-8",
+    )
+    assert parser_value_checks(module) == [
+        "snapshot_from_dict:5: isinstance(doc['v'], str)",
+        "snapshot_from_dict:5: errors.is_json_int(doc['i'])",
+        "snapshot_from_dict:7: isinstance(doc['t'], (str, type(None)))",
+        "_snapshot_from_xml:9: is_number(text)",
+    ]
 
 
 def test_every_exported_name_resolves():

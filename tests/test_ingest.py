@@ -124,6 +124,86 @@ class TestFragmentAndGroupInvariants:
         with pytest.raises(ValidationError, match="index must be an integer"):
             CloneGroup(index=index, fragments=(frag, frag))
 
+    @pytest.mark.parametrize("text", [5, b"x", ["x"]])
+    def test_fragment_text_must_be_a_string(self, text):
+        """An int text once passed and died in concatenated_text."""
+        with pytest.raises(ValidationError, match="text must be a string"):
+            CloneFragment(file="a.c", start_line=1, end_line=2, text=text)
+
+    @pytest.mark.parametrize("version", [5, "", None, True])
+    def test_version_must_be_a_non_empty_string(self, version):
+        """5 was once accepted and written as a report that
+        snapshot_from_dict rejects."""
+        with pytest.raises(ValidationError, match="non-empty string"):
+            VersionSnapshot(version_id=version, groups=())
+
+
+# Values that are wrongly typed for some field (and valid for another).
+WRONG = [True, False, 1.0, 0.5, "", None, 5, "1", float("nan")]
+FRAGMENT = st.fixed_dictionaries({
+    "file": st.text(max_size=3), "start_line": st.integers(1, 2),
+    "end_line": st.integers(2, 3), "text": st.none() | st.text(max_size=3)})
+
+
+class TestTypesAndParserAgree:
+    """The constructors and the parser apply one rule: whatever the types
+    accept round-trips through the report schema."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(version=st.text(min_size=1, max_size=3),
+           groups=st.lists(st.lists(FRAGMENT, min_size=2, max_size=3),
+                           min_size=1, max_size=3),
+           value=st.sampled_from(WRONG))
+    def test_accepted_snapshot_round_trips(self, version, groups, value):
+        """A valid snapshot with one field at a time set to ``value``."""
+        for slot in ("version", "index", "file", "start_line", "end_line", "text"):
+            fields = [[dict(f) for f in fragments] for fragments in groups]
+            indices = list(range(len(groups)))
+            if slot == "index":
+                indices[0] = value
+            elif slot != "version":
+                fields[0][0][slot] = value
+            try:
+                snapshot = VersionSnapshot(
+                    value if slot == "version" else version,
+                    tuple(CloneGroup(index, tuple(CloneFragment(**f) for f in frags))
+                          for index, frags in zip(indices, fields)))
+            except ValidationError:
+                continue
+            assert snapshot_from_dict(snapshot_to_dict(snapshot)) == snapshot
+
+    @pytest.mark.parametrize("field, value, where", [
+        ("version", 5, ""), ("version", "", ""),
+        ("index", None, r"groups\[0\]: "),
+        ("file", 7, r"groups\[0\]\.fragments\[1\]: "),
+        ("text", 5, r"groups\[0\]\.fragments\[1\]: "),
+        ("end_line", 0.5, r"groups\[0\]\.fragments\[1\]: "),
+    ])
+    def test_wrong_value_is_validation_error_at_its_position(self, field,
+                                                             value, where):
+        doc = make_report(n_groups=1)
+        if field == "version":
+            doc["version"] = value
+        elif field == "index":
+            doc["groups"][0]["index"] = value
+        else:
+            doc["groups"][0]["fragments"][1][field] = value
+        with pytest.raises(ValidationError, match="^" + where):
+            snapshot_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [
+        [], {"groups": []}, {"version": "v1"}, {"version": "v1", "groups": {}},
+        {"version": "v1", "groups": [[]]},
+        {"version": "v1", "groups": [{"fragments": []}]},
+        {"version": "v1", "groups": [{"index": 0}]},
+        {"version": "v1", "groups": [{"index": 0, "fragments": [1]}]},
+        {"version": "v1", "groups": [{"index": 0, "fragments": [
+            {"file": "a.c", "start_line": 1}]}]},
+    ])
+    def test_wrong_shape_is_parse_error(self, doc):
+        with pytest.raises(ReportParseError):
+            snapshot_from_dict(doc)
+
 
 class TestNativeJson:
     def test_round_trip(self):
@@ -159,12 +239,15 @@ class TestNativeJson:
         ("start_line", True), ("end_line", True),
     ])
     def test_json_boolean_is_not_an_integer(self, field, value):
+        """The constructor rejects the value; the parser names its place."""
         doc = make_report(n_groups=1)
         if field == "index":
             doc["groups"][0]["index"] = value
+            where = r"groups\[0\]: "
         else:
             doc["groups"][0]["fragments"][0][field] = value
-        with pytest.raises(ReportParseError):
+            where = r"groups\[0\]\.fragments\[0\]: "
+        with pytest.raises(ValidationError, match="^" + where):
             snapshot_from_dict(doc)
 
     def test_malformed_json_reports_position(self, tmp_path):
@@ -223,6 +306,28 @@ class TestXmlAdapter:
         path = tmp_path / "r.xml"
         path.write_text(self.XML.replace('id="1"', 'id="x"'), encoding="utf-8")
         with pytest.raises(ReportParseError, match="not an integer"):
+            parse_clone_report(path)
+
+    @pytest.mark.parametrize("plain, written", [
+        ('endline="12"', 'endline="1_2"'),
+        ('startline="10"', 'startline=" 10 "'),
+        ('endline="12"', 'endline="+12"'),
+        ('startline="10"', 'startline="\u0661\u0660"'),
+        ('id="0"', 'id="0_0"'),
+    ], ids=["underscore", "spaces", "plus", "arabic-indic", "class-id"])
+    def test_integer_attribute_must_be_plain_decimal(self, tmp_path, plain,
+                                                     written):
+        """``int`` takes each of these forms; a report must not."""
+        path = tmp_path / "r.xml"
+        path.write_text(self.XML.replace(plain, written), encoding="utf-8")
+        with pytest.raises(ReportParseError, match="is not an integer"):
+            parse_clone_report(path)
+
+    def test_negative_line_reaches_the_range_rule(self, tmp_path):
+        path = tmp_path / "r.xml"
+        path.write_text(self.XML.replace('startline="10"', 'startline="-1"'),
+                        encoding="utf-8")
+        with pytest.raises(ValidationError, match=r"^<class id=0>: bad fragment"):
             parse_clone_report(path)
 
 

@@ -63,6 +63,12 @@ class TestBuildCorpus:
         with pytest.raises(ValidationError):
             Corpus(vocabulary=("a",), documents=((0, 1),))
 
+    @pytest.mark.parametrize("wid", [0.5, True, 1.0])
+    def test_non_integer_ids_rejected(self, wid):
+        """0.5 once died in fit_lda with a TypeError; True was taken as 1."""
+        with pytest.raises(ValidationError, match="not an integer"):
+            Corpus(vocabulary=("a", "b"), documents=((wid, 0),))
+
 
 class TestLdaConfig:
     def test_defaults(self):
