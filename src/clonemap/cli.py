@@ -13,15 +13,16 @@ import json
 import sys
 
 from . import __version__
-from .errors import CloneMapError, ConfigError, ValidationError, is_json_int, read_utf8
+from .errors import CloneMapError, ConfigError, read_utf8
 from .evaluation import SynthConfig, generate_evolution, load_ground_truth, score
 from .ingest import parse_clone_report, resolve_snapshot
-from .mapping import GroupMapping, MappingConfig, Strategy
+from .mapping import MappingConfig, Strategy
 from .preprocess import default_filter_config
 from .pipeline import (
     artifact_header,
     build_documents,
     canonical_json,
+    mappings_from_artifact,
     run_map,
     topic_dump_entries,
     write_json_artifact,
@@ -217,36 +218,6 @@ def cmd_map(args) -> int:
     return _emit(args, result, _render_map_table)
 
 
-def _mappings_from_artifact(doc: dict) -> list[GroupMapping]:
-    if not isinstance(doc, dict):
-        raise ValidationError("mapping artifact must be a JSON object")
-    for key in ("newer", "older", "mappings"):
-        if key not in doc:
-            raise ValidationError(f"mapping artifact missing key {key!r}")
-    if not isinstance(doc["mappings"], list):
-        raise ValidationError("mapping artifact 'mappings' must be a list")
-    newer = doc["newer"]
-    older = doc["older"]
-    out = []
-    for row in doc["mappings"]:
-        new = row.get("new_group") if isinstance(row, dict) else None
-        if not is_json_int(new):
-            raise ValidationError(
-                f"mapping row needs an integer 'new_group': {row!r}"
-            )
-        old = row.get("old_group")
-        if old is not None and not is_json_int(old):
-            raise ValidationError(
-                f"mapping row 'old_group' must be an integer or null: {row!r}"
-            )
-        out.append(GroupMapping(
-            new_group=(newer, new),
-            old_group=None if old is None else (older, old),
-            similarity=row.get("similarity", 0.0),
-        ))
-    return out
-
-
 def _render_eval_table(payload: dict) -> str:
     return "\n".join([
         f"correct    {payload['correct']}",
@@ -260,7 +231,7 @@ def _render_eval_table(payload: dict) -> str:
 def cmd_eval(args) -> int:
     mapping_doc = json.loads(read_utf8(args.mapping))
     truth = load_ground_truth(args.truth)
-    mappings = _mappings_from_artifact(mapping_doc)
+    mappings = mappings_from_artifact(mapping_doc)
     report = score(mappings, truth)
     payload = {
         "newer": truth.newer_version,

@@ -1,6 +1,8 @@
 """Exception and warning types shared across the toolchain, the type
-checks that config fields and readers of outside JSON use, and the strict
-UTF-8 read of every outside input file that must decode exactly."""
+checks that config fields and data types use, the position prefix that
+readers of outside input put before a data type's ValidationError, and
+the strict UTF-8 read of every outside input file that must decode
+exactly."""
 
 from numbers import Real
 from pathlib import Path
@@ -25,6 +27,15 @@ def read_utf8(path) -> str:
         raise ValidationError(
             f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"
         ) from None
+
+
+def _at(where: str, make, *args):
+    """``make(*args)``; a ValidationError it raises is raised again with
+    ``where``, the value's position in the input, before its message."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 class CloneMapError(Exception):

@@ -18,8 +18,8 @@ from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import (ConfigError, CoverageError, ValidationError, is_json_int,
-                     is_number, read_utf8)
+from .errors import (ConfigError, CoverageError, ValidationError, _at,
+                     is_json_int, is_number, read_utf8)
 from .ingest import CloneFragment, CloneGroup, VersionSnapshot, snapshot_to_dict
 from .mapping import GroupMapping
 from .pipeline import artifact_header, write_json_artifact
@@ -55,14 +55,37 @@ _TEMPLATES = [
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """The reference mapping: one verdict per newer group index."""
+    """The reference mapping: one verdict per newer group index.
+
+    ``pairs`` maps each newer group index to its older group index, or to
+    None for a group with no origin.
+    """
 
     newer_version: str
     older_version: str
     pairs: dict
 
+    def __post_init__(self):
+        for name in ("newer_version", "older_version"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value):
+                raise ValidationError(f"{name.replace('_', ' ')} must be a "
+                                      f"non-empty string, got {value!r}")
+        if not isinstance(self.pairs, dict):
+            raise ValidationError(f"pairs must be a dict, got {self.pairs!r}")
+        for pos, (new, old) in enumerate(self.pairs.items()):
+            if not (is_json_int(new) and new >= 0):
+                raise ValidationError(f"pairs[{pos}]: 'new' must be an "
+                                      f"integer >= 0, got {new!r}")
+            if not (old is None or is_json_int(old) and old >= 0):
+                raise ValidationError(f"pairs[{pos}]: 'old' must be an "
+                                      f"integer >= 0 or null, got {old!r}")
+
     @classmethod
     def from_dict(cls, doc: dict) -> "GroundTruth":
+        """The inverse of ``to_dict``. Checks only the document's shape and
+        that no newer group appears twice; the constructor checks every
+        value, and its error is prefixed ``ground truth: ``."""
         if not isinstance(doc, dict):
             raise ValidationError("ground truth must be a JSON object")
         for key in ("newer", "older", "pairs"):
@@ -70,25 +93,21 @@ class GroundTruth:
                 raise ValidationError(f"ground truth missing key {key!r}")
         if not isinstance(doc["pairs"], list):
             raise ValidationError("ground truth 'pairs' must be a list")
-        pairs: dict[int, int | None] = {}
-        for entry in doc["pairs"]:
+        pairs = {}
+        for pos, entry in enumerate(doc["pairs"]):
+            where = f"ground truth: pairs[{pos}]"
             if not isinstance(entry, dict) or "new" not in entry or "old" not in entry:
-                raise ValidationError(
-                    "ground truth pairs need 'new' and 'old' keys"
-                )
+                raise ValidationError(f"{where} needs 'new' and 'old' keys")
             new = entry["new"]
-            old = entry["old"]
-            if not is_json_int(new):
-                raise ValidationError(f"ground truth 'new' must be an int, got {new!r}")
-            if old is not None and not is_json_int(old):
-                raise ValidationError(
-                    f"ground truth 'old' must be an int or null, got {old!r}"
-                )
+            # An array or an object cannot key ``pairs``.
+            if isinstance(new, dict) or isinstance(new, list):
+                raise ValidationError(f"{where}: 'new' must not be an array "
+                                      f"or an object")
             if new in pairs:
-                raise ValidationError(f"duplicate ground truth entry for newer group {new}")
-            pairs[new] = old
-        return cls(newer_version=str(doc["newer"]),
-                   older_version=str(doc["older"]), pairs=pairs)
+                raise ValidationError(f"{where}: duplicate entry for newer "
+                                      f"group {new!r}")
+            pairs[new] = entry["old"]
+        return _at("ground truth", cls, doc["newer"], doc["older"], pairs)
 
     def to_dict(self) -> dict:
         return {

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (FragmentRangeError, ReportParseError, ValidationError,
-                     is_json_int, read_utf8)
+                     _at, is_json_int, read_utf8)
 
 
 @dataclass(frozen=True)
@@ -190,15 +190,6 @@ def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None =
             fragments.append(frag)
         groups.append(CloneGroup(index=group.index, fragments=tuple(fragments)))
     return VersionSnapshot(version_id=snapshot.version_id, groups=tuple(groups))
-
-
-def _at(where: str, make, *args):
-    """``make(*args)``; a ValidationError it raises is raised again with
-    ``where``, the value's position in the report, before its message."""
-    try:
-        return make(*args)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
 
 
 def snapshot_from_dict(doc: dict) -> VersionSnapshot:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CloneMapWarning, ConfigError, ValidationError, is_number
+from .errors import (CloneMapWarning, ConfigError, ValidationError, is_json_int,
+                     is_number)
 from .ingest import VersionSnapshot
 from .similarity import Metric, lcs_matrix, score_matrix
 # lcs_similarity and topic_similarity are not called here but stay importable
@@ -58,6 +59,22 @@ class GroupMapping:
     new_group: tuple[str, int]
     old_group: tuple[str, int] | None
     similarity: float
+
+    def __post_init__(self):
+        # A version is a non-empty string, as in VersionSnapshot.
+        for name in ("new_group", "old_group"):
+            ref = getattr(self, name)
+            if not (ref is None and name == "old_group"
+                    or isinstance(ref, tuple) and len(ref) == 2
+                    and isinstance(ref[0], str) and ref[0] != ""
+                    and is_json_int(ref[1]) and ref[1] >= 0):
+                raise ValidationError(
+                    f"{name} must be a (version, index) tuple of a non-empty "
+                    f"string and an integer >= 0, got {ref!r}")
+        # Negated, so that NaN fails too.
+        if not (is_number(self.similarity) and 0.0 <= self.similarity <= 1.0):
+            raise ValidationError(f"similarity must be a number in [0, 1], "
+                                  f"got {self.similarity!r}")
 
 
 @dataclass(frozen=True)

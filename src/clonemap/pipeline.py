@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .errors import ValidationError, _at
 from .ingest import VersionSnapshot, parse_clone_report, resolve_snapshot
 from .mapping import (
     GroupMapping,
@@ -45,12 +46,14 @@ def pair_topics(newer_docs: list[TokenDocument], older_docs: list[TokenDocument]
     The default path computes exact one-topic frequencies per group. With
     K > 1 a corpus-wide Gibbs model is fit instead and each group is
     represented by its document-topic mixture. Either way an empty
-    document gives an empty row.
+    document gives an empty row, and when every document is empty no
+    model is fit.
     """
     if lda_config is not None and lda_config.K > 1:
         documents = list(newer_docs) + list(older_docs)
-        theta = fit_lda(build_corpus(documents), lda_config).theta
         empty = np.array([doc.token_count == 0 for doc in documents])
+        theta = (np.zeros((len(documents), lda_config.K)) if empty.all()
+                 else fit_lda(build_corpus(documents), lda_config).theta)
         weights = np.where(empty[:, None], 0.0, theta)
         newer_block = TopicBlock.from_dense(weights[:len(newer_docs)])
         older_block = TopicBlock.from_dense(weights[len(newer_docs):])
@@ -125,6 +128,36 @@ def mapping_result(newer_id: str, older_id: str, mappings: list[GroupMapping],
         "unmatched_old": unmatched_old_groups(mappings, older_size),
         **artifact_header(run_config),
     }
+
+
+def mappings_from_artifact(doc: dict) -> list[GroupMapping]:
+    """The verdicts of a mapping artifact, the inverse of ``mapping_result``.
+
+    Checks only the document's shape: an object with ``newer``, ``older``
+    and a ``mappings`` list of row objects, each with ``new_group``,
+    ``old_group`` and ``similarity``. ``GroupMapping`` checks every value,
+    and its error is prefixed with the row's position, ``mapping row i: ``.
+    """
+    if not isinstance(doc, dict):
+        raise ValidationError("mapping artifact must be a JSON object")
+    for key in ("newer", "older", "mappings"):
+        if key not in doc:
+            raise ValidationError(f"mapping artifact missing key {key!r}")
+    if not isinstance(doc["mappings"], list):
+        raise ValidationError("mapping artifact 'mappings' must be a list")
+    newer, older = doc["newer"], doc["older"]
+    mappings = []
+    for pos, row in enumerate(doc["mappings"]):
+        where = f"mapping row {pos}"
+        if not (isinstance(row, dict)
+                and {"new_group", "old_group", "similarity"} <= row.keys()):
+            raise ValidationError(f"{where} needs 'new_group', 'old_group' "
+                                  f"and 'similarity' keys, got {row!r}")
+        old = row["old_group"]
+        mappings.append(_at(where, GroupMapping, (newer, row["new_group"]),
+                            None if old is None else (older, old),
+                            row["similarity"]))
+    return mappings
 
 
 def run_map(newer_report: Path | str, older_report: Path | str,

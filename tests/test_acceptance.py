@@ -30,8 +30,8 @@ from clonemap.evaluation import (
     load_ground_truth,
     score,
 )
-from clonemap.mapping import GroupMapping, MappingConfig, Strategy
-from clonemap.pipeline import run_map, write_json_artifact
+from clonemap.mapping import MappingConfig, Strategy
+from clonemap.pipeline import mappings_from_artifact, run_map, write_json_artifact
 from clonemap.preprocess import TokenDocument
 from clonemap.similarity import Metric, lcs_similarity, topic_similarity
 from clonemap.topicmodel import LdaConfig, build_corpus, fit_group_topic, fit_lda
@@ -95,20 +95,6 @@ def _verdict(capsys, number: int, ok: bool, detail: str) -> None:
         print(f"criterion {number}: {status}  {detail}")
 
 
-def _payload_mappings(payload: dict) -> list[GroupMapping]:
-    """Rebuild mapping objects from a mapping artifact payload."""
-    newer, older = payload["newer"], payload["older"]
-    return [
-        GroupMapping(
-            new_group=(newer, row["new_group"]),
-            old_group=(None if row["old_group"] is None
-                       else (older, row["old_group"])),
-            similarity=row["similarity"],
-        )
-        for row in payload["mappings"]
-    ]
-
-
 def _map_fixture(root: Path, delta: float = 0.8,
                  strategy: Strategy = Strategy.TOPIC) -> dict:
     """Map a generated evolution's newer version onto its older one."""
@@ -123,7 +109,7 @@ def _map_fixture(root: Path, delta: float = 0.8,
 
 def _score_fixture(root: Path, payload: dict):
     truth = load_ground_truth(root / "truth.json")
-    return score(_payload_mappings(payload), truth)
+    return score(mappings_from_artifact(payload), truth)
 
 
 def _canonical(payload: dict) -> bytes:
@@ -387,7 +373,7 @@ def test_criterion_7_comment_noise_is_invisible_to_topics(capsys, tmp_path):
         mapped = sum(
             1 for row in payload["mappings"] if row["old_group"] is not None
         )
-        report = score(_payload_mappings(payload), truth)
+        report = score(mappings_from_artifact(payload), truth)
         lines.append(
             f"  type-3-heavy report ({label}): mapped {mapped}/20, "
             f"precision = {report.precision:.4f}, recall = {report.recall:.4f}"

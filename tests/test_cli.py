@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from clonemap.cli import build_parser, main
+from clonemap.errors import CloneMapWarning
 
 
 @pytest.fixture()
@@ -322,6 +323,75 @@ class TestEvalCommand:
                    "--truth", str(evolution / "truth.json")])
         assert rc == 3
         assert "duplicate mapping row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit_mapping,edit_truth,message", [
+        pytest.param(lambda m: m.update(newer="None"),
+                     lambda t: t.update(newer=None),
+                     "ground truth: newer version must be a non-empty string",
+                     id="null-truth-version"),
+        pytest.param(lambda m: m.update(newer="2"),
+                     lambda t: t.update(newer=2),
+                     "ground truth: newer version must be a non-empty string",
+                     id="integer-truth-version"),
+        pytest.param(lambda m: m.update(older=""),
+                     lambda t: t.update(older=""),
+                     "ground truth: older version must be a non-empty string",
+                     id="empty-older-version"),
+        pytest.param(lambda m: m["mappings"][1].update(similarity="high"),
+                     lambda t: None,
+                     "mapping row 1: similarity must be a number in [0, 1]",
+                     id="text-similarity"),
+        pytest.param(lambda m: m["mappings"][1].pop("similarity"),
+                     lambda t: None,
+                     "mapping row 1 needs 'new_group', 'old_group' and "
+                     "'similarity' keys", id="missing-similarity"),
+        pytest.param(lambda m: None,
+                     lambda t: t["pairs"][1].update(old=-5),
+                     "ground truth: pairs[1]: 'old' must be an integer >= 0",
+                     id="negative-truth-old"),
+    ])
+    def test_invalid_eval_value_names_its_position(self, evolution, tmp_path,
+                                                   capsys, edit_mapping,
+                                                   edit_truth, message):
+        """Each of these inputs once scored, through a coercion or a
+        skipped check."""
+        paths = {"mapping": tmp_path / "mapping.json",
+                 "truth": evolution / "truth.json"}
+        assert main(run_map_cmd(evolution, "--out", str(paths["mapping"]))) == 0
+        for name, edit in (("mapping", edit_mapping), ("truth", edit_truth)):
+            doc = json.loads(paths[name].read_text(encoding="utf-8"))
+            edit(doc)
+            paths[name] = tmp_path / f"edited_{name}.json"
+            paths[name].write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["eval", "--mapping", str(paths["mapping"]),
+                   "--truth", str(paths["truth"])])
+        assert rc == 3
+        assert message in capsys.readouterr().err
+
+
+class TestAllEmptyPair:
+    """When every token document is empty, each group maps to null, at
+    any topic count."""
+
+    def test_topic_count_does_not_change_the_verdicts(self, tmp_path, capsys):
+        for version in ("newer", "older"):
+            report = {"version": version, "groups": [{"index": 0, "fragments": [
+                {"file": f"{side}.c", "start_line": 1, "end_line": 1,
+                 "text": text}
+                for side, text in (("a", "int x;"), ("b", "return 0;"))]}]}
+            (tmp_path / f"{version}.json").write_text(json.dumps(report),
+                                                      encoding="utf-8")
+        rows = {}
+        for topics in ("1", "2"):
+            with pytest.warns(CloneMapWarning, match="empty token document"):
+                rc = main(["map", "--newer", str(tmp_path / "newer.json"),
+                           "--older", str(tmp_path / "older.json"),
+                           "--topics", topics, "--format", "json"])
+            assert rc == 0
+            rows[topics] = json.loads(capsys.readouterr().out)["mappings"]
+        assert rows["2"] == rows["1"] == [
+            {"new_group": 0, "old_group": None, "similarity": 0.0}]
 
 
 class TestInvalidUtf8:

@@ -4,6 +4,7 @@ import filecmp
 import json
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from clonemap.errors import ConfigError, CoverageError, ValidationError
 from clonemap.evaluation import (
@@ -16,7 +17,7 @@ from clonemap.evaluation import (
 )
 from clonemap.ingest import parse_clone_report, resolve_snapshot
 from clonemap.mapping import GroupMapping
-from clonemap.pipeline import build_documents
+from clonemap.pipeline import build_documents, canonical_json
 from clonemap.preprocess import default_filter_config
 
 
@@ -117,6 +118,56 @@ class TestGroundTruthJson:
     def test_missing_keys_rejected(self):
         with pytest.raises(ValidationError):
             GroundTruth.from_dict({"newer": "v2", "pairs": []})
+
+    @pytest.mark.parametrize("entry", [[0, 1], {"new": 0}, {"old": 1}, 5])
+    def test_entry_without_new_and_old_rejected(self, entry):
+        doc = {"newer": "v2", "older": "v1", "pairs": [{"new": 1, "old": 1}, entry]}
+        with pytest.raises(ValidationError, match=r"pairs\[1\] needs"):
+            GroundTruth.from_dict(doc)
+
+    @pytest.mark.parametrize("new", [[0], {"a": 0}])
+    def test_container_new_rejected(self, new):
+        doc = {"newer": "v2", "older": "v1", "pairs": [{"new": new, "old": 0}]}
+        with pytest.raises(ValidationError, match=r"pairs\[0\]: 'new'"):
+            GroundTruth.from_dict(doc)
+
+    @pytest.mark.parametrize("version", [None, 2, "", ["v2"]])
+    def test_version_must_be_a_non_empty_string(self, version):
+        with pytest.raises(ValidationError, match="newer version"):
+            GroundTruth(version, "v1", {})
+        with pytest.raises(ValidationError, match="older version"):
+            GroundTruth.from_dict({"newer": "v2", "older": version, "pairs": []})
+
+    @pytest.mark.parametrize("new,old,message", [
+        (-1, 0, "'new'"), (True, 0, "'new'"), ("0", 0, "'new'"),
+        (1.0, 0, "'new'"), (0, -5, "'old'"), (0, False, "'old'"),
+        (0, 1.5, "'old'"), (0, "1", "'old'"),
+    ])
+    def test_indices_must_be_non_negative_integers(self, new, old, message):
+        with pytest.raises(ValidationError, match=rf"pairs\[1\]: {message}"):
+            mk_truth({5: None, new: old})
+        doc = {"newer": "v2", "older": "v1",
+               "pairs": [{"new": 5, "old": None}, {"new": new, "old": old}]}
+        with pytest.raises(ValidationError,
+                           match=rf"^ground truth: pairs\[1\]: {message}"):
+            GroundTruth.from_dict(doc)
+
+    def test_pairs_must_be_a_dict(self):
+        with pytest.raises(ValidationError, match="pairs must be a dict"):
+            GroundTruth("v2", "v1", [(0, 0)])
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(newer=st.text(max_size=3), older=st.text(max_size=3),
+           pairs=st.dictionaries(st.integers(-1, 50),
+                                 st.none() | st.integers(-1, 50), max_size=6))
+    def test_accepted_truth_round_trips(self, newer, older, pairs):
+        """Whatever the constructor accepts, ``from_dict`` reads back from
+        the canonical JSON text of ``to_dict``."""
+        try:
+            truth = GroundTruth(newer, older, pairs)
+        except ValidationError:
+            assume(False)
+        assert GroundTruth.from_dict(json.loads(canonical_json(truth.to_dict()))) == truth
 
 
 class TestSynthConfig:

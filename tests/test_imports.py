@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used or marked as kept,
 every private module-level name is used, no module reads the environment
-or writes JSON text outside ``pipeline``, the report parsers hold no value
-check, every name the package exports resolves, and the count of publicly
+or writes JSON text outside ``pipeline``, the readers of reports, ground
+truth and mapping artifacts hold no value check, every name the package exports resolves, and the count of publicly
 settable values is pinned."""
 
 import argparse
@@ -216,13 +216,18 @@ def test_scan_finds_a_json_write(tmp_path):
         "m.py:3: dumps", "m.py:5: dumps", "m.py:6: dump"]
 
 
-PARSERS = {"snapshot_from_dict", "_snapshot_from_xml"}
+# The readers of outside input: both report parsers in ``ingest``,
+# ``GroundTruth.from_dict`` in ``evaluation`` and ``mappings_from_artifact``
+# in ``pipeline``.
+PARSERS = {"snapshot_from_dict", "_snapshot_from_xml", "from_dict",
+           "mappings_from_artifact"}
+READER_MODULES = ("ingest.py", "evaluation.py", "pipeline.py")
 VALUE_CHECKS = {"is_json_int", "is_number"}
 SHAPE_TYPES = {"dict", "list"}
 
 
 def parser_value_checks(path: Path) -> list[str]:
-    """Value checks inside the report parsers of ``path``: a call to
+    """Value checks inside the input readers of ``path``: a call to
     ``is_json_int``/``is_number``, or an ``isinstance`` whose class
     argument is anything but ``dict`` or ``list``."""
     found = []
@@ -242,9 +247,15 @@ def parser_value_checks(path: Path) -> list[str]:
 
 
 def test_report_parsers_check_only_shape():
-    """Every value rule of a report lives in the data types; the parsers
-    check objects and arrays and leave the rest to the constructors."""
-    assert parser_value_checks(PACKAGE / "ingest.py") == []
+    """Every value rule of a report, a ground truth or a mapping artifact
+    lives in the data types; the readers check objects and arrays and
+    leave the rest to the constructors."""
+    paths = [PACKAGE / name for name in READER_MODULES]
+    defined = {node.name for path in paths
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef)}
+    assert PARSERS <= defined
+    assert [check for path in paths for check in parser_value_checks(path)] == []
 
 
 def test_scan_finds_a_value_check_in_a_parser(tmp_path):

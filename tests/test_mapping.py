@@ -1,12 +1,14 @@
 """Thresholded argmax mapping, the injective mode, and lineage chaining."""
 
 import dataclasses
+import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from clonemap.errors import CloneMapWarning, ConfigError
+from clonemap.errors import CloneMapWarning, ConfigError, ValidationError
 from clonemap.ingest import CloneFragment, CloneGroup, VersionSnapshot
 from clonemap.mapping import (
     GroupMapping,
@@ -18,6 +20,7 @@ from clonemap.mapping import (
     map_version_pair,
     unmatched_old_groups,
 )
+from clonemap.pipeline import canonical_json, mapping_result, mappings_from_artifact
 from clonemap.preprocess import TokenDocument
 from clonemap.similarity import score_matrix
 from clonemap.topicmodel import TopicBlock, frequency_blocks
@@ -292,6 +295,45 @@ class TestInjectiveAuctionOracle:
         ]
         assert got == oracle_injective_assign(scores, [False] * 4, "v2", "v1",
                                               0.5)
+
+
+class TestGroupMapping:
+    @pytest.mark.parametrize("ref", [
+        ("v2", -1), ("", 0), (None, 0), (2, 0), ("v2", True), ("v2", 1.0),
+        ("v2", "0"), ["v2", 0], ("v2", 0, 1), ("v2",), None,
+    ])
+    def test_bad_group_refs_rejected(self, ref):
+        with pytest.raises(ValidationError, match="new_group"):
+            GroupMapping(ref, ("v1", 0), 1.0)
+        if ref is not None:
+            with pytest.raises(ValidationError, match="old_group"):
+                GroupMapping(("v2", 0), ref, 1.0)
+
+    @pytest.mark.parametrize("similarity", [
+        float("nan"), float("inf"), -0.1, 1.5, "high", "1.0", True, None,
+    ])
+    def test_similarity_outside_the_unit_interval_rejected(self, similarity):
+        with pytest.raises(ValidationError, match="similarity"):
+            GroupMapping(("v2", 0), None, similarity)
+
+    @pytest.mark.parametrize("similarity", [0, 0.0, 0.5, 1, 1.0,
+                                            np.float64(0.25)])
+    def test_numbers_in_the_unit_interval_accepted(self, similarity):
+        assert GroupMapping(("v2", 3), ("v1", 0), similarity).similarity == similarity
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(newer=st.text(min_size=1), older=st.text(min_size=1),
+           rows=st.lists(st.tuples(st.none() | st.integers(0, 20),
+                                   st.floats(0.0, 1.0)), max_size=8))
+    def test_artifact_round_trips(self, newer, older, rows):
+        """``mappings_from_artifact`` reads back what ``mapping_result``
+        writes, through the canonical JSON text."""
+        mappings = [GroupMapping((newer, i), None if j is None else (older, j), s)
+                    for i, (j, s) in enumerate(rows)]
+        older_size = 1 + max((j for j, _ in rows if j is not None), default=-1)
+        text = canonical_json(mapping_result(newer, older, mappings, older_size,
+                                             MappingConfig()))
+        assert mappings_from_artifact(json.loads(text)) == mappings
 
 
 class TestVersionTopics:
