@@ -70,7 +70,8 @@ class EmptyDocumentError(CloneMapError):
 
 
 class CoverageError(CloneMapError):
-    """A mapping refers to a newer group the ground truth does not cover."""
+    """A mapping refers to a newer group the ground truth does not cover,
+    or has no row for one that it does."""
 
 
 class CloneMapWarning(UserWarning):

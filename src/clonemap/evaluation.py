@@ -140,8 +140,9 @@ def score(mappings: list[GroupMapping], truth: GroundTruth) -> EvalReport:
 
     A mapping is correct when its (new, old-or-null) pair equals the truth
     entry. Null verdicts that agree with the truth count toward neither
-    discovered nor actual. Zero denominators score 1.0. A newer group may
-    have at most one verdict.
+    discovered nor actual. Zero denominators score 1.0. Every newer group
+    the truth covers must have exactly one verdict: a missing row raises
+    CoverageError, since it would otherwise count as a silent miss.
     """
     correct = 0
     discovered = 0
@@ -172,6 +173,14 @@ def score(mappings: list[GroupMapping], truth: GroundTruth) -> EvalReport:
             discovered += 1
             if m.old_group[1] == expected:
                 correct += 1
+    missing = sorted(truth.pairs.keys() - seen)
+    if missing:
+        shown = ", ".join(map(str, missing[:5]))
+        more = f" and {len(missing) - 5} more" if len(missing) > 5 else ""
+        raise CoverageError(
+            f"mapping has no row for newer group {shown}{more} of the "
+            "ground truth"
+        )
     actual = sum(1 for old in truth.pairs.values() if old is not None)
     precision = correct / discovered if discovered else 1.0
     recall = correct / actual if actual else 1.0

@@ -10,6 +10,7 @@ sequences.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -143,8 +144,19 @@ def topic_similarity(t1, t2, metric: Metric = Metric.COSINE) -> float:
                               TopicBlock.from_dense(b[None]), metric)[0, 0])
 
 
-def _trimmed_lines(text: str) -> list[str]:
-    return [line.strip() for line in split_lines(text)]
+def _trimmed_lines(texts, side: str) -> list[list[str]]:
+    """Each text's trimmed lines; ValidationError unless ``texts`` is a
+    sequence of ``str``s (a bare ``str`` would iterate as one-character
+    texts)."""
+    if isinstance(texts, str) or not isinstance(texts, Iterable):
+        raise ValidationError(f"lcs_matrix takes a sequence of {side} texts")
+    lines = []
+    for i, text in enumerate(texts):
+        if not isinstance(text, str):
+            raise ValidationError(
+                f"{side} text {i} is a {type(text).__name__}, not a str")
+        lines.append([line.strip() for line in split_lines(text)])
+    return lines
 
 
 def lcs_matrix(newer_texts, older_texts) -> np.ndarray:
@@ -152,35 +164,46 @@ def lcs_matrix(newer_texts, older_texts) -> np.ndarray:
 
     Each cell is 2*|LCS| / (len(a) + len(b)) over the trimmed lines of
     ``ingest.split_lines``, matching by ``==``; two empty texts score 1.0
-    and a pair with one empty side 0.0. The LCS length comes from the
-    bit-parallel row recurrence (Allison & Dix 1986; Hyyrö 2004): each
-    older text's lines become one bitmask per distinct line, built once,
-    and each newer line updates a Python-int row vector ``v`` in one step.
-    The LCS length is the count of zero bits left in ``v``.
+    and a pair with one empty side 0.0. A pair that shares no line has
+    LCS 0 and keeps the 0.0 it starts with, so an inverted index from each
+    line to the older texts that hold it gives the candidate pairs
+    (Bayardo, Ma & Srikant 2007), and the cost grows with the pairs that
+    share a line rather than with N * M. A candidate's LCS length comes
+    from the bit-parallel row recurrence (Allison & Dix 1986; Hyyrö 2004):
+    each older text's lines become one bitmask per distinct line, built
+    once, and each newer line updates a Python-int row vector ``v`` in one
+    step. The LCS length is the count of zero bits left in ``v``.
     """
-    newer_lines = [_trimmed_lines(text) for text in newer_texts]
-    older_lines = [_trimmed_lines(text) for text in older_texts]
+    newer_lines = _trimmed_lines(newer_texts, "newer")
+    older_lines = _trimmed_lines(older_texts, "older")
     scores = np.zeros((len(newer_lines), len(older_lines)))
+    older = []
+    holders: dict[str, list[int]] = {}
     for j, old in enumerate(older_lines):
-        n = len(old)
         masks: dict[str, int] = {}
         for bit, line in enumerate(old):
             masks[line] = masks.get(line, 0) | (1 << bit)
-        full = (1 << n) - 1
-        column = []
-        for new in newer_lines:
-            if not new or not old:
-                column.append(1.0 if not new and not old else 0.0)
-                continue
+        older.append((masks, len(old), (1 << len(old)) - 1))
+        for line in masks:
+            holders.setdefault(line, []).append(j)
+    empty_older = [j for j, old in enumerate(older_lines) if not old]
+    for i, new in enumerate(newer_lines):
+        row = scores[i]
+        if not new:
+            row[empty_older] = 1.0
+            continue
+        candidates = set()
+        for line in set(new):
+            candidates.update(holders.get(line, ()))
+        for j in candidates:
+            masks, n, full = older[j]
             v = full
             for line in new:
                 mask = masks.get(line)
                 if mask is not None:
                     u = v & mask
                     v = ((v + u) | (v - u)) & full
-            lcs = n - v.bit_count()
-            column.append(2.0 * lcs / (len(new) + n))
-        scores[:, j] = column
+            row[j] = 2.0 * (n - v.bit_count()) / (len(new) + n)
     return scores
 
 

@@ -370,6 +370,27 @@ class TestEvalCommand:
         assert message in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("keep", [0, 1])
+    def test_missing_mapping_rows_exit_3(self, evolution, tmp_path, capsys,
+                                         keep):
+        """A mapping with no rows, or fewer rows than the truth, once
+        exited 0 with the missing rows counted as misses."""
+        mapping_path = tmp_path / "mapping.json"
+        assert main(run_map_cmd(evolution, "--out", str(mapping_path))) == 0
+        doc = json.loads(mapping_path.read_text(encoding="utf-8"))
+        doc["mappings"] = doc["mappings"][:keep]
+        if not keep:
+            doc.update(newer=None, older=5)
+        mapping_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["eval", "--mapping", str(mapping_path),
+                   "--truth", str(evolution / "truth.json")])
+        assert rc == 3
+        first = "1, 2, 3, 4, 5" if keep else "0, 1, 2, 3, 4"
+        assert (f"mapping has no row for newer group {first} and"
+                in capsys.readouterr().err)
+
+
 class TestAllEmptyPair:
     """When every token document is empty, each group maps to null, at
     any topic count."""

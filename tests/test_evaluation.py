@@ -89,6 +89,17 @@ class TestScore:
         with pytest.raises(CoverageError, match="3"):
             score([mk_mapping(3, 1)], mk_truth({0: 0}))
 
+    @pytest.mark.parametrize("mappings,message", [
+        ([], "no row for newer group 0, 1, 2, 3, 4 and 3 more of"),
+        ([mk_mapping(2, 2)], "no row for newer group 0, 1, 3, 4, 5 and 2 more"),
+        ([mk_mapping(i, i) for i in range(1, 7)], "no row for newer group 0, 7 of"),
+    ])
+    def test_missing_mapping_row_is_coverage_error(self, mappings, message):
+        """Each of these once scored, with the missing rows as silent
+        misses."""
+        with pytest.raises(CoverageError, match=message):
+            score(mappings, mk_truth({i: i for i in range(8)}))
+
     def test_version_mismatch_rejected(self):
         truth = GroundTruth(newer_version="v9", older_version="v1",
                             pairs={0: 0})

@@ -5,7 +5,10 @@ runs from inside its directory with relative paths, so the artifact header
 records the same paths on every machine. The cases cover the default
 cosine map and every injective path: cosine and Hellinger at the default
 ``delta`` and at ``delta`` 0, where every birth contends for the lowest
-older columns and the auction runs several rounds, and the LCS baseline.
+older columns and the auction runs several rounds, and the LCS baseline,
+plain and injective, at both. A birth shares no line with any older
+group, so its LCS row is all 0.0: at ``delta`` 0 the plain map links it to
+older group 0 and the injective auction hands it a free zero column.
 
 After a change that moves map's bytes on purpose, regenerate the golden
 from the repository root and say why in CHANGES.md:
@@ -38,7 +41,10 @@ CASES = {
     "hellinger-injective": ["--metric", "hellinger", "--injective"],
     "hellinger-injective-delta0": ["--metric", "hellinger", "--injective",
                                    "--delta", "0"],
+    "lcs": ["--strategy", "lcs"],
+    "lcs-delta0": ["--strategy", "lcs", "--delta", "0"],
     "lcs-injective": ["--strategy", "lcs", "--injective"],
+    "lcs-injective-delta0": ["--strategy", "lcs", "--injective", "--delta", "0"],
 }
 
 

@@ -420,7 +420,46 @@ def assert_matches_oracle(newer, older):
             assert scores[i, j] == dp_lcs_similarity(a, b)
 
 
+# Two disjoint line pools and the boilerplate both share; "" is a blank
+# line, so a text of blank lines only is not the empty text.
+NEWER_POOL = ["int a = 1;", "a += 2;", "  f(a);", "while (a) {"]
+OLDER_POOL = ["int b = 1;", "b -= 2;", "g(b);  ", "if (b) {"]
+BOILERPLATE = ["}", "", "return 0;"]
+
+
+def _texts_from(*pools, min_size=0):
+    lines = st.sampled_from([line for pool in pools for line in pool])
+    return st.lists(lines, min_size=min_size, max_size=12).map("\n".join)
+
+
+def _boilerplate_text(pool):
+    """Lines of ``pool`` and boilerplate, ``}`` among them, in any order."""
+    lines = st.lists(st.sampled_from(pool + BOILERPLATE), max_size=11)
+    return lines.flatmap(lambda drawn: st.permutations(drawn + ["}"])).map(
+        "\n".join)
+
+
 class TestLcsMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(own_newer=_texts_from(NEWER_POOL, min_size=1),
+           own_older=_texts_from(OLDER_POOL, min_size=1),
+           boiler_newer=_boilerplate_text(NEWER_POOL),
+           boiler_older=_boilerplate_text(OLDER_POOL),
+           mixed_newer=st.lists(_texts_from(NEWER_POOL, OLDER_POOL, BOILERPLATE),
+                                max_size=3),
+           mixed_older=st.lists(_texts_from(NEWER_POOL, OLDER_POOL, BOILERPLATE),
+                                max_size=3))
+    def test_candidate_join_equals_dp_oracle(self, own_newer, own_older,
+                                             boiler_newer, boiler_older,
+                                             mixed_newer, mixed_older):
+        """Every draw holds an empty text on each side, a pair that shares
+        no line, a pair that shares only boilerplate, ``}`` at least, and
+        mixed texts that may share anything; every cell, candidate or not,
+        equals the DP."""
+        newer = ["", own_newer, boiler_newer, *mixed_newer]
+        older = ["", own_older, boiler_older, *mixed_older]
+        assert_matches_oracle(newer, older)
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(TEXTS, min_size=1, max_size=3),
            st.lists(TEXTS, min_size=1, max_size=3))
@@ -460,3 +499,20 @@ class TestLcsMatrix:
         for i, a in enumerate(texts):
             for j, b in enumerate(texts):
                 assert lcs_similarity(a, b) == scores[i, j]
+
+    @pytest.mark.parametrize("newer,older,message", [
+        ("ab", ["a"], "sequence of newer texts"),
+        (["a"], "ab", "sequence of older texts"),
+        (None, ["a"], "sequence of newer texts"),
+        ([None], ["a"], "newer text 0 is a NoneType, not a str"),
+        (["a"], ["b", b"a"], "older text 1 is a bytes, not a str"),
+    ])
+    def test_texts_must_be_a_sequence_of_str(self, newer, older, message):
+        """A bare str once iterated as one-character texts and scored."""
+        with pytest.raises(ValidationError, match=message):
+            lcs_matrix(newer, older)
+
+    @pytest.mark.parametrize("a,b", [(None, "a"), ("a", 3), (["a"], "a")])
+    def test_lcs_similarity_takes_two_str(self, a, b):
+        with pytest.raises(ValidationError, match="not a str"):
+            lcs_similarity(a, b)
