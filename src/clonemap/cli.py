@@ -233,6 +233,10 @@ def cmd_eval(args) -> int:
     truth = load_ground_truth(args.truth)
     mappings = mappings_from_artifact(mapping_doc)
     report = score(mappings, truth)
+    # After the rows, whose errors name the row: a mapping without rows
+    # names neither version, and one of null verdicts no older version,
+    # so only the header can show those mismatches.
+    truth.check_versions(mapping_doc["newer"], mapping_doc["older"])
     payload = {
         "newer": truth.newer_version,
         "older": truth.older_version,

@@ -109,6 +109,17 @@ class GroundTruth:
             pairs[new] = entry["old"]
         return _at("ground truth", cls, doc["newer"], doc["older"], pairs)
 
+    def check_versions(self, newer, older) -> None:
+        """ValidationError unless ``newer`` and ``older`` are this truth's
+        versions. A mapping artifact names its versions once, in its
+        header; rows repeat them only where they hold a group."""
+        if (newer, older) != (self.newer_version, self.older_version):
+            raise ValidationError(
+                f"mapping artifact maps version {newer!r} onto {older!r} but "
+                f"ground truth maps {self.newer_version!r} onto "
+                f"{self.older_version!r}"
+            )
+
     def to_dict(self) -> dict:
         return {
             "newer": self.newer_version,

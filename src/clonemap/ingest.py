@@ -95,15 +95,46 @@ class VersionSnapshot:
         object.__setattr__(self, "groups", groups)
 
 
+def _lf(text: str) -> str:
+    """``text`` with CRLF and lone CR turned into LF."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
 def split_lines(text: str) -> list[str]:
     """The lines of ``text``, broken at LF only (after CRLF and lone CR
     become LF); a trailing newline ends the last line, not a new one."""
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
+    lines = _lf(text).split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines
+
+
+class _SourceFile:
+    """One source file, read once per version: decoded as UTF-8 with
+    invalid bytes replaced, with LF line ends and without its final
+    newline, so ``body`` is the file's whole line range as fragment text.
+    The line list is split from it on first need and shared."""
+
+    __slots__ = ("body", "line_count", "_lines")
+
+    def __init__(self, path: str):
+        with open(path, "rb", buffering=0) as handle:
+            text = _lf(handle.readall().decode("utf-8", "replace"))
+        self.body = text[:-1] if text.endswith("\n") else text
+        # As ``split_lines`` counts: a final newline ends the last line.
+        self.line_count = self.body.count("\n") + 1 if text else 0
+        self._lines: list[str] | None = None
+
+    def text(self, start_line: int, end_line: int) -> str:
+        """Lines ``start_line..end_line`` (1-based, inclusive, within
+        ``line_count``) joined by LF."""
+        if start_line == 1 and end_line == self.line_count:
+            return self.body
+        if self._lines is None:
+            self._lines = self.body.split("\n")
+        return "\n".join(self._lines[start_line - 1 : end_line])
 
 
 def resolve_fragment_text(fragment: CloneFragment, source_root: Path | str) -> str:
@@ -115,7 +146,7 @@ def resolve_fragment_text(fragment: CloneFragment, source_root: Path | str) -> s
     embedded NUL, a lone surrogate), FileNotFoundError for a missing file
     and FragmentRangeError when the range exceeds the file length.
     """
-    return _read_fragment(fragment, os.path.realpath(source_root), {})
+    return _read_fragment(fragment, os.path.realpath(source_root), {}, {})
 
 
 def _within(root: str, path: str) -> bool:
@@ -146,25 +177,27 @@ def _contained_path(root: str, file: str,
 
 
 def _read_fragment(fragment: CloneFragment, root: str,
-                   dirs: dict[str, tuple[str, bool]]) -> str:
+                   dirs: dict[str, tuple[str, bool]],
+                   files: dict[str, _SourceFile]) -> str:
     """``resolve_fragment_text`` under a source root that is already a
-    real path (absolute, symlinks resolved)."""
+    real path (absolute, symlinks resolved). ``files`` caches each file
+    read so far by its real path."""
     try:
         path = _contained_path(root, fragment.file, dirs)
-        handle = open(path, "rb", buffering=0)
+        source = files.get(path)
+        if source is None:
+            source = files[path] = _SourceFile(path)
     except ValueError as exc:
         # An embedded NUL, or a name the file system encoding cannot encode.
         raise ValidationError(
             f"fragment file {fragment.file!r} is not a valid path: {exc}"
         ) from None
-    with handle:
-        lines = split_lines(handle.readall().decode("utf-8", "replace"))
-    if fragment.end_line > len(lines):
+    if fragment.end_line > source.line_count:
         raise FragmentRangeError(
             f"{fragment.file}: lines {fragment.start_line}..{fragment.end_line} "
-            f"exceed file length {len(lines)}"
+            f"exceed file length {source.line_count}"
         )
-    return "\n".join(lines[fragment.start_line - 1 : fragment.end_line])
+    return source.text(fragment.start_line, fragment.end_line)
 
 
 def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None = None) -> VersionSnapshot:
@@ -173,9 +206,11 @@ def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None =
     Fragments that already carry text (e.g. from a report's optional "text"
     field) are kept as-is; every other fragment is read from under
     ``source_root``, and a fragment file outside it raises ValidationError.
+    Each file is opened and read once, however many fragments it holds.
     """
     real_root = os.path.realpath(source_root) if source_root is not None else None
     dirs: dict[str, tuple[str, bool]] = {}
+    files: dict[str, _SourceFile] = {}
     groups = []
     for group in snapshot.groups:
         fragments = []
@@ -186,7 +221,7 @@ def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None =
                         f"group {group.index}: no source root to resolve {frag.file!r}"
                     )
                 frag = CloneFragment(frag.file, frag.start_line, frag.end_line,
-                                     _read_fragment(frag, real_root, dirs))
+                                     _read_fragment(frag, real_root, dirs, files))
             fragments.append(frag)
         groups.append(CloneGroup(index=group.index, fragments=tuple(fragments)))
     return VersionSnapshot(version_id=snapshot.version_id, groups=tuple(groups))

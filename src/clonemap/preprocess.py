@@ -31,10 +31,13 @@ _NON_WORD_TO_SPACE = bytes(
 _MIN_TOKEN_LENGTH = 2
 # One pass over comments and literals, leftmost match first: a line comment,
 # a block comment (``open`` captures an unterminated one), then a string or
-# character literal whose backslash escapes any next character.
+# character literal whose backslash escapes any next character. The block
+# comment is an unrolled loop: non-stars, a run of stars, and again while
+# the run is not followed by "/". It ends at the first "*/" without
+# backtracking (Friedl, "Mastering Regular Expressions", ch. 6).
 _STRIP_RE = re.compile(
     r"//[^\n]*"
-    r"|/\*(?:[\s\S]*?\*/|(?P<open>[\s\S]*))"
+    r"|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/|/\*(?P<open>[\s\S]*)"
     r'|"[^"\\\n]*(?:\\[\s\S]?[^"\\\n]*)*"?'
     r"|'[^'\\\n]*(?:\\[\s\S]?[^'\\\n]*)*'?"
 )
@@ -48,7 +51,11 @@ class FilterConfig:
     words: frozenset[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "words", frozenset(w.lower() for w in self.words))
+        words = frozenset(w.lower() for w in self.words)
+        object.__setattr__(self, "words", words)
+        # Derived from ``words``, so not a field: equality, hashing and
+        # ``replace`` see only the words, and a new config gets a new memo.
+        object.__setattr__(self, "_kept", _KeptWords(words))
 
     def removes(self, word: str) -> bool:
         return word.lower() in self.words
@@ -153,13 +160,28 @@ def strip_comments(text: str) -> str:
     return _STRIP_RE.sub(_blank, text)
 
 
-def _kept_word(raw: str, config: FilterConfig) -> str:
+def _kept_word(raw: str, words: frozenset[str]) -> str:
     """``raw`` lowercased, or "" when the filter drops it."""
     word = raw.lower()
     if (len(word) < _MIN_TOKEN_LENGTH or word[0].isdigit()
-            or word in config.words):
+            or word in words):
         return ""
     return word
+
+
+class _KeptWords(dict):
+    """A filter's decisions: raw word (ASCII bytes) -> ``_kept_word`` of
+    it, made on the first lookup and kept for the life of the filter."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: frozenset[str]):
+        super().__init__()
+        self.words = words
+
+    def __missing__(self, raw: bytes) -> str:
+        kept = self[raw] = _kept_word(raw.decode("ascii"), self.words)
+        return kept
 
 
 def tokenize(text: str, config: FilterConfig) -> TokenDocument:
@@ -169,12 +191,11 @@ def tokenize(text: str, config: FilterConfig) -> TokenDocument:
     Tokens shorter than two characters, tokens starting with a digit
     (numeric literals), and tokens in the removal set are dropped.
     Assumes comments are already stripped. Each distinct raw token is
-    filtered once per call; repeats reuse it.
+    filtered once per ``FilterConfig``, across calls; repeats reuse it.
     """
     raws = text.encode("utf-8", "surrogatepass").translate(_NON_WORD_TO_SPACE).split()
-    kept = {raw: _kept_word(raw.decode("ascii"), config) for raw in set(raws)}
-    return TokenDocument(group_ref=None,
-                         tokens=tuple(filter(None, map(kept.__getitem__, raws))))
+    tokens = tuple(filter(None, map(config._kept.__getitem__, raws)))
+    return TokenDocument(group_ref=None, tokens=tokens)
 
 
 def build_group_document(group: CloneGroup, config: FilterConfig,

@@ -390,6 +390,28 @@ class TestEvalCommand:
         assert (f"mapping has no row for newer group {first} and"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("mapping,truth", [
+        ({"newer": None, "older": 5, "mappings": []},
+         {"newer": "v2", "older": "v1", "pairs": []}),
+        ({"newer": "v2", "older": "vX", "mappings": [
+            {"new_group": 0, "old_group": None, "similarity": 0.25}]},
+         {"newer": "v2", "older": "v1", "pairs": [{"new": 0, "old": None}]}),
+    ], ids=["no-rows", "null-verdicts-only"])
+    def test_header_versions_must_match_the_truth(self, tmp_path, capsys,
+                                                  mapping, truth):
+        """Rows that name no older version once let a mismatched header
+        score precision and recall 1."""
+        paths = {}
+        for name, doc in (("mapping", mapping), ("truth", truth)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["eval", "--mapping", str(paths["mapping"]),
+                   "--truth", str(paths["truth"])])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("clonemap: mapping artifact maps version ")
+        assert "but ground truth maps 'v2' onto 'v1'" in err
+
 
 class TestAllEmptyPair:
     """When every token document is empty, each group maps to null, at

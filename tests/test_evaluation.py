@@ -181,6 +181,18 @@ class TestGroundTruthJson:
         assert GroundTruth.from_dict(json.loads(canonical_json(truth.to_dict()))) == truth
 
 
+class TestCheckVersions:
+    def test_matching_versions_pass(self):
+        mk_truth({}).check_versions("v2", "v1")
+
+    @pytest.mark.parametrize("newer,older", [
+        (None, 5), ("v2", "vX"), ("v1", "v2"), ("v2", None), (["v2"], "v1"),
+    ])
+    def test_other_versions_rejected(self, newer, older):
+        with pytest.raises(ValidationError, match="ground truth maps 'v2'"):
+            mk_truth({0: None}).check_versions(newer, older)
+
+
 class TestSynthConfig:
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ConfigError):

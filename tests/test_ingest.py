@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clonemap import ingest
 from clonemap.errors import (
     FragmentRangeError,
     ReportParseError,
@@ -482,3 +483,99 @@ class TestTextResolution:
         text = snap.groups[0].concatenated_text()
         assert text.count("int x0") == 2
         assert "\n" in text
+
+
+class TestResolveByFile:
+    """``resolve_snapshot`` reads each file once per version, however many
+    fragments and names lead to it, and gives every fragment the text that
+    ``resolve_fragment_text`` reads for it alone."""
+
+    FILES = {
+        "a.c": b"a1\na2\na3\na4\n\n",
+        "sub/crlf.c": b"c1\r\nc2\rc3\r\nc4\r\n",
+        "sub/bad.c": b"b1\xff\nb2\xe2\x82\nb3\xc3\n",
+        "tail.c": b"t1\nt2\nt3",
+        "blank.c": b"\n",
+    }
+    # Each file is named twice: plainly, and through "./", "sub/../" or a
+    # symlink inside the root.
+    ALIASES = {"a.c": "./a.c", "sub/crlf.c": "sub/./crlf.c",
+               "sub/bad.c": "sub/../sub/bad.c", "tail.c": "link.c",
+               "blank.c": "./blank.c"}
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        for name, content in self.FILES.items():
+            (tmp_path / name).write_bytes(content)
+        (tmp_path / "link.c").symlink_to(tmp_path / "tail.c")
+        return tmp_path
+
+    @pytest.fixture
+    def opened(self, monkeypatch):
+        """The paths that ``ingest`` opens, in order."""
+        paths = []
+
+        def counting_open(path, *args, **kwargs):
+            paths.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "open", counting_open, raising=False)
+        return paths
+
+    def fragments(self):
+        """Every line range of every file: whole-file, partial, overlapping
+        and nested ranges, under both names of the file."""
+        frags = []
+        for name, content in self.FILES.items():
+            lines = _normalize_newlines(
+                content.decode("utf-8", "replace")).split("\n")
+            n_lines = len(lines) - (lines[-1] == "")
+            for start in range(1, n_lines + 1):
+                for end in range(start, n_lines + 1):
+                    for file in (name, self.ALIASES[name]):
+                        frags.append(CloneFragment(file, start, end))
+        return frags
+
+    def snapshot(self, frags, version="v1"):
+        # Pairs of fragments as groups, so each file is named from
+        # several groups.
+        return VersionSnapshot(version, tuple(
+            CloneGroup(k, tuple(frags[2 * k : 2 * k + 2]))
+            for k in range(len(frags) // 2)))
+
+    def test_every_fragment_matches_the_single_reader(self, root, opened):
+        frags = self.fragments()
+        expected = [resolve_fragment_text(f, root) for f in frags]
+        assert expected == [read_fragment_oracle(f, root) for f in frags]
+        for version, order in (("v1", frags), ("v2", frags[::-1])):
+            opened.clear()
+            resolved = resolve_snapshot(self.snapshot(order, version), root)
+            got = [f.text for g in resolved.groups for f in g.fragments]
+            want = expected if order is frags else expected[::-1]
+            assert got == want
+            real = {os.path.realpath(root / name) for name in self.FILES}
+            assert sorted(opened) == sorted(real)
+
+    def test_whole_file_fragment_shares_the_file_text(self, root):
+        frags = [CloneFragment("tail.c", 1, 3), CloneFragment("link.c", 1, 3)]
+        resolved = resolve_snapshot(self.snapshot(frags), root)
+        first, second = resolved.groups[0].fragments
+        assert first.text == "t1\nt2\nt3"
+        assert first.text is second.text
+
+    def test_range_past_a_read_file_is_a_range_error(self, root, opened):
+        frags = [CloneFragment("a.c", 1, 5), CloneFragment("./a.c", 2, 6)]
+        with pytest.raises(FragmentRangeError) as alone:
+            resolve_fragment_text(frags[1], root)
+        opened.clear()
+        with pytest.raises(FragmentRangeError) as shared:
+            resolve_snapshot(self.snapshot(frags), root)
+        assert str(shared.value) == str(alone.value)
+        assert opened == [os.path.realpath(root / "a.c")]
+
+    def test_empty_file_has_no_lines(self, tmp_path):
+        (tmp_path / "empty.c").write_bytes(b"")
+        frags = [CloneFragment("empty.c", 1, 1)] * 2
+        with pytest.raises(FragmentRangeError, match="exceed file length 0"):
+            resolve_snapshot(self.snapshot(frags), tmp_path)

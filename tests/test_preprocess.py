@@ -2,13 +2,15 @@
 
 import re
 import warnings
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from clonemap import preprocess
 from clonemap.errors import CloneMapWarning
-from clonemap.ingest import CloneFragment, CloneGroup
+from clonemap.ingest import CloneFragment, CloneGroup, VersionSnapshot
 from clonemap.preprocess import (
     FilterConfig,
     TokenDocument,
@@ -173,9 +175,20 @@ class TestStripComments:
         assert got[1] == warns
         assert bool(blanked) == callback
 
+    # Runs of "*" drive the unrolled block-comment branch through each of
+    # its loops: stars that close at once, stars before a non-slash, a
+    # slash right after the opener, and an opener with no closer.
     @given(st.lists(st.sampled_from(
         ["/", "*", '"', "'", "\\", "\n", "a", "//", "/*", "*/"]),
         max_size=40).map("".join))
+    @example("/**/").via("empty comment")
+    @example("/***/").via("odd star run closes")
+    @example("/* ** */x").via("star run inside")
+    @example("/*/ */").via("slash after opener")
+    @example("/* a **/ b").via("star run before closer")
+    @example("/* * a **/ b").via("star run after a lone star")
+    @example("/* *").via("unterminated star")
+    @example("a /* b */ c /* d").via("terminated then unterminated")
     def test_matches_character_loop_oracle(self, text):
         assert (stripped_with_warnings(strip_comments, text)
                 == stripped_with_warnings(strip_comments_oracle, text))
@@ -312,6 +325,65 @@ class TestFilterConfig:
         after = default_filter_config(language="c")
         assert after == before
         assert "zzz" not in after.words and "the" in after.words
+
+
+class TestFilterMemo:
+    """Each ``FilterConfig`` decides each distinct raw word once, and only
+    for itself."""
+
+    TEXTS = ("int Widget = the_count + 42; widget++;",
+             "RETURN render(Widget, gadget); x9 a _",
+             "gadget GADGET the return tmpDocList widget")
+
+    def test_cold_and_warm_memo_agree(self, config):
+        words = config.words
+        cold = [tokenize(t, FilterConfig(words)) for t in self.TEXTS]
+        shared = FilterConfig(words)
+        first = [tokenize(t, shared) for t in self.TEXTS]
+        again = [tokenize(t, shared) for t in reversed(self.TEXTS)][::-1]
+        assert cold == first == again == [tokenize_oracle(t, config)
+                                          for t in self.TEXTS]
+
+    @pytest.mark.parametrize("order", [("widget", "gadget"),
+                                       ("gadget", "widget")])
+    def test_configs_with_other_words_share_no_decision(self, order):
+        text = "Widget gadget widget GADGET"
+        configs = [FilterConfig(frozenset({removed})) for removed in order]
+        configs.append(replace(configs[0], words=frozenset({order[1]})))
+        kept = [order[1], order[0], order[0]]
+        for cfg, word in zip(configs, kept):
+            assert tokenize(text, cfg).tokens == (word, word)
+
+    def test_each_raw_word_is_filtered_once_per_config(self, monkeypatch):
+        calls = Counter()
+
+        def counted(raw, words):
+            calls[raw, words] += 1
+            return original(raw, words)
+
+        original = preprocess._kept_word
+        monkeypatch.setattr(preprocess, "_kept_word", counted)
+        snapshots = [VersionSnapshot(version, tuple(
+            CloneGroup(k, (CloneFragment("a.c", 1, 1, text=text),
+                           CloneFragment("b.c", 1, 1, text=text.upper())))
+            for k, text in enumerate(texts)))
+            for version, texts in (("v1", self.TEXTS),
+                                   ("v2", self.TEXTS[::-1] + ("gizmo",)))]
+        # Fresh configs: the module's ``config`` has decided words already.
+        configs = (default_filter_config(language="c"),
+                   FilterConfig(frozenset({"widget"})))
+        docs = {cfg.words: [build_group_document(g, cfg, s.version_id)
+                            for s in snapshots for g in s.groups]
+                for cfg in configs}
+        raws = {raw for s in snapshots for g in s.groups
+                for raw in ORACLE_WORD_RE.findall(g.concatenated_text())}
+        assert calls == Counter({(raw, cfg.words): 1
+                                 for raw in raws for cfg in configs})
+        for cfg in configs:
+            assert [d.tokens for d in docs[cfg.words]] == [
+                tokenize_oracle(strip_comments(g.concatenated_text()),
+                                cfg).tokens
+                for s in snapshots for g in s.groups]
 
 
 class TestBuildGroupDocument:
