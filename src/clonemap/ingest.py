@@ -13,6 +13,7 @@ with its position: ``groups[i]: ``, ``groups[i].fragments[j]: `` or ``<class id=
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import re
@@ -111,6 +112,30 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
+# The final component must not be a symlink: ``_SourceTree`` resolves and
+# checks a symlink only when this open refuses one.
+_OPEN_FLAGS = os.O_RDONLY | os.O_CLOEXEC | os.O_NOFOLLOW
+_CHUNK = 1 << 16
+_SPECIAL_NAMES = ("", ".", "..")
+
+
+def _read_file(path: str) -> bytes:
+    """The bytes of the file at ``path``, read in 64 KiB chunks. Raises
+    OSError (ELOOP when the last component of ``path`` is a symlink)
+    naming ``path``, even for an error of the read itself, such as
+    reading a directory."""
+    fd = os.open(path, _OPEN_FLAGS)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _CHUNK):
+            chunks.append(chunk)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 class _SourceFile:
     """One source file, read once per version: decoded as UTF-8 with
     invalid bytes replaced, with LF line ends and without its final
@@ -120,8 +145,7 @@ class _SourceFile:
     __slots__ = ("body", "line_count", "_lines")
 
     def __init__(self, path: str):
-        with open(path, "rb", buffering=0) as handle:
-            text = _lf(handle.readall().decode("utf-8", "replace"))
+        text = _lf(_read_file(path).decode("utf-8", "replace"))
         self.body = text[:-1] if text.endswith("\n") else text
         # As ``split_lines`` counts: a final newline ends the last line.
         self.line_count = self.body.count("\n") + 1 if text else 0
@@ -137,6 +161,88 @@ class _SourceFile:
         return "\n".join(self._lines[start_line - 1 : end_line])
 
 
+def _within(root: str, path: str) -> bool:
+    return os.path.commonpath((root, path)) == root
+
+
+class _SourceTree:
+    """One version's source root, which must already be a real path
+    (absolute, symlinks resolved), and what has been read under it.
+
+    Each cache holds what one kind of key resolved to: ``names`` a
+    fragment ``file`` string's source file, ``dirs`` a directory part's
+    real path (with a trailing ``/``) and whether it lies inside the root,
+    and ``files`` a source file by its real path. So a repeated name is
+    one lookup, each directory is resolved once, and each file is opened
+    and read once, whatever names lead to it."""
+
+    __slots__ = ("root", "names", "dirs", "files")
+
+    def __init__(self, root: str):
+        self.root = root
+        self.names: dict[str, _SourceFile] = {}
+        self.dirs: dict[str, tuple[str, bool]] = {}
+        self.files: dict[str, _SourceFile] = {}
+
+    def text(self, fragment: CloneFragment) -> str:
+        """The fragment's text, as ``resolve_fragment_text`` reads it."""
+        source = self.names.get(fragment.file)
+        if source is None:
+            try:
+                source = self.names[fragment.file] = self._contained_file(fragment.file)
+            except ValueError as exc:
+                # An embedded NUL, or a name the file system encoding cannot encode.
+                raise ValidationError(
+                    f"fragment file {fragment.file!r} is not a valid path: {exc}"
+                ) from None
+        if fragment.end_line > source.line_count:
+            raise FragmentRangeError(
+                f"{fragment.file}: lines {fragment.start_line}..{fragment.end_line} "
+                f"exceed file length {source.line_count}"
+            )
+        return source.text(fragment.start_line, fragment.end_line)
+
+    def _contained_file(self, file: str) -> _SourceFile:
+        """The source file that ``file`` names under the root;
+        ValidationError if it lies outside. The directory part is resolved
+        through ``dirs``; the last component is opened without following a
+        symlink, and only a symlink, ``""``, ``.`` or ``..`` there, or a
+        name in a directory outside the root, is resolved and checked
+        again."""
+        head, slash, name = file.rpartition("/")
+        head += slash
+        entry = self.dirs.get(head)
+        if entry is None:
+            real_dir = os.path.realpath(os.path.join(self.root, head))
+            entry = self.dirs[head] = (real_dir.rstrip("/") + "/",
+                                       _within(self.root, real_dir))
+        real_dir, inside = entry
+        path = real_dir + name
+        if inside and name not in _SPECIAL_NAMES:
+            try:
+                return self._file(path)
+            except OSError as exc:
+                if exc.errno != errno.ELOOP:  # not a symlink refused
+                    raise
+        # In a directory outside the root, only a symlink can lead back in.
+        if inside or name in _SPECIAL_NAMES or os.path.islink(path):
+            path = os.path.realpath(path)
+            inside = _within(self.root, path)
+        if not inside:
+            raise ValidationError(
+                f"fragment file {file!r} lies outside the source root {self.root!r}"
+            )
+        return self._file(path)
+
+    def _file(self, path: str) -> _SourceFile:
+        """The source file at ``path``, a contained real directory plus a
+        name, read on first need."""
+        source = self.files.get(path)
+        if source is None:
+            source = self.files[path] = _SourceFile(path)
+        return source
+
+
 def resolve_fragment_text(fragment: CloneFragment, source_root: Path | str) -> str:
     """Read the fragment's inclusive line range from its file.
 
@@ -146,58 +252,7 @@ def resolve_fragment_text(fragment: CloneFragment, source_root: Path | str) -> s
     embedded NUL, a lone surrogate), FileNotFoundError for a missing file
     and FragmentRangeError when the range exceeds the file length.
     """
-    return _read_fragment(fragment, os.path.realpath(source_root), {}, {})
-
-
-def _within(root: str, path: str) -> bool:
-    return os.path.commonpath((root, path)) == root
-
-
-def _contained_path(root: str, file: str,
-                    dirs: dict[str, tuple[str, bool]]) -> str:
-    """The real path of ``file`` under ``root``; ValidationError if it lies
-    outside. Fragments share directories, so ``dirs`` caches each
-    directory's real path and whether it lies inside ``root``; only a
-    name that is a symlink, ``.`` or ``..`` is resolved and checked again."""
-    head, name = os.path.split(file)
-    entry = dirs.get(head)
-    if entry is None:
-        real_dir = os.path.realpath(os.path.join(root, head))
-        entry = dirs[head] = (real_dir, _within(root, real_dir))
-    real_dir, inside = entry
-    path = os.path.join(real_dir, name)
-    if name in ("", ".", "..") or os.path.islink(path):
-        path = os.path.realpath(path)
-        inside = _within(root, path)
-    if not inside:
-        raise ValidationError(
-            f"fragment file {file!r} lies outside the source root {root!r}"
-        )
-    return path
-
-
-def _read_fragment(fragment: CloneFragment, root: str,
-                   dirs: dict[str, tuple[str, bool]],
-                   files: dict[str, _SourceFile]) -> str:
-    """``resolve_fragment_text`` under a source root that is already a
-    real path (absolute, symlinks resolved). ``files`` caches each file
-    read so far by its real path."""
-    try:
-        path = _contained_path(root, fragment.file, dirs)
-        source = files.get(path)
-        if source is None:
-            source = files[path] = _SourceFile(path)
-    except ValueError as exc:
-        # An embedded NUL, or a name the file system encoding cannot encode.
-        raise ValidationError(
-            f"fragment file {fragment.file!r} is not a valid path: {exc}"
-        ) from None
-    if fragment.end_line > source.line_count:
-        raise FragmentRangeError(
-            f"{fragment.file}: lines {fragment.start_line}..{fragment.end_line} "
-            f"exceed file length {source.line_count}"
-        )
-    return source.text(fragment.start_line, fragment.end_line)
+    return _SourceTree(os.path.realpath(source_root)).text(fragment)
 
 
 def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None = None) -> VersionSnapshot:
@@ -206,22 +261,21 @@ def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None =
     Fragments that already carry text (e.g. from a report's optional "text"
     field) are kept as-is; every other fragment is read from under
     ``source_root``, and a fragment file outside it raises ValidationError.
-    Each file is opened and read once, however many fragments it holds.
+    Each file is opened and read once, however many fragments and names
+    lead to it.
     """
-    real_root = os.path.realpath(source_root) if source_root is not None else None
-    dirs: dict[str, tuple[str, bool]] = {}
-    files: dict[str, _SourceFile] = {}
+    tree = _SourceTree(os.path.realpath(source_root)) if source_root is not None else None
     groups = []
     for group in snapshot.groups:
         fragments = []
         for frag in group.fragments:
             if frag.text is None:
-                if real_root is None:
+                if tree is None:
                     raise ValidationError(
                         f"group {group.index}: no source root to resolve {frag.file!r}"
                     )
                 frag = CloneFragment(frag.file, frag.start_line, frag.end_line,
-                                     _read_fragment(frag, real_root, dirs, files))
+                                     tree.text(frag))
             fragments.append(frag)
         groups.append(CloneGroup(index=group.index, fragments=tuple(fragments)))
     return VersionSnapshot(version_id=snapshot.version_id, groups=tuple(groups))

@@ -490,6 +490,49 @@ class TestInvalidUtf8:
         assert f"at byte {offset})" in err
 
 
+class TestUnreadableFragment:
+    """A fragment name that cannot be read keeps its exit code and names
+    the path it failed on, whichever way the reader reached it."""
+
+    @pytest.fixture
+    def src(self, tmp_path):
+        src = tmp_path / "src"
+        (src / "sub").mkdir(parents=True)
+        (src / "a.c").write_text("int widget;\n", encoding="utf-8")
+        (tmp_path / "outside.c").write_text("int secret;\n", encoding="utf-8")
+        links = {"linkdir": "sub", "dangling.c": "gone.c",
+                 "loop1.c": "loop2.c", "loop2.c": "loop1.c",
+                 "out.c": "../outside.c"}
+        for name, target in links.items():
+            (src / name).symlink_to(target)
+        return src
+
+    @pytest.mark.parametrize("file, rc, message", [
+        ("sub", 4, "I/O error: [Errno 21] Is a directory: '{src}/sub'"),
+        (".", 4, "I/O error: [Errno 21] Is a directory: '{src}'"),
+        ("linkdir", 4, "I/O error: [Errno 21] Is a directory: '{src}/sub'"),
+        ("missing.c", 4,
+         "I/O error: [Errno 2] No such file or directory: '{src}/missing.c'"),
+        ("dangling.c", 4,
+         "I/O error: [Errno 2] No such file or directory: '{src}/gone.c'"),
+        ("loop1.c", 4, "I/O error: [Errno 40] Too many levels of symbolic "
+                       "links: '{src}/loop1.c'"),
+        ("out.c", 3, "fragment file 'out.c' lies outside the source root '{src}'"),
+    ], ids=["directory", "dot", "symlink-to-directory", "missing",
+            "dangling-symlink", "symlink-loop", "symlink-out-of-root"])
+    def test_stderr_and_exit_code(self, src, tmp_path, capsys, file, rc,
+                                  message):
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"version": "v1", "groups": [
+            {"index": 0, "fragments": [
+                {"file": "a.c", "start_line": 1, "end_line": 1},
+                {"file": file, "start_line": 1, "end_line": 1}]}]}),
+            encoding="utf-8")
+        assert main(["topics", "--report", str(report), "--source", str(src)]) == rc
+        real = os.path.realpath(src)
+        assert capsys.readouterr().err == f"clonemap: {message.format(src=real)}\n"
+
+
 class TestSynthCommand:
     def test_zero_groups_is_config_error(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "x"), "--groups", "0"])

@@ -378,6 +378,32 @@ class TestTextResolution:
         assert len(whole.splitlines()) == 36
         assert "€" in whole and "�" in whole and "\r" not in whole
 
+    @pytest.mark.parametrize("size", [0, 1, 65535, 65536, 65537, 200003])
+    @pytest.mark.parametrize("piece", ["\u20ac".encode("utf-8"), b"\r\n",
+                                       b"\xff\xfe"],
+                             ids=["3-byte-char", "crlf", "invalid"])
+    def test_64_kib_chunk_boundaries_match_oracle(self, tmp_path, size, piece):
+        """The reader joins 64 KiB chunks before it decodes, so a character
+        or a CRLF across a chunk boundary reads as it does in one piece.
+        ``piece`` straddles byte 65536 (and 131072) where the file is long
+        enough, and otherwise ends the file."""
+        content = bytearray(b"x" * size)
+        content[9999::10000] = b"\n" * (size // 10000)
+        for boundary in (65536, 131072):
+            at = min(boundary - 1, size - len(piece))
+            if at >= 0:
+                content[at : at + len(piece)] = piece
+        assert len(content) == size
+        assert_every_range_matches_oracle(tmp_path, bytes(content))
+        if size >= 65536 + len(piece):
+            # Line 7 holds bytes 60000..69998.
+            line = resolve_fragment_text(CloneFragment("a.c", 7, 7), tmp_path)
+            if piece == b"\r\n":
+                assert line == "x" * 5535
+            else:
+                assert line == ("x" * 5535 + piece.decode("utf-8", "replace")
+                                + "x" * (9999 - 5535 - len(piece)))
+
     def test_range_past_end_of_file(self, tmp_path):
         (tmp_path / "a.c").write_text("l1\nl2\n", encoding="utf-8")
         frag = CloneFragment(file="a.c", start_line=1, end_line=9)
@@ -395,8 +421,10 @@ class TestTextResolution:
         assert resolved.groups[0].fragments[0].text == "aa\nbb"
 
     @pytest.mark.parametrize("escape", ["../outside.c", "sub/../../outside.c",
-                                        "ABSOLUTE"])
+                                        "ABSOLUTE", "/inside.c"])
     def test_fragment_outside_source_root_rejected(self, tmp_path, escape):
+        """``/inside.c`` names a file at the file system root, not the
+        source root's ``inside.c``."""
         root = tmp_path / "src"
         (root / "sub").mkdir(parents=True)
         outside = tmp_path / "outside.c"
@@ -513,14 +541,17 @@ class TestResolveByFile:
 
     @pytest.fixture
     def opened(self, monkeypatch):
-        """The paths that ``ingest`` opens, in order."""
+        """The paths that ``os.open`` opened, in order. An open that fails,
+        such as a no-follow open refusing a symlink, is not counted."""
         paths = []
+        os_open = os.open
 
         def counting_open(path, *args, **kwargs):
+            fd = os_open(path, *args, **kwargs)
             paths.append(path)
-            return open(path, *args, **kwargs)
+            return fd
 
-        monkeypatch.setattr(ingest, "open", counting_open, raising=False)
+        monkeypatch.setattr(os, "open", counting_open)
         return paths
 
     def fragments(self):
@@ -556,6 +587,26 @@ class TestResolveByFile:
             assert got == want
             real = {os.path.realpath(root / name) for name in self.FILES}
             assert sorted(opened) == sorted(real)
+
+    def test_each_file_name_is_resolved_once_per_version(self, root,
+                                                          monkeypatch):
+        """A repeated ``file`` string reuses its file: no second split,
+        containment check or symlink check. Each version starts afresh."""
+        resolved = []
+        contained_file = ingest._SourceTree._contained_file
+
+        def counting(tree, file):
+            resolved.append(file)
+            return contained_file(tree, file)
+
+        monkeypatch.setattr(ingest._SourceTree, "_contained_file", counting)
+        frags = self.fragments()
+        names = {f.file for f in frags}
+        assert len(frags) > 2 * len(names)
+        for version in ("v1", "v2"):
+            resolved.clear()
+            resolve_snapshot(self.snapshot(frags, version), root)
+            assert sorted(resolved) == sorted(names)
 
     def test_whole_file_fragment_shares_the_file_text(self, root):
         frags = [CloneFragment("tail.c", 1, 3), CloneFragment("link.c", 1, 3)]
