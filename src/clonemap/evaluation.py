@@ -53,6 +53,17 @@ _TEMPLATES = [
 ]
 
 
+def _check_pair(pos: int, new, old) -> None:
+    """ValidationError unless ``new: old`` can be entry ``pos`` of
+    ``GroundTruth.pairs``."""
+    if not (is_json_int(new) and new >= 0):
+        raise ValidationError(f"pairs[{pos}]: 'new' must be an integer >= 0, "
+                              f"got {new!r}")
+    if not (old is None or is_json_int(old) and old >= 0):
+        raise ValidationError(f"pairs[{pos}]: 'old' must be an integer >= 0 "
+                              f"or null, got {old!r}")
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """The reference mapping: one verdict per newer group index.
@@ -74,18 +85,15 @@ class GroundTruth:
         if not isinstance(self.pairs, dict):
             raise ValidationError(f"pairs must be a dict, got {self.pairs!r}")
         for pos, (new, old) in enumerate(self.pairs.items()):
-            if not (is_json_int(new) and new >= 0):
-                raise ValidationError(f"pairs[{pos}]: 'new' must be an "
-                                      f"integer >= 0, got {new!r}")
-            if not (old is None or is_json_int(old) and old >= 0):
-                raise ValidationError(f"pairs[{pos}]: 'old' must be an "
-                                      f"integer >= 0 or null, got {old!r}")
+            _check_pair(pos, new, old)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GroundTruth":
-        """The inverse of ``to_dict``. Checks only the document's shape and
-        that no newer group appears twice; the constructor checks every
-        value, and its error is prefixed ``ground truth: ``."""
+        """The inverse of ``to_dict``. Checks the document's shape and that
+        no newer group appears twice; the constructor's rules check every
+        value, and their error is prefixed ``ground truth: ``. Each entry
+        meets the pair rule before the duplicate check, since ``true`` and
+        ``1.0`` equal ``1`` as keys."""
         if not isinstance(doc, dict):
             raise ValidationError("ground truth must be a JSON object")
         for key in ("newer", "older", "pairs"):
@@ -99,10 +107,7 @@ class GroundTruth:
             if not isinstance(entry, dict) or "new" not in entry or "old" not in entry:
                 raise ValidationError(f"{where} needs 'new' and 'old' keys")
             new = entry["new"]
-            # An array or an object cannot key ``pairs``.
-            if isinstance(new, dict) or isinstance(new, list):
-                raise ValidationError(f"{where}: 'new' must not be an array "
-                                      f"or an object")
+            _at("ground truth", _check_pair, pos, new, entry["old"])
             if new in pairs:
                 raise ValidationError(f"{where}: duplicate entry for newer "
                                       f"group {new!r}")

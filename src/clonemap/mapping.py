@@ -3,8 +3,7 @@
 For every newer group the mapper scores all older groups, takes the argmax,
 and keeps the link only when the best score clears the threshold; groups
 below it are classified as new. Many-to-one links are permitted by default;
-an optional injective mode re-auctions contested older groups. Lineage
-chaining stitches pairwise mappings across longer version sequences.
+an optional injective mode re-auctions contested older groups.
 """
 
 from __future__ import annotations
@@ -85,25 +84,6 @@ class VersionTopics:
 
     version_id: str
     block: TopicBlock
-
-
-@dataclass(frozen=True)
-class Lineage:
-    """Chain of the same logical group across consecutive versions."""
-
-    members: tuple[tuple[str, int], ...]
-    link_similarities: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.link_similarities) != len(self.members) - 1:
-            raise ValidationError("lineage needs one similarity per link")
-
-
-@dataclass(frozen=True)
-class Genealogy:
-    lineages: tuple[Lineage, ...]
-    births: tuple[tuple[str, int], ...]
-    deaths: tuple[tuple[str, int], ...]
 
 
 def _assign(scores: np.ndarray, empty_rows, newer_id: str, older_id: str,
@@ -201,60 +181,3 @@ def unmatched_old_groups(mappings: list[GroupMapping], older_size: int) -> list[
     """Older-version indices never selected by any mapping."""
     selected = {m.old_group[1] for m in mappings if m.old_group is not None}
     return [j for j in range(older_size) if j not in selected]
-
-
-def map_lineage(versions: list[VersionTopics],
-                config: MappingConfig | None = None) -> Genealogy:
-    """Chain pairwise mappings across chronologically ordered versions.
-
-    Links exist only between consecutive versions. A null-mapped group is a
-    birth; an older group never selected is a death. When several newer
-    groups map to the same older group, the highest-similarity claimant
-    (ties to the lowest index) extends the lineage and the rest start new
-    lineages of their own without counting as births.
-    """
-    config = config or MappingConfig()
-    if len(versions) < 2:
-        raise ConfigError("lineage chaining needs at least 2 versions")
-
-    chains: list[dict] = []
-    tails: dict[tuple[str, int], int] = {}
-    first = versions[0]
-    for i in range(len(first.block)):
-        ref = (first.version_id, i)
-        tails[ref] = len(chains)
-        chains.append({"members": [ref], "sims": []})
-    births: list[tuple[str, int]] = []
-    deaths: list[tuple[str, int]] = []
-
-    for older, newer in zip(versions, versions[1:]):
-        mappings = map_version_pair(newer, older, config)
-        claims: dict[int, list[GroupMapping]] = {}
-        for m in mappings:
-            if m.old_group is None:
-                births.append(m.new_group)
-                tails[m.new_group] = len(chains)
-                chains.append({"members": [m.new_group], "sims": []})
-            else:
-                claims.setdefault(m.old_group[1], []).append(m)
-        for old_idx, claimants in claims.items():
-            winner = max(claimants,
-                         key=lambda m: (m.similarity, -m.new_group[1]))
-            old_ref = (older.version_id, old_idx)
-            chain_idx = tails.pop(old_ref)
-            chains[chain_idx]["members"].append(winner.new_group)
-            chains[chain_idx]["sims"].append(winner.similarity)
-            tails[winner.new_group] = chain_idx
-            for m in claimants:
-                if m is not winner:
-                    tails[m.new_group] = len(chains)
-                    chains.append({"members": [m.new_group], "sims": []})
-        deaths.extend((older.version_id, j)
-                      for j in unmatched_old_groups(mappings, len(older.block)))
-
-    lineages = tuple(
-        Lineage(members=tuple(c["members"]), link_similarities=tuple(c["sims"]))
-        for c in chains
-    )
-    return Genealogy(lineages=lineages, births=tuple(births),
-                     deaths=tuple(deaths))

@@ -72,8 +72,7 @@ def topic_dump_entries(version_id: str,
     for index, doc in enumerate(documents):
         total = doc.token_count
         words = [
-            {"word": word, "count": count,
-             "weight": count / total if total else 0.0}
+            {"word": word, "count": count, "weight": count / total}
             for word, count in sorted(doc.counts().items(),
                                       key=lambda kv: (-kv[1], kv[0]))
         ]

@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from clonemap.cli import main
 from clonemap.errors import ConfigError, CoverageError, ValidationError
 from clonemap.evaluation import (
     EvalReport,
@@ -162,6 +163,28 @@ class TestGroundTruthJson:
         with pytest.raises(ValidationError,
                            match=rf"^ground truth: pairs\[1\]: {message}"):
             GroundTruth.from_dict(doc)
+
+    @pytest.mark.parametrize("new", [True, 1.0], ids=["true", "1.0"])
+    def test_bad_index_equal_to_an_earlier_one_is_blamed(self, tmp_path,
+                                                         capsys, new):
+        """``true`` and ``1.0`` equal ``1`` as dict keys; after an entry
+        ``"new": 1`` they were once reported as a duplicate of group 1."""
+        message = (f"ground truth: pairs[1]: 'new' must be an integer >= 0, "
+                   f"got {new!r}")
+        truth = {"newer": "v2", "older": "v1",
+                 "pairs": [{"new": 1, "old": None}, {"new": new, "old": 0}]}
+        with pytest.raises(ValidationError) as info:
+            GroundTruth.from_dict(truth)
+        assert str(info.value) == message
+        paths = {}
+        for name, doc in (("mapping", {"newer": "v2", "older": "v1",
+                                       "mappings": []}), ("truth", truth)):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc), encoding="utf-8")
+        rc = main(["eval", "--mapping", str(paths["mapping"]),
+                   "--truth", str(paths["truth"])])
+        assert rc == 3
+        assert capsys.readouterr().err == f"clonemap: {message}\n"
 
     def test_pairs_must_be_a_dict(self):
         with pytest.raises(ValidationError, match="pairs must be a dict"):

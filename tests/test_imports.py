@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used or marked as kept,
-every private module-level name is used, no module reads the environment
+every private module-level name is used, every public function and class
+has a caller outside the tests, no module reads the environment
 or writes JSON text outside ``pipeline``, the readers of reports, ground
 truth and mapping artifacts hold no value check, every name the package exports resolves, and the count of publicly
 settable values is pinned."""
@@ -69,34 +70,44 @@ def test_scan_finds_an_unused_import(tmp_path):
     assert unused_imports(module) == ["m.py:2: os", "m.py:5: Iterable"]
 
 
-def dead_private_names(paths) -> list[str]:
-    """Module-level ``_name`` definitions in ``paths`` that no code in
-    ``paths`` reads: not as a name, an attribute or an import. A name
-    counts as read when any module reads it."""
-    defined = []
+def module_level_names(path: Path, assignments: bool = True):
+    """``(line, name)`` of each function, class and, with ``assignments``,
+    each assigned name defined at the top level of ``path``."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.lineno, node.name
+        elif assignments and isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((node.lineno, t.id) for t in targets
+                        if isinstance(t, ast.Name))
+
+
+def names_read(paths) -> set[str]:
+    """Every name some module in ``paths`` reads: as a name, an attribute
+    or an import."""
     read = set()
-    for path in sorted(paths):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            defined.extend((path.name, node.lineno, name) for name in names
-                           if name.startswith("_") and not name.startswith("__"))
-        for node in ast.walk(tree):
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
-    return [f"{file}:{line}: {name}" for file, line, name in defined
-            if name not in read]
+    return read
+
+
+def dead_private_names(paths) -> list[str]:
+    """Module-level ``_name`` definitions in ``paths`` that no code in
+    ``paths`` reads: not as a name, an attribute or an import. A name
+    counts as read when any module reads it."""
+    paths = sorted(paths)
+    read = names_read(paths)
+    return [f"{path.name}:{line}: {name}" for path in paths
+            for line, name in module_level_names(path)
+            if name.startswith("_") and not name.startswith("__")
+            and name not in read]
 
 
 def test_no_dead_private_names():
@@ -128,6 +139,75 @@ def test_scan_finds_a_dead_private_name(tmp_path):
     )
     assert dead_private_names(tmp_path.glob("*.py")) == [
         "a.py:3: _ORPHAN", "a.py:6: _pair_sums", "a.py:8: _Entries"]
+
+
+def uncalled_public_names(paths, readers, allowed=frozenset()) -> list[str]:
+    """Module-level public functions and classes in ``paths`` that no
+    module in ``readers`` reads, as ``names_read`` counts reads; each entry
+    of ``allowed`` is a ``module.name`` left out. An ``__init__.py`` is
+    neither scanned nor a reader: a package root's re-export is no call."""
+    read = names_read(p for p in readers if p.name != "__init__.py")
+    return [f"{path.name}:{line}: {name}" for path in sorted(paths)
+            if path.name != "__init__.py"
+            for line, name in module_level_names(path, assignments=False)
+            if not name.startswith("_") and name not in read
+            and f"{path.stem}.{name}" not in allowed]
+
+
+# Public names that no module calls, each with the reason it stays.
+UNCALLED_PUBLIC_NAMES = {
+    # The one-fragment reader tests/test_ingest.py checks resolve_snapshot against.
+    "ingest.resolve_fragment_text",
+}
+
+
+def test_every_public_name_has_a_caller():
+    """A public function or class that only tests call is code with no
+    caller; a call from the benchmark harness counts."""
+    modules = list(PACKAGE.glob("*.py"))
+    readers = modules + list((PACKAGE.parent.parent / "perfbench").glob("*.py"))
+    assert uncalled_public_names(modules, readers, UNCALLED_PUBLIC_NAMES) == []
+
+
+def test_scan_finds_an_uncalled_public_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\n"
+        "LIMIT = 3\n"
+        "def helper(x):\n"
+        "    return x + LIMIT\n"
+        "def orphan():\n"
+        "    return np.zeros(1)\n"
+        "class Spare:\n"
+        "    pass\n"
+        "class Used:\n"
+        "    pass\n"
+        "def kept():\n"
+        "    return Used()\n"
+        "def _private():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "def run(obj):\n"
+        "    return a.helper(obj.kept)\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "__init__.py").write_text(
+        "from .a import Spare, orphan\n"
+        "from .b import run\n"
+        "def root():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "c.py").write_text(
+        "from pkg.b import run\n", encoding="utf-8")
+    modules = list(tmp_path.glob("*.py"))
+    assert uncalled_public_names(modules, modules) == [
+        "a.py:5: orphan", "a.py:7: Spare", "b.py:2: run"]
+    assert uncalled_public_names(modules, modules + [tmp_path / "bench" / "c.py"],
+                                 {"a.orphan"}) == ["a.py:7: Spare"]
 
 
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
@@ -327,7 +407,7 @@ def settable_values() -> list[str]:
     return sorted(found)
 
 
-SETTABLE_VALUES = 84
+SETTABLE_VALUES = 83
 
 
 def test_publicly_settable_values_are_counted():

@@ -1,4 +1,4 @@
-"""Thresholded argmax mapping, the injective mode, and lineage chaining."""
+"""Thresholded argmax mapping and the injective mode."""
 
 import dataclasses
 import json
@@ -16,7 +16,6 @@ from clonemap.mapping import (
     VersionTopics,
     _assign,
     baseline_text_map,
-    map_lineage,
     map_version_pair,
     unmatched_old_groups,
 )
@@ -376,57 +375,6 @@ class TestRenamedGroupFixture:
         assert near[0].old_group == ("v1", 17)
         assert all(m.old_group is not None for m in mappings)
         assert unmatched_old_groups(mappings, 20) == [18, 19]
-
-
-class TestMapLineage:
-    def chain_of_identical(self, n_versions=3, n_groups=5):
-        base = [{f"w{k}{j}": j + 1 for j in range(4)} for k in range(n_groups)]
-        return versions_from_counts(*[base] * n_versions)
-
-    def test_identity_chain(self):
-        versions = self.chain_of_identical()
-        genealogy = map_lineage(versions)
-        assert len(genealogy.lineages) == 5
-        assert all(len(l.members) == 3 for l in genealogy.lineages)
-        assert genealogy.births == ()
-        assert genealogy.deaths == ()
-        assert all(s == 1.0 for l in genealogy.lineages
-                   for s in l.link_similarities)
-
-    def test_no_gap_jumping(self):
-        """A group absent from the middle version yields two lineages."""
-        a = {"aa": 3, "bb": 1}
-        other = {"zz": 2}
-        genealogy = map_lineage(
-            versions_from_counts([a, other], [other], [a, other])
-        )
-        a_lineages = [l for l in genealogy.lineages
-                      if any(ref in (("v1", 0), ("v3", 0)) for ref in l.members)]
-        assert len(a_lineages) == 2
-        assert ("v1", 0) in genealogy.deaths
-        assert ("v3", 0) in genealogy.births
-
-    def test_each_group_in_at_most_one_lineage(self):
-        versions = self.chain_of_identical(n_versions=4, n_groups=6)
-        genealogy = map_lineage(versions)
-        seen = [ref for l in genealogy.lineages for ref in l.members]
-        assert len(seen) == len(set(seen))
-
-    def test_losing_claimant_starts_new_lineage_not_birth(self):
-        shared = {"xx": 4, "yy": 1}
-        # Both v2 groups claim the same v1 ancestor at equal similarity.
-        genealogy = map_lineage(
-            versions_from_counts([shared, shared], [shared, shared])
-        )
-        assert genealogy.births == ()
-        # Winner extends v1 group 0 (lowest new index); loser stands alone.
-        lengths = sorted(len(l.members) for l in genealogy.lineages)
-        assert lengths == [1, 1, 2]
-
-    def test_requires_two_versions(self):
-        versions = self.chain_of_identical()
-        with pytest.raises(ConfigError):
-            map_lineage(versions[:1])
 
 
 def snapshot_with_text(version_id, texts):
