@@ -186,6 +186,20 @@ class TestGroundTruthJson:
         assert rc == 3
         assert capsys.readouterr().err == f"clonemap: {message}\n"
 
+    def test_entry_rule_comes_before_the_duplicate_check(self):
+        """A repeated newer group with a bad ``old`` is blamed for the bad
+        index: each entry meets the pair rule before it is looked up."""
+        doc = {"newer": "v2", "older": "v1",
+               "pairs": [{"new": 1, "old": None}, {"new": 1, "old": -1}]}
+        with pytest.raises(ValidationError) as info:
+            GroundTruth.from_dict(doc)
+        assert str(info.value) == ("ground truth: pairs[1]: 'old' must be an "
+                                   "integer >= 0 or null, got -1")
+        doc["pairs"][1]["old"] = 0
+        with pytest.raises(ValidationError,
+                           match=r"pairs\[1\]: duplicate entry for newer group 1"):
+            GroundTruth.from_dict(doc)
+
     def test_pairs_must_be_a_dict(self):
         with pytest.raises(ValidationError, match="pairs must be a dict"):
             GroundTruth("v2", "v1", [(0, 0)])
