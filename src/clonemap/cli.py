@@ -55,7 +55,7 @@ def _filter_config(args):
 _FILTER_FLAGS = ("language", "keywords", "progwords", "stopwords")
 # Parsed values that only route output, and the handler; every other one
 # goes into ``config``.
-_OUTPUT_FLAGS = ("out", "format", "dump_topics", "func")
+_OUTPUT_FLAGS = ("out", "format", "func")
 
 
 def _run_config(args) -> dict:
@@ -100,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--seed", type=int, default=42)
     p_map.add_argument("--injective", action="store_true",
                        help="forbid two newer groups sharing one origin")
-    p_map.add_argument("--dump-topics", metavar="PATH",
-                       help="also write per-group topic words to PATH")
     p_map.add_argument("--threads", type=int, default=1,
                        help="accepted and ignored: every stage runs on one "
                             "thread (kept in the artifact's config)")
@@ -212,7 +210,6 @@ def cmd_map(args) -> int:
         filter_config=_filter_config(args),
         mapping_config=mapping_config,
         lda_config=lda_config,
-        dump_topics_path=args.dump_topics,
         run_config=_run_config(args),
     )
     return _emit(args, result, _render_map_table)

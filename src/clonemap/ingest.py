@@ -17,6 +17,7 @@ import errno
 import json
 import os
 import re
+import stat
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,19 +114,27 @@ def split_lines(text: str) -> list[str]:
 
 
 # The final component must not be a symlink: ``_SourceTree`` resolves and
-# checks a symlink only when this open refuses one.
-_OPEN_FLAGS = os.O_RDONLY | os.O_CLOEXEC | os.O_NOFOLLOW
+# checks a symlink only when this open refuses one. A FIFO would block the
+# open until a writer came, so it must not block; a regular file is read
+# the same either way.
+_OPEN_FLAGS = os.O_RDONLY | os.O_CLOEXEC | os.O_NOFOLLOW | os.O_NONBLOCK
 _CHUNK = 1 << 16
 _SPECIAL_NAMES = ("", ".", "..")
 
 
 def _read_file(path: str) -> bytes:
-    """The bytes of the file at ``path``, read in 64 KiB chunks. Raises
-    OSError (ELOOP when the last component of ``path`` is a symlink)
-    naming ``path``, even for an error of the read itself, such as
-    reading a directory."""
+    """The bytes of the regular file at ``path``, read in 64 KiB chunks.
+    Raises OSError (ELOOP when the last component of ``path`` is a
+    symlink) naming ``path``, also for anything but a regular file, such
+    as a directory, a FIFO or a device, and for an error of the read
+    itself."""
     fd = os.open(path, _OPEN_FLAGS)
     try:
+        mode = os.fstat(fd).st_mode
+        if stat.S_ISDIR(mode):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if not stat.S_ISREG(mode):
+            raise OSError(errno.EINVAL, "Not a regular file")
         chunks = []
         while chunk := os.read(fd, _CHUNK):
             chunks.append(chunk)

@@ -165,7 +165,6 @@ def run_map(newer_report: Path | str, older_report: Path | str,
             filter_config: FilterConfig | None = None,
             mapping_config: MappingConfig | None = None,
             lda_config: LdaConfig | None = None,
-            dump_topics_path: Path | str | None = None,
             run_config: dict | None = None) -> dict:
     """Parse two reports, map newer groups to older ones, return the artifact.
 
@@ -179,7 +178,6 @@ def run_map(newer_report: Path | str, older_report: Path | str,
     newer_snap = resolve_snapshot(parse_clone_report(newer_report), source_newer)
     older_snap = resolve_snapshot(parse_clone_report(older_report), source_older)
 
-    newer_docs = older_docs = None
     if mapping_config.strategy is Strategy.LCS_BASELINE:
         mappings = baseline_text_map(newer_snap, older_snap, mapping_config)
     else:
@@ -190,19 +188,6 @@ def run_map(newer_report: Path | str, older_report: Path | str,
             older_snap.version_id, lda_config,
         )
         mappings = map_version_pair(newer_topics, older_topics, mapping_config)
-
-    if dump_topics_path is not None:
-        if newer_docs is None:
-            newer_docs = build_documents(newer_snap, filter_config)
-            older_docs = build_documents(older_snap, filter_config)
-        dump = {
-            "topics": (
-                topic_dump_entries(older_snap.version_id, older_docs)
-                + topic_dump_entries(newer_snap.version_id, newer_docs)
-            ),
-            **artifact_header(run_config),
-        }
-        write_json_artifact(dump_topics_path, dump)
 
     return mapping_result(newer_snap.version_id, older_snap.version_id,
                           mappings, len(older_snap.groups), mapping_config,

@@ -145,7 +145,6 @@ class LdaResult:
 
     theta: np.ndarray
     phi: np.ndarray
-    config: LdaConfig
 
 
 def build_corpus(documents: Sequence[TokenDocument]) -> Corpus:
@@ -321,4 +320,4 @@ def fit_lda(corpus: Corpus, config: LdaConfig,
     theta /= (np.array(n_d, dtype=np.float64) + K * alpha)[:, None]
     phi.setflags(write=False)
     theta.setflags(write=False)
-    return LdaResult(theta=theta, phi=phi, config=config)
+    return LdaResult(theta=theta, phi=phi)

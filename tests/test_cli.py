@@ -74,19 +74,6 @@ class TestMapCommand:
         doc = json.loads(out_path.read_text(encoding="utf-8"))
         assert doc["config"]["subcommand"] == "map"
 
-    def test_dump_topics(self, evolution, tmp_path, capsys):
-        dump_path = tmp_path / "topics.json"
-        rc = main(run_map_cmd(evolution, "--dump-topics", str(dump_path)))
-        assert rc == 0
-        dump = json.loads(dump_path.read_text(encoding="utf-8"))
-        entry = dump["topics"][0]
-        assert {"version", "group", "total_tokens", "words"} <= set(entry)
-        words = entry["words"]
-        assert words == sorted(words, key=lambda w: -w["weight"])
-        for w in words:
-            assert w["weight"] == pytest.approx(
-                w["count"] / entry["total_tokens"])
-
     def test_lcs_strategy(self, evolution, capsys):
         rc = main(run_map_cmd(evolution, "--strategy", "lcs"))
         assert rc == 0
@@ -532,6 +519,38 @@ class TestUnreadableFragment:
         real = os.path.realpath(src)
         assert capsys.readouterr().err == f"clonemap: {message.format(src=real)}\n"
 
+    @staticmethod
+    def write_report(tmp_path, file: str) -> Path:
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps({"version": "v1", "groups": [
+            {"index": 0, "fragments": [
+                {"file": file, "start_line": 1, "end_line": 1}] * 2}]}),
+            encoding="utf-8")
+        return report
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"),
+                        reason="no /dev/null on this system")
+    def test_device_is_not_read(self, tmp_path, capsys):
+        report = self.write_report(tmp_path, "null")
+        assert main(["topics", "--report", str(report), "--source", "/dev"]) == 4
+        assert capsys.readouterr().err == (
+            "clonemap: I/O error: [Errno 22] Not a regular file: '/dev/null'\n")
+
+    def test_fifo_does_not_wait_for_a_writer(self, src, tmp_path):
+        """Opening a FIFO for reading waits for a writer unless it may not
+        block, so the run is a subprocess with a timeout."""
+        os.mkfifo(src / "pipe.c")
+        report = self.write_report(tmp_path, "pipe.c")
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "clonemap.cli", "topics",
+             "--report", str(report), "--source", str(src)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 4
+        real = os.path.realpath(src)
+        assert proc.stderr == ("clonemap: I/O error: [Errno 22] Not a regular "
+                               f"file: '{real}/pipe.c'\n")
+
 
 class TestSynthCommand:
     def test_zero_groups_is_config_error(self, tmp_path, capsys):
@@ -624,6 +643,20 @@ class TestTopicsCommand:
         assert len(doc["topics"]) == len(report["groups"])
         assert all(e["version"] == "v1" for e in doc["topics"])
 
+    def test_json_entries_hold_weighted_words(self, evolution, capsys):
+        rc = main(["topics", "--report", str(evolution / "newer_report.json"),
+                   "--source", str(evolution / "newer_src"), "--format", "json"])
+        assert rc == 0
+        entries = json.loads(capsys.readouterr().out)["topics"]
+        assert entries
+        for entry in entries:
+            assert {"version", "group", "total_tokens", "words"} <= set(entry)
+            words = entry["words"]
+            assert words == sorted(words, key=lambda w: -w["weight"])
+            for w in words:
+                assert w["weight"] == pytest.approx(
+                    w["count"] / entry["total_tokens"])
+
     def test_table_format(self, evolution, capsys):
         rc = main(["topics", "--report", str(evolution / "older_report.json"),
                    "--source", str(evolution / "older_src")])
@@ -646,7 +679,8 @@ class TestTopicsCommand:
 
 class TestThreadsFlag:
     """``map --threads`` is accepted and ignored; only the config records
-    it. ``topics`` has no such flag."""
+    it. ``topics`` has no such flag, and ``map`` no longer has
+    ``--dump-topics``: each is a usage error."""
 
     def test_map_output_does_not_depend_on_threads(self, evolution, capsys):
         for strategy in ("topic", "lcs"):
@@ -667,12 +701,19 @@ class TestThreadsFlag:
         assert exit_info.value.code == 2
         assert "--threads" in capsys.readouterr().err
 
+    def test_map_rejects_dump_topics(self, evolution, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(run_map_cmd(evolution, "--dump-topics",
+                             str(tmp_path / "dump.json")))
+        assert exit_info.value.code == 2
+        assert "--dump-topics" in capsys.readouterr().err
+
 
 
 class TestRecordedConfig:
     """Each artifact's ``config`` records every flag of its subcommand
-    except ``--out``, ``--format`` and ``--dump-topics``, with the four
-    word-list flags under ``filters``."""
+    except ``--out`` and ``--format``, with the four word-list flags under
+    ``filters``."""
 
     FILTERS = {"language", "keywords", "progwords", "stopwords"}
 
@@ -684,7 +725,7 @@ class TestRecordedConfig:
         return {a.dest for a in sub.choices[name]._actions} - {"help"}
 
     def expected_keys(self, name: str) -> tuple[set, set]:
-        dests = self.subparser_dests(name) - {"out", "format", "dump_topics"}
+        dests = self.subparser_dests(name) - {"out", "format"}
         top = {"subcommand"} | dests - self.FILTERS
         filters = dests & self.FILTERS
         return (top | {"filters"} if filters else top), filters
@@ -698,9 +739,7 @@ class TestRecordedConfig:
 
     def test_map_eval_and_topics(self, evolution, tmp_path, capsys):
         mapping = tmp_path / "mapping.json"
-        assert main(run_map_cmd(evolution, "--out", str(mapping),
-                                "--dump-topics",
-                                str(tmp_path / "dump.json"))) == 0
+        assert main(run_map_cmd(evolution, "--out", str(mapping))) == 0
         self.check("map", mapping)
         evaluation = tmp_path / "eval.json"
         assert main(["eval", "--mapping", str(mapping),

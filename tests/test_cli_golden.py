@@ -1,16 +1,16 @@
 """Golden digests of the CLI outputs the map golden does not cover.
 
 Two fixtures. ``synth`` is the map golden's 40-group run; its cases are
-plain Hellinger, the plain LCS baseline, the cosine ``--dump-topics``
-file, ``eval --format json`` on the cosine mapping, and ``topics --format
-json`` for the newer report. ``inline`` is a report pair with fragment
-text inline, in which two newer groups come out empty and three
-non-empty newer groups contend for two older ones; it runs under cosine
-and under ``--injective --delta 0``, so the empty-row path of the
-mapper and the 0.0 null once every older group is taken have a golden
-too. Every command runs from inside its fixture directory with relative
-paths, so the artifact header records the same paths on every machine.
-A case digests the stdout of its last command, or the file it names.
+plain Hellinger, the plain LCS baseline, ``eval --format json`` on the
+cosine mapping, and ``topics --format json`` for the older and for the
+newer report. ``inline`` is a report pair with fragment text inline, in
+which two newer groups come out empty and three non-empty newer groups
+contend for two older ones; it runs under cosine and under
+``--injective --delta 0``, so the empty-row path of the mapper and the
+0.0 null once every older group is taken have a golden too. Every
+command runs from inside its fixture directory with relative paths, so
+the artifact header records the same paths on every machine. A case
+digests the stdout of its last command, or the file it names.
 
 After a change that moves these bytes on purpose, regenerate the golden
 from the repository root and say why in CHANGES.md:
@@ -45,12 +45,12 @@ CASES = {
                   "commands": [MAP_ARGV + ["--metric", "hellinger"]]},
     "lcs": {"fixture": "synth", "digest": "stdout",
             "commands": [MAP_ARGV + ["--strategy", "lcs"]]},
-    "cosine-dump-topics": {"fixture": "synth", "digest": "dump.json",
-                           "commands": [MAP_ARGV + ["--dump-topics",
-                                                    "dump.json"]]},
     "eval-cosine": {"fixture": "synth", "digest": "stdout", "commands": [
         MAP_ARGV + ["--out", "mapping.json"],
         ["eval", "--mapping", "mapping.json", "--truth", "truth.json",
+         "--format", "json"]]},
+    "topics-older": {"fixture": "synth", "digest": "stdout", "commands": [
+        ["topics", "--report", "older_report.json", "--source", "older_src",
          "--format", "json"]]},
     "topics-newer": {"fixture": "synth", "digest": "stdout", "commands": [
         ["topics", "--report", "newer_report.json", "--source", "newer_src",

@@ -423,7 +423,7 @@ def settable_values() -> list[str]:
     return sorted(found)
 
 
-SETTABLE_VALUES = 83
+SETTABLE_VALUES = 81
 
 
 def test_publicly_settable_values_are_counted():
