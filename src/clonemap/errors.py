@@ -4,8 +4,10 @@ readers of outside input put before a data type's ValidationError, and
 the strict UTF-8 read of every outside input file that must decode
 exactly."""
 
+import errno
+import os
+import stat
 from numbers import Real
-from pathlib import Path
 
 
 def is_json_int(value) -> bool:
@@ -19,10 +21,17 @@ def is_number(value) -> bool:
 
 
 def read_utf8(path) -> str:
-    """The text of a UTF-8 file; ValidationError if its bytes are not
-    UTF-8, so a malformed input exits like any other."""
+    """The text of a UTF-8 file or pipe, with universal newlines;
+    ValidationError if its bytes are not UTF-8, so a malformed input exits
+    like any other. A character or block device, which may never end
+    (``/dev/zero``), is not read: OSError naming ``path``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            mode = os.fstat(handle.fileno()).st_mode
+            if stat.S_ISCHR(mode) or stat.S_ISBLK(mode):
+                raise OSError(errno.EINVAL, "Is a device, not a file",
+                              os.fspath(path))
+            return handle.read()
     except UnicodeDecodeError as exc:
         raise ValidationError(
             f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"

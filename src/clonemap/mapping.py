@@ -17,7 +17,8 @@ import numpy as np
 from .errors import (CloneMapWarning, ConfigError, ValidationError, is_json_int,
                      is_number)
 from .ingest import VersionSnapshot
-from .similarity import Metric, lcs_matrix, score_matrix
+from .similarity import (Metric, _lcs_scorer, _matrix, _topic_scorer,
+                         _trimmed_lines)
 # lcs_similarity and topic_similarity are not called here but stay importable
 # from this module, where perfbench/tracer.py looks them up.
 from .similarity import lcs_similarity, topic_similarity  # noqa: F401
@@ -86,14 +87,17 @@ class VersionTopics:
     block: TopicBlock
 
 
-def _assign(scores: np.ndarray, empty_rows, newer_id: str, older_id: str,
-            config: MappingConfig) -> list[GroupMapping]:
-    """Thresholded argmax over the rows of an (N, M) score matrix.
+def _assign(score_rows, n_old: int, empty_rows, newer_id: str,
+            older_id: str, config: MappingConfig) -> list[GroupMapping]:
+    """Thresholded argmax over the newer rows that ``score_rows`` scores.
 
-    Row ``i`` is newer group ``(newer_id, i)`` and column ``j`` older group
-    ``(older_id, j)``. ``empty_rows`` is a bool mask of the newer groups
-    whose document came out empty; each maps to null at 0.0 with a
-    warning. Ties go to the lowest older index.
+    ``score_rows`` is a row scorer of ``similarity``: given newer row
+    indices it yields their scores against all ``n_old`` older groups as
+    blocks of rows, in order. Row ``i`` is newer group ``(newer_id, i)``
+    and column ``j`` older group ``(older_id, j)``. ``empty_rows`` is a
+    bool mask of the newer groups whose document came out empty; each maps
+    to null at 0.0 with a warning and is never scored. Ties go to the
+    lowest older index.
 
     One loop settles both modes in rounds. In a round each pending newer
     group claims its best untaken older group, and a claim below ``delta``
@@ -101,34 +105,43 @@ def _assign(scores: np.ndarray, empty_rows, newer_id: str, older_id: str,
     taken. Without ``config.enforce_injective`` every claim wins, so round
     1 settles every group. With it each older group goes to at most one
     newer group: its highest-scoring claimant, ties to the lowest newer
-    index, and the losers claim again in the next round. ``scores`` is
-    only read.
+    index, and the losers claim again in the next round. Round 1 streams
+    the blocks and keeps each row's argmax and best score only; the
+    losers of round 1 are scored once more into one held (losers, M)
+    block, which every later round indexes. So no row is scored more than
+    twice, and no (N, M) matrix is built.
     """
-    n_new, n_old = scores.shape
     empty = np.asarray(empty_rows, dtype=bool)
     for i in np.flatnonzero(empty).tolist():
         warnings.warn(
             f"group {(newer_id, i)} has an empty token document; mapped to null",
             CloneMapWarning,
         )
-    old = np.full(n_new, -1, dtype=np.intp)
-    sim = np.zeros(n_new)
+    old = np.full(empty.size, -1, dtype=np.intp)
+    sim = np.zeros(empty.size)
     taken = np.zeros(n_old, dtype=bool)
     pending = np.flatnonzero(~empty & (n_old > 0))  # no claims without columns
-    # np.argmax returns the first maximum, the lowest older index. Round 1
-    # reads ``scores`` in place; a later round copies only its pending rows
-    # and puts every taken column at -inf (-inf everywhere once all are
-    # taken, hence the 0.0 null). One lexsort by (column, -score, row) puts
-    # each claimed column's winner first.
+    held = None
+    # np.argmax returns the first maximum, the lowest older index. A round
+    # after the first copies its pending rows of ``held`` and puts every
+    # taken column at -inf (-inf everywhere once all are taken, hence the
+    # 0.0 null). One lexsort by (column, -score, row) puts each claimed
+    # column's winner first.
     while pending.size:
-        if taken.any():
-            block = scores[pending]
-            block[:, taken] = -np.inf
-            cols = block.argmax(axis=1)
-            best = block[np.arange(pending.size), cols]
+        if held is None:
+            blocks = score_rows(pending)
         else:
-            cols = scores.argmax(axis=1)[pending]
-            best = scores[pending, cols]
+            block = held[slot[pending]]
+            block[:, taken] = -np.inf
+            blocks = (block,)
+        cols = np.empty(pending.size, dtype=np.intp)
+        best = np.empty(pending.size)
+        at = 0
+        for block in blocks:
+            part = slice(at, at + len(block))
+            cols[part] = block.argmax(axis=1)
+            best[part] = block[np.arange(len(block)), cols[part]]
+            at = part.stop
         sim[pending] = np.where(best > -np.inf, best, 0.0)
         claims = best >= config.delta
         rows, cols, best = pending[claims], cols[claims], best[claims]
@@ -140,6 +153,10 @@ def _assign(scores: np.ndarray, empty_rows, newer_id: str, older_id: str,
         old[rows[wins]] = cols[wins]
         taken[cols[wins]] = True
         pending = rows[~wins]
+        if held is None and pending.size:
+            held = _matrix(score_rows, pending, n_old)
+            slot = np.empty(empty.size, dtype=np.intp)
+            slot[pending] = np.arange(pending.size)
     return [GroupMapping((newer_id, i), None if j < 0 else (older_id, j), s)
             for i, (j, s) in enumerate(zip(old.tolist(), sim.tolist()))]
 
@@ -149,16 +166,17 @@ def map_version_pair(newer: VersionTopics, older: VersionTopics,
     """Map every newer group to its best-matching older group or to null.
 
     Topics must come from a shared vocabulary (one corpus spanning both
-    versions). All pairs are scored by one ``score_matrix`` call on the
-    two blocks; an empty older row scores 0.0 against everything. Output
-    is ordered by newer group index and always has one entry per newer
-    group.
+    versions). The pairs are scored by ``score_matrix``'s row scorer in
+    cache-sized row blocks that go straight to the verdict loop, so no
+    (N, M) matrix is held; an empty older row scores 0.0 against
+    everything. Output is ordered by newer group index and always has one
+    entry per newer group.
     """
     config = config or MappingConfig()
-    scores = score_matrix(newer.block, older.block, config.metric)
+    score_rows = _topic_scorer(newer.block, older.block, config.metric)
     empty_rows = np.diff(newer.block.indptr) == 0
-    return _assign(scores, empty_rows, newer.version_id, older.version_id,
-                   config)
+    return _assign(score_rows, len(older.block), empty_rows,
+                   newer.version_id, older.version_id, config)
 
 
 def baseline_text_map(newer: VersionSnapshot, older: VersionSnapshot,
@@ -167,13 +185,17 @@ def baseline_text_map(newer: VersionSnapshot, older: VersionSnapshot,
 
     Operates on concatenated fragment text as written, comments included;
     this is the text-based mapper the topic pipeline is compared against.
-    Every group's text must be resolved.
+    The pairs are scored by ``lcs_matrix``'s row scorer in row blocks, as
+    ``map_version_pair`` scores topics. Every group's text must be
+    resolved.
     """
     config = config or MappingConfig()
-    old_texts = [g.concatenated_text() for g in older.groups]
-    new_texts = [g.concatenated_text() for g in newer.groups]
-    scores = lcs_matrix(new_texts, old_texts)
-    return _assign(scores, np.zeros(len(new_texts), dtype=bool),
+    old_lines = _trimmed_lines([g.concatenated_text() for g in older.groups],
+                               "older")
+    new_lines = _trimmed_lines([g.concatenated_text() for g in newer.groups],
+                               "newer")
+    return _assign(_lcs_scorer(new_lines, old_lines), len(old_lines),
+                   np.zeros(len(new_lines), dtype=bool),
                    newer.version_id, older.version_id, config)
 
 

@@ -1,10 +1,13 @@
 """Similarity scores between topic distributions, plus the LCS text baseline.
 
 All scores live in [0, 1]. Topic metrics compare sparse (word id, weight)
-vectors over a shared vocabulary ordering, all pairs of two topic blocks
-at once, by one join of the blocks' entries on word id; the same join
-tells which rows are identical. The text baseline compares trimmed line
-sequences.
+vectors over a shared vocabulary ordering by one join of two topic blocks'
+entries on word id; the same join tells which rows are identical. The
+text baseline compares trimmed line sequences. Each family has one
+private row scorer, which yields the scores of any newer rows against
+every older row in blocks of at most ``_BLOCK_CELLS`` cells; the mapper
+streams those blocks, and ``score_matrix`` and ``lcs_matrix`` stack them
+into the dense matrix.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ class Metric(enum.Enum):
     HELLINGER = "hellinger"
 
 
-# Score-matrix cells computed per pass; bounds the kernel's scratch memory.
-_BLOCK_CELLS = 1 << 20
+# Score cells per yielded block: 128 KiB per float64 temporary, so a
+# block and its join scratch stay in cache.
+_BLOCK_CELLS = 1 << 14
 
 
 def _pair_sums(flat, weights, cells: int, m: int) -> np.ndarray:
@@ -35,26 +39,24 @@ def _pair_sums(flat, weights, cells: int, m: int) -> np.ndarray:
     return sums.astype(np.float64, copy=False).reshape(-1, m)
 
 
-def score_matrix(newer: TopicBlock, older: TopicBlock,
-                 metric: Metric = Metric.COSINE) -> np.ndarray:
-    """Score every newer row against every older one: an (N, M) matrix.
+def _matrix(score_rows, rows, m: int) -> np.ndarray:
+    """The (len(rows), m) scores of ``rows``, filled block by block from
+    the row scorer ``score_rows``."""
+    scores = np.zeros((len(rows), m))
+    if m:
+        at = 0
+        for block in score_rows(rows):
+            scores[at:at + len(block)] = block
+            at += len(block)
+    return scores
 
-    Both blocks index one shared vocabulary. The pairs that share a word
-    are found by one join on word ids (sort the older entries,
-    ``searchsorted`` each newer entry into them) and their per-pair sums
-    accumulate with ``np.bincount``, so the cost grows with the number of
-    shared-word entry pairs rather than with N * M * V.
 
-    Cosine: sum(a * b) / (|a| * |b|). Hellinger similarity:
-    1 - sqrt(D / 2) with D = sum((sqrt(a) - sqrt(b))^2), summed over the
-    shared words plus each side's unshared mass, which is exactly 0 when
-    every word of that side is shared. Identical vectors score exactly
-    1.0 (downstream consumers treat it as the unchanged-group signature):
-    under cosine a cell is set to 1.0 when its count of joined entry pairs
-    with equal weights matches both rows' entry counts; under Hellinger
-    identical rows give D = 0 exactly. A pair with an empty row on either
-    side scores 0.0; every score is clamped to [0, 1].
-    """
+def _topic_scorer(newer: TopicBlock, older: TopicBlock, metric: Metric):
+    """The row scorer of ``score_matrix``: a function that takes newer row
+    indices, in any order, and yields their scores against every older
+    row as (k, M) blocks of at most ``_BLOCK_CELLS`` cells (at least one
+    row each), in the order of the indices. The older side is sorted and
+    summed here, once. Needs M >= 1."""
     if not isinstance(metric, Metric):
         raise ValidationError(f"unknown metric {metric!r}")
     if not (isinstance(newer, TopicBlock) and isinstance(older, TopicBlock)):
@@ -65,10 +67,6 @@ def score_matrix(newer: TopicBlock, older: TopicBlock,
             f"{sorted((newer.size, older.size))}"
         )
     n, m = len(newer), len(older)
-    scores = np.zeros((n, m))
-    if n == 0 or m == 0:
-        return scores
-
     new_nnz = np.diff(newer.indptr)
     old_nnz = np.diff(older.indptr)
     new_rows = np.repeat(np.arange(n), new_nnz)
@@ -86,43 +84,78 @@ def score_matrix(newer: TopicBlock, older: TopicBlock,
         new_roots = np.sqrt(newer.values)
         old_roots = np.sqrt(old_values)
 
-    rows = max(1, _BLOCK_CELLS // m)
-    for start in range(0, n, rows):
-        stop = min(n, start + rows)
-        cells = (stop - start) * m
-        begin, end = newer.indptr[start], newer.indptr[stop]
-        ids = newer.ids[begin:end]
-        lo = np.searchsorted(old_ids, ids, side="left")
-        hits = np.searchsorted(old_ids, ids, side="right") - lo
-        # Joined entry pairs: each newer entry against its run of equal ids.
-        first = np.cumsum(hits) - hits
-        new_at = np.repeat(np.arange(begin, end), hits)
-        old_at = np.arange(int(hits.sum())) - np.repeat(first - lo, hits)
-        flat = (new_rows[new_at] - start) * m + old_rows_by_id[old_at]
-        a = newer.values[new_at]
-        b = old_values[old_at]
-        nnz = new_nnz[start:stop, None]
-        if metric is Metric.COSINE:
-            norms = np.outer(new_norms[start:stop], old_norms)
-            block = np.divide(_pair_sums(flat, a * b, cells, m), norms,
-                              out=np.zeros_like(norms), where=norms > 0)
-            # Rows are identical when every entry of both is joined to an
-            # equal one; rounding must not keep them from exactly 1.0.
-            equal = _pair_sums(flat, a == b, cells, m)
-            block[(equal == nnz) & (equal == old_nnz) & (equal > 0)] = 1.0
-        else:
-            dist = _pair_sums(flat, (new_roots[new_at] - old_roots[old_at]) ** 2,
-                              cells, m)
-            # The join adds each cell's weights in ascending word-id order,
-            # as the row totals were added, so a side whose every word is
-            # shared has exactly 0.0 left.
-            new_rest = new_totals[start:stop, None] - _pair_sums(flat, a, cells, m)
-            old_rest = old_totals - _pair_sums(flat, b, cells, m)
-            dist += np.maximum(new_rest, 0.0) + np.maximum(old_rest, 0.0)
-            block = 1.0 - np.sqrt(0.5 * dist)
-            block[(nnz == 0) | (old_nnz == 0)] = 0.0
-        np.clip(block, 0.0, 1.0, out=scores[start:stop])
-    return scores
+    def score_rows(rows):
+        step = max(1, _BLOCK_CELLS // m)
+        for start in range(0, len(rows), step):
+            chunk = rows[start:start + step]
+            cells = len(chunk) * m
+            nnz = new_nnz[chunk]
+            # The chunk's newer entries, row by row in chunk order. Within a
+            # row they keep ascending word-id order, so each cell adds its
+            # pairs in the same order whichever rows share its chunk.
+            firsts = np.cumsum(nnz) - nnz
+            entries = (np.arange(int(nnz.sum()))
+                       + np.repeat(newer.indptr[chunk] - firsts, nnz))
+            ids = newer.ids[entries]
+            lo = np.searchsorted(old_ids, ids, side="left")
+            hits = np.searchsorted(old_ids, ids, side="right") - lo
+            # Joined entry pairs: each newer entry against its run of equal ids.
+            first = np.cumsum(hits) - hits
+            old_at = np.arange(int(hits.sum())) - np.repeat(first - lo, hits)
+            flat = (np.repeat(np.repeat(np.arange(len(chunk)), nnz), hits) * m
+                    + old_rows_by_id[old_at])
+            new_at = np.repeat(entries, hits)
+            a = newer.values[new_at]
+            b = old_values[old_at]
+            nnz = nnz[:, None]
+            if metric is Metric.COSINE:
+                norms = np.outer(new_norms[chunk], old_norms)
+                block = np.divide(_pair_sums(flat, a * b, cells, m), norms,
+                                  out=np.zeros_like(norms), where=norms > 0)
+                # Rows are identical when every entry of both is joined to an
+                # equal one; rounding must not keep them from exactly 1.0.
+                equal = _pair_sums(flat, a == b, cells, m)
+                block[(equal == nnz) & (equal == old_nnz) & (equal > 0)] = 1.0
+            else:
+                dist = _pair_sums(flat, (new_roots[new_at] - old_roots[old_at]) ** 2,
+                                  cells, m)
+                # The join adds each cell's weights in ascending word-id order,
+                # as the row totals were added, so a side whose every word is
+                # shared has exactly 0.0 left.
+                new_rest = new_totals[chunk, None] - _pair_sums(flat, a, cells, m)
+                old_rest = old_totals - _pair_sums(flat, b, cells, m)
+                dist += np.maximum(new_rest, 0.0) + np.maximum(old_rest, 0.0)
+                block = 1.0 - np.sqrt(0.5 * dist)
+                block[(nnz == 0) | (old_nnz == 0)] = 0.0
+            yield np.clip(block, 0.0, 1.0, out=block)
+
+    return score_rows
+
+
+def score_matrix(newer: TopicBlock, older: TopicBlock,
+                 metric: Metric = Metric.COSINE) -> np.ndarray:
+    """Score every newer row against every older one: an (N, M) matrix.
+
+    The dense oracle of the row scorer that ``map_version_pair`` streams:
+    the matrix is filled from that scorer's blocks, so each cell has the
+    same bits on both paths. Both blocks index one shared vocabulary. The
+    pairs that share a word are found by one join on word ids (sort the
+    older entries, ``searchsorted`` each newer entry into them) and their
+    per-pair sums accumulate with ``np.bincount``, so the cost grows with
+    the number of shared-word entry pairs rather than with N * M * V.
+
+    Cosine: sum(a * b) / (|a| * |b|). Hellinger similarity:
+    1 - sqrt(D / 2) with D = sum((sqrt(a) - sqrt(b))^2), summed over the
+    shared words plus each side's unshared mass, which is exactly 0 when
+    every word of that side is shared. Identical vectors score exactly
+    1.0 (downstream consumers treat it as the unchanged-group signature):
+    under cosine a cell is set to 1.0 when its count of joined entry pairs
+    with equal weights matches both rows' entry counts; under Hellinger
+    identical rows give D = 0 exactly. A pair with an empty row on either
+    side scores 0.0; every score is clamped to [0, 1].
+    """
+    score_rows = _topic_scorer(newer, older, metric)
+    return _matrix(score_rows, np.arange(len(newer)), len(older))
 
 
 def topic_similarity(t1, t2, metric: Metric = Metric.COSINE) -> float:
@@ -159,10 +192,56 @@ def _trimmed_lines(texts, side: str) -> list[list[str]]:
     return lines
 
 
+def _lcs_scorer(newer_lines, older_lines):
+    """The row scorer of ``lcs_matrix`` over ``_trimmed_lines`` output,
+    called as ``_topic_scorer``'s is: it takes newer text indices and
+    yields (k, M) blocks of at most ``_BLOCK_CELLS`` cells. The older
+    bitmasks and line postings are built here, once. Needs M >= 1."""
+    m = len(older_lines)
+    older = []
+    holders: dict[str, list[int]] = {}
+    for j, old in enumerate(older_lines):
+        masks: dict[str, int] = {}
+        for bit, line in enumerate(old):
+            masks[line] = masks.get(line, 0) | (1 << bit)
+        older.append((masks, len(old), (1 << len(old)) - 1))
+        for line in masks:
+            holders.setdefault(line, []).append(j)
+    empty_older = [j for j, old in enumerate(older_lines) if not old]
+
+    def score_rows(rows):
+        step = max(1, _BLOCK_CELLS // m)
+        for start in range(0, len(rows), step):
+            chunk = rows[start:start + step]
+            block = np.zeros((len(chunk), m))
+            for row, i in zip(block, chunk.tolist()):
+                new = newer_lines[i]
+                if not new:
+                    row[empty_older] = 1.0
+                    continue
+                candidates = set()
+                for line in set(new):
+                    candidates.update(holders.get(line, ()))
+                for j in candidates:
+                    masks, n, full = older[j]
+                    v = full
+                    for line in new:
+                        mask = masks.get(line)
+                        if mask is not None:
+                            u = v & mask
+                            v = ((v + u) | (v - u)) & full
+                    row[j] = 2.0 * (n - v.bit_count()) / (len(new) + n)
+            yield block
+
+    return score_rows
+
+
 def lcs_matrix(newer_texts, older_texts) -> np.ndarray:
     """Line-LCS score of every newer text against every older one: (N, M).
 
-    Each cell is 2*|LCS| / (len(a) + len(b)) over the trimmed lines of
+    The dense oracle of the row scorer that ``baseline_text_map`` streams,
+    filled from that scorer's blocks. Each cell is
+    2*|LCS| / (len(a) + len(b)) over the trimmed lines of
     ``ingest.split_lines``, matching by ``==``; two empty texts score 1.0
     and a pair with one empty side 0.0. A pair that shares no line has
     LCS 0 and keeps the 0.0 it starts with, so an inverted index from each
@@ -176,35 +255,8 @@ def lcs_matrix(newer_texts, older_texts) -> np.ndarray:
     """
     newer_lines = _trimmed_lines(newer_texts, "newer")
     older_lines = _trimmed_lines(older_texts, "older")
-    scores = np.zeros((len(newer_lines), len(older_lines)))
-    older = []
-    holders: dict[str, list[int]] = {}
-    for j, old in enumerate(older_lines):
-        masks: dict[str, int] = {}
-        for bit, line in enumerate(old):
-            masks[line] = masks.get(line, 0) | (1 << bit)
-        older.append((masks, len(old), (1 << len(old)) - 1))
-        for line in masks:
-            holders.setdefault(line, []).append(j)
-    empty_older = [j for j, old in enumerate(older_lines) if not old]
-    for i, new in enumerate(newer_lines):
-        row = scores[i]
-        if not new:
-            row[empty_older] = 1.0
-            continue
-        candidates = set()
-        for line in set(new):
-            candidates.update(holders.get(line, ()))
-        for j in candidates:
-            masks, n, full = older[j]
-            v = full
-            for line in new:
-                mask = masks.get(line)
-                if mask is not None:
-                    u = v & mask
-                    v = ((v + u) | (v - u)) & full
-            row[j] = 2.0 * (n - v.bit_count()) / (len(new) + n)
-    return scores
+    return _matrix(_lcs_scorer(newer_lines, older_lines),
+                   np.arange(len(newer_lines)), len(older_lines))
 
 
 def lcs_similarity(a: str, b: str) -> float:

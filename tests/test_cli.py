@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -552,6 +553,69 @@ class TestUnreadableFragment:
                                f"file: '{real}/pipe.c'\n")
 
 
+class TestDeviceInput:
+    """A report, a truth, a mapping or a word list given as a device path
+    exits 4 naming it, before a byte is read; a pipe still reads."""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"),
+                        reason="no /dev/null on this system")
+    @pytest.mark.parametrize("which", ["report", "truth", "mapping",
+                                       "stopwords"])
+    def test_device_is_an_io_error(self, evolution, tmp_path, capsys, which):
+        mapping_path = tmp_path / "mapping.json"
+        assert main(run_map_cmd(evolution, "--out", str(mapping_path))) == 0
+        capsys.readouterr()
+        paths = {"report": evolution / "older_report.json",
+                 "truth": evolution / "truth.json", "mapping": mapping_path,
+                 which: "/dev/null"}
+        if which in ("report", "stopwords"):
+            argv = ["topics", "--report", str(paths["report"]),
+                    "--source", str(evolution / "older_src")]
+            if which == "stopwords":
+                argv += ["--stopwords", "/dev/null"]
+        else:
+            argv = ["eval", "--mapping", str(paths["mapping"]),
+                    "--truth", str(paths["truth"])]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == (
+            "clonemap: I/O error: [Errno 22] Is a device, not a file: "
+            "'/dev/null'\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/zero"),
+                        reason="no /dev/zero on this system")
+    def test_endless_device_is_not_read(self):
+        """Reading ``/dev/zero`` would never end, so the run is a
+        subprocess with a timeout and an 800 MiB address-space limit."""
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (800 * 2 ** 20,) * 2)
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "clonemap.cli", "topics",
+             "--report", "/dev/zero"],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=limit)
+        assert proc.returncode == 4
+        assert proc.stderr == ("clonemap: I/O error: [Errno 22] Is a device, "
+                               "not a file: '/dev/zero'\n")
+
+    def test_pipe_reads(self, evolution):
+        """``--report /dev/stdin`` reads the report from a pipe, as
+        ``<(cat report.json)`` does, and gives the same dump as the file."""
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        report = evolution / "older_report.json"
+        outs = []
+        for path, stdin in ((str(report), ""),
+                            ("/dev/stdin", report.read_text(encoding="utf-8"))):
+            proc = subprocess.run(
+                [sys.executable, "-m", "clonemap.cli", "topics",
+                 "--report", path, "--source", str(evolution / "older_src")],
+                env=env, input=stdin, capture_output=True, text=True,
+                timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] != ""
+
+
 class TestSynthCommand:
     def test_zero_groups_is_config_error(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "x"), "--groups", "0"])
@@ -922,8 +986,9 @@ class TestBenchmarkTracer:
     """``perfbench/tracer.py`` wraps functions by name and the benchmark
     passes ``--threads 1``; both must keep working under a real map."""
 
-    # The LCS path scores all pairs in one ``lcs_matrix`` call, which the
-    # tracer does not wrap, so that case checks the stage span instead.
+    # The LCS path streams row blocks from ``lcs_matrix``'s row scorer and
+    # calls no function the tracer wraps, so that case checks the stage
+    # span instead.
     @pytest.mark.parametrize("strategy,kind,name", [
         pytest.param("topic", "calls", "preprocess.strip_comments",
                      id="topic-preprocess.strip_comments"),

@@ -1,13 +1,16 @@
 """Thresholded argmax mapping and the injective mode."""
 
+import collections
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clonemap import mapping, similarity
 from clonemap.errors import CloneMapWarning, ConfigError, ValidationError
 from clonemap.ingest import CloneFragment, CloneGroup, VersionSnapshot
 from clonemap.mapping import (
@@ -21,7 +24,7 @@ from clonemap.mapping import (
 )
 from clonemap.pipeline import canonical_json, mapping_result, mappings_from_artifact
 from clonemap.preprocess import TokenDocument
-from clonemap.similarity import score_matrix
+from clonemap.similarity import Metric, lcs_matrix, score_matrix
 from clonemap.topicmodel import TopicBlock, frequency_blocks
 
 
@@ -178,6 +181,13 @@ class TestMapVersionPair:
 def oracle_injective_assign(scores, empty_rows, newer_id, older_id, delta):
     """The per-column Python auction that ``_assign``'s injective branch
     replaced, kept as its oracle."""
+    return oracle_injective_rounds(scores, empty_rows, newer_id, older_id,
+                                   delta)[0]
+
+
+def oracle_injective_rounds(scores, empty_rows, newer_id, older_id, delta):
+    """``oracle_injective_assign``'s verdicts and its count of rounds."""
+    rounds = 0
     n_new, n_old = scores.shape
     mappings = {}
     contenders = []
@@ -190,6 +200,7 @@ def oracle_injective_assign(scores, empty_rows, newer_id, older_id, delta):
     available = set(range(n_old))
     pending = list(contenders)
     while pending:
+        rounds += 1
         claims = {}
         for i in pending:
             row = score_rows[i]
@@ -208,14 +219,21 @@ def oracle_injective_assign(scores, empty_rows, newer_id, older_id, delta):
             available.discard(j)
             next_pending.extend(i for i in claimants if i != winner)
         pending = next_pending
-    return [mappings[i] for i in range(n_new)]
+    return [mappings[i] for i in range(n_new)], rounds
+
+
+def assign_matrix(scores, empty_rows, config):
+    """``_assign`` over a fixed (N, M) matrix, through a row scorer that
+    yields every row it is asked for as one chunk."""
+    return _assign(lambda rows: iter((scores[rows],)), scores.shape[1],
+                   empty_rows, "v2", "v1", config)
 
 
 def injective(scores, empty_rows, delta):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CloneMapWarning)
-        return _assign(scores, empty_rows, "v2", "v1",
-                       MappingConfig(delta=delta, enforce_injective=True))
+        return assign_matrix(scores, empty_rows,
+                             MappingConfig(delta=delta, enforce_injective=True))
 
 
 def tie_heavy_cases():
@@ -258,8 +276,8 @@ class TestPlainAssignOracle:
             before = scores.copy()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", CloneMapWarning)
-                got = _assign(scores, empty_rows, "v2", "v1",
-                              MappingConfig(delta=delta))
+                got = assign_matrix(scores, empty_rows,
+                                    MappingConfig(delta=delta))
             assert got == oracle_plain_assign(before, empty_rows, "v2", "v1",
                                               delta)
             assert np.array_equal(scores, before)
@@ -418,3 +436,114 @@ class TestBaselineTextMap:
         older = snapshot_with_text("v1", ["aa;\nbb;"])
         mappings = baseline_text_map(newer, older, MappingConfig(delta=0.1))
         assert mappings[0].similarity < 1.0
+
+
+def counted(make_scorer, counts):
+    """``make_scorer``, a row-scorer factory of ``similarity``, with each
+    newer row its scorers are asked to score counted in ``counts``."""
+    def make_counted(*args):
+        score_rows = make_scorer(*args)
+
+        def count_rows(rows):
+            counts.update(rows.tolist())
+            yield from score_rows(rows)
+        return count_rows
+    return make_counted
+
+
+class TestStreamedScoring:
+    """``map_version_pair`` and ``baseline_text_map`` give ``_assign`` a row
+    scorer, never an (N, M) matrix; their verdicts are those of the dense
+    oracles, and no newer row is scored more than twice."""
+
+    @pytest.fixture
+    def tiny_blocks(self, monkeypatch):
+        # One or two rows per block, so that round 1 streams many blocks.
+        monkeypatch.setattr(similarity, "_BLOCK_CELLS", 9)
+
+    def test_injective_topic_map_equals_dense_oracle(self, monkeypatch,
+                                                     tiny_blocks):
+        rng = np.random.default_rng(31)
+        words = [f"w{i}" for i in range(8)]
+
+        def random_counts():
+            return {w: int(rng.integers(1, 6))
+                    for w in rng.choice(words, size=4, replace=False)}
+        older_counts = [random_counts() for _ in range(6)]
+        # Near copies of two older groups, so that their columns are contested.
+        newer_counts = [{**older_counts[i % 2], words[j]: j + 1}
+                        for i, j in enumerate(rng.integers(0, 8, size=9))]
+        newer_counts.insert(3, {})
+        newer, older = pair_from_counts(newer_counts, older_counts)
+        for metric in Metric:
+            config = MappingConfig(delta=0.3, metric=metric,
+                                   enforce_injective=True)
+            counts = collections.Counter()
+            monkeypatch.setattr(mapping, "_topic_scorer",
+                                counted(similarity._topic_scorer, counts))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", CloneMapWarning)
+                got = map_version_pair(newer, older, config)
+            scores = score_matrix(newer.block, older.block, metric)
+            empty = [not c for c in newer_counts]
+            want, rounds = oracle_injective_rounds(scores, empty, "v2", "v1",
+                                                   config.delta)
+            assert got == want
+            assert rounds >= 3
+            assert max(counts.values()) == 2
+            assert sorted(counts) == [i for i, e in enumerate(empty) if not e]
+
+    def test_injective_text_map_equals_dense_oracle(self, monkeypatch,
+                                                    tiny_blocks):
+        rng = np.random.default_rng(37)
+        lines = [f"x{i} = f(y{i});" for i in range(10)]
+
+        def random_text():
+            return "\n".join(rng.choice(lines, size=5).tolist())
+        older_texts = [random_text() for _ in range(6)]
+        newer_texts = [older_texts[i % 2] + "\n" + lines[j]
+                       for i, j in enumerate(rng.integers(0, 10, size=9))]
+        newer_texts.insert(4, "")
+        newer = snapshot_with_text("v2", newer_texts)
+        older = snapshot_with_text("v1", older_texts)
+        config = MappingConfig(delta=0.3, enforce_injective=True)
+        counts = collections.Counter()
+        monkeypatch.setattr(mapping, "_lcs_scorer",
+                            counted(similarity._lcs_scorer, counts))
+        got = baseline_text_map(newer, older, config)
+        scores = lcs_matrix([g.concatenated_text() for g in newer.groups],
+                            [g.concatenated_text() for g in older.groups])
+        want, rounds = oracle_injective_rounds(
+            scores, [False] * len(newer_texts), "v2", "v1", config.delta)
+        assert got == want
+        assert rounds >= 3
+        assert max(counts.values()) == 2
+        assert sorted(counts) == list(range(len(newer_texts)))
+
+    def test_traced_peak_stays_far_below_the_dense_matrix(self):
+        """At N = M = 1500 the float64 matrix alone is 17.2 MiB; streamed
+        blocks keep the traced peak under a fixed 3 MiB."""
+        rng = np.random.default_rng(41)
+        n = 1500
+        words = [f"w{i}" for i in range(3000)]
+
+        def random_counts():
+            return {w: int(rng.integers(1, 4))
+                    for w in rng.choice(words, size=8, replace=False)}
+        newer, older = pair_from_counts([random_counts() for _ in range(n)],
+                                        [random_counts() for _ in range(n)])
+        lines = [f"v{i} = g(v{i + 1});" for i in range(5000)]
+        texts = ["\n".join(rng.choice(lines, size=3).tolist())
+                 for _ in range(2 * n)]
+        newer_text = snapshot_with_text("v2", texts[:n])
+        older_text = snapshot_with_text("v1", texts[n:])
+        bound = 3 * 2 ** 20
+        for run in (lambda: map_version_pair(newer, older),
+                    lambda: baseline_text_map(newer_text, older_text)):
+            tracemalloc.start()
+            try:
+                assert len(run()) == n
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound

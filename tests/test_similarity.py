@@ -24,6 +24,20 @@ def random_distribution(rng, size):
     return raw / raw.sum()
 
 
+def assert_row_scorer_matches(score_rows, whole, rng):
+    """``score_rows`` (under ``_BLOCK_CELLS`` = 9) yields, for random row
+    lists, blocks of one row or of at most 9 cells that stack to those
+    rows of the dense ``whole``, bit for bit."""
+    n, m = whole.shape
+    for size in (0, 1, n, 2 * n, *rng.integers(0, 2 * n, size=20)):
+        rows = rng.integers(0, n, size=size)
+        blocks = list(score_rows(rows))
+        assert all(len(b) == 1 or 1 < len(b) and b.size <= 9
+                   for b in blocks)
+        got = np.concatenate(blocks) if blocks else np.zeros((0, m))
+        assert np.array_equal(got, whole[rows])
+
+
 class TestTopicSimilarity:
     def test_identity_is_exactly_one(self):
         rng = np.random.default_rng(0)
@@ -256,18 +270,21 @@ class TestScoreMatrix:
             assert scores[3, 0] == (1.0 if vectors[3].any() else 0.0)
 
     def test_row_blocks_do_not_change_scores(self, monkeypatch):
+        """Blocks of one or two rows, and the row scorer given any rows
+        in any order, repeats included, give ``score_matrix``'s bits."""
         rng = np.random.default_rng(29)
         vectors = [random_distribution(rng, 12) * (rng.random(12) < 0.4)
                    for _ in range(10)]
         vectors = [v / v.sum() for v in vectors if v.any()]
-        newer = TopicBlock.from_dense(vectors)
+        newer = TopicBlock.from_dense([*vectors[:3], np.zeros(12), *vectors[3:]])
         older = TopicBlock.from_dense(vectors[:4])
         for metric in Metric:
             whole = score_matrix(newer, older, metric)
             monkeypatch.setattr(similarity, "_BLOCK_CELLS", 9)
-            blocked = score_matrix(newer, older, metric)
+            assert np.array_equal(score_matrix(newer, older, metric), whole)
+            score_rows = similarity._topic_scorer(newer, older, metric)
+            assert_row_scorer_matches(score_rows, whole, rng)
             monkeypatch.undo()
-            assert np.array_equal(whole, blocked)
 
     def test_empty_sides(self):
         none = TopicBlock.from_dense(np.zeros((0, 2)))
@@ -471,6 +488,21 @@ class TestLcsMatrix:
         texts = ["\n".join(rng.choice(LINE_POOL, size=int(size)))
                  for size in rng.integers(60, 200, size=6)]
         assert_matches_oracle(texts[:3], texts[3:])
+
+    def test_row_scorer_matches_lcs_matrix(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        lines = ["a", "b", " c", "d ", "e", "}"]
+        texts = ["\n".join(rng.choice(lines, size=k).tolist())
+                 for k in rng.integers(0, 7, size=12)]
+        texts[5] = ""
+        newer, older = texts, texts[3:8]
+        whole = lcs_matrix(newer, older)
+        monkeypatch.setattr(similarity, "_BLOCK_CELLS", 9)
+        assert np.array_equal(lcs_matrix(newer, older), whole)
+        score_rows = similarity._lcs_scorer(
+            similarity._trimmed_lines(newer, "newer"),
+            similarity._trimmed_lines(older, "older"))
+        assert_row_scorer_matches(score_rows, whole, rng)
 
     def test_empty_lists_give_empty_matrices(self):
         assert lcs_matrix([], ["a", "b\nc"]).shape == (0, 2)
