@@ -76,6 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"clonemap {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # Each default is read off its config dataclass, so it is stated once.
+    mapping, lda, synth = MappingConfig(), LdaConfig(), SynthConfig()
 
     p_map = sub.add_parser("map", help="map newer clone groups to older ones")
     p_map.add_argument("--newer", required=True, metavar="REPORT",
@@ -86,18 +88,18 @@ def build_parser() -> argparse.ArgumentParser:
                        help="source tree the newer report's paths resolve against")
     p_map.add_argument("--source-older", metavar="DIR",
                        help="source tree the older report's paths resolve against")
-    p_map.add_argument("--delta", type=float, default=0.8,
-                       help="similarity threshold (default 0.8)")
+    p_map.add_argument("--delta", type=float, default=mapping.delta,
+                       help="similarity threshold (default %(default)s)")
     p_map.add_argument("--metric", choices=[m.value for m in Metric],
-                       default=Metric.COSINE.value)
+                       default=mapping.metric.value)
     p_map.add_argument("--strategy", choices=[s.value for s in Strategy],
-                       default=Strategy.TOPIC.value,
+                       default=mapping.strategy.value,
                        help="topic distributions or the LCS text baseline")
-    p_map.add_argument("--topics", type=int, default=1, metavar="K",
+    p_map.add_argument("--topics", type=int, default=lda.K, metavar="K",
                        help="topic count; 1 is exact per-group frequencies")
-    p_map.add_argument("--iterations", type=int, default=1000,
+    p_map.add_argument("--iterations", type=int, default=lda.iterations,
                        help="Gibbs sweeps when K > 1")
-    p_map.add_argument("--seed", type=int, default=42)
+    p_map.add_argument("--seed", type=int, default=lda.seed)
     p_map.add_argument("--injective", action="store_true",
                        help="forbid two newer groups sharing one origin")
     p_map.add_argument("--threads", type=int, default=1,
@@ -124,23 +126,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth = sub.add_parser("synth",
                              help="generate a synthetic two-version evolution")
     p_synth.add_argument("--out", required=True, metavar="DIR")
-    p_synth.add_argument("--groups", type=int, default=20)
-    p_synth.add_argument("--fragments", type=int, nargs=2, default=[2, 4],
-                         metavar=("LO", "HI"))
-    p_synth.add_argument("--lines", type=int, nargs=2, default=[6, 12],
-                         metavar=("LO", "HI"))
+    p_synth.add_argument("--groups", type=int, default=synth.group_count)
+    p_synth.add_argument("--fragments", type=int, nargs=2,
+                         default=synth.fragments_per_group, metavar=("LO", "HI"))
+    p_synth.add_argument("--lines", type=int, nargs=2,
+                         default=synth.lines_per_fragment, metavar=("LO", "HI"))
     p_synth.add_argument("--mix", type=float, nargs=4,
-                         default=[0.4, 0.2, 0.25, 0.15],
+                         default=(synth.p_unchanged, synth.p_type1,
+                                  synth.p_type2, synth.p_type3),
                          metavar=("UNCHANGED", "TYPE1", "TYPE2", "TYPE3"),
                          help="mutation probabilities, must sum to 1")
     p_synth.add_argument("--edit-fraction", type=float, nargs=2,
-                         default=[0.1, 0.3], metavar=("LO", "HI"),
+                         default=synth.type3_edit_fraction, metavar=("LO", "HI"),
                          help="statement fraction edited by type-3 mutations")
-    p_synth.add_argument("--deaths", type=float, default=0.0,
+    p_synth.add_argument("--deaths", type=float, default=synth.death_fraction,
                          help="fraction of older groups with no descendant")
-    p_synth.add_argument("--births", type=float, default=0.0,
+    p_synth.add_argument("--births", type=float, default=synth.birth_fraction,
                          help="fraction of newer groups with no ancestor")
-    p_synth.add_argument("--seed", type=int, default=42)
+    p_synth.add_argument("--seed", type=int, default=synth.seed)
     p_synth.set_defaults(func=cmd_synth)
 
     p_topics = sub.add_parser("topics",

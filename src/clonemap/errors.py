@@ -67,17 +67,6 @@ class ConfigError(CloneMapError):
     """A configuration value is out of its legal range or infeasible."""
 
 
-class EmptyDocumentError(CloneMapError):
-    """A clone group's token document is empty, so no topic can be fit.
-
-    Carries the offending ``group_ref`` (version id, group index).
-    """
-
-    def __init__(self, group_ref):
-        self.group_ref = group_ref
-        super().__init__(f"empty topic document for group {group_ref}")
-
-
 class CoverageError(CloneMapError):
     """A mapping refers to a newer group the ground truth does not cover,
     or has no row for one that it does."""

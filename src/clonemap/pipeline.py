@@ -33,8 +33,7 @@ from .topicmodel import fit_group_topic  # noqa: F401
 def build_documents(snapshot: VersionSnapshot,
                     filter_config: FilterConfig) -> list[TokenDocument]:
     """One filtered token document per clone group, in index order."""
-    return [build_group_document(g, filter_config, version_id=snapshot.version_id)
-            for g in snapshot.groups]
+    return [build_group_document(g, filter_config) for g in snapshot.groups]
 
 
 def pair_topics(newer_docs: list[TokenDocument], older_docs: list[TokenDocument],
@@ -45,15 +44,14 @@ def pair_topics(newer_docs: list[TokenDocument], older_docs: list[TokenDocument]
 
     The default path computes exact one-topic frequencies per group. With
     K > 1 a corpus-wide Gibbs model is fit instead and each group is
-    represented by its document-topic mixture. Either way an empty
-    document gives an empty row, and when every document is empty no
-    model is fit.
+    represented by its document-topic mixture, and the uniform mixture
+    the model gives an empty document is zeroed. Either way an empty
+    document gives an empty row.
     """
     if lda_config is not None and lda_config.K > 1:
         documents = list(newer_docs) + list(older_docs)
         empty = np.array([doc.token_count == 0 for doc in documents])
-        theta = (np.zeros((len(documents), lda_config.K)) if empty.all()
-                 else fit_lda(build_corpus(documents), lda_config).theta)
+        theta = fit_lda(build_corpus(documents), lda_config).theta
         weights = np.where(empty[:, None], 0.0, theta)
         newer_block = TopicBlock.from_dense(weights[:len(newer_docs)])
         older_block = TopicBlock.from_dense(weights[len(newer_docs):])

@@ -12,7 +12,7 @@ import re
 import string
 import warnings
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -63,9 +63,9 @@ class FilterConfig:
 
 @dataclass(frozen=True)
 class TokenDocument:
-    """Ordered multiset of filtered words for one clone group."""
+    """Ordered multiset of filtered words for one clone group; it may be
+    empty, and every topic stage gives an empty document an empty row."""
 
-    group_ref: tuple[str, int] | None
     tokens: tuple[str, ...]
 
     @property
@@ -74,14 +74,6 @@ class TokenDocument:
 
     def counts(self) -> Counter:
         return Counter(self.tokens)
-
-    @classmethod
-    def from_counts(cls, counts, group_ref=None) -> "TokenDocument":
-        """Expand a word -> count mapping into a document (insertion order)."""
-        tokens = []
-        for word, count in counts.items():
-            tokens.extend([word] * count)
-        return cls(group_ref=group_ref, tokens=tuple(tokens))
 
 
 def _parse_word_list(text: str) -> frozenset[str]:
@@ -195,12 +187,10 @@ def tokenize(text: str, config: FilterConfig) -> TokenDocument:
     """
     raws = text.encode("utf-8", "surrogatepass").translate(_NON_WORD_TO_SPACE).split()
     tokens = tuple(filter(None, map(config._kept.__getitem__, raws)))
-    return TokenDocument(group_ref=None, tokens=tokens)
+    return TokenDocument(tokens)
 
 
-def build_group_document(group: CloneGroup, config: FilterConfig,
-                         version_id: str | None = None) -> TokenDocument:
-    """Concatenate the group's fragment texts, strip comments, tokenize."""
-    text = group.concatenated_text()
-    doc = tokenize(strip_comments(text), config)
-    return replace(doc, group_ref=(version_id, group.index))
+def build_group_document(group: CloneGroup, config: FilterConfig) -> TokenDocument:
+    """Concatenate the group's fragment texts, strip comments, tokenize.
+    The document's position in its version's list names the group."""
+    return tokenize(strip_comments(group.concatenated_text()), config)

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyDocumentError, ValidationError, is_json_int
+from .errors import ConfigError, ValidationError, is_json_int
 from .preprocess import TokenDocument
 
 
@@ -165,12 +165,11 @@ def fit_group_topic(document: TokenDocument,
     of exact term frequencies.
 
     No sampling is involved; weight(w) = count(w) / token_count, stored
-    only for the document's own words. When a corpus is given the ids index
-    its vocabulary (so topics from two versions share an ordering);
-    otherwise the document's own sorted vocabulary is used.
+    only for the document's own words, so an empty document gives an
+    empty row. When a corpus is given the ids index its vocabulary (so
+    topics from two versions share an ordering); otherwise the document's
+    own sorted vocabulary is used.
     """
-    if document.token_count == 0:
-        raise EmptyDocumentError(document.group_ref)
     if corpus is None:
         corpus = build_corpus([document])
     counts = document.counts()
@@ -245,7 +244,9 @@ def fit_lda(corpus: Corpus, config: LdaConfig,
     with the token's own assignment excluded from the counts. Deterministic
     for a given seed (PCG64, one generator per run). With ``check_counts``
     the count tables are re-validated against the corpus after the initial
-    assignment and after every sweep.
+    assignment and after every sweep. An empty document, so every document
+    of a corpus with no tokens, gets the uniform mixture 1/K; a corpus of
+    no documents gives theta of shape (0, K).
     """
     K = config.K
     alpha = ALPHA_TOTAL / K
@@ -253,8 +254,6 @@ def fit_lda(corpus: Corpus, config: LdaConfig,
     V = corpus.vocabulary_size
     docs = corpus.documents
     D = len(docs)
-    if not any(docs):
-        raise ValidationError("corpus has no non-empty documents")
 
     n_dk = [[0] * K for _ in range(D)]
     n_kw = [[0] * V for _ in range(K)]
@@ -316,7 +315,7 @@ def fit_lda(corpus: Corpus, config: LdaConfig,
 
     phi = (np.array(n_kw, dtype=np.float64) + beta)
     phi /= (np.array(n_k, dtype=np.float64) + vbeta)[:, None]
-    theta = (np.array(n_dk, dtype=np.float64) + alpha)
+    theta = np.array(n_dk, dtype=np.float64).reshape(D, K) + alpha
     theta /= (np.array(n_d, dtype=np.float64) + K * alpha)[:, None]
     phi.setflags(write=False)
     theta.setflags(write=False)

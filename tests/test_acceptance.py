@@ -19,6 +19,7 @@ brute-force oracle checks of both similarity functions.
 import json
 import math
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -122,7 +123,7 @@ def test_criterion_1_one_topic_weights_are_exact_frequencies(capsys):
     assert len(REFERENCE_COUNTS) == 18
 
     started = time.perf_counter()
-    document = TokenDocument.from_counts(REFERENCE_COUNTS, group_ref=("v0", 0))
+    document = TokenDocument(tuple(Counter(REFERENCE_COUNTS).elements()))
     corpus = build_corpus([document])
     topic = fit_group_topic(document, corpus)
     elapsed = time.perf_counter() - started
@@ -212,13 +213,10 @@ def _two_topic_corpus():
     )
     rng = np.random.default_rng(2024)
     documents = []
-    for side, vocabulary in enumerate(halves):
-        for d in range(20):
+    for vocabulary in halves:
+        for _ in range(20):
             tokens = rng.choice(vocabulary, size=50)
-            documents.append(TokenDocument(
-                group_ref=("v0", side * 20 + d),
-                tokens=tuple(tokens.tolist()),
-            ))
+            documents.append(TokenDocument(tuple(tokens.tolist())))
     return halves, build_corpus(documents)
 
 

@@ -10,6 +10,7 @@ import re
 import resource
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 from xml.sax.saxutils import quoteattr
 
@@ -18,6 +19,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from clonemap.cli import build_parser, main
 from clonemap.errors import CloneMapWarning
+from clonemap.evaluation import SynthConfig
+from clonemap.mapping import MappingConfig
+from clonemap.topicmodel import LdaConfig
 
 
 @pytest.fixture()
@@ -425,6 +429,22 @@ class TestAllEmptyPair:
             {"new_group": 0, "old_group": None, "similarity": 0.0}]
 
 
+class TestZeroGroupPair:
+    """Two reports without groups map to no rows under the sampler too,
+    which then fits a corpus of no documents."""
+
+    def test_topics_two_gives_no_rows(self, tmp_path, capsys):
+        for version in ("newer", "older"):
+            (tmp_path / f"{version}.json").write_text(
+                json.dumps({"version": version, "groups": []}), encoding="utf-8")
+        rc = main(["map", "--newer", str(tmp_path / "newer.json"),
+                   "--older", str(tmp_path / "older.json"),
+                   "--topics", "2", "--format", "json"])
+        assert rc == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["mappings"] == result["unmatched_old"] == []
+
+
 class TestInvalidUtf8:
     """A file that must be UTF-8 but is not exits 3, not in a traceback."""
 
@@ -816,6 +836,45 @@ class TestRecordedConfig:
                      "--out", str(topics)]) == 0
         self.check("topics", topics)
         capsys.readouterr()
+
+class TestParserDefaults:
+    """A flag that sets a config field defaults to that field's default."""
+
+    @staticmethod
+    def defaults(config_type) -> dict:
+        return {f.name: f.default for f in fields(config_type)}
+
+    def test_map_flags_default_to_the_config_defaults(self):
+        args = build_parser().parse_args(["map", "--newer", "n.json",
+                                          "--older", "o.json"])
+        mapping, lda = self.defaults(MappingConfig), self.defaults(LdaConfig)
+        assert args.delta == mapping["delta"]
+        assert args.metric == mapping["metric"].value
+        assert args.strategy == mapping["strategy"].value
+        assert args.injective == mapping["enforce_injective"]
+        assert args.topics == lda["K"]
+        assert args.iterations == lda["iterations"]
+        assert args.seed == lda["seed"]
+
+    def test_delta_help_shows_the_config_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["map", "--help"])
+        delta = self.defaults(MappingConfig)["delta"]
+        assert f"similarity threshold (default {delta})" in capsys.readouterr().out
+
+    def test_synth_flags_default_to_the_config_defaults(self):
+        args = build_parser().parse_args(["synth", "--out", "evo"])
+        synth = self.defaults(SynthConfig)
+        assert args.groups == synth["group_count"]
+        assert tuple(args.fragments) == synth["fragments_per_group"]
+        assert tuple(args.lines) == synth["lines_per_fragment"]
+        assert tuple(args.mix) == (synth["p_unchanged"], synth["p_type1"],
+                                   synth["p_type2"], synth["p_type3"])
+        assert tuple(args.edit_fraction) == synth["type3_edit_fraction"]
+        assert args.deaths == synth["death_fraction"]
+        assert args.births == synth["birth_fraction"]
+        assert args.seed == synth["seed"]
+
 
 # Values a mutation swaps in: other JSON types, path escapes, an integer
 # past 64 bits, an embedded NUL and lone surrogates. "ABSOLUTE" stands for

@@ -1,7 +1,7 @@
 """Every name a module of the package imports is used or marked as kept,
-every private module-level name is used, every public function and class
-has a caller outside the tests, no module reads the environment
-or writes JSON text outside ``pipeline``, the readers of reports, ground
+every private module-level name is used, every public function, class,
+method and property has a caller outside the tests, no module reads the
+environment or writes JSON text outside ``pipeline``, the readers of reports, ground
 truth and mapping artifacts hold no value check, every name the package exports resolves, and the count of publicly
 settable values is pinned."""
 
@@ -183,6 +183,78 @@ def test_uncalled_public_names_list_is_current():
         assert name in {n for _, n in module_level_names(
             modules[module], assignments=False)}, entry
         assert name not in read, entry
+
+
+def public_methods(path: Path):
+    """``(line, class, name)`` of each public method, classmethod,
+    staticmethod and property of each class defined at the top level of
+    ``path``."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((member.lineno, node.name, member.name)
+                        for member in node.body
+                        if isinstance(member, (ast.FunctionDef,
+                                               ast.AsyncFunctionDef))
+                        and not member.name.startswith("_"))
+
+
+def uncalled_public_methods(paths, readers) -> list[str]:
+    """Public methods and properties of the classes in ``paths`` whose
+    name no module in ``readers`` reads, by the rule and with the
+    ``__init__.py`` exclusions of ``uncalled_public_names``."""
+    read = names_read(p for p in readers if p.name != "__init__.py")
+    return [f"{path.name}:{line}: {cls}.{name}" for path in sorted(paths)
+            if path.name != "__init__.py"
+            for line, cls, name in public_methods(path)
+            if name not in read]
+
+
+def test_every_public_method_has_a_caller():
+    """A public method or property that only tests call is code with no
+    caller, as a module-level name is; a call from the benchmark harness
+    counts. A name counts as read wherever it is read, on any object."""
+    modules = list(PACKAGE.glob("*.py"))
+    readers = modules + list((PACKAGE.parent.parent / "perfbench").glob("*.py"))
+    assert uncalled_public_methods(modules, readers) == []
+
+
+def test_scan_finds_an_uncalled_public_method(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "class Doc:\n"
+        "    def __init__(self, tokens):\n"
+        "        self.tokens = tokens\n"
+        "    @property\n"
+        "    def size(self):\n"
+        "        return len(self.tokens)\n"
+        "    @classmethod\n"
+        "    def build(cls, words):\n"
+        "        return cls(tuple(words))\n"
+        "    @staticmethod\n"
+        "    def spare(x):\n"
+        "        return x\n"
+        "    def counts(self):\n"
+        "        return {}\n"
+        "    def _private(self):\n"
+        "        return self.tokens\n"
+        "def helper(doc):\n"
+        "    return doc.size\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "__init__.py").write_text(
+        "from .a import Doc\n"
+        "def root(doc):\n"
+        "    return doc.counts()\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "c.py").write_text(
+        "def run(doc_type):\n"
+        "    return doc_type.build([]).counts()\n", encoding="utf-8")
+    modules = list(tmp_path.glob("*.py"))
+    assert uncalled_public_methods(modules, modules) == [
+        "a.py:8: Doc.build", "a.py:11: Doc.spare", "a.py:13: Doc.counts"]
+    assert uncalled_public_methods(
+        modules, modules + [tmp_path / "bench" / "c.py"]) == ["a.py:11: Doc.spare"]
 
 
 def test_scan_finds_an_uncalled_public_name(tmp_path):
@@ -423,7 +495,7 @@ def settable_values() -> list[str]:
     return sorted(found)
 
 
-SETTABLE_VALUES = 81
+SETTABLE_VALUES = 79
 
 
 def test_publicly_settable_values_are_counted():

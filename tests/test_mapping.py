@@ -32,8 +32,9 @@ def versions_from_counts(*counts_per_version):
     """VersionTopics ``v1``, ``v2``, ... over one vocabulary, one per list
     of word->count dicts, built by ``frequency_blocks`` as ``clonemap map``
     builds them; an empty dict is a group whose document came out empty."""
-    blocks = frequency_blocks([[TokenDocument.from_counts(c) for c in counts]
-                               for counts in counts_per_version])
+    blocks = frequency_blocks(
+        [[TokenDocument(tuple(collections.Counter(c).elements())) for c in counts]
+         for counts in counts_per_version])
     return [VersionTopics(f"v{v + 1}", block) for v, block in enumerate(blocks)]
 
 

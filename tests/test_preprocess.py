@@ -88,7 +88,7 @@ def tokenize_oracle(text: str, config: FilterConfig) -> TokenDocument:
         if config.removes(word):
             continue
         tokens.append(word)
-    return TokenDocument(group_ref=None, tokens=tuple(tokens))
+    return TokenDocument(tuple(tokens))
 
 
 def stripped_with_warnings(strip, text):
@@ -372,7 +372,7 @@ class TestFilterMemo:
         # Fresh configs: the module's ``config`` has decided words already.
         configs = (default_filter_config(language="c"),
                    FilterConfig(frozenset({"widget"})))
-        docs = {cfg.words: [build_group_document(g, cfg, s.version_id)
+        docs = {cfg.words: [build_group_document(g, cfg)
                             for s in snapshots for g in s.groups]
                 for cfg in configs}
         raws = {raw for s in snapshots for g in s.groups
@@ -393,8 +393,7 @@ class TestBuildGroupDocument:
             CloneFragment("b.c", 1, 1, text="render(widget); /* draw */"),
         )
         group = CloneGroup(index=0, fragments=frags)
-        doc = build_group_document(group, config, version_id="v1")
-        assert doc.group_ref == ("v1", 0)
+        doc = build_group_document(group, config)
         assert doc.counts() == {"widget": 3, "render": 1}
         assert "init" not in doc.tokens
         assert "draw" not in doc.tokens

@@ -1,6 +1,7 @@
 """Similarity metrics against hand-evaluated formulas and random oracles."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ COUNTS = st.dictionaries(st.sampled_from("abcdef"),
 def blocks_over_one_vocabulary(*count_lists):
     """The sorted vocabulary and one frequency block per list of counts;
     an empty dict gives an empty row."""
-    docs = [[TokenDocument.from_counts(c) for c in counts]
+    docs = [[TokenDocument(tuple(Counter(c).elements())) for c in counts]
             for counts in count_lists]
     vocabulary = sorted({w for counts in count_lists for c in counts for w in c})
     return vocabulary, frequency_blocks(docs)

@@ -1,6 +1,7 @@
 """Corpus encoding, exact one-topic frequencies, and the Gibbs sampler."""
 
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clonemap import pipeline, topicmodel
-from clonemap.errors import ConfigError, EmptyDocumentError, ValidationError
+from clonemap.errors import ConfigError, ValidationError
 from clonemap.preprocess import TokenDocument
 from clonemap.similarity import Metric, score_matrix
 from clonemap.topicmodel import (
@@ -22,8 +23,14 @@ from clonemap.topicmodel import (
 )
 
 
-def doc(tokens, ref=None):
-    return TokenDocument(group_ref=ref, tokens=tuple(tokens))
+def doc(tokens):
+    return TokenDocument(tuple(tokens))
+
+
+def doc_of_counts(counts):
+    """The document holding each word ``counts[word]`` times, in insertion
+    order."""
+    return TokenDocument(tuple(Counter(counts).elements()))
 
 
 def dense_row(block, i=0):
@@ -113,7 +120,7 @@ class TestLdaConfig:
 
 class TestFitGroupTopic:
     def test_weights_are_exact_term_frequencies(self):
-        d = TokenDocument.from_counts({"a": 1, "b": 3}, group_ref=("v", 0))
+        d = doc_of_counts({"a": 1, "b": 3})
         topic = fit_group_topic(d)
         assert len(topic) == 1
         assert topic.indptr.tolist() == [0, 2]
@@ -125,13 +132,20 @@ class TestFitGroupTopic:
         assert topic.size == 1
         assert topic.values.tolist() == [1.0]
 
-    def test_empty_document_error_carries_group_ref(self):
-        with pytest.raises(EmptyDocumentError, match="v9"):
-            fit_group_topic(doc([], ref=("v9", 4)))
+    def test_empty_document_gives_an_empty_row(self):
+        """As ``frequency_blocks`` gives it: one row with no entries, over
+        the corpus vocabulary when one is given and over none otherwise."""
+        empty = doc([])
+        for corpus, size in ((None, 0), (build_corpus([doc(["a", "b"])]), 2)):
+            topic = fit_group_topic(empty, corpus)
+            assert len(topic) == 1
+            assert topic.indptr.tolist() == [0, 0]
+            assert topic.ids.size == topic.values.size == 0
+            assert topic.size == size
 
     def test_shared_corpus_vocabulary(self):
-        d1 = doc(["a", "a"], ref=("v2", 0))
-        d2 = doc(["b"], ref=("v1", 0))
+        d1 = doc(["a", "a"])
+        d2 = doc(["b"])
         corpus = build_corpus([d1, d2])
         t1 = fit_group_topic(d1, corpus)
         t2 = fit_group_topic(d2, corpus)
@@ -140,7 +154,7 @@ class TestFitGroupTopic:
         assert dense_row(t2).tolist() == [0.0, 1.0]
 
     def test_independent_of_other_documents(self):
-        d = doc(["a", "b", "b"], ref=("v", 0))
+        d = doc(["a", "b", "b"])
         alone = fit_group_topic(d)
         corpus = build_corpus([d, doc(["a", "c"]), doc(["b"])])
         with_others = fit_group_topic(d, corpus)
@@ -157,7 +171,7 @@ class TestFitGroupTopic:
                            min_size=1, max_size=10))
     def test_equals_term_frequency_vector(self, counts):
         """Weight of every word is exactly count/total, no tolerance."""
-        d = TokenDocument.from_counts(counts)
+        d = doc_of_counts(counts)
         topic = fit_group_topic(d)
         total = sum(counts.values())
         vocab = sorted(counts)
@@ -171,8 +185,8 @@ class TestFitGroupTopic:
         V = 10**6
         corpus = Corpus(vocabulary=tuple(f"w{i:07d}" for i in range(V)),
                         documents=())
-        d1 = doc(["w0000003", "w0999999", "w0000003", "w0500000"], ("v2", 0))
-        d2 = doc(["w0500000", "w0000003", "w0000007"], ("v1", 0))
+        d1 = doc(["w0000003", "w0999999", "w0000003", "w0500000"])
+        d2 = doc(["w0500000", "w0000003", "w0000007"])
         v_bytes = V * 8
         tracemalloc.start()
         try:
@@ -326,8 +340,7 @@ class TestFrequencyBlocks:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.lists(GROUP_COUNTS, max_size=5), min_size=1, max_size=3))
     def test_rows_equal_fit_group_topic_over_one_corpus(self, versions):
-        docs = [[TokenDocument.from_counts(c) for c in counts]
-                for counts in versions]
+        docs = [[doc_of_counts(c) for c in counts] for counts in versions]
         corpus = build_corpus([d for version in docs for d in version])
         blocks = frequency_blocks(docs)
         assert len(blocks) == len(docs)
@@ -336,9 +349,6 @@ class TestFrequencyBlocks:
             assert block.size == corpus.vocabulary_size
             for i, d in enumerate(version):
                 lo, hi = block.indptr[i], block.indptr[i + 1]
-                if d.token_count == 0:
-                    assert lo == hi
-                    continue
                 expected = fit_group_topic(d, corpus)
                 assert np.array_equal(block.ids[lo:hi], expected.ids)
                 assert np.array_equal(block.values[lo:hi], expected.values)
@@ -383,9 +393,9 @@ class TestFitLda:
         half_b = [f"beta{i}" for i in range(15)]
         documents = []
         for d in range(docs_per_half):
-            documents.append(doc(rng.choice(half_a, size=doc_len), ("a", d)))
+            documents.append(doc(rng.choice(half_a, size=doc_len)))
         for d in range(docs_per_half):
-            documents.append(doc(rng.choice(half_b, size=doc_len), ("b", d)))
+            documents.append(doc(rng.choice(half_b, size=doc_len)))
         return build_corpus(documents), set(half_a), set(half_b)
 
     def test_k1_theta_is_all_ones(self):
@@ -446,10 +456,18 @@ class TestFitLda:
         assert all(max(m) >= 0.9 for m in masses)
         assert {int(np.argmax(m)) for m in masses} == {0, 1}
 
-    def test_all_empty_corpus_rejected(self):
-        corpus = build_corpus([doc([]), doc([])])
-        with pytest.raises(ValidationError):
-            fit_lda(corpus, LdaConfig(K=2, iterations=1, seed=0))
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_corpus_with_no_tokens_gives_uniform_rows(self, K):
+        """Every document of an all-empty corpus gets the uniform mixture,
+        and a corpus of no documents gives theta of shape (0, K)."""
+        config = LdaConfig(K=K, iterations=3, seed=0)
+        result = fit_lda(build_corpus([doc([]), doc([])]), config)
+        assert result.theta.shape == (2, K)
+        np.testing.assert_allclose(result.theta, 1.0 / K, atol=1e-15)
+        assert result.phi.shape == (K, 0)
+        result = fit_lda(build_corpus([]), config)
+        assert result.theta.shape == (0, K)
+        assert result.phi.shape == (K, 0)
 
     def test_empty_document_gets_uniform_mixture(self):
         corpus = build_corpus([doc(["a", "b"]), doc([])])
