@@ -108,8 +108,11 @@ def _assign(score_rows, n_old: int, empty_rows, newer_id: str,
     index, and the losers claim again in the next round. Round 1 streams
     the blocks and keeps each row's argmax and best score only; the
     losers of round 1 are scored once more into one held (losers, M)
-    block, which every later round indexes. So no row is scored more than
-    twice, and no (N, M) matrix is built.
+    block, whose rows are ranked once. A later round moves each pending
+    row's pointer in its ranking past the columns taken since, so it
+    costs its pending rows and the columns they skip, not pending rows ×
+    M. So no row is scored more than twice, and no (N, M) matrix is
+    built.
     """
     empty = np.asarray(empty_rows, dtype=bool)
     for i in np.flatnonzero(empty).tolist():
@@ -122,26 +125,33 @@ def _assign(score_rows, n_old: int, empty_rows, newer_id: str,
     taken = np.zeros(n_old, dtype=bool)
     pending = np.flatnonzero(~empty & (n_old > 0))  # no claims without columns
     held = None
-    # np.argmax returns the first maximum, the lowest older index. A round
-    # after the first copies its pending rows of ``held`` and puts every
-    # taken column at -inf (-inf everywhere once all are taken, hence the
-    # 0.0 null). One lexsort by (column, -score, row) puts each claimed
-    # column's winner first.
+    # np.argmax returns the first maximum, the lowest older index. Each
+    # held row's columns are ranked once, best first and ties by index, so
+    # a later round moves each pending row's pointer past the taken
+    # columns to its first untaken one: the same column, the first maximum
+    # among the untaken. A pointer past the end is a null at 0.0. One
+    # lexsort by (column, -score, row) puts each claimed column's winner
+    # first.
     while pending.size:
         if held is None:
-            blocks = score_rows(pending)
+            cols = np.empty(pending.size, dtype=np.intp)
+            best = np.empty(pending.size)
+            at = 0
+            for block in score_rows(pending):
+                part = slice(at, at + len(block))
+                cols[part] = block.argmax(axis=1)
+                best[part] = block[np.arange(len(block)), cols[part]]
+                at = part.stop
         else:
-            block = held[slot[pending]]
-            block[:, taken] = -np.inf
-            blocks = (block,)
-        cols = np.empty(pending.size, dtype=np.intp)
-        best = np.empty(pending.size)
-        at = 0
-        for block in blocks:
-            part = slice(at, at + len(block))
-            cols[part] = block.argmax(axis=1)
-            best[part] = block[np.arange(len(block)), cols[part]]
-            at = part.stop
+            slots = slot[pending]
+            while True:
+                rank = next_rank[slots]
+                cols = ranked[slots, np.minimum(rank, n_old - 1)]
+                stale = (rank < n_old) & taken[cols]
+                if not stale.any():
+                    break
+                next_rank[slots[stale]] += 1
+            best = np.where(rank < n_old, held[slots, cols], -np.inf)
         sim[pending] = np.where(best > -np.inf, best, 0.0)
         claims = best >= config.delta
         rows, cols, best = pending[claims], cols[claims], best[claims]
@@ -155,6 +165,8 @@ def _assign(score_rows, n_old: int, empty_rows, newer_id: str,
         pending = rows[~wins]
         if held is None and pending.size:
             held = _matrix(score_rows, pending, n_old)
+            ranked = np.argsort(-held, axis=1, kind="stable")
+            next_rank = np.zeros(pending.size, dtype=np.intp)
             slot = np.empty(empty.size, dtype=np.intp)
             slot[pending] = np.arange(pending.size)
     return [GroupMapping((newer_id, i), None if j < 0 else (older_id, j), s)

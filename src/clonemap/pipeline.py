@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -36,25 +37,39 @@ def build_documents(snapshot: VersionSnapshot,
     return [build_group_document(g, filter_config) for g in snapshot.groups]
 
 
-def pair_topics(newer_docs: list[TokenDocument], older_docs: list[TokenDocument],
+def _documents(snapshot: VersionSnapshot, source_root: Path | str | None,
+               filter_config: FilterConfig) -> Iterator[TokenDocument]:
+    """Resolve ``snapshot`` on the first ``next()``, then yield each group's
+    filtered token document in index order. The resolved snapshot and its
+    text are released when the generator is exhausted."""
+    for group in resolve_snapshot(snapshot, source_root).groups:
+        yield build_group_document(group, filter_config)
+
+
+def pair_topics(newer_docs: Iterable[TokenDocument],
+                older_docs: Iterable[TokenDocument],
                 newer_id: str, older_id: str,
                 lda_config: LdaConfig | None = None,
                 ) -> tuple[VersionTopics, VersionTopics]:
     """Topic blocks for both versions over one shared vocabulary.
 
-    The default path computes exact one-topic frequencies per group. With
-    K > 1 a corpus-wide Gibbs model is fit instead and each group is
-    represented by its document-topic mixture, and the uniform mixture
-    the model gives an empty document is zeroed. Either way an empty
-    document gives an empty row.
+    Each version's documents are read once, newer first, so either may be
+    a one-shot iterable such as a generator. The default path computes
+    exact one-topic frequencies per group. With K > 1 a corpus-wide Gibbs
+    model is fit instead and each group is represented by its
+    document-topic mixture, and the uniform mixture the model gives an
+    empty document is zeroed. Either way an empty document gives an empty
+    row.
     """
     if lda_config is not None and lda_config.K > 1:
-        documents = list(newer_docs) + list(older_docs)
+        documents = list(newer_docs)
+        split = len(documents)
+        documents += older_docs
         empty = np.array([doc.token_count == 0 for doc in documents])
         theta = fit_lda(build_corpus(documents), lda_config).theta
         weights = np.where(empty[:, None], 0.0, theta)
-        newer_block = TopicBlock.from_dense(weights[:len(newer_docs)])
-        older_block = TopicBlock.from_dense(weights[len(newer_docs):])
+        newer_block = TopicBlock.from_dense(weights[:split])
+        older_block = TopicBlock.from_dense(weights[split:])
     else:
         newer_block, older_block = frequency_blocks([newer_docs, older_docs])
     return (
@@ -167,26 +182,31 @@ def run_map(newer_report: Path | str, older_report: Path | str,
     """Parse two reports, map newer groups to older ones, return the artifact.
 
     Reports may carry fragment text inline or reference files under the
-    source roots. The LCS strategy scores raw concatenated text; the topic
-    strategy scores per-group topic distributions over a shared vocabulary.
+    source roots. Both reports are parsed before either version is read.
+    The LCS strategy scores raw concatenated text, so it holds both
+    versions' text. The topic strategy scores per-group topic
+    distributions over a shared vocabulary; it reads, tokenizes and counts
+    one version at a time, newer first, and the newer version's text and
+    token documents are released before the older one is read.
     """
     filter_config = filter_config or default_filter_config()
     mapping_config = mapping_config or MappingConfig()
 
-    newer_snap = resolve_snapshot(parse_clone_report(newer_report), source_newer)
-    older_snap = resolve_snapshot(parse_clone_report(older_report), source_older)
+    newer = parse_clone_report(newer_report)
+    older = parse_clone_report(older_report)
 
     if mapping_config.strategy is Strategy.LCS_BASELINE:
-        mappings = baseline_text_map(newer_snap, older_snap, mapping_config)
+        mappings = baseline_text_map(resolve_snapshot(newer, source_newer),
+                                     resolve_snapshot(older, source_older),
+                                     mapping_config)
     else:
-        newer_docs = build_documents(newer_snap, filter_config)
-        older_docs = build_documents(older_snap, filter_config)
         newer_topics, older_topics = pair_topics(
-            newer_docs, older_docs, newer_snap.version_id,
-            older_snap.version_id, lda_config,
+            _documents(newer, source_newer, filter_config),
+            _documents(older, source_older, filter_config),
+            newer.version_id, older.version_id, lda_config,
         )
         mappings = map_version_pair(newer_topics, older_topics, mapping_config)
 
-    return mapping_result(newer_snap.version_id, older_snap.version_id,
-                          mappings, len(older_snap.groups), mapping_config,
+    return mapping_result(newer.version_id, older.version_id,
+                          mappings, len(older.groups), mapping_config,
                           run_config)

@@ -9,7 +9,7 @@ that reading against multi-topic corpora.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -187,21 +187,23 @@ def fit_group_topic(document: TokenDocument,
                       size=corpus.vocabulary_size)
 
 
-def frequency_blocks(versions: Sequence[Sequence[TokenDocument]]
+def frequency_blocks(versions: Iterable[Iterable[TokenDocument]]
                      ) -> list[TopicBlock]:
     """One-topic term frequencies of every group, one block per version.
 
-    The ids index the sorted union of all the versions' words, so blocks
-    of different versions compare directly. Row weights are
-    count(w) / token_count in sorted-vocabulary order, exactly as
-    ``fit_group_topic`` gives them over ``build_corpus`` of the same
-    documents; an empty document gives an empty row.
+    Each version's documents are read once, in order, so each may be a
+    one-shot iterable; only their word counts are kept. The ids index the
+    sorted union of all the versions' words, so blocks of different
+    versions compare directly. Row weights are count(w) / token_count in
+    sorted-vocabulary order, exactly as ``fit_group_topic`` gives them over
+    ``build_corpus`` of the same documents; an empty document gives an
+    empty row.
     """
     counts = [[doc.counts() for doc in docs] for docs in versions]
     vocabulary = sorted({w for version in counts for c in version for w in c})
     word_ids = {w: i for i, w in enumerate(vocabulary)}
     blocks = []
-    for docs, version in zip(versions, counts):
+    for version in counts:
         nnz = np.fromiter(map(len, version), dtype=np.int64, count=len(version))
         total = int(nnz.sum())
         ids = np.fromiter((word_ids[w] for c in version for w in c),
@@ -210,8 +212,8 @@ def frequency_blocks(versions: Sequence[Sequence[TokenDocument]]
                               dtype=np.float64, count=total)
         rows = np.repeat(np.arange(len(version)), nnz)
         order = np.lexsort((ids, rows))
-        token_counts = np.fromiter((doc.token_count for doc in docs),
-                                   dtype=np.float64, count=len(docs))
+        token_counts = np.fromiter((sum(c.values()) for c in version),
+                                   dtype=np.float64, count=len(version))
         blocks.append(TopicBlock(
             indptr=np.concatenate(([0], np.cumsum(nnz))),
             ids=ids[order],

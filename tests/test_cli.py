@@ -10,6 +10,8 @@ import re
 import resource
 import subprocess
 import sys
+import warnings
+import weakref
 from dataclasses import fields
 from pathlib import Path
 from xml.sax.saxutils import quoteattr
@@ -17,6 +19,7 @@ from xml.sax.saxutils import quoteattr
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from clonemap import pipeline
 from clonemap.cli import build_parser, main
 from clonemap.errors import CloneMapWarning
 from clonemap.evaluation import SynthConfig
@@ -634,6 +637,111 @@ class TestDeviceInput:
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1] != ""
+
+
+class TestOneVersionAtATime:
+    """``map`` parses both reports before it reads either version. The
+    topic strategy then reads, tokenizes and counts the newer version, and
+    its text is gone before the older version is read. So with a fault in
+    each version the older report's parse error wins over the newer text's
+    I/O error, and the newer text's warning comes before the older text's
+    I/O error; each fault alone keeps its message and exit code."""
+
+    TEXT = "int widget_count;\nint gadget_total;\n"
+
+    def write_pair(self, root: Path, faults: dict) -> list[str]:
+        """Two one-group versions under ``root``, each with the fault that
+        ``faults`` names for it, if any; the ``map`` argv of the pair."""
+        argv = ["map", "--format", "json"]
+        for version in ("newer", "older"):
+            fault = faults.get(version)
+            src = root / f"{version}_src"
+            src.mkdir()
+            text = self.TEXT
+            if fault == "open-comment":
+                text = text.replace("total;", "total; /* never closed")
+            (src / "a.c").write_text(text, encoding="utf-8")
+            (src / "b.c").write_text(self.TEXT, encoding="utf-8")
+            report = root / f"{version}.json"
+            if fault == "malformed":
+                report.write_text('{"version": "v1", "groups": [',
+                                  encoding="utf-8")
+            else:
+                second = "gone.c" if fault == "missing-file" else "b.c"
+                report.write_text(json.dumps({"version": version, "groups": [
+                    {"index": 0, "fragments": [
+                        {"file": name, "start_line": 1, "end_line": 2}
+                        for name in ("a.c", second)]}]}), encoding="utf-8")
+            argv += [f"--{version}", str(report),
+                     f"--source-{version}", str(src)]
+        return argv
+
+    @staticmethod
+    def message(root: Path, version: str, fault: str) -> str:
+        if fault == "malformed":
+            return (f"clonemap: {root / f'{version}.json'}: malformed JSON at "
+                    f"line 1 column 30: Expecting value\n")
+        src = os.path.realpath(root / f"{version}_src")
+        return (f"clonemap: I/O error: [Errno 2] No such file or directory: "
+                f"'{src}/gone.c'\n")
+
+    def run(self, argv, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv)
+        return rc, capsys.readouterr().err, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("strategy", ["topic", "lcs"])
+    @pytest.mark.parametrize("faults, rc, at", [
+        ({"newer": "missing-file"}, 4, "newer"),
+        ({"older": "malformed"}, 3, "older"),
+        ({"newer": "missing-file", "older": "malformed"}, 3, "older"),
+    ], ids=["newer-file-missing", "older-report-malformed", "both"])
+    def test_both_reports_parse_before_either_version_is_read(
+            self, tmp_path, capsys, strategy, faults, rc, at):
+        argv = self.write_pair(tmp_path, faults) + ["--strategy", strategy]
+        assert self.run(argv, capsys) == (
+            rc, self.message(tmp_path, at, faults[at]), [])
+
+    @pytest.mark.parametrize("faults, rc", [
+        ({"newer": "open-comment"}, 0),
+        ({"older": "missing-file"}, 4),
+        ({"newer": "open-comment", "older": "missing-file"}, 4),
+    ], ids=["newer-comment-open", "older-file-missing", "both"])
+    def test_newer_text_is_tokenized_before_older_text_is_read(
+            self, tmp_path, capsys, faults, rc):
+        err = (self.message(tmp_path, "older", "missing-file")
+               if "older" in faults else "")
+        caught = (["unterminated block comment; stripped to end of input"]
+                  if "newer" in faults else [])
+        assert self.run(self.write_pair(tmp_path, faults), capsys) == (
+            rc, err, caught)
+
+    @pytest.mark.parametrize("lda_config", [None, LdaConfig(K=2, iterations=2)],
+                             ids=["K1", "K2"])
+    def test_newer_text_is_released_before_older_is_resolved(
+            self, evolution, monkeypatch, lda_config):
+        """Weak references to the resolved newer snapshot, its groups and
+        its fragments are all dead when the older report is resolved."""
+        resolve = pipeline.resolve_snapshot
+        refs: list = []
+        alive_at_call = []
+
+        def tracked(snapshot, source_root):
+            alive_at_call.append(sum(ref() is not None for ref in refs))
+            resolved = resolve(snapshot, source_root)
+            refs.extend(weakref.ref(obj) for obj in (
+                resolved, *resolved.groups,
+                *(f for g in resolved.groups for f in g.fragments)))
+            return resolved
+
+        monkeypatch.setattr(pipeline, "resolve_snapshot", tracked)
+        pipeline.run_map(evolution / "newer_report.json",
+                         evolution / "older_report.json",
+                         evolution / "newer_src", evolution / "older_src",
+                         lda_config=lda_config)
+        assert len(refs) > 20
+        assert alive_at_call == [0, 0]
 
 
 class TestSynthCommand:

@@ -33,6 +33,13 @@ def doc_of_counts(counts):
     return TokenDocument(tuple(Counter(counts).elements()))
 
 
+def assert_blocks_equal(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.ids, want.ids)
+    assert np.array_equal(got.values, want.values)
+    assert got.size == want.size
+
+
 def dense_row(block, i=0):
     """Row ``i`` of a block as a dense vector over its vocabulary."""
     lo, hi = block.indptr[i], block.indptr[i + 1]
@@ -352,6 +359,12 @@ class TestFrequencyBlocks:
                 expected = fit_group_topic(d, corpus)
                 assert np.array_equal(block.ids[lo:hi], expected.ids)
                 assert np.array_equal(block.values[lo:hi], expected.values)
+        # One-shot iterables read once give the same blocks, empty
+        # documents included.
+        streamed = frequency_blocks(iter([(d for d in version)
+                                          for version in docs]))
+        for got, want in zip(streamed, blocks, strict=True):
+            assert_blocks_equal(got, want)
 
     def test_k1_pair_topics_builds_no_corpus_and_no_distributions(
             self, monkeypatch):
@@ -365,10 +378,20 @@ class TestFrequencyBlocks:
         new_topics, old_topics = pipeline.pair_topics(newer, older, "v2", "v1")
         expected = frequency_blocks([newer, older])
         for got, want in zip((new_topics.block, old_topics.block), expected):
-            assert np.array_equal(got.indptr, want.indptr)
-            assert np.array_equal(got.ids, want.ids)
-            assert np.array_equal(got.values, want.values)
-            assert got.size == want.size == 4
+            assert_blocks_equal(got, want)
+            assert got.size == 4
+
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_pair_topics_over_generators_equals_over_lists(self, K):
+        newer = [doc(["b", "a", "b"]), doc([]), doc(["c", "a"])]
+        older = [doc(["a", "d"]), doc([]), doc(["d", "d", "b"])]
+        config = LdaConfig(K=K, iterations=20, seed=3)
+        listed = pipeline.pair_topics(newer, older, "v2", "v1", config)
+        streamed = pipeline.pair_topics((d for d in newer), (d for d in older),
+                                        "v2", "v1", config)
+        for got, want in zip(streamed, listed, strict=True):
+            assert got.version_id == want.version_id
+            assert_blocks_equal(got.block, want.block)
 
     def test_k_above_one_rows_are_theta_rows(self):
         newer = [doc(["a", "b", "a"]), doc([])]
