@@ -15,13 +15,13 @@ import sys
 from . import __version__
 from .errors import CloneMapError, ConfigError, read_utf8
 from .evaluation import SynthConfig, generate_evolution, load_ground_truth, score
-from .ingest import parse_clone_report, resolve_snapshot
+from .ingest import parse_clone_report
 from .mapping import MappingConfig, Strategy
 from .preprocess import default_filter_config
 from .pipeline import (
     artifact_header,
-    build_documents,
     canonical_json,
+    documents,
     mappings_from_artifact,
     run_map,
     topic_dump_entries,
@@ -276,9 +276,10 @@ def _render_topics_table(payload: dict) -> str:
 
 
 def cmd_topics(args) -> int:
-    snapshot = resolve_snapshot(parse_clone_report(args.report), args.source)
-    documents = build_documents(snapshot, _filter_config(args))
-    entries = topic_dump_entries(snapshot.version_id, documents)
+    snapshot = parse_clone_report(args.report)
+    entries = topic_dump_entries(
+        snapshot.version_id,
+        documents(snapshot, args.source, _filter_config(args)))
     payload = {
         "topics": entries,
         **artifact_header(_run_config(args)),

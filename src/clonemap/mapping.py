@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (CloneMapWarning, ConfigError, ValidationError, is_json_int,
                      is_number)
 from .ingest import VersionSnapshot
-from .similarity import (Metric, _lcs_scorer, _matrix, _topic_scorer,
+from .similarity import (Metric, _blocks, _lcs_scorer, _topic_scorer,
                          _trimmed_lines)
 # lcs_similarity and topic_similarity are not called here but stay importable
 # from this module, where perfbench/tracer.py looks them up.
@@ -92,12 +92,12 @@ def _assign(score_rows, n_old: int, empty_rows, newer_id: str,
     """Thresholded argmax over the newer rows that ``score_rows`` scores.
 
     ``score_rows`` is a row scorer of ``similarity``: given newer row
-    indices it yields their scores against all ``n_old`` older groups as
-    blocks of rows, in order. Row ``i`` is newer group ``(newer_id, i)``
-    and column ``j`` older group ``(older_id, j)``. ``empty_rows`` is a
-    bool mask of the newer groups whose document came out empty; each maps
-    to null at 0.0 with a warning and is never scored. Ties go to the
-    lowest older index.
+    indices it returns their scores against all ``n_old`` older groups,
+    and ``similarity._blocks`` asks it for one cache-sized block of rows
+    at a time. Row ``i`` is newer group ``(newer_id, i)`` and column ``j``
+    older group ``(older_id, j)``. ``empty_rows`` is a bool mask of the
+    newer groups whose document came out empty; each maps to null at 0.0
+    with a warning and is never scored. Ties go to the lowest older index.
 
     One loop settles both modes in rounds. In a round each pending newer
     group claims its best untaken older group, and a claim below ``delta``
@@ -105,14 +105,14 @@ def _assign(score_rows, n_old: int, empty_rows, newer_id: str,
     taken. Without ``config.enforce_injective`` every claim wins, so round
     1 settles every group. With it each older group goes to at most one
     newer group: its highest-scoring claimant, ties to the lowest newer
-    index, and the losers claim again in the next round. Round 1 streams
-    the blocks and keeps each row's argmax and best score only; the
-    losers of round 1 are scored once more into one held (losers, M)
-    block, whose rows are ranked once. A later round moves each pending
-    row's pointer in its ranking past the columns taken since, so it
-    costs its pending rows and the columns they skip, not pending rows ×
-    M. So no row is scored more than twice, and no (N, M) matrix is
-    built.
+    index, and the losers claim again in the next round. Round 1 keeps
+    each block's argmax and best score only. The losers of round 1 are
+    scored once more, and each block is ranked as it arrives: its columns
+    best first, ties by index, and its scores in that order. A later round
+    moves each pending loser's pointer in its ranking past the columns
+    taken since, so it costs its pending rows and the columns they skip,
+    not pending rows × M. So no row is scored more than twice, and no
+    (N, M) matrix is built.
     """
     empty = np.asarray(empty_rows, dtype=bool)
     for i in np.flatnonzero(empty).tolist():
@@ -124,34 +124,31 @@ def _assign(score_rows, n_old: int, empty_rows, newer_id: str,
     sim = np.zeros(empty.size)
     taken = np.zeros(n_old, dtype=bool)
     pending = np.flatnonzero(~empty & (n_old > 0))  # no claims without columns
-    held = None
+    losers = None
     # np.argmax returns the first maximum, the lowest older index. Each
-    # held row's columns are ranked once, best first and ties by index, so
-    # a later round moves each pending row's pointer past the taken
+    # loser's columns are ranked once, best first and ties by index, so a
+    # later round moves each pending loser's pointer past the taken
     # columns to its first untaken one: the same column, the first maximum
-    # among the untaken. A pointer past the end is a null at 0.0. One
-    # lexsort by (column, -score, row) puts each claimed column's winner
-    # first.
+    # among the untaken. A pointer left on a taken last column is a null
+    # at 0.0. One lexsort by (column, -score, row) puts each claimed
+    # column's winner first.
     while pending.size:
-        if held is None:
+        if losers is None:
             cols = np.empty(pending.size, dtype=np.intp)
             best = np.empty(pending.size)
-            at = 0
-            for block in score_rows(pending):
-                part = slice(at, at + len(block))
+            for part, block in _blocks(score_rows, pending, n_old):
                 cols[part] = block.argmax(axis=1)
                 best[part] = block[np.arange(len(block)), cols[part]]
-                at = part.stop
         else:
-            slots = slot[pending]
+            at = np.searchsorted(losers, pending)
             while True:
-                rank = next_rank[slots]
-                cols = ranked[slots, np.minimum(rank, n_old - 1)]
-                stale = (rank < n_old) & taken[cols]
+                rank = next_rank[at]
+                cols = ranked[at, rank]
+                stale = taken[cols] & (rank < n_old - 1)
                 if not stale.any():
                     break
-                next_rank[slots[stale]] += 1
-            best = np.where(rank < n_old, held[slots, cols], -np.inf)
+                next_rank[at[stale]] += 1
+            best = np.where(taken[cols], -np.inf, ranked_scores[at, rank])
         sim[pending] = np.where(best > -np.inf, best, 0.0)
         claims = best >= config.delta
         rows, cols, best = pending[claims], cols[claims], best[claims]
@@ -163,12 +160,16 @@ def _assign(score_rows, n_old: int, empty_rows, newer_id: str,
         old[rows[wins]] = cols[wins]
         taken[cols[wins]] = True
         pending = rows[~wins]
-        if held is None and pending.size:
-            held = _matrix(score_rows, pending, n_old)
-            ranked = np.argsort(-held, axis=1, kind="stable")
-            next_rank = np.zeros(pending.size, dtype=np.intp)
-            slot = np.empty(empty.size, dtype=np.intp)
-            slot[pending] = np.arange(pending.size)
+        if losers is None and pending.size:
+            # Rank each block of losers as it is scored; their positions
+            # in ``losers`` index the ranking.
+            losers = np.sort(pending)
+            ranked = np.empty((losers.size, n_old), dtype=np.intp)
+            ranked_scores = np.empty((losers.size, n_old))
+            for part, block in _blocks(score_rows, losers, n_old):
+                ranked[part] = np.argsort(-block, axis=1, kind="stable")
+                ranked_scores[part] = np.take_along_axis(block, ranked[part], 1)
+            next_rank = np.zeros(losers.size, dtype=np.intp)
     return [GroupMapping((newer_id, i), None if j < 0 else (older_id, j), s)
             for i, (j, s) in enumerate(zip(old.tolist(), sim.tolist()))]
 
@@ -178,11 +179,13 @@ def map_version_pair(newer: VersionTopics, older: VersionTopics,
     """Map every newer group to its best-matching older group or to null.
 
     Topics must come from a shared vocabulary (one corpus spanning both
-    versions). The pairs are scored by ``score_matrix``'s row scorer in
-    cache-sized row blocks that go straight to the verdict loop, so no
-    (N, M) matrix is held; an empty older row scores 0.0 against
-    everything. Output is ordered by newer group index and always has one
-    entry per newer group.
+    versions). The pairs are scored by ``score_matrix``'s row scorer, in
+    the cache-sized row blocks that ``similarity._blocks`` cuts, and each
+    block goes straight to the verdict loop, so no (N, M) matrix is held;
+    under ``enforce_injective`` the round-1 losers' blocks are ranked as
+    they arrive. An empty older row scores 0.0 against everything. Output
+    is ordered by newer group index and always has one entry per newer
+    group.
     """
     config = config or MappingConfig()
     score_rows = _topic_scorer(newer.block, older.block, config.metric)
@@ -197,9 +200,9 @@ def baseline_text_map(newer: VersionSnapshot, older: VersionSnapshot,
 
     Operates on concatenated fragment text as written, comments included;
     this is the text-based mapper the topic pipeline is compared against.
-    The pairs are scored by ``lcs_matrix``'s row scorer in row blocks, as
-    ``map_version_pair`` scores topics. Every group's text must be
-    resolved.
+    The pairs are scored by ``lcs_matrix``'s row scorer through the same
+    chunker and verdict loop as ``map_version_pair`` scores topics. Every
+    group's text must be resolved.
     """
     config = config or MappingConfig()
     old_lines = _trimmed_lines([g.concatenated_text() for g in older.groups],

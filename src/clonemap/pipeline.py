@@ -31,17 +31,12 @@ from .topicmodel import LdaConfig, TopicBlock, build_corpus, fit_lda, frequency_
 from .topicmodel import fit_group_topic  # noqa: F401
 
 
-def build_documents(snapshot: VersionSnapshot,
-                    filter_config: FilterConfig) -> list[TokenDocument]:
-    """One filtered token document per clone group, in index order."""
-    return [build_group_document(g, filter_config) for g in snapshot.groups]
-
-
-def _documents(snapshot: VersionSnapshot, source_root: Path | str | None,
-               filter_config: FilterConfig) -> Iterator[TokenDocument]:
+def documents(snapshot: VersionSnapshot, source_root: Path | str | None,
+              filter_config: FilterConfig) -> Iterator[TokenDocument]:
     """Resolve ``snapshot`` on the first ``next()``, then yield each group's
-    filtered token document in index order. The resolved snapshot and its
-    text are released when the generator is exhausted."""
+    filtered token document in index order. When the generator is
+    exhausted it holds nothing, so the snapshot and its text go with the
+    last reference outside it."""
     for group in resolve_snapshot(snapshot, source_root).groups:
         yield build_group_document(group, filter_config)
 
@@ -62,11 +57,11 @@ def pair_topics(newer_docs: Iterable[TokenDocument],
     row.
     """
     if lda_config is not None and lda_config.K > 1:
-        documents = list(newer_docs)
-        split = len(documents)
-        documents += older_docs
-        empty = np.array([doc.token_count == 0 for doc in documents])
-        theta = fit_lda(build_corpus(documents), lda_config).theta
+        docs = list(newer_docs)
+        split = len(docs)
+        docs += older_docs
+        empty = np.array([doc.token_count == 0 for doc in docs])
+        theta = fit_lda(build_corpus(docs), lda_config).theta
         weights = np.where(empty[:, None], 0.0, theta)
         newer_block = TopicBlock.from_dense(weights[:split])
         older_block = TopicBlock.from_dense(weights[split:])
@@ -79,7 +74,7 @@ def pair_topics(newer_docs: Iterable[TokenDocument],
 
 
 def topic_dump_entries(version_id: str,
-                       documents: list[TokenDocument]) -> list[dict]:
+                       documents: Iterable[TokenDocument]) -> list[dict]:
     """Word/count/weight rows per group, heaviest words first."""
     entries = []
     for index, doc in enumerate(documents):
@@ -187,26 +182,27 @@ def run_map(newer_report: Path | str, older_report: Path | str,
     versions' text. The topic strategy scores per-group topic
     distributions over a shared vocabulary; it reads, tokenizes and counts
     one version at a time, newer first, and the newer version's text and
-    token documents are released before the older one is read.
+    token documents, inline text included, are released before the older
+    one is read.
     """
     filter_config = filter_config or default_filter_config()
     mapping_config = mapping_config or MappingConfig()
 
     newer = parse_clone_report(newer_report)
     older = parse_clone_report(older_report)
-
+    ids = newer.version_id, older.version_id
+    older_size = len(older.groups)
+    # Each name is rebound to its report's one consumer, so nothing else
+    # holds a parsed report and the newer version's inline text goes with
+    # its documents.
     if mapping_config.strategy is Strategy.LCS_BASELINE:
-        mappings = baseline_text_map(resolve_snapshot(newer, source_newer),
-                                     resolve_snapshot(older, source_older),
-                                     mapping_config)
+        newer, older = (resolve_snapshot(newer, source_newer),
+                        resolve_snapshot(older, source_older))
+        mappings = baseline_text_map(newer, older, mapping_config)
     else:
-        newer_topics, older_topics = pair_topics(
-            _documents(newer, source_newer, filter_config),
-            _documents(older, source_older, filter_config),
-            newer.version_id, older.version_id, lda_config,
-        )
-        mappings = map_version_pair(newer_topics, older_topics, mapping_config)
-
-    return mapping_result(newer.version_id, older.version_id,
-                          mappings, len(older.groups), mapping_config,
+        newer, older = (documents(newer, source_newer, filter_config),
+                        documents(older, source_older, filter_config))
+        mappings = map_version_pair(
+            *pair_topics(newer, older, *ids, lda_config), mapping_config)
+    return mapping_result(*ids, mappings, older_size, mapping_config,
                           run_config)

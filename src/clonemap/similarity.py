@@ -4,10 +4,10 @@ All scores live in [0, 1]. Topic metrics compare sparse (word id, weight)
 vectors over a shared vocabulary ordering by one join of two topic blocks'
 entries on word id; the same join tells which rows are identical. The
 text baseline compares trimmed line sequences. Each family has one
-private row scorer, which yields the scores of any newer rows against
-every older row in blocks of at most ``_BLOCK_CELLS`` cells; the mapper
-streams those blocks, and ``score_matrix`` and ``lcs_matrix`` stack them
-into the dense matrix.
+private row scorer, a function from newer row indices to their scores
+against every older row. ``_blocks`` alone cuts rows into blocks of at
+most ``_BLOCK_CELLS`` cells for it: the mapper streams those blocks, and
+``score_matrix`` and ``lcs_matrix`` stack them into the dense matrix.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ class Metric(enum.Enum):
     HELLINGER = "hellinger"
 
 
-# Score cells per yielded block: 128 KiB per float64 temporary, so a
-# block and its join scratch stay in cache.
+# Score cells per block: 128 KiB per float64 temporary, so a block and
+# its join scratch stay in cache.
 _BLOCK_CELLS = 1 << 14
 
 
@@ -39,24 +39,32 @@ def _pair_sums(flat, weights, cells: int, m: int) -> np.ndarray:
     return sums.astype(np.float64, copy=False).reshape(-1, m)
 
 
+def _blocks(score_rows, rows, m: int):
+    """Score ``rows`` with the row scorer ``score_rows`` in order, in
+    blocks of at most ``_BLOCK_CELLS`` cells (at least one row each):
+    yields ``(part, block)``, the slice of ``rows`` a (k, m) block scores.
+    Needs m >= 1."""
+    step = max(1, _BLOCK_CELLS // m)
+    for start in range(0, len(rows), step):
+        part = slice(start, start + step)
+        yield part, score_rows(rows[part])
+
+
 def _matrix(score_rows, rows, m: int) -> np.ndarray:
     """The (len(rows), m) scores of ``rows``, filled block by block from
     the row scorer ``score_rows``."""
     scores = np.zeros((len(rows), m))
     if m:
-        at = 0
-        for block in score_rows(rows):
-            scores[at:at + len(block)] = block
-            at += len(block)
+        for part, block in _blocks(score_rows, rows, m):
+            scores[part] = block
     return scores
 
 
 def _topic_scorer(newer: TopicBlock, older: TopicBlock, metric: Metric):
-    """The row scorer of ``score_matrix``: a function that takes newer row
-    indices, in any order, and yields their scores against every older
-    row as (k, M) blocks of at most ``_BLOCK_CELLS`` cells (at least one
-    row each), in the order of the indices. The older side is sorted and
-    summed here, once. Needs M >= 1."""
+    """The row scorer of ``score_matrix``: a function that takes k newer
+    row indices, in any order, and returns their (k, M) scores against
+    every older row. The older side is sorted and summed here, once.
+    Needs M >= 1."""
     if not isinstance(metric, Metric):
         raise ValidationError(f"unknown metric {metric!r}")
     if not (isinstance(newer, TopicBlock) and isinstance(older, TopicBlock)):
@@ -85,49 +93,46 @@ def _topic_scorer(newer: TopicBlock, older: TopicBlock, metric: Metric):
         old_roots = np.sqrt(old_values)
 
     def score_rows(rows):
-        step = max(1, _BLOCK_CELLS // m)
-        for start in range(0, len(rows), step):
-            chunk = rows[start:start + step]
-            cells = len(chunk) * m
-            nnz = new_nnz[chunk]
-            # The chunk's newer entries, row by row in chunk order. Within a
-            # row they keep ascending word-id order, so each cell adds its
-            # pairs in the same order whichever rows share its chunk.
-            firsts = np.cumsum(nnz) - nnz
-            entries = (np.arange(int(nnz.sum()))
-                       + np.repeat(newer.indptr[chunk] - firsts, nnz))
-            ids = newer.ids[entries]
-            lo = np.searchsorted(old_ids, ids, side="left")
-            hits = np.searchsorted(old_ids, ids, side="right") - lo
-            # Joined entry pairs: each newer entry against its run of equal ids.
-            first = np.cumsum(hits) - hits
-            old_at = np.arange(int(hits.sum())) - np.repeat(first - lo, hits)
-            flat = (np.repeat(np.repeat(np.arange(len(chunk)), nnz), hits) * m
-                    + old_rows_by_id[old_at])
-            new_at = np.repeat(entries, hits)
-            a = newer.values[new_at]
-            b = old_values[old_at]
-            nnz = nnz[:, None]
-            if metric is Metric.COSINE:
-                norms = np.outer(new_norms[chunk], old_norms)
-                block = np.divide(_pair_sums(flat, a * b, cells, m), norms,
-                                  out=np.zeros_like(norms), where=norms > 0)
-                # Rows are identical when every entry of both is joined to an
-                # equal one; rounding must not keep them from exactly 1.0.
-                equal = _pair_sums(flat, a == b, cells, m)
-                block[(equal == nnz) & (equal == old_nnz) & (equal > 0)] = 1.0
-            else:
-                dist = _pair_sums(flat, (new_roots[new_at] - old_roots[old_at]) ** 2,
-                                  cells, m)
-                # The join adds each cell's weights in ascending word-id order,
-                # as the row totals were added, so a side whose every word is
-                # shared has exactly 0.0 left.
-                new_rest = new_totals[chunk, None] - _pair_sums(flat, a, cells, m)
-                old_rest = old_totals - _pair_sums(flat, b, cells, m)
-                dist += np.maximum(new_rest, 0.0) + np.maximum(old_rest, 0.0)
-                block = 1.0 - np.sqrt(0.5 * dist)
-                block[(nnz == 0) | (old_nnz == 0)] = 0.0
-            yield np.clip(block, 0.0, 1.0, out=block)
+        cells = len(rows) * m
+        nnz = new_nnz[rows]
+        # The newer entries of ``rows``, row by row in their order. Within
+        # a row they keep ascending word-id order, so each cell adds its
+        # pairs in the same order whichever rows share its block.
+        firsts = np.cumsum(nnz) - nnz
+        entries = (np.arange(int(nnz.sum()))
+                   + np.repeat(newer.indptr[rows] - firsts, nnz))
+        ids = newer.ids[entries]
+        lo = np.searchsorted(old_ids, ids, side="left")
+        hits = np.searchsorted(old_ids, ids, side="right") - lo
+        # Joined entry pairs: each newer entry against its run of equal ids.
+        first = np.cumsum(hits) - hits
+        old_at = np.arange(int(hits.sum())) - np.repeat(first - lo, hits)
+        flat = (np.repeat(np.repeat(np.arange(len(rows)), nnz), hits) * m
+                + old_rows_by_id[old_at])
+        new_at = np.repeat(entries, hits)
+        a = newer.values[new_at]
+        b = old_values[old_at]
+        nnz = nnz[:, None]
+        if metric is Metric.COSINE:
+            norms = np.outer(new_norms[rows], old_norms)
+            block = np.divide(_pair_sums(flat, a * b, cells, m), norms,
+                              out=np.zeros_like(norms), where=norms > 0)
+            # Rows are identical when every entry of both is joined to an
+            # equal one; rounding must not keep them from exactly 1.0.
+            equal = _pair_sums(flat, a == b, cells, m)
+            block[(equal == nnz) & (equal == old_nnz) & (equal > 0)] = 1.0
+        else:
+            dist = _pair_sums(flat, (new_roots[new_at] - old_roots[old_at]) ** 2,
+                              cells, m)
+            # The join adds each cell's weights in ascending word-id order,
+            # as the row totals were added, so a side whose every word is
+            # shared has exactly 0.0 left.
+            new_rest = new_totals[rows, None] - _pair_sums(flat, a, cells, m)
+            old_rest = old_totals - _pair_sums(flat, b, cells, m)
+            dist += np.maximum(new_rest, 0.0) + np.maximum(old_rest, 0.0)
+            block = 1.0 - np.sqrt(0.5 * dist)
+            block[(nnz == 0) | (old_nnz == 0)] = 0.0
+        return np.clip(block, 0.0, 1.0, out=block)
 
     return score_rows
 
@@ -194,9 +199,9 @@ def _trimmed_lines(texts, side: str) -> list[list[str]]:
 
 def _lcs_scorer(newer_lines, older_lines):
     """The row scorer of ``lcs_matrix`` over ``_trimmed_lines`` output,
-    called as ``_topic_scorer``'s is: it takes newer text indices and
-    yields (k, M) blocks of at most ``_BLOCK_CELLS`` cells. The older
-    bitmasks and line postings are built here, once. Needs M >= 1."""
+    called as ``_topic_scorer``'s is: it takes k newer text indices and
+    returns their (k, M) scores. The older bitmasks and line postings are
+    built here, once."""
     m = len(older_lines)
     older = []
     holders: dict[str, list[int]] = {}
@@ -210,28 +215,25 @@ def _lcs_scorer(newer_lines, older_lines):
     empty_older = [j for j, old in enumerate(older_lines) if not old]
 
     def score_rows(rows):
-        step = max(1, _BLOCK_CELLS // m)
-        for start in range(0, len(rows), step):
-            chunk = rows[start:start + step]
-            block = np.zeros((len(chunk), m))
-            for row, i in zip(block, chunk.tolist()):
-                new = newer_lines[i]
-                if not new:
-                    row[empty_older] = 1.0
-                    continue
-                candidates = set()
-                for line in set(new):
-                    candidates.update(holders.get(line, ()))
-                for j in candidates:
-                    masks, n, full = older[j]
-                    v = full
-                    for line in new:
-                        mask = masks.get(line)
-                        if mask is not None:
-                            u = v & mask
-                            v = ((v + u) | (v - u)) & full
-                    row[j] = 2.0 * (n - v.bit_count()) / (len(new) + n)
-            yield block
+        block = np.zeros((len(rows), m))
+        for row, i in zip(block, rows.tolist()):
+            new = newer_lines[i]
+            if not new:
+                row[empty_older] = 1.0
+                continue
+            candidates = set()
+            for line in set(new):
+                candidates.update(holders.get(line, ()))
+            for j in candidates:
+                masks, n, full = older[j]
+                v = full
+                for line in new:
+                    mask = masks.get(line)
+                    if mask is not None:
+                        u = v & mask
+                        v = ((v + u) | (v - u)) & full
+                row[j] = 2.0 * (n - v.bit_count()) / (len(new) + n)
+        return block
 
     return score_rows
 

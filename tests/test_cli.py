@@ -23,6 +23,7 @@ from clonemap import pipeline
 from clonemap.cli import build_parser, main
 from clonemap.errors import CloneMapWarning
 from clonemap.evaluation import SynthConfig
+from clonemap.ingest import parse_clone_report, resolve_snapshot, snapshot_to_dict
 from clonemap.mapping import MappingConfig
 from clonemap.topicmodel import LdaConfig
 
@@ -742,6 +743,43 @@ class TestOneVersionAtATime:
                          lda_config=lda_config)
         assert len(refs) > 20
         assert alive_at_call == [0, 0]
+
+    @pytest.mark.parametrize("lda_config", [None, LdaConfig(K=2, iterations=2)],
+                             ids=["K1", "K2"])
+    def test_inline_text_is_released_before_older_is_resolved(
+            self, evolution, tmp_path, monkeypatch, lda_config):
+        """With reports that carry their text inline, weak references to
+        the parsed newer snapshot, its groups and its fragments are all
+        dead when the older version is resolved."""
+        reports = []
+        for version in ("newer", "older"):
+            snapshot = resolve_snapshot(
+                parse_clone_report(evolution / f"{version}_report.json"),
+                evolution / f"{version}_src")
+            reports.append(tmp_path / f"{version}.json")
+            reports[-1].write_text(json.dumps(snapshot_to_dict(snapshot)),
+                                   encoding="utf-8")
+        parse, resolve = pipeline.parse_clone_report, pipeline.resolve_snapshot
+        refs: list = []
+        alive_at_call = []
+
+        def tracked_parse(path):
+            parsed = parse(path)
+            if not refs:  # the newer report is parsed first
+                refs.extend(weakref.ref(obj) for obj in (
+                    parsed, *parsed.groups,
+                    *(f for g in parsed.groups for f in g.fragments)))
+            return parsed
+
+        def tracked_resolve(snapshot, source_root):
+            alive_at_call.append(sum(ref() is not None for ref in refs))
+            return resolve(snapshot, source_root)
+
+        monkeypatch.setattr(pipeline, "parse_clone_report", tracked_parse)
+        monkeypatch.setattr(pipeline, "resolve_snapshot", tracked_resolve)
+        pipeline.run_map(*reports, lda_config=lda_config)
+        assert len(refs) > 20
+        assert alive_at_call == [len(refs), 0]
 
 
 class TestSynthCommand:

@@ -18,7 +18,7 @@ from clonemap.evaluation import (
 )
 from clonemap.ingest import parse_clone_report, resolve_snapshot
 from clonemap.mapping import GroupMapping
-from clonemap.pipeline import build_documents, canonical_json
+from clonemap.pipeline import canonical_json, documents
 from clonemap.preprocess import default_filter_config
 
 
@@ -305,8 +305,8 @@ class TestGenerateEvolution:
         newer = resolve_snapshot(parse_clone_report(out / "newer_report.json"),
                                  out / "newer_src")
         truth = load_ground_truth(out / "truth.json")
-        older_docs = build_documents(older, fc)
-        newer_docs = build_documents(newer, fc)
+        older_docs = list(documents(older, None, fc))
+        newer_docs = list(documents(newer, None, fc))
         for new_idx, old_idx in truth.pairs.items():
             assert newer_docs[new_idx].counts() == older_docs[old_idx].counts()
 
@@ -319,8 +319,8 @@ class TestGenerateEvolution:
         newer = resolve_snapshot(parse_clone_report(out / "newer_report.json"),
                                  out / "newer_src")
         truth = load_ground_truth(out / "truth.json")
-        older_docs = build_documents(older, fc)
-        newer_docs = build_documents(newer, fc)
+        older_docs = list(documents(older, None, fc))
+        newer_docs = list(documents(newer, None, fc))
         byte_changes = 0
         for new_idx, old_idx in truth.pairs.items():
             assert newer_docs[new_idx].counts() == older_docs[old_idx].counts()
@@ -338,8 +338,8 @@ class TestGenerateEvolution:
         newer = resolve_snapshot(parse_clone_report(out / "newer_report.json"),
                                  out / "newer_src")
         truth = load_ground_truth(out / "truth.json")
-        older_docs = build_documents(older, fc)
-        newer_docs = build_documents(newer, fc)
+        older_docs = list(documents(older, None, fc))
+        newer_docs = list(documents(newer, None, fc))
         for new_idx, old_idx in truth.pairs.items():
             old_counts = older_docs[old_idx].counts()
             new_counts = newer_docs[new_idx].counts()

@@ -2,7 +2,8 @@
 every private module-level name is used, every public function, class,
 method and property has a caller outside the tests, no module reads the
 environment or writes JSON text outside ``pipeline``, the readers of reports, ground
-truth and mapping artifacts hold no value check, every name the package exports resolves, and the count of publicly
+truth and mapping artifacts hold no value check, one function reads the row-block
+size, every name the package exports resolves, and the count of publicly
 settable values is pinned."""
 
 import argparse
@@ -296,6 +297,66 @@ def test_scan_finds_an_uncalled_public_name(tmp_path):
         "a.py:5: orphan", "a.py:7: Spare", "b.py:2: run"]
     assert uncalled_public_names(modules, modules + [tmp_path / "bench" / "c.py"],
                                  {"a.orphan"}) == ["a.py:7: Spare"]
+
+
+def scoped_reads(paths, name: str) -> list[str]:
+    """Each read of ``name`` in ``paths``, as a name, an attribute or an
+    import, as ``file:line: scope``: the module stem and the functions
+    and classes around the read, dotted."""
+    found = []
+
+    def visit(path, node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id == name
+                    and not isinstance(child.ctx, ast.Store)
+                    or isinstance(child, ast.Attribute) and child.attr == name
+                    or isinstance(child, ast.ImportFrom)
+                    and any(alias.name == name for alias in child.names)):
+                found.append((path.name, child.lineno, scope))
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                inner = f"{scope}.{child.name}"
+            visit(path, child, inner)
+
+    for path in sorted(paths):
+        visit(path, ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    return [f"{file}:{line}: {scope}" for file, line, scope in sorted(found)]
+
+
+def test_one_function_cuts_rows_into_blocks():
+    """``_BLOCK_CELLS`` is read only by ``similarity._blocks``, the one
+    chunker that both the dense matrices and the verdict loop use, so no
+    row scorer cuts its own blocks."""
+    reads = scoped_reads(PACKAGE.glob("*.py"), "_BLOCK_CELLS")
+    assert reads
+    assert [r for r in reads if not r.endswith(": similarity._blocks")] == []
+
+
+def test_scan_finds_a_scoped_read(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "_LIMIT = 4\n"
+        "def _blocks(rows):\n"
+        "    return rows[:_LIMIT]\n"
+        "def scorer():\n"
+        "    def score_rows(rows):\n"
+        "        step = _LIMIT // 2\n"
+        "        return rows[:step]\n"
+        "    return score_rows\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "from .a import _LIMIT\n"
+        "_LIMIT_TOO = 1\n"
+        "class Chunker:\n"
+        "    def cut(self):\n"
+        "        return a._LIMIT\n",
+        encoding="utf-8",
+    )
+    assert scoped_reads(tmp_path.glob("*.py"), "_LIMIT") == [
+        "a.py:3: a._blocks", "a.py:6: a.scorer.score_rows", "b.py:2: b",
+        "b.py:6: b.Chunker.cut"]
 
 
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}

@@ -225,8 +225,8 @@ def oracle_injective_rounds(scores, empty_rows, newer_id, older_id, delta):
 
 def assign_matrix(scores, empty_rows, config):
     """``_assign`` over a fixed (N, M) matrix, through a row scorer that
-    yields every row it is asked for as one chunk."""
-    return _assign(lambda rows: iter((scores[rows],)), scores.shape[1],
+    reads the rows it is asked for off the matrix."""
+    return _assign(lambda rows: scores[rows], scores.shape[1],
                    empty_rows, "v2", "v1", config)
 
 
@@ -439,28 +439,39 @@ class TestBaselineTextMap:
         assert mappings[0].similarity < 1.0
 
 
-def counted(make_scorer, counts):
-    """``make_scorer``, a row-scorer factory of ``similarity``, with each
-    newer row its scorers are asked to score counted in ``counts``."""
+def counted(make_scorer, calls):
+    """``make_scorer``, a row-scorer factory of ``similarity``, with the
+    newer rows of each call to its scorers appended to ``calls``."""
     def make_counted(*args):
         score_rows = make_scorer(*args)
 
         def count_rows(rows):
-            counts.update(rows.tolist())
-            yield from score_rows(rows)
+            calls.append(rows.tolist())
+            return score_rows(rows)
         return count_rows
     return make_counted
+
+
+def assert_scored_in_blocks(calls, m):
+    """Each call in ``calls`` got one row or at most ``_BLOCK_CELLS``
+    cells of ``m`` columns; returns the count of calls per newer row."""
+    assert all(len(rows) == 1 or len(rows) * m <= similarity._BLOCK_CELLS
+               for rows in calls)
+    return collections.Counter(i for rows in calls for i in rows)
 
 
 class TestStreamedScoring:
     """``map_version_pair`` and ``baseline_text_map`` give ``_assign`` a row
     scorer, never an (N, M) matrix; their verdicts are those of the dense
-    oracles, and no newer row is scored more than twice."""
+    oracles, every call to the scorer, in round 1 and in the losers' pass,
+    gets one row or at most ``_BLOCK_CELLS`` cells, and no newer row is
+    scored more than twice."""
 
     @pytest.fixture
     def tiny_blocks(self, monkeypatch):
-        # One or two rows per block, so that round 1 streams many blocks.
-        monkeypatch.setattr(similarity, "_BLOCK_CELLS", 9)
+        # Two rows per block at M = 6, so that both passes stream many
+        # blocks of more than one row.
+        monkeypatch.setattr(similarity, "_BLOCK_CELLS", 12)
 
     def test_injective_topic_map_equals_dense_oracle(self, monkeypatch,
                                                      tiny_blocks):
@@ -479,9 +490,9 @@ class TestStreamedScoring:
         for metric in Metric:
             config = MappingConfig(delta=0.3, metric=metric,
                                    enforce_injective=True)
-            counts = collections.Counter()
+            calls = []
             monkeypatch.setattr(mapping, "_topic_scorer",
-                                counted(similarity._topic_scorer, counts))
+                                counted(similarity._topic_scorer, calls))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", CloneMapWarning)
                 got = map_version_pair(newer, older, config)
@@ -491,6 +502,7 @@ class TestStreamedScoring:
                                                    config.delta)
             assert got == want
             assert rounds >= 3
+            counts = assert_scored_in_blocks(calls, len(older_counts))
             assert max(counts.values()) == 2
             assert sorted(counts) == [i for i, e in enumerate(empty) if not e]
 
@@ -508,9 +520,9 @@ class TestStreamedScoring:
         newer = snapshot_with_text("v2", newer_texts)
         older = snapshot_with_text("v1", older_texts)
         config = MappingConfig(delta=0.3, enforce_injective=True)
-        counts = collections.Counter()
+        calls = []
         monkeypatch.setattr(mapping, "_lcs_scorer",
-                            counted(similarity._lcs_scorer, counts))
+                            counted(similarity._lcs_scorer, calls))
         got = baseline_text_map(newer, older, config)
         scores = lcs_matrix([g.concatenated_text() for g in newer.groups],
                             [g.concatenated_text() for g in older.groups])
@@ -518,8 +530,43 @@ class TestStreamedScoring:
             scores, [False] * len(newer_texts), "v2", "v1", config.delta)
         assert got == want
         assert rounds >= 3
+        counts = assert_scored_in_blocks(calls, len(older_texts))
         assert max(counts.values()) == 2
         assert sorted(counts) == list(range(len(newer_texts)))
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_injective_pass_holds_two_loser_arrays(self, metric):
+        """Under ``delta`` 0 the 400 newer rows that share no word with
+        any older row score about 0.0 against every column and crowd onto
+        a few, so hundreds of rows lose round 1. Their pass keeps a
+        ranking and the scores in rank order, (losers, M) each, and no
+        held copy of the scores beside them: the traced peak stays below
+        2.5 (losers, M) float64 arrays."""
+        rng = np.random.default_rng(47)
+        n = 1500
+        shared = [f"w{i}" for i in range(3000)]
+        unshared = [f"u{i}" for i in range(3000)]
+
+        def random_counts(words):
+            return {w: int(rng.integers(1, 4))
+                    for w in rng.choice(words, size=8, replace=False)}
+        newer, older = pair_from_counts(
+            [random_counts(shared) for _ in range(n - 400)]
+            + [random_counts(unshared) for _ in range(400)],
+            [random_counts(shared) for _ in range(n)])
+        # At delta 0 every row claims its argmax and each claimed column
+        # has one winner.
+        claimed = score_matrix(newer.block, older.block, metric).argmax(axis=1)
+        losers = n - np.unique(claimed).size
+        assert losers >= 300
+        config = MappingConfig(delta=0.0, metric=metric, enforce_injective=True)
+        tracemalloc.start()
+        try:
+            assert len(map_version_pair(newer, older, config)) == n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * losers * n * 8
 
     def test_traced_peak_stays_far_below_the_dense_matrix(self):
         """At N = M = 1500 the float64 matrix alone is 17.2 MiB; streamed

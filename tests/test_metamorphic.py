@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from clonemap.errors import CloneMapWarning
 from clonemap.ingest import snapshot_from_dict
 from clonemap.mapping import MappingConfig, Strategy
-from clonemap.pipeline import build_documents, pair_topics, run_map
+from clonemap.pipeline import documents, pair_topics, run_map
 from clonemap.preprocess import FilterConfig, default_filter_config
 from clonemap.similarity import Metric, lcs_matrix, score_matrix
 
@@ -46,7 +46,7 @@ def report(version: str, groups) -> dict:
 def scores(newer: dict, older: dict, metric: Metric) -> np.ndarray:
     newer_snap, older_snap = snapshot_from_dict(newer), snapshot_from_dict(older)
     newer_topics, older_topics = pair_topics(
-        build_documents(newer_snap, FILTER), build_documents(older_snap, FILTER),
+        documents(newer_snap, None, FILTER), documents(older_snap, None, FILTER),
         newer_snap.version_id, older_snap.version_id)
     return score_matrix(newer_topics.block, older_topics.block, metric)
 
@@ -103,7 +103,7 @@ class TestScoreMatrixRelations:
     def test_self_map_scores_one_on_the_diagonal(self, groups):
         version = report("v", groups)
         nonempty = [document.token_count > 0 for document
-                    in build_documents(snapshot_from_dict(version), FILTER)]
+                    in documents(snapshot_from_dict(version), None, FILTER)]
         for metric in Metric:
             diagonal = np.diag(scores(version, version, metric))
             assert (diagonal[nonempty] == 1.0).all()
@@ -152,11 +152,11 @@ class TestMapRelations:
         """Proportional counts give equal weight rows, which tie to the
         lowest index, so only a row equal to no other must map to itself."""
         version = report("v", groups)
-        documents = build_documents(snapshot_from_dict(version), FILTER)
-        weights = dense(pair_topics(documents, documents, "v", "v")[0].block)
+        docs = list(documents(snapshot_from_dict(version), None, FILTER))
+        weights = dense(pair_topics(docs, docs, "v", "v")[0].block)
         unique = [document.token_count > 0
                   and sum(np.array_equal(row, other) for other in weights) == 1
-                  for row, document in zip(weights, documents)]
+                  for row, document in zip(weights, docs)]
         for metric in Metric:
             rows = mapped(workdir, version, version,
                           MappingConfig(metric=metric))["mappings"]

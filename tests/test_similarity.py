@@ -26,17 +26,15 @@ def random_distribution(rng, size):
 
 
 def assert_row_scorer_matches(score_rows, whole, rng):
-    """``score_rows`` (under ``_BLOCK_CELLS`` = 9) yields, for random row
-    lists, blocks of one row or of at most 9 cells that stack to those
-    rows of the dense ``whole``, bit for bit."""
+    """``score_rows`` gives, for random row lists, those rows of the dense
+    ``whole`` bit for bit, whether asked for all of them at once or, under
+    ``_BLOCK_CELLS`` = 9, block by block through ``_matrix``."""
     n, m = whole.shape
     for size in (0, 1, n, 2 * n, *rng.integers(0, 2 * n, size=20)):
         rows = rng.integers(0, n, size=size)
-        blocks = list(score_rows(rows))
-        assert all(len(b) == 1 or 1 < len(b) and b.size <= 9
-                   for b in blocks)
-        got = np.concatenate(blocks) if blocks else np.zeros((0, m))
-        assert np.array_equal(got, whole[rows])
+        assert np.array_equal(score_rows(rows), whole[rows])
+        assert np.array_equal(similarity._matrix(score_rows, rows, m),
+                              whole[rows])
 
 
 class TestTopicSimilarity:
