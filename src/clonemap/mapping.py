@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import (CloneMapWarning, ConfigError, ValidationError, is_json_int,
                      is_number)
-from .ingest import VersionSnapshot
 from .similarity import (Metric, _blocks, _lcs_scorer, _topic_scorer,
                          _trimmed_lines)
 # lcs_similarity and topic_similarity are not called here but stay importable
@@ -75,16 +74,6 @@ class GroupMapping:
         if not (is_number(self.similarity) and 0.0 <= self.similarity <= 1.0):
             raise ValidationError(f"similarity must be a number in [0, 1], "
                                   f"got {self.similarity!r}")
-
-
-@dataclass(frozen=True)
-class VersionTopics:
-    """A snapshot's per-group topic vectors as one TopicBlock: row ``i``
-    is group ``i``, and an empty row a group whose token document came out
-    empty."""
-
-    version_id: str
-    block: TopicBlock
 
 
 def _assign(score_rows, n_old: int, empty_rows, newer_id: str,
@@ -174,44 +163,50 @@ def _assign(score_rows, n_old: int, empty_rows, newer_id: str,
             for i, (j, s) in enumerate(zip(old.tolist(), sim.tolist()))]
 
 
-def map_version_pair(newer: VersionTopics, older: VersionTopics,
-                     config: MappingConfig | None = None) -> list[GroupMapping]:
+def map_version_pair(newer: TopicBlock, older: TopicBlock, newer_id: str,
+                     older_id: str, config: MappingConfig | None = None,
+                     ) -> list[GroupMapping]:
     """Map every newer group to its best-matching older group or to null.
 
-    Topics must come from a shared vocabulary (one corpus spanning both
-    versions). The pairs are scored by ``score_matrix``'s row scorer, in
-    the cache-sized row blocks that ``similarity._blocks`` cuts, and each
-    block goes straight to the verdict loop, so no (N, M) matrix is held;
-    under ``enforce_injective`` the round-1 losers' blocks are ranked as
-    they arrive. An empty older row scores 0.0 against everything. Output
-    is ordered by newer group index and always has one entry per newer
-    group.
+    Row ``i`` of ``newer`` is group ``(newer_id, i)``, and row ``j`` of
+    ``older`` group ``(older_id, j)``; an empty row is a group whose
+    token document came out empty. Both blocks must index one shared
+    vocabulary (one corpus spanning both versions). The pairs are scored
+    by ``score_matrix``'s row scorer, in the cache-sized row blocks that
+    ``similarity._blocks`` cuts, and each block goes straight to the
+    verdict loop, so no (N, M) matrix is held; under ``enforce_injective``
+    the round-1 losers' blocks are ranked as they arrive. An empty older
+    row scores 0.0 against everything. Output is ordered by newer group
+    index and always has one entry per newer group.
     """
     config = config or MappingConfig()
-    score_rows = _topic_scorer(newer.block, older.block, config.metric)
-    empty_rows = np.diff(newer.block.indptr) == 0
-    return _assign(score_rows, len(older.block), empty_rows,
-                   newer.version_id, older.version_id, config)
+    score_rows = _topic_scorer(newer, older, config.metric)
+    empty_rows = np.diff(newer.indptr) == 0
+    return _assign(score_rows, len(older), empty_rows, newer_id, older_id,
+                   config)
 
 
-def baseline_text_map(newer: VersionSnapshot, older: VersionSnapshot,
+def baseline_text_map(newer_texts, older_texts, newer_id: str, older_id: str,
                       config: MappingConfig | None = None) -> list[GroupMapping]:
     """Same argmax-plus-threshold mapping, scored with line LCS on raw text.
 
-    Operates on concatenated fragment text as written, comments included;
-    this is the text-based mapper the topic pipeline is compared against.
-    The pairs are scored by ``lcs_matrix``'s row scorer through the same
-    chunker and verdict loop as ``map_version_pair`` scores topics. Every
-    group's text must be resolved.
+    Text ``i`` of ``newer_texts`` is group ``(newer_id, i)``, and text
+    ``j`` of ``older_texts`` group ``(older_id, j)``: each group's
+    concatenated fragment text as written, comments included. This is
+    the text-based mapper the topic pipeline is compared against. The
+    newer texts are read first and the older ones second, each once, so
+    either may be a one-shot iterable; each is kept only as its trimmed
+    lines' ids, numbered by one dict both versions share. The pairs are
+    scored by ``lcs_matrix``'s row scorer through the same chunker and
+    verdict loop as ``map_version_pair`` scores topics.
     """
     config = config or MappingConfig()
-    old_lines = _trimmed_lines([g.concatenated_text() for g in older.groups],
-                               "older")
-    new_lines = _trimmed_lines([g.concatenated_text() for g in newer.groups],
-                               "newer")
+    ids: dict[str, int] = {}
+    new_lines = _trimmed_lines(newer_texts, "newer", ids)
+    old_lines = _trimmed_lines(older_texts, "older", ids)
     return _assign(_lcs_scorer(new_lines, old_lines), len(old_lines),
-                   np.zeros(len(new_lines), dtype=bool),
-                   newer.version_id, older.version_id, config)
+                   np.zeros(len(new_lines), dtype=bool), newer_id, older_id,
+                   config)
 
 
 def unmatched_old_groups(mappings: list[GroupMapping], older_size: int) -> list[int]:

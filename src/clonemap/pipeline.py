@@ -19,7 +19,6 @@ from .mapping import (
     GroupMapping,
     MappingConfig,
     Strategy,
-    VersionTopics,
     baseline_text_map,
     map_version_pair,
     unmatched_old_groups,
@@ -31,22 +30,31 @@ from .topicmodel import LdaConfig, TopicBlock, build_corpus, fit_lda, frequency_
 from .topicmodel import fit_group_topic  # noqa: F401
 
 
-def documents(snapshot: VersionSnapshot, source_root: Path | str | None,
-              filter_config: FilterConfig) -> Iterator[TokenDocument]:
-    """Resolve ``snapshot`` on the first ``next()``, then yield each group's
-    filtered token document in index order. When the generator is
+def texts(snapshot: VersionSnapshot,
+          source_root: Path | str | None) -> Iterator[str]:
+    """Resolve ``snapshot`` on the first ``next()``, then yield each
+    group's concatenated fragment text in index order. This is the one
+    place a version is read, for both strategies. When the generator is
     exhausted it holds nothing, so the snapshot and its text go with the
     last reference outside it."""
     for group in resolve_snapshot(snapshot, source_root).groups:
-        yield build_group_document(group, filter_config)
+        yield group.concatenated_text()
+
+
+def documents(snapshot: VersionSnapshot, source_root: Path | str | None,
+              filter_config: FilterConfig) -> Iterator[TokenDocument]:
+    """Each group's filtered token document in index order, built from
+    ``texts``: the snapshot is resolved on the first ``next()``."""
+    for text in texts(snapshot, source_root):
+        yield build_group_document(text, filter_config)
 
 
 def pair_topics(newer_docs: Iterable[TokenDocument],
                 older_docs: Iterable[TokenDocument],
-                newer_id: str, older_id: str,
                 lda_config: LdaConfig | None = None,
-                ) -> tuple[VersionTopics, VersionTopics]:
-    """Topic blocks for both versions over one shared vocabulary.
+                ) -> tuple[TopicBlock, TopicBlock]:
+    """Topic blocks for both versions over one shared vocabulary, newer
+    first.
 
     Each version's documents are read once, newer first, so either may be
     a one-shot iterable such as a generator. The default path computes
@@ -67,10 +75,7 @@ def pair_topics(newer_docs: Iterable[TokenDocument],
         older_block = TopicBlock.from_dense(weights[split:])
     else:
         newer_block, older_block = frequency_blocks([newer_docs, older_docs])
-    return (
-        VersionTopics(newer_id, newer_block),
-        VersionTopics(older_id, older_block),
-    )
+    return newer_block, older_block
 
 
 def topic_dump_entries(version_id: str,
@@ -178,12 +183,11 @@ def run_map(newer_report: Path | str, older_report: Path | str,
 
     Reports may carry fragment text inline or reference files under the
     source roots. Both reports are parsed before either version is read.
-    The LCS strategy scores raw concatenated text, so it holds both
-    versions' text. The topic strategy scores per-group topic
-    distributions over a shared vocabulary; it reads, tokenizes and counts
-    one version at a time, newer first, and the newer version's text and
-    token documents, inline text included, are released before the older
-    one is read.
+    Then both strategies read one version at a time through ``texts``,
+    newer first, and the newer version's text, inline text included, is
+    released before the older one is read. The LCS strategy keeps each
+    group's raw text as line ids; the topic strategy tokenizes and counts
+    it and scores per-group topic distributions over a shared vocabulary.
     """
     filter_config = filter_config or default_filter_config()
     mapping_config = mapping_config or MappingConfig()
@@ -192,17 +196,16 @@ def run_map(newer_report: Path | str, older_report: Path | str,
     older = parse_clone_report(older_report)
     ids = newer.version_id, older.version_id
     older_size = len(older.groups)
-    # Each name is rebound to its report's one consumer, so nothing else
-    # holds a parsed report and the newer version's inline text goes with
-    # its documents.
+    # Each name is rebound to its report's one reader, so nothing else
+    # holds a parsed report and the newer version's inline text goes once
+    # its reader is exhausted.
     if mapping_config.strategy is Strategy.LCS_BASELINE:
-        newer, older = (resolve_snapshot(newer, source_newer),
-                        resolve_snapshot(older, source_older))
-        mappings = baseline_text_map(newer, older, mapping_config)
+        newer, older = texts(newer, source_newer), texts(older, source_older)
+        mappings = baseline_text_map(newer, older, *ids, mapping_config)
     else:
         newer, older = (documents(newer, source_newer, filter_config),
                         documents(older, source_older, filter_config))
-        mappings = map_version_pair(
-            *pair_topics(newer, older, *ids, lda_config), mapping_config)
+        mappings = map_version_pair(*pair_topics(newer, older, lda_config),
+                                    *ids, mapping_config)
     return mapping_result(*ids, mappings, older_size, mapping_config,
                           run_config)

@@ -17,7 +17,6 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import CloneMapWarning, read_utf8
-from .ingest import CloneGroup
 
 # Words are runs of [A-Za-z0-9_]. This table turns every other byte into a
 # space; the UTF-8 bytes of any non-ASCII character (a lone surrogate too,
@@ -190,7 +189,8 @@ def tokenize(text: str, config: FilterConfig) -> TokenDocument:
     return TokenDocument(tokens)
 
 
-def build_group_document(group: CloneGroup, config: FilterConfig) -> TokenDocument:
-    """Concatenate the group's fragment texts, strip comments, tokenize.
-    The document's position in its version's list names the group."""
-    return tokenize(strip_comments(group.concatenated_text()), config)
+def build_group_document(text: str, config: FilterConfig) -> TokenDocument:
+    """Strip comments from a group's concatenated fragment text, then
+    tokenize it. The document's position in its version's list names the
+    group."""
+    return tokenize(strip_comments(text), config)

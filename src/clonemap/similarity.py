@@ -3,7 +3,9 @@
 All scores live in [0, 1]. Topic metrics compare sparse (word id, weight)
 vectors over a shared vocabulary ordering by one join of two topic blocks'
 entries on word id; the same join tells which rows are identical. The
-text baseline compares trimmed line sequences. Each family has one
+text baseline compares trimmed line sequences, each line numbered by one
+dict that both sides share, so equal lines get equal ids and each
+distinct line is held once. Each family has one
 private row scorer, a function from newer row indices to their scores
 against every older row. ``_blocks`` alone cuts rows into blocks of at
 most ``_BLOCK_CELLS`` cells for it: the mapper streams those blocks, and
@@ -182,31 +184,34 @@ def topic_similarity(t1, t2, metric: Metric = Metric.COSINE) -> float:
                               TopicBlock.from_dense(b[None]), metric)[0, 0])
 
 
-def _trimmed_lines(texts, side: str) -> list[list[str]]:
-    """Each text's trimmed lines; ValidationError unless ``texts`` is a
-    sequence of ``str``s (a bare ``str`` would iterate as one-character
-    texts)."""
+def _trimmed_lines(texts, side: str, ids: dict[str, int]) -> list[list[int]]:
+    """Each text's trimmed lines as line ids, read once and in order:
+    ``ids`` numbers each distinct trimmed line, and both sides of a pair
+    share it. ValidationError unless ``texts`` is an iterable of ``str``s
+    (a bare ``str`` would iterate as one-character texts)."""
     if isinstance(texts, str) or not isinstance(texts, Iterable):
-        raise ValidationError(f"lcs_matrix takes a sequence of {side} texts")
+        raise ValidationError(f"{side} texts must be an iterable of str, "
+                              f"not a {type(texts).__name__}")
     lines = []
     for i, text in enumerate(texts):
         if not isinstance(text, str):
             raise ValidationError(
                 f"{side} text {i} is a {type(text).__name__}, not a str")
-        lines.append([line.strip() for line in split_lines(text)])
+        lines.append([ids.setdefault(line.strip(), len(ids))
+                      for line in split_lines(text)])
     return lines
 
 
 def _lcs_scorer(newer_lines, older_lines):
-    """The row scorer of ``lcs_matrix`` over ``_trimmed_lines`` output,
-    called as ``_topic_scorer``'s is: it takes k newer text indices and
-    returns their (k, M) scores. The older bitmasks and line postings are
-    built here, once."""
+    """The row scorer of ``lcs_matrix`` over the line ids of both sides'
+    ``_trimmed_lines``, called as ``_topic_scorer``'s is: it takes k newer
+    text indices and returns their (k, M) scores. The older bitmasks and
+    line postings, keyed by line id, are built here, once."""
     m = len(older_lines)
     older = []
-    holders: dict[str, list[int]] = {}
+    holders: dict[int, list[int]] = {}
     for j, old in enumerate(older_lines):
-        masks: dict[str, int] = {}
+        masks: dict[int, int] = {}
         for bit, line in enumerate(old):
             masks[line] = masks.get(line, 0) | (1 << bit)
         older.append((masks, len(old), (1 << len(old)) - 1))
@@ -242,7 +247,8 @@ def lcs_matrix(newer_texts, older_texts) -> np.ndarray:
     """Line-LCS score of every newer text against every older one: (N, M).
 
     The dense oracle of the row scorer that ``baseline_text_map`` streams,
-    filled from that scorer's blocks. Each cell is
+    filled from that scorer's blocks. Each side is read once, newer
+    first, so either may be a one-shot iterable. Each cell is
     2*|LCS| / (len(a) + len(b)) over the trimmed lines of
     ``ingest.split_lines``, matching by ``==``; two empty texts score 1.0
     and a pair with one empty side 0.0. A pair that shares no line has
@@ -253,10 +259,13 @@ def lcs_matrix(newer_texts, older_texts) -> np.ndarray:
     from the bit-parallel row recurrence (Allison & Dix 1986; Hyyrö 2004):
     each older text's lines become one bitmask per distinct line, built
     once, and each newer line updates a Python-int row vector ``v`` in one
-    step. The LCS length is the count of zero bits left in ``v``.
+    step. The LCS length is the count of zero bits left in ``v``. Lines
+    are compared as ids from one dict both sides share, so each distinct
+    trimmed line is held once.
     """
-    newer_lines = _trimmed_lines(newer_texts, "newer")
-    older_lines = _trimmed_lines(older_texts, "older")
+    ids: dict[str, int] = {}
+    newer_lines = _trimmed_lines(newer_texts, "newer", ids)
+    older_lines = _trimmed_lines(older_texts, "older", ids)
     return _matrix(_lcs_scorer(newer_lines, older_lines),
                    np.arange(len(newer_lines)), len(older_lines))
 

@@ -24,7 +24,7 @@ from clonemap.cli import build_parser, main
 from clonemap.errors import CloneMapWarning
 from clonemap.evaluation import SynthConfig
 from clonemap.ingest import parse_clone_report, resolve_snapshot, snapshot_to_dict
-from clonemap.mapping import MappingConfig
+from clonemap.mapping import MappingConfig, Strategy
 from clonemap.topicmodel import LdaConfig
 
 
@@ -640,13 +640,19 @@ class TestDeviceInput:
         assert outs[0] == outs[1] != ""
 
 
+# The topic map at K = 1 and K = 2, and the LCS map.
+READ_MODES = [(None, None), (LdaConfig(K=2, iterations=2), None),
+              (None, MappingConfig(strategy=Strategy.LCS_BASELINE))]
+
+
 class TestOneVersionAtATime:
-    """``map`` parses both reports before it reads either version. The
-    topic strategy then reads, tokenizes and counts the newer version, and
-    its text is gone before the older version is read. So with a fault in
-    each version the older report's parse error wins over the newer text's
-    I/O error, and the newer text's warning comes before the older text's
-    I/O error; each fault alone keeps its message and exit code."""
+    """``map`` parses both reports before it reads either version. Both
+    strategies then read the newer version, as token documents or as
+    line ids, and its text is gone before the older version is read. So
+    with a fault in each version the older report's parse error wins over
+    the newer text's I/O error, and the newer text's warning comes before
+    the older text's I/O error; each fault alone keeps its message and
+    exit code."""
 
     TEXT = "int widget_count;\nint gadget_total;\n"
 
@@ -718,10 +724,10 @@ class TestOneVersionAtATime:
         assert self.run(self.write_pair(tmp_path, faults), capsys) == (
             rc, err, caught)
 
-    @pytest.mark.parametrize("lda_config", [None, LdaConfig(K=2, iterations=2)],
-                             ids=["K1", "K2"])
+    @pytest.mark.parametrize("lda_config, mapping_config", READ_MODES,
+                             ids=["K1", "K2", "lcs"])
     def test_newer_text_is_released_before_older_is_resolved(
-            self, evolution, monkeypatch, lda_config):
+            self, evolution, monkeypatch, lda_config, mapping_config):
         """Weak references to the resolved newer snapshot, its groups and
         its fragments are all dead when the older report is resolved."""
         resolve = pipeline.resolve_snapshot
@@ -740,14 +746,14 @@ class TestOneVersionAtATime:
         pipeline.run_map(evolution / "newer_report.json",
                          evolution / "older_report.json",
                          evolution / "newer_src", evolution / "older_src",
-                         lda_config=lda_config)
+                         mapping_config=mapping_config, lda_config=lda_config)
         assert len(refs) > 20
         assert alive_at_call == [0, 0]
 
-    @pytest.mark.parametrize("lda_config", [None, LdaConfig(K=2, iterations=2)],
-                             ids=["K1", "K2"])
+    @pytest.mark.parametrize("lda_config, mapping_config", READ_MODES,
+                             ids=["K1", "K2", "lcs"])
     def test_inline_text_is_released_before_older_is_resolved(
-            self, evolution, tmp_path, monkeypatch, lda_config):
+            self, evolution, tmp_path, monkeypatch, lda_config, mapping_config):
         """With reports that carry their text inline, weak references to
         the parsed newer snapshot, its groups and its fragments are all
         dead when the older version is resolved."""
@@ -777,7 +783,8 @@ class TestOneVersionAtATime:
 
         monkeypatch.setattr(pipeline, "parse_clone_report", tracked_parse)
         monkeypatch.setattr(pipeline, "resolve_snapshot", tracked_resolve)
-        pipeline.run_map(*reports, lda_config=lda_config)
+        pipeline.run_map(*reports, mapping_config=mapping_config,
+                         lda_config=lda_config)
         assert len(refs) > 20
         assert alive_at_call == [len(refs), 0]
 

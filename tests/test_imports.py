@@ -3,8 +3,8 @@ every private module-level name is used, every public function, class,
 method and property has a caller outside the tests, no module reads the
 environment or writes JSON text outside ``pipeline``, the readers of reports, ground
 truth and mapping artifacts hold no value check, one function reads the row-block
-size, every name the package exports resolves, and the count of publicly
-settable values is pinned."""
+size, one function of ``pipeline`` reads a version, every name the package
+exports resolves, and the count of publicly settable values is pinned."""
 
 import argparse
 import ast
@@ -357,6 +357,45 @@ def test_scan_finds_a_scoped_read(tmp_path):
     assert scoped_reads(tmp_path.glob("*.py"), "_LIMIT") == [
         "a.py:3: a._blocks", "a.py:6: a.scorer.score_rows", "b.py:2: b",
         "b.py:6: b.Chunker.cut"]
+
+
+
+def reading_functions(path: Path, name: str) -> set[str]:
+    """The functions of ``path`` that read ``name``, dotted as
+    ``scoped_reads`` names them; a read at module level, such as its
+    import, is in no function."""
+    return {read.split(": ", 1)[1]
+            for read in scoped_reads([path], name)} - {path.stem}
+
+
+def test_one_function_reads_a_version():
+    """``pipeline`` reads ``resolve_snapshot`` only in ``texts``, the one
+    per-version generator that both strategies read through, so the topic
+    map and the LCS baseline keep one reading rule."""
+    assert reading_functions(PACKAGE / "pipeline.py",
+                             "resolve_snapshot") == {"pipeline.texts"}
+
+
+def test_scan_finds_each_function_that_reads_a_name(tmp_path):
+    module = tmp_path / "p.py"
+    module.write_text(
+        "from .ingest import resolve_snapshot\n"
+        "from . import ingest\n"
+        "def texts(snapshot):\n"
+        "    for group in resolve_snapshot(snapshot).groups:\n"
+        "        yield group\n"
+        "def run(snapshot):\n"
+        "    def both():\n"
+        "        return ingest.resolve_snapshot(snapshot)\n"
+        "    return texts(snapshot), both\n"
+        "class Reader:\n"
+        "    def read(self, snapshot):\n"
+        "        return resolve_snapshot(snapshot)\n"
+        "resolve = resolve_snapshot\n",
+        encoding="utf-8",
+    )
+    assert reading_functions(module, "resolve_snapshot") == {
+        "p.texts", "p.run.both", "p.Reader.read"}
 
 
 ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}

@@ -1,8 +1,8 @@
 """Thresholded argmax mapping and the injective mode."""
 
 import collections
-import dataclasses
 import json
+import sys
 import tracemalloc
 import warnings
 
@@ -12,11 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from clonemap import mapping, similarity
 from clonemap.errors import CloneMapWarning, ConfigError, ValidationError
-from clonemap.ingest import CloneFragment, CloneGroup, VersionSnapshot
 from clonemap.mapping import (
     GroupMapping,
     MappingConfig,
-    VersionTopics,
     _assign,
     baseline_text_map,
     map_version_pair,
@@ -25,29 +23,24 @@ from clonemap.mapping import (
 from clonemap.pipeline import canonical_json, mapping_result, mappings_from_artifact
 from clonemap.preprocess import TokenDocument
 from clonemap.similarity import Metric, lcs_matrix, score_matrix
-from clonemap.topicmodel import TopicBlock, frequency_blocks
-
-
-def versions_from_counts(*counts_per_version):
-    """VersionTopics ``v1``, ``v2``, ... over one vocabulary, one per list
-    of word->count dicts, built by ``frequency_blocks`` as ``clonemap map``
-    builds them; an empty dict is a group whose document came out empty."""
-    blocks = frequency_blocks(
-        [[TokenDocument(tuple(collections.Counter(c).elements())) for c in counts]
-         for counts in counts_per_version])
-    return [VersionTopics(f"v{v + 1}", block) for v, block in enumerate(blocks)]
+from clonemap.topicmodel import frequency_blocks
 
 
 def pair_from_counts(newer_counts, older_counts):
-    older, newer = versions_from_counts(older_counts, newer_counts)
-    return newer, older
+    """The newer and the older TopicBlock over one vocabulary, one row per
+    word->count dict, built by ``frequency_blocks`` as ``clonemap map``
+    builds them; an empty dict is a group whose document came out empty.
+    The tests map them as versions ``v2`` and ``v1``."""
+    return frequency_blocks(
+        [[TokenDocument(tuple(collections.Counter(c).elements())) for c in counts]
+         for counts in (newer_counts, older_counts)])
 
 
 class TestMapVersionPair:
     def test_identity_snapshots_map_one_to_one(self):
         counts = [{"a": 3, "b": 1}, {"c": 2}, {"d": 1, "e": 1}]
         newer, older = pair_from_counts(counts, counts)
-        mappings = map_version_pair(newer, older)
+        mappings = map_version_pair(newer, older, "v2", "v1")
         for i, m in enumerate(mappings):
             assert m.new_group == ("v2", i)
             assert m.old_group == ("v1", i)
@@ -56,7 +49,7 @@ class TestMapVersionPair:
     def test_below_threshold_maps_to_null(self):
         # cos((3,1)/4, (1,3)/4) = 6/10 = 0.6 < 0.8
         newer, older = pair_from_counts([{"a": 3, "b": 1}], [{"a": 1, "b": 3}])
-        mappings = map_version_pair(newer, older)
+        mappings = map_version_pair(newer, older, "v2", "v1")
         assert mappings[0].old_group is None
         assert mappings[0].similarity == pytest.approx(0.6)
 
@@ -70,8 +63,8 @@ class TestMapVersionPair:
         older_counts = [random_counts() for _ in range(12)]
         newer, older = pair_from_counts(newer_counts, older_counts)
         config = MappingConfig(delta=0.8)
-        mappings = map_version_pair(newer, older, config)
-        scores = score_matrix(newer.block, older.block, config.metric)
+        mappings = map_version_pair(newer, older, "v2", "v1", config)
+        scores = score_matrix(newer, older, config.metric)
         assert len(mappings) == 15
         for m, row in zip(mappings, scores):
             if m.old_group is None:
@@ -83,27 +76,27 @@ class TestMapVersionPair:
 
     def test_tie_breaks_to_lowest_old_index(self):
         newer, older = pair_from_counts([{"a": 2}], [{"a": 5}, {"a": 7}])
-        mappings = map_version_pair(newer, older)
+        mappings = map_version_pair(newer, older, "v2", "v1")
         assert mappings[0].old_group == ("v1", 0)
         assert mappings[0].similarity == 1.0
 
     def test_empty_older_version_maps_all_null(self):
         newer, older = pair_from_counts([{"a": 1}, {"b": 1}], [])
-        mappings = map_version_pair(newer, older)
+        mappings = map_version_pair(newer, older, "v2", "v1")
         assert all(m.old_group is None for m in mappings)
         assert len(mappings) == 2
 
     def test_empty_document_group_warns_and_maps_null(self):
         newer, older = pair_from_counts([{}, {"a": 1}], [{"a": 1}])
         with pytest.warns(CloneMapWarning, match="empty"):
-            mappings = map_version_pair(newer, older)
+            mappings = map_version_pair(newer, older, "v2", "v1")
         assert mappings[0].old_group is None
         assert mappings[0].similarity == 0.0
         assert mappings[1].old_group == ("v1", 0)
 
     def test_many_to_one_allowed_by_default(self):
         newer, older = pair_from_counts([{"a": 2}, {"a": 3}], [{"a": 1}])
-        mappings = map_version_pair(newer, older)
+        mappings = map_version_pair(newer, older, "v2", "v1")
         assert mappings[0].old_group == ("v1", 0)
         assert mappings[1].old_group == ("v1", 0)
 
@@ -115,13 +108,13 @@ class TestMapVersionPair:
             [{"a": 9, "b": 1}, {"a": 9, "b": 3}],
         )
         config = MappingConfig(enforce_injective=True)
-        mappings = map_version_pair(newer, older, config)
+        mappings = map_version_pair(newer, older, "v2", "v1", config)
         olds = [m.old_group for m in mappings]
         assert olds[0] == ("v1", 0)
         assert olds[1] == ("v1", 1)
         assert mappings[0].similarity == 1.0
         assert mappings[1].similarity < 1.0
-        without = map_version_pair(newer, older, MappingConfig())
+        without = map_version_pair(newer, older, "v2", "v1", MappingConfig())
         assert [m.old_group for m in without] == [("v1", 0), ("v1", 0)]
 
     def test_injective_never_duplicates_old_groups(self):
@@ -135,7 +128,7 @@ class TestMapVersionPair:
             [random_counts() for _ in range(4)],
         )
         config = MappingConfig(delta=0.5, enforce_injective=True)
-        mappings = map_version_pair(newer, older, config)
+        mappings = map_version_pair(newer, older, "v2", "v1", config)
         non_null = [m.old_group for m in mappings if m.old_group is not None]
         assert len(non_null) == len(set(non_null))
 
@@ -151,7 +144,8 @@ class TestMapVersionPair:
         )
         previous = None
         for delta in (0.2, 0.5, 0.8, 0.95, 1.0):
-            mappings = map_version_pair(newer, older, MappingConfig(delta=delta))
+            mappings = map_version_pair(newer, older, "v2", "v1",
+                                        MappingConfig(delta=delta))
             mapped = {(m.new_group, m.old_group) for m in mappings
                       if m.old_group is not None}
             if previous is not None:
@@ -162,7 +156,7 @@ class TestMapVersionPair:
         newer, older = pair_from_counts(
             [{"a": 1}, {"b": 1}, {"c": 1}], [{"c": 2}]
         )
-        mappings = map_version_pair(newer, older)
+        mappings = map_version_pair(newer, older, "v2", "v1")
         assert [m.new_group[1] for m in mappings] == [0, 1, 2]
 
     def test_invalid_delta_rejected(self):
@@ -354,16 +348,6 @@ class TestGroupMapping:
         assert mappings_from_artifact(json.loads(text)) == mappings
 
 
-class TestVersionTopics:
-    def test_block_form(self):
-        block = TopicBlock.from_dense([[0.0], [1.0]])
-        topics = VersionTopics("v1", block)
-        assert [f.name for f in dataclasses.fields(VersionTopics)] == [
-            "version_id", "block"]
-        assert topics.version_id == "v1"
-        assert topics.block is block
-
-
 class TestRenamedGroupFixture:
     """A 19-newer / 20-older pair: 17 exact survivors, one group that split
     into two identical copies (a two-claimant ancestor), one consistently
@@ -383,7 +367,7 @@ class TestRenamedGroupFixture:
 
     def test_oracle_counts(self):
         newer, older = self.build()
-        mappings = map_version_pair(newer, older, MappingConfig(delta=0.8))
+        mappings = map_version_pair(newer, older, "v2", "v1", MappingConfig(delta=0.8))
         exact = [m for m in mappings if m.similarity == 1.0]
         near = [m for m in mappings
                 if m.old_group is not None and m.similarity < 1.0]
@@ -396,46 +380,31 @@ class TestRenamedGroupFixture:
         assert unmatched_old_groups(mappings, 20) == [18, 19]
 
 
-def snapshot_with_text(version_id, texts):
-    groups = []
-    for i, text in enumerate(texts):
-        frag_a = CloneFragment(f"g{i}a.c", 1, max(1, text.count("\n") + 1),
-                               text=text)
-        frag_b = CloneFragment(f"g{i}b.c", 1, max(1, text.count("\n") + 1),
-                               text=text)
-        groups.append(CloneGroup(index=i, fragments=(frag_a, frag_b)))
-    return VersionSnapshot(version_id=version_id, groups=tuple(groups))
-
-
 class TestBaselineTextMap:
     def test_identity_maps_at_one(self):
         texts = ["aa;\nbb;\ncc;", "dd;\nee;"]
-        newer = snapshot_with_text("v2", texts)
-        older = snapshot_with_text("v1", texts)
-        mappings = baseline_text_map(newer, older)
+        mappings = baseline_text_map(texts, texts, "v2", "v1")
         assert [m.old_group for m in mappings] == [("v1", 0), ("v1", 1)]
         assert all(m.similarity == 1.0 for m in mappings)
 
     def test_disjoint_lines_map_null(self):
-        newer = snapshot_with_text("v2", ["qq;\nrr;"])
-        older = snapshot_with_text("v1", ["ss;\ntt;"])
-        mappings = baseline_text_map(newer, older)
+        mappings = baseline_text_map(["qq;\nrr;"], ["ss;\ntt;"], "v2", "v1")
         assert mappings[0].old_group is None
         assert mappings[0].similarity == 0.0
 
     def test_delta_thresholds_lcs_verdicts(self):
-        newer = snapshot_with_text("v2", ["aa;\nbb;\ncc;\ndd;"])
-        older = snapshot_with_text("v1", ["aa;\nbb;\nxx;\nyy;"])
-        strict = baseline_text_map(newer, older, MappingConfig(delta=0.9))
-        loose = baseline_text_map(newer, older, MappingConfig(delta=0.3))
+        newer, older = ["aa;\nbb;\ncc;\ndd;"], ["aa;\nbb;\nxx;\nyy;"]
+        strict = baseline_text_map(newer, older, "v2", "v1",
+                                   MappingConfig(delta=0.9))
+        loose = baseline_text_map(newer, older, "v2", "v1",
+                                  MappingConfig(delta=0.3))
         assert strict[0].old_group is None
         assert loose[0].old_group == ("v1", 0)
 
     def test_comments_count_in_baseline_text(self):
         """The baseline sees raw text, so comment edits lower its score."""
-        newer = snapshot_with_text("v2", ["aa; // new note\nbb;"])
-        older = snapshot_with_text("v1", ["aa;\nbb;"])
-        mappings = baseline_text_map(newer, older, MappingConfig(delta=0.1))
+        mappings = baseline_text_map(["aa; // new note\nbb;"], ["aa;\nbb;"],
+                                     "v2", "v1", MappingConfig(delta=0.1))
         assert mappings[0].similarity < 1.0
 
 
@@ -495,8 +464,8 @@ class TestStreamedScoring:
                                 counted(similarity._topic_scorer, calls))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", CloneMapWarning)
-                got = map_version_pair(newer, older, config)
-            scores = score_matrix(newer.block, older.block, metric)
+                got = map_version_pair(newer, older, "v2", "v1", config)
+            scores = score_matrix(newer, older, metric)
             empty = [not c for c in newer_counts]
             want, rounds = oracle_injective_rounds(scores, empty, "v2", "v1",
                                                    config.delta)
@@ -517,15 +486,12 @@ class TestStreamedScoring:
         newer_texts = [older_texts[i % 2] + "\n" + lines[j]
                        for i, j in enumerate(rng.integers(0, 10, size=9))]
         newer_texts.insert(4, "")
-        newer = snapshot_with_text("v2", newer_texts)
-        older = snapshot_with_text("v1", older_texts)
         config = MappingConfig(delta=0.3, enforce_injective=True)
         calls = []
         monkeypatch.setattr(mapping, "_lcs_scorer",
                             counted(similarity._lcs_scorer, calls))
-        got = baseline_text_map(newer, older, config)
-        scores = lcs_matrix([g.concatenated_text() for g in newer.groups],
-                            [g.concatenated_text() for g in older.groups])
+        got = baseline_text_map(newer_texts, older_texts, "v2", "v1", config)
+        scores = lcs_matrix(newer_texts, older_texts)
         want, rounds = oracle_injective_rounds(
             scores, [False] * len(newer_texts), "v2", "v1", config.delta)
         assert got == want
@@ -556,13 +522,13 @@ class TestStreamedScoring:
             [random_counts(shared) for _ in range(n)])
         # At delta 0 every row claims its argmax and each claimed column
         # has one winner.
-        claimed = score_matrix(newer.block, older.block, metric).argmax(axis=1)
+        claimed = score_matrix(newer, older, metric).argmax(axis=1)
         losers = n - np.unique(claimed).size
         assert losers >= 300
         config = MappingConfig(delta=0.0, metric=metric, enforce_injective=True)
         tracemalloc.start()
         try:
-            assert len(map_version_pair(newer, older, config)) == n
+            assert len(map_version_pair(newer, older, "v2", "v1", config)) == n
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -570,7 +536,11 @@ class TestStreamedScoring:
 
     def test_traced_peak_stays_far_below_the_dense_matrix(self):
         """At N = M = 1500 the float64 matrix alone is 17.2 MiB; streamed
-        blocks keep the traced peak under a fixed 3 MiB."""
+        blocks keep the traced peak under a fixed 3 MiB. Texts of 60 lines,
+        each drawn from one of 20 pools of 10 distinct lines, are read
+        from one-shot generators and kept as line ids: the peak stays under
+        half of what their trimmed lines would hold as ``str``s, and the
+        verdicts are those of list inputs."""
         rng = np.random.default_rng(41)
         n = 1500
         words = [f"w{i}" for i in range(3000)]
@@ -583,15 +553,30 @@ class TestStreamedScoring:
         lines = [f"v{i} = g(v{i + 1});" for i in range(5000)]
         texts = ["\n".join(rng.choice(lines, size=3).tolist())
                  for _ in range(2 * n)]
-        newer_text = snapshot_with_text("v2", texts[:n])
-        older_text = snapshot_with_text("v1", texts[n:])
-        bound = 3 * 2 ** 20
-        for run in (lambda: map_version_pair(newer, older),
-                    lambda: baseline_text_map(newer_text, older_text)):
+        # Pools keep the pairs that share a line, and so the scoring, small.
+        repeated = [f"    total_{i} = accumulate(total_{i}, sample[{i}]);"
+                    for i in range(200)]
+        repeats = ["\n".join(rng.choice(repeated[k % 20::20], size=60).tolist())
+                   for k in range(600)]
+        line_bytes = sum(sys.getsizeof(line.strip())
+                         for text in repeats for line in text.split("\n"))
+        assert line_bytes > 3 * 2 ** 20
+        runs = [
+            (lambda: map_version_pair(newer, older, "v2", "v1"), 3 * 2 ** 20),
+            (lambda: baseline_text_map(texts[:n], texts[n:], "v2", "v1"),
+             3 * 2 ** 20),
+            (lambda: baseline_text_map((t for t in repeats[:300]),
+                                       (t for t in repeats[300:]), "v2", "v1"),
+             line_bytes / 2)]
+        got = []
+        for run, bound in runs:
             tracemalloc.start()
             try:
-                assert len(run()) == n
+                got.append(run())
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak < bound
+        assert [len(mappings) for mappings in got] == [n, n, 300]
+        assert got[2] == baseline_text_map(repeats[:300], repeats[300:],
+                                           "v2", "v1")

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from clonemap.errors import CloneMapWarning
 from clonemap.ingest import snapshot_from_dict
 from clonemap.mapping import MappingConfig, Strategy
-from clonemap.pipeline import documents, pair_topics, run_map
+from clonemap.pipeline import documents, pair_topics, run_map, texts
 from clonemap.preprocess import FilterConfig, default_filter_config
 from clonemap.similarity import Metric, lcs_matrix, score_matrix
 
@@ -44,18 +44,17 @@ def report(version: str, groups) -> dict:
 
 
 def scores(newer: dict, older: dict, metric: Metric) -> np.ndarray:
-    newer_snap, older_snap = snapshot_from_dict(newer), snapshot_from_dict(older)
-    newer_topics, older_topics = pair_topics(
-        documents(newer_snap, None, FILTER), documents(older_snap, None, FILTER),
-        newer_snap.version_id, older_snap.version_id)
-    return score_matrix(newer_topics.block, older_topics.block, metric)
+    newer_block, older_block = pair_topics(
+        *(documents(snapshot_from_dict(doc), None, FILTER)
+          for doc in (newer, older)))
+    return score_matrix(newer_block, older_block, metric)
 
 
 def matrix(newer: dict, older: dict, strategy: Strategy, metric: Metric) -> np.ndarray:
     """The score matrix that ``run_map`` takes its verdicts from."""
     if strategy is Strategy.TOPIC:
         return scores(newer, older, metric)
-    return lcs_matrix(*([g.concatenated_text() for g in snapshot_from_dict(doc).groups]
+    return lcs_matrix(*(texts(snapshot_from_dict(doc), None)
                         for doc in (newer, older)))
 
 
@@ -153,7 +152,7 @@ class TestMapRelations:
         lowest index, so only a row equal to no other must map to itself."""
         version = report("v", groups)
         docs = list(documents(snapshot_from_dict(version), None, FILTER))
-        weights = dense(pair_topics(docs, docs, "v", "v")[0].block)
+        weights = dense(pair_topics(docs, docs)[0])
         unique = [document.token_count > 0
                   and sum(np.array_equal(row, other) for other in weights) == 1
                   for row, document in zip(weights, docs)]

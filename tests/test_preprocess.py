@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from clonemap import preprocess
 from clonemap.errors import CloneMapWarning
 from clonemap.ingest import CloneFragment, CloneGroup, VersionSnapshot
+from clonemap.pipeline import texts
 from clonemap.preprocess import (
     FilterConfig,
     TokenDocument,
@@ -372,7 +373,7 @@ class TestFilterMemo:
         # Fresh configs: the module's ``config`` has decided words already.
         configs = (default_filter_config(language="c"),
                    FilterConfig(frozenset({"widget"})))
-        docs = {cfg.words: [build_group_document(g, cfg)
+        docs = {cfg.words: [build_group_document(g.concatenated_text(), cfg)
                             for s in snapshots for g in s.groups]
                 for cfg in configs}
         raws = {raw for s in snapshots for g in s.groups
@@ -392,8 +393,9 @@ class TestBuildGroupDocument:
             CloneFragment("a.c", 1, 2, text="int widget = 1; // init\nwidget++;"),
             CloneFragment("b.c", 1, 1, text="render(widget); /* draw */"),
         )
-        group = CloneGroup(index=0, fragments=frags)
-        doc = build_group_document(group, config)
+        snapshot = VersionSnapshot("v1", (CloneGroup(index=0, fragments=frags),))
+        [text] = texts(snapshot, None)
+        doc = build_group_document(text, config)
         assert doc.counts() == {"widget": 3, "render": 1}
         assert "init" not in doc.tokens
         assert "draw" not in doc.tokens

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from clonemap import similarity
 from clonemap.errors import ValidationError
+from clonemap.mapping import MappingConfig, baseline_text_map
 from clonemap.preprocess import TokenDocument
 from clonemap.similarity import (
     Metric,
@@ -498,10 +499,30 @@ class TestLcsMatrix:
         whole = lcs_matrix(newer, older)
         monkeypatch.setattr(similarity, "_BLOCK_CELLS", 9)
         assert np.array_equal(lcs_matrix(newer, older), whole)
+        ids = {}
         score_rows = similarity._lcs_scorer(
-            similarity._trimmed_lines(newer, "newer"),
-            similarity._trimmed_lines(older, "older"))
+            similarity._trimmed_lines(newer, "newer", ids),
+            similarity._trimmed_lines(older, "older", ids))
         assert_row_scorer_matches(score_rows, whole, rng)
+
+    def test_sides_that_meet_lines_in_other_orders_share_line_ids(self):
+        """The older texts meet ``c`` and ``b`` before ``a``, so ids
+        numbered per side would tell ``a b c`` and ``c b`` an LCS of 2
+        where the DP finds 1."""
+        newer = ["a\nb\nc", "c", "  b"]
+        older = ["c\nb", "b\na\nc", "a "]
+        ids = {}
+        newer_lines = similarity._trimmed_lines(newer, "newer", ids)
+        older_lines = similarity._trimmed_lines(older, "older", ids)
+        assert (newer_lines, older_lines) == (
+            [[0, 1, 2], [2], [1]], [[2, 1], [1, 0, 2], [0]])
+        assert ids == {"a": 0, "b": 1, "c": 2}
+        assert_matches_oracle(newer, older)
+        assert lcs_matrix(newer, older)[0, 0] == 0.4
+        mappings = baseline_text_map(iter(newer), iter(older), "v2", "v1",
+                                     MappingConfig(delta=0.0))
+        assert [(m.old_group[1], m.similarity) for m in mappings] == [
+            (1, 2 * 2 / 6), (0, 2 / 3), (0, 2 / 3)]
 
     def test_empty_lists_give_empty_matrices(self):
         assert lcs_matrix([], ["a", "b\nc"]).shape == (0, 2)
@@ -532,9 +553,9 @@ class TestLcsMatrix:
                 assert lcs_similarity(a, b) == scores[i, j]
 
     @pytest.mark.parametrize("newer,older,message", [
-        ("ab", ["a"], "sequence of newer texts"),
-        (["a"], "ab", "sequence of older texts"),
-        (None, ["a"], "sequence of newer texts"),
+        ("ab", ["a"], "newer texts must be an iterable of str, not a str"),
+        (["a"], "ab", "older texts must be an iterable of str, not a str"),
+        (None, ["a"], "newer texts must be an iterable of str, not a NoneType"),
         ([None], ["a"], "newer text 0 is a NoneType, not a str"),
         (["a"], ["b", b"a"], "older text 1 is a bytes, not a str"),
     ])
@@ -547,3 +568,17 @@ class TestLcsMatrix:
     def test_lcs_similarity_takes_two_str(self, a, b):
         with pytest.raises(ValidationError, match="not a str"):
             lcs_similarity(a, b)
+
+    @pytest.mark.parametrize("score", [
+        lcs_matrix, lambda newer, older: baseline_text_map(newer, older,
+                                                           "v2", "v1")],
+        ids=["lcs_matrix", "baseline_text_map"])
+    @pytest.mark.parametrize("side", ["newer", "older"])
+    def test_a_bare_str_is_not_texts(self, score, side):
+        """Both callers of ``_trimmed_lines`` refuse a bare ``str`` with a
+        message that names the side and no function."""
+        texts = {"newer": ["a"], "older": ["a"], side: "ab"}
+        with pytest.raises(ValidationError) as caught:
+            score(texts["newer"], texts["older"])
+        assert str(caught.value) == (
+            f"{side} texts must be an iterable of str, not a str")

@@ -375,9 +375,9 @@ class TestFrequencyBlocks:
             raise AssertionError("K=1 must not build this")
 
         monkeypatch.setattr(pipeline, "build_corpus", refuse)
-        new_topics, old_topics = pipeline.pair_topics(newer, older, "v2", "v1")
         expected = frequency_blocks([newer, older])
-        for got, want in zip((new_topics.block, old_topics.block), expected):
+        for got, want in zip(pipeline.pair_topics(newer, older), expected,
+                             strict=True):
             assert_blocks_equal(got, want)
             assert got.size == 4
 
@@ -386,25 +386,22 @@ class TestFrequencyBlocks:
         newer = [doc(["b", "a", "b"]), doc([]), doc(["c", "a"])]
         older = [doc(["a", "d"]), doc([]), doc(["d", "d", "b"])]
         config = LdaConfig(K=K, iterations=20, seed=3)
-        listed = pipeline.pair_topics(newer, older, "v2", "v1", config)
+        listed = pipeline.pair_topics(newer, older, config)
         streamed = pipeline.pair_topics((d for d in newer), (d for d in older),
-                                        "v2", "v1", config)
+                                        config)
         for got, want in zip(streamed, listed, strict=True):
-            assert got.version_id == want.version_id
-            assert_blocks_equal(got.block, want.block)
+            assert_blocks_equal(got, want)
 
     def test_k_above_one_rows_are_theta_rows(self):
         newer = [doc(["a", "b", "a"]), doc([])]
         older = [doc(["b", "c"])]
         config = LdaConfig(K=3, iterations=20, seed=5)
-        new_topics, old_topics = pipeline.pair_topics(newer, older, "v2", "v1",
-                                                      config)
+        new_block, old_block = pipeline.pair_topics(newer, older, config)
         theta = fit_lda(build_corpus(newer + older), config).theta
-        assert new_topics.block.size == old_topics.block.size == 3
-        assert new_topics.block.indptr.tolist() == [0, 3, 3]
-        assert old_topics.block.indptr.tolist() == [0, 3]
-        for block, row in ((new_topics.block, theta[0]),
-                           (old_topics.block, theta[2])):
+        assert new_block.size == old_block.size == 3
+        assert new_block.indptr.tolist() == [0, 3, 3]
+        assert old_block.indptr.tolist() == [0, 3]
+        for block, row in ((new_block, theta[0]), (old_block, theta[2])):
             assert block.ids[:3].tolist() == [0, 1, 2]
             assert np.array_equal(block.values[:3], row)
 
