@@ -21,9 +21,10 @@ def is_number(value) -> bool:
 
 
 def read_utf8(path) -> str:
-    """The text of a UTF-8 file or pipe, with universal newlines;
-    ValidationError if its bytes are not UTF-8, so a malformed input exits
-    like any other. A character or block device, which may never end
+    """The text of a UTF-8 file or pipe, with universal newlines and
+    without a leading byte-order mark (RFC 8259 lets a JSON parser ignore
+    one); ValidationError if its bytes are not UTF-8, so a malformed input
+    exits like any other. A character or block device, which may never end
     (``/dev/zero``), is not read: OSError naming ``path``."""
     try:
         with open(path, encoding="utf-8") as handle:
@@ -31,7 +32,9 @@ def read_utf8(path) -> str:
             if stat.S_ISCHR(mode) or stat.S_ISBLK(mode):
                 raise OSError(errno.EINVAL, "Is a device, not a file",
                               os.fspath(path))
-            return handle.read()
+            # Dropped after decoding, so an error's byte offset counts
+            # the mark (the utf-8-sig codec counts from after it).
+            return handle.read().removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ValidationError(
             f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})"

@@ -16,8 +16,7 @@ import numpy as np
 
 from .errors import (CloneMapWarning, ConfigError, ValidationError, is_json_int,
                      is_number)
-from .similarity import (Metric, _blocks, _lcs_scorer, _topic_scorer,
-                         _trimmed_lines)
+from .similarity import Metric, _blocks, _lcs_scorer, _topic_scorer
 # lcs_similarity and topic_similarity are not called here but stay importable
 # from this module, where perfbench/tracer.py looks them up.
 from .similarity import lcs_similarity, topic_similarity  # noqa: F401
@@ -80,13 +79,15 @@ def _assign(score_rows, n_old: int, empty_rows, newer_id: str,
             older_id: str, config: MappingConfig) -> list[GroupMapping]:
     """Thresholded argmax over the newer rows that ``score_rows`` scores.
 
-    ``score_rows`` is a row scorer of ``similarity``: given newer row
-    indices it returns their scores against all ``n_old`` older groups,
-    and ``similarity._blocks`` asks it for one cache-sized block of rows
-    at a time. Row ``i`` is newer group ``(newer_id, i)`` and column ``j``
-    older group ``(older_id, j)``. ``empty_rows`` is a bool mask of the
-    newer groups whose document came out empty; each maps to null at 0.0
-    with a warning and is never scored. Ties go to the lowest older index.
+    The first three arguments are a scorer of ``similarity``, as
+    ``_topic_scorer`` or ``_lcs_scorer`` returns it. ``score_rows`` is
+    its row scorer: given newer row indices it returns their scores
+    against all ``n_old`` older groups, and ``similarity._blocks`` asks it
+    for one cache-sized block of rows at a time. Row ``i`` is newer group
+    ``(newer_id, i)`` and column ``j`` older group ``(older_id, j)``.
+    ``empty_rows`` is a bool mask of the newer groups whose document came
+    out empty; each maps to null at 0.0 with a warning and is never
+    scored. Ties go to the lowest older index.
 
     One loop settles both modes in rounds. In a round each pending newer
     group claims its best untaken older group, and a claim below ``delta``
@@ -171,8 +172,9 @@ def map_version_pair(newer: TopicBlock, older: TopicBlock, newer_id: str,
     Row ``i`` of ``newer`` is group ``(newer_id, i)``, and row ``j`` of
     ``older`` group ``(older_id, j)``; an empty row is a group whose
     token document came out empty. Both blocks must index one shared
-    vocabulary (one corpus spanning both versions). The pairs are scored
-    by ``score_matrix``'s row scorer, in the cache-sized row blocks that
+    vocabulary (one corpus spanning both versions). ``_topic_scorer``
+    builds ``score_matrix``'s row scorer and finds the empty newer rows
+    in one call; the pairs are scored in the cache-sized row blocks that
     ``similarity._blocks`` cuts, and each block goes straight to the
     verdict loop, so no (N, M) matrix is held; under ``enforce_injective``
     the round-1 losers' blocks are ranked as they arrive. An empty older
@@ -180,10 +182,8 @@ def map_version_pair(newer: TopicBlock, older: TopicBlock, newer_id: str,
     index and always has one entry per newer group.
     """
     config = config or MappingConfig()
-    score_rows = _topic_scorer(newer, older, config.metric)
-    empty_rows = np.diff(newer.indptr) == 0
-    return _assign(score_rows, len(older), empty_rows, newer_id, older_id,
-                   config)
+    return _assign(*_topic_scorer(newer, older, config.metric), newer_id,
+                   older_id, config)
 
 
 def baseline_text_map(newer_texts, older_texts, newer_id: str, older_id: str,
@@ -195,18 +195,15 @@ def baseline_text_map(newer_texts, older_texts, newer_id: str, older_id: str,
     concatenated fragment text as written, comments included. This is
     the text-based mapper the topic pipeline is compared against. The
     newer texts are read first and the older ones second, each once, so
-    either may be a one-shot iterable; each is kept only as its trimmed
-    lines' ids, numbered by one dict both versions share. The pairs are
-    scored by ``lcs_matrix``'s row scorer through the same chunker and
+    either may be a one-shot iterable. ``_lcs_scorer`` builds
+    ``lcs_matrix``'s row scorer in one call: it keeps each text only as
+    its trimmed lines' ids, and the dict that numbers them is gone before
+    the first row is scored. The pairs go through the same chunker and
     verdict loop as ``map_version_pair`` scores topics.
     """
     config = config or MappingConfig()
-    ids: dict[str, int] = {}
-    new_lines = _trimmed_lines(newer_texts, "newer", ids)
-    old_lines = _trimmed_lines(older_texts, "older", ids)
-    return _assign(_lcs_scorer(new_lines, old_lines), len(old_lines),
-                   np.zeros(len(new_lines), dtype=bool), newer_id, older_id,
-                   config)
+    return _assign(*_lcs_scorer(newer_texts, older_texts), newer_id,
+                   older_id, config)
 
 
 def unmatched_old_groups(mappings: list[GroupMapping], older_size: int) -> list[int]:

@@ -3,13 +3,14 @@
 All scores live in [0, 1]. Topic metrics compare sparse (word id, weight)
 vectors over a shared vocabulary ordering by one join of two topic blocks'
 entries on word id; the same join tells which rows are identical. The
-text baseline compares trimmed line sequences, each line numbered by one
-dict that both sides share, so equal lines get equal ids and each
-distinct line is held once. Each family has one
-private row scorer, a function from newer row indices to their scores
-against every older row. ``_blocks`` alone cuts rows into blocks of at
-most ``_BLOCK_CELLS`` cells for it: the mapper streams those blocks, and
-``score_matrix`` and ``lcs_matrix`` stack them into the dense matrix.
+text baseline compares trimmed line sequences as line ids. Each family
+builds its scorer in one place, ``_topic_scorer`` or ``_lcs_scorer``,
+from that family's inputs: a private row scorer, a function from newer
+row indices to their scores against every older row, the count of older
+rows, and the newer rows never to score. ``_blocks`` alone cuts rows
+into blocks of at most ``_BLOCK_CELLS`` cells for it: the mapper streams
+those blocks, and ``score_matrix`` and ``lcs_matrix`` stack them into
+the dense matrix.
 """
 
 from __future__ import annotations
@@ -52,21 +53,27 @@ def _blocks(score_rows, rows, m: int):
         yield part, score_rows(rows[part])
 
 
-def _matrix(score_rows, rows, m: int) -> np.ndarray:
-    """The (len(rows), m) scores of ``rows``, filled block by block from
-    the row scorer ``score_rows``."""
-    scores = np.zeros((len(rows), m))
+def _matrix(score_rows, m: int, skip) -> np.ndarray:
+    """The (len(skip), m) scores of a scorer's newer rows, filled block by
+    block from the row scorer ``score_rows``; a row that ``skip`` marks is
+    never scored and stays 0.0."""
+    scores = np.zeros((len(skip), m))
+    rows = np.flatnonzero(~skip)
     if m:
         for part, block in _blocks(score_rows, rows, m):
-            scores[part] = block
+            scores[rows[part]] = block
     return scores
 
 
 def _topic_scorer(newer: TopicBlock, older: TopicBlock, metric: Metric):
-    """The row scorer of ``score_matrix``: a function that takes k newer
-    row indices, in any order, and returns their (k, M) scores against
-    every older row. The older side is sorted and summed here, once.
-    Needs M >= 1."""
+    """The scorer of ``score_matrix`` and ``map_version_pair``, as
+    ``(score_rows, m, skip)``: ``score_rows`` takes k newer row indices,
+    in any order, and returns their (k, M) scores against every older
+    row (it needs M >= 1); ``m`` is M; ``skip`` is a bool mask of the
+    newer rows with no entries, which score 0.0 against everything. The
+    older side is sorted and summed here, once. ValidationError when a
+    row's norm (cosine) or total (Hellinger), or the product (cosine) or
+    sum (Hellinger) of the largest of each side, overflows float64."""
     if not isinstance(metric, Metric):
         raise ValidationError(f"unknown metric {metric!r}")
     if not (isinstance(newer, TopicBlock) and isinstance(older, TopicBlock)):
@@ -85,14 +92,22 @@ def _topic_scorer(newer: TopicBlock, older: TopicBlock, metric: Metric):
     old_ids = older.ids[order]
     old_rows_by_id = old_rows[order]
     old_values = older.values[order]
-    if metric is Metric.COSINE:
-        new_norms = np.sqrt(np.bincount(new_rows, newer.values ** 2, minlength=n))
-        old_norms = np.sqrt(np.bincount(old_rows, older.values ** 2, minlength=m))
-    else:
-        new_totals = np.bincount(new_rows, newer.values, minlength=n)
-        old_totals = np.bincount(old_rows, older.values, minlength=m)
-        new_roots = np.sqrt(newer.values)
-        old_roots = np.sqrt(old_values)
+    # Weights are finite and non-negative, so each side's largest norm
+    # or total bounds every cell's sums: inf or NaN means one overflows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if metric is Metric.COSINE:
+            new_norms = np.sqrt(np.bincount(new_rows, newer.values ** 2, minlength=n))
+            old_norms = np.sqrt(np.bincount(old_rows, older.values ** 2, minlength=m))
+            bound = new_norms.max(initial=0.0) * old_norms.max(initial=0.0)
+        else:
+            new_totals = np.bincount(new_rows, newer.values, minlength=n)
+            old_totals = np.bincount(old_rows, older.values, minlength=m)
+            bound = new_totals.max(initial=0.0) + old_totals.max(initial=0.0)
+            new_roots = np.sqrt(newer.values)
+            old_roots = np.sqrt(old_values)
+    if not np.isfinite(bound):
+        raise ValidationError(f"topic weights too large to score under "
+                              f"{metric.value}: a row's sums overflow float64")
 
     def score_rows(rows):
         cells = len(rows) * m
@@ -136,7 +151,7 @@ def _topic_scorer(newer: TopicBlock, older: TopicBlock, metric: Metric):
             block[(nnz == 0) | (old_nnz == 0)] = 0.0
         return np.clip(block, 0.0, 1.0, out=block)
 
-    return score_rows
+    return score_rows, m, new_nnz == 0
 
 
 def score_matrix(newer: TopicBlock, older: TopicBlock,
@@ -161,8 +176,7 @@ def score_matrix(newer: TopicBlock, older: TopicBlock,
     identical rows give D = 0 exactly. A pair with an empty row on either
     side scores 0.0; every score is clamped to [0, 1].
     """
-    score_rows = _topic_scorer(newer, older, metric)
-    return _matrix(score_rows, np.arange(len(newer)), len(older))
+    return _matrix(*_topic_scorer(newer, older, metric))
 
 
 def topic_similarity(t1, t2, metric: Metric = Metric.COSINE) -> float:
@@ -202,11 +216,17 @@ def _trimmed_lines(texts, side: str, ids: dict[str, int]) -> list[list[int]]:
     return lines
 
 
-def _lcs_scorer(newer_lines, older_lines):
-    """The row scorer of ``lcs_matrix`` over the line ids of both sides'
-    ``_trimmed_lines``, called as ``_topic_scorer``'s is: it takes k newer
-    text indices and returns their (k, M) scores. The older bitmasks and
-    line postings, keyed by line id, are built here, once."""
+def _lcs_scorer(newer_texts, older_texts):
+    """The scorer of ``lcs_matrix`` and ``baseline_text_map``, as
+    ``_topic_scorer``'s is: ``(score_rows, m, skip)``, where ``score_rows``
+    takes k newer text indices and returns their (k, M) scores, ``m`` is
+    M and ``skip`` marks no row. Each side is read once, newer first, and
+    kept only as its ``_trimmed_lines``; the dict that numbers the lines
+    lives here, so no line's text outlives this call. The older bitmasks
+    and line postings, keyed by line id, are built here, once."""
+    ids: dict[str, int] = {}
+    newer_lines = _trimmed_lines(newer_texts, "newer", ids)
+    older_lines = _trimmed_lines(older_texts, "older", ids)
     m = len(older_lines)
     older = []
     holders: dict[int, list[int]] = {}
@@ -240,7 +260,7 @@ def _lcs_scorer(newer_lines, older_lines):
                 row[j] = 2.0 * (n - v.bit_count()) / (len(new) + n)
         return block
 
-    return score_rows
+    return score_rows, m, np.zeros(len(newer_lines), dtype=bool)
 
 
 def lcs_matrix(newer_texts, older_texts) -> np.ndarray:
@@ -260,14 +280,10 @@ def lcs_matrix(newer_texts, older_texts) -> np.ndarray:
     each older text's lines become one bitmask per distinct line, built
     once, and each newer line updates a Python-int row vector ``v`` in one
     step. The LCS length is the count of zero bits left in ``v``. Lines
-    are compared as ids from one dict both sides share, so each distinct
-    trimmed line is held once.
+    are compared as ids, numbered by one dict that both sides share
+    inside ``_lcs_scorer`` and that is gone before scoring starts.
     """
-    ids: dict[str, int] = {}
-    newer_lines = _trimmed_lines(newer_texts, "newer", ids)
-    older_lines = _trimmed_lines(older_texts, "older", ids)
-    return _matrix(_lcs_scorer(newer_lines, older_lines),
-                   np.arange(len(newer_lines)), len(older_lines))
+    return _matrix(*_lcs_scorer(newer_texts, older_texts))
 
 
 def lcs_similarity(a: str, b: str) -> float:

@@ -472,12 +472,14 @@ class TestInvalidUtf8:
         assert main(argv) == 3
         assert "not valid UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["", "bom"])
     @pytest.mark.parametrize("fmt", ["json", "xml"])
     def test_invalid_utf8_report_is_validation_error(self, tmp_path, capsys,
-                                                     fmt):
+                                                     fmt, bom):
         """A report naming ``b\\xff.c`` is malformed input, even when a file
         of that name exists: decoding the byte as U+FFFD would name a path
-        nobody wrote and exit with an I/O error."""
+        nobody wrote and exit with an I/O error. The byte offset counts a
+        leading BOM."""
         src = tmp_path / "src"
         src.mkdir()
         for name in (b"a.c", b"b\xff.c"):
@@ -493,6 +495,7 @@ class TestInvalidUtf8:
                     b'<source file="b\xff.c" startline="1" endline="1"/>'
                     b"</class></clones>")
         report = tmp_path / f"report.{fmt}"
+        body = bom + body
         report.write_bytes(body)
         offset = body.index(b"\xff")
         rc = main(["topics", "--report", str(report), "--source", str(src)])
@@ -500,6 +503,27 @@ class TestInvalidUtf8:
         err = capsys.readouterr().err
         assert f"{report}: not valid UTF-8" in err
         assert f"at byte {offset})" in err
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("which", ["mapping", "truth"])
+    def test_eval_reads_a_bom_file_as_without(self, evolution, tmp_path,
+                                              capsys, which):
+        """A BOM'd mapping or truth once exited 3 as malformed JSON."""
+        paths = {"mapping": tmp_path / "mapping.json",
+                 "truth": evolution / "truth.json"}
+        assert main(run_map_cmd(evolution, "--out", str(paths["mapping"]))) == 0
+        capsys.readouterr()
+        argv = ["eval", "--mapping", str(paths["mapping"]),
+                "--truth", str(paths["truth"])]
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        marked = tmp_path / "marked.json"
+        marked.write_text("\ufeff" + paths[which].read_text(encoding="utf-8"),
+                          encoding="utf-8")
+        argv[argv.index(str(paths[which]))] = str(marked)
+        assert main(argv) == 0
+        assert capsys.readouterr() == plain
 
 
 class TestUnreadableFragment:

@@ -121,6 +121,12 @@ class TestGroundTruthJson:
         path.write_text(json.dumps(truth.to_dict()), encoding="utf-8")
         assert load_ground_truth(path) == truth
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        truth = mk_truth({0: 2, 1: None})
+        path = tmp_path / "truth.json"
+        path.write_text("\ufeff" + json.dumps(truth.to_dict()), encoding="utf-8")
+        assert load_ground_truth(path) == truth
+
     def test_duplicate_newer_index_rejected(self):
         doc = {"newer": "v2", "older": "v1",
                "pairs": [{"new": 0, "old": 1}, {"new": 0, "old": 2}]}

@@ -333,6 +333,25 @@ def test_one_function_cuts_rows_into_blocks():
     assert [r for r in reads if not r.endswith(": similarity._blocks")] == []
 
 
+def test_each_family_builds_its_scorer_in_one_place():
+    """``_trimmed_lines`` is read only by ``similarity._lcs_scorer``, and
+    ``mapping`` reads no ``indptr`` and imports from ``similarity`` only
+    the scorers, the chunker, ``Metric`` and the two tracer re-exports:
+    a family's inputs become a scorer in ``similarity`` alone, and
+    ``mapping`` takes the scorer as it comes."""
+    reads = scoped_reads(PACKAGE.glob("*.py"), "_trimmed_lines")
+    assert reads
+    assert [r for r in reads
+            if not r.endswith(": similarity._lcs_scorer")] == []
+    assert scoped_reads([PACKAGE / "mapping.py"], "indptr") == []
+    imported = {alias.name for node in ast.walk(ast.parse(
+                    (PACKAGE / "mapping.py").read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) and node.module == "similarity"
+                for alias in node.names}
+    assert imported == {"Metric", "_blocks", "_lcs_scorer", "_topic_scorer",
+                        "lcs_similarity", "topic_similarity"}
+
+
 def test_scan_finds_a_scoped_read(tmp_path):
     (tmp_path / "a.py").write_text(
         "_LIMIT = 4\n"

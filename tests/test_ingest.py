@@ -264,6 +264,13 @@ class TestNativeJson:
         assert snap.version_id == "v1"
         assert len(snap.groups) == 2
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        """RFC 8259 lets a parser ignore a leading BOM; ``json.loads``
+        refuses it, so the reader drops it."""
+        path = tmp_path / "r.json"
+        path.write_text("\ufeff" + json.dumps(make_report()), encoding="utf-8")
+        assert snapshot_to_dict(parse_clone_report(path)) == make_report()
+
     def test_readme_example_parses(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
         blocks = re.findall(r"```json\n(.*?)```",
@@ -296,6 +303,14 @@ class TestXmlAdapter:
         assert [g.index for g in snap.groups] == [0, 1]
         assert snap.groups[0].fragments[1].file == "b.c"
         assert snap.groups[0].fragments[1].start_line == 10
+
+    def test_byte_order_mark_does_not_hide_xml(self, tmp_path):
+        """A report with no suffix is sniffed by its first character,
+        which must be ``<`` once the BOM is dropped."""
+        plain, marked = tmp_path / "plain.xml", tmp_path / "report"
+        plain.write_text(self.XML, encoding="utf-8")
+        marked.write_text("\ufeff" + self.XML, encoding="utf-8")
+        assert parse_clone_report(marked) == parse_clone_report(plain)
 
     def test_wrong_root_rejected(self, tmp_path):
         path = tmp_path / "r.xml"

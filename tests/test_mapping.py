@@ -1,6 +1,7 @@
 """Thresholded argmax mapping and the injective mode."""
 
 import collections
+import gc
 import json
 import sys
 import tracemalloc
@@ -409,15 +410,15 @@ class TestBaselineTextMap:
 
 
 def counted(make_scorer, calls):
-    """``make_scorer``, a row-scorer factory of ``similarity``, with the
-    newer rows of each call to its scorers appended to ``calls``."""
+    """``make_scorer``, a scorer factory of ``similarity``, with the newer
+    rows of each call to its row scorers appended to ``calls``."""
     def make_counted(*args):
-        score_rows = make_scorer(*args)
+        score_rows, m, skip = make_scorer(*args)
 
         def count_rows(rows):
             calls.append(rows.tolist())
             return score_rows(rows)
-        return count_rows
+        return count_rows, m, skip
     return make_counted
 
 
@@ -580,3 +581,36 @@ class TestStreamedScoring:
         assert [len(mappings) for mappings in got] == [n, n, 300]
         assert got[2] == baseline_text_map(repeats[:300], repeats[300:],
                                            "v2", "v1")
+
+    def test_line_table_is_gone_before_the_verdict_loop(self, monkeypatch):
+        """The dict that numbers the trimmed lines dies with the scorer's
+        builder: at ``_assign``'s entry the live traced memory is below
+        what the distinct lines alone hold as ``str``s. Texts made one at
+        a time by generators of 40 groups of ten 2,000-character lines,
+        each newer text its older one with its first line replaced, hold
+        about 0.9 MB of distinct lines; their ids, masks and postings take
+        a small share of that."""
+        def lines(version, k):
+            return [f"{version}_{k}_{i} = '{'x' * 2000}';" for i in range(10)]
+
+        def texts(version):
+            for k in range(40):
+                yield "\n".join(lines(version, k)[:1] + lines("v1", k)[1:])
+        distinct = {line for version in ("v2", "v1")
+                    for text in texts(version) for line in text.split("\n")}
+        line_bytes = sum(sys.getsizeof(line) for line in distinct)
+        assign, live = mapping._assign, []
+
+        def traced_assign(*args):
+            gc.collect()
+            live.append(tracemalloc.get_traced_memory()[0])
+            return assign(*args)
+        monkeypatch.setattr(mapping, "_assign", traced_assign)
+        tracemalloc.start()
+        try:
+            got = baseline_text_map(texts("v2"), texts("v1"), "v2", "v1")
+        finally:
+            tracemalloc.stop()
+        assert [(m.old_group, m.similarity) for m in got] == [
+            (("v1", k), 0.9) for k in range(40)]
+        assert len(live) == 1 and live[0] < line_bytes / 4

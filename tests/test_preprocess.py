@@ -317,6 +317,13 @@ class TestFilterConfig:
         assert {"main", "the"} <= rest.words
         assert not {"for", "return", "class"} & cfg.words
 
+    def test_byte_order_mark_does_not_keep_the_first_word(self, tmp_path):
+        stop = tmp_path / "stop.txt"
+        stop.write_text("\ufeffbalance\nvector\n", encoding="utf-8")
+        cfg = default_filter_config(stopwords_path=stop)
+        assert cfg.removes("balance") and cfg.removes("vector")
+        assert not any(word.startswith("\ufeff") for word in cfg.words)
+
     def test_wordlist_dir_env(self, tmp_path, monkeypatch):
         """CLONEMAP_WORDLIST_DIR is not read: no artifact records it, so
         word lists come from the flags alone."""

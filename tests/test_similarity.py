@@ -1,6 +1,7 @@
 """Similarity metrics against hand-evaluated formulas and random oracles."""
 
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from clonemap import similarity
 from clonemap.errors import ValidationError
-from clonemap.mapping import MappingConfig, baseline_text_map
+from clonemap.mapping import MappingConfig, baseline_text_map, map_version_pair
 from clonemap.preprocess import TokenDocument
 from clonemap.similarity import (
     Metric,
@@ -26,15 +27,20 @@ def random_distribution(rng, size):
     return raw / raw.sum()
 
 
-def assert_row_scorer_matches(score_rows, whole, rng):
-    """``score_rows`` gives, for random row lists, those rows of the dense
-    ``whole`` bit for bit, whether asked for all of them at once or, under
-    ``_BLOCK_CELLS`` = 9, block by block through ``_matrix``."""
-    n, m = whole.shape
+def assert_scorer_matches(scorer, whole, skip, rng):
+    """``scorer``, a ``(score_rows, m, skip)`` of ``similarity``, has the
+    column count of the dense ``whole`` and the ``skip`` mask given, and
+    ``score_rows`` gives, for random row lists, those rows of ``whole``
+    bit for bit, whether asked for all of them at once or, under
+    ``_BLOCK_CELLS`` = 9, block by block through ``_blocks``."""
+    score_rows, m, got_skip = scorer
+    n = len(whole)
+    assert (m, got_skip.tolist()) == (whole.shape[1], skip)
     for size in (0, 1, n, 2 * n, *rng.integers(0, 2 * n, size=20)):
         rows = rng.integers(0, n, size=size)
         assert np.array_equal(score_rows(rows), whole[rows])
-        assert np.array_equal(similarity._matrix(score_rows, rows, m),
+        blocks = [block for _, block in similarity._blocks(score_rows, rows, m)]
+        assert np.array_equal(np.concatenate([np.empty((0, m)), *blocks]),
                               whole[rows])
 
 
@@ -282,8 +288,9 @@ class TestScoreMatrix:
             whole = score_matrix(newer, older, metric)
             monkeypatch.setattr(similarity, "_BLOCK_CELLS", 9)
             assert np.array_equal(score_matrix(newer, older, metric), whole)
-            score_rows = similarity._topic_scorer(newer, older, metric)
-            assert_row_scorer_matches(score_rows, whole, rng)
+            assert_scorer_matches(
+                similarity._topic_scorer(newer, older, metric), whole,
+                [i == 3 for i in range(len(newer))], rng)
             monkeypatch.undo()
 
     def test_empty_sides(self):
@@ -312,6 +319,36 @@ class TestScoreMatrix:
                              (half, [np.ones(2) / 2]), ([], [])):
             with pytest.raises(ValidationError, match="TopicBlock"):
                 score_matrix(newer, older)
+
+    @pytest.mark.parametrize("metric,newer,older", [
+        # A squared norm overflows: the parent scored 0.0, not 3/sqrt(10).
+        (Metric.COSINE, [1e155, 1e155], [1, 2]),
+        (Metric.COSINE, [1e200, 1e200], [1e200, 2e200]),
+        # Each norm fits, their product does not.
+        (Metric.COSINE, [1e154, 0], [1e155, 0]),
+        (Metric.HELLINGER, [1e308, 1e308], [1, 2]),
+        # Each total fits, their sum does not.
+        (Metric.HELLINGER, [1.5e308, 0], [0, 1.5e308]),
+    ])
+    def test_weights_too_large_to_score_are_refused(self, metric, newer,
+                                                    older):
+        """No numpy warning escapes either: each would be an error here."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="too large to score"):
+                topic_similarity(newer, older, metric)
+            with pytest.raises(ValidationError, match="too large to score"):
+                map_version_pair(TopicBlock.from_dense([newer]),
+                                 TopicBlock.from_dense([older]), "v2", "v1",
+                                 MappingConfig(metric=metric))
+
+    def test_large_weights_that_fit_still_score(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert topic_similarity([1e150, 1e150], [1, 2]) == pytest.approx(
+                3 / math.sqrt(10), rel=1e-12)
+            assert topic_similarity([1e300, 0], [0, 1e300],
+                                    Metric.HELLINGER) == 0.0
 
 
 def brute_force_lcs(xs, ys):
@@ -499,11 +536,8 @@ class TestLcsMatrix:
         whole = lcs_matrix(newer, older)
         monkeypatch.setattr(similarity, "_BLOCK_CELLS", 9)
         assert np.array_equal(lcs_matrix(newer, older), whole)
-        ids = {}
-        score_rows = similarity._lcs_scorer(
-            similarity._trimmed_lines(newer, "newer", ids),
-            similarity._trimmed_lines(older, "older", ids))
-        assert_row_scorer_matches(score_rows, whole, rng)
+        assert_scorer_matches(similarity._lcs_scorer(iter(newer), iter(older)),
+                              whole, [False] * len(newer), rng)
 
     def test_sides_that_meet_lines_in_other_orders_share_line_ids(self):
         """The older texts meet ``c`` and ``b`` before ``a``, so ids
