@@ -147,14 +147,15 @@ def _read_file(path: str) -> bytes:
 
 class _SourceFile:
     """One source file, read once per version: decoded as UTF-8 with
-    invalid bytes replaced, with LF line ends and without its final
-    newline, so ``body`` is the file's whole line range as fragment text.
-    The line list is split from it on first need and shared."""
+    invalid bytes replaced, without a leading byte-order mark, with LF
+    line ends and without its final newline, so ``body`` is the file's
+    whole line range as fragment text. The line list is split from it on
+    first need and shared."""
 
     __slots__ = ("body", "line_count", "_lines")
 
     def __init__(self, path: str):
-        text = _lf(_read_file(path).decode("utf-8", "replace"))
+        text = _lf(_read_file(path).decode("utf-8", "replace").removeprefix("\ufeff"))
         self.body = text[:-1] if text.endswith("\n") else text
         # As ``split_lines`` counts: a final newline ends the last line.
         self.line_count = self.body.count("\n") + 1 if text else 0
@@ -255,11 +256,12 @@ class _SourceTree:
 def resolve_fragment_text(fragment: CloneFragment, source_root: Path | str) -> str:
     """Read the fragment's inclusive line range from its file.
 
-    Input is decoded as UTF-8 with invalid bytes replaced; CRLF and lone
-    CR are normalized to LF. Raises ValidationError when the fragment's
-    path leads outside ``source_root`` or cannot name a file at all (an
-    embedded NUL, a lone surrogate), FileNotFoundError for a missing file
-    and FragmentRangeError when the range exceeds the file length.
+    Input is decoded as UTF-8 with invalid bytes replaced and a leading
+    byte-order mark dropped; CRLF and lone CR are normalized to LF. Raises
+    ValidationError when the fragment's path leads outside ``source_root``
+    or cannot name a file at all (an embedded NUL, a lone surrogate),
+    FileNotFoundError for a missing file and FragmentRangeError when the
+    range exceeds the file length.
     """
     return _SourceTree(os.path.realpath(source_root)).text(fragment)
 
@@ -268,10 +270,10 @@ def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None =
     """Return a copy of the snapshot with every fragment's text filled in.
 
     Fragments that already carry text (e.g. from a report's optional "text"
-    field) are kept as-is; every other fragment is read from under
-    ``source_root``, and a fragment file outside it raises ValidationError.
-    Each file is opened and read once, however many fragments and names
-    lead to it.
+    field) keep it, with CRLF and lone CR turned into LF as for a file;
+    every other fragment is read from under ``source_root``, and a
+    fragment file outside it raises ValidationError. Each file is opened
+    and read once, however many fragments and names lead to it.
     """
     tree = _SourceTree(os.path.realpath(source_root)) if source_root is not None else None
     groups = []
@@ -285,6 +287,9 @@ def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None =
                     )
                 frag = CloneFragment(frag.file, frag.start_line, frag.end_line,
                                      tree.text(frag))
+            elif "\r" in frag.text:
+                frag = CloneFragment(frag.file, frag.start_line, frag.end_line,
+                                     _lf(frag.text))
             fragments.append(frag)
         groups.append(CloneGroup(index=group.index, fragments=tuple(fragments)))
     return VersionSnapshot(version_id=snapshot.version_id, groups=tuple(groups))

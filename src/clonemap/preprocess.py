@@ -28,18 +28,28 @@ _NON_WORD_TO_SPACE = bytes(
 )
 # Kept words are lowercased and at least this long.
 _MIN_TOKEN_LENGTH = 2
-# One pass over comments and literals, leftmost match first: a line comment,
-# a block comment (``open`` captures an unterminated one), then a string or
-# character literal whose backslash escapes any next character. The block
-# comment is an unrolled loop: non-stars, a run of stars, and again while
-# the run is not followed by "/". It ends at the first "*/" without
-# backtracking (Friedl, "Mastering Regular Expressions", ch. 6).
-_STRIP_RE = re.compile(
-    r"//[^\n]*"
-    r"|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/|/\*(?P<open>[\s\S]*)"
-    r'|"[^"\\\n]*(?:\\[\s\S]?[^"\\\n]*)*"?'
-    r"|'[^'\\\n]*(?:\\[\s\S]?[^'\\\n]*)*'?"
+# Stripping runs over the UTF-8 bytes of the text with the byte 0xFF put
+# before every "/", '"' and "'". UTF-8 never emits 0xFF, so each one is a
+# sentinel, and every branch below begins with it: the regex engine then
+# finds each match start by searching for one literal byte, instead of
+# testing every character against a set of three openers. One pass, leftmost
+# match first: a line comment, a block comment (``open`` captures an
+# unterminated one), then a string or character literal whose backslash
+# escapes any next character, where a sentinel and the quote or slash after
+# it count as one. A literal's body takes the sentinels inside it and ends
+# at the closing quote byte. The block comment is an unrolled loop:
+# non-stars, a run of stars, and again while the run is not followed by
+# "\xff/". It ends at the first "*\xff/" without backtracking (Friedl,
+# "Mastering Regular Expressions", ch. 6). Every branch must keep the
+# sentinel first; a test checks it.
+_STRIP_BRANCHES = (
+    rb"\xff/\xff/[^\n]*",
+    rb"\xff/\*[^*]*\*+(?:(?:[^\xff*]|\xff[^/])[^*]*\*+)*\xff/",
+    rb"\xff/\*(?P<open>[\s\S]*)",
+    rb'\xff"[^"\\\n]*(?:\\(?:\xff?[\s\S])?[^"\\\n]*)*"?',
+    rb"\xff'[^'\\\n]*(?:\\(?:\xff?[\s\S])?[^'\\\n]*)*'?",
 )
+_STRIP_RE = re.compile(b"|".join(_STRIP_BRANCHES))
 
 
 @dataclass(frozen=True)
@@ -121,13 +131,13 @@ def default_filter_config(language: str = "union",
                         | _resolve_list("stopwords.txt", stopwords_path))
 
 
-def _blank(match: re.Match) -> str:
+def _blank(match: re.Match) -> bytes:
     if match.group("open") is not None:
         warnings.warn(
             "unterminated block comment; stripped to end of input",
             CloneMapWarning,
         )
-    return " "
+    return b" "
 
 
 def strip_comments(text: str) -> str:
@@ -141,14 +151,24 @@ def strip_comments(text: str) -> str:
     before the end of its line so the rest of the input is not swallowed.
     An unterminated block comment is stripped to end of input with a
     warning. Line structure outside comments is preserved.
+
+    The pass runs over the text's UTF-8 bytes (lone surrogates passed
+    through) with a 0xFF sentinel before every "/", '"' and "'"; the
+    sentinels left outside the stripped regions are deleted before
+    decoding, so the rest of the text comes back exactly.
     """
+    data = (text.encode("utf-8", "surrogatepass")
+            .replace(b"/", b"\xff/").replace(b'"', b'\xff"').replace(b"'", b"\xff'"))
     # A block comment runs unterminated only when no "*/" follows its
     # opener, and then none follows the last "/*" either. Where one does,
     # no match can warn, so none needs the callback.
-    opened = text.rfind("/*")
-    if opened < 0 or text.find("*/", opened + 2) >= 0:
-        return _STRIP_RE.sub(" ", text)
-    return _STRIP_RE.sub(_blank, text)
+    opened = data.rfind(b"\xff/*")
+    if opened < 0 or data.find(b"*\xff/", opened + 3) >= 0:
+        blank = b" "
+    else:
+        blank = _blank
+    return (_STRIP_RE.sub(blank, data).replace(b"\xff", b"")
+            .decode("utf-8", "surrogatepass"))
 
 
 def _kept_word(raw: str, words: frozenset[str]) -> str:

@@ -24,6 +24,8 @@ from clonemap.ingest import (
     snapshot_from_dict,
     snapshot_to_dict,
 )
+from clonemap.pipeline import texts
+from clonemap.similarity import lcs_similarity
 
 
 def _normalize_newlines(raw: str) -> str:
@@ -41,7 +43,7 @@ def read_fragment_oracle(fragment, source_root):
             f"fragment file {fragment.file!r} lies outside the source root {root!r}"
         )
     raw = Path(path).read_text(encoding="utf-8", errors="replace")
-    lines = _normalize_newlines(raw).split("\n")
+    lines = _normalize_newlines(raw.removeprefix("\ufeff")).split("\n")
     # A trailing newline yields one empty trailing element, not a real line.
     if lines and lines[-1] == "":
         lines = lines[:-1]
@@ -371,7 +373,8 @@ class TestTextResolution:
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.sampled_from([b"a", b"bc", b"\r", b"\n", b"\r\n",
-                                     b"\xff", b"\xe2\x82", b"\xc3\xa9"]),
+                                     b"\xff", b"\xe2\x82", b"\xc3\xa9",
+                                     b"\xef\xbb\xbf"]),
                     max_size=12))
     def test_random_bytes_match_oracle(self, tmp_path_factory, pieces):
         assert_every_range_matches_oracle(tmp_path_factory.mktemp("bytes"),
@@ -418,6 +421,48 @@ class TestTextResolution:
             else:
                 assert line == ("x" * 5535 + piece.decode("utf-8", "replace")
                                 + "x" * (9999 - 5535 - len(piece)))
+
+    def test_leading_byte_order_mark_is_not_text(self, tmp_path):
+        """A BOM'd fragment file and a plain one give the same group text,
+        which the line-LCS baseline scores 1.0; a mark later in the file
+        stays, and a file holding only the mark has no lines."""
+        body = "balance = vector;\nx;\n"
+        (tmp_path / "bom.c").write_bytes(b"\xef\xbb\xbf" + body.encode())
+        (tmp_path / "plain.c").write_text(body, encoding="utf-8")
+        (tmp_path / "only.c").write_bytes(b"\xef\xbb\xbf")
+        (tmp_path / "inner.c").write_text("x;\n\ufeffy;\n", encoding="utf-8")
+
+        def group_text(file):
+            fragment = {"file": file, "start_line": 1, "end_line": 2}
+            doc = {"version": "v1", "groups": [
+                {"index": 0, "fragments": [fragment, fragment]}]}
+            [text] = texts(snapshot_from_dict(doc), tmp_path)
+            return text
+
+        marked, plain = group_text("bom.c"), group_text("plain.c")
+        assert marked == plain == "balance = vector;\nx;\nbalance = vector;\nx;"
+        assert lcs_similarity(marked, plain) == 1.0
+        assert group_text("inner.c") == "x;\n\ufeffy;\nx;\n\ufeffy;"
+        with pytest.raises(FragmentRangeError, match="exceed file length 0"):
+            resolve_fragment_text(CloneFragment("only.c", 1, 1), tmp_path)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
+    def test_inline_text_reads_as_the_same_file(self, tmp_path, newline):
+        """Text a report carries inline follows the file rule for line
+        ends, so a lone CR ends a line comment either way."""
+        body = f"total = count; // note{newline}balance = vector;"
+        (tmp_path / "a.c").write_bytes(body.encode("utf-8"))
+        on_disk = {"file": "a.c", "start_line": 1, "end_line": 2}
+        inline = dict(on_disk, text=body)
+
+        def version(fragment):
+            return snapshot_from_dict({"version": "v1", "groups": [
+                {"index": 0, "fragments": [fragment, fragment]}]})
+
+        expected = list(texts(version(on_disk), tmp_path))
+        assert list(texts(version(inline), None)) == expected
+        assert expected == ["total = count; // note\nbalance = vector;\n"
+                            "total = count; // note\nbalance = vector;"]
 
     def test_range_past_end_of_file(self, tmp_path):
         (tmp_path / "a.c").write_text("l1\nl2\n", encoding="utf-8")

@@ -92,6 +92,13 @@ def tokenize_oracle(text: str, config: FilterConfig) -> TokenDocument:
     return TokenDocument(tuple(tokens))
 
 
+def beside_markers(c: str) -> str:
+    """``c`` next to each comment opener and escaped quote, outside and
+    inside comments and literals, ending in an unterminated comment."""
+    return (f'{c}/*{c}*/{c}"\\"{c}"{c}\'\\\'{c}\'{c}//{c}\n'
+            f'{c}"{c}/*{c}\\"{c}//"{c}/*{c}')
+
+
 def stripped_with_warnings(strip, text):
     """``strip(text)`` and the number of CloneMapWarnings it emitted."""
     with warnings.catch_warnings(record=True) as caught:
@@ -178,9 +185,12 @@ class TestStripComments:
 
     # Runs of "*" drive the unrolled block-comment branch through each of
     # its loops: stars that close at once, stars before a non-slash, a
-    # slash right after the opener, and an opener with no closer.
+    # slash right after the opener, and an opener with no closer. The
+    # non-ASCII pieces, NUL and the lone surrogates test the UTF-8 round
+    # trip that stripping makes, and CR is no line end.
     @given(st.lists(st.sampled_from(
-        ["/", "*", '"', "'", "\\", "\n", "a", "//", "/*", "*/"]),
+        ["/", "*", '"', "'", "\\", "\n", "a", "//", "/*", "*/", "\r", "\x00",
+         "\u00ff", "\u00e9", "\u20ac", "\U0001f600", "\ud800", "\udfff"]),
         max_size=40).map("".join))
     @example("/**/").via("empty comment")
     @example("/***/").via("odd star run closes")
@@ -188,11 +198,37 @@ class TestStripComments:
     @example("/*/ */").via("slash after opener")
     @example("/* a **/ b").via("star run before closer")
     @example("/* * a **/ b").via("star run after a lone star")
+    @example("/* a *' b */ c").via("star run before a quote")
     @example("/* *").via("unterminated star")
     @example("a /* b */ c /* d").via("terminated then unterminated")
+    @example(beside_markers("\x00")).via("NUL")
+    @example(beside_markers("\u00ff")).via("y-diaeresis, UTF-8 C3 BF")
+    @example(beside_markers("\u00e9")).via("two-byte character")
+    @example(beside_markers("\u20ac")).via("three-byte character")
+    @example(beside_markers("\U0001f600")).via("astral character")
+    @example(beside_markers("\ud800")).via("lone high surrogate")
+    @example(beside_markers("\udfff")).via("lone low surrogate")
+    @example(beside_markers("\r")).via("CR")
     def test_matches_character_loop_oracle(self, text):
         assert (stripped_with_warnings(strip_comments, text)
                 == stripped_with_warnings(strip_comments_oracle, text))
+
+    # Stripping puts the byte 0xFF before every opener as a sentinel; that
+    # is exact only because no text's bytes hold 0xFF already.
+    @given(st.text(st.one_of(st.characters(),
+                             st.integers(0xD800, 0xDFFF).map(chr))))
+    @example("".join(map(chr, range(0x110000)))).via("every code point")
+    def test_utf8_never_holds_the_sentinel_byte(self, text):
+        assert b"\xff" not in text.encode("utf-8", "surrogatepass")
+
+    def test_every_strip_branch_begins_with_the_sentinel(self):
+        """With one literal byte first in every branch, the regex engine
+        finds match starts by searching for that byte; one branch that
+        began otherwise would bring back a set test at every byte."""
+        assert preprocess._STRIP_RE.pattern == b"|".join(preprocess._STRIP_BRANCHES)
+        for branch in preprocess._STRIP_BRANCHES:
+            assert branch.startswith(rb"\xff"), branch
+            assert branch[4:5] not in b"*+?{|", branch
 
 
 class TestTokenize:
