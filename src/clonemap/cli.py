@@ -9,11 +9,10 @@ its own output.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
-from .errors import CloneMapError, ConfigError, read_utf8
+from .errors import CloneMapError, ConfigError, json_document, read_utf8
 from .evaluation import SynthConfig, generate_evolution, load_ground_truth, score
 from .ingest import parse_clone_report
 from .mapping import MappingConfig, Strategy
@@ -229,7 +228,7 @@ def _render_eval_table(payload: dict) -> str:
 
 
 def cmd_eval(args) -> int:
-    mapping_doc = json.loads(read_utf8(args.mapping))
+    mapping_doc = json_document(read_utf8(args.mapping), args.mapping)
     truth = load_ground_truth(args.truth)
     mappings = mappings_from_artifact(mapping_doc)
     report = score(mappings, truth)
@@ -295,9 +294,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"clonemap: configuration error: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
-        print(f"clonemap: malformed JSON: {exc}", file=sys.stderr)
-        return 3
     except CloneMapError as exc:
         print(f"clonemap: {exc}", file=sys.stderr)
         return 3

@@ -1,13 +1,16 @@
 """Exception and warning types shared across the toolchain, the type
 checks that config fields and data types use, the position prefix that
-readers of outside input put before a data type's ValidationError, and
-the strict UTF-8 read of every outside input file that must decode
-exactly."""
+readers of outside input put before a data type's ValidationError, the
+strict UTF-8 read of every outside input file that must decode exactly,
+and the one JSON decoder and shape rule of every input document: a
+report, a ground truth and a mapping artifact."""
 
 import errno
+import json
 import os
 import stat
 from numbers import Real
+from operator import itemgetter
 
 
 def is_json_int(value) -> bool:
@@ -41,6 +44,42 @@ def read_utf8(path) -> str:
         ) from None
 
 
+def json_document(text: str, path):
+    """The JSON value ``text``, read from ``path``, holds. ReportParseError
+    naming ``path`` when it is not JSON, or is JSON that Python cannot
+    hold: nested deeper than the decoder's recursion limit, or holding an
+    integer with more digits than ``int`` converts."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        reason = f" at line {exc.lineno} column {exc.colno}: {exc.msg}"
+    except RecursionError:
+        reason = ": nested too deep"
+    except ValueError:  # the interpreter's integer digit limit
+        reason = ": an integer is too long"
+    raise ReportParseError(f"{path}: malformed JSON{reason}") from None
+
+
+def _fields(doc, where: str, keys: tuple, error):
+    """``doc[k]`` for each of ``keys``, two or more, as a tuple; ``error``
+    naming ``where`` unless ``doc`` is an object holding every key."""
+    if isinstance(doc, dict):
+        try:
+            return itemgetter(*keys)(doc)
+        except KeyError:
+            pass
+    *head, last = map(repr, keys)
+    raise error(f"{where} must be a JSON object with {', '.join(head)} "
+                f"and {last} keys")
+
+
+def _items(value, where: str, error) -> list:
+    """``value`` if it is a JSON array; ``error`` naming ``where`` if not."""
+    if isinstance(value, list):
+        return value
+    raise error(f"{where} must be a list")
+
+
 def _at(where: str, make, *args):
     """``make(*args)``; a ValidationError it raises is raised again with
     ``where``, the value's position in the input, before its message."""
@@ -55,7 +94,9 @@ class CloneMapError(Exception):
 
 
 class ReportParseError(CloneMapError):
-    """A clone report document is malformed (bad JSON/XML, wrong element shape)."""
+    """An input document is malformed: a clone report that is not JSON or
+    XML or has the wrong shape, or a ground truth or mapping artifact that
+    is not JSON."""
 
 
 class ValidationError(CloneMapError):

@@ -11,15 +11,14 @@ a given seed.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 import re
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .errors import (ConfigError, CoverageError, ValidationError, _at,
-                     is_json_int, is_number, read_utf8)
+from .errors import (ConfigError, CoverageError, ValidationError, _at, _fields,
+                     _items, is_json_int, is_number, json_document, read_utf8)
 from .ingest import CloneFragment, CloneGroup, VersionSnapshot, snapshot_to_dict
 from .mapping import GroupMapping
 from .pipeline import artifact_header, write_json_artifact
@@ -89,30 +88,25 @@ class GroundTruth:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "GroundTruth":
-        """The inverse of ``to_dict``. Checks the document's shape and that
-        no newer group appears twice; the constructor's rules check every
+        """The inverse of ``to_dict``. Checks the document's shape through
+        the shared ``errors._fields`` and ``errors._items``, and that no
+        newer group appears twice; the constructor's rules check every
         value, and their error is prefixed ``ground truth: ``. Each entry
         meets the pair rule before the duplicate check, since ``true`` and
         ``1.0`` equal ``1`` as keys."""
-        if not isinstance(doc, dict):
-            raise ValidationError("ground truth must be a JSON object")
-        for key in ("newer", "older", "pairs"):
-            if key not in doc:
-                raise ValidationError(f"ground truth missing key {key!r}")
-        if not isinstance(doc["pairs"], list):
-            raise ValidationError("ground truth 'pairs' must be a list")
+        newer, older, entries = _fields(doc, "ground truth",
+                                        ("newer", "older", "pairs"), ValidationError)
         pairs = {}
-        for pos, entry in enumerate(doc["pairs"]):
+        for pos, entry in enumerate(_items(entries, "ground truth 'pairs'",
+                                           ValidationError)):
             where = f"ground truth: pairs[{pos}]"
-            if not isinstance(entry, dict) or "new" not in entry or "old" not in entry:
-                raise ValidationError(f"{where} needs 'new' and 'old' keys")
-            new = entry["new"]
-            _at("ground truth", _check_pair, pos, new, entry["old"])
+            new, old = _fields(entry, where, ("new", "old"), ValidationError)
+            _at("ground truth", _check_pair, pos, new, old)
             if new in pairs:
                 raise ValidationError(f"{where}: duplicate entry for newer "
                                       f"group {new!r}")
-            pairs[new] = entry["old"]
-        return _at("ground truth", cls, doc["newer"], doc["older"], pairs)
+            pairs[new] = old
+        return _at("ground truth", cls, newer, older, pairs)
 
     def check_versions(self, newer, older) -> None:
         """ValidationError unless ``newer`` and ``older`` are this truth's
@@ -136,7 +130,7 @@ class GroundTruth:
 
 
 def load_ground_truth(path: Path | str) -> GroundTruth:
-    return GroundTruth.from_dict(json.loads(read_utf8(path)))
+    return GroundTruth.from_dict(json_document(read_utf8(path), path))
 
 
 @dataclass(frozen=True)

@@ -6,15 +6,17 @@ Fragment text is resolved from the version's source tree in a separate step,
 so reports can be parsed without any source tree present.
 
 The parsers check only a report's shape (objects, arrays, required keys,
-XML integer literals) and raise ReportParseError when it is wrong; the
-data types own every value rule, and their ValidationError is prefixed
-with its position: ``groups[i]: ``, ``groups[i].fragments[j]: `` or ``<class id=N>: ``.
+XML integer literals) and raise ReportParseError when it is wrong: JSON
+is decoded by ``errors.json_document`` and its objects and arrays go
+through the shared ``errors._fields`` and ``errors._items``. The data
+types own every value rule, and their ValidationError is prefixed with
+its position: ``groups[i]: ``, ``groups[i].fragments[j]: `` or
+``<class id=N>: ``.
 """
 
 from __future__ import annotations
 
 import errno
-import json
 import os
 import re
 import stat
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (FragmentRangeError, ReportParseError, ValidationError,
-                     _at, is_json_int, read_utf8)
+                     _at, _fields, _items, is_json_int, json_document, read_utf8)
 
 
 @dataclass(frozen=True)
@@ -297,34 +299,24 @@ def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None =
 
 def snapshot_from_dict(doc: dict) -> VersionSnapshot:
     """Build a snapshot from a native-schema report object."""
-    if not isinstance(doc, dict):
-        raise ReportParseError(f"report root must be an object, got {type(doc).__name__}")
-    if "version" not in doc:
-        raise ReportParseError("report is missing the 'version' string")
-    raw_groups = doc.get("groups")
-    if not isinstance(raw_groups, list):
-        raise ReportParseError("report is missing the 'groups' array")
-
+    version, raw_groups = _fields(doc, "report", ("version", "groups"),
+                                  ReportParseError)
     groups = []
-    for pos, entry in enumerate(raw_groups):
+    for pos, entry in enumerate(_items(raw_groups, "report 'groups'",
+                                       ReportParseError)):
         where = f"groups[{pos}]"
-        if not isinstance(entry, dict):
-            raise ReportParseError(f"{where} is not an object")
-        if "index" not in entry or not isinstance(entry.get("fragments"), list):
-            raise ReportParseError(f"{where} needs an 'index' and a 'fragments' array")
+        index, raw_fragments = _fields(entry, where, ("index", "fragments"),
+                                       ReportParseError)
         fragments = []
-        for fpos, fentry in enumerate(entry["fragments"]):
+        for fpos, fentry in enumerate(_items(raw_fragments, f"{where}.fragments",
+                                             ReportParseError)):
             fwhere = f"{where}.fragments[{fpos}]"
-            if not isinstance(fentry, dict):
-                raise ReportParseError(f"{fwhere} is not an object")
-            try:
-                fields = (fentry["file"], fentry["start_line"], fentry["end_line"])
-            except KeyError as exc:
-                raise ReportParseError(f"{fwhere} is missing {exc}") from None
+            fields = _fields(fentry, fwhere, ("file", "start_line", "end_line"),
+                             ReportParseError)
             fragments.append(_at(fwhere, CloneFragment, *fields, fentry.get("text")))
-        groups.append(_at(where, CloneGroup, entry["index"], tuple(fragments)))
+        groups.append(_at(where, CloneGroup, index, tuple(fragments)))
 
-    return VersionSnapshot(version_id=doc["version"], groups=tuple(groups))
+    return VersionSnapshot(version_id=version, groups=tuple(groups))
 
 
 def snapshot_to_dict(snapshot: VersionSnapshot) -> dict:
@@ -347,10 +339,17 @@ def snapshot_to_dict(snapshot: VersionSnapshot) -> dict:
 
 def _xml_int(value: str, where: str) -> int:
     """A plain decimal XML attribute; ReportParseError for the other forms
-    ``int`` takes, such as ``1_0``, ``+4``, `` 3 `` or non-ASCII digits."""
-    if re.fullmatch(r"-?[0-9]+", value) is None:
-        raise ReportParseError(f"{where}: {value!r} is not an integer")
-    return int(value)
+    ``int`` takes, such as ``1_0``, ``+4``, `` 3 `` or non-ASCII digits,
+    and for more digits than ``int`` converts. The error shows at most 20
+    characters of the value."""
+    if re.fullmatch(r"-?[0-9]+", value) is not None:
+        try:
+            return int(value)
+        except ValueError:  # the interpreter's integer digit limit
+            pass
+    if len(value) > 20:
+        value = value[:20] + "..."
+    raise ReportParseError(f"{where}: {value!r} is not an integer")
 
 
 def _snapshot_from_xml(text: str) -> VersionSnapshot:
@@ -368,7 +367,8 @@ def _snapshot_from_xml(text: str) -> VersionSnapshot:
     groups = []
     for pos, class_el in enumerate(root.findall("class")):
         declared = class_el.get("id")
-        index = pos if declared is None else _xml_int(declared, f"<class id={declared!r}>")
+        index = (pos if declared is None
+                 else _xml_int(declared, f"<class id> at position {pos}"))
         where = f"<class id={index}>"
         fragments = []
         for src in class_el.findall("source"):
@@ -397,10 +397,4 @@ def parse_clone_report(report_path: Path | str) -> VersionSnapshot:
     looks_xml = suffix == ".xml" or (suffix != ".json" and raw.lstrip().startswith("<"))
     if looks_xml:
         return _snapshot_from_xml(raw)
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ReportParseError(
-            f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    return snapshot_from_dict(doc)
+    return snapshot_from_dict(json_document(raw, path))

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .errors import ValidationError, _at
+from .errors import ValidationError, _at, _fields, _items
 from .ingest import VersionSnapshot, parse_clone_report, resolve_snapshot
 from .mapping import (
     GroupMapping,
@@ -145,30 +145,23 @@ def mapping_result(newer_id: str, older_id: str, mappings: list[GroupMapping],
 def mappings_from_artifact(doc: dict) -> list[GroupMapping]:
     """The verdicts of a mapping artifact, the inverse of ``mapping_result``.
 
-    Checks only the document's shape: an object with ``newer``, ``older``
-    and a ``mappings`` list of row objects, each with ``new_group``,
-    ``old_group`` and ``similarity``. ``GroupMapping`` checks every value,
-    and its error is prefixed with the row's position, ``mapping row i: ``.
+    Checks only the document's shape, through the shared
+    ``errors._fields`` and ``errors._items``: an object with ``newer``,
+    ``older`` and a ``mappings`` list of row objects, each with
+    ``new_group``, ``old_group`` and ``similarity``. ``GroupMapping``
+    checks every value, and its error is prefixed with the row's position,
+    ``mapping row i: ``.
     """
-    if not isinstance(doc, dict):
-        raise ValidationError("mapping artifact must be a JSON object")
-    for key in ("newer", "older", "mappings"):
-        if key not in doc:
-            raise ValidationError(f"mapping artifact missing key {key!r}")
-    if not isinstance(doc["mappings"], list):
-        raise ValidationError("mapping artifact 'mappings' must be a list")
-    newer, older = doc["newer"], doc["older"]
+    newer, older, rows = _fields(doc, "mapping artifact",
+                                 ("newer", "older", "mappings"), ValidationError)
     mappings = []
-    for pos, row in enumerate(doc["mappings"]):
+    for pos, row in enumerate(_items(rows, "mapping artifact 'mappings'",
+                                     ValidationError)):
         where = f"mapping row {pos}"
-        if not (isinstance(row, dict)
-                and {"new_group", "old_group", "similarity"} <= row.keys()):
-            raise ValidationError(f"{where} needs 'new_group', 'old_group' "
-                                  f"and 'similarity' keys, got {row!r}")
-        old = row["old_group"]
-        mappings.append(_at(where, GroupMapping, (newer, row["new_group"]),
-                            None if old is None else (older, old),
-                            row["similarity"]))
+        new, old, similarity = _fields(
+            row, where, ("new_group", "old_group", "similarity"), ValidationError)
+        mappings.append(_at(where, GroupMapping, (newer, new),
+                            None if old is None else (older, old), similarity))
     return mappings
 
 

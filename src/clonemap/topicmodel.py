@@ -8,6 +8,7 @@ that reading against multi-topic corpora.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -73,8 +74,9 @@ class TopicBlock:
 
     Row ``i`` holds the sorted word ids ``ids[indptr[i]:indptr[i + 1]]``
     and their weights in ``values``, over a vocabulary of ``size`` words;
-    an empty row is a group whose document came out empty. Weights are
-    non-negative and finite; rows need not sum to 1.
+    an empty row is a group whose document came out empty. Stored weights
+    are positive and finite, so a row with no entries is the only zero
+    vector; rows need not sum to 1.
     """
 
     indptr: np.ndarray
@@ -115,6 +117,10 @@ class TopicBlock:
                 )
         if not np.isfinite(values).all() or (values < 0).any():
             raise ValidationError("topic weights must be non-negative and finite")
+        # A stored zero would make an all-zero row look non-empty.
+        if (values == 0).any():
+            raise ValidationError("a topic block stores no zero weight; "
+                                  "leave the entry out")
         for name, array in (("indptr", indptr), ("ids", ids), ("values", values)):
             array.setflags(write=False)
             object.__setattr__(self, name, array)
@@ -223,17 +229,20 @@ def frequency_blocks(versions: Iterable[Iterable[TokenDocument]]
     return blocks
 
 
-def _check_counts(corpus: Corpus, n_dk, n_kw, n_k, n_d, word_totals) -> None:
+def _check_counts(corpus: Corpus, n_dk, n_kw, n_k) -> None:
+    """ValidationError unless the count tables agree with the corpus: each
+    word's topic counts sum to its corpus count, each topic's to its
+    total and each document's to its length."""
+    word_totals = Counter(w for doc in corpus.documents for w in doc)
     K = len(n_k)
-    V = corpus.vocabulary_size
-    for w in range(V):
+    for w in range(corpus.vocabulary_size):
         if sum(n_kw[k][w] for k in range(K)) != word_totals[w]:
             raise ValidationError(f"topic-word counts for word id {w} drifted")
     for k in range(K):
         if sum(n_kw[k]) != n_k[k]:
             raise ValidationError(f"topic total for topic {k} drifted")
-    for d in range(len(corpus.documents)):
-        if sum(n_dk[d]) != n_d[d]:
+    for d, doc in enumerate(corpus.documents):
+        if sum(n_dk[d]) != len(doc):
             raise ValidationError(f"document-topic counts for document {d} drifted")
 
 
@@ -261,27 +270,22 @@ def fit_lda(corpus: Corpus, config: LdaConfig,
     n_kw = [[0] * V for _ in range(K)]
     n_k = [0] * K
     n_d = [len(doc) for doc in docs]
-    word_totals = [0] * V
-    for doc in docs:
-        for w in doc:
-            word_totals[w] += 1
 
     rng = np.random.Generator(np.random.PCG64(config.seed))
     total_tokens = sum(n_d)
     flat = rng.integers(0, K, size=total_tokens)
     assignments = []
     pos = 0
-    for doc in docs:
-        assignments.append([int(k) for k in flat[pos:pos + len(doc)]])
+    for dk, doc in zip(n_dk, docs):
+        z = [int(k) for k in flat[pos:pos + len(doc)]]
         pos += len(doc)
-    for d, doc in enumerate(docs):
-        for j, w in enumerate(doc):
-            k = assignments[d][j]
-            n_dk[d][k] += 1
+        for w, k in zip(doc, z):
+            dk[k] += 1
             n_kw[k][w] += 1
             n_k[k] += 1
+        assignments.append(z)
     if check_counts:
-        _check_counts(corpus, n_dk, n_kw, n_k, n_d, word_totals)
+        _check_counts(corpus, n_dk, n_kw, n_k)
 
     vbeta = V * beta
     # With one topic every draw would keep every token in topic 0.
@@ -313,7 +317,7 @@ def fit_lda(corpus: Corpus, config: LdaConfig,
                     n_kw[k_new][w] += 1
                     n_k[k_new] += 1
             if check_counts:
-                _check_counts(corpus, n_dk, n_kw, n_k, n_d, word_totals)
+                _check_counts(corpus, n_dk, n_kw, n_k)
 
     phi = (np.array(n_kw, dtype=np.float64) + beta)
     phi /= (np.array(n_k, dtype=np.float64) + vbeta)[:, None]

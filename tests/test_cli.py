@@ -339,8 +339,8 @@ class TestEvalCommand:
                      id="text-similarity"),
         pytest.param(lambda m: m["mappings"][1].pop("similarity"),
                      lambda t: None,
-                     "mapping row 1 needs 'new_group', 'old_group' and "
-                     "'similarity' keys", id="missing-similarity"),
+                     "mapping row 1 must be a JSON object with 'new_group', "
+                     "'old_group' and 'similarity' keys", id="missing-similarity"),
         pytest.param(lambda m: None,
                      lambda t: t["pairs"][1].update(old=-5),
                      "ground truth: pairs[1]: 'old' must be an integer >= 0",
@@ -503,6 +503,37 @@ class TestInvalidUtf8:
         err = capsys.readouterr().err
         assert f"{report}: not valid UTF-8" in err
         assert f"at byte {offset})" in err
+
+
+class TestMalformedJson:
+    """Every input document that is not JSON Python can hold exits 3
+    naming its file, never in a traceback: a syntax error, nesting past
+    the decoder's recursion limit, or an integer past the interpreter's
+    digit limit."""
+
+    @pytest.mark.parametrize("text", [
+        '{"version": "v1", "groups": [',
+        "[" * 10_000,
+        '{"version": ' + "7" * 5000 + "}",
+    ], ids=["syntax", "deep", "long-integer"])
+    @pytest.mark.parametrize("which", ["report", "truth", "mapping"])
+    def test_exits_3_naming_the_file(self, tmp_path, capsys, which, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        # Only the bad file is decoded: the mapping is read before the
+        # truth, and the truth before the mapping's shape is checked.
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}", encoding="utf-8")
+        if which == "report":
+            argv = ["map", "--newer", str(bad), "--older", str(bad)]
+        else:
+            paths = {"mapping": empty, "truth": empty, which: bad}
+            argv = ["eval", "--mapping", str(paths["mapping"]),
+                    "--truth", str(paths["truth"])]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"clonemap: {bad}: malformed JSON")
+        assert "Traceback" not in err and len(err) < 200
 
 
 class TestByteOrderMark:

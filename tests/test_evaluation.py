@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from clonemap.cli import main
-from clonemap.errors import ConfigError, CoverageError, ValidationError
+from clonemap.errors import (ConfigError, CoverageError, ReportParseError,
+                             ValidationError)
 from clonemap.evaluation import (
     EvalReport,
     GroundTruth,
@@ -127,6 +128,19 @@ class TestGroundTruthJson:
         path.write_text("\ufeff" + json.dumps(truth.to_dict()), encoding="utf-8")
         assert load_ground_truth(path) == truth
 
+    @pytest.mark.parametrize("text, reason", [
+        ('{"newer": "v2",', " at line 1 column 16: Expecting property name "
+                            "enclosed in double quotes"),
+        ("[" * 10_000, ": nested too deep"),
+        ('{"newer": ' + "9" * 5000 + "}", ": an integer is too long"),
+    ], ids=["syntax", "deep", "long-integer"])
+    def test_malformed_json_is_parse_error(self, tmp_path, text, reason):
+        path = tmp_path / "truth.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ReportParseError) as caught:
+            load_ground_truth(path)
+        assert str(caught.value) == f"{path}: malformed JSON{reason}"
+
     def test_duplicate_newer_index_rejected(self):
         doc = {"newer": "v2", "older": "v1",
                "pairs": [{"new": 0, "old": 1}, {"new": 0, "old": 2}]}
@@ -140,7 +154,8 @@ class TestGroundTruthJson:
     @pytest.mark.parametrize("entry", [[0, 1], {"new": 0}, {"old": 1}, 5])
     def test_entry_without_new_and_old_rejected(self, entry):
         doc = {"newer": "v2", "older": "v1", "pairs": [{"new": 1, "old": 1}, entry]}
-        with pytest.raises(ValidationError, match=r"pairs\[1\] needs"):
+        with pytest.raises(ValidationError, match=r"^ground truth: pairs\[1\] must "
+                           r"be a JSON object with 'new' and 'old' keys$"):
             GroundTruth.from_dict(doc)
 
     @pytest.mark.parametrize("new", [[0], {"a": 0}])

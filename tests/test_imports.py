@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used or marked as kept,
 every private module-level name is used, every public function, class,
 method and property has a caller outside the tests, no module reads the
-environment or writes JSON text outside ``pipeline``, the readers of reports, ground
+environment or writes JSON text outside ``pipeline``, one function decodes JSON
+and ``cli.main`` maps three exception types, the readers of reports, ground
 truth and mapping artifacts hold no value check, one function reads the row-block
 size, one function of ``pipeline`` reads a version, every name the package
 exports resolves, and the count of publicly settable values is pinned."""
@@ -504,11 +505,11 @@ def test_scan_finds_a_json_write(tmp_path):
 
 
 # The readers of outside input: both report parsers in ``ingest``,
-# ``GroundTruth.from_dict`` in ``evaluation`` and ``mappings_from_artifact``
-# in ``pipeline``.
+# ``GroundTruth.from_dict`` in ``evaluation``, ``mappings_from_artifact``
+# in ``pipeline`` and the shape helpers they share in ``errors``.
 PARSERS = {"snapshot_from_dict", "_snapshot_from_xml", "from_dict",
-           "mappings_from_artifact"}
-READER_MODULES = ("ingest.py", "evaluation.py", "pipeline.py")
+           "mappings_from_artifact", "_fields", "_items"}
+READER_MODULES = ("ingest.py", "evaluation.py", "pipeline.py", "errors.py")
 VALUE_CHECKS = {"is_json_int", "is_number"}
 SHAPE_TYPES = {"dict", "list"}
 
@@ -567,6 +568,30 @@ def test_scan_finds_a_value_check_in_a_parser(tmp_path):
         "snapshot_from_dict:7: isinstance(doc['t'], (str, type(None)))",
         "_snapshot_from_xml:9: is_number(text)",
     ]
+
+
+def test_one_function_decodes_json():
+    """``json.load`` and ``json.loads`` are read only in
+    ``errors.json_document``, so every input document decodes, and fails,
+    one way."""
+    reads = [read for name in ("load", "loads")
+             for read in scoped_reads(PACKAGE.glob("*.py"), name)]
+    assert reads
+    assert [r for r in reads if not r.endswith(": errors.json_document")] == []
+
+
+def test_main_maps_three_exception_types():
+    """``cli.main`` turns ``ConfigError``, ``CloneMapError`` and ``OSError``
+    into exit codes 2, 3 and 4 and names no ``json`` exception: a decode
+    failure is a ``ReportParseError`` by then."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    handlers = [node for node in ast.walk(main) if isinstance(node, ast.ExceptHandler)]
+    assert [ast.unparse(h.type) for h in handlers] == [
+        "ConfigError", "CloneMapError", "OSError"]
+    assert not any(isinstance(node, ast.Name) and node.id == "json"
+                   for node in ast.walk(main))
 
 
 def test_every_exported_name_resolves():

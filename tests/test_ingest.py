@@ -341,6 +341,20 @@ class TestXmlAdapter:
         with pytest.raises(ReportParseError, match="is not an integer"):
             parse_clone_report(path)
 
+    @pytest.mark.parametrize("plain", ['id="1"', 'startline="10"'])
+    def test_integer_past_the_digit_limit_is_parse_error(self, tmp_path, plain):
+        """``int`` refuses more than 4,300 digits with a ValueError, which
+        once ended the run in a traceback. The error keeps to the first
+        20 digits."""
+        name = plain.split("=")[0]
+        path = tmp_path / "r.xml"
+        path.write_text(self.XML.replace(plain, f'{name}="{"7" * 5000}"'),
+                        encoding="utf-8")
+        with pytest.raises(ReportParseError,
+                           match=r"'7{20}\.\.\.' is not an integer$") as caught:
+            parse_clone_report(path)
+        assert len(str(caught.value)) < 80
+
     def test_negative_line_reaches_the_range_rule(self, tmp_path):
         path = tmp_path / "r.xml"
         path.write_text(self.XML.replace('startline="10"', 'startline="-1"'),

@@ -273,6 +273,16 @@ class TestTopicBlock:
             with pytest.raises(ValidationError, match="non-negative and finite"):
                 TopicBlock.from_dense([[1.0, bad]])
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_rejects_a_stored_zero_weight(self, zero):
+        """A stored zero is an all-zero vector that once scored 1.0
+        against itself, and 0.5 under Hellinger against ``[0, 0.5]``."""
+        with pytest.raises(ValidationError, match="no zero weight"):
+            TopicBlock(indptr=[0, 1], ids=[0], values=[zero], size=2)
+        with pytest.raises(ValidationError, match="no zero weight"):
+            TopicBlock(indptr=[0, 2], ids=[0, 1], values=[0.5, zero], size=2)
+        assert len(TopicBlock.from_dense([[zero, 0.5]]).values) == 1
+
     @pytest.mark.parametrize("indptr,ids,size", [
         ([0, 1], [0, 1], 3),        # indptr ends short of the entries
         ([1, 2], [0, 1], 3),        # indptr does not start at 0
