@@ -15,7 +15,7 @@ from . import __version__
 from .errors import CloneMapError, ConfigError, json_document, read_utf8
 from .evaluation import SynthConfig, generate_evolution, load_ground_truth, score
 from .ingest import parse_clone_report
-from .mapping import MappingConfig, Strategy
+from .mapping import MappingConfig, Metric, Strategy
 from .preprocess import default_filter_config
 from .pipeline import (
     artifact_header,
@@ -26,7 +26,6 @@ from .pipeline import (
     topic_dump_entries,
     write_json_artifact,
 )
-from .similarity import Metric
 from .topicmodel import LdaConfig
 
 
@@ -181,7 +180,7 @@ def _emit(args, payload: dict, render_table) -> int:
 
 
 def _render_map_table(result: dict) -> str:
-    scorer = ("lcs" if result.get("strategy") == "lcs"
+    scorer = ("lcs" if result["strategy"] == "lcs"
               else f"metric {result['metric']}")
     lines = [f"mapping {result['newer']} -> {result['older']} "
              f"({scorer}, delta {result['delta']})"]

@@ -99,8 +99,10 @@ def topic_dump_entries(version_id: str,
 def canonical_json(payload: dict) -> str:
     """Canonical JSON text: sorted keys, two-space indent, one final newline.
 
-    Identical payloads give identical text; nothing time- or
-    path-dependent belongs in the payload.
+    Identical payloads give identical text. No payload holds a clock
+    reading; an artifact's ``config`` records its input paths as they
+    were given, so the same command from the same directory gives the
+    same bytes, and a path spelled otherwise gives other bytes.
     """
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 

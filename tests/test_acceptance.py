@@ -31,10 +31,10 @@ from clonemap.evaluation import (
     load_ground_truth,
     score,
 )
-from clonemap.mapping import MappingConfig, Strategy
+from clonemap.mapping import (MappingConfig, Metric, Strategy, lcs_similarity,
+                              topic_similarity)
 from clonemap.pipeline import mappings_from_artifact, run_map, write_json_artifact
 from clonemap.preprocess import TokenDocument
-from clonemap.similarity import Metric, lcs_similarity, topic_similarity
 from clonemap.topicmodel import LdaConfig, build_corpus, fit_group_topic, fit_lda
 
 # Token counts of one real-world clone-group document (62 tokens, 18 words).

@@ -1255,22 +1255,28 @@ class TestBenchmarkTracer:
 
     # The LCS path streams row blocks from ``lcs_matrix``'s row scorer and
     # calls no function the tracer wraps, so that case checks the stage
-    # span instead.
-    @pytest.mark.parametrize("strategy,kind,name", [
-        pytest.param("topic", "calls", "preprocess.strip_comments",
+    # span instead. Only K > 1 builds a corpus, and the tracer's observer
+    # of that span reads its ``vocabulary_size`` and ``documents``: a
+    # missing one fails the traced process.
+    @pytest.mark.parametrize("flags,kind,name", [
+        pytest.param(("--strategy", "topic"), "calls",
+                     "preprocess.strip_comments",
                      id="topic-preprocess.strip_comments"),
-        pytest.param("topic", "calls", "preprocess.tokenize",
+        pytest.param(("--strategy", "topic"), "calls", "preprocess.tokenize",
                      id="topic-preprocess.tokenize"),
-        pytest.param("topic", "spans", "ingest.resolve_snapshot",
+        pytest.param(("--strategy", "topic"), "spans", "ingest.resolve_snapshot",
                      id="topic-ingest.resolve_snapshot"),
-        pytest.param("lcs", "spans", "mapping.baseline_text_map",
+        pytest.param(("--strategy", "lcs"), "spans", "mapping.baseline_text_map",
                      id="lcs-mapping.baseline_text_map"),
+        pytest.param(("--topics", "2", "--iterations", "1"), "spans",
+                     "topicmodel.build_corpus",
+                     id="topics2-topicmodel.build_corpus"),
     ])
-    def test_traced_map_runs(self, evolution, tmp_path, strategy, kind, name):
+    def test_traced_map_runs(self, evolution, tmp_path, flags, kind, name):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(REPO / "src"), str(REPO / "perfbench")])
-        argv = run_map_cmd(evolution, "--strategy", strategy,
+        argv = run_map_cmd(evolution, *flags,
                            "--threads", "1", "--out", str(tmp_path / "m.json"))
         proc = subprocess.run([sys.executable, "-c", TRACED_MAP, *argv],
                               env=env, capture_output=True, text=True,

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used or marked as kept,
-every private module-level name is used, every public function, class,
+every private module-level name is used and none is imported into another
+module but the reader helpers of ``errors``, every public function, class,
 method and property has a caller outside the tests, no module reads the
 environment or writes JSON text outside ``pipeline``, one function decodes JSON
 and ``cli.main`` maps three exception types, the readers of reports, ground
@@ -160,6 +161,10 @@ def uncalled_public_names(paths, readers, allowed=frozenset()) -> list[str]:
 UNCALLED_PUBLIC_NAMES = {
     # The one-fragment reader tests/test_ingest.py checks resolve_snapshot against.
     "ingest.resolve_fragment_text",
+    # perfbench/tracer.py wraps these two by name, as strings. Whether they
+    # stay once the tracer is replaced is an open ROADMAP item.
+    "mapping.lcs_similarity",
+    "mapping.topic_similarity",
 }
 
 
@@ -326,31 +331,25 @@ def scoped_reads(paths, name: str) -> list[str]:
 
 
 def test_one_function_cuts_rows_into_blocks():
-    """``_BLOCK_CELLS`` is read only by ``similarity._blocks``, the one
+    """``_BLOCK_CELLS`` is read only by ``mapping._blocks``, the one
     chunker that both the dense matrices and the verdict loop use, so no
     row scorer cuts its own blocks."""
     reads = scoped_reads(PACKAGE.glob("*.py"), "_BLOCK_CELLS")
     assert reads
-    assert [r for r in reads if not r.endswith(": similarity._blocks")] == []
+    assert [r for r in reads if not r.endswith(": mapping._blocks")] == []
 
 
 def test_each_family_builds_its_scorer_in_one_place():
-    """``_trimmed_lines`` is read only by ``similarity._lcs_scorer``, and
-    ``mapping`` reads no ``indptr`` and imports from ``similarity`` only
-    the scorers, the chunker, ``Metric`` and the two tracer re-exports:
-    a family's inputs become a scorer in ``similarity`` alone, and
-    ``mapping`` takes the scorer as it comes."""
+    """``_trimmed_lines`` is read only by ``mapping._lcs_scorer``, and
+    ``mapping`` reads ``indptr`` only in ``_topic_scorer`` and its
+    ``score_rows``: a family's inputs become a scorer in one function,
+    and the verdict loop takes the scorer as it comes."""
     reads = scoped_reads(PACKAGE.glob("*.py"), "_trimmed_lines")
     assert reads
     assert [r for r in reads
-            if not r.endswith(": similarity._lcs_scorer")] == []
-    assert scoped_reads([PACKAGE / "mapping.py"], "indptr") == []
-    imported = {alias.name for node in ast.walk(ast.parse(
-                    (PACKAGE / "mapping.py").read_text(encoding="utf-8")))
-                if isinstance(node, ast.ImportFrom) and node.module == "similarity"
-                for alias in node.names}
-    assert imported == {"Metric", "_blocks", "_lcs_scorer", "_topic_scorer",
-                        "lcs_similarity", "topic_similarity"}
+            if not r.endswith(": mapping._lcs_scorer")] == []
+    assert reading_functions(PACKAGE / "mapping.py", "indptr") == {
+        "mapping._topic_scorer", "mapping._topic_scorer.score_rows"}
 
 
 def test_scan_finds_a_scoped_read(tmp_path):
@@ -378,6 +377,52 @@ def test_scan_finds_a_scoped_read(tmp_path):
         "a.py:3: a._blocks", "a.py:6: a.scorer.score_rows", "b.py:2: b",
         "b.py:6: b.Chunker.cut"]
 
+
+# The shape helpers that every input reader shares, in ``errors``.
+SHARED_PRIVATE_IMPORTS = {"errors._at", "errors._fields", "errors._items"}
+
+
+def private_imports(paths, allowed=frozenset()) -> list[str]:
+    """Each ``_name`` that a module in ``paths`` imports from another
+    module of its package, by a relative import, as ``file:line:
+    module._name``; each entry of ``allowed`` is a ``module._name`` left
+    out. A dunder name such as ``__version__`` is no private name."""
+    found = []
+    for path in sorted(paths):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            for alias in node.names:
+                entry = (f"{node.module}.{alias.name}" if node.module
+                         else alias.name)
+                if (alias.name.startswith("_") and not alias.name.startswith("__")
+                        and entry not in allowed):
+                    found.append((path.name, node.lineno, entry))
+    return [f"{file}:{line}: {entry}" for file, line, entry in sorted(found)]
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A private name belongs to its module: one that a second module
+    needs is part of one design split across two files. Only the reader
+    helpers of ``errors`` are shared."""
+    assert private_imports(PACKAGE.glob("*.py"), SHARED_PRIVATE_IMPORTS) == []
+
+
+def test_scan_finds_a_private_import(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from os import _exit\n"
+        "from . import __version__, _cache\n"
+        "from .errors import ValidationError, _at, _other\n"
+        "from .scoring import Metric, _blocks as blocks\n"
+        "def f():\n"
+        "    from ..sibling import _helper\n"
+        "    return _helper, blocks, _exit, _at, _other\n",
+        encoding="utf-8",
+    )
+    assert private_imports([module], {"errors._at"}) == [
+        "m.py:2: _cache", "m.py:3: errors._other", "m.py:4: scoring._blocks",
+        "m.py:6: sibling._helper"]
 
 
 def reading_functions(path: Path, name: str) -> set[str]:

@@ -24,8 +24,8 @@ from clonemap.ingest import (
     snapshot_from_dict,
     snapshot_to_dict,
 )
+from clonemap.mapping import lcs_similarity
 from clonemap.pipeline import texts
-from clonemap.similarity import lcs_similarity
 
 
 def _normalize_newlines(raw: str) -> str:

@@ -11,19 +11,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clonemap import mapping, similarity
+from clonemap import mapping
 from clonemap.errors import CloneMapWarning, ConfigError, ValidationError
 from clonemap.mapping import (
     GroupMapping,
     MappingConfig,
+    Metric,
     _assign,
     baseline_text_map,
+    lcs_matrix,
     map_version_pair,
+    score_matrix,
     unmatched_old_groups,
 )
 from clonemap.pipeline import canonical_json, mapping_result, mappings_from_artifact
 from clonemap.preprocess import TokenDocument
-from clonemap.similarity import Metric, lcs_matrix, score_matrix
 from clonemap.topicmodel import frequency_blocks
 
 
@@ -410,7 +412,7 @@ class TestBaselineTextMap:
 
 
 def counted(make_scorer, calls):
-    """``make_scorer``, a scorer factory of ``similarity``, with the newer
+    """``make_scorer``, a scorer factory of ``mapping``, with the newer
     rows of each call to its row scorers appended to ``calls``."""
     def make_counted(*args):
         score_rows, m, skip = make_scorer(*args)
@@ -425,7 +427,7 @@ def counted(make_scorer, calls):
 def assert_scored_in_blocks(calls, m):
     """Each call in ``calls`` got one row or at most ``_BLOCK_CELLS``
     cells of ``m`` columns; returns the count of calls per newer row."""
-    assert all(len(rows) == 1 or len(rows) * m <= similarity._BLOCK_CELLS
+    assert all(len(rows) == 1 or len(rows) * m <= mapping._BLOCK_CELLS
                for rows in calls)
     return collections.Counter(i for rows in calls for i in rows)
 
@@ -441,7 +443,7 @@ class TestStreamedScoring:
     def tiny_blocks(self, monkeypatch):
         # Two rows per block at M = 6, so that both passes stream many
         # blocks of more than one row.
-        monkeypatch.setattr(similarity, "_BLOCK_CELLS", 12)
+        monkeypatch.setattr(mapping, "_BLOCK_CELLS", 12)
 
     def test_injective_topic_map_equals_dense_oracle(self, monkeypatch,
                                                      tiny_blocks):
@@ -457,16 +459,17 @@ class TestStreamedScoring:
                         for i, j in enumerate(rng.integers(0, 8, size=9))]
         newer_counts.insert(3, {})
         newer, older = pair_from_counts(newer_counts, older_counts)
+        # The dense oracle calls the scorer too, so it runs unpatched.
+        scorer = mapping._topic_scorer
         for metric in Metric:
             config = MappingConfig(delta=0.3, metric=metric,
                                    enforce_injective=True)
+            scores = score_matrix(newer, older, metric)
             calls = []
-            monkeypatch.setattr(mapping, "_topic_scorer",
-                                counted(similarity._topic_scorer, calls))
-            with warnings.catch_warnings():
+            with monkeypatch.context() as patch, warnings.catch_warnings():
+                patch.setattr(mapping, "_topic_scorer", counted(scorer, calls))
                 warnings.simplefilter("ignore", CloneMapWarning)
                 got = map_version_pair(newer, older, "v2", "v1", config)
-            scores = score_matrix(newer, older, metric)
             empty = [not c for c in newer_counts]
             want, rounds = oracle_injective_rounds(scores, empty, "v2", "v1",
                                                    config.delta)
@@ -488,11 +491,12 @@ class TestStreamedScoring:
                        for i, j in enumerate(rng.integers(0, 10, size=9))]
         newer_texts.insert(4, "")
         config = MappingConfig(delta=0.3, enforce_injective=True)
+        # The dense oracle calls the scorer too, so it runs unpatched.
+        scores = lcs_matrix(newer_texts, older_texts)
         calls = []
         monkeypatch.setattr(mapping, "_lcs_scorer",
-                            counted(similarity._lcs_scorer, calls))
+                            counted(mapping._lcs_scorer, calls))
         got = baseline_text_map(newer_texts, older_texts, "v2", "v1", config)
-        scores = lcs_matrix(newer_texts, older_texts)
         want, rounds = oracle_injective_rounds(
             scores, [False] * len(newer_texts), "v2", "v1", config.delta)
         assert got == want

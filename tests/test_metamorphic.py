@@ -12,10 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from clonemap.errors import CloneMapWarning
 from clonemap.ingest import snapshot_from_dict
-from clonemap.mapping import MappingConfig, Strategy
+from clonemap.mapping import MappingConfig, Metric, Strategy, lcs_matrix, score_matrix
 from clonemap.pipeline import documents, pair_topics, run_map, texts
 from clonemap.preprocess import FilterConfig, default_filter_config
-from clonemap.similarity import Metric, lcs_matrix, score_matrix
 
 FILTER = default_filter_config()
 # Identifiers that overlap across groups, plus words the filter drops

@@ -8,17 +8,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clonemap import similarity
+from clonemap import mapping
 from clonemap.errors import ValidationError
-from clonemap.mapping import MappingConfig, baseline_text_map, map_version_pair
-from clonemap.preprocess import TokenDocument
-from clonemap.similarity import (
+from clonemap.mapping import (
+    MappingConfig,
     Metric,
+    baseline_text_map,
     lcs_matrix,
     lcs_similarity,
+    map_version_pair,
     score_matrix,
     topic_similarity,
 )
+from clonemap.preprocess import TokenDocument
 from clonemap.topicmodel import TopicBlock, frequency_blocks
 
 
@@ -28,7 +30,7 @@ def random_distribution(rng, size):
 
 
 def assert_scorer_matches(scorer, whole, skip, rng):
-    """``scorer``, a ``(score_rows, m, skip)`` of ``similarity``, has the
+    """``scorer``, a ``(score_rows, m, skip)`` of ``mapping``, has the
     column count of the dense ``whole`` and the ``skip`` mask given, and
     ``score_rows`` gives, for random row lists, those rows of ``whole``
     bit for bit, whether asked for all of them at once or, under
@@ -39,7 +41,7 @@ def assert_scorer_matches(scorer, whole, skip, rng):
     for size in (0, 1, n, 2 * n, *rng.integers(0, 2 * n, size=20)):
         rows = rng.integers(0, n, size=size)
         assert np.array_equal(score_rows(rows), whole[rows])
-        blocks = [block for _, block in similarity._blocks(score_rows, rows, m)]
+        blocks = [block for _, block in mapping._blocks(score_rows, rows, m)]
         assert np.array_equal(np.concatenate([np.empty((0, m)), *blocks]),
                               whole[rows])
 
@@ -286,10 +288,10 @@ class TestScoreMatrix:
         older = TopicBlock.from_dense(vectors[:4])
         for metric in Metric:
             whole = score_matrix(newer, older, metric)
-            monkeypatch.setattr(similarity, "_BLOCK_CELLS", 9)
+            monkeypatch.setattr(mapping, "_BLOCK_CELLS", 9)
             assert np.array_equal(score_matrix(newer, older, metric), whole)
             assert_scorer_matches(
-                similarity._topic_scorer(newer, older, metric), whole,
+                mapping._topic_scorer(newer, older, metric), whole,
                 [i == 3 for i in range(len(newer))], rng)
             monkeypatch.undo()
 
@@ -534,9 +536,9 @@ class TestLcsMatrix:
         texts[5] = ""
         newer, older = texts, texts[3:8]
         whole = lcs_matrix(newer, older)
-        monkeypatch.setattr(similarity, "_BLOCK_CELLS", 9)
+        monkeypatch.setattr(mapping, "_BLOCK_CELLS", 9)
         assert np.array_equal(lcs_matrix(newer, older), whole)
-        assert_scorer_matches(similarity._lcs_scorer(iter(newer), iter(older)),
+        assert_scorer_matches(mapping._lcs_scorer(iter(newer), iter(older)),
                               whole, [False] * len(newer), rng)
 
     def test_sides_that_meet_lines_in_other_orders_share_line_ids(self):
@@ -546,8 +548,8 @@ class TestLcsMatrix:
         newer = ["a\nb\nc", "c", "  b"]
         older = ["c\nb", "b\na\nc", "a "]
         ids = {}
-        newer_lines = similarity._trimmed_lines(newer, "newer", ids)
-        older_lines = similarity._trimmed_lines(older, "older", ids)
+        newer_lines = mapping._trimmed_lines(newer, "newer", ids)
+        older_lines = mapping._trimmed_lines(older, "older", ids)
         assert (newer_lines, older_lines) == (
             [[0, 1, 2], [2], [1]], [[2, 1], [1, 0, 2], [0]])
         assert ids == {"a": 0, "b": 1, "c": 2}

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from clonemap import pipeline, topicmodel
 from clonemap.errors import ConfigError, ValidationError
 from clonemap.preprocess import TokenDocument
-from clonemap.similarity import Metric, score_matrix
+from clonemap.mapping import Metric, score_matrix
 from clonemap.topicmodel import (
     Corpus,
     LdaConfig,
