@@ -51,14 +51,6 @@ from .mapping import (
     topic_similarity,
     unmatched_old_groups,
 )
-from .evaluation import (
-    EvalReport,
-    GroundTruth,
-    SynthConfig,
-    generate_evolution,
-    load_ground_truth,
-    score,
-)
 from .pipeline import mappings_from_artifact, run_map
 
 __all__ = [
@@ -111,3 +103,22 @@ __all__ = [
     "mappings_from_artifact",
     "run_map",
 ]
+
+# The ground-truth scorer and the fixture generator load on first access
+# (PEP 562), so ``import clonemap`` and a ``map`` never compile or run
+# ``clonemap.evaluation``.
+_EVALUATION_NAMES = frozenset({
+    "EvalReport", "GroundTruth", "SynthConfig", "generate_evolution",
+    "load_ground_truth", "score",
+})
+
+
+def __getattr__(name):
+    if name in _EVALUATION_NAMES:
+        from . import evaluation
+        return getattr(evaluation, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _EVALUATION_NAMES)

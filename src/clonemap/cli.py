@@ -13,7 +13,6 @@ import sys
 
 from . import __version__
 from .errors import CloneMapError, ConfigError, json_document, read_utf8
-from .evaluation import SynthConfig, generate_evolution, load_ground_truth, score
 from .ingest import parse_clone_report
 from .mapping import MappingConfig, Metric, Strategy
 from .preprocess import default_filter_config
@@ -75,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
                         version=f"clonemap {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     # Each default is read off its config dataclass, so it is stated once.
-    mapping, lda, synth = MappingConfig(), LdaConfig(), SynthConfig()
+    mapping, lda = MappingConfig(), LdaConfig()
 
     p_map = sub.add_parser("map", help="map newer clone groups to older ones")
     p_map.add_argument("--newer", required=True, metavar="REPORT",
@@ -121,27 +120,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--format", choices=["json", "table"], default="table")
     p_eval.set_defaults(func=cmd_eval)
 
+    # A synth flag not given is left out of the namespace, and cmd_synth
+    # passes each given one to its SynthConfig field: the defaults are
+    # SynthConfig's own, without loading it to build the parser.
     p_synth = sub.add_parser("synth",
-                             help="generate a synthetic two-version evolution")
+                             help="generate a synthetic two-version evolution",
+                             argument_default=argparse.SUPPRESS)
     p_synth.add_argument("--out", required=True, metavar="DIR")
-    p_synth.add_argument("--groups", type=int, default=synth.group_count)
+    p_synth.add_argument("--groups", type=int, dest="group_count",
+                         metavar="GROUPS")
     p_synth.add_argument("--fragments", type=int, nargs=2,
-                         default=synth.fragments_per_group, metavar=("LO", "HI"))
+                         dest="fragments_per_group", metavar=("LO", "HI"))
     p_synth.add_argument("--lines", type=int, nargs=2,
-                         default=synth.lines_per_fragment, metavar=("LO", "HI"))
+                         dest="lines_per_fragment", metavar=("LO", "HI"))
     p_synth.add_argument("--mix", type=float, nargs=4,
-                         default=(synth.p_unchanged, synth.p_type1,
-                                  synth.p_type2, synth.p_type3),
                          metavar=("UNCHANGED", "TYPE1", "TYPE2", "TYPE3"),
                          help="mutation probabilities, must sum to 1")
     p_synth.add_argument("--edit-fraction", type=float, nargs=2,
-                         default=synth.type3_edit_fraction, metavar=("LO", "HI"),
+                         dest="type3_edit_fraction", metavar=("LO", "HI"),
                          help="statement fraction edited by type-3 mutations")
-    p_synth.add_argument("--deaths", type=float, default=synth.death_fraction,
+    p_synth.add_argument("--deaths", type=float, dest="death_fraction",
+                         metavar="DEATHS",
                          help="fraction of older groups with no descendant")
-    p_synth.add_argument("--births", type=float, default=synth.birth_fraction,
+    p_synth.add_argument("--births", type=float, dest="birth_fraction",
+                         metavar="BIRTHS",
                          help="fraction of newer groups with no ancestor")
-    p_synth.add_argument("--seed", type=int, default=synth.seed)
+    p_synth.add_argument("--seed", type=int)
     p_synth.set_defaults(func=cmd_synth)
 
     p_topics = sub.add_parser("topics",
@@ -227,6 +231,8 @@ def _render_eval_table(payload: dict) -> str:
 
 
 def cmd_eval(args) -> int:
+    from .evaluation import load_ground_truth, score
+
     mapping_doc = json_document(read_utf8(args.mapping), args.mapping)
     truth = load_ground_truth(args.truth)
     mappings = mappings_from_artifact(mapping_doc)
@@ -245,19 +251,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    config = SynthConfig(
-        group_count=args.groups,
-        fragments_per_group=tuple(args.fragments),
-        lines_per_fragment=tuple(args.lines),
-        p_unchanged=args.mix[0],
-        p_type1=args.mix[1],
-        p_type2=args.mix[2],
-        p_type3=args.mix[3],
-        type3_edit_fraction=tuple(args.edit_fraction),
-        death_fraction=args.deaths,
-        birth_fraction=args.births,
-        seed=args.seed,
-    )
+    from .evaluation import SynthConfig, generate_evolution
+
+    # ``args`` holds only the flags given, each under its field's name but
+    # ``--mix``, which sets the four mutation probabilities.
+    given = {k: tuple(v) if isinstance(v, list) else v
+             for k, v in vars(args).items()
+             if k not in ("subcommand", "out", "func")}
+    given.update(zip(("p_unchanged", "p_type1", "p_type2", "p_type3"),
+                     given.pop("mix", ())))
+    config = SynthConfig(**given)
     sys.stdout.write(canonical_json(generate_evolution(config, args.out)))
     return 0
 

@@ -20,7 +20,6 @@ import errno
 import os
 import re
 import stat
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -353,6 +352,9 @@ def _xml_int(value: str, where: str) -> int:
 
 
 def _snapshot_from_xml(text: str) -> VersionSnapshot:
+    # Imported here, so that a run on JSON reports never loads the parser.
+    import xml.etree.ElementTree as ET
+
     try:
         root = ET.fromstring(text)
     except ET.ParseError as exc:

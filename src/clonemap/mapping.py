@@ -151,11 +151,18 @@ def _topic_scorer(newer: TopicBlock, older: TopicBlock, metric: Metric):
                               cells, m)
             # The join adds each cell's weights in ascending word-id order,
             # as the row totals were added, so a side whose every word is
-            # shared has exactly 0.0 left.
-            new_rest = new_totals[rows, None] - _pair_sums(flat, a, cells, m)
-            old_rest = old_totals - _pair_sums(flat, b, cells, m)
-            dist += np.maximum(new_rest, 0.0) + np.maximum(old_rest, 0.0)
-            block = 1.0 - np.sqrt(0.5 * dist)
+            # shared has exactly 0.0 left. Each step writes into the three
+            # sums' own arrays, so a block allocates no other float64 array.
+            new_rest = _pair_sums(flat, a, cells, m)
+            np.subtract(new_totals[rows, None], new_rest, out=new_rest)
+            np.maximum(new_rest, 0.0, out=new_rest)
+            old_rest = _pair_sums(flat, b, cells, m)
+            np.subtract(old_totals, old_rest, out=old_rest)
+            np.maximum(old_rest, 0.0, out=old_rest)
+            dist += np.add(new_rest, old_rest, out=new_rest)
+            np.multiply(0.5, dist, out=dist)
+            np.sqrt(dist, out=dist)
+            block = np.subtract(1.0, dist, out=dist)
             block[(nnz == 0) | (old_nnz == 0)] = 0.0
         return np.clip(block, 0.0, 1.0, out=block)
 

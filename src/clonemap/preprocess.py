@@ -9,7 +9,6 @@ as one removal set.
 from __future__ import annotations
 
 import re
-import string
 import warnings
 from collections import Counter
 from dataclasses import dataclass
@@ -23,7 +22,8 @@ from .errors import CloneMapWarning, read_utf8
 # under "surrogatepass") are all >= 0x80, so they split words exactly as a
 # non-word ASCII character does.
 _NON_WORD_TO_SPACE = bytes(
-    b if chr(b) in string.ascii_letters + string.digits + "_" else 0x20
+    b if b in b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_"
+    else 0x20
     for b in range(256)
 )
 # Kept words are lowercased and at least this long.

@@ -1070,18 +1070,40 @@ class TestParserDefaults:
         delta = self.defaults(MappingConfig)["delta"]
         assert f"similarity threshold (default {delta})" in capsys.readouterr().out
 
-    def test_synth_flags_default_to_the_config_defaults(self):
-        args = build_parser().parse_args(["synth", "--out", "evo"])
-        synth = self.defaults(SynthConfig)
-        assert args.groups == synth["group_count"]
-        assert tuple(args.fragments) == synth["fragments_per_group"]
-        assert tuple(args.lines) == synth["lines_per_fragment"]
-        assert tuple(args.mix) == (synth["p_unchanged"], synth["p_type1"],
-                                   synth["p_type2"], synth["p_type3"])
-        assert tuple(args.edit_fraction) == synth["type3_edit_fraction"]
-        assert args.deaths == synth["death_fraction"]
-        assert args.births == synth["birth_fraction"]
-        assert args.seed == synth["seed"]
+    @staticmethod
+    def built_synth_configs(monkeypatch) -> list:
+        """The configs ``cmd_synth`` hands the generator, which writes nothing."""
+        import clonemap.evaluation as evaluation
+
+        built = []
+        monkeypatch.setattr(evaluation, "generate_evolution",
+                            lambda config, out: built.append(config) or {})
+        return built
+
+    def test_synth_flags_default_to_the_config_defaults(self, tmp_path,
+                                                        monkeypatch):
+        built = self.built_synth_configs(monkeypatch)
+        assert main(["synth", "--out", str(tmp_path / "evo")]) == 0
+        assert built == [SynthConfig()]
+        assert not (tmp_path / "evo").exists()
+
+    def test_each_synth_flag_sets_its_field(self, tmp_path, monkeypatch):
+        built = self.built_synth_configs(monkeypatch)
+        assert main(["synth", "--out", str(tmp_path / "evo"),
+                     "--groups", "7", "--fragments", "3", "5",
+                     "--lines", "4", "9", "--mix", "0.5", "0.25", "0.125", "0.125",
+                     "--edit-fraction", "0.05", "0.5", "--deaths", "0.25",
+                     "--births", "0.375", "--seed", "11"]) == 0
+        assert built == [SynthConfig(
+            group_count=7, fragments_per_group=(3, 5), lines_per_fragment=(4, 9),
+            p_unchanged=0.5, p_type1=0.25, p_type2=0.125, p_type3=0.125,
+            type3_edit_fraction=(0.05, 0.5), death_fraction=0.25,
+            birth_fraction=0.375, seed=11)]
+        # Every value differs from its default, so a flag that missed its
+        # field would leave the default and fail the comparison above.
+        defaults = self.defaults(SynthConfig)
+        assert all(getattr(built[0], name) != default
+                   for name, default in defaults.items())
 
 
 # Values a mutation swaps in: other JSON types, path escapes, an integer
@@ -1285,3 +1307,47 @@ class TestBenchmarkTracer:
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["exit"] == 0
         assert result[kind].get(name, 0) > 0
+
+
+IMPORT_SET = """
+import json, sys
+import clonemap.cli as cli
+
+LAZY = ("clonemap.evaluation", "xml.etree.ElementTree")
+imported = [name for name in LAZY if name in sys.modules]
+rc = cli.main(sys.argv[1:])
+mapped = [name for name in LAZY if name in sys.modules]
+print(json.dumps({"exit": rc, "imported": imported, "mapped": mapped}))
+"""
+
+
+class TestImportSet:
+    """``map`` starts without the ground-truth scorer, the fixture
+    generator or the XML parser: it runs none of them, and loading them
+    costs a fresh interpreter milliseconds. Only an XML report loads the
+    parser."""
+
+    @staticmethod
+    def run(argv) -> dict:
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run([sys.executable, "-c", IMPORT_SET, *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_json_map_loads_neither(self, evolution, tmp_path):
+        argv = run_map_cmd(evolution, "--out", str(tmp_path / "m.json"))
+        assert self.run(argv) == {"exit": 0, "imported": [], "mapped": []}
+
+    def test_xml_map_loads_only_the_xml_parser(self, evolution, tmp_path):
+        for version in ("newer", "older"):
+            doc = json.loads((evolution / f"{version}_report.json").read_text())
+            (tmp_path / f"{version}.xml").write_text(report_xml(doc))
+        argv = ["map", "--newer", str(tmp_path / "newer.xml"),
+                "--older", str(tmp_path / "older.xml"),
+                "--source-newer", str(evolution / "newer_src"),
+                "--source-older", str(evolution / "older_src"),
+                "--out", str(tmp_path / "m.json")]
+        assert self.run(argv) == {"exit": 0, "imported": [],
+                                  "mapped": ["xml.etree.ElementTree"]}

@@ -13,7 +13,11 @@ import ast
 import enum
 import importlib
 import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -643,6 +647,51 @@ def test_every_exported_name_resolves():
     """A stale entry in ``__all__`` breaks ``from clonemap import *``."""
     missing = [name for name in clonemap.__all__ if not hasattr(clonemap, name)]
     assert missing == []
+
+
+PACKAGE_ROOT = """
+import json, sys
+import clonemap
+
+facts = {"loaded": "clonemap.evaluation" in sys.modules}
+facts["missing_from_dir"] = sorted(set(clonemap.__all__) - set(dir(clonemap)))
+facts["loaded_by_dir"] = "clonemap.evaluation" in sys.modules
+star = {}
+exec("from clonemap import *", star)
+facts["unbound_by_star"] = sorted(set(clonemap.__all__) - set(star))
+import clonemap.evaluation as evaluation
+# The exported names defined in the evaluation module, each bound by the
+# star import to the very object the module holds.
+facts["evaluation"] = sorted(
+    name for name in clonemap.__all__
+    if getattr(star[name], "__module__", None) == evaluation.__name__
+    and getattr(clonemap, name) is star[name] is getattr(evaluation, name))
+try:
+    clonemap.no_such_name
+except AttributeError as exc:
+    facts["error"] = str(exc)
+print(json.dumps(facts))
+"""
+
+
+def test_package_root_loads_evaluation_on_first_access():
+    """``import clonemap`` leaves the scorer and the generator unloaded,
+    yet lists, binds and resolves their six names as before; a name the
+    package lacks still raises ``AttributeError``. Run in a fresh
+    interpreter, since this one has loaded everything."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", PACKAGE_ROOT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "loaded": False,
+        "missing_from_dir": [],
+        "loaded_by_dir": False,
+        "unbound_by_star": [],
+        "evaluation": ["EvalReport", "GroundTruth", "SynthConfig",
+                       "generate_evolution", "load_ground_truth", "score"],
+        "error": "module 'clonemap' has no attribute 'no_such_name'",
+    }
 
 
 def settable_values() -> list[str]:
