@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .errors import (ConfigError, CoverageError, ValidationError, _at, _fields,
                      _items, is_json_int, is_number, json_document, read_utf8)
-from .ingest import CloneFragment, CloneGroup, VersionSnapshot, snapshot_to_dict
+from .ingest import VersionSnapshot, snapshot_to_dict
 from .mapping import GroupMapping
 from .pipeline import artifact_header, write_json_artifact
 
@@ -363,16 +363,16 @@ def _write_version(root: Path, version: str,
     """Write each group's lines to its fragment files under ``root``; the
     snapshot that reports them."""
     root.mkdir(parents=True, exist_ok=True)
-    snapshot_groups = []
+    files, ends, bounds = [], [], [0]
     for index, (lines, frag_count) in enumerate(groups):
         text = "\n".join(lines) + "\n"
-        fragments = []
         for m in range(frag_count):
-            name = f"group{index:03d}_frag{m}.c"
-            (root / name).write_text(text, encoding="utf-8")
-            fragments.append(CloneFragment(name, 1, len(lines)))
-        snapshot_groups.append(CloneGroup(index, tuple(fragments)))
-    return VersionSnapshot(version, tuple(snapshot_groups))
+            files.append(f"group{index:03d}_frag{m}.c")
+            (root / files[-1]).write_text(text, encoding="utf-8")
+        ends += [len(lines)] * frag_count
+        bounds.append(len(files))
+    return VersionSnapshot(version, tuple(files), (1,) * len(files),
+                           tuple(ends), (None,) * len(files), tuple(bounds))
 
 
 def generate_evolution(config: SynthConfig, out_dir: Path | str) -> dict:
@@ -436,9 +436,9 @@ def generate_evolution(config: SynthConfig, out_dir: Path | str) -> dict:
             "truth": "truth.json",
         },
         "files": sorted(
-            [f"{dirname}/{frag.file}"
+            [f"{dirname}/{file}"
              for dirname, snapshot in (("older_src", older), ("newer_src", newer))
-             for group in snapshot.groups for frag in group.fragments]
+             for file in snapshot.files]
             + ["older_report.json", "newer_report.json", "truth.json"]
         ),
         **artifact_header(asdict(config)),

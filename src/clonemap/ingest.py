@@ -2,16 +2,18 @@
 
 Two report formats are accepted: the native JSON schema and an XML adapter
 shaped like common detector output (``<clones><class><source .../></class>``).
-Fragment text is resolved from the version's source tree in a separate step,
-so reports can be parsed without any source tree present.
+A snapshot holds its fragments as columns, not as one object each.
+Fragment text is resolved from the version's source tree in a separate
+step, so reports can be parsed without any source tree present.
 
 The parsers check only a report's shape (objects, arrays, required keys,
 XML integer literals) and raise ReportParseError when it is wrong: JSON
 is decoded by ``errors.json_document`` and its objects and arrays go
-through the shared ``errors._fields`` and ``errors._items``. The data
-types own every value rule, and their ValidationError is prefixed with
-its position: ``groups[i]: ``, ``groups[i].fragments[j]: `` or
-``<class id=N>: ``.
+through the shared ``errors._fields`` and ``errors._items``. Every value
+rule is ``VersionSnapshot``'s, applied to the columns in report order, and
+its ValidationError is prefixed with its position: ``groups[i]: ``,
+``groups[i].fragments[j]: `` or ``<class id=N>: ``. A value error comes
+before a shape error later in the report.
 """
 
 from __future__ import annotations
@@ -20,82 +22,145 @@ import errno
 import os
 import re
 import stat
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, repeat
+from operator import itemgetter, le, sub
 from pathlib import Path
 
 from .errors import (FragmentRangeError, ReportParseError, ValidationError,
-                     _at, _fields, _items, is_json_int, json_document, read_utf8)
+                     _fields, _items, is_json_int, json_document, read_utf8)
 
 
 @dataclass(frozen=True)
 class CloneFragment:
-    """One contiguous source region: file path plus a 1-based inclusive
-    line range. ``text`` is None until resolved against a source tree."""
+    """One fragment as a snapshot's ``groups`` view shows it: file path,
+    1-based inclusive line range and text, None until resolved. A plain
+    record that checks nothing; the snapshot checks its columns."""
 
     file: str
     start_line: int
     end_line: int
     text: str | None = None
 
-    def __post_init__(self):
-        if not (isinstance(self.file, str) and is_json_int(self.start_line)
-                and is_json_int(self.end_line)
-                and 1 <= self.start_line <= self.end_line):
-            raise ValidationError(
-                f"bad fragment: file {self.file!r}, lines "
-                f"{self.start_line!r}..{self.end_line!r}"
-            )
-        if not (self.text is None or isinstance(self.text, str)):
-            raise ValidationError(f"fragment text must be a string, got {self.text!r}")
-
 
 @dataclass(frozen=True)
 class CloneGroup:
-    """Two or more similar fragments within one version."""
+    """One group as a snapshot's ``groups`` view shows it: its index and
+    its fragments. A plain record that checks nothing."""
 
     index: int
     fragments: tuple[CloneFragment, ...]
 
-    def __post_init__(self):
-        if not is_json_int(self.index):
-            raise ValidationError(f"group index must be an integer, got {self.index!r}")
-        if len(self.fragments) < 2:
-            raise ValidationError(
-                f"clone group {self.index} has {len(self.fragments)} fragment(s); need >= 2"
-            )
 
-    def concatenated_text(self) -> str:
-        """All fragment texts joined in fragment order (newline-separated)."""
-        missing = [f.file for f in self.fragments if f.text is None]
-        if missing:
-            raise ValidationError(
-                f"group {self.index}: unresolved fragment text in {missing}"
-            )
-        return "\n".join(f.text for f in self.fragments)  # type: ignore[misc]
+_STR, _INT, _TEXT = {str}, {int}, {str, type(None)}
+
+
+def _raise_first_problem(rows, text, bounds, indices, where) -> None:
+    """Raise the first broken fragment or group rule in document order, a
+    group's fragments before the group, named by ``where(g, j)`` (``j`` is
+    None for the group itself). ``rows`` holds each fragment's file, start
+    and end line. A fragment has a string file, JSON-integer lines with
+    1 <= start <= end, and text that is None or a string; a group has a
+    JSON-integer index and two or more fragments. Fragments past the last
+    bound are a group still being read: no group rule."""
+    for g, (lo, hi) in enumerate(zip(bounds, [*bounds[1:], len(rows)])):
+        for k in range(lo, hi):
+            file, start, end = rows[k]
+            if not (isinstance(file, str) and is_json_int(start)
+                    and is_json_int(end) and 1 <= start <= end):
+                raise ValidationError(f"{where(g, k - lo)}: bad fragment: file "
+                                      f"{file!r}, lines {start!r}..{end!r}")
+            if not (text[k] is None or isinstance(text[k], str)):
+                raise ValidationError(f"{where(g, k - lo)}: fragment text must "
+                                      f"be a string, got {text[k]!r}")
+        if g + 1 == len(bounds):
+            return
+        if not is_json_int(indices[g]):
+            raise ValidationError(f"{where(g, None)}: group index must be an "
+                                  f"integer, got {indices[g]!r}")
+        if hi - lo < 2:
+            raise ValidationError(f"{where(g, None)}: clone group {indices[g]} "
+                                  f"has {hi - lo} fragment(s); need >= 2")
+
+
+def _check(version_id, files, starts, ends, text, bounds, indices, where) -> None:
+    """Raise ValidationError for the first rule broken, in document order:
+    each group's fragments, the group, then the version id, then the
+    density of ``indices``, the groups' indices in the order given. One
+    pass per column over exact types and ranges clears a valid snapshot;
+    anything else goes to ``_raise_first_problem``, which also accepts
+    subclasses."""
+    if not (set(map(type, files)) <= _STR
+            and set(map(type, starts)) | set(map(type, ends)) <= _INT
+            and set(map(type, text)) <= _TEXT and set(map(type, indices)) <= _INT
+            and min(starts, default=1) >= 1 and all(map(le, starts, ends))
+            and min(map(sub, bounds[1:], bounds), default=2) >= 2):
+        _raise_first_problem(list(zip(files, starts, ends)), text, bounds,
+                             indices, where)
+    if not (isinstance(version_id, str) and version_id):
+        raise ValidationError(f"version must be a non-empty string, "
+                              f"got {version_id!r}")
+    # n indices are dense exactly when none of 0..n-1 is missing.
+    missing = set(range(len(indices))).difference(indices)
+    if missing:
+        raise ValidationError(f"group indices must be unique and dense "
+                              f"0..{len(indices) - 1}, but {min(missing)} is missing")
+
+
+def _position(g: int, j: int | None) -> str:
+    """Group ``g`` or its fragment ``j`` as the JSON schema names it."""
+    return f"groups[{g}]" if j is None else f"groups[{g}].fragments[{j}]"
 
 
 @dataclass(frozen=True)
 class VersionSnapshot:
-    """All clone groups reported for one version of the system.
+    """All clone groups reported for one version of the system, as
+    fragment columns.
 
-    Group indices are dense 0..s-1 and unique; ``groups`` holds them in
-    index order whatever the report's order, so a group's position is its
-    index.
+    Fragment k is lines ``starts[k]..ends[k]`` (1-based, inclusive) of
+    ``files[k]``, with ``text[k]`` its text, or None until resolved. Group
+    g holds fragments ``bounds[g]`` up to ``bounds[g + 1]``, so
+    ``bounds`` runs from 0 to the fragment count. Groups are in index
+    order whatever the report's order, so a group's position is its
+    index. Construction checks every column once.
     """
 
     version_id: str
-    groups: tuple[CloneGroup, ...]
+    files: tuple[str, ...]
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
+    text: tuple[str | None, ...]
+    bounds: tuple[int, ...]
 
     def __post_init__(self):
-        if not (isinstance(self.version_id, str) and self.version_id):
-            raise ValidationError(f"version must be a non-empty string, "
-                                  f"got {self.version_id!r}")
-        groups = tuple(sorted(self.groups, key=lambda g: g.index))
-        indices = [g.index for g in groups]
-        if indices != list(range(len(groups))):
-            raise ValidationError(f"group indices must be unique and dense "
-                                  f"0..{len(groups) - 1}, got {indices}")
-        object.__setattr__(self, "groups", groups)
+        columns = self.files, self.starts, self.ends, self.text, self.bounds
+        if not (set(map(type, columns)) == {tuple}
+                and len(set(map(len, columns[:4]))) == 1
+                and set(map(type, self.bounds)) == {int}
+                and self.bounds[0] == 0 and self.bounds[-1] == len(self.files)):
+            raise ValidationError("snapshot columns must be tuples of one "
+                                  "length, with bounds from 0 to that length")
+        _check(self.version_id, *columns, range(len(self.bounds) - 1), _position)
+
+    @cached_property
+    def groups(self) -> tuple[CloneGroup, ...]:
+        """The groups as plain records in index order, built on first
+        access and then kept. No stage of ``map`` reads them."""
+        fragments = list(map(CloneFragment, self.files, self.starts,
+                             self.ends, self.text))
+        return tuple(CloneGroup(g, tuple(fragments[lo:hi])) for g, (lo, hi)
+                     in enumerate(zip(self.bounds, self.bounds[1:])))
+
+
+def _checked(*columns) -> VersionSnapshot:
+    """A snapshot of columns that were checked already, built without a
+    second check: a parse checks its columns in report order, and a
+    resolve adds only strings."""
+    snapshot = object.__new__(VersionSnapshot)
+    snapshot.__dict__.update(zip(VersionSnapshot.__dataclass_fields__, columns))
+    return snapshot
 
 
 def _lf(text: str) -> str:
@@ -195,23 +260,24 @@ class _SourceTree:
         self.dirs: dict[str, tuple[str, bool]] = {}
         self.files: dict[str, _SourceFile] = {}
 
-    def text(self, fragment: CloneFragment) -> str:
-        """The fragment's text, as ``resolve_fragment_text`` reads it."""
-        source = self.names.get(fragment.file)
+    def text(self, file: str, start_line: int, end_line: int) -> str:
+        """The text of lines ``start_line..end_line`` of ``file``, as
+        ``resolve_fragment_text`` reads it."""
+        source = self.names.get(file)
         if source is None:
             try:
-                source = self.names[fragment.file] = self._contained_file(fragment.file)
+                source = self.names[file] = self._contained_file(file)
             except ValueError as exc:
                 # An embedded NUL, or a name the file system encoding cannot encode.
                 raise ValidationError(
-                    f"fragment file {fragment.file!r} is not a valid path: {exc}"
+                    f"fragment file {file!r} is not a valid path: {exc}"
                 ) from None
-        if fragment.end_line > source.line_count:
+        if end_line > source.line_count:
             raise FragmentRangeError(
-                f"{fragment.file}: lines {fragment.start_line}..{fragment.end_line} "
+                f"{file}: lines {start_line}..{end_line} "
                 f"exceed file length {source.line_count}"
             )
-        return source.text(fragment.start_line, fragment.end_line)
+        return source.text(start_line, end_line)
 
     def _contained_file(self, file: str) -> _SourceFile:
         """The source file that ``file`` names under the root;
@@ -264,76 +330,109 @@ def resolve_fragment_text(fragment: CloneFragment, source_root: Path | str) -> s
     FileNotFoundError for a missing file and FragmentRangeError when the
     range exceeds the file length.
     """
-    return _SourceTree(os.path.realpath(source_root)).text(fragment)
+    return _SourceTree(os.path.realpath(source_root)).text(
+        fragment.file, fragment.start_line, fragment.end_line)
 
 
 def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None = None) -> VersionSnapshot:
-    """Return a copy of the snapshot with every fragment's text filled in.
+    """Return the snapshot with its text column filled in.
 
-    Fragments that already carry text (e.g. from a report's optional "text"
-    field) keep it, with CRLF and lone CR turned into LF as for a file;
-    every other fragment is read from under ``source_root``, and a
-    fragment file outside it raises ValidationError. Each file is opened
-    and read once, however many fragments and names lead to it.
+    Text a fragment already carries (a report's optional "text" field) is
+    kept, with CRLF and lone CR turned into LF as for a file; every other
+    fragment is read from under ``source_root``, and a fragment file
+    outside it raises ValidationError. Each file is opened and read once,
+    however many fragments and names lead to it.
     """
-    tree = _SourceTree(os.path.realpath(source_root)) if source_root is not None else None
-    groups = []
-    for group in snapshot.groups:
-        fragments = []
-        for frag in group.fragments:
-            if frag.text is None:
-                if tree is None:
-                    raise ValidationError(
-                        f"group {group.index}: no source root to resolve {frag.file!r}"
-                    )
-                frag = CloneFragment(frag.file, frag.start_line, frag.end_line,
-                                     tree.text(frag))
-            elif "\r" in frag.text:
-                frag = CloneFragment(frag.file, frag.start_line, frag.end_line,
-                                     _lf(frag.text))
-            fragments.append(frag)
-        groups.append(CloneGroup(index=group.index, fragments=tuple(fragments)))
-    return VersionSnapshot(version_id=snapshot.version_id, groups=tuple(groups))
+    files, starts, ends, text = snapshot.files, snapshot.starts, snapshot.ends, snapshot.text
+    if source_root is None:
+        if None in text:
+            k = text.index(None)
+            raise ValidationError(
+                f"version {snapshot.version_id!r}, group "
+                f"{bisect_right(snapshot.bounds, k) - 1}: no source root to "
+                f"resolve {files[k]!r}")
+        read = None
+    else:
+        read = _SourceTree(os.path.realpath(source_root)).text
+    filled = tuple([read(file, start, end) if inline is None else _lf(inline)
+                    for file, start, end, inline in zip(files, starts, ends, text)])
+    return _checked(snapshot.version_id, files, starts, ends, filled,
+                    snapshot.bounds)
+
+
+_FRAGMENT_KEYS = ("file", "start_line", "end_line")
+_fragment_row = itemgetter(*_FRAGMENT_KEYS)
+
+
+def _report_snapshot(version_id, rows: list[tuple], text: tuple,
+                     bounds: list[int], indices: list, where) -> VersionSnapshot:
+    """The snapshot of a report's fragment rows and texts, its group
+    bounds and declared indices, all in report order: checked in that
+    order, each problem named by ``where``, then put into index order."""
+    files, starts, ends = tuple(zip(*rows)) or ((), (), ())
+    _check(version_id, files, starts, ends, text, bounds, indices, where)
+    if indices != list(range(len(indices))):
+        spans = [range(bounds[p], bounds[p + 1])
+                 for p in sorted(range(len(indices)), key=indices.__getitem__)]
+        picks = [k for span in spans for k in span]
+        files, starts, ends, text = (tuple(map(column.__getitem__, picks))
+                                     for column in (files, starts, ends, text))
+        bounds = accumulate(map(len, spans), initial=0)
+    return _checked(version_id, files, starts, ends, text, tuple(bounds))
+
+
+def _read_fragments(fragments: list, where: str, rows: list, text: list) -> None:
+    """Append each fragment object's file and lines to ``rows`` and its
+    text to ``text``. When every object is a dict with every key they go
+    in at once; otherwise one at a time, so the first wrong one raises
+    its ReportParseError with the ones before it in."""
+    if all(map(isinstance, fragments, repeat(dict))):
+        try:
+            # Through a list, so a missing key leaves ``rows`` as it was.
+            rows += list(map(_fragment_row, fragments))
+        except KeyError:
+            pass
+        else:
+            text += map(dict.get, fragments, repeat("text"))
+            return
+    for fpos, entry in enumerate(fragments):
+        rows.append(_fields(entry, f"{where}.fragments[{fpos}]", _FRAGMENT_KEYS,
+                            ReportParseError))
+        text.append(entry.get("text"))
 
 
 def snapshot_from_dict(doc: dict) -> VersionSnapshot:
     """Build a snapshot from a native-schema report object."""
     version, raw_groups = _fields(doc, "report", ("version", "groups"),
                                   ReportParseError)
-    groups = []
-    for pos, entry in enumerate(_items(raw_groups, "report 'groups'",
-                                       ReportParseError)):
-        where = f"groups[{pos}]"
-        index, raw_fragments = _fields(entry, where, ("index", "fragments"),
+    rows, text, bounds, indices = [], [], [0], []
+    try:
+        for pos, entry in enumerate(_items(raw_groups, "report 'groups'",
+                                           ReportParseError)):
+            where = f"groups[{pos}]"
+            index, fragments = _fields(entry, where, ("index", "fragments"),
                                        ReportParseError)
-        fragments = []
-        for fpos, fentry in enumerate(_items(raw_fragments, f"{where}.fragments",
-                                             ReportParseError)):
-            fwhere = f"{where}.fragments[{fpos}]"
-            fields = _fields(fentry, fwhere, ("file", "start_line", "end_line"),
-                             ReportParseError)
-            fragments.append(_at(fwhere, CloneFragment, *fields, fentry.get("text")))
-        groups.append(_at(where, CloneGroup, index, tuple(fragments)))
-
-    return VersionSnapshot(version_id=version, groups=tuple(groups))
+            indices.append(index)
+            _read_fragments(_items(fragments, f"{where}.fragments", ReportParseError),
+                            where, rows, text)
+            bounds.append(len(rows))
+    except ReportParseError:
+        # A value error earlier in the report comes first.
+        _raise_first_problem(rows, text, bounds, indices, _position)
+        raise
+    return _report_snapshot(version, rows, tuple(text), bounds, indices, _position)
 
 
 def snapshot_to_dict(snapshot: VersionSnapshot) -> dict:
     """Serialize a snapshot back to the native JSON schema (round-trips)."""
-    groups = []
-    for group in snapshot.groups:
-        fragments = []
-        for frag in group.fragments:
-            entry: dict = {
-                "file": frag.file,
-                "start_line": frag.start_line,
-                "end_line": frag.end_line,
-            }
-            if frag.text is not None:
-                entry["text"] = frag.text
-            fragments.append(entry)
-        groups.append({"index": group.index, "fragments": fragments})
-    return {"version": snapshot.version_id, "groups": groups}
+    keys = ("file", "start_line", "end_line", "text")
+    fragments = [{key: value for key, value in zip(keys, row) if value is not None}
+                 for row in zip(snapshot.files, snapshot.starts, snapshot.ends,
+                                snapshot.text)]
+    bounds = snapshot.bounds
+    return {"version": snapshot.version_id, "groups": [
+        {"index": index, "fragments": fragments[lo:hi]}
+        for index, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]}
 
 
 def _xml_int(value: str, where: str) -> int:
@@ -366,23 +465,30 @@ def _snapshot_from_xml(text: str) -> VersionSnapshot:
         raise ReportParseError("XML report carries no version: the <clones> "
                                "root needs a 'version' attribute")
 
-    groups = []
-    for pos, class_el in enumerate(root.findall("class")):
-        declared = class_el.get("id")
-        index = (pos if declared is None
-                 else _xml_int(declared, f"<class id> at position {pos}"))
-        where = f"<class id={index}>"
-        fragments = []
-        for src in class_el.findall("source"):
-            file, start, end = map(src.get, ("file", "startline", "endline"))
-            if file is None or start is None or end is None:
-                raise ReportParseError(
-                    f"{where}: <source> needs file/startline/endline attributes")
-            fragments.append(_at(where, CloneFragment, file,
-                                 _xml_int(start, where), _xml_int(end, where)))
-        groups.append(_at(where, CloneGroup, index, tuple(fragments)))
+    rows, bounds, indices = [], [0], []
 
-    return VersionSnapshot(version_id=version_id, groups=tuple(groups))
+    def where(g, j):
+        return f"<class id={indices[g]}>"
+
+    try:
+        for pos, class_el in enumerate(root.findall("class")):
+            declared = class_el.get("id")
+            indices.append(pos if declared is None
+                           else _xml_int(declared, f"<class id> at position {pos}"))
+            at = where(pos, None)
+            for src in class_el.findall("source"):
+                file, start, end = map(src.get, ("file", "startline", "endline"))
+                if file is None or start is None or end is None:
+                    raise ReportParseError(
+                        f"{at}: <source> needs file/startline/endline attributes")
+                rows.append((file, _xml_int(start, at), _xml_int(end, at)))
+            bounds.append(len(rows))
+    except ReportParseError:
+        # A value error earlier in the report comes first.
+        _raise_first_problem(rows, (None,) * len(rows), bounds, indices, where)
+        raise
+    return _report_snapshot(version_id, rows, (None,) * len(rows), bounds,
+                            indices, where)
 
 
 def parse_clone_report(report_path: Path | str) -> VersionSnapshot:

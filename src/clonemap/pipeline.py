@@ -33,12 +33,14 @@ from .topicmodel import fit_group_topic  # noqa: F401
 def texts(snapshot: VersionSnapshot,
           source_root: Path | str | None) -> Iterator[str]:
     """Resolve ``snapshot`` on the first ``next()``, then yield each
-    group's concatenated fragment text in index order. This is the one
-    place a version is read, for both strategies. When the generator is
-    exhausted it holds nothing, so the snapshot and its text go with the
-    last reference outside it."""
-    for group in resolve_snapshot(snapshot, source_root).groups:
-        yield group.concatenated_text()
+    group's fragment texts, joined by newlines, in index order. This is
+    the one place a version is read, for both strategies. When the
+    generator is exhausted it holds nothing, so the snapshot and its text
+    go with the last reference outside it."""
+    snapshot = resolve_snapshot(snapshot, source_root)
+    text, bounds = snapshot.text, snapshot.bounds
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield "\n".join(text[lo:hi])
 
 
 def documents(snapshot: VersionSnapshot, source_root: Path | str | None,
@@ -190,7 +192,7 @@ def run_map(newer_report: Path | str, older_report: Path | str,
     newer = parse_clone_report(newer_report)
     older = parse_clone_report(older_report)
     ids = newer.version_id, older.version_id
-    older_size = len(older.groups)
+    older_size = len(older.bounds) - 1
     # Each name is rebound to its report's one reader, so nothing else
     # holds a parsed report and the newer version's inline text goes once
     # its reader is exhausted.

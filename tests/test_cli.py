@@ -19,7 +19,7 @@ from xml.sax.saxutils import quoteattr
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from clonemap import pipeline
+from clonemap import ingest, pipeline
 from clonemap.cli import build_parser, main
 from clonemap.errors import CloneMapWarning
 from clonemap.evaluation import SynthConfig
@@ -239,6 +239,47 @@ class TestOutOfOrderReport:
                  for e in doc["topics"]}
         assert "sprocket" in words[0] and "widget" not in words[0]
         assert "widget" in words[1] and "sprocket" not in words[1]
+
+    @pytest.mark.parametrize("fmt", ["json", "xml"])
+    def test_map_bytes_match_the_sorted_report(self, evolution, tmp_path,
+                                               capsys, fmt):
+        """The newer report with its groups reversed maps to the same
+        bytes as the report in index order, written at the same path."""
+        doc = json.loads((evolution / "newer_report.json").read_text())
+        permuted = dict(doc, groups=doc["groups"][::-1])
+        assert len(doc["groups"]) > 2
+        newer = tmp_path / f"newer.{fmt}"
+        write = report_xml if fmt == "xml" else json.dumps
+        argv = ["map", "--newer", str(newer),
+                "--older", str(evolution / "older_report.json"),
+                "--source-newer", str(evolution / "newer_src"),
+                "--source-older", str(evolution / "older_src"),
+                "--format", "json"]
+        outputs = []
+        for report in (doc, permuted):
+            newer.write_text(write(report), encoding="utf-8")
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+
+class TestMissingSourceRoot:
+    """A version whose fragments carry no text and whose source root is
+    not given exits 3 naming the version."""
+
+    @pytest.mark.parametrize("given_root, version", [
+        ("--source-newer", "v1"), ("--source-older", "v2")])
+    def test_error_names_the_version(self, evolution, capsys, given_root,
+                                     version):
+        side = "newer" if given_root == "--source-newer" else "older"
+        rc = main(["map", "--newer", str(evolution / "newer_report.json"),
+                   "--older", str(evolution / "older_report.json"),
+                   given_root, str(evolution / f"{side}_src"),
+                   "--format", "json"])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"clonemap: version {version!r}, group 0: no source root to "
+            "resolve 'group000_frag0.c'\n")
 
 
 class TestEvalCommand:
@@ -842,6 +883,30 @@ class TestOneVersionAtATime:
                          lda_config=lda_config)
         assert len(refs) > 20
         assert alive_at_call == [len(refs), 0]
+
+
+class TestNoFragmentObjects:
+    """No stage of ``map`` builds a per-fragment or per-group object: the
+    snapshot's ``groups`` view is for callers outside it."""
+
+    @pytest.mark.parametrize("lda_config, mapping_config", READ_MODES,
+                             ids=["K1", "K2", "lcs"])
+    def test_map_builds_no_records(self, evolution, monkeypatch, lda_config,
+                                   mapping_config):
+        args = (evolution / "newer_report.json", evolution / "older_report.json",
+                evolution / "newer_src", evolution / "older_src")
+        expected = pipeline.run_map(*args, mapping_config=mapping_config,
+                                    lda_config=lda_config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a record was built on the map path")
+
+        monkeypatch.setattr(ingest, "CloneFragment", refuse)
+        monkeypatch.setattr(ingest, "CloneGroup", refuse)
+        with pytest.raises(AssertionError, match="record was built"):
+            parse_clone_report(args[0]).groups
+        assert pipeline.run_map(*args, mapping_config=mapping_config,
+                                lda_config=lda_config) == expected
 
 
 class TestSynthCommand:

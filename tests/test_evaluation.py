@@ -19,7 +19,7 @@ from clonemap.evaluation import (
 )
 from clonemap.ingest import parse_clone_report, resolve_snapshot
 from clonemap.mapping import GroupMapping
-from clonemap.pipeline import canonical_json, documents
+from clonemap.pipeline import canonical_json, documents, texts
 from clonemap.preprocess import default_filter_config
 
 
@@ -342,11 +342,12 @@ class TestGenerateEvolution:
         truth = load_ground_truth(out / "truth.json")
         older_docs = list(documents(older, None, fc))
         newer_docs = list(documents(newer, None, fc))
+        older_texts = list(texts(older, None))
+        newer_texts = list(texts(newer, None))
         byte_changes = 0
         for new_idx, old_idx in truth.pairs.items():
             assert newer_docs[new_idx].counts() == older_docs[old_idx].counts()
-            if (newer.groups[new_idx].concatenated_text()
-                    != older.groups[old_idx].concatenated_text()):
+            if newer_texts[new_idx] != older_texts[old_idx]:
                 byte_changes += 1
         assert byte_changes == len(truth.pairs)
 

@@ -163,7 +163,9 @@ def uncalled_public_names(paths, readers, allowed=frozenset()) -> list[str]:
 
 # Public names that no module calls, each with the reason it stays.
 UNCALLED_PUBLIC_NAMES = {
-    # The one-fragment reader tests/test_ingest.py checks resolve_snapshot against.
+    # The one-fragment reader, on a CloneFragment record, that
+    # tests/test_ingest.py checks the column path against: resolve_snapshot
+    # fragment by fragment, and pipeline.texts group by group.
     "ingest.resolve_fragment_text",
     # perfbench/tracer.py wraps these two by name, as strings. Whether they
     # stay once the tracer is replaced is an open ROADMAP item.

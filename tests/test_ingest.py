@@ -1,8 +1,11 @@
 """Clone report parsing: native JSON, the XML adapter, and text resolution."""
 
+import copy
 import json
 import os
 import re
+from dataclasses import asdict, dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,10 @@ from clonemap.errors import (
     FragmentRangeError,
     ReportParseError,
     ValidationError,
+    _at,
+    _fields,
+    _items,
+    is_json_int,
 )
 from clonemap.ingest import (
     CloneFragment,
@@ -84,31 +91,46 @@ def make_report(version="v1", n_groups=2, with_text=True):
     return {"version": version, "groups": groups}
 
 
+def columns(version, groups):
+    """The snapshot whose groups hold the given fragments, each a
+    ``(file, start_line, end_line)`` or ``(file, start_line, end_line,
+    text)`` tuple, built straight from its columns."""
+    frags = [(*f, None)[:4] for group in groups for f in group]
+    files, starts, ends, text = tuple(zip(*frags)) if frags else ((),) * 4
+    return VersionSnapshot(version, files, starts, ends, text,
+                           tuple(accumulate(map(len, groups), initial=0)))
+
+
 class TestFragmentAndGroupInvariants:
+    """The snapshot checks its columns; each error names the fragment or
+    group by its position."""
+
     def test_line_range_must_be_ordered(self):
-        with pytest.raises(ValidationError):
-            CloneFragment(file="a.c", start_line=5, end_line=3)
+        with pytest.raises(ValidationError,
+                           match=r"^groups\[0\]\.fragments\[0\]: bad fragment"):
+            columns("v1", [[("a.c", 5, 3), ("a.c", 1, 2)]])
 
     def test_line_numbers_start_at_one(self):
-        with pytest.raises(ValidationError):
-            CloneFragment(file="a.c", start_line=0, end_line=3)
+        with pytest.raises(ValidationError,
+                           match=r"^groups\[0\]\.fragments\[1\]: bad fragment"):
+            columns("v1", [[("a.c", 1, 3), ("a.c", 0, 3)]])
 
     def test_group_needs_two_fragments(self):
-        frag = CloneFragment(file="a.c", start_line=1, end_line=2)
-        with pytest.raises(ValidationError):
-            CloneGroup(index=0, fragments=(frag,))
+        with pytest.raises(ValidationError,
+                           match=r"^groups\[1\]: clone group 1 has 1 fragment"):
+            columns("v1", [[("a.c", 1, 2)] * 2, [("a.c", 1, 2)]])
 
     def test_group_indices_must_be_dense(self):
-        frag = CloneFragment(file="a.c", start_line=1, end_line=2)
-        group = CloneGroup(index=3, fragments=(frag, frag))
-        with pytest.raises(ValidationError):
-            VersionSnapshot(version_id="v1", groups=(group,))
+        doc = make_report(n_groups=1)
+        doc["groups"][0]["index"] = 3
+        with pytest.raises(ValidationError, match="unique and dense"):
+            snapshot_from_dict(doc)
 
     def test_duplicate_group_indices_rejected(self):
-        frag = CloneFragment(file="a.c", start_line=1, end_line=2)
-        g = CloneGroup(index=0, fragments=(frag, frag))
-        with pytest.raises(ValidationError):
-            VersionSnapshot(version_id="v1", groups=(g, g))
+        doc = make_report(n_groups=2)
+        doc["groups"][1]["index"] = 0
+        with pytest.raises(ValidationError, match="unique and dense"):
+            snapshot_from_dict(doc)
 
     @pytest.mark.parametrize("file, start, end", [
         ("a.c", 1.5, 2), ("a.c", 1, 2.0), ("a.c", True, 2), ("a.c", "1", 2),
@@ -116,29 +138,56 @@ class TestFragmentAndGroupInvariants:
     ])
     def test_fragment_fields_must_be_typed(self, file, start, end):
         """A float line once reached resolve_snapshot and died slicing."""
-        with pytest.raises(ValidationError):
-            CloneFragment(file=file, start_line=start, end_line=end)
+        with pytest.raises(ValidationError, match="bad fragment"):
+            columns("v1", [[("a.c", 1, 2), (file, start, end)]])
 
     @pytest.mark.parametrize("index", [0.0, True, "0", None])
     def test_group_index_must_be_an_integer(self, index):
         """0.0 and True once passed the dense check and were written by
         snapshot_to_dict as a report that snapshot_from_dict rejects."""
-        frag = CloneFragment(file="a.c", start_line=1, end_line=2)
-        with pytest.raises(ValidationError, match="index must be an integer"):
-            CloneGroup(index=index, fragments=(frag, frag))
+        doc = make_report(n_groups=1)
+        doc["groups"][0]["index"] = index
+        with pytest.raises(ValidationError,
+                           match=r"^groups\[0\]: group index must be an integer"):
+            snapshot_from_dict(doc)
 
     @pytest.mark.parametrize("text", [5, b"x", ["x"]])
     def test_fragment_text_must_be_a_string(self, text):
         """An int text once passed and died in concatenated_text."""
         with pytest.raises(ValidationError, match="text must be a string"):
-            CloneFragment(file="a.c", start_line=1, end_line=2, text=text)
+            columns("v1", [[("a.c", 1, 2, text), ("a.c", 1, 2, "x")]])
 
     @pytest.mark.parametrize("version", [5, "", None, True])
     def test_version_must_be_a_non_empty_string(self, version):
         """5 was once accepted and written as a report that
         snapshot_from_dict rejects."""
         with pytest.raises(ValidationError, match="non-empty string"):
-            VersionSnapshot(version_id=version, groups=())
+            columns(version, [])
+
+    @pytest.mark.parametrize("fields", [
+        ((), (), (), (), ()), (("a.c",), (), (), (), (0, 1)),
+        (("a.c", "a.c"), (1, 1), (1, 1), (None, None), (0, 3)),
+        (("a.c", "a.c"), (1, 1), (1, 1), (None, None), (1, 2)),
+        (["a.c", "a.c"], [1, 1], [1, 1], [None, None], [0, 2]),
+        (("a.c", "a.c"), (1, 1), (1, 1), (None, None), (0, 2.0)),
+    ], ids=["no-bounds", "short-column", "past-the-end", "not-from-0",
+            "lists", "float-bound"])
+    def test_columns_must_line_up(self, fields):
+        with pytest.raises(ValidationError, match="columns must be tuples"):
+            VersionSnapshot("v1", *fields)
+
+    def test_records_check_nothing(self):
+        """The view's records are plain: the columns were checked."""
+        assert CloneFragment(5, 3, 1, text=7).start_line == 3
+        assert CloneGroup("x", ()).fragments == ()
+
+    def test_groups_view_shows_the_columns(self):
+        snap = columns("v1", [[("a.c", 1, 2), ("b.c", 3, 4, "t")],
+                              [("c.c", 1, 1)] * 3])
+        assert snap.groups == (
+            CloneGroup(0, (CloneFragment("a.c", 1, 2), CloneFragment("b.c", 3, 4, "t"))),
+            CloneGroup(1, (CloneFragment("c.c", 1, 1),) * 3))
+        assert snap.groups is snap.groups
 
 
 # Values that are wrongly typed for some field (and valid for another).
@@ -149,8 +198,8 @@ FRAGMENT = st.fixed_dictionaries({
 
 
 class TestTypesAndParserAgree:
-    """The constructors and the parser apply one rule: whatever the types
-    accept round-trips through the report schema."""
+    """The snapshot and the parser apply one rule: whatever the snapshot
+    accepts round-trips through the report schema."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(version=st.text(min_size=1, max_size=3),
@@ -161,16 +210,15 @@ class TestTypesAndParserAgree:
         """A valid snapshot with one field at a time set to ``value``."""
         for slot in ("version", "index", "file", "start_line", "end_line", "text"):
             fields = [[dict(f) for f in fragments] for fragments in groups]
-            indices = list(range(len(groups)))
-            if slot == "index":
-                indices[0] = value
-            elif slot != "version":
+            if slot not in ("version", "index"):
                 fields[0][0][slot] = value
+            frags = [tuple(f.values()) for fragments in fields for f in fragments]
+            bounds = list(accumulate(map(len, fields), initial=0))
+            if slot == "index":  # the columns hold no index: its bound
+                bounds[1] = value
             try:
-                snapshot = VersionSnapshot(
-                    value if slot == "version" else version,
-                    tuple(CloneGroup(index, tuple(CloneFragment(**f) for f in frags))
-                          for index, frags in zip(indices, fields)))
+                snapshot = VersionSnapshot(value if slot == "version" else version,
+                                           *zip(*frags), tuple(bounds))
             except ValidationError:
                 continue
             assert snapshot_from_dict(snapshot_to_dict(snapshot)) == snapshot
@@ -206,6 +254,220 @@ class TestTypesAndParserAgree:
     def test_wrong_shape_is_parse_error(self, doc):
         with pytest.raises(ReportParseError):
             snapshot_from_dict(doc)
+
+
+# The report reader as it was when every fragment and group was an object
+# that checked itself, kept as the reference for the column parser's
+# errors. Only the dense-index message has changed since.
+@dataclass(frozen=True)
+class ReferenceFragment:
+    file: str
+    start_line: int
+    end_line: int
+    text: str | None = None
+
+    def __post_init__(self):
+        if not (isinstance(self.file, str) and is_json_int(self.start_line)
+                and is_json_int(self.end_line)
+                and 1 <= self.start_line <= self.end_line):
+            raise ValidationError(
+                f"bad fragment: file {self.file!r}, lines "
+                f"{self.start_line!r}..{self.end_line!r}"
+            )
+        if not (self.text is None or isinstance(self.text, str)):
+            raise ValidationError(f"fragment text must be a string, got {self.text!r}")
+
+
+@dataclass(frozen=True)
+class ReferenceGroup:
+    index: int
+    fragments: tuple[ReferenceFragment, ...]
+
+    def __post_init__(self):
+        if not is_json_int(self.index):
+            raise ValidationError(f"group index must be an integer, got {self.index!r}")
+        if len(self.fragments) < 2:
+            raise ValidationError(
+                f"clone group {self.index} has {len(self.fragments)} fragment(s); need >= 2"
+            )
+
+
+@dataclass(frozen=True)
+class ReferenceSnapshot:
+    version_id: str
+    groups: tuple[ReferenceGroup, ...]
+
+    def __post_init__(self):
+        if not (isinstance(self.version_id, str) and self.version_id):
+            raise ValidationError(f"version must be a non-empty string, "
+                                  f"got {self.version_id!r}")
+        groups = tuple(sorted(self.groups, key=lambda g: g.index))
+        indices = [g.index for g in groups]
+        if indices != list(range(len(groups))):
+            raise ValidationError(f"group indices must be unique and dense "
+                                  f"0..{len(groups) - 1}, got {indices}")
+        object.__setattr__(self, "groups", groups)
+
+
+def reference_snapshot_from_dict(doc: dict) -> dict:
+    """The report as the object-building reader read it, written back in
+    the native schema."""
+    version, raw_groups = _fields(doc, "report", ("version", "groups"),
+                                  ReportParseError)
+    groups = []
+    for pos, entry in enumerate(_items(raw_groups, "report 'groups'",
+                                       ReportParseError)):
+        where = f"groups[{pos}]"
+        index, raw_fragments = _fields(entry, where, ("index", "fragments"),
+                                       ReportParseError)
+        fragments = []
+        for fpos, fentry in enumerate(_items(raw_fragments, f"{where}.fragments",
+                                             ReportParseError)):
+            fwhere = f"{where}.fragments[{fpos}]"
+            fields = _fields(fentry, fwhere, ("file", "start_line", "end_line"),
+                             ReportParseError)
+            fragments.append(_at(fwhere, ReferenceFragment, *fields, fentry.get("text")))
+        groups.append(_at(where, ReferenceGroup, index, tuple(fragments)))
+    snapshot = ReferenceSnapshot(version_id=version, groups=tuple(groups))
+    return {"version": snapshot.version_id, "groups": [
+        {"index": group.index, "fragments": [
+            {k: v for k, v in asdict(frag).items() if k != "text" or v is not None}
+            for frag in group.fragments]}
+        for group in snapshot.groups]}
+
+
+# Values wrong for some place in a report: of shape (an object, an array)
+# or of value.
+CORRUPT = [[], {}, [{}], "x", 0, -1, 2, 7, True, 1.5, None, ""]
+
+
+def corrupt(data, doc):
+    """Delete or replace one drawn key of the report, a group or a
+    fragment, or replace a whole group or fragment in its list."""
+    node, holder, slot = doc, None, None
+    for key in ("groups", "fragments")[:data.draw(st.integers(0, 2))]:
+        if not node[key]:
+            break
+        holder = node[key]
+        slot = data.draw(st.integers(0, len(holder) - 1))
+        node = holder[slot]
+    key = data.draw(st.sampled_from(sorted(node) + (["WHOLE"] if holder else [])))
+    value = copy.deepcopy(data.draw(st.sampled_from(CORRUPT)))
+    if key == "WHOLE":
+        holder[slot] = value
+    elif data.draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = value
+
+
+class TestParserMatchesTheObjectReader:
+    """The column parser reads a report as the object-building reader did:
+    the same snapshot, or the same error type and message for the first
+    problem in document order."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data(),
+           sizes=st.lists(st.integers(2, 3), min_size=1, max_size=3),
+           corruptions=st.integers(1, 2))
+    def test_corrupted_report(self, data, sizes, corruptions):
+        order = data.draw(st.permutations(range(len(sizes))))
+        doc = {"version": "v1", "groups": [
+            {"index": index, "fragments": [
+                {"file": f"g{index}_{m}.c", "start_line": 1, "end_line": 2,
+                 **({"text": f"t{index}"} if m else {})}
+                for m in range(sizes[index])]}
+            for index in order]}
+        for _ in range(corruptions):
+            if isinstance(doc.get("groups"), list) and all(
+                    isinstance(g, dict) and isinstance(g.get("fragments"), list)
+                    and all(isinstance(f, dict) for f in g["fragments"])
+                    for g in doc["groups"]):
+                corrupt(data, doc)
+        try:
+            expected = reference_snapshot_from_dict(copy.deepcopy(doc))
+        except (ReportParseError, ValidationError) as exc:
+            with pytest.raises(type(exc)) as caught:
+                snapshot_from_dict(doc)
+            got, want = str(caught.value), str(exc)
+            dense = "group indices must be unique and dense"
+            if want.startswith(dense):
+                got, want = got.split(", but")[0], want.split(", got")[0]
+            assert got == want
+        else:
+            assert snapshot_to_dict(snapshot_from_dict(doc)) == expected
+
+
+class TestDenseIndexError:
+    """The dense-index error names one index, the smallest missing one,
+    however large the report: n indices that are not 0..n-1 once each
+    always miss one of 0..n-1."""
+
+    def test_one_repeat_in_a_large_report(self):
+        fragments = [{"file": "a.c", "start_line": 1, "end_line": 1}] * 2
+        doc = {"version": "v1", "groups": [
+            {"index": k, "fragments": fragments} for k in range(3000)]}
+        doc["groups"][1234]["index"] = 2999
+        with pytest.raises(ValidationError) as caught:
+            snapshot_from_dict(doc)
+        assert str(caught.value) == ("group indices must be unique and dense "
+                                     "0..2999, but 1234 is missing")
+        assert len(str(caught.value)) < 100
+
+    @pytest.mark.parametrize("indices, missing", [
+        ([1, 0, 1], 2), ([0, 5], 1), ([7, 7], 0), ([-1, 0], 1),
+        ([10 ** 4000, 0], 1),
+    ])
+    def test_names_the_smallest_missing_index(self, indices, missing):
+        doc = make_report(n_groups=len(indices))
+        for group, index in zip(doc["groups"], indices):
+            group["index"] = index
+        with pytest.raises(ValidationError) as caught:
+            snapshot_from_dict(doc)
+        assert str(caught.value) == ("group indices must be unique and dense "
+                                     f"0..{len(indices) - 1}, but {missing} "
+                                     "is missing")
+
+
+def write_xml(doc: dict) -> str:
+    classes = "".join(
+        f'<class id="{g["index"]}">' + "".join(
+            f'<source file="{f["file"]}" startline="{f["start_line"]}" '
+            f'endline="{f["end_line"]}"/>' for f in g["fragments"]) + "</class>"
+        for g in doc["groups"])
+    return f'<clones version="{doc["version"]}">{classes}</clones>'
+
+
+class TestOutOfOrderGroups:
+    """A report that lists its groups out of index order parses to the
+    snapshot of the same report in index order."""
+
+    @staticmethod
+    def report():
+        return {"version": "v1", "groups": [
+            {"index": k, "fragments": [
+                {"file": f"g{k}_{m}.c", "start_line": m + 1, "end_line": m + k + 1,
+                 "text": f"text {k} {m}"}
+                for m in range(2 + k % 3)]}
+            for k in range(5)]}
+
+    @pytest.mark.parametrize("fmt", ["json", "xml"])
+    def test_parses_as_the_sorted_report(self, tmp_path, fmt):
+        doc = self.report()
+        permuted = dict(doc, groups=[doc["groups"][k] for k in (3, 0, 4, 2, 1)])
+        if fmt == "xml":
+            for group in doc["groups"]:
+                for fragment in group["fragments"]:
+                    del fragment["text"]
+        write = write_xml if fmt == "xml" else json.dumps
+        paths = []
+        for name, report in (("sorted", doc), ("permuted", permuted)):
+            paths.append(tmp_path / f"{name}.{fmt}")
+            paths[-1].write_text(write(report), encoding="utf-8")
+        sorted_snap, permuted_snap = map(parse_clone_report, paths)
+        assert permuted_snap == sorted_snap
+        assert snapshot_to_dict(permuted_snap) == doc
+        assert permuted_snap.bounds == (0, 2, 5, 9, 11, 14)
 
 
 class TestNativeJson:
@@ -576,13 +838,16 @@ class TestTextResolution:
         assert resolved.groups[0].fragments[0].text.startswith("int x0")
 
     def test_unresolved_without_root_is_an_error(self):
-        snap = snapshot_from_dict(make_report(with_text=False))
-        with pytest.raises(ValidationError):
+        doc = make_report(with_text=True)
+        del doc["groups"][1]["fragments"][1]["text"]
+        snap = snapshot_from_dict(doc)
+        with pytest.raises(ValidationError, match=r"^version 'v1', group 1: "
+                           r"no source root to resolve 'g1_1\.c'$"):
             resolve_snapshot(snap)
 
     def test_concatenated_text_joins_fragments(self):
         snap = snapshot_from_dict(make_report(with_text=True))
-        text = snap.groups[0].concatenated_text()
+        text = next(texts(snap, None))
         assert text.count("int x0") == 2
         assert "\n" in text
 
@@ -645,9 +910,9 @@ class TestResolveByFile:
     def snapshot(self, frags, version="v1"):
         # Pairs of fragments as groups, so each file is named from
         # several groups.
-        return VersionSnapshot(version, tuple(
-            CloneGroup(k, tuple(frags[2 * k : 2 * k + 2]))
-            for k in range(len(frags) // 2)))
+        return columns(version, [
+            [(f.file, f.start_line, f.end_line) for f in frags[2 * k : 2 * k + 2]]
+            for k in range(len(frags) // 2)])
 
     def test_every_fragment_matches_the_single_reader(self, root, opened):
         frags = self.fragments()
@@ -661,6 +926,15 @@ class TestResolveByFile:
             assert got == want
             real = {os.path.realpath(root / name) for name in self.FILES}
             assert sorted(opened) == sorted(real)
+
+    def test_texts_join_what_the_single_reader_reads(self, root):
+        """``pipeline.texts`` gives each group the newline-join of what
+        ``resolve_fragment_text`` reads for its fragments, in group order."""
+        frags = self.fragments()
+        want = ["\n".join(resolve_fragment_text(f, root)
+                          for f in frags[2 * k : 2 * k + 2])
+                for k in range(len(frags) // 2)]
+        assert list(texts(self.snapshot(frags), root)) == want
 
     def test_each_file_name_is_resolved_once_per_version(self, root,
                                                           monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from clonemap import preprocess
 from clonemap.errors import CloneMapWarning
-from clonemap.ingest import CloneFragment, CloneGroup, VersionSnapshot
+from clonemap.ingest import VersionSnapshot
 from clonemap.pipeline import texts
 from clonemap.preprocess import (
     FilterConfig,
@@ -407,36 +407,37 @@ class TestFilterMemo:
 
         original = preprocess._kept_word
         monkeypatch.setattr(preprocess, "_kept_word", counted)
-        snapshots = [VersionSnapshot(version, tuple(
-            CloneGroup(k, (CloneFragment("a.c", 1, 1, text=text),
-                           CloneFragment("b.c", 1, 1, text=text.upper())))
-            for k, text in enumerate(texts)))
-            for version, texts in (("v1", self.TEXTS),
-                                   ("v2", self.TEXTS[::-1] + ("gizmo",)))]
+        # Each group is two one-line fragments: a text and its upper case.
+        snapshots = [VersionSnapshot(
+            version, ("a.c", "b.c") * len(group_texts),
+            (1,) * 2 * len(group_texts), (1,) * 2 * len(group_texts),
+            tuple(t for text in group_texts for t in (text, text.upper())),
+            tuple(range(0, 2 * len(group_texts) + 1, 2)))
+            for version, group_texts in (("v1", self.TEXTS),
+                                         ("v2", self.TEXTS[::-1] + ("gizmo",)))]
+        group_texts = [text for s in snapshots for text in texts(s, None)]
         # Fresh configs: the module's ``config`` has decided words already.
         configs = (default_filter_config(language="c"),
                    FilterConfig(frozenset({"widget"})))
-        docs = {cfg.words: [build_group_document(g.concatenated_text(), cfg)
-                            for s in snapshots for g in s.groups]
+        docs = {cfg.words: [build_group_document(text, cfg)
+                            for text in group_texts]
                 for cfg in configs}
-        raws = {raw for s in snapshots for g in s.groups
-                for raw in ORACLE_WORD_RE.findall(g.concatenated_text())}
+        raws = {raw for text in group_texts
+                for raw in ORACLE_WORD_RE.findall(text)}
         assert calls == Counter({(raw, cfg.words): 1
                                  for raw in raws for cfg in configs})
         for cfg in configs:
             assert [d.tokens for d in docs[cfg.words]] == [
-                tokenize_oracle(strip_comments(g.concatenated_text()),
-                                cfg).tokens
-                for s in snapshots for g in s.groups]
+                tokenize_oracle(strip_comments(text), cfg).tokens
+                for text in group_texts]
 
 
 class TestBuildGroupDocument:
     def test_concatenates_fragments_and_strips_comments(self, config):
-        frags = (
-            CloneFragment("a.c", 1, 2, text="int widget = 1; // init\nwidget++;"),
-            CloneFragment("b.c", 1, 1, text="render(widget); /* draw */"),
-        )
-        snapshot = VersionSnapshot("v1", (CloneGroup(index=0, fragments=frags),))
+        snapshot = VersionSnapshot(
+            "v1", ("a.c", "b.c"), (1, 1), (2, 1),
+            ("int widget = 1; // init\nwidget++;", "render(widget); /* draw */"),
+            (0, 2))
         [text] = texts(snapshot, None)
         doc = build_group_document(text, config)
         assert doc.counts() == {"widget": 3, "render": 1}
