@@ -4,7 +4,9 @@ Two report formats are accepted: the native JSON schema and an XML adapter
 shaped like common detector output (``<clones><class><source .../></class>``).
 A snapshot holds its fragments as columns, not as one object each.
 Fragment text is resolved from the version's source tree in a separate
-step, so reports can be parsed without any source tree present.
+step, so reports can be parsed without any source tree present:
+``resolve_snapshot`` is the one reader of fragment text, and it opens,
+reads and decodes each file once per version.
 
 The parsers check only a report's shape (objects, arrays, required keys,
 XML integer literals) and raise ReportParseError when it is wrong: JSON
@@ -25,8 +27,8 @@ import stat
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
-from operator import itemgetter, le, sub
+from itertools import accumulate
+from operator import le, sub
 from pathlib import Path
 
 from .errors import (FragmentRangeError, ReportParseError, ValidationError,
@@ -42,7 +44,7 @@ class CloneFragment:
     file: str
     start_line: int
     end_line: int
-    text: str | None = None
+    text: str | None
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,7 @@ def split_lines(text: str) -> list[str]:
 
 
 # The final component must not be a symlink: ``_SourceTree`` resolves and
-# checks a symlink only when this open refuses one. A FIFO would block the
+# checks the name again when this open refuses one. A FIFO would block the
 # open until a writer came, so it must not block; a regular file is read
 # the same either way.
 _OPEN_FLAGS = os.O_RDONLY | os.O_CLOEXEC | os.O_NOFOLLOW | os.O_NONBLOCK
@@ -189,21 +191,24 @@ _SPECIAL_NAMES = ("", ".", "..")
 
 
 def _read_file(path: str) -> bytes:
-    """The bytes of the regular file at ``path``, read in 64 KiB chunks.
-    Raises OSError (ELOOP when the last component of ``path`` is a
-    symlink) naming ``path``, also for anything but a regular file, such
-    as a directory, a FIFO or a device, and for an error of the read
-    itself."""
+    """The bytes of the regular file at ``path``: one read of the size
+    that ``fstat`` gives plus one byte, then, only when that read did not
+    return exactly that size (the file grew or shrank, or the read came
+    back short), 64 KiB reads to end of file. Raises OSError (ELOOP when
+    the last component of ``path`` is a symlink) naming ``path``, also for
+    anything but a regular file, such as a directory, a FIFO or a device,
+    and for an error of the read itself."""
     fd = os.open(path, _OPEN_FLAGS)
     try:
-        mode = os.fstat(fd).st_mode
-        if stat.S_ISDIR(mode):
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR))
-        if not stat.S_ISREG(mode):
+        if not stat.S_ISREG(info.st_mode):
             raise OSError(errno.EINVAL, "Not a regular file")
-        chunks = []
-        while chunk := os.read(fd, _CHUNK):
-            chunks.append(chunk)
+        chunks = [os.read(fd, info.st_size + 1)]
+        if len(chunks[0]) != info.st_size:
+            while chunk := os.read(fd, _CHUNK):
+                chunks.append(chunk)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     finally:
@@ -261,8 +266,13 @@ class _SourceTree:
         self.files: dict[str, _SourceFile] = {}
 
     def text(self, file: str, start_line: int, end_line: int) -> str:
-        """The text of lines ``start_line..end_line`` of ``file``, as
-        ``resolve_fragment_text`` reads it."""
+        """The text of lines ``start_line..end_line`` of ``file``: decoded
+        as UTF-8 with invalid bytes replaced and a leading byte-order mark
+        dropped, with CRLF and lone CR turned into LF. Raises
+        ValidationError when ``file`` leads outside the root or cannot name
+        a file at all (an embedded NUL, a lone surrogate), OSError when it
+        cannot be read, such as FileNotFoundError for a missing file, and
+        FragmentRangeError when the range exceeds the file length."""
         source = self.names.get(file)
         if source is None:
             try:
@@ -282,10 +292,11 @@ class _SourceTree:
     def _contained_file(self, file: str) -> _SourceFile:
         """The source file that ``file`` names under the root;
         ValidationError if it lies outside. The directory part is resolved
-        through ``dirs``; the last component is opened without following a
-        symlink, and only a symlink, ``""``, ``.`` or ``..`` there, or a
-        name in a directory outside the root, is resolved and checked
-        again."""
+        through ``dirs``, and a name in a contained directory is opened
+        without following a symlink. Every other name, and a symlink,
+        ``""``, ``.`` or ``..`` in a contained directory, gets one
+        ``realpath`` and one containment check, so a name that leads back
+        in, even to the root itself, lies inside."""
         head, slash, name = file.rpartition("/")
         head += slash
         entry = self.dirs.get(head)
@@ -301,11 +312,8 @@ class _SourceTree:
             except OSError as exc:
                 if exc.errno != errno.ELOOP:  # not a symlink refused
                     raise
-        # In a directory outside the root, only a symlink can lead back in.
-        if inside or name in _SPECIAL_NAMES or os.path.islink(path):
-            path = os.path.realpath(path)
-            inside = _within(self.root, path)
-        if not inside:
+        path = os.path.realpath(path)
+        if not _within(self.root, path):
             raise ValidationError(
                 f"fragment file {file!r} lies outside the source root {self.root!r}"
             )
@@ -320,21 +328,8 @@ class _SourceTree:
         return source
 
 
-def resolve_fragment_text(fragment: CloneFragment, source_root: Path | str) -> str:
-    """Read the fragment's inclusive line range from its file.
-
-    Input is decoded as UTF-8 with invalid bytes replaced and a leading
-    byte-order mark dropped; CRLF and lone CR are normalized to LF. Raises
-    ValidationError when the fragment's path leads outside ``source_root``
-    or cannot name a file at all (an embedded NUL, a lone surrogate),
-    FileNotFoundError for a missing file and FragmentRangeError when the
-    range exceeds the file length.
-    """
-    return _SourceTree(os.path.realpath(source_root)).text(
-        fragment.file, fragment.start_line, fragment.end_line)
-
-
-def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None = None) -> VersionSnapshot:
+def resolve_snapshot(snapshot: VersionSnapshot,
+                     source_root: Path | str | None) -> VersionSnapshot:
     """Return the snapshot with its text column filled in.
 
     Text a fragment already carries (a report's optional "text" field) is
@@ -361,7 +356,6 @@ def resolve_snapshot(snapshot: VersionSnapshot, source_root: Path | str | None =
 
 
 _FRAGMENT_KEYS = ("file", "start_line", "end_line")
-_fragment_row = itemgetter(*_FRAGMENT_KEYS)
 
 
 def _report_snapshot(version_id, rows: list[tuple], text: tuple,
@@ -381,26 +375,6 @@ def _report_snapshot(version_id, rows: list[tuple], text: tuple,
     return _checked(version_id, files, starts, ends, text, tuple(bounds))
 
 
-def _read_fragments(fragments: list, where: str, rows: list, text: list) -> None:
-    """Append each fragment object's file and lines to ``rows`` and its
-    text to ``text``. When every object is a dict with every key they go
-    in at once; otherwise one at a time, so the first wrong one raises
-    its ReportParseError with the ones before it in."""
-    if all(map(isinstance, fragments, repeat(dict))):
-        try:
-            # Through a list, so a missing key leaves ``rows`` as it was.
-            rows += list(map(_fragment_row, fragments))
-        except KeyError:
-            pass
-        else:
-            text += map(dict.get, fragments, repeat("text"))
-            return
-    for fpos, entry in enumerate(fragments):
-        rows.append(_fields(entry, f"{where}.fragments[{fpos}]", _FRAGMENT_KEYS,
-                            ReportParseError))
-        text.append(entry.get("text"))
-
-
 def snapshot_from_dict(doc: dict) -> VersionSnapshot:
     """Build a snapshot from a native-schema report object."""
     version, raw_groups = _fields(doc, "report", ("version", "groups"),
@@ -413,8 +387,11 @@ def snapshot_from_dict(doc: dict) -> VersionSnapshot:
             index, fragments = _fields(entry, where, ("index", "fragments"),
                                        ReportParseError)
             indices.append(index)
-            _read_fragments(_items(fragments, f"{where}.fragments", ReportParseError),
-                            where, rows, text)
+            for fpos, fragment in enumerate(_items(
+                    fragments, f"{where}.fragments", ReportParseError)):
+                rows.append(_fields(fragment, f"{where}.fragments[{fpos}]",
+                                    _FRAGMENT_KEYS, ReportParseError))
+                text.append(fragment.get("text"))
             bounds.append(len(rows))
     except ReportParseError:
         # A value error earlier in the report comes first.

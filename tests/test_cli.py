@@ -626,8 +626,16 @@ class TestUnreadableFragment:
         ("loop1.c", 4, "I/O error: [Errno 40] Too many levels of symbolic "
                        "links: '{src}/loop1.c'"),
         ("out.c", 3, "fragment file 'out.c' lies outside the source root '{src}'"),
+        # The root lies inside itself, however a name spells it.
+        ("../src", 4, "I/O error: [Errno 21] Is a directory: '{src}'"),
+        ("../src/", 4, "I/O error: [Errno 21] Is a directory: '{src}'"),
+        ("sub/..", 4, "I/O error: [Errno 21] Is a directory: '{src}'"),
+        ("../outside.c", 3,
+         "fragment file '../outside.c' lies outside the source root '{src}'"),
     ], ids=["directory", "dot", "symlink-to-directory", "missing",
-            "dangling-symlink", "symlink-loop", "symlink-out-of-root"])
+            "dangling-symlink", "symlink-loop", "symlink-out-of-root",
+            "root-by-parent", "root-by-parent-slash", "root-by-sub-dotdot",
+            "file-outside"])
     def test_stderr_and_exit_code(self, src, tmp_path, capsys, file, rc,
                                   message):
         report = tmp_path / "report.json"

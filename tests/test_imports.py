@@ -163,10 +163,6 @@ def uncalled_public_names(paths, readers, allowed=frozenset()) -> list[str]:
 
 # Public names that no module calls, each with the reason it stays.
 UNCALLED_PUBLIC_NAMES = {
-    # The one-fragment reader, on a CloneFragment record, that
-    # tests/test_ingest.py checks the column path against: resolve_snapshot
-    # fragment by fragment, and pipeline.texts group by group.
-    "ingest.resolve_fragment_text",
     # perfbench/tracer.py wraps these two by name, as strings. Whether they
     # stay once the tracer is replaced is an open ROADMAP item.
     "mapping.lcs_similarity",
@@ -735,7 +731,7 @@ def settable_values() -> list[str]:
     return sorted(found)
 
 
-SETTABLE_VALUES = 79
+SETTABLE_VALUES = 77
 
 
 def test_publicly_settable_values_are_counted():

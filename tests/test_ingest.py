@@ -4,6 +4,7 @@ import copy
 import json
 import os
 import re
+from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import accumulate
 from pathlib import Path
@@ -26,7 +27,6 @@ from clonemap.ingest import (
     CloneGroup,
     VersionSnapshot,
     parse_clone_report,
-    resolve_fragment_text,
     resolve_snapshot,
     snapshot_from_dict,
     snapshot_to_dict,
@@ -62,20 +62,30 @@ def read_fragment_oracle(fragment, source_root):
     return "\n".join(lines[fragment.start_line - 1 : fragment.end_line])
 
 
+def resolve_one(fragment, source_root):
+    """The text ``resolve_snapshot`` gives ``fragment``, read as a group
+    of that fragment twice; both copies must read alike."""
+    snapshot = columns("v1", [[(fragment.file, fragment.start_line,
+                                fragment.end_line)] * 2])
+    first, second = resolve_snapshot(snapshot, source_root).text
+    assert first == second
+    return first
+
+
 def assert_every_range_matches_oracle(root, content: bytes):
     (root / "a.c").write_bytes(content)
     n_lines = len(_normalize_newlines(
         content.decode("utf-8", errors="replace")).split("\n"))
     for start in range(1, n_lines + 1):
         for end in range(start, n_lines + 1):
-            frag = CloneFragment(file="a.c", start_line=start, end_line=end)
+            frag = CloneFragment("a.c", start, end, None)
             try:
                 expected = read_fragment_oracle(frag, root)
             except FragmentRangeError:
                 with pytest.raises(FragmentRangeError):
-                    resolve_fragment_text(frag, root)
+                    resolve_one(frag, root)
             else:
-                assert resolve_fragment_text(frag, root) == expected
+                assert resolve_one(frag, root) == expected
 
 
 def make_report(version="v1", n_groups=2, with_text=True):
@@ -185,8 +195,9 @@ class TestFragmentAndGroupInvariants:
         snap = columns("v1", [[("a.c", 1, 2), ("b.c", 3, 4, "t")],
                               [("c.c", 1, 1)] * 3])
         assert snap.groups == (
-            CloneGroup(0, (CloneFragment("a.c", 1, 2), CloneFragment("b.c", 3, 4, "t"))),
-            CloneGroup(1, (CloneFragment("c.c", 1, 1),) * 3))
+            CloneGroup(0, (CloneFragment("a.c", 1, 2, None),
+                            CloneFragment("b.c", 3, 4, "t"))),
+            CloneGroup(1, (CloneFragment("c.c", 1, 1, None),) * 3))
         assert snap.groups is snap.groups
 
 
@@ -628,13 +639,13 @@ class TestXmlAdapter:
 class TestTextResolution:
     def test_inclusive_line_range(self, tmp_path):
         (tmp_path / "a.c").write_text("l1\nl2\nl3\nl4\n", encoding="utf-8")
-        frag = CloneFragment(file="a.c", start_line=2, end_line=3)
-        assert resolve_fragment_text(frag, tmp_path) == "l2\nl3"
+        frag = CloneFragment("a.c", 2, 3, None)
+        assert resolve_one(frag, tmp_path) == "l2\nl3"
 
     def test_crlf_normalized(self, tmp_path):
         (tmp_path / "a.c").write_bytes(b"l1\r\nl2\r\nl3\r\n")
-        frag = CloneFragment(file="a.c", start_line=1, end_line=3)
-        assert resolve_fragment_text(frag, tmp_path) == "l1\nl2\nl3"
+        frag = CloneFragment("a.c", 1, 3, None)
+        assert resolve_one(frag, tmp_path) == "l1\nl2\nl3"
 
     @pytest.mark.parametrize("content", [
         b"l1\rl2\rl3",
@@ -667,8 +678,7 @@ class TestTextResolution:
         content[30000] = 0xFF
         content[-1:] = b"\r"
         assert_every_range_matches_oracle(tmp_path, bytes(content))
-        whole = resolve_fragment_text(
-            CloneFragment(file="a.c", start_line=1, end_line=36), tmp_path)
+        whole = resolve_one(CloneFragment("a.c", 1, 36, None), tmp_path)
         assert len(whole.splitlines()) == 36
         assert "€" in whole and "�" in whole and "\r" not in whole
 
@@ -691,12 +701,36 @@ class TestTextResolution:
         assert_every_range_matches_oracle(tmp_path, bytes(content))
         if size >= 65536 + len(piece):
             # Line 7 holds bytes 60000..69998.
-            line = resolve_fragment_text(CloneFragment("a.c", 7, 7), tmp_path)
+            line = resolve_one(CloneFragment("a.c", 7, 7, None), tmp_path)
             if piece == b"\r\n":
                 assert line == "x" * 5535
             else:
                 assert line == ("x" * 5535 + piece.decode("utf-8", "replace")
                                 + "x" * (9999 - 5535 - len(piece)))
+
+    @pytest.mark.parametrize("size", [65537, 200003])
+    @pytest.mark.parametrize("shift", [-1000, "to-zero", 1, 70000],
+                             ids=["smaller", "zero", "larger", "much-larger"])
+    def test_size_that_changed_after_fstat_reads_whole(self, tmp_path,
+                                                        monkeypatch, size,
+                                                        shift):
+        """``fstat`` may give a size the file no longer has, when it grew or
+        shrank before the read; the reader still reads to end of file."""
+        content = bytearray(b"x" * size)
+        content[9999::10000] = b"\n" * (size // 10000)
+        (tmp_path / "a.c").write_bytes(content)
+        whole = CloneFragment("a.c", 1, size // 10000 + 1, None)
+        expected = read_fragment_oracle(whole, tmp_path)
+        fstat = os.fstat
+
+        def stale(fd):
+            info = fstat(fd)
+            given = 0 if shift == "to-zero" else info.st_size + shift
+            return os.stat_result((*info[:6], given, *info[7:]))
+
+        monkeypatch.setattr(os, "fstat", stale)
+        assert resolve_one(whole, tmp_path) == expected
+        assert len(expected) == size
 
     def test_leading_byte_order_mark_is_not_text(self, tmp_path):
         """A BOM'd fragment file and a plain one give the same group text,
@@ -720,7 +754,7 @@ class TestTextResolution:
         assert lcs_similarity(marked, plain) == 1.0
         assert group_text("inner.c") == "x;\n\ufeffy;\nx;\n\ufeffy;"
         with pytest.raises(FragmentRangeError, match="exceed file length 0"):
-            resolve_fragment_text(CloneFragment("only.c", 1, 1), tmp_path)
+            resolve_one(CloneFragment("only.c", 1, 1, None), tmp_path)
 
     @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "lone-cr"])
     def test_inline_text_reads_as_the_same_file(self, tmp_path, newline):
@@ -742,9 +776,9 @@ class TestTextResolution:
 
     def test_range_past_end_of_file(self, tmp_path):
         (tmp_path / "a.c").write_text("l1\nl2\n", encoding="utf-8")
-        frag = CloneFragment(file="a.c", start_line=1, end_line=9)
+        frag = CloneFragment("a.c", 1, 9, None)
         with pytest.raises(FragmentRangeError):
-            resolve_fragment_text(frag, tmp_path)
+            resolve_one(frag, tmp_path)
 
     def test_resolve_snapshot_fills_missing_text(self, tmp_path):
         for k in range(2):
@@ -775,7 +809,7 @@ class TestTextResolution:
         with pytest.raises(ValidationError, match="outside the source root"):
             resolve_snapshot(snap, root)
         with pytest.raises(ValidationError, match="outside the source root"):
-            resolve_fragment_text(snap.groups[0].fragments[1], root)
+            resolve_one(snap.groups[0].fragments[1], root)
 
     @pytest.mark.parametrize("file", ["link.c", "linkdir/outside.c",
                                       "linkdir/../outside.c"])
@@ -788,17 +822,17 @@ class TestTextResolution:
             target.write_text("secret\nsecret\n", encoding="utf-8")
         (root / "link.c").symlink_to(tmp_path / "outside.c")
         (root / "linkdir").symlink_to(elsewhere, target_is_directory=True)
-        frag = CloneFragment(file=file, start_line=1, end_line=2)
+        frag = CloneFragment(file, 1, 2, None)
         with pytest.raises(ValidationError, match="outside the source root"):
-            resolve_fragment_text(frag, root)
+            resolve_one(frag, root)
 
     @pytest.mark.parametrize("file", ["sub/../a.c", "./a.c", "link.c"])
     def test_path_within_source_root_allowed(self, tmp_path, file):
         (tmp_path / "sub").mkdir()
         (tmp_path / "a.c").write_text("aa\nbb\n", encoding="utf-8")
         (tmp_path / "link.c").symlink_to(tmp_path / "a.c")
-        frag = CloneFragment(file=file, start_line=1, end_line=2)
-        assert resolve_fragment_text(frag, tmp_path) == "aa\nbb"
+        frag = CloneFragment(file, 1, 2, None)
+        assert resolve_one(frag, tmp_path) == "aa\nbb"
 
     @pytest.mark.parametrize("folder", ["", "sub/"])
     def test_symlink_beside_cached_file_rejected(self, tmp_path, folder):
@@ -834,7 +868,7 @@ class TestTextResolution:
 
     def test_report_carried_text_kept(self):
         snap = snapshot_from_dict(make_report(with_text=True))
-        resolved = resolve_snapshot(snap)
+        resolved = resolve_snapshot(snap, None)
         assert resolved.groups[0].fragments[0].text.startswith("int x0")
 
     def test_unresolved_without_root_is_an_error(self):
@@ -843,7 +877,7 @@ class TestTextResolution:
         snap = snapshot_from_dict(doc)
         with pytest.raises(ValidationError, match=r"^version 'v1', group 1: "
                            r"no source root to resolve 'g1_1\.c'$"):
-            resolve_snapshot(snap)
+            resolve_snapshot(snap, None)
 
     def test_concatenated_text_joins_fragments(self):
         snap = snapshot_from_dict(make_report(with_text=True))
@@ -852,10 +886,65 @@ class TestTextResolution:
         assert "\n" in text
 
 
+class TestReadCalls:
+    """Reading a regular file whose size does not change takes one
+    ``os.open``, ``os.fstat``, ``os.read`` and ``os.close`` call, once per
+    version, however many fragments and names lead to it. (A symlinked
+    name adds one ``os.open`` that refuses it.)"""
+
+    SIZES = {"a.c": 150, "sub/b.c": 65535, "sub/c.c": 65536, "d.c": 65537,
+             "e.c": 200003}
+    ALIASES = {"a.c": "./a.c", "sub/b.c": "sub/../sub/b.c",
+               "sub/c.c": "sub/./c.c", "d.c": "sub/../d.c", "e.c": "./e.c"}
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+
+        def counting(name):
+            real = getattr(os, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return counted
+
+        for name in ("open", "fstat", "read", "close"):
+            monkeypatch.setattr(os, name, counting(name))
+        return counts
+
+    def test_one_call_of_each_per_file(self, tmp_path, calls):
+        (tmp_path / "sub").mkdir()
+        groups = []
+        for name, size in self.SIZES.items():
+            content = bytearray(b"x" * size)
+            content[99::100] = b"\n" * (size // 100)
+            (tmp_path / name).write_bytes(content)
+            n_lines = size // 100 + 1
+            groups += [[(name, 1, n_lines), (self.ALIASES[name], 1, 1)],
+                       [(name, 1, 1), (self.ALIASES[name], 2, n_lines)]]
+        snapshot = columns("v1", groups)
+        n_files = len(self.SIZES)
+        for _ in range(2):
+            calls.clear()
+            text = resolve_snapshot(snapshot, tmp_path).text
+            assert calls == Counter(open=n_files, fstat=n_files,
+                                    read=n_files, close=n_files)
+        assert list(text) == [read_fragment_oracle(CloneFragment(*f, None),
+                                                   tmp_path)
+                              for group in groups for f in group]
+
+    def test_empty_file_takes_one_read(self, tmp_path, calls):
+        (tmp_path / "empty.c").write_bytes(b"")
+        with pytest.raises(FragmentRangeError, match="exceed file length 0"):
+            resolve_snapshot(columns("v1", [[("empty.c", 1, 1)] * 2]), tmp_path)
+        assert calls == Counter(open=1, fstat=1, read=1, close=1)
+
+
 class TestResolveByFile:
     """``resolve_snapshot`` reads each file once per version, however many
     fragments and names lead to it, and gives every fragment the text that
-    ``resolve_fragment_text`` reads for it alone."""
+    ``read_fragment_oracle`` reads for it alone."""
 
     FILES = {
         "a.c": b"a1\na2\na3\na4\n\n",
@@ -904,7 +993,7 @@ class TestResolveByFile:
             for start in range(1, n_lines + 1):
                 for end in range(start, n_lines + 1):
                     for file in (name, self.ALIASES[name]):
-                        frags.append(CloneFragment(file, start, end))
+                        frags.append(CloneFragment(file, start, end, None))
         return frags
 
     def snapshot(self, frags, version="v1"):
@@ -914,10 +1003,9 @@ class TestResolveByFile:
             [(f.file, f.start_line, f.end_line) for f in frags[2 * k : 2 * k + 2]]
             for k in range(len(frags) // 2)])
 
-    def test_every_fragment_matches_the_single_reader(self, root, opened):
+    def test_every_fragment_matches_the_oracle(self, root, opened):
         frags = self.fragments()
-        expected = [resolve_fragment_text(f, root) for f in frags]
-        assert expected == [read_fragment_oracle(f, root) for f in frags]
+        expected = [read_fragment_oracle(f, root) for f in frags]
         for version, order in (("v1", frags), ("v2", frags[::-1])):
             opened.clear()
             resolved = resolve_snapshot(self.snapshot(order, version), root)
@@ -927,11 +1015,11 @@ class TestResolveByFile:
             real = {os.path.realpath(root / name) for name in self.FILES}
             assert sorted(opened) == sorted(real)
 
-    def test_texts_join_what_the_single_reader_reads(self, root):
+    def test_texts_join_what_the_oracle_reads(self, root):
         """``pipeline.texts`` gives each group the newline-join of what
-        ``resolve_fragment_text`` reads for its fragments, in group order."""
+        ``read_fragment_oracle`` reads for its fragments, in group order."""
         frags = self.fragments()
-        want = ["\n".join(resolve_fragment_text(f, root)
+        want = ["\n".join(read_fragment_oracle(f, root)
                           for f in frags[2 * k : 2 * k + 2])
                 for k in range(len(frags) // 2)]
         assert list(texts(self.snapshot(frags), root)) == want
@@ -957,16 +1045,18 @@ class TestResolveByFile:
             assert sorted(resolved) == sorted(names)
 
     def test_whole_file_fragment_shares_the_file_text(self, root):
-        frags = [CloneFragment("tail.c", 1, 3), CloneFragment("link.c", 1, 3)]
+        frags = [CloneFragment("tail.c", 1, 3, None),
+                 CloneFragment("link.c", 1, 3, None)]
         resolved = resolve_snapshot(self.snapshot(frags), root)
         first, second = resolved.groups[0].fragments
         assert first.text == "t1\nt2\nt3"
         assert first.text is second.text
 
     def test_range_past_a_read_file_is_a_range_error(self, root, opened):
-        frags = [CloneFragment("a.c", 1, 5), CloneFragment("./a.c", 2, 6)]
+        frags = [CloneFragment("a.c", 1, 5, None),
+                 CloneFragment("./a.c", 2, 6, None)]
         with pytest.raises(FragmentRangeError) as alone:
-            resolve_fragment_text(frags[1], root)
+            resolve_one(frags[1], root)
         opened.clear()
         with pytest.raises(FragmentRangeError) as shared:
             resolve_snapshot(self.snapshot(frags), root)
@@ -975,6 +1065,6 @@ class TestResolveByFile:
 
     def test_empty_file_has_no_lines(self, tmp_path):
         (tmp_path / "empty.c").write_bytes(b"")
-        frags = [CloneFragment("empty.c", 1, 1)] * 2
+        frags = [CloneFragment("empty.c", 1, 1, None)] * 2
         with pytest.raises(FragmentRangeError, match="exceed file length 0"):
             resolve_snapshot(self.snapshot(frags), tmp_path)
