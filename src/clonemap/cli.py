@@ -100,8 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--injective", action="store_true",
                        help="forbid two newer groups sharing one origin")
     p_map.add_argument("--threads", type=int, default=1,
-                       help="accepted and ignored: every stage runs on one "
-                            "thread (kept in the artifact's config)")
+                       help="accepted and ignored (kept in the artifact's "
+                            "config): every stage runs on one thread, and "
+                            "the one child a K=1 topic map forks where two "
+                            "CPUs are free depends on the machine alone")
     p_map.add_argument("--out", metavar="PATH",
                        help="write the mapping JSON artifact here")
     p_map.add_argument("--format", choices=["json", "table"], default="table",
@@ -174,10 +176,9 @@ def _print_table(text: str) -> None:
 def _emit(args, payload: dict, render_table) -> int:
     """Write the artifact to ``--out`` when one is given, then print it:
     as canonical JSON, or as the table ``render_table(payload)``."""
-    if args.out:
-        write_json_artifact(args.out, payload)
+    text = write_json_artifact(args.out, payload) if args.out else None
     if args.format == "json":
-        sys.stdout.write(canonical_json(payload))
+        sys.stdout.write(canonical_json(payload) if text is None else text)
     else:
         _print_table(render_table(payload))
     return 0

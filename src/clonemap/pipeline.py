@@ -7,6 +7,9 @@ the test suite can drive the identical pipeline without a subprocess.
 from __future__ import annotations
 
 import json
+import os
+import threading
+import warnings
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -24,7 +27,16 @@ from .mapping import (
     unmatched_old_groups,
 )
 from .preprocess import FilterConfig, TokenDocument, build_group_document, default_filter_config
-from .topicmodel import LdaConfig, TopicBlock, build_corpus, fit_lda, frequency_blocks
+from .topicmodel import (
+    LdaConfig,
+    TopicBlock,
+    VersionCounts,
+    build_corpus,
+    count_version,
+    fit_lda,
+    frequency_blocks,
+    merge_counts,
+)
 # fit_group_topic is not called here but stays importable from this module,
 # where perfbench/tracer.py looks it up.
 from .topicmodel import fit_group_topic  # noqa: F401
@@ -60,8 +72,10 @@ def pair_topics(newer_docs: Iterable[TokenDocument],
 
     Each version's documents are read once, newer first, so either may be
     a one-shot iterable such as a generator. The default path computes
-    exact one-topic frequencies per group. With K > 1 a corpus-wide Gibbs
-    model is fit instead and each group is represented by its
+    exact one-topic frequencies per group, both versions in this process;
+    ``run_map`` gives the same blocks with the older version counted in a
+    child process where one can run alongside. With K > 1 a corpus-wide
+    Gibbs model is fit instead and each group is represented by its
     document-topic mixture, and the uniform mixture the model gives an
     empty document is zeroed. Either way an empty document gives an empty
     row.
@@ -78,6 +92,122 @@ def pair_topics(newer_docs: Iterable[TokenDocument],
     else:
         newer_block, older_block = frequency_blocks([newer_docs, older_docs])
     return newer_block, older_block
+
+
+def _fork_allowed() -> bool:
+    """Whether a child process can count a version alongside this one:
+    ``fork`` exists, at least two CPUs are usable, and no other thread
+    runs, since a forked copy of a threaded process may hold a lock that
+    no thread of the copy will release."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
+
+
+# The child's buffer: four int64 lengths (rows, entries, words, vocabulary
+# bytes), then indptr, ids, tallies and totals as int64, then the
+# vocabulary joined by "\n". A token is lowercase ASCII [a-z0-9_] and
+# never empty, so the join splits back exactly and needs no decoder.
+_HEAD = 4 * 8
+
+
+def _encode_counts(counts: VersionCounts) -> bytes:
+    words = "\n".join(counts.vocabulary).encode("ascii")
+    head = np.array([len(counts.totals), len(counts.ids),
+                     len(counts.vocabulary), len(words)], dtype=np.int64)
+    return b"".join((head.tobytes(), counts.indptr.tobytes(),
+                     counts.ids.tobytes(), counts.tallies.tobytes(),
+                     counts.totals.tobytes(), words))
+
+
+def _decode_counts(data: bytes) -> VersionCounts | None:
+    """The counts ``_encode_counts`` wrote, or None for a buffer that is
+    short, long or inconsistent."""
+    if len(data) < _HEAD:
+        return None
+    rows, entries, words, size = np.frombuffer(data, np.int64, 4).tolist()
+    cells = 2 * rows + 1 + 2 * entries
+    if (min(rows, entries, words, size) < 0
+            or len(data) != _HEAD + 8 * cells + size):
+        return None
+    indptr, ids, tallies, totals = np.split(
+        np.frombuffer(data, np.int64, cells, _HEAD),
+        np.cumsum([rows + 1, entries, entries]))
+    raw = data[len(data) - size:]
+    if not raw.isascii():
+        return None
+    vocabulary = raw.decode("ascii").split("\n") if size else []
+    if (len(vocabulary) != words or indptr[0] != 0 or indptr[-1] != entries
+            or (np.diff(indptr) < 0).any()
+            or entries and not 0 <= ids.min() <= ids.max() < words):
+        return None
+    return VersionCounts(vocabulary, indptr, ids, tallies, totals)
+
+
+def _fork_counter(docs: Iterable[TokenDocument]) -> tuple[int, int] | None:
+    """Fork a child that counts ``docs`` and writes ``_encode_counts`` of
+    them to a pipe; the child's pid and the pipe's read end, or None when
+    the pipe or the fork fails. The child writes nothing when counting
+    raises or warns, and leaves only through ``os._exit``."""
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_end)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                counts = count_version(docs)
+            if not caught:
+                with open(write_end, "wb") as pipe:
+                    pipe.write(_encode_counts(counts))
+                code = 0
+        finally:
+            os._exit(code)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _frequency_pair(newer_docs: Iterable[TokenDocument],
+                    older_docs: Iterable[TokenDocument]) -> list[TopicBlock]:
+    """``frequency_blocks([newer_docs, older_docs])``, with the older
+    version counted in a forked child while this process counts the newer
+    one, where ``_fork_allowed``. If the fork fails, or the child raises,
+    warns, dies or sends a bad buffer, the older version is counted here
+    after the newer one, so every error and warning is the in-process
+    one. The child is reaped before this returns or raises, and killed
+    first when counting the newer version raises."""
+    child = _fork_counter(older_docs) if _fork_allowed() else None
+    older = None
+    if child is None:
+        newer = count_version(newer_docs)
+    else:
+        pid, read_end = child
+        try:
+            newer = count_version(newer_docs)
+            with open(read_end, "rb", closefd=False) as pipe:
+                data = pipe.read()
+        except BaseException:
+            from signal import SIGKILL
+
+            os.kill(pid, SIGKILL)
+            raise
+        finally:
+            os.close(read_end)
+            status = os.waitpid(pid, 0)[1]
+        if os.waitstatus_to_exitcode(status) == 0:
+            older = _decode_counts(data)
+    if older is None:
+        older = count_version(older_docs)
+    return merge_counts([newer, older])
 
 
 def topic_dump_entries(version_id: str,
@@ -109,9 +239,12 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def write_json_artifact(path: Path | str, payload: dict) -> None:
-    """Write ``canonical_json(payload)`` to ``path`` as UTF-8."""
-    Path(path).write_text(canonical_json(payload), encoding="utf-8")
+def write_json_artifact(path: Path | str, payload: dict) -> str:
+    """Write ``canonical_json(payload)`` to ``path`` as UTF-8 and return
+    that text."""
+    text = canonical_json(payload)
+    Path(path).write_text(text, encoding="utf-8")
+    return text
 
 
 def artifact_header(config: dict | None = None) -> dict:
@@ -180,11 +313,16 @@ def run_map(newer_report: Path | str, older_report: Path | str,
 
     Reports may carry fragment text inline or reference files under the
     source roots. Both reports are parsed before either version is read.
-    Then both strategies read one version at a time through ``texts``,
-    newer first, and the newer version's text, inline text included, is
-    released before the older one is read. The LCS strategy keeps each
-    group's raw text as line ids; the topic strategy tokenizes and counts
-    it and scores per-group topic distributions over a shared vocabulary.
+    Then each process reads one version at a time through ``texts``, newer
+    first. The LCS strategy keeps each group's raw text as line ids; the
+    topic strategy tokenizes and counts it and scores per-group topic
+    distributions over a shared vocabulary. With K = 1, where
+    ``_fork_allowed``, a forked child counts the older version while this
+    process counts the newer one, and only the counts come back; this
+    process reads the older version itself, after the newer one, when the
+    child fails. Otherwise, and for K > 1 and the LCS strategy, this
+    process reads both, and releases the newer version's text, inline
+    text included, before it reads the older one.
     """
     filter_config = filter_config or default_filter_config()
     mapping_config = mapping_config or MappingConfig()
@@ -202,7 +340,10 @@ def run_map(newer_report: Path | str, older_report: Path | str,
     else:
         newer, older = (documents(newer, source_newer, filter_config),
                         documents(older, source_older, filter_config))
-        mappings = map_version_pair(*pair_topics(newer, older, lda_config),
-                                    *ids, mapping_config)
+        if lda_config is not None and lda_config.K > 1:
+            topics = pair_topics(newer, older, lda_config)
+        else:
+            topics = _frequency_pair(newer, older)
+        mappings = map_version_pair(*topics, *ids, mapping_config)
     return mapping_result(*ids, mappings, older_size, mapping_config,
                           run_config)

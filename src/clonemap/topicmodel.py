@@ -193,40 +193,86 @@ def fit_group_topic(document: TokenDocument,
                       size=corpus.vocabulary_size)
 
 
-def frequency_blocks(versions: Iterable[Iterable[TokenDocument]]
-                     ) -> list[TopicBlock]:
-    """One-topic term frequencies of every group, one block per version.
+@dataclass(frozen=True, eq=False)
+class VersionCounts:
+    """One version's word counts, in CSR form over its own vocabulary.
 
-    Each version's documents are read once, in order, so each may be a
-    one-shot iterable; only their word counts are kept. The ids index the
-    sorted union of all the versions' words, so blocks of different
-    versions compare directly. Row weights are count(w) / token_count in
-    sorted-vocabulary order, exactly as ``fit_group_topic`` gives them over
-    ``build_corpus`` of the same documents; an empty document gives an
-    empty row.
+    ``vocabulary`` is the sorted list of the version's words. Row ``i``
+    holds the local word ids ``ids[indptr[i]:indptr[i + 1]]``, rising,
+    with their tallies in ``tallies``, and ``totals[i]`` is the row's
+    token count; every array is int64. An empty document is an empty row
+    with total 0.
     """
-    counts = [[doc.counts() for doc in docs] for docs in versions]
-    vocabulary = sorted({w for version in counts for c in version for w in c})
+
+    vocabulary: list[str]
+    indptr: np.ndarray
+    ids: np.ndarray
+    tallies: np.ndarray
+    totals: np.ndarray
+
+
+def count_version(documents: Iterable[TokenDocument]) -> VersionCounts:
+    """Count one version's documents, read once in order, so they may be a
+    one-shot iterable; only their word counts are kept."""
+    counts = [doc.counts() for doc in documents]
+    vocabulary = sorted({w for c in counts for w in c})
+    word_ids = {w: i for i, w in enumerate(vocabulary)}
+    nnz = np.fromiter(map(len, counts), dtype=np.int64, count=len(counts))
+    entries = int(nnz.sum())
+    ids = np.fromiter((word_ids[w] for c in counts for w in c),
+                      dtype=np.int64, count=entries)
+    tallies = np.fromiter((n for c in counts for n in c.values()),
+                          dtype=np.int64, count=entries)
+    # One key per entry, rising with the row and then the word id.
+    order = np.argsort(np.repeat(np.arange(len(counts)), nnz) * len(vocabulary)
+                       + ids)
+    return VersionCounts(
+        vocabulary=vocabulary,
+        indptr=np.concatenate(([0], np.cumsum(nnz))),
+        ids=ids[order],
+        tallies=tallies[order],
+        totals=np.fromiter((c.total() for c in counts), dtype=np.int64,
+                           count=len(counts)),
+    )
+
+
+def merge_counts(versions: Sequence[VersionCounts]) -> list[TopicBlock]:
+    """One block per version of ``count_version``, over the sorted union
+    of their vocabularies, so blocks of different versions compare
+    directly. Each local id maps through one rising table, so each row
+    keeps its order; weights are tally / total."""
+    vocabulary = sorted(set().union(*(v.vocabulary for v in versions)))
     word_ids = {w: i for i, w in enumerate(vocabulary)}
     blocks = []
-    for version in counts:
-        nnz = np.fromiter(map(len, version), dtype=np.int64, count=len(version))
-        total = int(nnz.sum())
-        ids = np.fromiter((word_ids[w] for c in version for w in c),
-                          dtype=np.int64, count=total)
-        tallies = np.fromiter((n for c in version for n in c.values()),
-                              dtype=np.float64, count=total)
-        rows = np.repeat(np.arange(len(version)), nnz)
-        order = np.lexsort((ids, rows))
-        token_counts = np.fromiter((sum(c.values()) for c in version),
-                                   dtype=np.float64, count=len(version))
+    for version in versions:
+        table = np.fromiter(map(word_ids.__getitem__, version.vocabulary),
+                            dtype=np.int64, count=len(version.vocabulary))
         blocks.append(TopicBlock(
-            indptr=np.concatenate(([0], np.cumsum(nnz))),
-            ids=ids[order],
-            values=tallies[order] / np.repeat(token_counts, nnz),
+            indptr=version.indptr,
+            ids=table[version.ids],
+            values=(version.tallies.astype(np.float64)
+                    / np.repeat(version.totals.astype(np.float64),
+                                np.diff(version.indptr))),
             size=len(vocabulary),
         ))
     return blocks
+
+
+def frequency_blocks(versions: Iterable[Iterable[TokenDocument]]
+                     ) -> list[TopicBlock]:
+    """One-topic term frequencies of every group, one block per version:
+    ``merge_counts`` of each version's ``count_version``, the versions
+    counted in order.
+
+    Each version's documents are read once, in order, so each may be a
+    one-shot iterable. The ids index the sorted union of all the
+    versions' words. Row weights are count(w) / token_count in
+    sorted-vocabulary order, exactly as ``fit_group_topic`` gives them
+    over ``build_corpus`` of the same documents; an empty document gives
+    an empty row. ``pipeline.run_map`` composes the same two stages with
+    the older version counted in a child process.
+    """
+    return merge_counts([count_version(docs) for docs in versions])
 
 
 def _check_counts(corpus: Corpus, n_dk, n_kw, n_k) -> None:

@@ -10,22 +10,25 @@ import re
 import resource
 import subprocess
 import sys
+import time
 import warnings
 import weakref
 from dataclasses import fields
 from pathlib import Path
 from xml.sax.saxutils import quoteattr
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from clonemap import ingest, pipeline
+from clonemap import cli, ingest, pipeline
 from clonemap.cli import build_parser, main
 from clonemap.errors import CloneMapWarning
 from clonemap.evaluation import SynthConfig
 from clonemap.ingest import parse_clone_report, resolve_snapshot, snapshot_to_dict
 from clonemap.mapping import MappingConfig, Strategy
-from clonemap.topicmodel import LdaConfig
+from clonemap.preprocess import TokenDocument, strip_comments
+from clonemap.topicmodel import LdaConfig, count_version
 
 
 @pytest.fixture()
@@ -749,6 +752,22 @@ READ_MODES = [(None, None), (LdaConfig(K=2, iterations=2), None),
               (None, MappingConfig(strategy=Strategy.LCS_BASELINE))]
 
 
+@pytest.fixture(params=["forked", "in-process"])
+def branch(request, monkeypatch):
+    """Run the test with the older version of a K = 1 topic map counted
+    in a forked child, and again in this process, whatever the machine."""
+    if request.param == "forked" and not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this system")
+    monkeypatch.setattr(pipeline, "_fork_allowed",
+                        lambda: request.param == "forked")
+    return request.param
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestOneVersionAtATime:
     """``map`` parses both reports before it reads either version. Both
     strategies then read the newer version, as token documents or as
@@ -756,7 +775,8 @@ class TestOneVersionAtATime:
     with a fault in each version the older report's parse error wins over
     the newer text's I/O error, and the newer text's warning comes before
     the older text's I/O error; each fault alone keeps its message and
-    exit code."""
+    exit code. All of it holds whether a forked child counts the older
+    version or this process does."""
 
     TEXT = "int widget_count;\nint gadget_total;\n"
 
@@ -809,10 +829,11 @@ class TestOneVersionAtATime:
         ({"newer": "missing-file", "older": "malformed"}, 3, "older"),
     ], ids=["newer-file-missing", "older-report-malformed", "both"])
     def test_both_reports_parse_before_either_version_is_read(
-            self, tmp_path, capsys, strategy, faults, rc, at):
+            self, tmp_path, capsys, branch, strategy, faults, rc, at):
         argv = self.write_pair(tmp_path, faults) + ["--strategy", strategy]
         assert self.run(argv, capsys) == (
             rc, self.message(tmp_path, at, faults[at]), [])
+        assert_no_child_left()
 
     @pytest.mark.parametrize("faults, rc", [
         ({"newer": "open-comment"}, 0),
@@ -820,47 +841,91 @@ class TestOneVersionAtATime:
         ({"newer": "open-comment", "older": "missing-file"}, 4),
     ], ids=["newer-comment-open", "older-file-missing", "both"])
     def test_newer_text_is_tokenized_before_older_text_is_read(
-            self, tmp_path, capsys, faults, rc):
+            self, tmp_path, capsys, branch, faults, rc):
         err = (self.message(tmp_path, "older", "missing-file")
                if "older" in faults else "")
         caught = (["unterminated block comment; stripped to end of input"]
                   if "newer" in faults else [])
         assert self.run(self.write_pair(tmp_path, faults), capsys) == (
             rc, err, caught)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("faults", [
+        {"older": "open-comment"},
+        {"newer": "open-comment", "older": "open-comment"},
+    ], ids=["older-comment-open", "both-comments-open"])
+    def test_older_warning_is_the_in_process_one(self, tmp_path, capsys,
+                                                 branch, faults):
+        """A warning the older version raises in the child is raised
+        again here, after any of the newer version's, with its category
+        and the line that warns."""
+        argv = self.write_pair(tmp_path, faults)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            strip_comments("/* open")
+            assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert len(caught) == 1 + len(faults)
+        assert {(w.category, w.filename, w.lineno, str(w.message))
+                for w in caught} == {(caught[0].category, caught[0].filename,
+                                      caught[0].lineno, str(caught[0].message))}
+        assert caught[0].category is CloneMapWarning
+        assert_no_child_left()
 
     @pytest.mark.parametrize("lda_config, mapping_config", READ_MODES,
                              ids=["K1", "K2", "lcs"])
     def test_newer_text_is_released_before_older_is_resolved(
-            self, evolution, monkeypatch, lda_config, mapping_config):
+            self, evolution, monkeypatch, branch, lda_config, mapping_config):
         """Weak references to the resolved newer snapshot, its groups and
-        its fragments are all dead when the older report is resolved."""
+        its fragments are all dead when the older report is resolved. When
+        a child counts the older version, this process resolves only the
+        newer one and reads no file of the older tree."""
         resolve = pipeline.resolve_snapshot
         refs: list = []
         alive_at_call = []
+        resolved_ids = []
 
         def tracked(snapshot, source_root):
             alive_at_call.append(sum(ref() is not None for ref in refs))
             resolved = resolve(snapshot, source_root)
+            resolved_ids.append(resolved.version_id)
             refs.extend(weakref.ref(obj) for obj in (
                 resolved, *resolved.groups,
                 *(f for g in resolved.groups for f in g.fragments)))
             return resolved
 
+        read_file, read = ingest._read_file, []
+
+        def tracked_read(path):
+            read.append(Path(path))
+            return read_file(path)
+
         monkeypatch.setattr(pipeline, "resolve_snapshot", tracked)
+        monkeypatch.setattr(ingest, "_read_file", tracked_read)
         pipeline.run_map(evolution / "newer_report.json",
                          evolution / "older_report.json",
                          evolution / "newer_src", evolution / "older_src",
                          mapping_config=mapping_config, lda_config=lda_config)
         assert len(refs) > 20
-        assert alive_at_call == [0, 0]
+        newer_src = Path(os.path.realpath(evolution / "newer_src"))
+        if branch == "forked" and lda_config is mapping_config is None:
+            assert resolved_ids == ["v2"]
+            assert alive_at_call == [0]
+            assert read and all(p.is_relative_to(newer_src) for p in read)
+        else:
+            assert resolved_ids == ["v2", "v1"]
+            assert alive_at_call == [0, 0]
+        assert_no_child_left()
 
     @pytest.mark.parametrize("lda_config, mapping_config", READ_MODES,
                              ids=["K1", "K2", "lcs"])
     def test_inline_text_is_released_before_older_is_resolved(
-            self, evolution, tmp_path, monkeypatch, lda_config, mapping_config):
+            self, evolution, tmp_path, monkeypatch, branch, lda_config,
+            mapping_config):
         """With reports that carry their text inline, weak references to
         the parsed newer snapshot, its groups and its fragments are all
-        dead when the older version is resolved."""
+        dead when the older version is resolved. When a child counts the
+        older version, this process resolves only the newer one."""
         reports = []
         for version in ("newer", "older"):
             snapshot = resolve_snapshot(
@@ -872,6 +937,7 @@ class TestOneVersionAtATime:
         parse, resolve = pipeline.parse_clone_report, pipeline.resolve_snapshot
         refs: list = []
         alive_at_call = []
+        resolved_ids = []
 
         def tracked_parse(path):
             parsed = parse(path)
@@ -883,6 +949,7 @@ class TestOneVersionAtATime:
 
         def tracked_resolve(snapshot, source_root):
             alive_at_call.append(sum(ref() is not None for ref in refs))
+            resolved_ids.append(snapshot.version_id)
             return resolve(snapshot, source_root)
 
         monkeypatch.setattr(pipeline, "parse_clone_report", tracked_parse)
@@ -890,7 +957,159 @@ class TestOneVersionAtATime:
         pipeline.run_map(*reports, mapping_config=mapping_config,
                          lda_config=lda_config)
         assert len(refs) > 20
-        assert alive_at_call == [len(refs), 0]
+        if branch == "forked" and lda_config is mapping_config is None:
+            assert resolved_ids == ["v2"]
+            assert alive_at_call == [len(refs)]
+        else:
+            assert resolved_ids == ["v2", "v1"]
+            assert alive_at_call == [len(refs), 0]
+        assert_no_child_left()
+
+
+class TestSerializeOnce:
+    def test_out_and_json_stdout_share_one_text(self, evolution, tmp_path,
+                                                capsys, monkeypatch):
+        """With ``--out`` and ``--format json`` the file and stdout hold
+        the same bytes, and the payload is serialized once."""
+        calls = []
+        canonical = pipeline.canonical_json
+
+        def counted(payload):
+            calls.append(1)
+            return canonical(payload)
+
+        monkeypatch.setattr(pipeline, "canonical_json", counted)
+        monkeypatch.setattr(cli, "canonical_json", counted)
+        out = tmp_path / "m.json"
+        assert main(run_map_cmd(evolution, "--out", str(out))) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+        assert calls == [1]
+
+
+class TestForkedCount:
+    """A K = 1 topic map counts the older version in a forked child; any
+    trouble there makes this process count it, and no child outlives the
+    map."""
+
+    @staticmethod
+    def map_json(evolution, capsys, *extra) -> str:
+        assert main(run_map_cmd(evolution, *extra)) == 0
+        return capsys.readouterr().out
+
+    @pytest.fixture
+    def expected(self, evolution, capsys, monkeypatch):
+        """The artifact this process gives with no child."""
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "_fork_allowed", lambda: False)
+            return self.map_json(evolution, capsys)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls = []
+        fork = os.fork
+
+        def counted():
+            calls.append(1)
+            return fork()
+
+        monkeypatch.setattr(pipeline, "_fork_allowed", lambda: True)
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    def test_child_gives_the_in_process_artifact(self, evolution, capsys,
+                                                 expected, forks):
+        assert self.map_json(evolution, capsys) == expected
+        assert forks == [1]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("extra", [("--topics", "2", "--iterations", "2"),
+                                       ("--strategy", "lcs")],
+                             ids=["K2", "lcs"])
+    def test_other_maps_do_not_fork(self, evolution, capsys, forks, extra):
+        self.map_json(evolution, capsys, *extra)
+        assert forks == []
+
+    def test_failed_fork_counts_here(self, evolution, capsys, expected,
+                                     monkeypatch):
+        def refuse():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(pipeline, "_fork_allowed", lambda: True)
+        monkeypatch.setattr(os, "fork", refuse)
+        assert self.map_json(evolution, capsys) == expected
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cut", [1, 8, 33, -1], ids=str)
+    def test_truncated_buffer_counts_here(self, evolution, capsys, expected,
+                                          forks, monkeypatch, cut):
+        """The child's buffer cut to its first ``cut`` bytes, or missing
+        its last byte."""
+        encode = pipeline._encode_counts
+        monkeypatch.setattr(pipeline, "_encode_counts",
+                            lambda counts: encode(counts)[:cut])
+        assert self.map_json(evolution, capsys) == expected
+        assert forks == [1]
+        assert_no_child_left()
+
+    def test_child_that_dies_counts_here(self, evolution, capsys, expected,
+                                         forks, monkeypatch):
+        parent = os.getpid()
+        count = pipeline.count_version
+
+        def dying(docs):
+            if os.getpid() != parent:
+                os._exit(0)
+            return count(docs)
+
+        monkeypatch.setattr(pipeline, "count_version", dying)
+        assert self.map_json(evolution, capsys) == expected
+        assert_no_child_left()
+
+    def test_interrupt_kills_and_reaps_the_child(self, evolution, forks,
+                                                 monkeypatch):
+        """An interrupt while this process counts the newer version ends
+        the child, which would otherwise count on."""
+        parent = os.getpid()
+        count = pipeline.count_version
+
+        def interrupted(docs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return count(docs)
+
+        monkeypatch.setattr(pipeline, "count_version", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(run_map_cmd(evolution))
+        assert time.monotonic() - start < 30
+        assert forks == [1]
+        assert_no_child_left()
+
+
+class TestCountsTransport:
+    def counts(self):
+        return count_version([TokenDocument(("zeta", "alpha", "zeta")),
+                              TokenDocument(()),
+                              TokenDocument(("mid_1", "alpha"))])
+
+    def test_round_trip(self):
+        counts = self.counts()
+        back = pipeline._decode_counts(pipeline._encode_counts(counts))
+        assert back.vocabulary == counts.vocabulary
+        for name in ("indptr", "ids", "tallies", "totals"):
+            assert np.array_equal(getattr(back, name), getattr(counts, name))
+
+    def test_empty_version_round_trips(self):
+        back = pipeline._decode_counts(pipeline._encode_counts(
+            count_version([])))
+        assert back.vocabulary == [] and back.indptr.tolist() == [0]
+
+    def test_every_cut_is_refused(self):
+        data = pipeline._encode_counts(self.counts())
+        assert all(pipeline._decode_counts(data[:n]) is None
+                   for n in range(len(data)))
+        assert pipeline._decode_counts(data + b"x") is None
 
 
 class TestNoFragmentObjects:

@@ -17,9 +17,11 @@ from clonemap.topicmodel import (
     LdaConfig,
     TopicBlock,
     build_corpus,
+    count_version,
     fit_group_topic,
     fit_lda,
     frequency_blocks,
+    merge_counts,
 )
 
 
@@ -414,6 +416,98 @@ class TestFrequencyBlocks:
         for block, row in ((new_block, theta[0]), (old_block, theta[2])):
             assert block.ids[:3].tolist() == [0, 1, 2]
             assert np.array_equal(block.values[:3], row)
+
+
+def single_pass_frequency_blocks(versions):
+    """The one-pass builder that ``frequency_blocks`` replaced: every
+    version's counts kept, ids over the union, rows put in order by one
+    lexsort. The oracle of the split into ``count_version`` and
+    ``merge_counts``."""
+    counts = [[d.counts() for d in docs] for docs in versions]
+    vocabulary = sorted({w for version in counts for c in version for w in c})
+    word_ids = {w: i for i, w in enumerate(vocabulary)}
+    blocks = []
+    for version in counts:
+        nnz = np.fromiter(map(len, version), dtype=np.int64, count=len(version))
+        total = int(nnz.sum())
+        ids = np.fromiter((word_ids[w] for c in version for w in c),
+                          dtype=np.int64, count=total)
+        tallies = np.fromiter((n for c in version for n in c.values()),
+                              dtype=np.float64, count=total)
+        rows = np.repeat(np.arange(len(version)), nnz)
+        order = np.lexsort((ids, rows))
+        token_counts = np.fromiter((sum(c.values()) for c in version),
+                                   dtype=np.float64, count=len(version))
+        blocks.append(TopicBlock(
+            indptr=np.concatenate(([0], np.cumsum(nnz))), ids=ids[order],
+            values=tallies[order] / np.repeat(token_counts, nnz),
+            size=len(vocabulary)))
+    return blocks
+
+
+# Words of one or two letters from a small alphabet, so that two versions
+# drawn apart still share some words and miss others.
+SPLIT_GROUP_COUNTS = st.one_of(
+    st.just({}),
+    st.dictionaries(st.text(alphabet="abcdef", min_size=1, max_size=2),
+                    st.integers(min_value=1, max_value=300), max_size=10),
+)
+
+
+class TestCountThenMerge:
+    """``merge_counts`` over each version's ``count_version`` gives the
+    single-pass blocks, array for array and bit for bit."""
+
+    @staticmethod
+    def assert_bit_identical(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for name in ("indptr", "ids", "values"):
+                a, b = getattr(g, name), getattr(w, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
+            assert g.size == w.size
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(SPLIT_GROUP_COUNTS, max_size=6),
+                    min_size=1, max_size=3),
+           st.sampled_from(["", "x", "y"]))
+    def test_merge_of_counts_equals_single_pass(self, versions, prefix):
+        # A prefix on the second version's words makes the vocabularies
+        # disjoint; none keeps them overlapping.
+        docs = [[doc_of_counts({(prefix if v == 1 else "") + w: n
+                                for w, n in c.items()}) for c in counts]
+                for v, counts in enumerate(versions)]
+        want = single_pass_frequency_blocks(docs)
+        self.assert_bit_identical(merge_counts([count_version(d) for d in docs]),
+                                  want)
+        self.assert_bit_identical(frequency_blocks(docs), want)
+
+    def test_edge_versions(self):
+        """Disjoint and shared words, words in one version only, empty
+        documents and a version with no groups."""
+        cases = [
+            [[doc(["b", "a", "b"]), doc([])], [doc(["c", "d"])]],
+            [[doc(["a", "b"])], [doc(["b", "a", "a"]), doc(["e"])]],
+            [[], [doc(["a"]), doc([])]],
+            [[doc([]), doc([])], []],
+            [[], []],
+        ]
+        for docs in cases:
+            self.assert_bit_identical(
+                merge_counts([count_version(d) for d in docs]),
+                single_pass_frequency_blocks(docs))
+
+    def test_counts_are_local_csr(self):
+        counts = count_version(iter([doc(["d", "b", "d"]), doc([]),
+                                     doc(["b", "a"])]))
+        assert counts.vocabulary == ["a", "b", "d"]
+        assert counts.indptr.tolist() == [0, 2, 2, 4]
+        assert counts.ids.tolist() == [1, 2, 0, 1]
+        assert counts.tallies.tolist() == [1, 2, 1, 1]
+        assert counts.totals.tolist() == [3, 0, 2]
+        for array in (counts.indptr, counts.ids, counts.tallies, counts.totals):
+            assert array.dtype == np.int64
 
 
 class TestFitLda:
