@@ -192,6 +192,7 @@ def _frequency_pair(newer_docs: Iterable[TokenDocument],
             with open(read_end, "rb", closefd=False) as pipe:
                 data = pipe.read()
         except BaseException:
+            # Only this path needs ``signal``, which a map does not load.
             from signal import SIGKILL
 
             os.kill(pid, SIGKILL)
