@@ -189,8 +189,10 @@ def _frequency_pair(newer_docs: Iterable[TokenDocument],
         pid, read_end = child
         try:
             newer = count_version(newer_docs)
-            with open(read_end, "rb", closefd=False) as pipe:
-                data = pipe.read()
+            # Grown in place, so the buffer is not held twice while read.
+            data = bytearray()
+            while chunk := os.read(read_end, 1 << 16):
+                data += chunk
         except BaseException:
             # Only this path needs ``signal``, which a map does not load.
             from signal import SIGKILL
