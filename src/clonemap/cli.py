@@ -102,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_map.add_argument("--threads", type=int, default=1,
                        help="accepted and ignored (kept in the artifact's "
                             "config): every stage runs on one thread, and "
-                            "the one child a K=1 topic map forks where two "
-                            "CPUs are free depends on the machine alone")
+                            "whether a K=1 topic map forks one child depends "
+                            "only on the versions' size and the machine")
     p_map.add_argument("--out", metavar="PATH",
                        help="write the mapping JSON artifact here")
     p_map.add_argument("--format", choices=["json", "table"], default="table",

@@ -11,7 +11,7 @@ import os
 import threading
 import warnings
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NoReturn
 
 import numpy as np
 
@@ -72,13 +72,12 @@ def pair_topics(newer_docs: Iterable[TokenDocument],
 
     Each version's documents are read once, newer first, so either may be
     a one-shot iterable such as a generator. The default path computes
-    exact one-topic frequencies per group, both versions in this process;
-    ``run_map`` gives the same blocks with the older version counted in a
-    child process where one can run alongside. With K > 1 a corpus-wide
+    exact one-topic frequencies per group. With K > 1 a corpus-wide
     Gibbs model is fit instead and each group is represented by its
     document-topic mixture, and the uniform mixture the model gives an
     empty document is zeroed. Either way an empty document gives an empty
-    row.
+    row. Both versions are read in this process; ``run_map`` counts a
+    large older version in a child process instead.
     """
     if lda_config is not None and lda_config.K > 1:
         docs = list(newer_docs)
@@ -94,13 +93,48 @@ def pair_topics(newer_docs: Iterable[TokenDocument],
     return newer_block, older_block
 
 
-def _fork_allowed() -> bool:
-    """Whether a child process can count a version alongside this one:
-    ``fork`` exists, at least two CPUs are usable, and no other thread
-    runs, since a forked copy of a threaded process may hold a lock that
-    no thread of the copy will release."""
-    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2
+# A forked count costs the parent about 4 ms on a one-group map: the
+# fork, the copy-on-write faults it takes while counting the newer
+# version, and the reap. Paired against the in-process count on `synth`
+# fixtures (2-vCPU host), it loses 1.7 ms at 1,800 lines a version,
+# breaks even near 3,500 and saves 5 ms at 7,000 and 30 ms at 28,000.
+_FORK_MIN_LINES = 4000
+
+
+# A container's CPU quota, as its cgroup root shows it: cgroup v2's one
+# "quota period" file, or cgroup v1's quota and period files. A quota of
+# "max" or -1 is none.
+_QUOTA_FILES = (("/sys/fs/cgroup/cpu.max",),
+                ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us",
+                 "/sys/fs/cgroup/cpu/cpu.cfs_period_us"))
+
+
+def _usable_cpus() -> float:
+    """The CPUs this process may run on, capped by its container's CPU
+    quota where ``_QUOTA_FILES`` show one."""
+    cpus = len(os.sched_getaffinity(0))
+    for files in _QUOTA_FILES:
+        try:
+            quota, period = " ".join(
+                Path(name).read_text() for name in files).split()
+            if quota in ("max", "-1"):
+                return cpus
+            return min(cpus, int(quota) / int(period))
+        except (OSError, ValueError):
+            continue
+    return cpus
+
+
+def _fork_pays(newer: VersionSnapshot, older: VersionSnapshot) -> bool:
+    """Whether a child process counting the older version alongside this
+    one can pay: each version's fragments span ``_FORK_MIN_LINES`` lines
+    or more, ``fork`` exists, at least two CPUs are usable, and no other
+    thread runs, since a forked copy of a threaded process may hold a
+    lock that no thread of the copy will release."""
+    return (min(sum(s.ends) - sum(s.starts) + len(s.ends)
+                for s in (newer, older)) >= _FORK_MIN_LINES
+            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and _usable_cpus() >= 2
             and threading.active_count() == 1)
 
 
@@ -140,73 +174,75 @@ def _decode_counts(data: bytes) -> VersionCounts | None:
     return VersionCounts(vocabulary, indptr, ids, tallies, totals)
 
 
-def _fork_counter(docs: Iterable[TokenDocument]) -> tuple[int, int] | None:
-    """Fork a child that counts ``docs`` and writes ``_encode_counts`` of
-    them to a pipe; the child's pid and the pipe's read end, or None when
-    the pipe or the fork fails. The child writes nothing when counting
-    raises or warns, and leaves only through ``os._exit``."""
+def _count_in_child(docs: Iterable[TokenDocument], mask: set,
+                    read_end: int, write_end: int) -> NoReturn:
+    """In a forked child: restore the signal ``mask``, count ``docs`` and
+    write ``_encode_counts`` of them to ``write_end``, or nothing when
+    counting raises or warns. Leaves only through ``os._exit``."""
+    code = 1
     try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
+        from signal import SIG_SETMASK, pthread_sigmask
+
+        pthread_sigmask(SIG_SETMASK, mask)
         os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read_end)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                counts = count_version(docs)
-            if not caught:
-                with open(write_end, "wb") as pipe:
-                    pipe.write(_encode_counts(counts))
-                code = 0
-        finally:
-            os._exit(code)
-    os.close(write_end)
-    return pid, read_end
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            counts = count_version(docs)
+        if not caught:
+            with open(write_end, "wb") as pipe:
+                pipe.write(_encode_counts(counts))
+            code = 0
+    finally:
+        os._exit(code)
 
 
 def _frequency_pair(newer_docs: Iterable[TokenDocument],
                     older_docs: Iterable[TokenDocument]) -> list[TopicBlock]:
     """``frequency_blocks([newer_docs, older_docs])``, with the older
     version counted in a forked child while this process counts the newer
-    one, where ``_fork_allowed``. If the fork fails, or the child raises,
-    warns, dies or sends a bad buffer, the older version is counted here
-    after the newer one, so every error and warning is the in-process
-    one. The child is reaped before this returns or raises, and killed
-    first when counting the newer version raises."""
-    child = _fork_counter(older_docs) if _fork_allowed() else None
-    older = None
-    if child is None:
-        newer = count_version(newer_docs)
-    else:
-        pid, read_end = child
+    one. If the pipe or the fork fails, or the child raises, warns, dies
+    or sends a bad buffer, the older version is counted here after the
+    newer one, so every error and warning is the in-process one. Signals
+    are blocked from before the fork until its pid is held, so none can
+    raise in between; from then on the child is killed, if it still runs,
+    and reaped before this returns or raises."""
+    # Only a forked count needs ``signal``, which a small map never loads.
+    from signal import (SIG_BLOCK, SIG_SETMASK, SIGKILL, pthread_sigmask,
+                        valid_signals)
+
+    pid = read_end = write_end = older = None
+    mask = pthread_sigmask(SIG_BLOCK, ())
+    try:
         try:
-            newer = count_version(newer_docs)
+            pthread_sigmask(SIG_BLOCK, valid_signals())
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _count_in_child(older_docs, mask, read_end, write_end)
+        except OSError:
+            pass
+        finally:
+            if write_end is not None:
+                os.close(write_end)
+            pthread_sigmask(SIG_SETMASK, mask)
+        newer = count_version(newer_docs)
+        if pid is not None:
             # Grown in place, so the buffer is not held twice while read.
             data = bytearray()
             while chunk := os.read(read_end, 1 << 16):
                 data += chunk
-        except BaseException:
-            # Only this path needs ``signal``, which a map does not load.
-            from signal import SIGKILL
-
-            os.kill(pid, SIGKILL)
-            raise
-        finally:
-            os.close(read_end)
-            status = os.waitpid(pid, 0)[1]
-        if os.waitstatus_to_exitcode(status) == 0:
             older = _decode_counts(data)
-    if older is None:
-        older = count_version(older_docs)
-    return merge_counts([newer, older])
+        if older is None:
+            older = count_version(older_docs)
+        return merge_counts([newer, older])
+    finally:
+        if read_end is not None:
+            os.close(read_end)
+        if pid is not None:
+            # Done with the child or leaving on an error: end it if it
+            # still runs.
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def topic_dump_entries(version_id: str,
@@ -316,12 +352,12 @@ def run_map(newer_report: Path | str, older_report: Path | str,
     first. The LCS strategy keeps each group's raw text as line ids; the
     topic strategy tokenizes and counts it and scores per-group topic
     distributions over a shared vocabulary. With K = 1, where
-    ``_fork_allowed``, a forked child counts the older version while this
-    process counts the newer one, and only the counts come back; this
-    process reads the older version itself, after the newer one, when the
-    child fails. Otherwise, and for K > 1 and the LCS strategy, this
-    process reads both, and releases the newer version's text, inline
-    text included, before it reads the older one.
+    ``_fork_pays`` (both versions span enough lines and a second CPU is
+    free), a forked child counts the older version while this process
+    counts the newer one, and only the counts come back; this process
+    reads the older version itself, after the newer one, when the child
+    fails. Otherwise this process reads both, and releases the newer
+    version's text, inline text included, before it reads the older one.
     """
     filter_config = filter_config or default_filter_config()
     mapping_config = mapping_config or MappingConfig()
@@ -337,12 +373,12 @@ def run_map(newer_report: Path | str, older_report: Path | str,
         newer, older = texts(newer, source_newer), texts(older, source_older)
         mappings = baseline_text_map(newer, older, *ids, mapping_config)
     else:
+        apart = ((lda_config is None or lda_config.K == 1)
+                 and _fork_pays(newer, older))
         newer, older = (documents(newer, source_newer, filter_config),
                         documents(older, source_older, filter_config))
-        if lda_config is not None and lda_config.K > 1:
-            topics = pair_topics(newer, older, lda_config)
-        else:
-            topics = _frequency_pair(newer, older)
+        topics = (_frequency_pair(newer, older) if apart
+                  else pair_topics(newer, older, lda_config))
         mappings = map_version_pair(*topics, *ids, mapping_config)
     return mapping_result(*ids, mappings, older_size, mapping_config,
                           run_config)

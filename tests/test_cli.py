@@ -8,8 +8,10 @@ import json
 import os
 import re
 import resource
+import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 import weakref
@@ -25,7 +27,8 @@ from clonemap import cli, ingest, pipeline
 from clonemap.cli import build_parser, main
 from clonemap.errors import CloneMapWarning
 from clonemap.evaluation import SynthConfig
-from clonemap.ingest import parse_clone_report, resolve_snapshot, snapshot_to_dict
+from clonemap.ingest import (VersionSnapshot, parse_clone_report, resolve_snapshot,
+                             snapshot_to_dict)
 from clonemap.mapping import MappingConfig, Strategy
 from clonemap.preprocess import TokenDocument, strip_comments
 from clonemap.topicmodel import LdaConfig, count_version
@@ -758,8 +761,8 @@ def branch(request, monkeypatch):
     in a forked child, and again in this process, whatever the machine."""
     if request.param == "forked" and not hasattr(os, "fork"):
         pytest.skip("no os.fork on this system")
-    monkeypatch.setattr(pipeline, "_fork_allowed",
-                        lambda: request.param == "forked")
+    monkeypatch.setattr(pipeline, "_fork_pays",
+                        lambda *snapshots: request.param == "forked")
     return request.param
 
 
@@ -1000,11 +1003,11 @@ class TestForkedCount:
     def expected(self, evolution, capsys, monkeypatch):
         """The artifact this process gives with no child."""
         with monkeypatch.context() as patch:
-            patch.setattr(pipeline, "_fork_allowed", lambda: False)
+            patch.setattr(pipeline, "_fork_pays", lambda *snapshots: False)
             return self.map_json(evolution, capsys)
 
     @pytest.fixture
-    def forks(self, monkeypatch):
+    def fork_calls(self, monkeypatch):
         calls = []
         fork = os.fork
 
@@ -1012,9 +1015,13 @@ class TestForkedCount:
             calls.append(1)
             return fork()
 
-        monkeypatch.setattr(pipeline, "_fork_allowed", lambda: True)
         monkeypatch.setattr(os, "fork", counted)
         return calls
+
+    @pytest.fixture
+    def forks(self, monkeypatch, fork_calls):
+        monkeypatch.setattr(pipeline, "_fork_pays", lambda *snapshots: True)
+        return fork_calls
 
     def test_child_gives_the_in_process_artifact(self, evolution, capsys,
                                                  expected, forks):
@@ -1034,9 +1041,53 @@ class TestForkedCount:
         def refuse():
             raise OSError(11, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(pipeline, "_fork_allowed", lambda: True)
+        monkeypatch.setattr(pipeline, "_fork_pays", lambda *snapshots: True)
         monkeypatch.setattr(os, "fork", refuse)
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
         assert self.map_json(evolution, capsys) == expected
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
+        assert_no_child_left()
+
+    def test_signal_mask_is_restored(self, evolution, capsys, expected,
+                                     forks):
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+        assert self.map_json(evolution, capsys) == expected
+        assert signal.pthread_sigmask(signal.SIG_BLOCK, ()) == mask
+        assert forks == [1]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("lines", [100, pipeline._FORK_MIN_LINES],
+                             ids=["small", "large"])
+    def test_only_large_versions_fork(self, tmp_path, capsys, monkeypatch,
+                                      fork_calls, lines):
+        """On a machine where a child can run alongside, a map of two
+        one-group versions forks only when each spans
+        ``_FORK_MIN_LINES`` lines, and gives the in-process bytes."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(pipeline, "_QUOTA_FILES", ())
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+        argv = ["map", "--format", "json"]
+        for version in ("newer", "older"):
+            src = tmp_path / f"{version}_src"
+            src.mkdir()
+            (src / "a.c").write_text(
+                "".join(f"int {version}_{i % 97};\n" for i in range(lines)),
+                encoding="utf-8")
+            report = tmp_path / f"{version}.json"
+            report.write_text(json.dumps({"version": version, "groups": [
+                {"index": 0, "fragments": [
+                    {"file": "a.c", "start_line": start, "end_line": end}
+                    for start, end in ((1, lines - 1), (lines, lines))]}]}),
+                encoding="utf-8")
+            argv += [f"--{version}", str(report),
+                     f"--source-{version}", str(src)]
+        assert main(argv) == 0
+        assert fork_calls == ([1] if lines == pipeline._FORK_MIN_LINES
+                              else [])
+        got = capsys.readouterr().out
+        monkeypatch.setattr(pipeline, "_fork_pays", lambda *snapshots: False)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == got
         assert_no_child_left()
 
     @pytest.mark.parametrize("cut", [1, 8, 33, -1], ids=str)
@@ -1085,6 +1136,93 @@ class TestForkedCount:
         assert time.monotonic() - start < 30
         assert forks == [1]
         assert_no_child_left()
+
+
+    def test_signal_at_the_fork_kills_and_reaps_the_child(
+            self, evolution, forks, monkeypatch):
+        """A SIGINT that lands as the fork returns waits until the child's
+        pid is held, then ends the map and the child, which would
+        otherwise count on."""
+        parent = os.getpid()
+        fork, count = os.fork, pipeline.count_version
+
+        def fork_then_interrupt():
+            pid = fork()
+            if pid:
+                signal.pthread_kill(threading.get_ident(), signal.SIGINT)
+            return pid
+
+        def slow(docs):
+            if os.getpid() != parent:
+                time.sleep(60)
+            return count(docs)
+
+        monkeypatch.setattr(os, "fork", fork_then_interrupt)
+        monkeypatch.setattr(pipeline, "count_version", slow)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            main(run_map_cmd(evolution))
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+
+class TestForkPays:
+    """Whether to fork is read from the parsed reports and the machine:
+    each version spans ``_FORK_MIN_LINES`` lines or more, two CPUs are
+    usable and one thread runs."""
+
+    @staticmethod
+    def spanning(lines: int) -> VersionSnapshot:
+        """A one-group version whose two fragments span ``lines`` lines."""
+        return VersionSnapshot("v", ("a.c", "b.c"), (1, 5), (lines - 1, 5),
+                               (None, None), (0, 2))
+
+    @pytest.fixture(autouse=True)
+    def machine(self, monkeypatch):
+        """Two CPUs, no CPU quota and one thread, whatever the host."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(pipeline, "_QUOTA_FILES", ())
+        monkeypatch.setattr(threading, "active_count", lambda: 1)
+
+    def test_each_version_must_span_the_minimum(self):
+        low, high = (self.spanning(pipeline._FORK_MIN_LINES - 1),
+                     self.spanning(pipeline._FORK_MIN_LINES))
+        assert pipeline._fork_pays(high, high)
+        assert not pipeline._fork_pays(low, high)
+        assert not pipeline._fork_pays(high, low)
+
+    def test_one_cpu_does_not_fork(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        high = self.spanning(10 * pipeline._FORK_MIN_LINES)
+        assert not pipeline._fork_pays(high, high)
+
+    @pytest.mark.parametrize("contents, cpus", [
+        (["max 100000\n"], 2),
+        (["200000 100000\n"], 2),
+        (["100000 100000\n"], 1),
+        (["-1\n", "100000\n"], 2),
+        (["150000\n", "100000\n"], 1.5),
+        (["garbled\n"], 2),
+    ], ids=["v2-none", "v2-two", "v2-one", "v1-none", "v1-one-and-a-half",
+            "unreadable"])
+    def test_a_cpu_quota_caps_the_cpus(self, tmp_path, monkeypatch,
+                                       contents, cpus):
+        """A container's quota of less than two CPUs stops the fork, as
+        one CPU of affinity does."""
+        files = []
+        for pos, text in enumerate(contents):
+            files.append(tmp_path / f"quota{pos}")
+            files[-1].write_text(text, encoding="utf-8")
+        monkeypatch.setattr(pipeline, "_QUOTA_FILES",
+                            ((tmp_path / "absent",), tuple(map(str, files))))
+        assert pipeline._usable_cpus() == cpus
+        high = self.spanning(10 * pipeline._FORK_MIN_LINES)
+        assert pipeline._fork_pays(high, high) == (cpus >= 2)
+
+    def test_a_second_thread_does_not_fork(self, monkeypatch):
+        monkeypatch.setattr(threading, "active_count", lambda: 2)
+        high = self.spanning(10 * pipeline._FORK_MIN_LINES)
+        assert not pipeline._fork_pays(high, high)
 
 
 class TestCountsTransport:
