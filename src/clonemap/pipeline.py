@@ -95,9 +95,10 @@ def pair_topics(newer_docs: Iterable[TokenDocument],
 
 # A forked count costs the parent about 4 ms on a one-group map: the
 # fork, the copy-on-write faults it takes while counting the newer
-# version, and the reap. Paired against the in-process count on `synth`
-# fixtures (2-vCPU host), it loses 1.7 ms at 1,800 lines a version,
-# breaks even near 3,500 and saves 5 ms at 7,000 and 30 ms at 28,000.
+# version, and the reap. Paired against the in-process map on `synth`
+# fixtures (15 pairs a size, 2-vCPU host), it lost 2.6 ms at 1,100 lines
+# a version (0 of 15 won), tied at 2,000 and 3,400, and saved 7 ms at
+# 4,900 (14 of 15) and 15 ms at 8,000 (13 of 15).
 _FORK_MIN_LINES = 4000
 
 

@@ -197,11 +197,12 @@ def fit_group_topic(document: TokenDocument,
 class VersionCounts:
     """One version's word counts, in CSR form over its own vocabulary.
 
-    ``vocabulary`` is the sorted list of the version's words. Row ``i``
-    holds the local word ids ``ids[indptr[i]:indptr[i + 1]]``, rising,
-    with their tallies in ``tallies``, and ``totals[i]`` is the row's
-    token count; every array is int64. An empty document is an empty row
-    with total 0.
+    ``vocabulary`` lists the version's words in the order they first
+    occur, unsorted. Row ``i`` holds the local word ids
+    ``ids[indptr[i]:indptr[i + 1]]``, in the order of the document's
+    counts, with their tallies in ``tallies``, and ``totals[i]`` is the
+    row's token count; every array is int64. An empty document is an
+    empty row with total 0.
     """
 
     vocabulary: list[str]
@@ -213,24 +214,22 @@ class VersionCounts:
 
 def count_version(documents: Iterable[TokenDocument]) -> VersionCounts:
     """Count one version's documents, read once in order, so they may be a
-    one-shot iterable; only their word counts are kept."""
+    one-shot iterable; only their word counts are kept. No word is sorted
+    here: ``merge_counts`` sorts the union once."""
     counts = [doc.counts() for doc in documents]
-    vocabulary = sorted({w for c in counts for w in c})
-    word_ids = {w: i for i, w in enumerate(vocabulary)}
+    word_ids: dict[str, int] = {}
     nnz = np.fromiter(map(len, counts), dtype=np.int64, count=len(counts))
     entries = int(nnz.sum())
-    ids = np.fromiter((word_ids[w] for c in counts for w in c),
+    ids = np.fromiter((word_ids.setdefault(w, len(word_ids))
+                       for c in counts for w in c),
                       dtype=np.int64, count=entries)
     tallies = np.fromiter((n for c in counts for n in c.values()),
                           dtype=np.int64, count=entries)
-    # One key per entry, rising with the row and then the word id.
-    order = np.argsort(np.repeat(np.arange(len(counts)), nnz) * len(vocabulary)
-                       + ids)
     return VersionCounts(
-        vocabulary=vocabulary,
+        vocabulary=list(word_ids),
         indptr=np.concatenate(([0], np.cumsum(nnz))),
-        ids=ids[order],
-        tallies=tallies[order],
+        ids=ids,
+        tallies=tallies,
         totals=np.fromiter((c.total() for c in counts), dtype=np.int64,
                            count=len(counts)),
     )
@@ -239,20 +238,25 @@ def count_version(documents: Iterable[TokenDocument]) -> VersionCounts:
 def merge_counts(versions: Sequence[VersionCounts]) -> list[TopicBlock]:
     """One block per version of ``count_version``, over the sorted union
     of their vocabularies, so blocks of different versions compare
-    directly. Each local id maps through one rising table, so each row
-    keeps its order; weights are tally / total."""
+    directly. Each local id maps through one table into the union, each
+    row is put in id order by one integer sort, and weights are
+    tally / total."""
     vocabulary = sorted(set().union(*(v.vocabulary for v in versions)))
     word_ids = {w: i for i, w in enumerate(vocabulary)}
     blocks = []
     for version in versions:
         table = np.fromiter(map(word_ids.__getitem__, version.vocabulary),
                             dtype=np.int64, count=len(version.vocabulary))
+        ids = table[version.ids]
+        nnz = np.diff(version.indptr)
+        # One key per entry, rising with the row and then the word id.
+        order = np.argsort(np.repeat(np.arange(len(nnz)) * len(vocabulary),
+                                     nnz) + ids)
         blocks.append(TopicBlock(
             indptr=version.indptr,
-            ids=table[version.ids],
-            values=(version.tallies.astype(np.float64)
-                    / np.repeat(version.totals.astype(np.float64),
-                                np.diff(version.indptr))),
+            ids=ids[order],
+            values=(version.tallies / np.repeat(
+                version.totals.astype(np.float64), nnz))[order],
             size=len(vocabulary),
         ))
     return blocks

@@ -501,10 +501,10 @@ class TestCountThenMerge:
     def test_counts_are_local_csr(self):
         counts = count_version(iter([doc(["d", "b", "d"]), doc([]),
                                      doc(["b", "a"])]))
-        assert counts.vocabulary == ["a", "b", "d"]
+        assert counts.vocabulary == ["d", "b", "a"]
         assert counts.indptr.tolist() == [0, 2, 2, 4]
-        assert counts.ids.tolist() == [1, 2, 0, 1]
-        assert counts.tallies.tolist() == [1, 2, 1, 1]
+        assert counts.ids.tolist() == [0, 1, 1, 2]
+        assert counts.tallies.tolist() == [2, 1, 1, 1]
         assert counts.totals.tolist() == [3, 0, 2]
         for array in (counts.indptr, counts.ids, counts.tallies, counts.totals):
             assert array.dtype == np.int64
