@@ -9,6 +9,7 @@ its own output.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import __version__
@@ -64,19 +65,9 @@ def _run_config(args) -> dict:
     return {**values, "filters": filters} if filters else values
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="clonemap",
-        description="Map code-clone groups across software versions by "
-                    "comparing per-group topic distributions.",
-    )
-    parser.add_argument("--version", action="version",
-                        version=f"clonemap {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+def _add_map_options(p_map: argparse.ArgumentParser) -> None:
     # Each default is read off its config dataclass, so it is stated once.
     mapping, lda = MappingConfig(), LdaConfig()
-
-    p_map = sub.add_parser("map", help="map newer clone groups to older ones")
     p_map.add_argument("--newer", required=True, metavar="REPORT",
                        help="clone report of the newer version")
     p_map.add_argument("--older", required=True, metavar="REPORT",
@@ -111,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_filter_flags(p_map)
     p_map.set_defaults(func=cmd_map)
 
-    p_eval = sub.add_parser("eval",
-                            help="score a mapping artifact against ground truth")
+
+def _add_eval_options(p_eval: argparse.ArgumentParser) -> None:
     p_eval.add_argument("--mapping", required=True, metavar="PATH",
                         help="mapping JSON produced by the map subcommand")
     p_eval.add_argument("--truth", required=True, metavar="PATH",
@@ -122,12 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--format", choices=["json", "table"], default="table")
     p_eval.set_defaults(func=cmd_eval)
 
-    # A synth flag not given is left out of the namespace, and cmd_synth
-    # passes each given one to its SynthConfig field: the defaults are
-    # SynthConfig's own, without loading it to build the parser.
-    p_synth = sub.add_parser("synth",
-                             help="generate a synthetic two-version evolution",
-                             argument_default=argparse.SUPPRESS)
+
+def _add_synth_options(p_synth: argparse.ArgumentParser) -> None:
+    # A synth flag not given is left out of the namespace (the subparser's
+    # ``argument_default`` is SUPPRESS), and cmd_synth passes each given one
+    # to its SynthConfig field: the defaults are SynthConfig's own, without
+    # loading it to build the parser.
     p_synth.add_argument("--out", required=True, metavar="DIR")
     p_synth.add_argument("--groups", type=int, dest="group_count",
                          metavar="GROUPS")
@@ -150,8 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--seed", type=int)
     p_synth.set_defaults(func=cmd_synth)
 
-    p_topics = sub.add_parser("topics",
-                              help="dump per-group topic words for one report")
+
+def _add_topics_options(p_topics: argparse.ArgumentParser) -> None:
     p_topics.add_argument("--report", required=True, metavar="PATH")
     p_topics.add_argument("--source", metavar="DIR",
                           help="source tree the report's paths resolve against")
@@ -162,6 +153,48 @@ def build_parser() -> argparse.ArgumentParser:
     _add_filter_flags(p_topics)
     p_topics.set_defaults(func=cmd_topics)
 
+
+# Each subcommand: its ``add_parser`` keywords and the function that adds
+# its options.
+_SUBCOMMANDS = {
+    "map": ({"help": "map newer clone groups to older ones"},
+            _add_map_options),
+    "eval": ({"help": "score a mapping artifact against ground truth"},
+             _add_eval_options),
+    "synth": ({"help": "generate a synthetic two-version evolution",
+               "argument_default": argparse.SUPPRESS},
+              _add_synth_options),
+    "topics": ({"help": "dump per-group topic words for one report"},
+               _add_topics_options),
+}
+
+
+def _subcommand(argv: list[str]) -> str | None:
+    """The first entry of ``argv`` that names a subcommand, or None.
+    argparse runs the subcommand that the first positional entry names,
+    and no top-level option takes a value; so where the two differ, the
+    first positional names no subcommand and parsing fails at the top
+    level, whichever subparser has options."""
+    return next((arg for arg in argv if arg in _SUBCOMMANDS), None)
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The clonemap parser with the options of ``command`` alone, or of
+    every subcommand when it is None. The other subcommands stay bare
+    entries, so the top-level help and usage and every top-level error
+    read the same either way."""
+    parser = argparse.ArgumentParser(
+        prog="clonemap",
+        description="Map code-clone groups across software versions by "
+                    "comparing per-group topic distributions.",
+    )
+    parser.add_argument("--version", action="version",
+                        version=f"clonemap {__version__}")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (keywords, add_options) in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, **keywords)
+        if command is None or command == name:
+            add_options(subparser)
     return parser
 
 
@@ -174,9 +207,11 @@ def _print_table(text: str) -> None:
 
 
 def _emit(args, payload: dict, render_table) -> int:
-    """Write the artifact to ``--out`` when one is given, then print it:
-    as canonical JSON, or as the table ``render_table(payload)``."""
-    text = write_json_artifact(args.out, payload) if args.out else None
+    """Write the artifact to ``--out`` when one is given (an empty path
+    fails as any unwritable one does), then print it: as canonical JSON,
+    or as the table ``render_table(payload)``."""
+    text = (None if args.out is None
+            else write_json_artifact(args.out, payload))
     if args.format == "json":
         sys.stdout.write(canonical_json(payload) if text is None else text)
     else:
@@ -290,8 +325,20 @@ def cmd_topics(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run the command line ``argv`` (default ``sys.argv[1:]``) and return
+    its exit code; a usage error exits 2 from argparse.
+
+    Only the subcommand named in ``argv`` gets its options built, since a
+    fresh process runs one command. The command runs with every object
+    alive after parsing, the import-time heap included, moved out of the
+    cyclic collector's generations by ``gc.freeze()``, so a collection
+    during the command walks only what the command allocated. The
+    ``finally`` unfreezes them on every way out, so an in-process caller
+    gets its collector back with nothing frozen.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(_subcommand(argv)).parse_args(argv)
+    gc.freeze()
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -303,6 +350,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"clonemap: I/O error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import copy
+import gc
 import io
 import json
 import os
@@ -1432,6 +1433,11 @@ class TestThreadsFlag:
 
 
 
+def subparsers(parser: argparse.ArgumentParser) -> dict:
+    return next(action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction)).choices
+
+
 class TestRecordedConfig:
     """Each artifact's ``config`` records every flag of its subcommand
     except ``--out`` and ``--format``, with the four word-list flags under
@@ -1441,10 +1447,8 @@ class TestRecordedConfig:
 
     @staticmethod
     def subparser_dests(name: str) -> set:
-        parser = build_parser()
-        sub = next(a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        return {a.dest for a in sub.choices[name]._actions} - {"help"}
+        parser = subparsers(build_parser(None))[name]
+        return {a.dest for a in parser._actions} - {"help"}
 
     def expected_keys(self, name: str) -> tuple[set, set]:
         dests = self.subparser_dests(name) - {"out", "format"}
@@ -1483,8 +1487,8 @@ class TestParserDefaults:
         return {f.name: f.default for f in fields(config_type)}
 
     def test_map_flags_default_to_the_config_defaults(self):
-        args = build_parser().parse_args(["map", "--newer", "n.json",
-                                          "--older", "o.json"])
+        args = build_parser(None).parse_args(["map", "--newer", "n.json",
+                                              "--older", "o.json"])
         mapping, lda = self.defaults(MappingConfig), self.defaults(LdaConfig)
         assert args.delta == mapping["delta"]
         assert args.metric == mapping["metric"].value
@@ -1534,6 +1538,220 @@ class TestParserDefaults:
         defaults = self.defaults(SynthConfig)
         assert all(getattr(built[0], name) != default
                    for name, default in defaults.items())
+
+
+class TestEmptyOut:
+    """``--out ""`` names no file that can be written, so it fails as any
+    such path does: exit 4, an I/O error and nothing printed."""
+
+    def check(self, argv, capsys) -> None:
+        assert main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("clonemap: I/O error: ")
+
+    def test_map(self, evolution, capsys):
+        self.check(run_map_cmd(evolution, "--out", ""), capsys)
+
+    def test_eval(self, evolution, tmp_path, capsys):
+        mapping = tmp_path / "mapping.json"
+        assert main(run_map_cmd(evolution, "--out", str(mapping))) == 0
+        capsys.readouterr()
+        self.check(["eval", "--mapping", str(mapping),
+                    "--truth", str(evolution / "truth.json"), "--out", ""],
+                   capsys)
+
+    def test_topics(self, evolution, capsys):
+        self.check(["topics", "--report", str(evolution / "older_report.json"),
+                    "--source", str(evolution / "older_src"), "--out", ""],
+                   capsys)
+
+
+MAP_ARGV = ("map", "--newer", "{evo}/newer_report.json",
+            "--older", "{evo}/older_report.json",
+            "--source-newer", "{evo}/newer_src",
+            "--source-older", "{evo}/older_src")
+EVAL_ARGV = ("eval", "--mapping", "{evo}/mapping.json",
+             "--truth", "{evo}/truth.json")
+TOPICS_ARGV = ("topics", "--report", "{evo}/older_report.json",
+               "--source", "{evo}/older_src")
+WORD_FILES = ("--keywords", "{evo}/words.txt",
+              "--progwords", "{evo}/words.txt",
+              "--stopwords", "{evo}/words.txt")
+
+# Command lines that ``main`` must treat as the parser of every option
+# does. Outputs are relative, so each side writes under its own directory.
+PARSER_ARGVS = {
+    "top-help": ("-h",),
+    "version": ("--version",),
+    "no-argument": (),
+    "unknown-subcommand": ("bogus", *MAP_ARGV),
+    "unknown-top-option": ("--bogus", *EVAL_ARGV),
+    "dash-dash-first": ("--", *MAP_ARGV),
+    "map-help": ("map", "-h"),
+    "map-every-option": (*MAP_ARGV, "--delta", "0.5", "--metric", "hellinger",
+                         "--strategy", "topic", "--injective",
+                         "--threads", "2",
+                         "--language", "c", *WORD_FILES, "--out", "m.json",
+                         "--format", "json"),
+    "map-gibbs": (*MAP_ARGV, "--topics", "2", "--iterations", "2",
+                  "--seed", "5", "--out", "m.json"),
+    "map-lcs": (*MAP_ARGV, "--strategy", "lcs", "--language", "java",
+                "--format", "table"),
+    "map-out-names-a-subcommand": (*MAP_ARGV, "--out", "eval"),
+    "map-missing-required": ("map", "--newer", "{evo}/newer_report.json"),
+    "map-invalid-choice": (*MAP_ARGV, "--metric", "jaccard"),
+    "map-config-error": (*MAP_ARGV, "--delta", "2"),
+    "map-unknown-option": (*MAP_ARGV, "--mapping", "x"),
+    "eval-help": ("eval", "-h"),
+    "eval-every-option": (*EVAL_ARGV, "--out", "e.json", "--format", "json"),
+    "eval-table": EVAL_ARGV,
+    "eval-missing-required": ("eval", "--truth", "{evo}/truth.json"),
+    "synth-help": ("synth", "-h"),
+    "synth-every-option": ("synth", "--out", "evo", "--groups", "3",
+                           "--fragments", "2", "3", "--lines", "4", "6",
+                           "--mix", "0.4", "0.2", "0.2", "0.2",
+                           "--edit-fraction", "0.1", "0.3",
+                           "--deaths", "0.25", "--births", "0.25",
+                           "--seed", "4"),
+    "synth-missing-required": ("synth", "--groups", "2"),
+    "topics-help": ("topics", "-h"),
+    "topics-every-option": (*TOPICS_ARGV, "--language", "java", *WORD_FILES,
+                            "--out", "t.json", "--format", "json"),
+    "topics-table": TOPICS_ARGV,
+    "topics-missing-required": ("topics",),
+}
+
+
+class TestOneSubcommandParser:
+    """``main`` adds options only to the subcommand it runs; the others
+    stay bare entries. Every help text, usage line, error, exit code,
+    printed result and written file is the one the parser of every
+    option gives."""
+
+    def test_help_texts_are_the_full_parsers(self):
+        full = build_parser(None)
+        for command in cli._SUBCOMMANDS:
+            parser = build_parser(command)
+            assert parser.format_help() == full.format_help()
+            assert (subparsers(parser)[command].format_help()
+                    == subparsers(full)[command].format_help())
+
+    def test_table_gives_every_option(self):
+        for command, parser in subparsers(build_parser(None)).items():
+            given = {arg for argv in PARSER_ARGVS.values()
+                     if argv[:1] == (command,) for arg in argv}
+            for action in parser._actions:
+                assert set(action.option_strings) & given, (command, action)
+
+    @pytest.fixture
+    def inputs(self, evolution):
+        (evolution / "words.txt").write_text("# words\nint\nreturn\n",
+                                             encoding="utf-8")
+        assert run_quietly(run_map_cmd(
+            evolution, "--out", str(evolution / "mapping.json")))[0] == 0
+        return evolution
+
+    @staticmethod
+    def outcome(argv, cwd: Path, monkeypatch, capsys, full: bool):
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        with monkeypatch.context() as patch:
+            if full:
+                patch.setattr(cli, "_subcommand", lambda argv: None)
+            try:
+                rc = main(argv)
+            except SystemExit as exc:
+                rc = exc.code
+        out, err = capsys.readouterr()
+        files = {str(path.relative_to(cwd)): path.read_bytes()
+                 for path in sorted(cwd.rglob("*")) if path.is_file()}
+        return rc, out, err, files
+
+    @pytest.mark.parametrize("name", PARSER_ARGVS)
+    def test_main_acts_as_the_full_parser(self, inputs, tmp_path, monkeypatch,
+                                          capsys, name):
+        argv = [arg.format(evo=inputs) for arg in PARSER_ARGVS[name]]
+        got = self.outcome(argv, tmp_path / "one", monkeypatch, capsys, False)
+        want = self.outcome(argv, tmp_path / "all", monkeypatch, capsys, True)
+        assert got == want
+        if name.endswith("every-option"):
+            assert got[0] == 0 and got[3], "the run wrote no artifact"
+
+
+class TestPaysForOneCommand:
+    """Guards without timing: ``main`` builds the options of one
+    subcommand, and runs it with the import-time heap frozen out of the
+    cyclic collector, which it gives back on every way out."""
+
+    def test_map_builds_no_other_subcommands_options(self, evolution,
+                                                     monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command: built.append(build(command))
+                            or built[-1])
+        assert main(run_map_cmd(evolution)) == 0
+        capsys.readouterr()
+        [choices] = [subparsers(p) for p in built]
+        full = subparsers(build_parser(None))
+        for command, sub in choices.items():
+            options = [action.option_strings for action in sub._actions]
+            if command == "map":
+                assert options == [action.option_strings
+                                   for action in full["map"]._actions]
+            else:
+                assert options == [["-h", "--help"]], command
+
+    @pytest.fixture
+    def frozen_in_command(self, monkeypatch):
+        """The freeze counts seen where ``cmd_map`` starts its map."""
+        seen = []
+        run_map = cli.run_map
+
+        def spy(*args, **kwargs):
+            seen.append(gc.get_freeze_count())
+            return run_map(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_map", spy)
+        return seen
+
+    @pytest.mark.parametrize("extra, rc", [
+        ((), 0), (("--delta", "2"), 2), (("--newer", "{bad}"), 3),
+        (("--out", ""), 4)], ids=["0", "2", "3", "4"])
+    def test_nothing_stays_frozen(self, evolution, tmp_path, capsys,
+                                  frozen_in_command, extra, rc):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{", encoding="utf-8")
+        argv = run_map_cmd(evolution, *(arg.format(bad=bad) for arg in extra))
+        assert main(argv) == rc
+        capsys.readouterr()
+        assert gc.get_freeze_count() == 0
+        assert all(count > 0 for count in frozen_in_command)
+
+    def test_usage_error_freezes_nothing(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["map"])
+        capsys.readouterr()
+        assert gc.get_freeze_count() == 0
+
+    def test_interrupt_unfreezes(self, evolution, monkeypatch):
+        def interrupted(*args, **kwargs):
+            assert gc.get_freeze_count() > 0
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_map", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(run_map_cmd(evolution))
+        assert gc.get_freeze_count() == 0
+
+    def test_both_counting_branches_unfreeze(self, evolution, capsys, branch,
+                                             frozen_in_command):
+        assert main(run_map_cmd(evolution)) == 0
+        capsys.readouterr()
+        assert len(frozen_in_command) == 1 and frozen_in_command[0] > 0
+        assert gc.get_freeze_count() == 0
+        assert_no_child_left()
 
 
 # Values a mutation swaps in: other JSON types, path escapes, an integer

@@ -721,7 +721,7 @@ def settable_values() -> list[str]:
                          for label, fn in callables.items()
                          for param in inspect.signature(fn).parameters.values()
                          if param.default is not inspect.Parameter.empty)
-    subcommands = next(action for action in cli.build_parser()._actions
+    subcommands = next(action for action in cli.build_parser(None)._actions
                        if isinstance(action, argparse._SubParsersAction))
     found.extend(f"clonemap {command} {action.option_strings[-1]}"
                  for command, parser in subcommands.choices.items()
