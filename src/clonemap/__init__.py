@@ -36,7 +36,6 @@ from .topicmodel import (
     build_corpus,
     fit_group_topic,
     fit_lda,
-    frequency_blocks,
 )
 from .mapping import (
     GroupMapping,
@@ -82,7 +81,6 @@ __all__ = [
     "build_corpus",
     "fit_group_topic",
     "fit_lda",
-    "frequency_blocks",
     "Metric",
     "lcs_matrix",
     "lcs_similarity",

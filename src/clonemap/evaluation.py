@@ -10,7 +10,9 @@ a given seed.
 
 from __future__ import annotations
 
+import errno
 import itertools
+import os
 import random
 import re
 from collections.abc import Iterator
@@ -384,6 +386,9 @@ def generate_evolution(config: SynthConfig, out_dir: Path | str) -> dict:
     Returns the manifest (also written to manifest.json), with all paths
     relative to ``out_dir``, which must be missing or empty.
     """
+    # Path("") is the current directory, but an empty name names none.
+    if out_dir == "":
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), "")
     out = Path(out_dir)
     # Files left by an earlier run would sit beside ones the manifest lists.
     if out.is_dir() and any(out.iterdir()):

@@ -34,7 +34,6 @@ from .topicmodel import (
     build_corpus,
     count_version,
     fit_lda,
-    frequency_blocks,
     merge_counts,
 )
 # fit_group_topic is not called here but stays importable from this module,
@@ -63,34 +62,23 @@ def documents(snapshot: VersionSnapshot, source_root: Path | str | None,
         yield build_group_document(text, filter_config)
 
 
-def pair_topics(newer_docs: Iterable[TokenDocument],
-                older_docs: Iterable[TokenDocument],
-                lda_config: LdaConfig | None = None,
-                ) -> tuple[TopicBlock, TopicBlock]:
-    """Topic blocks for both versions over one shared vocabulary, newer
-    first.
-
-    Each version's documents are read once, newer first, so either may be
-    a one-shot iterable such as a generator. The default path computes
-    exact one-topic frequencies per group. With K > 1 a corpus-wide
-    Gibbs model is fit instead and each group is represented by its
-    document-topic mixture, and the uniform mixture the model gives an
-    empty document is zeroed. Either way an empty document gives an empty
-    row. Both versions are read in this process; ``run_map`` counts a
-    large older version in a child process instead.
-    """
-    if lda_config is not None and lda_config.K > 1:
-        docs = list(newer_docs)
-        split = len(docs)
-        docs += older_docs
-        empty = np.array([doc.token_count == 0 for doc in docs])
-        theta = fit_lda(build_corpus(docs), lda_config).theta
-        weights = np.where(empty[:, None], 0.0, theta)
-        newer_block = TopicBlock.from_dense(weights[:split])
-        older_block = TopicBlock.from_dense(weights[split:])
-    else:
-        newer_block, older_block = frequency_blocks([newer_docs, older_docs])
-    return newer_block, older_block
+def _lda_pair(newer_docs: Iterable[TokenDocument],
+              older_docs: Iterable[TokenDocument],
+              lda_config: LdaConfig) -> tuple[TopicBlock, TopicBlock]:
+    """Topic blocks for both versions at K > 1, newer first: a
+    corpus-wide Gibbs model is fit over both versions' documents and each
+    group is represented by its document-topic mixture. The uniform
+    mixture the model gives an empty document is zeroed, so an empty
+    document gives an empty row. Each version's documents are read once,
+    newer first, so either may be a one-shot iterable."""
+    docs = list(newer_docs)
+    split = len(docs)
+    docs += older_docs
+    empty = np.array([doc.token_count == 0 for doc in docs])
+    theta = fit_lda(build_corpus(docs), lda_config).theta
+    weights = np.where(empty[:, None], 0.0, theta)
+    return (TopicBlock.from_dense(weights[:split]),
+            TopicBlock.from_dense(weights[split:]))
 
 
 # A forked count costs the parent about 4 ms on a one-group map: the
@@ -140,19 +128,18 @@ def _fork_pays(newer: VersionSnapshot, older: VersionSnapshot) -> bool:
 
 
 # The child's buffer: four int64 lengths (rows, entries, words, vocabulary
-# bytes), then indptr, ids, tallies and totals as int64, then the
-# vocabulary joined by "\n". A token is lowercase ASCII [a-z0-9_] and
-# never empty, so the join splits back exactly and needs no decoder.
+# bytes), then indptr, ids and tallies as int64, then the vocabulary
+# joined by "\n". A token is lowercase ASCII [a-z0-9_] and never empty, so
+# the join splits back exactly and needs no decoder.
 _HEAD = 4 * 8
 
 
 def _encode_counts(counts: VersionCounts) -> bytes:
     words = "\n".join(counts.vocabulary).encode("ascii")
-    head = np.array([len(counts.totals), len(counts.ids),
+    head = np.array([len(counts.indptr) - 1, len(counts.ids),
                      len(counts.vocabulary), len(words)], dtype=np.int64)
     return b"".join((head.tobytes(), counts.indptr.tobytes(),
-                     counts.ids.tobytes(), counts.tallies.tobytes(),
-                     counts.totals.tobytes(), words))
+                     counts.ids.tobytes(), counts.tallies.tobytes(), words))
 
 
 def _decode_counts(data: bytes) -> VersionCounts | None:
@@ -161,18 +148,18 @@ def _decode_counts(data: bytes) -> VersionCounts | None:
     if len(data) < _HEAD:
         return None
     rows, entries, words, size = np.frombuffer(data, np.int64, 4).tolist()
-    cells = 2 * rows + 1 + 2 * entries
+    cells = rows + 1 + 2 * entries
     if (min(rows, entries, words, size) < 0
             or len(data) != _HEAD + 8 * cells + size):
         return None
-    indptr, ids, tallies, totals = np.split(
+    indptr, ids, tallies = np.split(
         np.frombuffer(data, np.int64, cells, _HEAD),
-        np.cumsum([rows + 1, entries, entries]))
+        np.cumsum([rows + 1, entries]))
     vocabulary = (data[_HEAD + 8 * cells:].decode("ascii").split("\n")
                   if size else [])
     if len(vocabulary) != words:
         return None
-    return VersionCounts(vocabulary, indptr, ids, tallies, totals)
+    return VersionCounts(vocabulary, indptr, ids, tallies)
 
 
 def _count_in_child(docs: Iterable[TokenDocument], mask: set,
@@ -198,34 +185,43 @@ def _count_in_child(docs: Iterable[TokenDocument], mask: set,
 
 
 def _frequency_pair(newer_docs: Iterable[TokenDocument],
-                    older_docs: Iterable[TokenDocument]) -> list[TopicBlock]:
-    """``frequency_blocks([newer_docs, older_docs])``, with the older
-    version counted in a forked child while this process counts the newer
-    one. If the pipe or the fork fails, or the child raises, warns, dies
-    or sends a bad buffer, the older version is counted here after the
-    newer one, so every error and warning is the in-process one. Signals
-    are blocked from before the fork until its pid is held, so none can
-    raise in between; from then on the child is killed, if it still runs,
-    and reaped before this returns or raises."""
-    # Only a forked count needs ``signal``, which a small map never loads.
-    from signal import (SIG_BLOCK, SIG_SETMASK, SIGKILL, pthread_sigmask,
-                        valid_signals)
+                    older_docs: Iterable[TokenDocument],
+                    fork: bool) -> list[TopicBlock]:
+    """The K = 1 topic blocks of both versions, newer first:
+    ``merge_counts`` of each version's ``count_version``, so each group's
+    row holds its exact term frequencies over the sorted union of both
+    versions' words. This is the one builder of K = 1 blocks.
 
+    With ``fork``, the older version is counted in a forked child while
+    this process counts the newer one. Without it, or if the pipe or the
+    fork fails, or the child raises, warns, dies or sends a bad buffer,
+    the older version is counted here after the newer one, so every error
+    and warning is the in-process one. Each version's documents are read
+    once, newer first, so either may be a one-shot iterable. Signals are
+    blocked from before the fork until its pid is held, so none can raise
+    in between; from then on the child is killed, if it still runs, and
+    reaped before this returns or raises."""
     pid = read_end = write_end = older = None
-    mask = pthread_sigmask(SIG_BLOCK, ())
     try:
-        try:
-            pthread_sigmask(SIG_BLOCK, valid_signals())
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _count_in_child(older_docs, mask, read_end, write_end)
-        except OSError:
-            pass
-        finally:
-            if write_end is not None:
-                os.close(write_end)
-            pthread_sigmask(SIG_SETMASK, mask)
+        if fork:
+            # Only a forked count needs ``signal``, which a small map
+            # never loads.
+            from signal import (SIG_BLOCK, SIG_SETMASK, SIGKILL,
+                                pthread_sigmask, valid_signals)
+
+            mask = pthread_sigmask(SIG_BLOCK, ())
+            try:
+                pthread_sigmask(SIG_BLOCK, valid_signals())
+                read_end, write_end = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _count_in_child(older_docs, mask, read_end, write_end)
+            except OSError:
+                pass
+            finally:
+                if write_end is not None:
+                    os.close(write_end)
+                pthread_sigmask(SIG_SETMASK, mask)
         newer = count_version(newer_docs)
         if pid is not None:
             # Grown in place, so the buffer is not held twice while read.
@@ -277,9 +273,11 @@ def canonical_json(payload: dict) -> str:
 
 def write_json_artifact(path: Path | str, payload: dict) -> str:
     """Write ``canonical_json(payload)`` to ``path`` as UTF-8 and return
-    that text."""
+    that text. The path is opened as given, so an empty one fails as
+    naming no file, not as the current directory."""
     text = canonical_json(payload)
-    Path(path).write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(text)
     return text
 
 
@@ -352,16 +350,19 @@ def run_map(newer_report: Path | str, older_report: Path | str,
     Then each process reads one version at a time through ``texts``, newer
     first. The LCS strategy keeps each group's raw text as line ids; the
     topic strategy tokenizes and counts it and scores per-group topic
-    distributions over a shared vocabulary. With K = 1, where
-    ``_fork_pays`` (both versions span enough lines and a second CPU is
-    free), a forked child counts the older version while this process
-    counts the newer one, and only the counts come back; this process
-    reads the older version itself, after the newer one, when the child
-    fails. Otherwise this process reads both, and releases the newer
-    version's text, inline text included, before it reads the older one.
+    distributions over a shared vocabulary. With K = 1 the blocks come
+    from ``_frequency_pair``, which forks only where ``_fork_pays``, read
+    from the parsed reports before either version is: both versions span
+    enough lines and a second CPU is free. Then a child counts the older
+    version while this process counts the newer one, and only the counts
+    come back; this process reads the older version itself, after the
+    newer one, when the child fails. Without a child, at any K, this
+    process reads both, and releases the newer version's text, inline
+    text included, before it reads the older one.
     """
     filter_config = filter_config or default_filter_config()
     mapping_config = mapping_config or MappingConfig()
+    lda_config = lda_config or LdaConfig()
 
     newer = parse_clone_report(newer_report)
     older = parse_clone_report(older_report)
@@ -374,12 +375,11 @@ def run_map(newer_report: Path | str, older_report: Path | str,
         newer, older = texts(newer, source_newer), texts(older, source_older)
         mappings = baseline_text_map(newer, older, *ids, mapping_config)
     else:
-        apart = ((lda_config is None or lda_config.K == 1)
-                 and _fork_pays(newer, older))
+        fork = lda_config.K == 1 and _fork_pays(newer, older)
         newer, older = (documents(newer, source_newer, filter_config),
                         documents(older, source_older, filter_config))
-        topics = (_frequency_pair(newer, older) if apart
-                  else pair_topics(newer, older, lda_config))
+        topics = (_lda_pair(newer, older, lda_config) if lda_config.K > 1
+                  else _frequency_pair(newer, older, fork))
         mappings = map_version_pair(*topics, *ids, mapping_config)
     return mapping_result(*ids, mappings, older_size, mapping_config,
                           run_config)

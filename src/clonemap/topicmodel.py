@@ -200,22 +200,23 @@ class VersionCounts:
     ``vocabulary`` lists the version's words in the order they first
     occur, unsorted. Row ``i`` holds the local word ids
     ``ids[indptr[i]:indptr[i + 1]]``, in the order of the document's
-    counts, with their tallies in ``tallies``, and ``totals[i]`` is the
-    row's token count; every array is int64. An empty document is an
-    empty row with total 0.
+    counts, with their tallies in ``tallies``, so the row's token count is
+    the sum of its tallies; every array is int64. An empty document is an
+    empty row.
     """
 
     vocabulary: list[str]
     indptr: np.ndarray
     ids: np.ndarray
     tallies: np.ndarray
-    totals: np.ndarray
 
 
 def count_version(documents: Iterable[TokenDocument]) -> VersionCounts:
     """Count one version's documents, read once in order, so they may be a
     one-shot iterable; only their word counts are kept. No word is sorted
-    here: ``merge_counts`` sorts the union once."""
+    here: ``merge_counts`` sorts the union once. The K = 1 builder,
+    ``pipeline._frequency_pair``, counts each version through this, in
+    this process or in a forked child."""
     counts = [doc.counts() for doc in documents]
     word_ids: dict[str, int] = {}
     nnz = np.fromiter(map(len, counts), dtype=np.int64, count=len(counts))
@@ -230,8 +231,6 @@ def count_version(documents: Iterable[TokenDocument]) -> VersionCounts:
         indptr=np.concatenate(([0], np.cumsum(nnz))),
         ids=ids,
         tallies=tallies,
-        totals=np.fromiter((c.total() for c in counts), dtype=np.int64,
-                           count=len(counts)),
     )
 
 
@@ -240,7 +239,12 @@ def merge_counts(versions: Sequence[VersionCounts]) -> list[TopicBlock]:
     of their vocabularies, so blocks of different versions compare
     directly. Each local id maps through one table into the union, each
     row is put in id order by one integer sort, and weights are
-    tally / total."""
+    tally / row total, the total summed from the row's tallies.
+
+    Row weights are count(w) / token_count in sorted-vocabulary order,
+    exactly as ``fit_group_topic`` gives them over ``build_corpus`` of the
+    same documents; an empty document gives an empty row. The sums are
+    exact below 2**53 tokens a row, so every weight keeps its bits."""
     vocabulary = sorted(set().union(*(v.vocabulary for v in versions)))
     word_ids = {w: i for i, w in enumerate(vocabulary)}
     blocks = []
@@ -248,35 +252,18 @@ def merge_counts(versions: Sequence[VersionCounts]) -> list[TopicBlock]:
         table = np.fromiter(map(word_ids.__getitem__, version.vocabulary),
                             dtype=np.int64, count=len(version.vocabulary))
         ids = table[version.ids]
-        nnz = np.diff(version.indptr)
+        rows = np.repeat(np.arange(len(version.indptr) - 1),
+                         np.diff(version.indptr))
+        totals = np.bincount(rows, version.tallies)
         # One key per entry, rising with the row and then the word id.
-        order = np.argsort(np.repeat(np.arange(len(nnz)) * len(vocabulary),
-                                     nnz) + ids)
+        order = np.argsort(rows * len(vocabulary) + ids)
         blocks.append(TopicBlock(
             indptr=version.indptr,
             ids=ids[order],
-            values=(version.tallies / np.repeat(
-                version.totals.astype(np.float64), nnz))[order],
+            values=(version.tallies / totals[rows])[order],
             size=len(vocabulary),
         ))
     return blocks
-
-
-def frequency_blocks(versions: Iterable[Iterable[TokenDocument]]
-                     ) -> list[TopicBlock]:
-    """One-topic term frequencies of every group, one block per version:
-    ``merge_counts`` of each version's ``count_version``, the versions
-    counted in order.
-
-    Each version's documents are read once, in order, so each may be a
-    one-shot iterable. The ids index the sorted union of all the
-    versions' words. Row weights are count(w) / token_count in
-    sorted-vocabulary order, exactly as ``fit_group_topic`` gives them
-    over ``build_corpus`` of the same documents; an empty document gives
-    an empty row. ``pipeline.run_map`` composes the same two stages with
-    the older version counted in a child process.
-    """
-    return merge_counts([count_version(docs) for docs in versions])
 
 
 def _check_counts(corpus: Corpus, n_dk, n_kw, n_k) -> None:

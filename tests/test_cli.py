@@ -1236,7 +1236,7 @@ class TestCountsTransport:
         counts = self.counts()
         back = pipeline._decode_counts(pipeline._encode_counts(counts))
         assert back.vocabulary == counts.vocabulary
-        for name in ("indptr", "ids", "tallies", "totals"):
+        for name in ("indptr", "ids", "tallies"):
             assert np.array_equal(getattr(back, name), getattr(counts, name))
 
     def test_empty_version_round_trips(self):
@@ -1542,13 +1542,16 @@ class TestParserDefaults:
 
 class TestEmptyOut:
     """``--out ""`` names no file that can be written, so it fails as any
-    such path does: exit 4, an I/O error and nothing printed."""
+    such path does: exit 4, an I/O error that names the empty path, not
+    the current directory, and nothing printed."""
 
     def check(self, argv, capsys) -> None:
         assert main(argv) == 4
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("clonemap: I/O error: ")
+        assert err.rstrip().endswith("No such file or directory: ''")
+        assert "'.'" not in err
 
     def test_map(self, evolution, capsys):
         self.check(run_map_cmd(evolution, "--out", ""), capsys)
@@ -1565,6 +1568,13 @@ class TestEmptyOut:
         self.check(["topics", "--report", str(evolution / "older_report.json"),
                     "--source", str(evolution / "older_src"), "--out", ""],
                    capsys)
+
+    def test_synth(self, tmp_path, monkeypatch, capsys):
+        """``synth`` writes nothing, not a fixture in the current
+        directory."""
+        monkeypatch.chdir(tmp_path)
+        self.check(["synth", "--out", "", "--groups", "2"], capsys)
+        assert list(tmp_path.iterdir()) == []
 
 
 MAP_ARGV = ("map", "--newer", "{evo}/newer_report.json",
@@ -1961,7 +1971,7 @@ IMPORT_SET = """
 import json, sys
 import clonemap.cli as cli
 
-LAZY = ("clonemap.evaluation", "xml.etree.ElementTree")
+LAZY = ("clonemap.evaluation", "xml.etree.ElementTree", "signal")
 imported = [name for name in LAZY if name in sys.modules]
 rc = cli.main(sys.argv[1:])
 mapped = [name for name in LAZY if name in sys.modules]
@@ -1971,9 +1981,10 @@ print(json.dumps({"exit": rc, "imported": imported, "mapped": mapped}))
 
 class TestImportSet:
     """``map`` starts without the ground-truth scorer, the fixture
-    generator or the XML parser: it runs none of them, and loading them
-    costs a fresh interpreter milliseconds. Only an XML report loads the
-    parser."""
+    generator, the XML parser or ``signal``: it runs none of them, and
+    loading them costs a fresh interpreter milliseconds. Only an XML
+    report loads the parser, and only a forked count loads ``signal``,
+    which a map of the small ``evolution`` fixture never does."""
 
     @staticmethod
     def run(argv) -> dict:

@@ -443,6 +443,22 @@ def test_one_function_reads_a_version():
                              "resolve_snapshot") == {"pipeline.texts"}
 
 
+def test_one_function_builds_frequency_blocks():
+    """Within the package, ``merge_counts`` is read only by
+    ``pipeline._frequency_pair``, and ``count_version`` only by it and by
+    ``_count_in_child``, which counts the older version in a forked child:
+    a small map, a refused fork and a failed child all build their K = 1
+    blocks through the same lines."""
+    def readers(name):
+        return {read.split(": ", 1)[1]
+                for read in scoped_reads(PACKAGE.glob("*.py"), name)}
+
+    # The scope ``pipeline`` alone is the import at module level.
+    assert readers("merge_counts") == {"pipeline", "pipeline._frequency_pair"}
+    assert readers("count_version") == {
+        "pipeline", "pipeline._frequency_pair", "pipeline._count_in_child"}
+
+
 def test_scan_finds_each_function_that_reads_a_name(tmp_path):
     module = tmp_path / "p.py"
     module.write_text(
@@ -731,7 +747,7 @@ def settable_values() -> list[str]:
     return sorted(found)
 
 
-SETTABLE_VALUES = 77
+SETTABLE_VALUES = 76
 
 
 def test_publicly_settable_values_are_counted():

@@ -24,19 +24,25 @@ from clonemap.mapping import (
     score_matrix,
     unmatched_old_groups,
 )
-from clonemap.pipeline import canonical_json, mapping_result, mappings_from_artifact
+from clonemap.pipeline import (
+    _frequency_pair,
+    canonical_json,
+    mapping_result,
+    mappings_from_artifact,
+)
 from clonemap.preprocess import TokenDocument
-from clonemap.topicmodel import frequency_blocks
 
 
 def pair_from_counts(newer_counts, older_counts):
     """The newer and the older TopicBlock over one vocabulary, one row per
-    word->count dict, built by ``frequency_blocks`` as ``clonemap map``
-    builds them; an empty dict is a group whose document came out empty.
-    The tests map them as versions ``v2`` and ``v1``."""
-    return frequency_blocks(
-        [[TokenDocument(tuple(collections.Counter(c).elements())) for c in counts]
-         for counts in (newer_counts, older_counts)])
+    word->count dict, built by ``pipeline._frequency_pair`` as ``clonemap
+    map`` builds them at K = 1 (in this process); an empty dict is a group
+    whose document came out empty. The tests map them as versions ``v2``
+    and ``v1``."""
+    return _frequency_pair(
+        *([TokenDocument(tuple(collections.Counter(c).elements()))
+           for c in counts] for counts in (newer_counts, older_counts)),
+        fork=False)
 
 
 class TestMapVersionPair:

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from clonemap.errors import CloneMapWarning
 from clonemap.ingest import snapshot_from_dict
 from clonemap.mapping import MappingConfig, Metric, Strategy, lcs_matrix, score_matrix
-from clonemap.pipeline import documents, pair_topics, run_map, texts
+from clonemap.pipeline import _frequency_pair, documents, run_map, texts
 from clonemap.preprocess import FilterConfig, default_filter_config
 
 FILTER = default_filter_config()
@@ -43,9 +43,9 @@ def report(version: str, groups) -> dict:
 
 
 def scores(newer: dict, older: dict, metric: Metric) -> np.ndarray:
-    newer_block, older_block = pair_topics(
+    newer_block, older_block = _frequency_pair(
         *(documents(snapshot_from_dict(doc), None, FILTER)
-          for doc in (newer, older)))
+          for doc in (newer, older)), fork=False)
     return score_matrix(newer_block, older_block, metric)
 
 
@@ -151,7 +151,7 @@ class TestMapRelations:
         lowest index, so only a row equal to no other must map to itself."""
         version = report("v", groups)
         docs = list(documents(snapshot_from_dict(version), None, FILTER))
-        weights = dense(pair_topics(docs, docs)[0])
+        weights = dense(_frequency_pair(docs, docs, False)[0])
         unique = [document.token_count > 0
                   and sum(np.array_equal(row, other) for other in weights) == 1
                   for row, document in zip(weights, docs)]

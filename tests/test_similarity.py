@@ -20,8 +20,9 @@ from clonemap.mapping import (
     score_matrix,
     topic_similarity,
 )
+from clonemap.pipeline import _frequency_pair
 from clonemap.preprocess import TokenDocument
-from clonemap.topicmodel import TopicBlock, frequency_blocks
+from clonemap.topicmodel import TopicBlock
 
 
 def random_distribution(rng, size):
@@ -142,13 +143,15 @@ COUNTS = st.dictionaries(st.sampled_from("abcdef"),
                          min_size=1, max_size=6)
 
 
-def blocks_over_one_vocabulary(*count_lists):
-    """The sorted vocabulary and one frequency block per list of counts;
-    an empty dict gives an empty row."""
+def blocks_over_one_vocabulary(newer_counts, older_counts):
+    """The sorted vocabulary and the newer and the older frequency block,
+    as ``pipeline._frequency_pair`` builds them, one row per dict of
+    counts; an empty dict gives an empty row."""
+    count_lists = (newer_counts, older_counts)
     docs = [[TokenDocument(tuple(Counter(c).elements())) for c in counts]
             for counts in count_lists]
     vocabulary = sorted({w for counts in count_lists for c in counts for w in c})
-    return vocabulary, frequency_blocks(docs)
+    return vocabulary, _frequency_pair(*docs, fork=False)
 
 
 def dense(counts, vocabulary):

@@ -20,7 +20,6 @@ from clonemap.topicmodel import (
     count_version,
     fit_group_topic,
     fit_lda,
-    frequency_blocks,
     merge_counts,
 )
 
@@ -142,7 +141,7 @@ class TestFitGroupTopic:
         assert topic.values.tolist() == [1.0]
 
     def test_empty_document_gives_an_empty_row(self):
-        """As ``frequency_blocks`` gives it: one row with no entries, over
+        """As the K = 1 builder gives it: one row with no entries, over
         the corpus vocabulary when one is given and over none otherwise."""
         empty = doc([])
         for corpus, size in ((None, 0), (build_corpus([doc(["a", "b"])]), 2)):
@@ -355,13 +354,16 @@ GROUP_COUNTS = st.one_of(
 )
 
 
-class TestFrequencyBlocks:
+class TestFrequencyPair:
+    """``pipeline._frequency_pair``, the one builder of K = 1 blocks, in
+    this process, and the K > 1 builder ``pipeline._lda_pair``."""
+
     @settings(max_examples=80, deadline=None)
-    @given(st.lists(st.lists(GROUP_COUNTS, max_size=5), min_size=1, max_size=3))
+    @given(st.lists(st.lists(GROUP_COUNTS, max_size=5), min_size=2, max_size=2))
     def test_rows_equal_fit_group_topic_over_one_corpus(self, versions):
         docs = [[doc_of_counts(c) for c in counts] for counts in versions]
         corpus = build_corpus([d for version in docs for d in version])
-        blocks = frequency_blocks(docs)
+        blocks = pipeline._frequency_pair(*docs, fork=False)
         assert len(blocks) == len(docs)
         for block, version in zip(blocks, docs):
             assert len(block) == len(version)
@@ -373,13 +375,12 @@ class TestFrequencyBlocks:
                 assert np.array_equal(block.values[lo:hi], expected.values)
         # One-shot iterables read once give the same blocks, empty
         # documents included.
-        streamed = frequency_blocks(iter([(d for d in version)
-                                          for version in docs]))
+        streamed = pipeline._frequency_pair(
+            *[(d for d in version) for version in docs], fork=False)
         for got, want in zip(streamed, blocks, strict=True):
             assert_blocks_equal(got, want)
 
-    def test_k1_pair_topics_builds_no_corpus_and_no_distributions(
-            self, monkeypatch):
+    def test_k1_builds_no_corpus_and_no_distributions(self, monkeypatch):
         newer = [doc(["b", "a", "b"]), doc([]), doc(["c"])]
         older = [doc(["a", "d"])]
 
@@ -387,20 +388,25 @@ class TestFrequencyBlocks:
             raise AssertionError("K=1 must not build this")
 
         monkeypatch.setattr(pipeline, "build_corpus", refuse)
-        expected = frequency_blocks([newer, older])
-        for got, want in zip(pipeline.pair_topics(newer, older), expected,
-                             strict=True):
+        expected = merge_counts([count_version(newer), count_version(older)])
+        for got, want in zip(pipeline._frequency_pair(newer, older, False),
+                             expected, strict=True):
             assert_blocks_equal(got, want)
             assert got.size == 4
 
     @pytest.mark.parametrize("K", [1, 2])
-    def test_pair_topics_over_generators_equals_over_lists(self, K):
+    def test_pair_over_generators_equals_over_lists(self, K):
         newer = [doc(["b", "a", "b"]), doc([]), doc(["c", "a"])]
         older = [doc(["a", "d"]), doc([]), doc(["d", "d", "b"])]
         config = LdaConfig(K=K, iterations=20, seed=3)
-        listed = pipeline.pair_topics(newer, older, config)
-        streamed = pipeline.pair_topics((d for d in newer), (d for d in older),
-                                        config)
+
+        def pair(newer_docs, older_docs):
+            if K == 1:
+                return pipeline._frequency_pair(newer_docs, older_docs, False)
+            return pipeline._lda_pair(newer_docs, older_docs, config)
+
+        listed = pair(newer, older)
+        streamed = pair((d for d in newer), (d for d in older))
         for got, want in zip(streamed, listed, strict=True):
             assert_blocks_equal(got, want)
 
@@ -408,7 +414,7 @@ class TestFrequencyBlocks:
         newer = [doc(["a", "b", "a"]), doc([])]
         older = [doc(["b", "c"])]
         config = LdaConfig(K=3, iterations=20, seed=5)
-        new_block, old_block = pipeline.pair_topics(newer, older, config)
+        new_block, old_block = pipeline._lda_pair(newer, older, config)
         theta = fit_lda(build_corpus(newer + older), config).theta
         assert new_block.size == old_block.size == 3
         assert new_block.indptr.tolist() == [0, 3, 3]
@@ -419,7 +425,8 @@ class TestFrequencyBlocks:
 
 
 def single_pass_frequency_blocks(versions):
-    """The one-pass builder that ``frequency_blocks`` replaced: every
+    """The one-pass K = 1 builder that ``count_version`` and
+    ``merge_counts`` replaced: every
     version's counts kept, ids over the union, rows put in order by one
     lexsort. The oracle of the split into ``count_version`` and
     ``merge_counts``."""
@@ -455,8 +462,9 @@ SPLIT_GROUP_COUNTS = st.one_of(
 
 
 class TestCountThenMerge:
-    """``merge_counts`` over each version's ``count_version`` gives the
-    single-pass blocks, array for array and bit for bit."""
+    """``merge_counts`` over each version's ``count_version``, and so the
+    K = 1 builder ``pipeline._frequency_pair``, gives the single-pass
+    blocks, array for array and bit for bit."""
 
     @staticmethod
     def assert_bit_identical(got, want):
@@ -481,11 +489,14 @@ class TestCountThenMerge:
         want = single_pass_frequency_blocks(docs)
         self.assert_bit_identical(merge_counts([count_version(d) for d in docs]),
                                   want)
-        self.assert_bit_identical(frequency_blocks(docs), want)
+        pair = [docs[0], docs[-1]]
+        self.assert_bit_identical(pipeline._frequency_pair(*pair, fork=False),
+                                  single_pass_frequency_blocks(pair))
 
     def test_edge_versions(self):
         """Disjoint and shared words, words in one version only, empty
-        documents and a version with no groups."""
+        documents and a version with no groups, counted here and with the
+        older version counted in a forked child."""
         cases = [
             [[doc(["b", "a", "b"]), doc([])], [doc(["c", "d"])]],
             [[doc(["a", "b"])], [doc(["b", "a", "a"]), doc(["e"])]],
@@ -494,9 +505,12 @@ class TestCountThenMerge:
             [[], []],
         ]
         for docs in cases:
+            want = single_pass_frequency_blocks(docs)
             self.assert_bit_identical(
-                merge_counts([count_version(d) for d in docs]),
-                single_pass_frequency_blocks(docs))
+                merge_counts([count_version(d) for d in docs]), want)
+            for fork in (False, True):
+                self.assert_bit_identical(
+                    pipeline._frequency_pair(*docs, fork), want)
 
     def test_counts_are_local_csr(self):
         counts = count_version(iter([doc(["d", "b", "d"]), doc([]),
@@ -505,8 +519,7 @@ class TestCountThenMerge:
         assert counts.indptr.tolist() == [0, 2, 2, 4]
         assert counts.ids.tolist() == [0, 1, 1, 2]
         assert counts.tallies.tolist() == [2, 1, 1, 1]
-        assert counts.totals.tolist() == [3, 0, 2]
-        for array in (counts.indptr, counts.ids, counts.tallies, counts.totals):
+        for array in (counts.indptr, counts.ids, counts.tallies):
             assert array.dtype == np.int64
 
 
