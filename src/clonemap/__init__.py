@@ -48,7 +48,6 @@ from .mapping import (
     map_version_pair,
     score_matrix,
     topic_similarity,
-    unmatched_old_groups,
 )
 from .pipeline import mappings_from_artifact, run_map
 
@@ -91,7 +90,6 @@ __all__ = [
     "Strategy",
     "baseline_text_map",
     "map_version_pair",
-    "unmatched_old_groups",
     "EvalReport",
     "GroundTruth",
     "SynthConfig",

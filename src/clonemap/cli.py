@@ -332,13 +332,16 @@ def main(argv=None) -> int:
     fresh process runs one command. The command runs with every object
     alive after parsing, the import-time heap included, moved out of the
     cyclic collector's generations by ``gc.freeze()``, so a collection
-    during the command walks only what the command allocated. The
-    ``finally`` unfreezes them on every way out, so an in-process caller
-    gets its collector back with nothing frozen.
+    during the command walks only what the command allocated. It freezes
+    only when nothing is frozen yet, and then the ``finally`` unfreezes on
+    every way out; a caller that froze its own heap keeps that freeze. So
+    an in-process caller gets its collector back as it left it.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(_subcommand(argv)).parse_args(argv)
-    gc.freeze()
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
     try:
         return args.func(args)
     except ConfigError as exc:
@@ -351,7 +354,8 @@ def main(argv=None) -> int:
         print(f"clonemap: I/O error: {exc}", file=sys.stderr)
         return 4
     finally:
-        gc.unfreeze()
+        if freeze:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

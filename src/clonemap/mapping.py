@@ -22,6 +22,12 @@ each, and yields ``(part, block)``: a slice of the rows and the (k, m)
 scores ``score_rows`` gives them. The verdict loop ``_assign`` streams
 those blocks, and ``score_matrix`` and ``lcs_matrix`` stack them into the
 dense matrix, so each cell has the same bits on both paths.
+
+The mappers return their verdicts as two columns, one entry per newer
+group in index order: the older index or None, and the score.
+``GroupMapping`` is the checked row of a mapping read back from outside,
+as ``pipeline.mappings_from_artifact`` reads an artifact; no mapper
+builds one.
 """
 
 from __future__ import annotations
@@ -327,7 +333,8 @@ class MappingConfig:
 
 @dataclass(frozen=True)
 class GroupMapping:
-    """One newer group's verdict: its origin (or None) and the score.
+    """One newer group's verdict, as read back from outside the mapper:
+    its origin (or None) and the score. Every field is checked.
 
     ``similarity`` is the score against the selected old group, or the best
     score seen when the verdict is None.
@@ -355,14 +362,15 @@ class GroupMapping:
 
 
 def _assign(score_rows, n_old: int, empty_rows, newer_id: str,
-            older_id: str, config: MappingConfig) -> list[GroupMapping]:
+            config: MappingConfig) -> tuple[list[int | None], list[float]]:
     """Thresholded argmax over the rows of a scorer.
 
     The first three arguments are a scorer, read through ``_blocks``. Row
     ``i`` is newer group ``(newer_id, i)`` and column ``j`` older group
-    ``(older_id, j)``. Each newer group that ``empty_rows`` marks came out
-    with an empty document; it maps to null at 0.0 with a warning. Ties go
-    to the lowest older index.
+    ``j``. Returns the verdicts as two lists, one entry per row: the older
+    index or None, and the score. Each newer group that ``empty_rows``
+    marks came out with an empty document; it maps to null at 0.0 with a
+    warning. Ties go to the lowest older index.
 
     One loop settles both modes in rounds. In a round each pending newer
     group claims its best untaken older group, and a claim below ``delta``
@@ -435,48 +443,41 @@ def _assign(score_rows, n_old: int, empty_rows, newer_id: str,
                 ranked[part] = np.argsort(-block, axis=1, kind="stable")
                 ranked_scores[part] = np.take_along_axis(block, ranked[part], 1)
             next_rank = np.zeros(losers.size, dtype=np.intp)
-    return [GroupMapping((newer_id, i), None if j < 0 else (older_id, j), s)
-            for i, (j, s) in enumerate(zip(old.tolist(), sim.tolist()))]
+    return [None if j < 0 else j for j in old.tolist()], sim.tolist()
 
 
 def map_version_pair(newer: TopicBlock, older: TopicBlock, newer_id: str,
-                     older_id: str, config: MappingConfig | None = None,
-                     ) -> list[GroupMapping]:
+                     config: MappingConfig | None = None,
+                     ) -> tuple[list[int | None], list[float]]:
     """Map every newer group to its best-matching older group or to null.
 
     Row ``i`` of ``newer`` is group ``(newer_id, i)``, and row ``j`` of
-    ``older`` group ``(older_id, j)``; an empty row is a group whose
-    token document came out empty. Both blocks must index one shared
+    ``older`` older group ``j``; an empty row is a group whose token
+    document came out empty. Both blocks must index one shared
     vocabulary (one corpus spanning both versions). The pairs are scored
     by ``_topic_scorer``'s blocks, and each block goes straight to the
     verdict loop, so no (N, M) matrix is held. An empty older row scores
-    0.0 against everything. Output is ordered by newer group index and
-    always has one entry per newer group.
+    0.0 against everything. Returns ``_assign``'s two columns, the older
+    index or None and the score, one entry per newer group in index order.
     """
     config = config or MappingConfig()
     return _assign(*_topic_scorer(newer, older, config.metric), newer_id,
-                   older_id, config)
+                   config)
 
 
-def baseline_text_map(newer_texts, older_texts, newer_id: str, older_id: str,
-                      config: MappingConfig | None = None) -> list[GroupMapping]:
+def baseline_text_map(newer_texts, older_texts, newer_id: str,
+                      config: MappingConfig | None = None,
+                      ) -> tuple[list[int | None], list[float]]:
     """Same argmax-plus-threshold mapping, scored with line LCS on raw text.
 
     Text ``i`` of ``newer_texts`` is group ``(newer_id, i)``, and text
-    ``j`` of ``older_texts`` group ``(older_id, j)``: each group's
-    concatenated fragment text as written, comments included. This is
-    the text-based mapper the topic pipeline is compared against. The
-    newer texts are read first and the older ones second, each once, so
-    either may be a one-shot iterable. The pairs are scored by
-    ``_lcs_scorer``'s blocks and go through the same verdict loop as
-    ``map_version_pair``'s.
+    ``j`` of ``older_texts`` older group ``j``: each group's concatenated
+    fragment text as written, comments included. This is the text-based
+    mapper the topic pipeline is compared against. The newer texts are
+    read first and the older ones second, each once, so either may be a
+    one-shot iterable. The pairs are scored by ``_lcs_scorer``'s blocks
+    and go through the same verdict loop as ``map_version_pair``'s, and
+    the result is the same two columns.
     """
     config = config or MappingConfig()
-    return _assign(*_lcs_scorer(newer_texts, older_texts), newer_id,
-                   older_id, config)
-
-
-def unmatched_old_groups(mappings: list[GroupMapping], older_size: int) -> list[int]:
-    """Older-version indices never selected by any mapping."""
-    selected = {m.old_group[1] for m in mappings if m.old_group is not None}
-    return [j for j in range(older_size) if j not in selected]
+    return _assign(*_lcs_scorer(newer_texts, older_texts), newer_id, config)

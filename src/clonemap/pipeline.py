@@ -24,7 +24,6 @@ from .mapping import (
     Strategy,
     baseline_text_map,
     map_version_pair,
-    unmatched_old_groups,
 )
 from .preprocess import FilterConfig, TokenDocument, build_group_document, default_filter_config
 from .topicmodel import (
@@ -281,19 +280,27 @@ def write_json_artifact(path: Path | str, payload: dict) -> str:
     return text
 
 
-def artifact_header(config: dict | None = None) -> dict:
+def artifact_header(config: dict | None) -> dict:
     """The reproducibility header of every artifact: the tool name and
-    version, plus the resolved run configuration when one is given."""
+    version, plus the resolved run configuration unless it is None."""
     header = {"tool": {"name": "clonemap", "version": __version__}}
     if config is not None:
         header["config"] = config
     return header
 
 
-def mapping_result(newer_id: str, older_id: str, mappings: list[GroupMapping],
+def mapping_result(newer_id: str, older_id: str,
+                   verdicts: tuple[list[int | None], list[float]],
                    older_size: int, mapping_config: MappingConfig,
-                   run_config: dict | None = None) -> dict:
-    """The mapping artifact: verdicts plus the reproducibility header."""
+                   run_config: dict | None) -> dict:
+    """The mapping artifact: verdicts plus the reproducibility header.
+
+    ``verdicts`` are the two columns a mapper returns, the older index or
+    None and the score of each newer group in index order. Row ``i`` of
+    ``mappings`` is newer group ``i``, and ``unmatched_old`` lists, in
+    order, the older indices below ``older_size`` that no row names.
+    """
+    old, similarity = verdicts
     return {
         "newer": newer_id,
         "older": older_id,
@@ -301,14 +308,10 @@ def mapping_result(newer_id: str, older_id: str, mappings: list[GroupMapping],
         "metric": mapping_config.metric.value,
         "delta": mapping_config.delta,
         "mappings": [
-            {
-                "new_group": m.new_group[1],
-                "old_group": None if m.old_group is None else m.old_group[1],
-                "similarity": m.similarity,
-            }
-            for m in mappings
+            {"new_group": i, "old_group": j, "similarity": s}
+            for i, (j, s) in enumerate(zip(old, similarity))
         ],
-        "unmatched_old": unmatched_old_groups(mappings, older_size),
+        "unmatched_old": sorted(set(range(older_size)).difference(old)),
         **artifact_header(run_config),
     }
 
@@ -366,20 +369,20 @@ def run_map(newer_report: Path | str, older_report: Path | str,
 
     newer = parse_clone_report(newer_report)
     older = parse_clone_report(older_report)
-    ids = newer.version_id, older.version_id
+    newer_id, older_id = newer.version_id, older.version_id
     older_size = len(older.bounds) - 1
     # Each name is rebound to its report's one reader, so nothing else
     # holds a parsed report and the newer version's inline text goes once
     # its reader is exhausted.
     if mapping_config.strategy is Strategy.LCS_BASELINE:
         newer, older = texts(newer, source_newer), texts(older, source_older)
-        mappings = baseline_text_map(newer, older, *ids, mapping_config)
+        verdicts = baseline_text_map(newer, older, newer_id, mapping_config)
     else:
         fork = lda_config.K == 1 and _fork_pays(newer, older)
         newer, older = (documents(newer, source_newer, filter_config),
                         documents(older, source_older, filter_config))
         topics = (_lda_pair(newer, older, lda_config) if lda_config.K > 1
                   else _frequency_pair(newer, older, fork))
-        mappings = map_version_pair(*topics, *ids, mapping_config)
-    return mapping_result(*ids, mappings, older_size, mapping_config,
-                          run_config)
+        verdicts = map_version_pair(*topics, newer_id, mapping_config)
+    return mapping_result(newer_id, older_id, verdicts, older_size,
+                          mapping_config, run_config)

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import contextvars
 import copy
 import gc
 import io
@@ -30,7 +31,7 @@ from clonemap.errors import CloneMapWarning
 from clonemap.evaluation import SynthConfig
 from clonemap.ingest import (VersionSnapshot, parse_clone_report, resolve_snapshot,
                              snapshot_to_dict)
-from clonemap.mapping import MappingConfig, Strategy
+from clonemap.mapping import GroupMapping, MappingConfig, Metric, Strategy
 from clonemap.preprocess import TokenDocument, strip_comments
 from clonemap.topicmodel import LdaConfig, count_version
 
@@ -1275,6 +1276,40 @@ class TestNoFragmentObjects:
                                 lda_config=lda_config) == expected
 
 
+class TestNoVerdictObjects:
+    """No stage of ``map`` builds a ``GroupMapping``: the verdicts stay
+    two columns until ``mapping_result`` writes the artifact's rows."""
+
+    @pytest.mark.parametrize("fork, lda_config, mapping_config", [
+        (True, None, None),
+        (False, None, None),
+        (False, LdaConfig(K=2, iterations=2), None),
+        (False, None, MappingConfig(strategy=Strategy.LCS_BASELINE)),
+        (False, None, MappingConfig(metric=Metric.HELLINGER,
+                                    enforce_injective=True)),
+    ], ids=["K1-forked", "K1-in-process", "K2", "lcs", "hellinger-injective"])
+    def test_map_builds_no_verdict_records(self, evolution, monkeypatch, fork,
+                                           lda_config, mapping_config):
+        if fork and not hasattr(os, "fork"):
+            pytest.skip("no os.fork on this system")
+        monkeypatch.setattr(pipeline, "_fork_pays", lambda *snapshots: fork)
+        args = (evolution / "newer_report.json", evolution / "older_report.json",
+                evolution / "newer_src", evolution / "older_src")
+        expected = pipeline.run_map(*args, mapping_config=mapping_config,
+                                    lda_config=lda_config, run_config=None)
+
+        def refuse(self):
+            raise AssertionError("a verdict record was built on the map path")
+
+        monkeypatch.setattr(GroupMapping, "__post_init__", refuse)
+        with pytest.raises(AssertionError, match="verdict record was built"):
+            GroupMapping(("v2", 0), None, 0.0)
+        assert pipeline.run_map(*args, mapping_config=mapping_config,
+                                lda_config=lda_config,
+                                run_config=None) == expected
+        assert_no_child_left()
+
+
 class TestSynthCommand:
     def test_zero_groups_is_config_error(self, tmp_path, capsys):
         rc = main(["synth", "--out", str(tmp_path / "x"), "--groups", "0"])
@@ -1692,7 +1727,8 @@ class TestOneSubcommandParser:
 class TestPaysForOneCommand:
     """Guards without timing: ``main`` builds the options of one
     subcommand, and runs it with the import-time heap frozen out of the
-    cyclic collector, which it gives back on every way out."""
+    cyclic collector, which it gives back on every way out as the caller
+    left it."""
 
     def test_map_builds_no_other_subcommands_options(self, evolution,
                                                      monkeypatch, capsys):
@@ -1754,6 +1790,44 @@ class TestPaysForOneCommand:
         with pytest.raises(KeyboardInterrupt):
             main(run_map_cmd(evolution))
         assert gc.get_freeze_count() == 0
+
+    def test_a_callers_freeze_is_kept(self, evolution, tmp_path, capsys,
+                                      monkeypatch):
+        """A caller that froze its own heap gets its freeze count back
+        when the command succeeds, fails with exit code 4 or is
+        interrupted. Each command runs once first, so no cache that a
+        first run fills frees a frozen object, and each runs in an empty
+        ``contextvars.Context``: numpy's ``errstate`` sets a context
+        variable, which would replace, and so free, the caller's frozen
+        context mapping."""
+        map_argv = run_map_cmd(evolution)
+        missing = str(tmp_path / "missing.json")
+        eval_argv = ["eval", "--mapping", missing, "--truth", missing]
+
+        def run(argv):
+            return contextvars.Context().run(main, argv)
+
+        assert (run(map_argv), run(eval_argv)) == (0, 4)
+        gc.collect()
+        gc.freeze()
+        try:
+            frozen = gc.get_freeze_count()
+            assert frozen > 0
+            assert run(map_argv) == 0
+            assert gc.get_freeze_count() == frozen
+            assert run(eval_argv) == 4
+            assert gc.get_freeze_count() == frozen
+
+            def interrupted(*args, **kwargs):
+                raise KeyboardInterrupt
+
+            monkeypatch.setattr(cli, "run_map", interrupted)
+            with pytest.raises(KeyboardInterrupt):
+                run(map_argv)
+            assert gc.get_freeze_count() == frozen
+        finally:
+            gc.unfreeze()
+        capsys.readouterr()
 
     def test_both_counting_branches_unfreeze(self, evolution, capsys, branch,
                                              frozen_in_command):

@@ -5,8 +5,9 @@ method and property has a caller outside the tests, no module reads the
 environment or writes JSON text outside ``pipeline``, one function decodes JSON
 and ``cli.main`` maps three exception types, the readers of reports, ground
 truth and mapping artifacts hold no value check, one function reads the row-block
-size, one function of ``pipeline`` reads a version, every name the package
-exports resolves, and the count of publicly settable values is pinned."""
+size, one function of ``pipeline`` reads a version, only the readers of a
+mapping build verdict records, every name the package exports resolves,
+and the count of publicly settable values is pinned."""
 
 import argparse
 import ast
@@ -459,6 +460,50 @@ def test_one_function_builds_frequency_blocks():
         "pipeline", "pipeline._frequency_pair", "pipeline._count_in_child"}
 
 
+# The two readers of a mapping from outside the mapper.
+VERDICT_RECORD_READERS = {"pipeline.mappings_from_artifact", "evaluation.score"}
+
+
+def non_import_reads(paths, name: str, allowed) -> list[str]:
+    """``scoped_reads`` of ``name`` in ``paths`` but those by a
+    module-level import and those in a scope of ``allowed``."""
+    imports = {f"{path.name}:{node.lineno}: {path.stem}"
+               for path in paths
+               for node in ast.parse(path.read_text(encoding="utf-8")).body
+               if isinstance(node, ast.ImportFrom)
+               and any(alias.name == name for alias in node.names)}
+    return [read for read in scoped_reads(paths, name)
+            if read not in imports and read.split(": ", 1)[1] not in allowed]
+
+
+def test_only_read_back_builds_verdict_records():
+    """Within the package, ``GroupMapping`` is read only by module-level
+    imports, by ``pipeline.mappings_from_artifact`` and by
+    ``evaluation.score``: the mappers return two verdict columns, and a
+    record is the checked row of a mapping read back from outside."""
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert {read.split(": ", 1)[1]
+            for read in scoped_reads(paths, "GroupMapping")} >= (
+        VERDICT_RECORD_READERS)
+    assert non_import_reads(paths, "GroupMapping", VERDICT_RECORD_READERS) == []
+
+
+def test_scan_finds_a_non_import_read(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "from .m import (Record,\n"
+        "                other)\n"
+        "Alias = Record\n"
+        "def read(doc) -> list[Record]:\n"
+        "    return [Record(row) for row in doc]\n"
+        "def build(rows):\n"
+        "    from .m import Record\n"
+        "    return [Record(row) for row in rows]\n",
+        encoding="utf-8",
+    )
+    assert non_import_reads([tmp_path / "a.py"], "Record", {"a.read"}) == [
+        "a.py:3: a", "a.py:7: a.build", "a.py:8: a.build"]
+
+
 def test_scan_finds_each_function_that_reads_a_name(tmp_path):
     module = tmp_path / "p.py"
     module.write_text(
@@ -747,7 +792,7 @@ def settable_values() -> list[str]:
     return sorted(found)
 
 
-SETTABLE_VALUES = 76
+SETTABLE_VALUES = 74
 
 
 def test_publicly_settable_values_are_counted():

@@ -22,7 +22,6 @@ from clonemap.mapping import (
     lcs_matrix,
     map_version_pair,
     score_matrix,
-    unmatched_old_groups,
 )
 from clonemap.pipeline import (
     _frequency_pair,
@@ -37,8 +36,8 @@ def pair_from_counts(newer_counts, older_counts):
     """The newer and the older TopicBlock over one vocabulary, one row per
     word->count dict, built by ``pipeline._frequency_pair`` as ``clonemap
     map`` builds them at K = 1 (in this process); an empty dict is a group
-    whose document came out empty. The tests map them as versions ``v2``
-    and ``v1``."""
+    whose document came out empty. The tests map them with the newer
+    version named ``v2``."""
     return _frequency_pair(
         *([TokenDocument(tuple(collections.Counter(c).elements()))
            for c in counts] for counts in (newer_counts, older_counts)),
@@ -49,18 +48,18 @@ class TestMapVersionPair:
     def test_identity_snapshots_map_one_to_one(self):
         counts = [{"a": 3, "b": 1}, {"c": 2}, {"d": 1, "e": 1}]
         newer, older = pair_from_counts(counts, counts)
-        mappings = map_version_pair(newer, older, "v2", "v1")
-        for i, m in enumerate(mappings):
-            assert m.new_group == ("v2", i)
-            assert m.old_group == ("v1", i)
-            assert m.similarity == 1.0
+        old, sim = map_version_pair(newer, older, "v2")
+        assert len(old) == len(sim) == len(counts)
+        for i, (j, s) in enumerate(zip(old, sim)):
+            assert j == i
+            assert s == 1.0
 
     def test_below_threshold_maps_to_null(self):
         # cos((3,1)/4, (1,3)/4) = 6/10 = 0.6 < 0.8
         newer, older = pair_from_counts([{"a": 3, "b": 1}], [{"a": 1, "b": 3}])
-        mappings = map_version_pair(newer, older, "v2", "v1")
-        assert mappings[0].old_group is None
-        assert mappings[0].similarity == pytest.approx(0.6)
+        old, sim = map_version_pair(newer, older, "v2")
+        assert old[0] is None
+        assert sim[0] == pytest.approx(0.6)
 
     def test_argmax_and_threshold_contracts(self):
         rng = np.random.default_rng(21)
@@ -72,42 +71,42 @@ class TestMapVersionPair:
         older_counts = [random_counts() for _ in range(12)]
         newer, older = pair_from_counts(newer_counts, older_counts)
         config = MappingConfig(delta=0.8)
-        mappings = map_version_pair(newer, older, "v2", "v1", config)
+        old, sim = map_version_pair(newer, older, "v2", config)
         scores = score_matrix(newer, older, config.metric)
-        assert len(mappings) == 15
-        for m, row in zip(mappings, scores):
-            if m.old_group is None:
+        assert len(old) == len(sim) == 15
+        for j, s, row in zip(old, sim, scores):
+            if j is None:
                 assert row.max() < config.delta
             else:
-                assert m.similarity >= config.delta
-                assert m.similarity == row.max()
-                assert m.old_group == ("v1", int(row.argmax()))
+                assert s >= config.delta
+                assert s == row.max()
+                assert j == int(row.argmax())
 
     def test_tie_breaks_to_lowest_old_index(self):
         newer, older = pair_from_counts([{"a": 2}], [{"a": 5}, {"a": 7}])
-        mappings = map_version_pair(newer, older, "v2", "v1")
-        assert mappings[0].old_group == ("v1", 0)
-        assert mappings[0].similarity == 1.0
+        old, sim = map_version_pair(newer, older, "v2")
+        assert old[0] == 0
+        assert sim[0] == 1.0
 
     def test_empty_older_version_maps_all_null(self):
         newer, older = pair_from_counts([{"a": 1}, {"b": 1}], [])
-        mappings = map_version_pair(newer, older, "v2", "v1")
-        assert all(m.old_group is None for m in mappings)
-        assert len(mappings) == 2
+        old, sim = map_version_pair(newer, older, "v2")
+        assert all(j is None for j in old)
+        assert len(old) == len(sim) == 2
 
     def test_empty_document_group_warns_and_maps_null(self):
         newer, older = pair_from_counts([{}, {"a": 1}], [{"a": 1}])
         with pytest.warns(CloneMapWarning, match="empty"):
-            mappings = map_version_pair(newer, older, "v2", "v1")
-        assert mappings[0].old_group is None
-        assert mappings[0].similarity == 0.0
-        assert mappings[1].old_group == ("v1", 0)
+            old, sim = map_version_pair(newer, older, "v2")
+        assert old[0] is None
+        assert sim[0] == 0.0
+        assert old[1] == 0
 
     def test_many_to_one_allowed_by_default(self):
         newer, older = pair_from_counts([{"a": 2}, {"a": 3}], [{"a": 1}])
-        mappings = map_version_pair(newer, older, "v2", "v1")
-        assert mappings[0].old_group == ("v1", 0)
-        assert mappings[1].old_group == ("v1", 0)
+        old, _ = map_version_pair(newer, older, "v2")
+        assert old[0] == 0
+        assert old[1] == 0
 
     def test_injective_mode_reassigns_loser(self):
         # Both newer groups claim old 0 at similarity 1.0; the tie goes to
@@ -117,14 +116,13 @@ class TestMapVersionPair:
             [{"a": 9, "b": 1}, {"a": 9, "b": 3}],
         )
         config = MappingConfig(enforce_injective=True)
-        mappings = map_version_pair(newer, older, "v2", "v1", config)
-        olds = [m.old_group for m in mappings]
-        assert olds[0] == ("v1", 0)
-        assert olds[1] == ("v1", 1)
-        assert mappings[0].similarity == 1.0
-        assert mappings[1].similarity < 1.0
-        without = map_version_pair(newer, older, "v2", "v1", MappingConfig())
-        assert [m.old_group for m in without] == [("v1", 0), ("v1", 0)]
+        olds, sim = map_version_pair(newer, older, "v2", config)
+        assert olds[0] == 0
+        assert olds[1] == 1
+        assert sim[0] == 1.0
+        assert sim[1] < 1.0
+        without, _ = map_version_pair(newer, older, "v2", MappingConfig())
+        assert without == [0, 0]
 
     def test_injective_never_duplicates_old_groups(self):
         rng = np.random.default_rng(5)
@@ -137,8 +135,8 @@ class TestMapVersionPair:
             [random_counts() for _ in range(4)],
         )
         config = MappingConfig(delta=0.5, enforce_injective=True)
-        mappings = map_version_pair(newer, older, "v2", "v1", config)
-        non_null = [m.old_group for m in mappings if m.old_group is not None]
+        old, _ = map_version_pair(newer, older, "v2", config)
+        non_null = [j for j in old if j is not None]
         assert len(non_null) == len(set(non_null))
 
     def test_delta_monotonicity(self):
@@ -153,10 +151,9 @@ class TestMapVersionPair:
         )
         previous = None
         for delta in (0.2, 0.5, 0.8, 0.95, 1.0):
-            mappings = map_version_pair(newer, older, "v2", "v1",
-                                        MappingConfig(delta=delta))
-            mapped = {(m.new_group, m.old_group) for m in mappings
-                      if m.old_group is not None}
+            old, _ = map_version_pair(newer, older, "v2",
+                                      MappingConfig(delta=delta))
+            mapped = {(i, j) for i, j in enumerate(old) if j is not None}
             if previous is not None:
                 assert mapped <= previous
             previous = mapped
@@ -165,8 +162,8 @@ class TestMapVersionPair:
         newer, older = pair_from_counts(
             [{"a": 1}, {"b": 1}, {"c": 1}], [{"c": 2}]
         )
-        mappings = map_version_pair(newer, older, "v2", "v1")
-        assert [m.new_group[1] for m in mappings] == [0, 1, 2]
+        old, sim = map_version_pair(newer, older, "v2")
+        assert len(old) == len(sim) == 3
 
     def test_invalid_delta_rejected(self):
         with pytest.raises(ConfigError):
@@ -182,14 +179,18 @@ class TestMapVersionPair:
             MappingConfig(**kwargs)
 
 
-def oracle_injective_assign(scores, empty_rows, newer_id, older_id, delta):
+def columns(verdicts):
+    """A list of ``(old, similarity)`` verdicts as ``_assign``'s two columns."""
+    return [j for j, _ in verdicts], [s for _, s in verdicts]
+
+
+def oracle_injective_assign(scores, empty_rows, delta):
     """The per-column Python auction that ``_assign``'s injective branch
     replaced, kept as its oracle."""
-    return oracle_injective_rounds(scores, empty_rows, newer_id, older_id,
-                                   delta)[0]
+    return oracle_injective_rounds(scores, empty_rows, delta)[0]
 
 
-def oracle_injective_rounds(scores, empty_rows, newer_id, older_id, delta):
+def oracle_injective_rounds(scores, empty_rows, delta):
     """``oracle_injective_assign``'s verdicts and its count of rounds."""
     rounds = 0
     n_new, n_old = scores.shape
@@ -197,7 +198,7 @@ def oracle_injective_rounds(scores, empty_rows, newer_id, older_id, delta):
     contenders = []
     for i, empty in enumerate(empty_rows):
         if empty or n_old == 0:
-            mappings[i] = GroupMapping((newer_id, i), None, 0.0)
+            mappings[i] = (None, 0.0)
         else:
             contenders.append(i)
     score_rows = scores.tolist()
@@ -213,24 +214,22 @@ def oracle_injective_rounds(scores, empty_rows, newer_id, older_id, delta):
             if available and best >= delta:
                 claims.setdefault(-neg_j, []).append(i)
             else:
-                mappings[i] = GroupMapping((newer_id, i), None, best)
+                mappings[i] = (None, best)
         next_pending = []
         for j, claimants in claims.items():
             winner = max(claimants, key=lambda i: (score_rows[i][j], -i))
-            mappings[winner] = GroupMapping(
-                (newer_id, winner), (older_id, j), score_rows[winner][j]
-            )
+            mappings[winner] = (j, score_rows[winner][j])
             available.discard(j)
             next_pending.extend(i for i in claimants if i != winner)
         pending = next_pending
-    return [mappings[i] for i in range(n_new)], rounds
+    return columns([mappings[i] for i in range(n_new)]), rounds
 
 
 def assign_matrix(scores, empty_rows, config):
     """``_assign`` over a fixed (N, M) matrix, through a row scorer that
     reads the rows it is asked for off the matrix."""
     return _assign(lambda rows: scores[rows], scores.shape[1],
-                   empty_rows, "v2", "v1", config)
+                   empty_rows, "v2", config)
 
 
 def injective(scores, empty_rows, delta):
@@ -259,19 +258,18 @@ def tie_heavy_cases():
         yield scores, empty_rows, delta
 
 
-def oracle_plain_assign(scores, empty_rows, newer_id, older_id, delta):
+def oracle_plain_assign(scores, empty_rows, delta):
     """Scalar thresholded argmax: each row's first maximum, the lowest
     older index, kept when it clears ``delta``. An empty row, or any row
     when there is no older group, maps to null at 0.0."""
     out = []
     for i, row in enumerate(scores.tolist()):
         if empty_rows[i] or not row:
-            out.append(GroupMapping((newer_id, i), None, 0.0))
+            out.append((None, 0.0))
             continue
         best = max(row)
-        old = (older_id, row.index(best)) if best >= delta else None
-        out.append(GroupMapping((newer_id, i), old, best))
-    return out
+        out.append((row.index(best) if best >= delta else None, best))
+    return columns(out)
 
 
 class TestPlainAssignOracle:
@@ -282,8 +280,7 @@ class TestPlainAssignOracle:
                 warnings.simplefilter("ignore", CloneMapWarning)
                 got = assign_matrix(scores, empty_rows,
                                     MappingConfig(delta=delta))
-            assert got == oracle_plain_assign(before, empty_rows, "v2", "v1",
-                                              delta)
+            assert got == oracle_plain_assign(before, empty_rows, delta)
             assert np.array_equal(scores, before)
 
 
@@ -294,12 +291,11 @@ class TestInjectiveAuctionOracle:
             n_old = scores.shape[1]
             before = scores.copy()
             got = injective(scores, empty_rows, delta)
-            assert got == oracle_injective_assign(before, empty_rows, "v2",
-                                                  "v1", delta)
+            assert got == oracle_injective_assign(before, empty_rows, delta)
             assert np.array_equal(scores, before)
             if delta == 0.0 and n_old > 0:
-                no_column_left += sum(m.old_group is None and not empty
-                                      for m, empty in zip(got, empty_rows))
+                no_column_left += sum(j is None and not empty
+                                      for j, empty in zip(got[0], empty_rows))
         assert no_column_left > 0
 
     def test_loser_settles_in_the_third_round(self):
@@ -311,11 +307,8 @@ class TestInjectiveAuctionOracle:
                            [0.8, 0.7, 0.6],
                            [0.7, 0.6, 0.5]])
         got = injective(scores, [False] * 4, 0.5)
-        assert [(m.old_group, m.similarity) for m in got] == [
-            (("v1", 0), 1.0), (("v1", 1), 0.8), (("v1", 2), 0.6), (None, 0.0),
-        ]
-        assert got == oracle_injective_assign(scores, [False] * 4, "v2", "v1",
-                                              0.5)
+        assert list(zip(*got)) == [(0, 1.0), (1, 0.8), (2, 0.6), (None, 0.0)]
+        assert got == oracle_injective_assign(scores, [False] * 4, 0.5)
 
 
 class TestGroupMapping:
@@ -345,16 +338,23 @@ class TestGroupMapping:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(newer=st.text(min_size=1), older=st.text(min_size=1),
            rows=st.lists(st.tuples(st.none() | st.integers(0, 20),
-                                   st.floats(0.0, 1.0)), max_size=8))
-    def test_artifact_round_trips(self, newer, older, rows):
-        """``mappings_from_artifact`` reads back what ``mapping_result``
-        writes, through the canonical JSON text."""
-        mappings = [GroupMapping((newer, i), None if j is None else (older, j), s)
-                    for i, (j, s) in enumerate(rows)]
-        older_size = 1 + max((j for j, _ in rows if j is not None), default=-1)
-        text = canonical_json(mapping_result(newer, older, mappings, older_size,
-                                             MappingConfig()))
-        assert mappings_from_artifact(json.loads(text)) == mappings
+                                   st.floats(0.0, 1.0)), max_size=8),
+           spare=st.integers(0, 4))
+    def test_artifact_round_trips(self, newer, older, rows, spare):
+        """``mappings_from_artifact`` reads back, as checked rows, what
+        ``mapping_result`` writes from two verdict columns, through the
+        canonical JSON text. ``unmatched_old`` is the older indices that
+        no row names, those past the last named one included."""
+        old, sim = columns(rows)
+        older_size = 1 + max((j for j in old if j is not None), default=-1)
+        older_size += spare
+        doc = json.loads(canonical_json(mapping_result(
+            newer, older, (old, sim), older_size, MappingConfig(), None)))
+        assert mappings_from_artifact(doc) == [
+            GroupMapping((newer, i), None if j is None else (older, j), s)
+            for i, (j, s) in enumerate(rows)]
+        assert doc["unmatched_old"] == [k for k in range(older_size)
+                                        if k not in old]
 
 
 class TestRenamedGroupFixture:
@@ -376,45 +376,46 @@ class TestRenamedGroupFixture:
 
     def test_oracle_counts(self):
         newer, older = self.build()
-        mappings = map_version_pair(newer, older, "v2", "v1", MappingConfig(delta=0.8))
-        exact = [m for m in mappings if m.similarity == 1.0]
-        near = [m for m in mappings
-                if m.old_group is not None and m.similarity < 1.0]
-        assert len(mappings) == 19
+        config = MappingConfig(delta=0.8)
+        old, sim = map_version_pair(newer, older, "v2", config)
+        exact = [j for j, s in zip(old, sim) if s == 1.0]
+        near = [(j, s) for j, s in zip(old, sim) if j is not None and s < 1.0]
+        assert len(old) == len(sim) == 19
         assert len(exact) == 18
         assert len(near) == 1
-        assert 0.8 <= near[0].similarity < 1.0
-        assert near[0].old_group == ("v1", 17)
-        assert all(m.old_group is not None for m in mappings)
-        assert unmatched_old_groups(mappings, 20) == [18, 19]
+        assert 0.8 <= near[0][1] < 1.0
+        assert near[0][0] == 17
+        assert all(j is not None for j in old)
+        artifact = mapping_result("v2", "v1", (old, sim), 20, config, None)
+        assert artifact["unmatched_old"] == [18, 19]
 
 
 class TestBaselineTextMap:
     def test_identity_maps_at_one(self):
         texts = ["aa;\nbb;\ncc;", "dd;\nee;"]
-        mappings = baseline_text_map(texts, texts, "v2", "v1")
-        assert [m.old_group for m in mappings] == [("v1", 0), ("v1", 1)]
-        assert all(m.similarity == 1.0 for m in mappings)
+        old, sim = baseline_text_map(texts, texts, "v2")
+        assert old == [0, 1]
+        assert all(s == 1.0 for s in sim)
 
     def test_disjoint_lines_map_null(self):
-        mappings = baseline_text_map(["qq;\nrr;"], ["ss;\ntt;"], "v2", "v1")
-        assert mappings[0].old_group is None
-        assert mappings[0].similarity == 0.0
+        old, sim = baseline_text_map(["qq;\nrr;"], ["ss;\ntt;"], "v2")
+        assert old[0] is None
+        assert sim[0] == 0.0
 
     def test_delta_thresholds_lcs_verdicts(self):
         newer, older = ["aa;\nbb;\ncc;\ndd;"], ["aa;\nbb;\nxx;\nyy;"]
-        strict = baseline_text_map(newer, older, "v2", "v1",
-                                   MappingConfig(delta=0.9))
-        loose = baseline_text_map(newer, older, "v2", "v1",
-                                  MappingConfig(delta=0.3))
-        assert strict[0].old_group is None
-        assert loose[0].old_group == ("v1", 0)
+        strict, _ = baseline_text_map(newer, older, "v2",
+                                      MappingConfig(delta=0.9))
+        loose, _ = baseline_text_map(newer, older, "v2",
+                                     MappingConfig(delta=0.3))
+        assert strict[0] is None
+        assert loose[0] == 0
 
     def test_comments_count_in_baseline_text(self):
         """The baseline sees raw text, so comment edits lower its score."""
-        mappings = baseline_text_map(["aa; // new note\nbb;"], ["aa;\nbb;"],
-                                     "v2", "v1", MappingConfig(delta=0.1))
-        assert mappings[0].similarity < 1.0
+        _, sim = baseline_text_map(["aa; // new note\nbb;"], ["aa;\nbb;"],
+                                   "v2", MappingConfig(delta=0.1))
+        assert sim[0] < 1.0
 
 
 def counted(make_scorer, calls):
@@ -475,10 +476,9 @@ class TestStreamedScoring:
             with monkeypatch.context() as patch, warnings.catch_warnings():
                 patch.setattr(mapping, "_topic_scorer", counted(scorer, calls))
                 warnings.simplefilter("ignore", CloneMapWarning)
-                got = map_version_pair(newer, older, "v2", "v1", config)
+                got = map_version_pair(newer, older, "v2", config)
             empty = [not c for c in newer_counts]
-            want, rounds = oracle_injective_rounds(scores, empty, "v2", "v1",
-                                                   config.delta)
+            want, rounds = oracle_injective_rounds(scores, empty, config.delta)
             assert got == want
             assert rounds >= 3
             counts = assert_scored_in_blocks(calls, len(older_counts))
@@ -502,9 +502,9 @@ class TestStreamedScoring:
         calls = []
         monkeypatch.setattr(mapping, "_lcs_scorer",
                             counted(mapping._lcs_scorer, calls))
-        got = baseline_text_map(newer_texts, older_texts, "v2", "v1", config)
+        got = baseline_text_map(newer_texts, older_texts, "v2", config)
         want, rounds = oracle_injective_rounds(
-            scores, [False] * len(newer_texts), "v2", "v1", config.delta)
+            scores, [False] * len(newer_texts), config.delta)
         assert got == want
         assert rounds >= 3
         counts = assert_scored_in_blocks(calls, len(older_texts))
@@ -539,7 +539,8 @@ class TestStreamedScoring:
         config = MappingConfig(delta=0.0, metric=metric, enforce_injective=True)
         tracemalloc.start()
         try:
-            assert len(map_version_pair(newer, older, "v2", "v1", config)) == n
+            old, _ = map_version_pair(newer, older, "v2", config)
+            assert len(old) == n
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -573,11 +574,11 @@ class TestStreamedScoring:
                          for text in repeats for line in text.split("\n"))
         assert line_bytes > 3 * 2 ** 20
         runs = [
-            (lambda: map_version_pair(newer, older, "v2", "v1"), 3 * 2 ** 20),
-            (lambda: baseline_text_map(texts[:n], texts[n:], "v2", "v1"),
+            (lambda: map_version_pair(newer, older, "v2"), 3 * 2 ** 20),
+            (lambda: baseline_text_map(texts[:n], texts[n:], "v2"),
              3 * 2 ** 20),
             (lambda: baseline_text_map((t for t in repeats[:300]),
-                                       (t for t in repeats[300:]), "v2", "v1"),
+                                       (t for t in repeats[300:]), "v2"),
              line_bytes / 2)]
         got = []
         for run, bound in runs:
@@ -588,9 +589,8 @@ class TestStreamedScoring:
             finally:
                 tracemalloc.stop()
             assert peak < bound
-        assert [len(mappings) for mappings in got] == [n, n, 300]
-        assert got[2] == baseline_text_map(repeats[:300], repeats[300:],
-                                           "v2", "v1")
+        assert [len(old) for old, _ in got] == [n, n, 300]
+        assert got[2] == baseline_text_map(repeats[:300], repeats[300:], "v2")
 
     def test_line_table_is_gone_before_the_verdict_loop(self, monkeypatch):
         """The dict that numbers the trimmed lines dies with the scorer's
@@ -618,9 +618,8 @@ class TestStreamedScoring:
         monkeypatch.setattr(mapping, "_assign", traced_assign)
         tracemalloc.start()
         try:
-            got = baseline_text_map(texts("v2"), texts("v1"), "v2", "v1")
+            got = baseline_text_map(texts("v2"), texts("v1"), "v2")
         finally:
             tracemalloc.stop()
-        assert [(m.old_group, m.similarity) for m in got] == [
-            (("v1", k), 0.9) for k in range(40)]
+        assert list(zip(*got)) == [(k, 0.9) for k in range(40)]
         assert len(live) == 1 and live[0] < line_bytes / 4

@@ -344,7 +344,7 @@ class TestScoreMatrix:
                 topic_similarity(newer, older, metric)
             with pytest.raises(ValidationError, match="too large to score"):
                 map_version_pair(TopicBlock.from_dense([newer]),
-                                 TopicBlock.from_dense([older]), "v2", "v1",
+                                 TopicBlock.from_dense([older]), "v2",
                                  MappingConfig(metric=metric))
 
     def test_large_weights_that_fit_still_score(self):
@@ -558,10 +558,9 @@ class TestLcsMatrix:
         assert ids == {"a": 0, "b": 1, "c": 2}
         assert_matches_oracle(newer, older)
         assert lcs_matrix(newer, older)[0, 0] == 0.4
-        mappings = baseline_text_map(iter(newer), iter(older), "v2", "v1",
+        verdicts = baseline_text_map(iter(newer), iter(older), "v2",
                                      MappingConfig(delta=0.0))
-        assert [(m.old_group[1], m.similarity) for m in mappings] == [
-            (1, 2 * 2 / 6), (0, 2 / 3), (0, 2 / 3)]
+        assert list(zip(*verdicts)) == [(1, 2 * 2 / 6), (0, 2 / 3), (0, 2 / 3)]
 
     def test_empty_lists_give_empty_matrices(self):
         assert lcs_matrix([], ["a", "b\nc"]).shape == (0, 2)
@@ -609,8 +608,7 @@ class TestLcsMatrix:
             lcs_similarity(a, b)
 
     @pytest.mark.parametrize("score", [
-        lcs_matrix, lambda newer, older: baseline_text_map(newer, older,
-                                                           "v2", "v1")],
+        lcs_matrix, lambda newer, older: baseline_text_map(newer, older, "v2")],
         ids=["lcs_matrix", "baseline_text_map"])
     @pytest.mark.parametrize("side", ["newer", "older"])
     def test_a_bare_str_is_not_texts(self, score, side):
