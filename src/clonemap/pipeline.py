@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import threading
 import warnings
 from pathlib import Path
@@ -29,7 +30,6 @@ from .preprocess import FilterConfig, TokenDocument, build_group_document, defau
 from .topicmodel import (
     LdaConfig,
     TopicBlock,
-    VersionCounts,
     build_corpus,
     count_version,
     fit_lda,
@@ -126,59 +126,22 @@ def _fork_pays(newer: VersionSnapshot, older: VersionSnapshot) -> bool:
             and threading.active_count() == 1)
 
 
-# The child's buffer: four int64 lengths (rows, entries, words, vocabulary
-# bytes), then indptr, ids and tallies as int64, then the vocabulary
-# joined by "\n". A token is lowercase ASCII [a-z0-9_] and never empty, so
-# the join splits back exactly and needs no decoder.
-_HEAD = 4 * 8
-
-
-def _encode_counts(counts: VersionCounts) -> bytes:
-    words = "\n".join(counts.vocabulary).encode("ascii")
-    head = np.array([len(counts.indptr) - 1, len(counts.ids),
-                     len(counts.vocabulary), len(words)], dtype=np.int64)
-    return b"".join((head.tobytes(), counts.indptr.tobytes(),
-                     counts.ids.tobytes(), counts.tallies.tobytes(), words))
-
-
-def _decode_counts(data: bytes) -> VersionCounts | None:
-    """The counts ``_encode_counts`` wrote, or None for a buffer whose
-    length or word count disagrees with its lengths, as a cut one does."""
-    if len(data) < _HEAD:
-        return None
-    rows, entries, words, size = np.frombuffer(data, np.int64, 4).tolist()
-    cells = rows + 1 + 2 * entries
-    if (min(rows, entries, words, size) < 0
-            or len(data) != _HEAD + 8 * cells + size):
-        return None
-    indptr, ids, tallies = np.split(
-        np.frombuffer(data, np.int64, cells, _HEAD),
-        np.cumsum([rows + 1, entries]))
-    vocabulary = (data[_HEAD + 8 * cells:].decode("ascii").split("\n")
-                  if size else [])
-    if len(vocabulary) != words:
-        return None
-    return VersionCounts(vocabulary, indptr, ids, tallies)
-
-
 def _count_in_child(docs: Iterable[TokenDocument], mask: set,
                     read_end: int, write_end: int) -> NoReturn:
     """In a forked child: restore the signal ``mask``, count ``docs`` and
-    write ``_encode_counts`` of them to ``write_end``, or nothing when
-    counting raises or warns. Leaves only through ``os._exit``."""
+    pickle the counts into ``write_end``, or write nothing when counting
+    raises or warns, since every warning is made an error here. Leaves
+    only through ``os._exit``."""
     code = 1
     try:
         from signal import SIG_SETMASK, pthread_sigmask
 
         pthread_sigmask(SIG_SETMASK, mask)
         os.close(read_end)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            counts = count_version(docs)
-        if not caught:
-            with open(write_end, "wb") as pipe:
-                pipe.write(_encode_counts(counts))
-            code = 0
+        warnings.simplefilter("error")
+        with open(write_end, "wb") as pipe:
+            pickle.dump(count_version(docs), pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
     finally:
         os._exit(code)
 
@@ -192,14 +155,18 @@ def _frequency_pair(newer_docs: Iterable[TokenDocument],
     versions' words. This is the one builder of K = 1 blocks.
 
     With ``fork``, the older version is counted in a forked child while
-    this process counts the newer one. Without it, or if the pipe or the
-    fork fails, or the child raises, warns, dies or sends a bad buffer,
-    the older version is counted here after the newer one, so every error
-    and warning is the in-process one. Each version's documents are read
-    once, newer first, so either may be a one-shot iterable. Signals are
-    blocked from before the fork until its pid is held, so none can raise
-    in between; from then on the child is killed, if it still runs, and
-    reaped before this returns or raises."""
+    this process counts the newer one, and the child's counts come back
+    as one pickle stream. Without it, or if the pipe or the fork fails,
+    or the child raises, warns, dies or sends a cut stream, the older
+    version is counted here after the newer one, so every error and
+    warning is the in-process one. The stream is safe to unpickle: the
+    pipe is anonymous and its one writer is a forked copy of this
+    process, so no byte from outside the program reaches the unpickler.
+    Each version's documents are read once, newer first, so either may be
+    a one-shot iterable. Signals are blocked from before the fork until
+    its pid is held, so none can raise in between; from then on the child
+    is killed, if it still runs, and reaped before this returns or
+    raises."""
     pid = read_end = write_end = older = None
     try:
         if fork:
@@ -223,11 +190,11 @@ def _frequency_pair(newer_docs: Iterable[TokenDocument],
                 pthread_sigmask(SIG_SETMASK, mask)
         newer = count_version(newer_docs)
         if pid is not None:
-            # Grown in place, so the buffer is not held twice while read.
-            data = bytearray()
-            while chunk := os.read(read_end, 1 << 16):
-                data += chunk
-            older = _decode_counts(data)
+            try:
+                with open(read_end, "rb", closefd=False) as pipe:
+                    older = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                pass
         if older is None:
             older = count_version(older_docs)
         return merge_counts([newer, older])
@@ -358,10 +325,10 @@ def run_map(newer_report: Path | str, older_report: Path | str,
     from the parsed reports before either version is: both versions span
     enough lines and a second CPU is free. Then a child counts the older
     version while this process counts the newer one, and only the counts
-    come back; this process reads the older version itself, after the
-    newer one, when the child fails. Without a child, at any K, this
-    process reads both, and releases the newer version's text, inline
-    text included, before it reads the older one.
+    come back, as a pickle stream; this process reads the older version
+    itself, after the newer one, when the child fails. Without a child, at
+    any K, this process reads both, and releases the newer version's
+    text, inline text included, before it reads the older one.
     """
     filter_config = filter_config or default_filter_config()
     mapping_config = mapping_config or MappingConfig()

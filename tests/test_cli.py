@@ -8,6 +8,7 @@ import gc
 import io
 import json
 import os
+import pickle
 import re
 import resource
 import signal
@@ -1095,13 +1096,40 @@ class TestForkedCount:
     @pytest.mark.parametrize("cut", [1, 8, 33, -1], ids=str)
     def test_truncated_buffer_counts_here(self, evolution, capsys, expected,
                                           forks, monkeypatch, cut):
-        """The child's buffer cut to its first ``cut`` bytes, or missing
-        its last byte."""
-        encode = pipeline._encode_counts
-        monkeypatch.setattr(pipeline, "_encode_counts",
-                            lambda counts: encode(counts)[:cut])
+        """The child's pickle stream cut to its first ``cut`` bytes, or
+        missing its last byte."""
+        dumps = pickle.dumps
+
+        def cut_dump(obj, file, protocol):
+            file.write(dumps(obj, protocol)[:cut])
+
+        monkeypatch.setattr(pickle, "dump", cut_dump)
         assert self.map_json(evolution, capsys) == expected
         assert forks == [1]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("category", [DeprecationWarning, RuntimeWarning],
+                             ids=lambda category: category.__name__)
+    def test_warning_in_child_counts_here(self, evolution, capsys, expected,
+                                          forks, monkeypatch, category):
+        """A warning of any category while the child counts, one that the
+        default filters hide included, makes this process count the
+        older version."""
+        parent = os.getpid()
+        count = pipeline.count_version
+        here = []
+
+        def warning(docs):
+            if os.getpid() == parent:
+                here.append(1)
+            else:
+                warnings.warn("counted in the child", category)
+            return count(docs)
+
+        monkeypatch.setattr(pipeline, "count_version", warning)
+        assert self.map_json(evolution, capsys) == expected
+        assert forks == [1]
+        assert here == [1, 1]
         assert_no_child_left()
 
     def test_child_that_dies_counts_here(self, evolution, capsys, expected,
@@ -1228,28 +1256,37 @@ class TestForkPays:
 
 
 class TestCountsTransport:
+    """The forked count's counts come back as one pickle stream, and a
+    cut stream raises one of the two types ``_frequency_pair`` catches."""
+
     def counts(self):
         return count_version([TokenDocument(("zeta", "alpha", "zeta")),
                               TokenDocument(()),
                               TokenDocument(("mid_1", "alpha"))])
 
-    def test_round_trip(self):
-        counts = self.counts()
-        back = pipeline._decode_counts(pipeline._encode_counts(counts))
-        assert back.vocabulary == counts.vocabulary
-        for name in ("indptr", "ids", "tallies"):
-            assert np.array_equal(getattr(back, name), getattr(counts, name))
+    @staticmethod
+    def stream(counts) -> bytes:
+        """``counts`` as ``_count_in_child`` writes them into the pipe."""
+        out = io.BytesIO()
+        pickle.dump(counts, out, pickle.HIGHEST_PROTOCOL)
+        return out.getvalue()
 
-    def test_empty_version_round_trips(self):
-        back = pipeline._decode_counts(pipeline._encode_counts(
-            count_version([])))
-        assert back.vocabulary == [] and back.indptr.tolist() == [0]
+    def test_round_trip(self):
+        """A three-document version and an empty one come back with the
+        same vocabulary and equal int64 arrays."""
+        for counts in (self.counts(), count_version([])):
+            back = pickle.load(io.BytesIO(self.stream(counts)))
+            assert back.vocabulary == counts.vocabulary
+            for name in ("indptr", "ids", "tallies"):
+                got, want = getattr(back, name), getattr(counts, name)
+                assert got.dtype == want.dtype == np.int64
+                assert np.array_equal(got, want)
 
     def test_every_cut_is_refused(self):
-        data = pipeline._encode_counts(self.counts())
-        assert all(pipeline._decode_counts(data[:n]) is None
-                   for n in range(len(data)))
-        assert pipeline._decode_counts(data + b"x") is None
+        data = self.stream(self.counts())
+        for n in range(len(data)):
+            with pytest.raises((EOFError, pickle.UnpicklingError)):
+                pickle.load(io.BytesIO(data[:n]))
 
 
 class TestNoFragmentObjects:

@@ -2,12 +2,13 @@
 every private module-level name is used and none is imported into another
 module but the reader helpers of ``errors``, every public function, class,
 method and property has a caller outside the tests, no module reads the
-environment or writes JSON text outside ``pipeline``, one function decodes JSON
-and ``cli.main`` maps three exception types, the readers of reports, ground
-truth and mapping artifacts hold no value check, one function reads the row-block
-size, one function of ``pipeline`` reads a version, only the readers of a
-mapping build verdict records, every name the package exports resolves,
-and the count of publicly settable values is pinned."""
+environment or writes JSON text outside ``pipeline``, one function decodes
+JSON, only the forked count reads ``pickle`` and ``cli.main`` maps three
+exception types, the readers of reports, ground truth and mapping artifacts
+hold no value check, one function reads the row-block size, one function of
+``pipeline`` reads a version, only the readers of a mapping build verdict
+records, every name the package exports resolves, and the count of publicly
+settable values is pinned."""
 
 import argparse
 import ast
@@ -308,12 +309,10 @@ def test_scan_finds_an_uncalled_public_name(tmp_path):
                                  {"a.orphan"}) == ["a.py:7: Spare"]
 
 
-def scoped_reads(paths, name: str) -> list[str]:
+def scoped_nodes(paths, name: str):
     """Each read of ``name`` in ``paths``, as a name, an attribute or an
-    import, as ``file:line: scope``: the module stem and the functions
-    and classes around the read, dotted."""
-    found = []
-
+    import, as ``(path, node, scope)``: the reading node, and the module
+    stem and the functions and classes around it, dotted."""
     def visit(path, node, scope):
         for child in ast.iter_child_nodes(node):
             if (isinstance(child, ast.Name) and child.id == name
@@ -321,16 +320,23 @@ def scoped_reads(paths, name: str) -> list[str]:
                     or isinstance(child, ast.Attribute) and child.attr == name
                     or isinstance(child, ast.ImportFrom)
                     and any(alias.name == name for alias in child.names)):
-                found.append((path.name, child.lineno, scope))
+                yield path, child, scope
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
                                   ast.ClassDef)):
                 inner = f"{scope}.{child.name}"
-            visit(path, child, inner)
+            yield from visit(path, child, inner)
 
     for path in sorted(paths):
-        visit(path, ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    return [f"{file}:{line}: {scope}" for file, line, scope in sorted(found)]
+        yield from visit(path, ast.parse(path.read_text(encoding="utf-8")),
+                         path.stem)
+
+
+def scoped_reads(paths, name: str) -> list[str]:
+    """Each read of ``name`` in ``paths``, as ``file:line: scope``."""
+    return [f"{file}:{line}: {scope}" for file, line, scope in sorted(
+        (path.name, node.lineno, scope)
+        for path, node, scope in scoped_nodes(paths, name))]
 
 
 def test_one_function_cuts_rows_into_blocks():
@@ -678,14 +684,63 @@ def test_scan_finds_a_value_check_in_a_parser(tmp_path):
     ]
 
 
+def json_decodes(paths) -> list[str]:
+    """``scoped_reads`` of ``load`` and ``loads`` in ``paths`` but the
+    reads of ``load`` taken off the name ``pickle``: the places that may
+    decode JSON text."""
+    paths = sorted(paths)
+    return [f"{file}:{line}: {scope}" for file, line, scope in sorted(
+        (path.name, node.lineno, scope)
+        for name in ("load", "loads")
+        for path, node, scope in scoped_nodes(paths, name)
+        if not (isinstance(node, ast.Attribute) and node.attr == "load"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "pickle"))]
+
+
 def test_one_function_decodes_json():
     """``json.load`` and ``json.loads`` are read only in
     ``errors.json_document``, so every input document decodes, and fails,
     one way."""
-    reads = [read for name in ("load", "loads")
-             for read in scoped_reads(PACKAGE.glob("*.py"), name)]
+    reads = json_decodes(PACKAGE.glob("*.py"))
     assert reads
     assert [r for r in reads if not r.endswith(": errors.json_document")] == []
+
+
+def test_scan_finds_a_json_decode(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import json\n"
+        "import json as codec\n"
+        "import pickle\n"
+        "from json import loads\n"
+        "def f(text, handle):\n"
+        "    doc = json.loads(text)\n"
+        "    return codec.load(handle), loads(text), pickle.load(handle)\n",
+        encoding="utf-8",
+    )
+    assert json_decodes([module]) == [
+        "m.py:4: m", "m.py:6: m.f", "m.py:7: m.f", "m.py:7: m.f"]
+
+
+def pickle_importers(paths) -> list[str]:
+    """The files of ``paths`` that import ``pickle`` or a name from it."""
+    return sorted({path.name for path in paths
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Import)
+                   and any(alias.name == "pickle" for alias in node.names)
+                   or isinstance(node, ast.ImportFrom) and node.module == "pickle"})
+
+
+def test_only_the_forked_count_reads_pickle():
+    """Only ``pipeline`` imports ``pickle``, and reads it only in
+    ``_count_in_child``, which pickles the older version's counts into
+    an anonymous pipe, and in ``_frequency_pair``, which unpickles them
+    off it: nothing read from outside the program reaches an unpickler."""
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert pickle_importers(paths) == ["pipeline.py"]
+    assert {read.split(": ", 1)[1] for read in scoped_reads(paths, "pickle")} == {
+        "pipeline._count_in_child", "pipeline._frequency_pair"}
 
 
 def test_main_maps_three_exception_types():
