@@ -38,7 +38,6 @@ from .topicmodel import (
     fit_lda,
 )
 from .mapping import (
-    GroupMapping,
     MappingConfig,
     Metric,
     Strategy,
@@ -49,7 +48,7 @@ from .mapping import (
     score_matrix,
     topic_similarity,
 )
-from .pipeline import mappings_from_artifact, run_map
+from .pipeline import run_map
 
 __all__ = [
     "__version__",
@@ -100,12 +99,13 @@ __all__ = [
     "run_map",
 ]
 
-# The ground-truth scorer and the fixture generator load on first access
-# (PEP 562), so ``import clonemap`` and a ``map`` never compile or run
-# ``clonemap.evaluation``.
+# The artifact reader, the ground-truth scorer and the fixture generator
+# load on first access (PEP 562), so ``import clonemap`` and a ``map``
+# never compile or run ``clonemap.evaluation``.
 _EVALUATION_NAMES = frozenset({
-    "EvalReport", "GroundTruth", "SynthConfig", "generate_evolution",
-    "load_ground_truth", "score",
+    "EvalReport", "GroundTruth", "GroupMapping", "SynthConfig",
+    "generate_evolution", "load_ground_truth", "mappings_from_artifact",
+    "score",
 })
 
 

@@ -21,7 +21,6 @@ from .pipeline import (
     artifact_header,
     canonical_json,
     documents,
-    mappings_from_artifact,
     run_map,
     topic_dump_entries,
     write_json_artifact,
@@ -267,7 +266,7 @@ def _render_eval_table(payload: dict) -> str:
 
 
 def cmd_eval(args) -> int:
-    from .evaluation import load_ground_truth, score
+    from .evaluation import load_ground_truth, mappings_from_artifact, score
 
     mapping_doc = json_document(read_utf8(args.mapping), args.mapping)
     truth = load_ground_truth(args.truth)

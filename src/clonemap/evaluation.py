@@ -1,11 +1,13 @@
 """Score mappings against ground truth; generate synthetic clone evolutions.
 
-The scorer implements precision and recall over group mappings, counting a
-null verdict that agrees with the truth as neither discovered nor actual (a
-correctly identified new group is not a mapping). The generator fabricates
-an older/newer version pair with clone-type mutations and emits source
-trees, clone reports, and the matching ground truth, all deterministic for
-a given seed.
+Every reader of what ``map`` writes lives here: ``mappings_from_artifact``
+reads a mapping artifact back as ``GroupMapping`` rows, each value checked,
+and ``score`` takes them. The scorer implements precision and recall over
+group mappings, counting a null verdict that agrees with the truth as
+neither discovered nor actual (a correctly identified new group is not a
+mapping). The generator fabricates an older/newer version pair with
+clone-type mutations and emits source trees, clone reports, and the
+matching ground truth, all deterministic for a given seed.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from pathlib import Path
 from .errors import (ConfigError, CoverageError, ValidationError, _at, _fields,
                      _items, is_json_int, is_number, json_document, read_utf8)
 from .ingest import VersionSnapshot, snapshot_to_dict
-from .mapping import GroupMapping
 from .pipeline import artifact_header, write_json_artifact
 
 VOCAB_PER_GROUP = 10
@@ -133,6 +134,60 @@ class GroundTruth:
 
 def load_ground_truth(path: Path | str) -> GroundTruth:
     return GroundTruth.from_dict(json_document(read_utf8(path), path))
+
+
+@dataclass(frozen=True)
+class GroupMapping:
+    """One newer group's verdict, as read back from outside the mapper:
+    its origin (or None) and the score. Every field is checked.
+
+    ``similarity`` is the score against the selected old group, or the best
+    score seen when the verdict is None.
+    """
+
+    new_group: tuple[str, int]
+    old_group: tuple[str, int] | None
+    similarity: float
+
+    def __post_init__(self):
+        # A version is a non-empty string, as in VersionSnapshot.
+        for name in ("new_group", "old_group"):
+            ref = getattr(self, name)
+            if not (ref is None and name == "old_group"
+                    or isinstance(ref, tuple) and len(ref) == 2
+                    and isinstance(ref[0], str) and ref[0] != ""
+                    and is_json_int(ref[1]) and ref[1] >= 0):
+                raise ValidationError(
+                    f"{name} must be a (version, index) tuple of a non-empty "
+                    f"string and an integer >= 0, got {ref!r}")
+        # Negated, so that NaN fails too.
+        if not (is_number(self.similarity) and 0.0 <= self.similarity <= 1.0):
+            raise ValidationError(f"similarity must be a number in [0, 1], "
+                                  f"got {self.similarity!r}")
+
+
+def mappings_from_artifact(doc: dict) -> list[GroupMapping]:
+    """The verdicts of a mapping artifact, the inverse of
+    ``pipeline.mapping_result``.
+
+    Checks only the document's shape, through the shared
+    ``errors._fields`` and ``errors._items``: an object with ``newer``,
+    ``older`` and a ``mappings`` list of row objects, each with
+    ``new_group``, ``old_group`` and ``similarity``. ``GroupMapping``
+    checks every value, and its error is prefixed with the row's position,
+    ``mapping row i: ``.
+    """
+    newer, older, rows = _fields(doc, "mapping artifact",
+                                 ("newer", "older", "mappings"), ValidationError)
+    mappings = []
+    for pos, row in enumerate(_items(rows, "mapping artifact 'mappings'",
+                                     ValidationError)):
+        where = f"mapping row {pos}"
+        new, old, similarity = _fields(
+            row, where, ("new_group", "old_group", "similarity"), ValidationError)
+        mappings.append(_at(where, GroupMapping, (newer, new),
+                            None if old is None else (older, old), similarity))
+    return mappings
 
 
 @dataclass(frozen=True)

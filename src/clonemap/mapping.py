@@ -25,9 +25,7 @@ dense matrix, so each cell has the same bits on both paths.
 
 The mappers return their verdicts as two columns, one entry per newer
 group in index order: the older index or None, and the score.
-``GroupMapping`` is the checked row of a mapping read back from outside,
-as ``pipeline.mappings_from_artifact`` reads an artifact; no mapper
-builds one.
+``evaluation`` reads them back from an artifact as checked rows.
 """
 
 from __future__ import annotations
@@ -39,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CloneMapWarning, ConfigError, ValidationError, is_json_int,
-                     is_number)
+from .errors import CloneMapWarning, ConfigError, ValidationError, is_number
 from .ingest import split_lines
 from .topicmodel import TopicBlock
 
@@ -329,36 +326,6 @@ class MappingConfig:
         # Negated, so that NaN fails too.
         if not (is_number(self.delta) and 0.0 <= self.delta <= 1.0):
             raise ConfigError(f"delta must be in [0, 1], got {self.delta!r}")
-
-
-@dataclass(frozen=True)
-class GroupMapping:
-    """One newer group's verdict, as read back from outside the mapper:
-    its origin (or None) and the score. Every field is checked.
-
-    ``similarity`` is the score against the selected old group, or the best
-    score seen when the verdict is None.
-    """
-
-    new_group: tuple[str, int]
-    old_group: tuple[str, int] | None
-    similarity: float
-
-    def __post_init__(self):
-        # A version is a non-empty string, as in VersionSnapshot.
-        for name in ("new_group", "old_group"):
-            ref = getattr(self, name)
-            if not (ref is None and name == "old_group"
-                    or isinstance(ref, tuple) and len(ref) == 2
-                    and isinstance(ref[0], str) and ref[0] != ""
-                    and is_json_int(ref[1]) and ref[1] >= 0):
-                raise ValidationError(
-                    f"{name} must be a (version, index) tuple of a non-empty "
-                    f"string and an integer >= 0, got {ref!r}")
-        # Negated, so that NaN fails too.
-        if not (is_number(self.similarity) and 0.0 <= self.similarity <= 1.0):
-            raise ValidationError(f"similarity must be a number in [0, 1], "
-                                  f"got {self.similarity!r}")
 
 
 def _assign(score_rows, n_old: int, empty_rows, newer_id: str,

@@ -1,7 +1,8 @@
 """End-to-end wiring: clone reports to documents, topics, mappings, JSON.
 
 Everything the CLI does lives here as plain functions so library users and
-the test suite can drive the identical pipeline without a subprocess.
+the test suite can drive the identical pipeline without a subprocess. This
+module runs a map and writes its artifact; ``evaluation`` reads one back.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ from typing import Iterable, Iterator, NoReturn
 import numpy as np
 
 from . import __version__
-from .errors import ValidationError, _at, _fields, _items
 from .ingest import VersionSnapshot, parse_clone_report, resolve_snapshot
 from .mapping import (
-    GroupMapping,
     MappingConfig,
     Strategy,
     baseline_text_map,
@@ -281,29 +280,6 @@ def mapping_result(newer_id: str, older_id: str,
         "unmatched_old": sorted(set(range(older_size)).difference(old)),
         **artifact_header(run_config),
     }
-
-
-def mappings_from_artifact(doc: dict) -> list[GroupMapping]:
-    """The verdicts of a mapping artifact, the inverse of ``mapping_result``.
-
-    Checks only the document's shape, through the shared
-    ``errors._fields`` and ``errors._items``: an object with ``newer``,
-    ``older`` and a ``mappings`` list of row objects, each with
-    ``new_group``, ``old_group`` and ``similarity``. ``GroupMapping``
-    checks every value, and its error is prefixed with the row's position,
-    ``mapping row i: ``.
-    """
-    newer, older, rows = _fields(doc, "mapping artifact",
-                                 ("newer", "older", "mappings"), ValidationError)
-    mappings = []
-    for pos, row in enumerate(_items(rows, "mapping artifact 'mappings'",
-                                     ValidationError)):
-        where = f"mapping row {pos}"
-        new, old, similarity = _fields(
-            row, where, ("new_group", "old_group", "similarity"), ValidationError)
-        mappings.append(_at(where, GroupMapping, (newer, new),
-                            None if old is None else (older, old), similarity))
-    return mappings
 
 
 def run_map(newer_report: Path | str, older_report: Path | str,

@@ -29,11 +29,12 @@ from clonemap.evaluation import (
     SynthConfig,
     generate_evolution,
     load_ground_truth,
+    mappings_from_artifact,
     score,
 )
 from clonemap.mapping import (MappingConfig, Metric, Strategy, lcs_similarity,
                               topic_similarity)
-from clonemap.pipeline import mappings_from_artifact, run_map, write_json_artifact
+from clonemap.pipeline import run_map, write_json_artifact
 from clonemap.preprocess import TokenDocument
 from clonemap.topicmodel import LdaConfig, build_corpus, fit_group_topic, fit_lda
 

@@ -29,10 +29,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from clonemap import cli, ingest, pipeline
 from clonemap.cli import build_parser, main
 from clonemap.errors import CloneMapWarning
-from clonemap.evaluation import SynthConfig
+from clonemap.evaluation import GroupMapping, SynthConfig
 from clonemap.ingest import (VersionSnapshot, parse_clone_report, resolve_snapshot,
                              snapshot_to_dict)
-from clonemap.mapping import GroupMapping, MappingConfig, Metric, Strategy
+from clonemap.mapping import MappingConfig, Metric, Strategy
 from clonemap.preprocess import TokenDocument, strip_comments
 from clonemap.topicmodel import LdaConfig, count_version
 
@@ -356,6 +356,24 @@ class TestEvalCommand:
                    "--truth", str(paths["truth"])])
         assert rc == 3
         assert "must be a" in capsys.readouterr().err
+
+    def test_linked_rows_must_select_the_truths_older_version(
+            self, evolution, tmp_path, capsys):
+        """A header that names another older version gives its linked rows
+        that version, and ``score`` refuses the first of them before the
+        header itself is checked."""
+        mapping_path = tmp_path / "mapping.json"
+        assert main(run_map_cmd(evolution, "--out", str(mapping_path))) == 0
+        doc = json.loads(mapping_path.read_text(encoding="utf-8"))
+        assert any(row["old_group"] is not None for row in doc["mappings"])
+        doc["older"] = "v0"
+        mapping_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["eval", "--mapping", str(mapping_path),
+                   "--truth", str(evolution / "truth.json")])
+        assert rc == 3
+        assert ("mapping selects version 'v0' but ground truth covers 'v1'"
+                in capsys.readouterr().err)
 
     def test_repeated_mapping_row_is_validation_error(self, evolution,
                                                       tmp_path, capsys):
@@ -1374,6 +1392,19 @@ class TestSynthCommand:
         assert "seed must be >= 0, got -3" in capsys.readouterr().err
         assert not out.exists()
 
+
+    def test_one_line_type3_fragments_never_go_empty(self, tmp_path, capsys):
+        """A type-3 edit of a one-line fragment that draws a delete
+        modifies the line instead, so no fragment spans zero lines."""
+        out = tmp_path / "x"
+        rc = main(["synth", "--out", str(out), "--groups", "30",
+                   "--lines", "1", "1", "--mix", "0", "0", "0", "1",
+                   "--seed", "3"])
+        assert rc == 0, capsys.readouterr().err
+        for version in ("older", "newer"):
+            snapshot = parse_clone_report(out / f"{version}_report.json")
+            assert all(end >= start for start, end
+                       in zip(snapshot.starts, snapshot.ends))
 
     def test_non_empty_out_is_config_error(self, tmp_path, capsys):
         """A second run into one directory would leave the first run's

@@ -12,13 +12,13 @@ from clonemap.errors import (ConfigError, CoverageError, ReportParseError,
 from clonemap.evaluation import (
     EvalReport,
     GroundTruth,
+    GroupMapping,
     SynthConfig,
     generate_evolution,
     load_ground_truth,
     score,
 )
 from clonemap.ingest import parse_clone_report, resolve_snapshot
-from clonemap.mapping import GroupMapping
 from clonemap.pipeline import canonical_json, documents, texts
 from clonemap.preprocess import default_filter_config
 

@@ -7,8 +7,9 @@ JSON, only the forked count reads ``pickle`` and ``cli.main`` maps three
 exception types, the readers of reports, ground truth and mapping artifacts
 hold no value check, one function reads the row-block size, one function of
 ``pipeline`` reads a version, only the readers of a mapping build verdict
-records, every name the package exports resolves, and the count of publicly
-settable values is pinned."""
+records and only ``evaluation`` defines them, every name the package exports
+resolves, and the counts of publicly settable values and of code lines are
+pinned."""
 
 import argparse
 import ast
@@ -467,7 +468,7 @@ def test_one_function_builds_frequency_blocks():
 
 
 # The two readers of a mapping from outside the mapper.
-VERDICT_RECORD_READERS = {"pipeline.mappings_from_artifact", "evaluation.score"}
+VERDICT_RECORD_READERS = {"evaluation.mappings_from_artifact", "evaluation.score"}
 
 
 def non_import_reads(paths, name: str, allowed) -> list[str]:
@@ -484,10 +485,16 @@ def non_import_reads(paths, name: str, allowed) -> list[str]:
 
 def test_only_read_back_builds_verdict_records():
     """Within the package, ``GroupMapping`` is read only by module-level
-    imports, by ``pipeline.mappings_from_artifact`` and by
+    imports, by ``evaluation.mappings_from_artifact`` and by
     ``evaluation.score``: the mappers return two verdict columns, and a
-    record is the checked row of a mapping read back from outside."""
+    record is the checked row of a mapping read back from outside. The
+    record and its reader are defined only in ``evaluation``, beside their
+    one consumer, so a ``map`` compiles neither."""
     paths = sorted(PACKAGE.glob("*.py"))
+    for name in ("GroupMapping", "mappings_from_artifact"):
+        assert [path.name for path in paths
+                if name in {n for _, n in module_level_names(path)}] == [
+            "evaluation.py"], name
     assert {read.split(": ", 1)[1]
             for read in scoped_reads(paths, "GroupMapping")} >= (
         VERDICT_RECORD_READERS)
@@ -619,8 +626,8 @@ def test_scan_finds_a_json_write(tmp_path):
 
 
 # The readers of outside input: both report parsers in ``ingest``,
-# ``GroundTruth.from_dict`` in ``evaluation``, ``mappings_from_artifact``
-# in ``pipeline`` and the shape helpers they share in ``errors``.
+# ``GroundTruth.from_dict`` and ``mappings_from_artifact`` in
+# ``evaluation`` and the shape helpers they share in ``errors``.
 PARSERS = {"snapshot_from_dict", "_snapshot_from_xml", "from_dict",
            "mappings_from_artifact", "_fields", "_items"}
 READER_MODULES = ("ingest.py", "evaluation.py", "pipeline.py", "errors.py")
@@ -789,8 +796,8 @@ print(json.dumps(facts))
 
 
 def test_package_root_loads_evaluation_on_first_access():
-    """``import clonemap`` leaves the scorer and the generator unloaded,
-    yet lists, binds and resolves their six names as before; a name the
+    """``import clonemap`` leaves the artifact reader, the scorer and the
+    generator unloaded, yet lists, binds and resolves their eight names; a name the
     package lacks still raises ``AttributeError``. Run in a fresh
     interpreter, since this one has loaded everything."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
@@ -802,8 +809,9 @@ def test_package_root_loads_evaluation_on_first_access():
         "missing_from_dir": [],
         "loaded_by_dir": False,
         "unbound_by_star": [],
-        "evaluation": ["EvalReport", "GroundTruth", "SynthConfig",
-                       "generate_evolution", "load_ground_truth", "score"],
+        "evaluation": ["EvalReport", "GroundTruth", "GroupMapping",
+                       "SynthConfig", "generate_evolution", "load_ground_truth",
+                       "mappings_from_artifact", "score"],
         "error": "module 'clonemap' has no attribute 'no_such_name'",
     }
 
@@ -855,3 +863,53 @@ def test_publicly_settable_values_are_counted():
     one must move this pin, where a reviewer sees it."""
     values = settable_values()
     assert len(values) == SETTABLE_VALUES, "\n".join(values)
+
+
+def counted_code_lines(paths) -> int:
+    """The code lines of ``paths``: each line that is not blank, not
+    comment-only and not inside a module, class or function docstring."""
+    total = 0
+    for path in paths:
+        source = path.read_text(encoding="utf-8")
+        docstrings = set()
+        for node in ast.walk(ast.parse(source)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef))
+                    and ast.get_docstring(node, clean=False) is not None):
+                doc = node.body[0]
+                docstrings.update(range(doc.lineno, doc.end_lineno + 1))
+        total += sum(1 for number, line in enumerate(source.splitlines(), 1)
+                     if line.strip() and not line.lstrip().startswith("#")
+                     and number not in docstrings)
+    return total
+
+
+def test_scan_counts_code_lines(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        '"""A module docstring\n'
+        'over two lines."""\n'
+        "\n"
+        "import os  # a trailing comment\n"
+        "    # a comment-only line\n"
+        "def f(x):\n"
+        "    '''A one-line docstring.'''\n"
+        "    text = '''a string\n"
+        "that is no docstring'''\n"
+        "    return os.sep + text + x\n"
+        "class C:\n"
+        '    """A class docstring."""\n'
+        "    size = 1\n",
+        encoding="utf-8",
+    )
+    assert counted_code_lines([module]) == 7
+    assert counted_code_lines([module, module]) == 14
+
+
+COUNTED_CODE_LINES = 1862
+
+
+def test_code_lines_are_counted():
+    """Fewer code lines doing the same work is progress, so a change that
+    adds or removes one must move this pin, where its diff shows it."""
+    assert counted_code_lines(sorted(PACKAGE.glob("*.py"))) == COUNTED_CODE_LINES

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from clonemap import mapping
 from clonemap.errors import CloneMapWarning, ConfigError, ValidationError
+from clonemap.evaluation import GroupMapping, mappings_from_artifact
 from clonemap.mapping import (
-    GroupMapping,
     MappingConfig,
     Metric,
     _assign,
@@ -27,7 +27,6 @@ from clonemap.pipeline import (
     _frequency_pair,
     canonical_json,
     mapping_result,
-    mappings_from_artifact,
 )
 from clonemap.preprocess import TokenDocument
 

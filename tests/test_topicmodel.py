@@ -151,6 +151,11 @@ class TestFitGroupTopic:
             assert topic.ids.size == topic.values.size == 0
             assert topic.size == size
 
+    def test_word_missing_from_the_corpus_is_named(self):
+        with pytest.raises(ValidationError,
+                           match="word 'zeta' missing from corpus vocabulary"):
+            fit_group_topic(doc(["a", "zeta"]), build_corpus([doc(["a"])]))
+
     def test_shared_corpus_vocabulary(self):
         d1 = doc(["a", "a"])
         d2 = doc(["b"])
