@@ -18,7 +18,8 @@ from typing import Iterable, Iterator, NoReturn
 import numpy as np
 
 from . import __version__
-from .ingest import VersionSnapshot, parse_clone_report, resolve_snapshot
+from .ingest import (VersionSnapshot, parse_clone_report, resolve_snapshot,
+                     snapshot_parts)
 from .mapping import (
     MappingConfig,
     Strategy,
@@ -41,21 +42,27 @@ from .topicmodel import fit_group_topic  # noqa: F401
 
 def texts(snapshot: VersionSnapshot,
           source_root: Path | str | None) -> Iterator[str]:
-    """Resolve ``snapshot`` on the first ``next()``, then yield each
-    group's fragment texts, joined by newlines, in index order. This is
-    the one place a version is read, for both strategies. When the
-    generator is exhausted it holds nothing, so the snapshot and its text
-    go with the last reference outside it."""
-    snapshot = resolve_snapshot(snapshot, source_root)
-    text, bounds = snapshot.text, snapshot.bounds
-    for lo, hi in zip(bounds, bounds[1:]):
-        yield "\n".join(text[lo:hi])
+    """Yield each group's fragment texts, joined by newlines, in index
+    order, resolving the snapshot one ``snapshot_parts`` part at a time,
+    on the ``next()`` that reaches the part. This is the one place a
+    version is read, for both strategies. A part's text is released
+    before the next part is resolved, and when the generator is exhausted
+    it holds nothing, so the snapshot goes with the last reference
+    outside it."""
+    for part in snapshot_parts(snapshot, source_root):
+        # The next ``for`` step rebinds ``part``, which drops this part's
+        # text before the next part is resolved.
+        part = resolve_snapshot(part, source_root)
+        bounds = part.bounds
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield "\n".join(part.text[lo:hi])
 
 
 def documents(snapshot: VersionSnapshot, source_root: Path | str | None,
               filter_config: FilterConfig) -> Iterator[TokenDocument]:
     """Each group's filtered token document in index order, built from
-    ``texts``: the snapshot is resolved on the first ``next()``."""
+    ``texts``: the snapshot is resolved one part at a time as the
+    documents are drawn."""
     for text in texts(snapshot, source_root):
         yield build_group_document(text, filter_config)
 
@@ -294,17 +301,21 @@ def run_map(newer_report: Path | str, older_report: Path | str,
     Reports may carry fragment text inline or reference files under the
     source roots. Both reports are parsed before either version is read.
     Then each process reads one version at a time through ``texts``, newer
-    first. The LCS strategy keeps each group's raw text as line ids; the
-    topic strategy tokenizes and counts it and scores per-group topic
-    distributions over a shared vocabulary. With K = 1 the blocks come
-    from ``_frequency_pair``, which forks only where ``_fork_pays``, read
-    from the parsed reports before either version is: both versions span
-    enough lines and a second CPU is free. Then a child counts the older
-    version while this process counts the newer one, and only the counts
-    come back, as a pickle stream; this process reads the older version
-    itself, after the newer one, when the child fails. Without a child, at
-    any K, this process reads both, and releases the newer version's
-    text, inline text included, before it reads the older one.
+    first, and each version one part at a time, so a process holds one
+    part's text, not a version's. The LCS strategy keeps each group's raw
+    text as line ids; the topic strategy tokenizes and counts it and
+    scores per-group topic distributions over a shared vocabulary. With
+    K = 1 the blocks come from ``_frequency_pair``, which forks only where
+    ``_fork_pays``, read from the parsed reports before either version is:
+    both versions span enough lines and a second CPU is free. Then a child
+    counts the older version while this process counts the newer one, and
+    only the counts come back, as a pickle stream; this process reads the
+    older version itself, after the newer one, when the child fails.
+    Without a child, at any K, this process reads both, and releases the
+    newer version's text, inline text included, before it reads the older
+    one. A fault in a later part is raised after the earlier parts' groups
+    were tokenized, so their warnings come first; its message and type are
+    those of a version read in one part.
     """
     filter_config = filter_config or default_filter_config()
     mapping_config = mapping_config or MappingConfig()

@@ -18,7 +18,8 @@ import threading
 import time
 import warnings
 import weakref
-from dataclasses import fields
+from collections import Counter
+from dataclasses import fields, replace
 from pathlib import Path
 from xml.sax.saxutils import quoteattr
 
@@ -987,6 +988,139 @@ class TestOneVersionAtATime:
         else:
             assert resolved_ids == ["v2", "v1"]
             assert alive_at_call == [len(refs), 0]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("lda_config, mapping_config", READ_MODES,
+                             ids=["K1", "K2", "lcs"])
+    def test_each_part_is_released_before_the_next_is_resolved(
+            self, evolution, monkeypatch, branch, lda_config, mapping_config):
+        """With a one-line part budget each group is a part, since no two
+        groups of the fixture share a file. Weak references to every
+        resolved part, its groups, its fragments and its texts are dead
+        when the next part is resolved, within a version and across the
+        two. A plain ``str`` takes no weak reference, so each text is
+        handed on as a ``str`` subclass, which does."""
+        class Text(str):
+            pass
+
+        resolve = pipeline.resolve_snapshot
+        refs: list = []
+        alive_at_call = []
+        resolved = Counter()
+
+        def tracked(snapshot, source_root):
+            alive_at_call.append(sum(ref() is not None for ref in refs))
+            part = resolve(snapshot, source_root)
+            part = replace(part, text=tuple(map(Text, part.text)))
+            resolved[part.version_id] += len(part.bounds) - 1
+            refs.extend(weakref.ref(obj) for obj in (
+                part, *part.text, *part.groups,
+                *(f for g in part.groups for f in g.fragments)))
+            return part
+
+        monkeypatch.setattr(ingest, "_PART_LINES", 1)
+        monkeypatch.setattr(pipeline, "resolve_snapshot", tracked)
+        pipeline.run_map(evolution / "newer_report.json",
+                         evolution / "older_report.json",
+                         evolution / "newer_src", evolution / "older_src",
+                         mapping_config=mapping_config, lda_config=lda_config)
+        sizes = {version: len(parse_clone_report(
+                     evolution / f"{version}_report.json").bounds) - 1
+                 for version in ("newer", "older")}
+        assert min(sizes.values()) > 2
+        if branch == "forked" and lda_config is mapping_config is None:
+            assert resolved == {"v2": sizes["newer"]}
+        else:
+            assert resolved == {"v2": sizes["newer"], "v1": sizes["older"]}
+        # One resolve per group: each part is one group.
+        assert alive_at_call == [0] * sum(resolved.values())
+        assert_no_child_left()
+
+
+class TestLatePartFaults:
+    """A version read in parts fails in a late part as it fails in one:
+    each fault keeps its message and exit code, whichever process counts
+    the version. Only the order against warnings moves: an earlier part's
+    warning now comes before a later part's error."""
+
+    GROUPS = 4
+    TEXT = TestOneVersionAtATime.TEXT
+    run = TestOneVersionAtATime.run
+
+    def write_pair(self, root: Path, fault: str, at: str) -> list[str]:
+        """Two versions of ``GROUPS`` groups under ``root``, each group
+        naming files of its own, with ``fault`` in the last group of
+        version ``at``; the ``map`` argv of the pair."""
+        argv = ["map", "--format", "json"]
+        for version in ("newer", "older"):
+            src = root / f"{version}_src"
+            src.mkdir()
+            # With no root, every text but the faulty last one is inline.
+            no_root = version == at and fault == "no-root"
+            groups = []
+            for g in range(self.GROUPS):
+                fragments = []
+                for m in range(2):
+                    (src / f"g{g}_{m}.c").write_text(self.TEXT, encoding="utf-8")
+                    fragments.append({"file": f"g{g}_{m}.c", "start_line": 1,
+                                      "end_line": 2})
+                    if no_root:
+                        fragments[-1]["text"] = self.TEXT
+                groups.append({"index": g, "fragments": fragments})
+            last = groups[-1]["fragments"][-1]
+            if no_root:
+                del last["text"]
+            elif version == at:
+                last.update({"missing-file": {"file": "gone.c"},
+                             "range": {"end_line": 9},
+                             "outside": {"file": "../outside.c"}}[fault])
+            report = root / f"{version}.json"
+            report.write_text(json.dumps({"version": version, "groups": groups}),
+                              encoding="utf-8")
+            argv += [f"--{version}", str(report)]
+            if not no_root:
+                argv += [f"--source-{version}", str(src)]
+        return argv
+
+    def message(self, root: Path, fault: str, at: str) -> tuple[int, str]:
+        src = os.path.realpath(root / f"{at}_src")
+        last = self.GROUPS - 1
+        return {
+            "missing-file": (4, "clonemap: I/O error: [Errno 2] No such file "
+                                f"or directory: '{src}/gone.c'\n"),
+            "range": (3, f"clonemap: g{last}_1.c: lines 1..9 exceed file "
+                         "length 2\n"),
+            "outside": (3, "clonemap: fragment file '../outside.c' lies "
+                           f"outside the source root '{src}'\n"),
+            "no-root": (3, f"clonemap: version {at!r}, group {last}: no "
+                           f"source root to resolve 'g{last}_1.c'\n"),
+        }[fault]
+
+    @pytest.mark.parametrize("at", ["newer", "older"])
+    @pytest.mark.parametrize("fault", ["missing-file", "range", "outside",
+                                       "no-root"])
+    def test_late_part_fault_keeps_message_and_exit_code(
+            self, tmp_path, capsys, monkeypatch, branch, fault, at):
+        argv = self.write_pair(tmp_path, fault, at)
+        rc, err = self.message(tmp_path, fault, at)
+        assert self.run(argv, capsys) == (rc, err, [])
+        monkeypatch.setattr(ingest, "_PART_LINES", 1)
+        assert self.run(argv, capsys) == (rc, err, [])
+        assert_no_child_left()
+
+    def test_earlier_part_warns_before_later_part_fails(
+            self, tmp_path, capsys, monkeypatch, branch):
+        """One part resolves the whole version, so its error comes before
+        any group is tokenized; in parts, the first group's warning comes
+        first."""
+        argv = self.write_pair(tmp_path, "missing-file", "newer")
+        (tmp_path / "newer_src" / "g0_0.c").write_text(
+            "int x; /* never closed\nint y;\n", encoding="utf-8")
+        rc, err = self.message(tmp_path, "missing-file", "newer")
+        assert self.run(argv, capsys) == (rc, err, [])
+        monkeypatch.setattr(ingest, "_PART_LINES", 1)
+        assert self.run(argv, capsys) == (rc, err, [
+            "unterminated block comment; stripped to end of input"])
         assert_no_child_left()
 
 

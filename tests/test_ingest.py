@@ -1068,3 +1068,126 @@ class TestResolveByFile:
         frags = [CloneFragment("empty.c", 1, 1, None)] * 2
         with pytest.raises(FragmentRangeError, match="exceed file length 0"):
             resolve_snapshot(self.snapshot(frags), tmp_path)
+
+
+    def far_apart(self):
+        """Every range of every file under both names, in pairs, in four
+        runs that share no name, the last of them ending in a pair that
+        names ``tail.c`` again, far from its first groups. Then three
+        groups that share no name: inline texts that no file backs,
+        ``a.c`` and ``tail.c`` by names no other group uses, and 40 lines
+        of inline text."""
+        frags = self.fragments()
+        groups = [[(f.file, f.start_line, f.end_line) for f in frags[k : k + 2]]
+                  for k in range(0, len(frags), 2)]
+        groups += [[("tail.c", 2, 3), ("blank.c", 1, 1)],
+                   [("inline.c", 1, 2, "x\r\ny"), ("inline.c", 3, 3, "z")],
+                   [("sub/../a.c", 2, 3), ("./link.c", 1, 3)],
+                   [("big.c", 1, 20, "w\n" * 19 + "w"),
+                    ("big.c", 1, 20, "v\n" * 19 + "v")]]
+        return columns("v1", groups)
+
+    def test_texts_read_alike_at_every_budget(self, root, opened, monkeypatch):
+        """``pipeline.texts`` reads the same texts at every part budget
+        from one line to the whole version, and resolves, so opens, each
+        ``file`` string once per version."""
+        snapshot = self.far_apart()
+        whole = resolve_snapshot(snapshot, root)
+        want = ["\n".join(whole.text[lo:hi])
+                for lo, hi in zip(whole.bounds, whole.bounds[1:])]
+        names = {file for file, inline in zip(snapshot.files, snapshot.text)
+                 if inline is None}
+        contained = []
+        contained_file = ingest._SourceTree._contained_file
+
+        def counting(tree, file):
+            contained.append(file)
+            return contained_file(tree, file)
+
+        monkeypatch.setattr(ingest._SourceTree, "_contained_file", counting)
+        total = sum(snapshot.ends) - sum(snapshot.starts) + len(snapshot.ends)
+        counts = set()
+        for budget in range(1, total + 1):
+            monkeypatch.setattr(ingest, "_PART_LINES", budget)
+            contained.clear()
+            opened.clear()
+            assert list(texts(snapshot, root)) == want
+            # Each file string is resolved, and so opened, once.
+            assert sorted(contained) == sorted(names)
+            assert len(opened) <= len(names)
+            counts.add(len(list(ingest.snapshot_parts(snapshot, root))))
+        assert min(counts) == 1 and max(counts) == 7
+
+
+def parts_oracle(groups, budget):
+    """The groups of each part ``snapshot_parts`` cuts, by the rule as
+    stated: after each group, see whether any file named so far is named
+    again later; where none is, a run of groups ends, and runs join a
+    part while the part spans at most ``budget`` lines."""
+    runs, run = [], []
+    for g in range(len(groups)):
+        run.append(g)
+        before = {f[0] for group in groups[: g + 1] for f in group}
+        if not before & {f[0] for group in groups[g + 1 :] for f in group}:
+            runs.append(run)
+            run = []
+    parts = []
+    for run in runs:
+        joined = (parts[-1] if parts else []) + run
+        if parts and sum(e - s + 1 for g in joined
+                         for _, s, e in groups[g]) <= budget:
+            parts[-1] = joined
+        else:
+            parts.append(run)
+    return parts or [[]]
+
+
+class TestParts:
+    """``snapshot_parts`` cuts a version into runs of whole groups of at
+    most ``_PART_LINES`` lines, never between two fragments that name one
+    ``file`` string, and ``texts`` reads through the parts exactly the
+    text it reads in one."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(groups=st.lists(st.lists(st.tuples(
+               st.sampled_from(["a.c", "b.c", "./a.c", "d/c.c", "e.c"]),
+               st.integers(1, 4), st.integers(0, 6)).map(
+                   lambda f: (f[0], f[1], f[1] + f[2])),
+               min_size=2, max_size=3), max_size=8),
+           budget=st.integers(1, 60))
+    def test_parts_follow_the_rule(self, groups, budget):
+        snapshot = columns("v1", groups)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ingest, "_PART_LINES", budget)
+            parts = list(ingest.snapshot_parts(snapshot, "/"))
+        sizes = [len(part.bounds) - 1 for part in parts]
+        picks = list(accumulate(sizes, initial=0))
+        assert [list(range(lo, hi)) for lo, hi in zip(picks, picks[1:])] == (
+            parts_oracle(groups, budget))
+        for part, first, last in zip(parts, picks, picks[1:]):
+            lo, hi = snapshot.bounds[first], snapshot.bounds[last]
+            assert part.version_id == "v1"
+            assert part.bounds == tuple(b - lo for b in
+                                        snapshot.bounds[first : last + 1])
+            for name in ("files", "starts", "ends", "text"):
+                assert getattr(part, name) == getattr(snapshot, name)[lo:hi]
+
+    def test_without_a_root_the_version_is_one_part(self, monkeypatch):
+        """Every text is then inline, and a missing one is named by its
+        group within the version."""
+        monkeypatch.setattr(ingest, "_PART_LINES", 1)
+        doc = make_report(n_groups=4)
+        snapshot = snapshot_from_dict(doc)
+        assert list(ingest.snapshot_parts(snapshot, None)) == [snapshot]
+        assert len(list(ingest.snapshot_parts(snapshot, "/"))) == 4
+        del doc["groups"][3]["fragments"][1]["text"]
+        with pytest.raises(ValidationError, match=r"^version 'v1', group 3: "
+                           r"no source root to resolve 'g3_1\.c'$"):
+            list(texts(snapshot_from_dict(doc), None))
+
+    def test_zero_groups_are_one_empty_part(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_PART_LINES", 1)
+        snapshot = columns("v1", [])
+        parts = list(ingest.snapshot_parts(snapshot, tmp_path))
+        assert [(p.files, p.bounds) for p in parts] == [((), (0,))]
+        assert list(texts(snapshot, tmp_path)) == []
